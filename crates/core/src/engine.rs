@@ -54,7 +54,8 @@ impl SweepEngine {
     }
 
     /// An engine sized to the machine's available parallelism (1 if that
-    /// cannot be determined).
+    /// cannot be determined). The pool is sized once per process (see
+    /// [`pool::auto_threads`]): a CPU quota changed later is not seen.
     pub fn auto() -> Self {
         Self {
             threads: pool::auto_threads(),

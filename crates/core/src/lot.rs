@@ -932,7 +932,9 @@ impl LotEngine {
 
     /// An engine sized to the machine's available parallelism, with a
     /// serial per-device point engine (devices usually outnumber cores,
-    /// so device-level fan-out alone saturates the pool).
+    /// so device-level fan-out alone saturates the pool). The pool is
+    /// sized once per process (see [`pool::auto_threads`]): a CPU quota
+    /// changed later is not seen.
     pub fn auto() -> Self {
         Self {
             device_threads: pool::auto_threads(),

@@ -27,14 +27,21 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// The machine's available parallelism (1 if it cannot be determined) —
 /// the sizing rule behind every engine's `auto()` constructor.
+///
+/// Read once per process and cached: `available_parallelism` re-reads
+/// the cgroup CPU quota files on every call, which costs far more than
+/// building an engine.
 pub fn auto_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
 }
 
 /// A job handed to the pool panicked.
@@ -197,6 +204,18 @@ mod tests {
     #[test]
     fn auto_threads_is_at_least_one() {
         assert!(auto_threads() >= 1);
+    }
+
+    #[test]
+    fn auto_threads_is_sized_once_per_process() {
+        let first = auto_threads();
+        assert!((0..100).all(|_| auto_threads() == first));
+        // Calls from other threads see the same cached value.
+        let others: Vec<usize> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..4).map(|_| s.spawn(auto_threads)).collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert_eq!(others, vec![first; 4]);
     }
 
     #[test]

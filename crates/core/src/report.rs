@@ -328,6 +328,29 @@ fn json_counts(out: &mut String, c: &crate::lot::VerdictCounts) {
     );
 }
 
+/// Bytes [`lot_json`] reserves up front: a little above what typical
+/// reports render to (about 265 bytes per Bode point and 250 per device
+/// besides its points), so a lot document is written into one allocation
+/// instead of growing by doubling. Capacity that is never written stays
+/// untouched, so the slack does not count towards resident memory.
+fn lot_json_capacity(report: &LotReport) -> usize {
+    const HEADER: usize = 256;
+    const PER_MASK_POINT: usize = 96;
+    const PER_STAGE: usize = 192;
+    const PER_DEVICE: usize = 320;
+    const PER_STAGE_TIME: usize = 24;
+    const PER_POINT: usize = 288;
+    let devices: usize = report
+        .devices()
+        .iter()
+        .map(|d| PER_DEVICE + PER_STAGE_TIME * d.stage_times.len() + PER_POINT * d.plot.len())
+        .sum();
+    HEADER
+        + PER_MASK_POINT * report.mask().points().len()
+        + PER_STAGE * report.stages().len()
+        + devices
+}
+
 /// Renders a lot report as a JSON document (schema `netan.lot.v4`): the
 /// shard provenance (`null` when unknown), the stopping policy, the
 /// mask, the verdict histogram, the yield enclosure (`null` for an
@@ -340,7 +363,8 @@ fn json_counts(out: &mut String, c: &crate::lot::VerdictCounts) {
 /// documents (no `stopping`/`stage_times_s`) remain readable, by the
 /// `plot_report` consumer and by [`parse_lot_json`].
 pub fn lot_json(report: &LotReport) -> String {
-    let mut out = String::from("{\"schema\":\"netan.lot.v4\",\"stopping\":");
+    let mut out = String::with_capacity(lot_json_capacity(report));
+    out.push_str("{\"schema\":\"netan.lot.v4\",\"stopping\":");
     let _ = write!(
         out,
         "\"{}\"",
@@ -942,6 +966,23 @@ mod tests {
         let parsed = parse_lot_json(&j).expect("own output parses");
         assert_eq!(parsed.shard(), report.shard());
         assert_eq!(lot_json(&parsed), j);
+    }
+
+    #[test]
+    fn lot_json_renders_golden_lots_into_one_allocation() {
+        for golden in [
+            include_str!("../../../tests/fixtures/lot_small.json"),
+            include_str!("../../../tests/fixtures/lot_escalated.json"),
+        ] {
+            let report = parse_lot_json(golden).expect("golden fixture parses");
+            let reserved = lot_json_capacity(&report);
+            let j = lot_json(&report);
+            assert_eq!(j, golden.trim_end());
+            // Fits the reservation, so it was never grown, and the
+            // slack stays modest.
+            assert!(j.len() <= reserved, "{reserved} vs {}", j.len());
+            assert!(reserved < j.len() * 5 / 4, "{reserved} vs {}", j.len());
+        }
     }
 
     #[test]

@@ -200,21 +200,35 @@ impl ScIntegrator {
         // rate is finite, mirroring the scalar control flow).
         let slew_rate = self.opamp.slew_rate;
         let tau = 1.0 / (2.0 * std::f64::consts::PI * beta * self.opamp.gbw.value());
+        let leak = 1.0 - ct / (self.cf * a0);
+        let mu = self.opamp.static_gain_factor(beta);
+        let offset = self.opamp.offset.value();
+        let frac = self.opamp.settling_fraction(beta, self.settle_time);
+        // Every per-step factor is an identity: see `advance`.
+        let exact = leak == 1.0
+            && mu == 1.0
+            && frac == 1.0
+            && !slew_rate.is_finite()
+            && self.opamp.output_swing.value().abs() == f64::INFINITY
+            && self.opamp.cubic == 0.0
+            && offset == 0.0
+            && !self.noise.is_enabled();
         ScStepPlan {
             n: cap_ratios.len(),
             vgain,
             sigma,
             ngain,
             noisy,
-            leak: 1.0 - ct / (self.cf * a0),
-            mu: self.opamp.static_gain_factor(beta),
-            offset: self.opamp.offset.value(),
-            frac: self.opamp.settling_fraction(beta, self.settle_time),
+            leak,
+            mu,
+            offset,
+            frac,
             slew_finite: slew_rate.is_finite(),
             slew_rate,
             tau,
             v_lin: slew_rate * tau,
             settle_time: self.settle_time.value(),
+            exact,
         }
     }
 
@@ -224,29 +238,98 @@ impl ScIntegrator {
     /// voltages (including the noise stream: the same draws happen in the
     /// same order).
     ///
+    /// Picks the instantiation from [`ScStepPlan::is_exact`] on every
+    /// call; block loops pick it once per block through
+    /// [`step_planned_in`](Self::step_planned_in).
+    ///
     /// # Panics
     ///
     /// Panics if `voltages.len()` differs from the planned branch count.
     #[inline]
     pub fn step_planned(&mut self, plan: &ScStepPlan, voltages: &[f64]) -> f64 {
+        if plan.exact {
+            self.step_planned_in::<true>(plan, voltages)
+        } else {
+            self.step_planned_in::<false>(plan, voltages)
+        }
+    }
+
+    /// [`step_planned`](Self::step_planned) through one instantiation of
+    /// the planned arithmetic body.
+    ///
+    /// `EXACT = true` runs the identity-free body when the plan
+    /// [`is_exact`](ScStepPlan::is_exact); on a plan that is not, it runs
+    /// the general body, so a wrong choice costs speed, never bytes. The
+    /// exact body also hands any step whose result is not finite back to
+    /// the general body, which then reproduces the general path's
+    /// infinities and NaNs bit for bit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `voltages.len()` differs from the planned branch count.
+    #[inline(always)]
+    pub fn step_planned_in<const EXACT: bool>(
+        &mut self,
+        plan: &ScStepPlan,
+        voltages: &[f64],
+    ) -> f64 {
         assert_eq!(
             voltages.len(),
             plan.n,
             "voltage count must match the planned branch count"
         );
+        if EXACT && plan.exact {
+            let before = self.vout;
+            let next = self.advance::<true>(plan, voltages);
+            if next.is_finite() {
+                return next;
+            }
+            self.vout = before;
+        }
+        self.advance::<false>(plan, voltages)
+    }
+
+    /// The planned step's arithmetic body, instantiated twice.
+    ///
+    /// On an exact plan (leak = μ = settling fraction = 1 with infinite
+    /// slew, swing ±∞, cubic = 0, offset = ±0, noise disabled) the
+    /// general body's extra operations are identities, so `EXACT` drops
+    /// them and keeps the summation order:
+    ///
+    /// * `+ offset` adds ±0 and the disabled source's draws add `+0.0`.
+    ///   Neither can change the sum: it starts at `+0.0`, so no partial
+    ///   sum is ever −0, and `p + ±0 = p` for every other `p`.
+    /// * `μ·compression`, the leak and the settling fraction multiply by
+    ///   exactly 1 while the state is finite, and
+    ///   [`ScStepPlan::settled`] only maps ±0 to `+0`, which the sum
+    ///   already is.
+    /// * The ±∞ clamp returns its argument.
+    ///
+    /// A non-finite state breaks the second point (`0·∞` turns the
+    /// compression into NaN), which is why the caller re-runs such a step
+    /// through the general body.
+    #[inline(always)]
+    fn advance<const EXACT: bool>(&mut self, plan: &ScStepPlan, voltages: &[f64]) -> f64 {
         let mut delta = 0.0;
         for (i, &v) in voltages.iter().enumerate() {
-            delta += plan.vgain[i] * (v + plan.offset);
-            if plan.noisy[i] {
-                delta += self.noise.gaussian(plan.sigma[i]) * plan.ngain[i];
+            if EXACT {
+                delta += plan.vgain[i] * v;
+            } else {
+                delta += plan.vgain[i] * (v + plan.offset);
+                if plan.noisy[i] {
+                    delta += self.noise.gaussian(plan.sigma[i]) * plan.ngain[i];
+                }
             }
         }
-        let compression = self.opamp.compression_factor(self.vout);
-        let achieved = plan.settled(plan.mu * compression * delta);
-        self.vout = self
-            .opamp
-            .clamp_output(Volts(plan.leak * self.vout + achieved))
-            .value();
+        self.vout = if EXACT {
+            self.vout + delta
+        } else {
+            let compression = self.opamp.compression_factor(self.vout);
+            let achieved = plan.settled(plan.mu * compression * delta);
+            self.opamp
+                .clamp_output(Volts(plan.leak * self.vout + achieved))
+                .value()
+        };
         self.vout
     }
 }
@@ -281,12 +364,25 @@ pub struct ScStepPlan {
     /// Linear-region boundary `SR·τ` (only read when slewing).
     v_lin: f64,
     settle_time: f64,
+    /// Whether the identity-free instantiation applies (see
+    /// [`ScStepPlan::is_exact`]).
+    exact: bool,
 }
 
 impl ScStepPlan {
     /// Number of branches the plan was built for.
     pub fn branches(&self) -> usize {
         self.n
+    }
+
+    /// Whether the plan is *exact*: leak = 1, μ = 1, a settling fraction
+    /// of 1 with infinite slew, swing ±∞, cubic = 0, offset = 0 and a
+    /// disabled noise source — ideal hardware. An exact plan's step is a
+    /// plain sum, `v_out + Σ (C_i/C_F)·v_i`, bit-identical to the general
+    /// body; [`ScIntegrator::step_planned_in`] takes it with
+    /// `EXACT = true`.
+    pub fn is_exact(&self) -> bool {
+        self.exact
     }
 
     /// Replica of [`OpAmpModel::settled_step`] over the hoisted constants
@@ -485,6 +581,76 @@ mod tests {
             NoiseSource::new(9),
         );
         assert_plan_matches_step("zero-cap branch", &int, &[0.0, -2.574]);
+    }
+
+    #[test]
+    fn only_ideal_hardware_plans_are_exact() {
+        let caps = [0.4, -0.4, 0.4];
+        assert!(ScIntegrator::ideal(1.0).plan(&caps).is_exact());
+        let plan_of = |opamp: OpAmpModel, noise: NoiseSource| {
+            ScIntegrator::new(1.0, 1.0e-12, opamp, Seconds(80.0e-9), noise).plan(&caps)
+        };
+        assert!(plan_of(OpAmpModel::ideal(), NoiseSource::disabled()).is_exact());
+        // Each non-identity on its own disqualifies the plan.
+        let ideal = OpAmpModel::ideal();
+        let mut slewing = ideal;
+        slewing.slew_rate = 20.0e6;
+        let mut swing = ideal;
+        swing.output_swing = Volts(2.5);
+        for (label, opamp) in [
+            ("finite gain", ideal.with_dc_gain(4000.0)),
+            ("slow settling", ideal.with_gbw(Hertz::from_mhz(1.0))),
+            ("finite slew", slewing),
+            ("finite swing", swing),
+            ("cubic", ideal.with_cubic(6.0e-3)),
+            ("offset", ideal.with_offset(Volts(0.001))),
+            ("cmos", OpAmpModel::folded_cascode_035um()),
+        ] {
+            assert!(
+                !plan_of(opamp, NoiseSource::disabled()).is_exact(),
+                "{label}"
+            );
+        }
+        assert!(!plan_of(ideal, NoiseSource::new(3)).is_exact(), "noise");
+    }
+
+    #[test]
+    fn exact_instantiation_matches_general_one_on_extreme_values() {
+        // From every state, with every pair of inputs: signed zeros,
+        // subnormals, huge, overflowing, infinite and NaN values.
+        let values = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            0.3,
+            -1.0e300,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+        ];
+        let int = ScIntegrator::ideal(1.0);
+        let plan = int.plan(&[0.4, -0.4, 0.4]);
+        assert!(plan.is_exact());
+        for &state in &values {
+            for &a in &values {
+                for &b in &values {
+                    let mut exact = int.clone();
+                    let mut general = int.clone();
+                    exact.set_output(state);
+                    general.set_output(state);
+                    let voltages = [a, b, 0.0];
+                    let got = exact.step_planned_in::<true>(&plan, &voltages);
+                    let want = general.step_planned_in::<false>(&plan, &voltages);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "state {state}, inputs {a}, {b}: {got} vs {want}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]

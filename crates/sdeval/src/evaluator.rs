@@ -343,12 +343,13 @@ impl SinewaveEvaluator {
     /// processed signatures and samples consumed.
     ///
     /// The window is drained in blocks: the source fills the sample
-    /// buffer, the square-wave polarities for the block are tabulated
-    /// once, and each modulator then consumes the whole block in a tight
-    /// loop. The two modulators are independent state machines with
-    /// independent noise streams, so de-interleaving them per block is
-    /// bit-identical to the per-sample interleave (the signatures are
-    /// exact integer sums either way).
+    /// buffer, then one loop advances the I and Q modulators sample by
+    /// sample, with both polarities from a running phase counter
+    /// ([`QuadratureSquareWave::phases`]). The two modulators are
+    /// independent state machines with independent noise streams, so the
+    /// order in which their steps interleave never changes a bit (the
+    /// signatures are exact integer sums either way); stepping them
+    /// together lets the CPU overlap their two serial dependency chains.
     fn acquire(
         &mut self,
         source: &mut dyn BlockSource,
@@ -360,22 +361,22 @@ impl SinewaveEvaluator {
         // netan-lint: allow(lossy-cast): the value is ≤ block_samples, which is already a usize, so the cast is exact
         let block = block_cap.min(window) as usize;
         let mut buf = vec![0.0f64; block];
-        let mut q1 = vec![false; block];
-        let mut q2 = vec![false; block];
         let mut run = |this: &mut Self, invert: bool, src: &mut dyn BlockSource| {
+            let mut phases = sq.phases();
             let mut i1 = 0i64;
             let mut i2 = 0i64;
             let mut t = 0u64;
             while t < window {
                 let len = block.min(usize::try_from(window - t).unwrap_or(usize::MAX));
                 src.fill_block(&mut buf[..len]);
-                for (j, (b1, b2)) in q1[..len].iter_mut().zip(&mut q2[..len]).enumerate() {
-                    let s = t + mixsig::cast::u64_from_usize(j);
-                    *b1 = (sq.in_phase(s) > 0) ^ invert;
-                    *b2 = (sq.quadrature(s) > 0) ^ invert;
-                }
-                i1 += this.mod_i.process_block(&buf[..len], &q1[..len]);
-                i2 += this.mod_q.process_block(&buf[..len], &q2[..len]);
+                let (b1, b2) = SigmaDeltaModulator::process_pair_block(
+                    &mut this.mod_i,
+                    &mut this.mod_q,
+                    &buf[..len],
+                    (&mut phases).map(|(p, q)| (p ^ invert, q ^ invert)),
+                );
+                i1 += b1;
+                i2 += b2;
                 t += mixsig::cast::u64_from_usize(len);
             }
             (i1, i2)

@@ -251,45 +251,98 @@ impl SigmaDeltaModulator {
         bit
     }
 
-    /// Processes a whole block: one master-clock cycle per `(x, q)` pair,
-    /// accumulating the bitstream as a signed count (`+1` per high bit,
+    /// Processes one block on a matched I/Q pair in a single interleaved
+    /// loop: each sample of `x` goes to `mod_i` with the first polarity of
+    /// the next `polarities` item and to `mod_q` with the second, while
+    /// polarities last. Returns both signed counts (`+1` per high bit,
     /// `−1` per low bit) — exactly what the signature counters integrate.
-    /// Bit-identical to calling [`step`](Self::step) in a loop (the
+    ///
+    /// Bit-identical to two separate [`step`](Self::step) loops (the
     /// reference path), but runs on the hoisted per-polarity
     /// [`ScStepPlan`]s: the comparator constants and all integrator
     /// per-step invariants are computed once per modulator instead of once
     /// per cycle, and the kT/C draws come from the batched noise buffer.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != q.len()`.
-    pub fn process_block(&mut self, x: &[f64], q: &[bool]) -> i64 {
-        assert_eq!(
-            x.len(),
-            q.len(),
-            "sample and polarity blocks must have equal length"
-        );
-        let cmp_offset = self.config.comparator.offset.value();
-        let noise_rms = self.config.comparator.noise_rms.value();
-        let hysteresis = self.config.comparator.hysteresis.value();
-        let vref = self.config.vref.value();
-        let mut acc = 0i64;
-        for (&xi, &qi) in x.iter().zip(q) {
-            // Latch decision on the previous integrator state — the same
-            // expression shape as `step` (sum, noise draw, then the signed
-            // hysteresis term subtracted).
-            let hyst_sign = if self.last_bit { 1.0 } else { -1.0 };
-            let threshold =
-                cmp_offset + self.comparator_noise.gaussian(noise_rms) - hyst_sign * hysteresis;
-            let bit = self.integrator.output() >= threshold;
-            let d_sign = if bit { 1.0 } else { -1.0 };
-            let plan = if qi { &self.plan_pos } else { &self.plan_neg };
-            self.integrator
-                .step_planned(plan, &[xi, d_sign * vref, self.input_offset]);
-            self.last_bit = bit;
-            acc += if bit { 1 } else { -1 };
+    /// The modulators share no state, so interleaving only lets the CPU
+    /// overlap their two dependency chains. The exact instantiation is
+    /// chosen once for the block, when both modulators are exact.
+    pub fn process_pair_block(
+        mod_i: &mut Self,
+        mod_q: &mut Self,
+        x: &[f64],
+        polarities: impl Iterator<Item = (bool, bool)>,
+    ) -> (i64, i64) {
+        if mod_i.is_exact() && mod_q.is_exact() {
+            Self::count_pair_block::<true>(mod_i, mod_q, x, polarities)
+        } else {
+            Self::count_pair_block::<false>(mod_i, mod_q, x, polarities)
         }
-        acc
+    }
+
+    fn count_pair_block<const EXACT: bool>(
+        mod_i: &mut Self,
+        mod_q: &mut Self,
+        x: &[f64],
+        polarities: impl Iterator<Item = (bool, bool)>,
+    ) -> (i64, i64) {
+        let mut acc_i = 0i64;
+        let mut acc_q = 0i64;
+        for (&xi, (qi, qq)) in x.iter().zip(polarities) {
+            acc_i += if mod_i.step_planned::<EXACT>(xi, qi) {
+                1
+            } else {
+                -1
+            };
+            acc_q += if mod_q.step_planned::<EXACT>(xi, qq) {
+                1
+            } else {
+                -1
+            };
+        }
+        (acc_i, acc_q)
+    }
+
+    /// Whether block loops may take the exact instantiation of
+    /// [`step_planned`](Self::step_planned): both polarity plans are
+    /// [exact](ScStepPlan::is_exact) and the comparator is ideal (zero
+    /// offset, hysteresis and noise), so its threshold is exactly `+0.0`.
+    fn is_exact(&self) -> bool {
+        let cmp = &self.config.comparator;
+        self.plan_pos.is_exact()
+            && self.plan_neg.is_exact()
+            && cmp.offset.value() == 0.0
+            && cmp.hysteresis.value() == 0.0
+            && cmp.noise_rms.value() == 0.0
+    }
+
+    /// One master-clock cycle on the hoisted plans — bit-identical to
+    /// [`step`](Self::step). `EXACT = true` is only valid when
+    /// [`is_exact`](Self::is_exact) holds: the ideal comparator then
+    /// reduces to `u >= 0.0` (`0 + 0 − (±1)·0` is `+0.0`, and the
+    /// zero-σ draw consumes nothing) and the integrator takes its exact
+    /// instantiation.
+    #[inline(always)]
+    fn step_planned<const EXACT: bool>(&mut self, x: f64, q: bool) -> bool {
+        let bit = if EXACT {
+            self.integrator.output() >= 0.0
+        } else {
+            // Latch decision on the previous integrator state — the same
+            // expression shape as `step` (sum, noise draw, then the
+            // signed hysteresis term subtracted).
+            let cmp = &self.config.comparator;
+            let hyst_sign = if self.last_bit { 1.0 } else { -1.0 };
+            let threshold = cmp.offset.value()
+                + self.comparator_noise.gaussian(cmp.noise_rms.value())
+                - hyst_sign * cmp.hysteresis.value();
+            self.integrator.output() >= threshold
+        };
+        let d_sign = if bit { 1.0 } else { -1.0 };
+        let plan = if q { &self.plan_pos } else { &self.plan_neg };
+        self.integrator.step_planned_in::<EXACT>(
+            plan,
+            &[x, d_sign * self.config.vref.value(), self.input_offset],
+        );
+        self.last_bit = bit;
+        bit
     }
 }
 
@@ -422,23 +475,38 @@ mod tests {
     #[test]
     fn process_block_matches_step_loop() {
         for cfg in [SdmConfig::ideal(), SdmConfig::cmos_035um(23)] {
-            let mut by_step = SigmaDeltaModulator::new(cfg.clone());
-            let mut by_block = SigmaDeltaModulator::new(cfg);
+            let cfg_q = SdmConfig {
+                seed: cfg.seed.wrapping_add(1),
+                ..cfg.clone()
+            };
+            let mut step_i = SigmaDeltaModulator::new(cfg.clone());
+            let mut step_q = SigmaDeltaModulator::new(cfg_q.clone());
+            let mut block_i = SigmaDeltaModulator::new(cfg);
+            let mut block_q = SigmaDeltaModulator::new(cfg_q);
             let x: Vec<f64> = (0..777)
                 .map(|i| 0.6 * (2.0 * std::f64::consts::PI * i as f64 / 96.0).sin())
                 .collect();
-            let q: Vec<bool> = (0..777).map(|i| i % 96 < 48).collect();
-            let want: i64 = x
-                .iter()
-                .zip(&q)
-                .map(|(&xi, &qi)| if by_step.step(xi, qi) { 1i64 } else { -1 })
-                .sum();
-            let mut got = 0i64;
+            let q: Vec<(bool, bool)> = (0..777)
+                .map(|i| (i % 96 < 48, (i + 24) % 96 < 48))
+                .collect();
+            let mut want = (0i64, 0i64);
+            for (&xi, &(qi, qq)) in x.iter().zip(&q) {
+                want.0 += if step_i.step(xi, qi) { 1 } else { -1 };
+                want.1 += if step_q.step(xi, qq) { 1 } else { -1 };
+            }
+            let mut got = (0i64, 0i64);
             for (xc, qc) in x.chunks(100).zip(q.chunks(100)) {
-                got += by_block.process_block(xc, qc);
+                let (ci, cq) = SigmaDeltaModulator::process_pair_block(
+                    &mut block_i,
+                    &mut block_q,
+                    xc,
+                    qc.iter().copied(),
+                );
+                got = (got.0 + ci, got.1 + cq);
             }
             assert_eq!(want, got);
-            assert_eq!(by_step.integrator_state(), by_block.integrator_state());
+            assert_eq!(step_i.integrator_state(), block_i.integrator_state());
+            assert_eq!(step_q.integrator_state(), block_q.integrator_state());
         }
     }
 

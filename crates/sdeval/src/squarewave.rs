@@ -106,6 +106,23 @@ impl QuadratureSquareWave {
         self.in_phase(shifted)
     }
 
+    /// Both polarities (`true` = `+1`) for samples 0, 1, 2, … from a
+    /// wrapping phase counter: the same values as
+    /// [`in_phase`](Self::in_phase) and [`quadrature`](Self::quadrature),
+    /// for one add and two compares per sample instead of u64 divisions.
+    pub(crate) fn phases(self) -> SquareWavePhases {
+        let n = u64::from(self.n);
+        SquareWavePhases {
+            pos: 0,
+            step: u64::from(self.k),
+            n,
+            half: n.div_ceil(2),
+            // The quadrature wave's position is the in-phase one minus
+            // k·N/(4k) = N/4 (mod N); k = 0 keeps both waves at +1.
+            quarter: if self.k == 0 { 0 } else { n / 4 },
+        }
+    }
+
     /// Exact fundamental DFT coefficient of the sampled in-phase wave:
     /// `c = (1/N)·Σ_{n=0}^{N−1} sq(n)·e^{−2πikn/N}`.
     ///
@@ -126,9 +143,63 @@ impl QuadratureSquareWave {
     }
 }
 
+/// Running `(in-phase, quadrature)` polarities of a
+/// [`QuadratureSquareWave`], built by [`QuadratureSquareWave::phases`].
+///
+/// The state is `pos = k·s mod N` for the current sample `s`. The
+/// in-phase wave is `+1` while `2·pos < N`. The quadrature wave is the
+/// same test on `pos − N/4 (mod N)`, which is `+1` exactly when
+/// `pos − N/4`, wrapped in u64, is below `N/2`.
+#[derive(Debug, Clone)]
+pub(crate) struct SquareWavePhases {
+    pos: u64,
+    step: u64,
+    n: u64,
+    half: u64,
+    quarter: u64,
+}
+
+impl Iterator for SquareWavePhases {
+    type Item = (bool, bool);
+
+    #[inline]
+    fn next(&mut self) -> Option<(bool, bool)> {
+        let polarities = (
+            self.pos < self.half,
+            self.pos.wrapping_sub(self.quarter) < self.half,
+        );
+        // 8k | N, so k < N and one subtraction wraps.
+        self.pos += self.step;
+        if self.pos >= self.n {
+            self.pos -= self.n;
+        }
+        Some(polarities)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn phase_counter_matches_the_modular_definition() {
+        for (k, n) in [
+            (0u32, 96u32),
+            (0, 1),
+            (0, 7),
+            (1, 96),
+            (2, 96),
+            (3, 96),
+            (4, 96),
+            (1, 8),
+        ] {
+            let sq = QuadratureSquareWave::new(k, n).unwrap();
+            for (s, (p, q)) in (0..1000u64).zip(sq.phases()) {
+                assert_eq!(p, sq.in_phase(s) > 0, "k={k} n={n} s={s}");
+                assert_eq!(q, sq.quadrature(s) > 0, "k={k} n={n} s={s}");
+            }
+        }
+    }
 
     #[test]
     fn paper_condition_enforced() {

@@ -102,14 +102,22 @@ impl JobRequest {
 
     /// The job's shard spans in seed order.
     pub fn spans(&self) -> Vec<Range<u64>> {
-        let mut out = Vec::new();
+        self.span_iter().collect()
+    }
+
+    /// The job's shard spans in seed order, produced lazily: taking the
+    /// first few spans of a huge seed range allocates nothing.
+    pub fn span_iter(&self) -> impl Iterator<Item = Range<u64>> {
+        let (seed_end, size) = (self.seed_end, self.shard_size());
         let mut start = self.seed_start;
-        while start < self.seed_end {
-            let end = self.seed_end.min(start.saturating_add(self.shard_size()));
-            out.push(start..end);
-            start = end;
-        }
-        out
+        std::iter::from_fn(move || {
+            (start < seed_end).then(|| {
+                let end = seed_end.min(start.saturating_add(size));
+                let span = start..end;
+                start = end;
+                span
+            })
+        })
     }
 
     /// Renders the job object (the `"job"` payload of a submit frame).
@@ -702,6 +710,27 @@ mod tests {
         };
         assert_eq!(odd.shard_count(), 3);
         assert_eq!(odd.spans(), vec![0..3, 3..6, 6..7]);
+        // The lazy spans of a 2⁶⁴-shard job start the same way and end at
+        // the top of the seed range without wrapping.
+        let huge = JobRequest {
+            seed_start: 0,
+            seed_end: u64::MAX,
+            shard_devices: 1,
+            ..request()
+        };
+        assert_eq!(
+            huge.span_iter().take(3).collect::<Vec<_>>(),
+            vec![0..1, 1..2, 2..3]
+        );
+        let top = JobRequest {
+            seed_start: u64::MAX - 5,
+            shard_devices: 4,
+            ..huge
+        };
+        assert_eq!(
+            top.spans(),
+            vec![u64::MAX - 5..u64::MAX - 1, u64::MAX - 1..u64::MAX]
+        );
     }
 
     #[test]

@@ -23,8 +23,11 @@
 //! The shard queue is bounded: a submission whose shards do not fit is
 //! refused with a typed [`ServeError::QueueFull`] before anything is
 //! queued — the client resubmits later instead of the server buffering
-//! without limit. (A budgeted job's follow-on shards bypass the check:
-//! it only ever has one shard in flight.)
+//! without limit. The check compares [`JobRequest::shard_count`] with the
+//! free queue space before a single span is built, and admitted spans
+//! come from the lazy [`JobRequest::span_iter`], so a frame asking for
+//! 2⁶⁴ shards costs nothing to refuse. (A budgeted job's follow-on
+//! shards bypass the check: it only ever has one shard in flight.)
 //!
 //! # Fault containment
 //!
@@ -285,7 +288,6 @@ impl ScreenService {
         if request.seed_start >= request.seed_end {
             return Err(ServeError::Lot(NetanError::EmptyLot));
         }
-        let spans = request.spans();
         let budgeted = request.schedule.budget().is_some();
         let checkpoint = match &self.inner.state_dir {
             Some(dir) => {
@@ -302,14 +304,27 @@ impl ScreenService {
         if st.shutting_down {
             return Err(ServeError::ShuttingDown);
         }
-        let new_tasks = if budgeted { 1 } else { spans.len() };
-        if st.queue.len() + new_tasks > self.inner.queue_capacity {
+        // Priced from the shard count before any span exists, so a
+        // frame asking for 2⁶⁴ shards is refused without allocating them.
+        let new_tasks = if budgeted {
+            Some(1)
+        } else {
+            usize::try_from(request.shard_count()).ok()
+        };
+        let free = self.inner.queue_capacity.saturating_sub(st.queue.len());
+        let Some(new_tasks) = new_tasks.filter(|&n| n <= free) else {
             return Err(ServeError::QueueFull {
                 capacity: self.inner.queue_capacity,
             });
-        }
+        };
         let job = st.next_job;
         st.next_job += 1;
+        st.queue
+            .extend(request.span_iter().take(new_tasks).map(|span| Task {
+                job,
+                span,
+                attempt: 0,
+            }));
         let (events, receiver) = channel();
         let merged = LotReport::empty(&request.plan);
         st.jobs.insert(
@@ -326,13 +341,6 @@ impl ScreenService {
                 checkpoint,
             },
         );
-        for span in spans.into_iter().take(new_tasks) {
-            st.queue.push_back(Task {
-                job,
-                span,
-                attempt: 0,
-            });
-        }
         self.inner.work_ready.notify_all();
         Ok((job, receiver))
     }

@@ -206,6 +206,24 @@ fn oversized_submissions_are_refused_synchronously() {
 }
 
 #[test]
+fn a_job_of_2_pow_64_shards_is_refused_before_any_span_exists() {
+    // One span per seed up to u64::MAX: materializing the spans first
+    // would try to allocate ~2⁶⁴ ranges before the queue check.
+    let service = ScreenService::start(ServiceConfig::new().with_queue_capacity(2));
+    match service.submit(request(0, u64::MAX, 1)) {
+        Err(ServeError::QueueFull { capacity }) => assert_eq!(capacity, 2),
+        other => panic!("expected QueueFull, got {other:?}"),
+    }
+    // Nothing was queued: a job that needs the whole queue still fits.
+    let job = request(0, 4, 2);
+    let reference = monolithic(&job);
+    let (_, events) = service.submit(job).expect("the queue is empty");
+    let report = drain(&events).result.expect("fitting job completes");
+    assert_eq!(lot_json(&report), lot_json(&reference));
+    service.shutdown();
+}
+
+#[test]
 fn empty_jobs_are_refused_typed() {
     let service = ScreenService::start(ServiceConfig::new());
     match service.submit(request(5, 5, 2)) {

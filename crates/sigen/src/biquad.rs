@@ -23,6 +23,8 @@ use mixsig::units::Seconds;
 pub struct TransferPlans {
     int1: Vec<ScStepPlan>,
     int2: ScStepPlan,
+    /// Every plan is [exact](ScStepPlan::is_exact).
+    exact: bool,
 }
 
 impl TransferPlans {
@@ -34,6 +36,12 @@ impl TransferPlans {
     /// Whether no input-capacitor slots were planned.
     pub fn is_empty(&self) -> bool {
         self.int1.is_empty()
+    }
+
+    /// Whether every plan is [exact](ScStepPlan::is_exact), so transfers
+    /// may take the integrators' exact instantiation.
+    pub(crate) fn is_exact(&self) -> bool {
+        self.exact
     }
 }
 
@@ -192,13 +200,13 @@ impl GeneratorBiquad {
     /// The plans cache this biquad's fabricated capacitors and op-amp
     /// constants; rebuild them if the biquad is replaced.
     pub fn plan_transfers(&self, input_caps: &[f64]) -> TransferPlans {
-        TransferPlans {
-            int1: input_caps
-                .iter()
-                .map(|&w| self.int1.plan(&[w, -self.caps.d]))
-                .collect(),
-            int2: self.int2.plan(&[self.caps.c, -self.caps.f]),
-        }
+        let int1: Vec<ScStepPlan> = input_caps
+            .iter()
+            .map(|&w| self.int1.plan(&[w, -self.caps.d]))
+            .collect();
+        let int2 = self.int2.plan(&[self.caps.c, -self.caps.f]);
+        let exact = int2.is_exact() && int1.iter().all(ScStepPlan::is_exact);
+        TransferPlans { int1, int2, exact }
     }
 
     /// One charge transfer through precomputed plans — bit-identical to
@@ -210,11 +218,30 @@ impl GeneratorBiquad {
     /// Panics if `cap_index` is out of range for `plans`.
     #[inline]
     pub fn transfer_planned(&mut self, plans: &TransferPlans, cap_index: usize, vin: f64) -> f64 {
+        if plans.exact {
+            self.transfer_planned_in::<true>(plans, cap_index, vin)
+        } else {
+            self.transfer_planned_in::<false>(plans, cap_index, vin)
+        }
+    }
+
+    /// [`transfer_planned`](Self::transfer_planned) through one
+    /// instantiation of the integrators' planned step (see
+    /// [`ScIntegrator::step_planned_in`]); block loops choose it once per
+    /// block from [`TransferPlans::is_exact`].
+    #[inline(always)]
+    pub(crate) fn transfer_planned_in<const EXACT: bool>(
+        &mut self,
+        plans: &TransferPlans,
+        cap_index: usize,
+        vin: f64,
+    ) -> f64 {
         let v2_prev = self.int2.output();
         let v1 = self
             .int1
-            .step_planned(&plans.int1[cap_index], &[vin, v2_prev]);
-        self.int2.step_planned(&plans.int2, &[v1, v2_prev])
+            .step_planned_in::<EXACT>(&plans.int1[cap_index], &[vin, v2_prev]);
+        self.int2
+            .step_planned_in::<EXACT>(&plans.int2, &[v1, v2_prev])
     }
 
     /// The ideal frequency response per unit input capacitor at a
@@ -369,6 +396,7 @@ mod tests {
             let mut by_scalar = mk();
             let mut by_plan = mk();
             let plans = by_plan.plan_transfers(&caps);
+            assert_eq!(plans.is_exact(), label == "ideal");
             assert_eq!(plans.len(), caps.len());
             assert!(!plans.is_empty());
             for k in 0..2000usize {

@@ -203,17 +203,29 @@ impl SinewaveGenerator {
     /// Transfers run through the per-step [`TransferPlans`] cached at
     /// construction (same arithmetic and noise draws as
     /// [`next_transfer`](Self::next_transfer), with the per-transfer
-    /// invariants hoisted).
+    /// invariants hoisted). The block runs transfer-major: it finishes
+    /// the hold in progress, then does one transfer per
+    /// [`HOLD_SAMPLES`] copies; the biquad's exact instantiation is chosen
+    /// once per block from the plans.
     pub fn fill_block(&mut self, out: &mut [f64]) {
-        for y in out.iter_mut() {
-            if self.hold_phase == 0 {
-                let j = self.sequencer.tick_half();
-                self.held =
-                    self.biquad
-                        .transfer_planned(&self.plans, j, self.config.va_diff.value());
-            }
-            self.hold_phase = (self.hold_phase + 1) % HOLD_SAMPLES;
-            *y = self.held;
+        if self.plans.is_exact() {
+            self.fill_block_in::<true>(out);
+        } else {
+            self.fill_block_in::<false>(out);
+        }
+    }
+
+    fn fill_block_in<const EXACT: bool>(&mut self, out: &mut [f64]) {
+        let carry = ((HOLD_SAMPLES - self.hold_phase) % HOLD_SAMPLES).min(out.len());
+        let (head, rest) = out.split_at_mut(carry);
+        head.fill(self.held);
+        self.hold_phase = (self.hold_phase + carry) % HOLD_SAMPLES;
+        let va = self.config.va_diff.value();
+        for hold in rest.chunks_mut(HOLD_SAMPLES) {
+            let j = self.sequencer.tick_half();
+            self.held = self.biquad.transfer_planned_in::<EXACT>(&self.plans, j, va);
+            hold.fill(self.held);
+            self.hold_phase = hold.len() % HOLD_SAMPLES;
         }
     }
 

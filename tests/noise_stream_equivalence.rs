@@ -11,9 +11,14 @@
 //! zero-σ, `kT/C`, white) against it across refill boundaries.
 //!
 //! It also property-tests the hoisted-plan consumers introduced for the
-//! batched hot path: `ScIntegrator::step_planned` vs. `step` and
-//! `SigmaDeltaModulator::process_block` vs. `step`, on both the ideal and
-//! the 0.35 µm CMOS profiles.
+//! batched hot path: `ScIntegrator::step_planned` vs. `step` (including
+//! the exact instantiation on ideal hardware, over signed zeros,
+//! subnormals and ±1e300), and the interleaved I/Q
+//! `SigmaDeltaModulator::process_pair_block` vs. `step`, on both the ideal
+//! and the 0.35 µm CMOS profiles. Finally, the evaluator's acquisition is
+//! checked against a from-scratch loop over `SigmaDeltaModulator::step`
+//! with polarities from `QuadratureSquareWave::in_phase`/`quadrature` —
+//! unlike the block-length test, whose two sides share one `acquire`.
 
 use mixsig::noise::{ktc_noise_rms, NoiseSource, NORMAL_REFILL};
 use proptest::prelude::*;
@@ -256,11 +261,32 @@ mod planned_consumers {
         )
     }
 
+    /// The voltages where dropping an identity could show — signed zeros,
+    /// subnormals and ±1e300 — mixed with ordinary levels. They drive a
+    /// run of their own: once a ±1e300 lands in the state, every ordinary
+    /// input after it is lost below the state's ulp.
+    fn edge_voltage() -> impl Strategy<Value = f64> {
+        prop_oneof![
+            -0.8..0.8f64,
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::from_bits(1)),
+            Just(-f64::from_bits(1)),
+            Just(-f64::MIN_POSITIVE / 3.0),
+            Just(1e300),
+            Just(-1e300),
+        ]
+    }
+
     proptest! {
         /// `step_planned` replays `step` bit for bit — same outputs, same
         /// noise draws in the same order — for arbitrary branch
         /// topologies (including zero-cap branches, which must not draw)
-        /// and voltage sequences, on ideal and CMOS op-amp models.
+        /// and voltage sequences, on ideal and CMOS op-amp models. The
+        /// ideal plan is exact, so this pins the identity-free
+        /// instantiation to the scalar reference; forcing that
+        /// instantiation on the CMOS plan must fall back, not diverge.
+        /// Ordinary voltages and edge values run on fresh integrators.
         #[test]
         fn step_planned_matches_step(
             seed in 0u64..100_000,
@@ -273,14 +299,19 @@ mod planned_consumers {
                 1..5,
             ),
             voltages in proptest::collection::vec(-0.8..0.8f64, 40),
+            edges in proptest::collection::vec(edge_voltage(), 12),
         ) {
-            for (label, opamp, noise) in [
-                ("ideal", OpAmpModel::ideal(), None),
-                ("cmos_035um", OpAmpModel::folded_cascode_035um(), Some(seed)),
+            for (label, opamp, noise, exact, voltages) in [
+                ("ideal", OpAmpModel::ideal(), None, true, &voltages),
+                ("cmos_035um", OpAmpModel::folded_cascode_035um(), Some(seed), false, &voltages),
+                ("ideal, edge values", OpAmpModel::ideal(), None, true, &edges),
+                ("cmos_035um, edge values", OpAmpModel::folded_cascode_035um(), Some(seed), false, &edges),
             ] {
                 let mut scalar = integrator(opamp, noise);
                 let mut planned = integrator(opamp, noise);
+                let mut forced = integrator(opamp, noise);
                 let plan = planned.plan(&caps);
+                prop_assert_eq!(plan.is_exact(), exact);
                 for cycle in voltages.chunks_exact(caps.len()) {
                     let branches: Vec<Branch> = caps
                         .iter()
@@ -293,14 +324,21 @@ mod planned_consumers {
                         got.to_bits(), want.to_bits(),
                         "{}: {} vs {}", label, got, want
                     );
+                    let got = forced.step_planned_in::<true>(&plan, cycle);
+                    prop_assert_eq!(
+                        got.to_bits(), want.to_bits(),
+                        "{} (exact instantiation): {} vs {}", label, got, want
+                    );
                 }
             }
         }
 
-        /// `SigmaDeltaModulator::process_block` counts exactly what a
-        /// `step` loop over the same record decides, on both profiles —
-        /// the batched plan path must not disturb the modulator state or
-        /// its noise streams.
+        /// `SigmaDeltaModulator::process_pair_block` counts exactly what
+        /// two `step` loops over the same record decide, on both profiles
+        /// — the interleaved plan path must not disturb either modulator's
+        /// state or noise stream. The second modulator has its own noise
+        /// stream and a quarter-shifted polarity, and the record is split
+        /// into two blocks, so state carried across blocks is checked too.
         #[test]
         fn sdm_block_matches_step_loop(
             seed in 0u64..100_000,
@@ -309,21 +347,170 @@ mod planned_consumers {
         ) {
             for config in [SdmConfig::ideal(), SdmConfig::cmos_035um(seed)] {
                 let qs: Vec<bool> = (0..xs.len()).map(|i| (i / chop) % 2 == 0).collect();
-                let mut stepped = SigmaDeltaModulator::new(config.clone());
-                let mut blocked = SigmaDeltaModulator::new(config.clone());
-                let want: i64 = xs
-                    .iter()
-                    .zip(&qs)
-                    .map(|(&x, &q)| if stepped.step(x, q) { 1i64 } else { -1 })
-                    .sum();
-                let got = blocked.process_block(&xs, &qs);
-                prop_assert_eq!(got, want);
-                // The *state* left behind must agree too, so back-to-back
-                // blocks keep matching.
-                prop_assert_eq!(
-                    blocked.integrator_state().to_bits(),
-                    stepped.integrator_state().to_bits()
+                let mut config_q = config.clone();
+                config_q.seed = config.seed.wrapping_add(1);
+                let qq: Vec<bool> = (0..xs.len()).map(|i| ((i + chop / 2) / chop) % 2 == 0).collect();
+                let mut stepped_i = SigmaDeltaModulator::new(config.clone());
+                let mut stepped_q = SigmaDeltaModulator::new(config_q.clone());
+                let mut pair_i = SigmaDeltaModulator::new(config.clone());
+                let mut pair_q = SigmaDeltaModulator::new(config_q);
+                let count = |m: &mut SigmaDeltaModulator, qs: &[bool]| -> i64 {
+                    xs.iter()
+                        .zip(qs)
+                        .map(|(&x, &q)| if m.step(x, q) { 1i64 } else { -1 })
+                        .sum()
+                };
+                let want = (count(&mut stepped_i, &qs), count(&mut stepped_q, &qq));
+                let split = xs.len() / 3;
+                let mut polarities = qs.iter().copied().zip(qq.iter().copied());
+                let head = SigmaDeltaModulator::process_pair_block(
+                    &mut pair_i, &mut pair_q, &xs[..split], &mut polarities,
                 );
+                let tail = SigmaDeltaModulator::process_pair_block(
+                    &mut pair_i, &mut pair_q, &xs[split..], &mut polarities,
+                );
+                prop_assert_eq!((head.0 + tail.0, head.1 + tail.1), want);
+                prop_assert_eq!(
+                    pair_i.integrator_state().to_bits(),
+                    stepped_i.integrator_state().to_bits()
+                );
+                prop_assert_eq!(
+                    pair_q.integrator_state().to_bits(),
+                    stepped_q.integrator_state().to_bits()
+                );
+            }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Evaluator: the interleaved acquisition vs. a from-scratch step loop.
+// ---------------------------------------------------------------------------
+
+mod evaluator_reference {
+    use sdeval::{
+        BlockSource, EvaluatorConfig, QuadratureSquareWave, SigmaDeltaModulator, SinewaveEvaluator,
+    };
+
+    /// A recorded signal drained block by block, in order.
+    struct Replay<'a> {
+        samples: &'a [f64],
+        next: usize,
+    }
+
+    impl BlockSource for Replay<'_> {
+        fn fill_block(&mut self, out: &mut [f64]) {
+            out.copy_from_slice(&self.samples[self.next..self.next + out.len()]);
+            self.next += out.len();
+        }
+    }
+
+    /// The evaluator written from its definition: two matched
+    /// modulators (seeds `2s+1`, `2s+2`) stepped one sample at a time,
+    /// with the polarity of sample `s` taken from `in_phase(s)` and
+    /// `quadrature(s)`, one window per chop phase.
+    struct Reference<'a> {
+        config: EvaluatorConfig,
+        mod_i: SigmaDeltaModulator,
+        mod_q: SigmaDeltaModulator,
+        samples: &'a [f64],
+        next: usize,
+    }
+
+    impl<'a> Reference<'a> {
+        fn new(config: EvaluatorConfig, samples: &'a [f64]) -> Self {
+            let mut cfg_i = config.sdm.clone();
+            let mut cfg_q = config.sdm.clone();
+            cfg_i.seed = config.sdm.seed.wrapping_mul(2).wrapping_add(1);
+            cfg_q.seed = config.sdm.seed.wrapping_mul(2).wrapping_add(2);
+            Self {
+                mod_i: SigmaDeltaModulator::new(cfg_i),
+                mod_q: SigmaDeltaModulator::new(cfg_q),
+                config,
+                samples,
+                next: 0,
+            }
+        }
+
+        fn window(&mut self, sq: QuadratureSquareWave, m: u32, invert: bool) -> (i64, i64) {
+            let (mut i1, mut i2) = (0i64, 0i64);
+            for s in 0..u64::from(m) * u64::from(self.config.n) {
+                let x = self.samples[self.next];
+                self.next += 1;
+                i1 += if self.mod_i.step(x, (sq.in_phase(s) > 0) ^ invert) {
+                    1
+                } else {
+                    -1
+                };
+                i2 += if self.mod_q.step(x, (sq.quadrature(s) > 0) ^ invert) {
+                    1
+                } else {
+                    -1
+                };
+            }
+            (i1, i2)
+        }
+
+        /// `(I1, I2)` signatures of one measurement.
+        fn signatures(&mut self, k: u32, m: u32) -> (f64, f64) {
+            let sq = QuadratureSquareWave::new(k, self.config.n).unwrap();
+            if self.config.chopped {
+                let (a1, a2) = self.window(sq, m, false);
+                let (b1, b2) = self.window(sq, m, true);
+                ((a1 - b1) as f64 / 2.0, (a2 - b2) as f64 / 2.0)
+            } else {
+                let (a1, a2) = self.window(sq, m, false);
+                (a1 as f64, a2 as f64)
+            }
+        }
+    }
+
+    /// Two back-to-back measurements on one evaluator (so modulator
+    /// state carries across them) match the reference's signatures, for
+    /// every harmonic, chop mode, hardware profile and block length.
+    #[test]
+    fn acquisition_matches_a_from_scratch_step_loop() {
+        const M: u32 = 4;
+        let samples: Vec<f64> = (0..4 * 2 * M as usize * 96)
+            .map(|i| {
+                let t = 2.0 * std::f64::consts::PI * i as f64 / 96.0;
+                0.05 + 0.3 * (t + 0.4).sin() + 0.04 * (2.0 * t).cos() + 0.01 * (3.0 * t - 1.0).sin()
+            })
+            .collect();
+        for (label, base) in [
+            ("ideal", EvaluatorConfig::ideal()),
+            ("cmos_035um", EvaluatorConfig::cmos_035um(12)),
+        ] {
+            for chopped in [true, false] {
+                for k in 0..=3u32 {
+                    let config = base.clone().with_chopped(chopped);
+                    let mut reference = Reference::new(config.clone(), &samples);
+                    let want = [reference.signatures(k, M), reference.signatures(k, M)];
+                    for block in [1usize, 7, 1024, usize::MAX] {
+                        let mut ev =
+                            SinewaveEvaluator::new(config.clone().with_block_samples(block));
+                        let mut source = Replay {
+                            samples: &samples,
+                            next: 0,
+                        };
+                        for (n, want) in want.iter().enumerate() {
+                            let case =
+                                format!("{label} chopped={chopped} k={k} block={block} #{n}");
+                            let expect_samples = u64::from(M) * 96 * if chopped { 2 } else { 1 };
+                            if k == 0 {
+                                let dc = ev.measure_dc_blocks(&mut source, M).unwrap();
+                                assert_eq!(dc.signature.to_bits(), want.0.to_bits(), "{case}");
+                                assert_eq!(dc.samples_consumed, expect_samples, "{case}");
+                            } else {
+                                let h = ev.measure_harmonic_blocks(&mut source, k, M).unwrap();
+                                assert_eq!(h.signatures.i1.to_bits(), want.0.to_bits(), "{case}");
+                                assert_eq!(h.signatures.i2.to_bits(), want.1.to_bits(), "{case}");
+                                assert_eq!(h.samples_consumed, expect_samples, "{case}");
+                            }
+                        }
+                        assert_eq!(source.next, reference.next, "{label} k={k} block={block}");
+                    }
+                }
             }
         }
     }
