@@ -5,9 +5,15 @@
 //! evaluator — used both to verify the BIST circuitry and to characterize
 //! the test input (whose amplitude/phase are set by `VA+−VA−` and the
 //! digital control, so calibration "only needs to be performed once").
+//!
+//! The same invariance lets one board carry a whole **lane** of devices:
+//! the generator never sees the DUT, so one generator drives every
+//! mounted device with the stimulus each would get from a generator of
+//! its own ([`DemoBoard::with_devices`], read through
+//! [`LaneSource`]).
 
 use dut::{Dut, DutSim};
-use sdeval::BlockSource;
+use sdeval::{BlockSource, LaneSource};
 use sigen::{GeneratorConfig, SinewaveGenerator};
 
 /// Which path the evaluator observes.
@@ -20,16 +26,18 @@ pub enum SignalPath {
     CalibrationBypass,
 }
 
-/// The demonstrator board: an on-chip generator wired to a DUT with a
-/// calibration bypass.
+/// The demonstrator board: an on-chip generator wired to one or more
+/// DUTs, with a calibration bypass.
 pub struct DemoBoard {
     generator: SinewaveGenerator,
-    /// `None` on a bypass-only board ([`DemoBoard::for_bypass`]): the DUT
-    /// output is never observed on the bypass path, so a board built
-    /// purely for calibration skips the DUT simulation entirely.
-    dut_sim: Option<Box<dyn DutSim>>,
+    /// One simulator per mounted device, all fed by the generator. Empty
+    /// on a bypass-only board ([`DemoBoard::for_bypass`]): the DUT output
+    /// is never observed on the bypass path, so a board built purely for
+    /// calibration skips the DUT simulation entirely.
+    dut_sims: Vec<Box<dyn DutSim>>,
     path: SignalPath,
-    /// Scratch buffers for block acquisition, grown once and reused.
+    /// Scratch buffers for block acquisition, grown once and reused:
+    /// the current stimulus block, and the unobserved DUT outputs.
     stim: Vec<f64>,
     sink: Vec<f64>,
 }
@@ -38,10 +46,18 @@ impl DemoBoard {
     /// Assembles the board: builds the generator from `gen_config` and
     /// instantiates `device` at the configured master clock.
     pub fn new(gen_config: GeneratorConfig, device: &dyn Dut) -> Self {
+        Self::with_devices(gen_config, &[device])
+    }
+
+    /// Assembles a lane board: one generator from `gen_config` feeding
+    /// every device of `devices`, each instantiated at the configured
+    /// master clock. Read through [`LaneSource`], device `d` responds
+    /// exactly as it would on a board of its own.
+    pub fn with_devices(gen_config: GeneratorConfig, devices: &[&dyn Dut]) -> Self {
         let fs = gen_config.master_clock.frequency();
         Self {
             generator: SinewaveGenerator::new(gen_config),
-            dut_sim: Some(device.instantiate(fs)),
+            dut_sims: devices.iter().map(|d| d.instantiate(fs)).collect(),
             path: SignalPath::Dut,
             stim: Vec::new(),
             sink: Vec::new(),
@@ -56,11 +72,8 @@ impl DemoBoard {
     /// [`SignalPath::CalibrationBypass`].
     pub fn for_bypass(gen_config: GeneratorConfig) -> Self {
         Self {
-            generator: SinewaveGenerator::new(gen_config),
-            dut_sim: None,
             path: SignalPath::CalibrationBypass,
-            stim: Vec::new(),
-            sink: Vec::new(),
+            ..Self::with_devices(gen_config, &[])
         }
     }
 
@@ -76,7 +89,7 @@ impl DemoBoard {
 
     /// Whether a DUT is mounted (false only for [`for_bypass`](Self::for_bypass) boards).
     pub fn has_dut(&self) -> bool {
-        self.dut_sim.is_some()
+        !self.dut_sims.is_empty()
     }
 
     /// Selects the signal path.
@@ -86,36 +99,35 @@ impl DemoBoard {
     /// Panics when selecting [`SignalPath::Dut`] on a bypass-only board.
     pub fn set_path(&mut self, path: SignalPath) {
         assert!(
-            path != SignalPath::Dut || self.dut_sim.is_some(),
+            path != SignalPath::Dut || self.has_dut(),
             "bypass-only board has no DUT path"
         );
         self.path = path;
     }
 
     /// Fills `out` with the next `out.len()` master-clock samples of the
-    /// selected output — the batched equivalent of
-    /// [`next_sample`](Self::next_sample), bit-identical to it. On a full
-    /// board the DUT keeps processing the stimulus even in bypass mode,
-    /// exactly like the real board (the bypass taps the signal, it does
-    /// not disconnect the DUT); only a bypass-only board skips that work.
+    /// selected output — the first mounted device's response on the DUT
+    /// path, the stimulus on the bypass — the batched equivalent of
+    /// [`next_sample`](Self::next_sample), bit-identical to it. Every
+    /// mounted DUT keeps processing the stimulus, whichever output is
+    /// observed, exactly like the real board (the bypass taps the
+    /// signal, it does not disconnect the DUT); only a bypass-only board
+    /// skips that work.
     pub fn fill_block(&mut self, out: &mut [f64]) {
         let len = out.len();
-        if self.stim.len() < len {
-            self.stim.resize(len, 0.0);
+        self.generate(len);
+        let stim = &self.stim[..len];
+        let mut sims = self.dut_sims.iter_mut();
+        let observed = match self.path {
+            SignalPath::Dut => sims.next(),
+            SignalPath::CalibrationBypass => None,
+        };
+        for sim in sims {
+            sim.process_block(stim, &mut self.sink[..len]);
         }
-        let stim = &mut self.stim[..len];
-        self.generator.fill_block(stim);
-        match (self.path, self.dut_sim.as_mut()) {
-            (SignalPath::Dut, Some(dut)) => dut.process_block(stim, out),
-            (SignalPath::Dut, None) => unreachable!("set_path rejects Dut on bypass-only boards"),
-            (SignalPath::CalibrationBypass, Some(dut)) => {
-                if self.sink.len() < len {
-                    self.sink.resize(len, 0.0);
-                }
-                dut.process_block(stim, &mut self.sink[..len]);
-                out.copy_from_slice(stim);
-            }
-            (SignalPath::CalibrationBypass, None) => out.copy_from_slice(stim),
+        match observed {
+            Some(sim) => sim.process_block(stim, out),
+            None => out.copy_from_slice(stim),
         }
     }
 
@@ -127,7 +139,8 @@ impl DemoBoard {
         s[0]
     }
 
-    /// Runs `periods` stimulus periods to let the generator and DUT settle.
+    /// Runs `periods` stimulus periods to let the generator and every
+    /// DUT settle.
     pub fn warm_up(&mut self, periods: usize) {
         let mut sink = [0.0; mixsig::cast::usize_from_u32(mixsig::clock::OVERSAMPLING_RATIO)];
         for _ in 0..periods {
@@ -139,6 +152,16 @@ impl DemoBoard {
     pub fn source(&mut self) -> impl FnMut() -> f64 + '_ {
         move || self.next_sample()
     }
+
+    /// Generates the next `len` stimulus samples into the scratch
+    /// buffer, growing both scratch buffers as needed.
+    fn generate(&mut self, len: usize) {
+        if self.stim.len() < len {
+            self.stim.resize(len, 0.0);
+            self.sink.resize(len, 0.0);
+        }
+        self.generator.fill_block(&mut self.stim[..len]);
+    }
 }
 
 impl BlockSource for DemoBoard {
@@ -147,10 +170,40 @@ impl BlockSource for DemoBoard {
     }
 }
 
+/// The board as a lane: on the DUT path, device `d` is the `d`-th
+/// mounted device; on the bypass path the lane is the one stimulus
+/// (every DUT still processes it, unobserved).
+impl LaneSource for DemoBoard {
+    fn devices(&self) -> usize {
+        match self.path {
+            SignalPath::Dut => self.dut_sims.len(),
+            SignalPath::CalibrationBypass => 1,
+        }
+    }
+
+    fn advance(&mut self, len: usize) {
+        self.generate(len);
+        if self.path == SignalPath::CalibrationBypass {
+            for sim in &mut self.dut_sims {
+                sim.process_block(&self.stim[..len], &mut self.sink[..len]);
+            }
+        }
+    }
+
+    fn device_block(&mut self, device: usize, out: &mut [f64]) {
+        let stim = &self.stim[..out.len()];
+        match self.path {
+            SignalPath::Dut => self.dut_sims[device].process_block(stim, out),
+            SignalPath::CalibrationBypass => out.copy_from_slice(stim),
+        }
+    }
+}
+
 impl std::fmt::Debug for DemoBoard {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("DemoBoard")
             .field("path", &self.path)
+            .field("devices", &self.dut_sims.len())
             .field("stimulus_hz", &self.generator.stimulus_frequency().value())
             .finish_non_exhaustive()
     }
@@ -234,6 +287,47 @@ mod tests {
         let mut got = vec![0.0; want.len()];
         bypass_only.fill_block(&mut got);
         assert_eq!(want, got);
+    }
+
+    #[test]
+    fn lane_devices_see_what_their_own_boards_produce() {
+        let clk = MasterClock::for_stimulus(mixsig::units::Hertz(1200.0));
+        let cfg = GeneratorConfig::cmos_035um(clk, Volts(0.15), 4);
+        let devices: Vec<ActiveRcFilter> = (0..3)
+            .map(|seed| ActiveRcFilter::paper_dut().fabricate(0.05, seed))
+            .collect();
+        let mounted: Vec<&dyn Dut> = devices.iter().map(|d| d as &dyn Dut).collect();
+        let mut lane = DemoBoard::with_devices(cfg.clone(), &mounted);
+        let mut own: Vec<DemoBoard> = devices
+            .iter()
+            .map(|d| DemoBoard::new(cfg.clone(), d))
+            .collect();
+        assert_eq!(LaneSource::devices(&lane), devices.len());
+        lane.warm_up(3);
+        own.iter_mut().for_each(|b| b.warm_up(3));
+        for len in [1usize, 17, 96, 250] {
+            lane.advance(len);
+            for (d, board) in own.iter_mut().enumerate() {
+                let mut got = vec![0.0; len];
+                lane.device_block(d, &mut got);
+                let mut want = vec![0.0; len];
+                board.fill_block(&mut want);
+                assert_eq!(got, want, "device {d}, block of {len}");
+            }
+        }
+        // On the bypass the lane is the one stimulus, as on a
+        // bypass-only board, and the DUTs keep pace unobserved.
+        lane.set_path(SignalPath::CalibrationBypass);
+        let mut bypass = DemoBoard::for_bypass(cfg);
+        bypass.warm_up(3);
+        bypass.fill_block(&mut vec![0.0; 1 + 17 + 96 + 250]);
+        assert_eq!(LaneSource::devices(&lane), 1);
+        lane.advance(40);
+        let mut got = vec![0.0; 40];
+        lane.device_block(0, &mut got);
+        let mut want = vec![0.0; 40];
+        bypass.fill_block(&mut want);
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -12,8 +12,6 @@
 //!   (the Fig. 9 workload is synthesized by the ATE, not the on-chip
 //!   generator),
 //! * [`scope`] — an FFT-based "digital oscilloscope" reference analyzer,
-//! * [`capture`] — bitstream capture memory (record/replay, as the ATE
-//!   acquires `d1k`/`d2k` for off-chip DSP),
 //! * [`control`] — the ATE's digital pattern role: clock-aligned vectors
 //!   for `c1..c4`, `Φin`, `q1k`, `q2k`,
 //! * [`board`] — the demonstrator-board wiring: generator → DUT or
@@ -38,12 +36,10 @@
 
 pub mod awg;
 pub mod board;
-pub mod capture;
 pub mod control;
 pub mod scope;
 
 pub use awg::MultitoneAwg;
 pub use board::{DemoBoard, SignalPath};
-pub use capture::BitstreamCapture;
 pub use control::{ControlProgram, ControlVector};
 pub use scope::DigitalOscilloscope;

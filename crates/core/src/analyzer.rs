@@ -3,7 +3,7 @@
 use crate::engine::SweepEngine;
 use crate::error::NetanError;
 use crate::sweep::BodePlot;
-use ate::{DemoBoard, SignalPath};
+use ate::DemoBoard;
 use dut::Dut;
 use mixsig::clock::MasterClock;
 use mixsig::units::{Hertz, Volts};
@@ -178,7 +178,7 @@ impl<'d> NetworkAnalyzer<'d> {
     pub fn calibrate(&mut self) -> Result<Calibration, NetanError> {
         // Any valid stimulus frequency works; the normalized measurement is
         // frequency-independent. Use 1 kHz.
-        let meas = self.measure_path(Hertz(1000.0), 1, SignalPath::CalibrationBypass)?;
+        let meas = Self::only(Self::acquire(&self.config, Hertz(1000.0), 1, None)?)?;
         let cal = Calibration {
             amplitude: meas.amplitude,
             phase: meas.phase,
@@ -226,7 +226,8 @@ impl<'d> NetworkAnalyzer<'d> {
     /// workers can share one analyzer across threads. The acquisition is
     /// driven block-wise end to end (generator → DUT → ΣΔ consume
     /// [`AnalyzerConfig::block_samples`]-sized blocks), bit-identical to
-    /// the per-sample reference chain.
+    /// the per-sample reference chain. It is the one-device case of
+    /// [`measure_lane`](Self::measure_lane).
     ///
     /// # Errors
     ///
@@ -237,8 +238,47 @@ impl<'d> NetworkAnalyzer<'d> {
         cal: Calibration,
         f_wave: Hertz,
     ) -> Result<BodePoint, NetanError> {
+        Self::only(Self::measure_lane(&self.config, cal, &[self.dut], f_wave)?)
+    }
+
+    /// Measures one Bode point of every device of `lane` at `f_wave`
+    /// against `cal`, in lane order — each point bit-identical to that
+    /// device's own
+    /// [`measure_point_calibrated`](Self::measure_point_calibrated).
+    ///
+    /// The generator and the evaluator are set by the configuration
+    /// alone, never by the DUT (paper Section III.C), so every device of
+    /// the lane shares one of each: the stimulus is generated once per
+    /// block and the evaluator's comparator and `kT/C` noise drawn once
+    /// per block. Only the DUT simulations and the modulator states run
+    /// per device.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`NetanError::InvalidFrequency`] for non-positive
+    /// frequencies and propagates evaluator errors.
+    pub fn measure_lane(
+        config: &AnalyzerConfig,
+        cal: Calibration,
+        lane: &[&dyn Dut],
+        f_wave: Hertz,
+    ) -> Result<Vec<BodePoint>, NetanError> {
         Self::validate_frequency(f_wave)?;
-        let out = self.measure_path(f_wave, 1, SignalPath::Dut)?;
+        let measured = Self::acquire(config, f_wave, 1, Some(lane))?;
+        Ok(measured
+            .iter()
+            .zip(lane)
+            .map(|(out, &dut)| Self::bode_point(dut, cal, f_wave, out))
+            .collect())
+    }
+
+    /// A Bode point from the DUT-path measurement `out`.
+    fn bode_point(
+        dut: &dyn Dut,
+        cal: Calibration,
+        f_wave: Hertz,
+        out: &HarmonicMeasurement,
+    ) -> BodePoint {
         let gain = out.amplitude.ratio(&cal.amplitude);
         let gain_db = gain.map_monotonic(|g| 20.0 * g.max(1e-15).log10());
         let mut phase = out.phase.minus(&cal.phase);
@@ -261,15 +301,22 @@ impl<'d> NetworkAnalyzer<'d> {
             wrapped_est.to_degrees(),
             (phase.hi + shift).to_degrees(),
         );
-        Ok(BodePoint {
+        BodePoint {
             frequency: f_wave,
             gain,
             gain_db,
             phase_deg,
-            ideal_gain_db: self.dut.ideal_magnitude_db(f_wave),
-            ideal_phase_deg: self.dut.ideal_phase_deg(f_wave),
+            ideal_gain_db: dut.ideal_magnitude_db(f_wave),
+            ideal_phase_deg: dut.ideal_phase_deg(f_wave),
             round: 0,
-        })
+        }
+    }
+
+    /// The single result of a lane of one. A lane yields one result per
+    /// device, so this never fails; an empty iterator is reported as
+    /// [`NetanError::EmptySweep`] rather than asserted.
+    fn only<T>(results: impl IntoIterator<Item = T>) -> Result<T, NetanError> {
+        results.into_iter().next().ok_or(NetanError::EmptySweep)
     }
 
     /// Measures a batch of Bode points with `engine`, calibrating lazily.
@@ -412,41 +459,40 @@ impl<'d> NetworkAnalyzer<'d> {
         let n = mixsig::cast::usize_from_u32(max_harmonic);
         crate::pool::map_indexed(engine.threads(), n, |i| {
             // netan-lint: allow(lossy-cast): i < max_harmonic, which is a u32, so the cast is exact
-            self.measure_path(f_wave, i as u32 + 1, SignalPath::Dut)
+            let k = i as u32 + 1;
+            Self::only(Self::acquire(&self.config, f_wave, k, Some(&[self.dut]))?)
         })
         .into_iter()
         .collect()
     }
 
-    /// One full acquisition over the requested path, driven block-wise
-    /// (generator → DUT → ΣΔ all consume fixed-size blocks). A bypass
-    /// acquisition builds a bypass-only board, skipping the DUT
-    /// simulation entirely: the analyzer constructs a fresh board per
-    /// acquisition, so no DUT state is lost, and the bypass output never
-    /// observes the DUT — the calibration result is bit-identical.
-    fn measure_path(
-        &self,
+    /// One full acquisition of harmonic `k` at `f_wave`, driven
+    /// block-wise (generator → DUT → ΣΔ all consume fixed-size blocks):
+    /// one measurement per device of `lane`, or the stimulus alone over
+    /// the calibration bypass when `lane` is `None`. A bypass acquisition
+    /// builds a bypass-only board, skipping the DUT simulation entirely:
+    /// a fresh board is built per acquisition, so no DUT state is lost,
+    /// and the bypass output never observes the DUT — the calibration
+    /// result is bit-identical.
+    fn acquire(
+        config: &AnalyzerConfig,
         f_wave: Hertz,
         k: u32,
-        path: SignalPath,
-    ) -> Result<HarmonicMeasurement, NetanError> {
+        lane: Option<&[&dyn Dut]>,
+    ) -> Result<Vec<HarmonicMeasurement>, NetanError> {
         let clk = MasterClock::for_stimulus(f_wave);
-        let gen_cfg = self
-            .config
-            .hardware
-            .generator_config(clk, self.config.va_diff);
-        let mut board = match path {
-            SignalPath::Dut => DemoBoard::new(gen_cfg, self.dut),
-            SignalPath::CalibrationBypass => DemoBoard::for_bypass(gen_cfg),
+        let gen_cfg = config.hardware.generator_config(clk, config.va_diff);
+        let mut board = match lane {
+            Some(devices) => DemoBoard::with_devices(gen_cfg, devices),
+            None => DemoBoard::for_bypass(gen_cfg),
         };
-        board.warm_up(mixsig::cast::usize_from_u32(self.config.warmup_periods));
-        let eval_cfg = self
-            .config
+        board.warm_up(mixsig::cast::usize_from_u32(config.warmup_periods));
+        let eval_cfg = config
             .hardware
             .evaluator_config()
-            .with_block_samples(self.config.block_samples);
+            .with_block_samples(config.block_samples);
         let mut evaluator = SinewaveEvaluator::new(eval_cfg);
-        Ok(evaluator.measure_harmonic_blocks(&mut board, k, self.config.periods)?)
+        Ok(evaluator.measure_harmonic_lane(&mut board, k, config.periods)?)
     }
 }
 
@@ -483,7 +529,7 @@ mod tests {
         // The bypass-only board must report exactly what a full board
         // switched to the bypass path reports — the DUT never touches the
         // bypass output, so skipping its simulation is free.
-        use ate::DemoBoard;
+        use ate::{DemoBoard, SignalPath};
         use mixsig::clock::MasterClock;
         use sdeval::SinewaveEvaluator;
 
@@ -508,6 +554,34 @@ mod tests {
             .unwrap();
         assert_eq!(cal.amplitude, want.amplitude);
         assert_eq!(cal.phase, want.phase);
+    }
+
+    #[test]
+    fn lane_points_match_each_devices_own_points() {
+        let devices: Vec<ActiveRcFilter> = (0..5)
+            .map(|seed| ActiveRcFilter::paper_dut().fabricate(0.05, seed))
+            .collect();
+        let lane: Vec<&dyn Dut> = devices.iter().map(|d| d as &dyn Dut).collect();
+        for cfg in [
+            AnalyzerConfig::ideal().with_periods(20),
+            AnalyzerConfig::cmos_035um(3).with_periods(20),
+        ] {
+            let cal = NetworkAnalyzer::new(&dut::Bypass, cfg).calibrate().unwrap();
+            let f = Hertz(1500.0);
+            let points = NetworkAnalyzer::measure_lane(&cfg, cal, &lane, f).unwrap();
+            assert_eq!(points.len(), devices.len());
+            for (point, device) in points.iter().zip(&devices) {
+                let alone = NetworkAnalyzer::new(device, cfg);
+                assert_eq!(*point, alone.measure_point_calibrated(cal, f).unwrap());
+            }
+            assert!(NetworkAnalyzer::measure_lane(&cfg, cal, &[], f)
+                .unwrap()
+                .is_empty());
+            assert!(matches!(
+                NetworkAnalyzer::measure_lane(&cfg, cal, &lane, Hertz(-1.0)),
+                Err(NetanError::InvalidFrequency { .. })
+            ));
+        }
     }
 
     #[test]

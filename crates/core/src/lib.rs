@@ -87,7 +87,7 @@ pub use harmonics::DistortionReport;
 pub use json::Json;
 pub use lot::{
     DeviceReport, EscalationSchedule, LotEngine, LotPlan, LotReport, ShardSpan, StageSummary,
-    StoppingPolicy, VerdictCounts,
+    StoppingPolicy, VerdictCounts, LANE_DEVICES,
 };
 pub use plan::{grid_time, measurement_time, plan_measurement, TestPlan};
 pub use pool::WorkerPanic;

@@ -6,20 +6,27 @@
 //! characterizes many Monte-Carlo devices (`factory(seed)` for each seed)
 //! against one sweep plan and one gain mask:
 //!
-//! * **whole devices** are fanned across a [`std::thread::scope`] worker
-//!   pool (the same atomic-cursor work stealing as the point-level
-//!   [`SweepEngine`], via [`crate::pool`]);
-//! * **calibration is amortized**: the bypass path taps the stimulus
-//!   *before* the DUT, so the stimulus characterization depends only on
-//!   the analyzer configuration — it is computed once and shared
-//!   read-only across every device instead of being redone per seed;
-//! * each worker can optionally run its device's sweep points through a
-//!   nested per-device [`SweepEngine`]
-//!   ([`LotEngine::with_point_engine`]);
-//! * results are **bit-identical** to the serial reference: device order
-//!   is seed order, every per-device simulation is seeded, and on failure
-//!   the lowest-index device error is reported exactly as a serial
-//!   in-order run would report it.
+//! * **the analyzer's own work is amortized**: the generator and the ΣΔ
+//!   evaluator are set by the DC references and digital control alone,
+//!   never by the DUT (paper Section III.C), and so is every draw of
+//!   their seeded noise. So the stimulus characterization is computed
+//!   once per analyzer configuration and shared read-only by every
+//!   device, and a fixed grid is measured in **lanes**: per grid point,
+//!   one generator and one evaluator serve up to [`LANE_DEVICES`]
+//!   devices, generating the stimulus and drawing the comparator and
+//!   `kT/C` noise once per block for all of them. Only the DUT
+//!   simulations, the modulator states, classification and fit run per
+//!   device;
+//! * (lane × point-group) tasks are fanned across a
+//!   [`std::thread::scope`] worker pool (the same atomic-cursor work
+//!   stealing as the point-level [`SweepEngine`], via [`crate::pool`]);
+//!   adaptive plans, whose refinement points differ per device, run one
+//!   device per task;
+//! * results are **bit-identical** to the serial reference and to
+//!   measuring each device alone: every device sees exactly the stimulus
+//!   and noise a fresh analyzer of its own would produce, device order
+//!   is seed order, and on failure the lowest-index device error is
+//!   reported exactly as a serial in-order run would report it.
 //!
 //! The run produces a [`LotReport`]: per-device [`BodePlot`] +
 //! [`SpecVerdict`] + fitted f0/Q summary, plus the lot-level verdict
@@ -894,7 +901,9 @@ impl LotReport {
     }
 }
 
-/// Schedules whole-device characterizations over a worker pool.
+/// Schedules a lot's characterizations over a worker pool: (lane ×
+/// point group) tasks for fixed grids, one device per task for adaptive
+/// plans (see the [module docs](self)).
 ///
 /// # Example
 ///
@@ -916,65 +925,42 @@ impl LotReport {
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LotEngine {
-    device_threads: usize,
-    point_engine: SweepEngine,
+    threads: usize,
 }
 
 impl LotEngine {
-    /// An engine that characterizes every device on the calling thread,
-    /// in seed order — the reference for bit-identity.
+    /// An engine that runs every task on the calling thread, in order —
+    /// the reference for bit-identity.
     pub fn serial() -> Self {
-        Self {
-            device_threads: 1,
-            point_engine: SweepEngine::serial(),
-        }
+        Self { threads: 1 }
     }
 
-    /// An engine sized to the machine's available parallelism, with a
-    /// serial per-device point engine (devices usually outnumber cores,
-    /// so device-level fan-out alone saturates the pool). The pool is
-    /// sized once per process (see [`pool::auto_threads`]): a CPU quota
-    /// changed later is not seen.
+    /// An engine sized to the machine's available parallelism. The pool
+    /// is sized once per process (see [`pool::auto_threads`]): a CPU
+    /// quota changed later is not seen.
     pub fn auto() -> Self {
         Self {
-            device_threads: pool::auto_threads(),
-            point_engine: SweepEngine::serial(),
+            threads: pool::auto_threads(),
         }
     }
 
-    /// An engine with an explicit device-level worker count (clamped to
-    /// at least 1).
+    /// An engine with an explicit worker count (clamped to at least 1).
     pub fn with_threads(threads: usize) -> Self {
         Self {
-            device_threads: threads.max(1),
-            point_engine: SweepEngine::serial(),
+            threads: threads.max(1),
         }
     }
 
-    /// Returns the engine with a nested per-device sweep engine: each
-    /// device worker fans its own sweep points across `engine`'s workers.
-    /// Useful for small lots of expensive devices. Does not change the
-    /// result bits — point- and device-level schedules are both
-    /// deterministic.
-    #[must_use]
-    pub fn with_point_engine(mut self, engine: SweepEngine) -> Self {
-        self.point_engine = engine;
-        self
-    }
-
-    /// The device-level worker count.
+    /// The worker count.
     pub fn threads(&self) -> usize {
-        self.device_threads
-    }
-
-    /// The nested per-device sweep engine.
-    pub fn point_engine(&self) -> &SweepEngine {
-        &self.point_engine
+        self.threads
     }
 
     /// Characterizes `factory(seed)` for every seed against `plan`,
-    /// fanning devices across the worker pool. Calibration is performed
-    /// once for `config` and shared read-only by every device.
+    /// fanning the work across the worker pool. Calibration is performed
+    /// once for `config` and shared read-only by every device, and a
+    /// fixed grid is measured in lanes that share each point's stimulus
+    /// and evaluator noise.
     ///
     /// A contiguous ascending seed slice (`s, s+1, …`) gets a complete
     /// [`ShardSpan`] attached — a plain `run` is "one shard covering
@@ -1059,19 +1045,9 @@ impl LotEngine {
         F: Fn(u64) -> D + Sync,
     {
         Self::validate_lot(seeds, plan)?;
-        let cal = Self::shared_calibration(config)?;
-        let results = pool::map_indexed(self.device_threads, seeds.len(), |i| {
-            self.characterize_device(
-                &factory,
-                seeds[i],
-                plan,
-                config,
-                cal,
-                0,
-                config.periods,
-                &[],
-            )
-        });
+        let stage = Stage::fresh(0, config)?;
+        let fresh: Vec<(u64, &[Seconds])> = seeds.iter().map(|&seed| (seed, &[][..])).collect();
+        let results = self.characterize(&factory, &fresh, plan, stage);
         // Buffered results: the lowest-index error wins, as in a serial
         // in-order run.
         let devices = results.into_iter().collect::<Result<Vec<_>, _>>()?;
@@ -1204,19 +1180,8 @@ impl LotEngine {
         }
 
         let config0 = schedule.stages()[0];
-        let cal = Self::shared_calibration(config0)?;
-        let results = pool::map_indexed(self.device_threads, seeds.len(), |i| {
-            self.characterize_device(
-                &factory,
-                seeds[i],
-                plan,
-                config0,
-                cal,
-                0,
-                config0.periods,
-                &[],
-            )
-        });
+        let fresh: Vec<(u64, &[Seconds])> = seeds.iter().map(|&seed| (seed, &[][..])).collect();
+        let results = self.characterize(&factory, &fresh, plan, Stage::fresh(0, config0)?);
         let mut devices = results.into_iter().collect::<Result<Vec<_>, _>>()?;
 
         // Folded from the measured devices — exactly what `run` records,
@@ -1271,21 +1236,15 @@ impl LotEngine {
                 budget_exhausted = true;
                 break;
             }
-            let charge_periods = schedule.charged_periods(s);
-            let cal = Self::shared_calibration(config)?;
-            let results = pool::map_indexed(self.device_threads, measure, |j| {
-                let d = &devices[ambiguous[j]];
-                self.characterize_device(
-                    &factory,
-                    d.seed,
-                    plan,
-                    config,
-                    cal,
-                    s,
-                    charge_periods,
-                    &d.stage_times,
-                )
-            });
+            let stage = Stage {
+                charge_periods: schedule.charged_periods(s),
+                ..Stage::fresh(s, config)?
+            };
+            let retests: Vec<(u64, &[Seconds])> = ambiguous[..measure]
+                .iter()
+                .map(|&i| (devices[i].seed, &devices[i].stage_times[..]))
+                .collect();
+            let results = self.characterize(&factory, &retests, plan, stage);
             // Observed-cost ledger replay, in seed order: admit the next
             // ambiguous device while `spent < budget`, charge its actual
             // measurement time as it completes. Results are buffered, so
@@ -1404,53 +1363,182 @@ impl LotEngine {
         NetworkAnalyzer::new(&Bypass, config).calibrate()
     }
 
-    /// Measures one device at `config` and charges it
-    /// `charge_periods`-worth of acquisition per measured point — the
-    /// full `config.periods` for a fresh insertion, the period
-    /// increment for a [`StoppingPolicy::Sequential`] continuation.
-    /// `prior` is the device's per-stage charge history from earlier
-    /// stages; the new stage's charge is appended to it.
-    #[allow(clippy::too_many_arguments)]
-    fn characterize_device<D, F>(
+    /// Characterizes every device of `devices` — `(seed, per-stage
+    /// charge history)` pairs — at `stage`, one result per device, in
+    /// order. Every device is attempted; a failed device carries its own
+    /// error, so collecting the results reports the lowest-index error,
+    /// as a serial in-order run would.
+    ///
+    /// A fixed grid is measured in lanes ([`measure_lanes`]); an adaptive
+    /// plan refines each device's grid from its own measurements, so its
+    /// devices run one per task, each on the serial point engine.
+    ///
+    /// [`measure_lanes`]: Self::measure_lanes
+    fn characterize<D, F>(
         &self,
         factory: &F,
-        seed: u64,
+        devices: &[(u64, &[Seconds])],
         plan: &LotPlan,
-        config: AnalyzerConfig,
-        cal: Calibration,
-        stage: usize,
-        charge_periods: u32,
-        prior: &[Seconds],
-    ) -> Result<DeviceReport, NetanError>
+        stage: Stage,
+    ) -> Vec<Result<DeviceReport, NetanError>>
+    where
+        D: Dut,
+        F: Fn(u64) -> D + Sync,
+    {
+        let report = |i: usize, plot: Result<BodePlot, NetanError>| {
+            let (seed, prior) = devices[i];
+            plot.and_then(|plot| Self::device_report(seed, plot, plan, stage, prior))
+        };
+        match plan.refinement() {
+            None => {
+                let seeds: Vec<u64> = devices.iter().map(|&(seed, _)| seed).collect();
+                self.measure_lanes(factory, &seeds, plan.grid(), stage)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(i, points)| {
+                        report(
+                            i,
+                            points.map(|mut points| {
+                                unwrap_phase_by_continuity(&mut points);
+                                BodePlot::new(points)
+                            }),
+                        )
+                    })
+                    .collect()
+            }
+            // Adaptive plan: the grid ∪ mask union seeds refinement, so
+            // each device also resolves its own (mismatch-shifted) knee.
+            Some(&policy) => pool::map_indexed(self.threads, devices.len(), |i| {
+                let plot = Self::fabricate(factory, devices[i].0, plan.grid()).and_then(|device| {
+                    let analyzer = NetworkAnalyzer::new(&device, stage.config);
+                    AdaptiveSweep::with_engine(policy, SweepEngine::serial()).run(
+                        &analyzer,
+                        stage.cal,
+                        plan.grid(),
+                    )
+                });
+                report(i, plot)
+            }),
+        }
+    }
+
+    /// Measures `grid` on every device of `seeds` at `stage`, in
+    /// **lanes**: one result per device, in seed order, holding its
+    /// points in grid order (phase not yet unwrapped).
+    ///
+    /// A lane task takes up to [`LANE_DEVICES`] devices and a contiguous
+    /// group of grid points. Per point it builds one generator and one
+    /// evaluator, and every device of the lane shares their stimulus and
+    /// their noise draws ([`NetworkAnalyzer::measure_lane`]); only the
+    /// DUT simulations and modulator states run per device. Each point
+    /// is bit-identical to the device's own
+    /// [`NetworkAnalyzer::measure_point_calibrated`], so the split (see
+    /// [`LaneLayout`]) never changes a byte.
+    ///
+    /// A device that cannot be simulated is left out of its lane and
+    /// fails on its own with [`NetanError::DeviceNotSimulable`]. A
+    /// measurement error depends only on the configuration and the
+    /// point, so it fails every device of its task at that point; a
+    /// device reports its lowest-index point error, as a serial sweep
+    /// would.
+    fn measure_lanes<D, F>(
+        &self,
+        factory: &F,
+        seeds: &[u64],
+        grid: &[Hertz],
+        stage: Stage,
+    ) -> Vec<Result<Vec<BodePoint>, NetanError>>
+    where
+        D: Dut,
+        F: Fn(u64) -> D + Sync,
+    {
+        let layout = LaneLayout::new(seeds.len(), grid.len(), self.threads);
+        // Tasks are lane-major: lane `l`'s point groups are tasks
+        // `l·groups .. (l+1)·groups`, in grid order.
+        let tasks = pool::map_indexed(self.threads, layout.lanes * layout.groups, |task| {
+            let lane = &seeds[split(seeds.len(), layout.lanes, task / layout.groups)];
+            let points = &grid[split(grid.len(), layout.groups, task % layout.groups)];
+            let devices: Vec<Result<D, NetanError>> = lane
+                .iter()
+                .map(|&seed| Self::fabricate(factory, seed, grid))
+                .collect();
+            let mounted: Vec<&dyn Dut> = devices
+                .iter()
+                .filter_map(|d| d.as_ref().ok().map(|d| d as &dyn Dut))
+                .collect();
+            let mut measured: Vec<Vec<BodePoint>> = mounted
+                .iter()
+                .map(|_| Vec::with_capacity(points.len()))
+                .collect();
+            let outcome: Result<(), NetanError> = points.iter().try_for_each(|&f| {
+                let lane_points =
+                    NetworkAnalyzer::measure_lane(&stage.config, stage.cal, &mounted, f)?;
+                for (device_points, point) in measured.iter_mut().zip(lane_points) {
+                    device_points.push(point);
+                }
+                Ok(())
+            });
+            // Mounted devices took their points in lane order.
+            let mut measured = measured.into_iter();
+            devices
+                .into_iter()
+                .map(|device| {
+                    device?;
+                    outcome?;
+                    Ok(measured.next().unwrap_or_default())
+                })
+                .collect::<Vec<Result<Vec<BodePoint>, NetanError>>>()
+        });
+        // Each device's groups arrive in grid order; its first error wins.
+        let mut results: Vec<Result<Vec<BodePoint>, NetanError>> =
+            seeds.iter().map(|_| Ok(Vec::new())).collect();
+        for (task, parts) in tasks.into_iter().enumerate() {
+            let lane = split(seeds.len(), layout.lanes, task / layout.groups);
+            for (device, part) in results[lane].iter_mut().zip(parts) {
+                if let Ok(points) = device {
+                    match part {
+                        Ok(part) if points.is_empty() => *points = part,
+                        Ok(mut part) => points.append(&mut part),
+                        Err(e) => *device = Err(e),
+                    }
+                }
+            }
+        }
+        results
+    }
+
+    /// Fabricates the device of `seed` and checks that it can be
+    /// simulated over `grid`: a pathological mismatch draw (e.g. a NaN or
+    /// negative pole) would make the state-space discretization diverge,
+    /// so it is rejected cleanly before any simulation.
+    fn fabricate<D, F>(factory: &F, seed: u64, grid: &[Hertz]) -> Result<D, NetanError>
     where
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
         let device = factory(seed);
-        // A pathological mismatch draw (e.g. a NaN or negative pole) would
-        // make the state-space discretization diverge; reject it cleanly
-        // before any simulation.
-        for &f in plan.grid() {
+        for &f in grid {
             let r = device.ideal_response(f);
             if !r.magnitude.is_finite() || !r.phase.is_finite() {
                 return Err(NetanError::DeviceNotSimulable { seed });
             }
         }
-        let analyzer = NetworkAnalyzer::new(&device, config);
-        let plot = match plan.refinement() {
-            None => {
-                let mut points = self.point_engine.measure(&analyzer, cal, plan.grid())?;
-                unwrap_phase_by_continuity(&mut points);
-                BodePlot::new(points)
-            }
-            // Adaptive plan: the grid ∪ mask union seeds refinement, so
-            // each device also resolves its own (mismatch-shifted) knee.
-            Some(&policy) => AdaptiveSweep::with_engine(policy, self.point_engine).run(
-                &analyzer,
-                cal,
-                plan.grid(),
-            )?,
-        };
+        Ok(device)
+    }
+
+    /// Classifies and fits a measured device and charges it
+    /// `stage.charge_periods`-worth of acquisition per measured point —
+    /// the full `config.periods` for a fresh insertion, the period
+    /// increment for a [`StoppingPolicy::Sequential`] continuation.
+    /// `prior` is the device's per-stage charge history from earlier
+    /// stages; the new stage's charge is appended to it.
+    fn device_report(
+        seed: u64,
+        plot: BodePlot,
+        plan: &LotPlan,
+        stage: Stage,
+        prior: &[Seconds],
+    ) -> Result<DeviceReport, NetanError> {
         let verdict = plan.classify_plot(plot.points())?;
         let fit = plot.fit_lowpass_biquad();
         // Actual measured points (a superset of the grid for adaptive
@@ -1458,7 +1546,7 @@ impl LotEngine {
         // the whole stage `M` for a fresh insertion, the increment for a
         // sequential continuation.
         let time = plot.points().iter().fold(Seconds(0.0), |acc, p| {
-            acc + measurement_time(charge_periods, p.frequency)
+            acc + measurement_time(stage.charge_periods, p.frequency)
         });
         let mut stage_times = prior.to_vec();
         stage_times.push(time);
@@ -1471,12 +1559,87 @@ impl LotEngine {
             plot,
             verdict,
             fit,
-            stage,
-            periods: config.periods,
+            stage: stage.index,
+            periods: stage.config.periods,
             test_time,
             stage_times,
         })
     }
+}
+
+/// Most devices one lane task measures.
+///
+/// Sharing is per lane, so a larger lane saves more, but with diminishing
+/// returns: at 64 devices the shared work is already a small share of a
+/// device's cost. A lane holds one DUT simulation per device, and a
+/// large stage still splits into enough lanes to keep every worker busy.
+pub const LANE_DEVICES: usize = 64;
+
+/// One stage's measurement settings, shared by every task of the stage.
+#[derive(Debug, Clone, Copy)]
+struct Stage {
+    /// Schedule stage index.
+    index: usize,
+    config: AnalyzerConfig,
+    /// The stage's shared stimulus characterization.
+    cal: Calibration,
+    /// Periods charged per measured point.
+    charge_periods: u32,
+}
+
+impl Stage {
+    /// Stage `index` at `config`, calibrated once and charged the full
+    /// `config.periods` — a fresh insertion.
+    fn fresh(index: usize, config: AnalyzerConfig) -> Result<Self, NetanError> {
+        Ok(Self {
+            index,
+            config,
+            cal: LotEngine::shared_calibration(config)?,
+            charge_periods: config.periods,
+        })
+    }
+}
+
+/// How a stage's fixed-grid measurement splits into pool tasks: `lanes`
+/// contiguous device lanes times `groups` contiguous grid-point groups.
+///
+/// * Enough lanes of at most [`LANE_DEVICES`] devices to keep every
+///   worker busy: each task is one lane over the whole grid, and the
+///   lane count rounds up to a multiple of the worker count so the
+///   workers finish together.
+/// * Too few: the grid splits across the workers first (each group
+///   costs one generator and evaluator set-up per point, exactly like
+///   the whole grid), and the lanes split only if the grid runs out of
+///   points.
+///
+/// The split depends only on the device, point and worker counts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct LaneLayout {
+    lanes: usize,
+    groups: usize,
+}
+
+impl LaneLayout {
+    fn new(devices: usize, points: usize, workers: usize) -> Self {
+        let lanes = devices.div_ceil(LANE_DEVICES);
+        if lanes >= workers {
+            return Self {
+                lanes: lanes.next_multiple_of(workers).min(devices),
+                groups: 1,
+            };
+        }
+        let groups = workers.div_ceil(lanes).min(points).max(1);
+        Self {
+            lanes: workers.div_ceil(groups).clamp(lanes, devices),
+            groups,
+        }
+    }
+}
+
+/// Part `part` of `0..len` cut into `parts` contiguous ranges whose
+/// lengths differ by at most one.
+fn split(len: usize, parts: usize, part: usize) -> Range<usize> {
+    len * part / parts..len * (part + 1) / parts
 }
 
 impl Default for LotEngine {
@@ -1509,8 +1672,29 @@ mod tests {
         assert_eq!(LotEngine::with_threads(6).threads(), 6);
         assert!(LotEngine::auto().threads() >= 1);
         assert_eq!(LotEngine::default(), LotEngine::auto());
-        let nested = LotEngine::with_threads(2).with_point_engine(SweepEngine::with_threads(3));
-        assert_eq!(nested.point_engine().threads(), 3);
+    }
+
+    #[test]
+    fn lane_layout_splits_the_grid_before_the_lanes() {
+        let layout = |devices, points, workers| {
+            let l = LaneLayout::new(devices, points, workers);
+            (l.lanes, l.groups)
+        };
+        // Enough lanes for every worker: whole-grid lanes, rounded up to a
+        // multiple of the worker count.
+        assert_eq!(layout(1200, 9, 2), (20, 1));
+        assert_eq!(layout(130, 9, 2), (4, 1));
+        assert_eq!(layout(2, 9, 1), (1, 1));
+        assert_eq!(layout(65, 9, 1), (2, 1));
+        // Too few: the grid splits first, then the lanes.
+        assert_eq!(layout(24, 9, 2), (1, 2));
+        assert_eq!(layout(3, 9, 8), (1, 8));
+        assert_eq!(layout(100, 9, 8), (2, 4));
+        assert_eq!(layout(5, 1, 8), (5, 1));
+        assert_eq!(layout(1, 1, 8), (1, 1));
+        // Balanced contiguous parts cover the range in order.
+        let parts: Vec<Range<usize>> = (0..3).map(|p| split(10, 3, p)).collect();
+        assert_eq!(parts, vec![0..3, 3..6, 6..10]);
     }
 
     #[test]

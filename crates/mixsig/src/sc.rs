@@ -255,7 +255,8 @@ impl ScIntegrator {
     }
 
     /// [`step_planned`](Self::step_planned) through one instantiation of
-    /// the planned arithmetic body.
+    /// the planned arithmetic body, drawing the step's `kT/C` noise from
+    /// this integrator's stream as the body asks for it.
     ///
     /// `EXACT = true` runs the identity-free body when the plan
     /// [`is_exact`](ScStepPlan::is_exact); on a plan that is not, it runs
@@ -273,23 +274,79 @@ impl ScIntegrator {
         plan: &ScStepPlan,
         voltages: &[f64],
     ) -> f64 {
+        let noise = &mut self.noise;
+        self.vout = Self::step_with::<EXACT>(&self.opamp, self.vout, plan, voltages, |i| {
+            noise.gaussian(plan.sigma[i])
+        });
+        self.vout
+    }
+
+    /// Draws one step's `kT/C` noise for `plan` from this integrator's
+    /// stream: one value per noisy branch, in branch order — exactly the
+    /// draws [`step_planned`](Self::step_planned) makes for that step.
+    /// Branches that draw nothing get `0.0`. A step's draws therefore
+    /// come from the plan it advances with, whichever polarity that is.
+    #[inline]
+    pub fn draw_ktc(&mut self, plan: &ScStepPlan) -> KtcDraws {
+        let mut draws = [0.0; MAX_PLAN_BRANCHES];
+        for ((d, &noisy), &sigma) in draws.iter_mut().zip(&plan.noisy).zip(&plan.sigma) {
+            if noisy {
+                *d = self.noise.gaussian(sigma);
+            }
+        }
+        draws
+    }
+
+    /// One planned step from output `vout` with pre-drawn `kT/C` values
+    /// (from [`draw_ktc`](Self::draw_ktc) on the same plan); returns the
+    /// new output — bit-identical to
+    /// [`step_planned_in`](Self::step_planned_in) from that output with
+    /// those draws. Neither this integrator's output nor its noise stream
+    /// moves, so one integrator can advance many independent states
+    /// through the same draws.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `voltages.len()` differs from the planned branch count.
+    #[inline(always)]
+    pub fn step_from<const EXACT: bool>(
+        &self,
+        vout: f64,
+        plan: &ScStepPlan,
+        voltages: &[f64],
+        ktc: &KtcDraws,
+    ) -> f64 {
+        Self::step_with::<EXACT>(&self.opamp, vout, plan, voltages, |i| ktc[i])
+    }
+
+    /// The planned step from output `vout`, taking branch `i`'s `kT/C`
+    /// draw from `ktc(i)` — called once per noisy branch, in branch
+    /// order, and only by the general body.
+    #[inline(always)]
+    fn step_with<const EXACT: bool>(
+        opamp: &OpAmpModel,
+        vout: f64,
+        plan: &ScStepPlan,
+        voltages: &[f64],
+        mut ktc: impl FnMut(usize) -> f64,
+    ) -> f64 {
         assert_eq!(
             voltages.len(),
             plan.n,
             "voltage count must match the planned branch count"
         );
         if EXACT && plan.exact {
-            let before = self.vout;
-            let next = self.advance::<true>(plan, voltages);
+            let next = Self::advance::<true>(opamp, vout, plan, voltages, &mut ktc);
             if next.is_finite() {
                 return next;
             }
-            self.vout = before;
         }
-        self.advance::<false>(plan, voltages)
+        Self::advance::<false>(opamp, vout, plan, voltages, &mut ktc)
     }
 
-    /// The planned step's arithmetic body, instantiated twice.
+    /// The planned step's arithmetic body, instantiated twice: the new
+    /// output from `vout`, the sampled `voltages` and the step's `kT/C`
+    /// draws (`ktc(i)` for noisy branch `i`).
     ///
     /// On an exact plan (leak = μ = settling fraction = 1 with infinite
     /// slew, swing ±∞, cubic = 0, offset = ±0, noise disabled) the
@@ -307,9 +364,16 @@ impl ScIntegrator {
     ///
     /// A non-finite state breaks the second point (`0·∞` turns the
     /// compression into NaN), which is why the caller re-runs such a step
-    /// through the general body.
+    /// through the general body. An exact plan's source is disabled, so
+    /// that re-run draws nothing.
     #[inline(always)]
-    fn advance<const EXACT: bool>(&mut self, plan: &ScStepPlan, voltages: &[f64]) -> f64 {
+    fn advance<const EXACT: bool>(
+        opamp: &OpAmpModel,
+        vout: f64,
+        plan: &ScStepPlan,
+        voltages: &[f64],
+        ktc: &mut impl FnMut(usize) -> f64,
+    ) -> f64 {
         let mut delta = 0.0;
         for (i, &v) in voltages.iter().enumerate() {
             if EXACT {
@@ -317,22 +381,25 @@ impl ScIntegrator {
             } else {
                 delta += plan.vgain[i] * (v + plan.offset);
                 if plan.noisy[i] {
-                    delta += self.noise.gaussian(plan.sigma[i]) * plan.ngain[i];
+                    delta += ktc(i) * plan.ngain[i];
                 }
             }
         }
-        self.vout = if EXACT {
-            self.vout + delta
+        if EXACT {
+            vout + delta
         } else {
-            let compression = self.opamp.compression_factor(self.vout);
+            let compression = opamp.compression_factor(vout);
             let achieved = plan.settled(plan.mu * compression * delta);
-            self.opamp
-                .clamp_output(Volts(plan.leak * self.vout + achieved))
+            opamp
+                .clamp_output(Volts(plan.leak * vout + achieved))
                 .value()
-        };
-        self.vout
+        }
     }
 }
+
+/// One step's `kT/C` draws, one slot per planned branch (see
+/// [`ScIntegrator::draw_ktc`]).
+pub type KtcDraws = [f64; MAX_PLAN_BRANCHES];
 
 /// Hoisted per-step invariants of one [`ScIntegrator`] branch topology;
 /// built by [`ScIntegrator::plan`], consumed by

@@ -14,7 +14,7 @@
 //! signatures "are processed using basic arithmetic operations in the
 //! digital domain to cancel the offset contribution of the modulators".
 
-use crate::modulator::{SdmConfig, SigmaDeltaModulator};
+use crate::modulator::{BlockDraws, ModulatorPair, SdmConfig, SigmaDeltaModulator};
 use crate::signature::{
     amplitude_from_signatures, dc_from_signature, phase_from_signatures, Bounded, SignaturePair,
 };
@@ -48,6 +48,43 @@ impl BlockSource for FnSource<'_> {
         for v in out.iter_mut() {
             *v = (self.0)();
         }
+    }
+}
+
+/// A lane: any number of devices driven by one shared stimulus, drained
+/// a block at a time — the multi-device counterpart of [`BlockSource`].
+///
+/// Each block is one [`advance`](Self::advance) of the shared stimulus
+/// followed by one [`device_block`](Self::device_block) per device, in
+/// device order. Device `d` must see exactly the samples a source of its
+/// own would produce: its response to the same stimulus, block after
+/// block.
+pub trait LaneSource {
+    /// Number of devices in the lane.
+    fn devices(&self) -> usize;
+
+    /// Advances the shared stimulus by `len` samples — the next block.
+    fn advance(&mut self, len: usize);
+
+    /// Writes device `device`'s response to the block the last
+    /// [`advance`](Self::advance) produced into `out`, whose length is
+    /// that block's.
+    fn device_block(&mut self, device: usize, out: &mut [f64]);
+}
+
+/// A [`BlockSource`] as a lane of one device: the source fills the
+/// device's block directly, so the one-device path copies nothing.
+struct OneDevice<'a>(&'a mut dyn BlockSource);
+
+impl LaneSource for OneDevice<'_> {
+    fn devices(&self) -> usize {
+        1
+    }
+
+    fn advance(&mut self, _len: usize) {}
+
+    fn device_block(&mut self, _device: usize, out: &mut [f64]) {
+        self.0.fill_block(out);
     }
 }
 
@@ -200,8 +237,7 @@ pub struct DcMeasurement {
 #[derive(Debug, Clone)]
 pub struct SinewaveEvaluator {
     config: EvaluatorConfig,
-    mod_i: SigmaDeltaModulator,
-    mod_q: SigmaDeltaModulator,
+    modulators: ModulatorPair,
 }
 
 impl SinewaveEvaluator {
@@ -213,8 +249,10 @@ impl SinewaveEvaluator {
         cfg_i.seed = config.sdm.seed.wrapping_mul(2).wrapping_add(1);
         cfg_q.seed = config.sdm.seed.wrapping_mul(2).wrapping_add(2);
         Self {
-            mod_i: SigmaDeltaModulator::new(cfg_i),
-            mod_q: SigmaDeltaModulator::new(cfg_q),
+            modulators: ModulatorPair::new(
+                SigmaDeltaModulator::new(cfg_i),
+                SigmaDeltaModulator::new(cfg_q),
+            ),
             config,
         }
     }
@@ -246,7 +284,8 @@ impl SinewaveEvaluator {
     /// signal in blocks of [`EvaluatorConfig::block_samples`] — the hot
     /// path: the source fills a buffer batch-wise and each modulator
     /// consumes it in one tight loop. Bit-identical to the per-sample
-    /// wrapper for any block length.
+    /// wrapper for any block length. It is the one-device case of
+    /// [`measure_harmonic_lane`](Self::measure_harmonic_lane).
     ///
     /// # Errors
     ///
@@ -257,30 +296,82 @@ impl SinewaveEvaluator {
         k: u32,
         m: u32,
     ) -> Result<HarmonicMeasurement, EvalError> {
+        let sq = Self::harmonic_wave(k, m, self.config.n)?;
+        let mut signatures = [(0.0, 0.0)];
+        let consumed = self.acquire(&mut OneDevice(source), sq, m, &mut signatures);
+        let [pair] = signatures;
+        Ok(self.harmonic(sq, m, pair, consumed))
+    }
+
+    /// Measures harmonic `k ≥ 1` of every device of `source` over `m`
+    /// periods: one measurement per device, in device order.
+    ///
+    /// The devices share the acquisition's noise: each block's
+    /// comparator and `kT/C` draws are taken once and every device's
+    /// modulator states run through them. Every device starts from the
+    /// evaluator's current modulator state, so each measurement is
+    /// bit-identical to a [`measure_harmonic_blocks`] of that device
+    /// alone on a clone of this evaluator. Afterwards the evaluator
+    /// stands where the first device's acquisition alone would leave it:
+    /// noise streams and modulator state (a lane of no devices leaves it
+    /// as it was).
+    ///
+    /// [`measure_harmonic_blocks`]: Self::measure_harmonic_blocks
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`measure_harmonic`](Self::measure_harmonic).
+    pub fn measure_harmonic_lane(
+        &mut self,
+        source: &mut dyn LaneSource,
+        k: u32,
+        m: u32,
+    ) -> Result<Vec<HarmonicMeasurement>, EvalError> {
+        let sq = Self::harmonic_wave(k, m, self.config.n)?;
+        let mut signatures = vec![(0.0, 0.0); source.devices()];
+        let consumed = self.acquire(source, sq, m, &mut signatures);
+        Ok(signatures
+            .into_iter()
+            .map(|pair| self.harmonic(sq, m, pair, consumed))
+            .collect())
+    }
+
+    /// The square waves of a harmonic measurement, after the validity
+    /// checks.
+    fn harmonic_wave(k: u32, m: u32, n: u32) -> Result<QuadratureSquareWave, EvalError> {
         if k == 0 {
             return Err(EvalError::HarmonicIndexZero);
         }
         if m == 0 || !m.is_multiple_of(2) {
             return Err(EvalError::OddPeriods { m });
         }
-        let sq = QuadratureSquareWave::new(k, self.config.n)?;
-        let (i1, i2, consumed) = self.acquire(source, sq, m);
+        Ok(QuadratureSquareWave::new(k, n)?)
+    }
+
+    /// Amplitude and phase enclosures from one device's signatures.
+    fn harmonic(
+        &self,
+        sq: QuadratureSquareWave,
+        m: u32,
+        (i1, i2): (f64, f64),
+        consumed: u64,
+    ) -> HarmonicMeasurement {
         let pair = SignaturePair {
             i1,
             i2,
             m,
             n: self.config.n,
-            k,
+            k: sq.k(),
         };
         let c = sq.fundamental_coefficient();
         let vref = self.config.sdm.vref.value();
-        Ok(HarmonicMeasurement {
-            k,
+        HarmonicMeasurement {
+            k: sq.k(),
             amplitude: amplitude_from_signatures(&pair, vref, c),
             phase: phase_from_signatures(&pair, c),
             signatures: pair,
             samples_consumed: consumed,
-        })
+        }
     }
 
     /// Measures the DC level `B` (paper eq. 3) over `m` periods per chop
@@ -311,7 +402,9 @@ impl SinewaveEvaluator {
             return Err(EvalError::OddPeriods { m });
         }
         let sq = QuadratureSquareWave::new(0, self.config.n).expect("k = 0 is always valid");
-        let (i1, _, consumed) = self.acquire(source, sq, m);
+        let mut signatures = [(0.0, 0.0)];
+        let consumed = self.acquire(&mut OneDevice(source), sq, m, &mut signatures);
+        let [(i1, _)] = signatures;
         let vref = self.config.sdm.vref.value();
         Ok(DcMeasurement {
             level: dc_from_signature(i1, m, self.config.n, vref),
@@ -339,56 +432,85 @@ impl SinewaveEvaluator {
             .collect()
     }
 
-    /// Runs one (or two, when chopping) acquisition windows; returns the
-    /// processed signatures and samples consumed.
+    /// Runs one (or two, when chopping) acquisition windows over every
+    /// device of `source`, writing each device's processed signatures to
+    /// its slot of `signatures` (one slot per device); returns the
+    /// samples consumed per device.
     ///
-    /// The window is drained in blocks: the source fills the sample
-    /// buffer, then one loop advances the I and Q modulators sample by
-    /// sample, with both polarities from a running phase counter
-    /// ([`QuadratureSquareWave::phases`]). The two modulators are
-    /// independent state machines with independent noise streams, so the
-    /// order in which their steps interleave never changes a bit (the
-    /// signatures are exact integer sums either way); stepping them
-    /// together lets the CPU overlap their two serial dependency chains.
+    /// The window is drained in blocks. Per block the source advances
+    /// the shared stimulus once; then each device's block runs through
+    /// its own I and Q modulator states in one loop, with polarities from
+    /// a running phase counter ([`QuadratureSquareWave::phases`]). The
+    /// first device draws the block's noise as it runs, keeping it when
+    /// other devices follow, and every other device reuses those draws. The two
+    /// modulators are independent state machines with independent noise
+    /// streams, so the order in which their steps interleave never
+    /// changes a bit (the signatures are exact integer sums either way);
+    /// stepping them together lets the CPU overlap their two serial
+    /// dependency chains.
     fn acquire(
         &mut self,
-        source: &mut dyn BlockSource,
+        source: &mut dyn LaneSource,
         sq: QuadratureSquareWave,
         m: u32,
-    ) -> (f64, f64, u64) {
+        signatures: &mut [(f64, f64)],
+    ) -> u64 {
         let window = u64::from(m) * u64::from(self.config.n);
         let block_cap = mixsig::cast::u64_from_usize(self.config.block_samples.max(1));
         // netan-lint: allow(lossy-cast): the value is ≤ block_samples, which is already a usize, so the cast is exact
         let block = block_cap.min(window) as usize;
         let mut buf = vec![0.0f64; block];
-        let mut run = |this: &mut Self, invert: bool, src: &mut dyn BlockSource| {
+        let devices = signatures.len();
+        let mut states = vec![self.modulators.states(); devices];
+        let mut run = |this: &mut Self, invert: bool, src: &mut dyn LaneSource| {
             let mut phases = sq.phases();
-            let mut i1 = 0i64;
-            let mut i2 = 0i64;
+            let mut counts = vec![(0i64, 0i64); devices];
             let mut t = 0u64;
             while t < window {
                 let len = block.min(usize::try_from(window - t).unwrap_or(usize::MAX));
-                src.fill_block(&mut buf[..len]);
-                let (b1, b2) = SigmaDeltaModulator::process_pair_block(
-                    &mut this.mod_i,
-                    &mut this.mod_q,
-                    &buf[..len],
-                    (&mut phases).map(|(p, q)| (p ^ invert, q ^ invert)),
-                );
-                i1 += b1;
-                i2 += b2;
+                let polarities = phases
+                    .clone()
+                    .take(len)
+                    .map(|(p, q)| (p ^ invert, q ^ invert));
+                src.advance(len);
+                for (device, (state, count)) in states.iter_mut().zip(&mut counts).enumerate() {
+                    src.device_block(device, &mut buf[..len]);
+                    let draws = match (device, devices) {
+                        (0, 1) => BlockDraws::Draw,
+                        (0, _) => BlockDraws::DrawAndKeep,
+                        _ => BlockDraws::Reuse,
+                    };
+                    let (b1, b2) = this.modulators.process_block(
+                        state,
+                        &buf[..len],
+                        polarities.clone(),
+                        draws,
+                    );
+                    count.0 += b1;
+                    count.1 += b2;
+                }
+                phases.skip_samples(len);
                 t += mixsig::cast::u64_from_usize(len);
             }
-            (i1, i2)
+            counts
         };
-        if self.config.chopped {
-            let (a1, a2) = run(self, false, source);
-            let (b1, b2) = run(self, true, source);
-            ((a1 - b1) as f64 / 2.0, (a2 - b2) as f64 / 2.0, 2 * window)
+        let consumed = if self.config.chopped {
+            let a = run(self, false, source);
+            let b = run(self, true, source);
+            for (sig, ((a1, a2), (b1, b2))) in signatures.iter_mut().zip(a.into_iter().zip(b)) {
+                *sig = ((a1 - b1) as f64 / 2.0, (a2 - b2) as f64 / 2.0);
+            }
+            2 * window
         } else {
-            let (a1, a2) = run(self, false, source);
-            (a1 as f64, a2 as f64, window)
+            for (sig, (a1, a2)) in signatures.iter_mut().zip(run(self, false, source)) {
+                *sig = (a1 as f64, a2 as f64);
+            }
+            window
+        };
+        if let Some(&first) = states.first() {
+            self.modulators.set_states(first);
         }
+        consumed
     }
 }
 

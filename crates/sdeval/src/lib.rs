@@ -40,19 +40,19 @@
 // workspace is mixsig's runtime-dispatched AVX2 noise kernels.
 #![forbid(unsafe_code)]
 
-pub mod counter;
 pub mod evaluator;
 pub mod modulator;
 pub mod modulator2;
 pub mod signature;
 pub mod squarewave;
 
-pub use counter::SignatureCounter;
 pub use evaluator::{
     BlockSource, DcMeasurement, EvalError, EvaluatorConfig, FnSource, HarmonicMeasurement,
-    SinewaveEvaluator, DEFAULT_BLOCK_SAMPLES,
+    LaneSource, SinewaveEvaluator, DEFAULT_BLOCK_SAMPLES,
 };
-pub use modulator::{ComparatorModel, SdmConfig, SigmaDeltaModulator};
+pub use modulator::{
+    BlockDraws, ComparatorModel, ModulatorPair, ModulatorState, SdmConfig, SigmaDeltaModulator,
+};
 pub use modulator2::SecondOrderModulator;
 pub use signature::{Bounded, SignaturePair, EPSILON_BOUND};
 pub use squarewave::QuadratureSquareWave;

@@ -251,60 +251,25 @@ impl SigmaDeltaModulator {
         bit
     }
 
-    /// Processes one block on a matched I/Q pair in a single interleaved
-    /// loop: each sample of `x` goes to `mod_i` with the first polarity of
-    /// the next `polarities` item and to `mod_q` with the second, while
-    /// polarities last. Returns both signed counts (`+1` per high bit,
-    /// `−1` per low bit) — exactly what the signature counters integrate.
-    ///
-    /// Bit-identical to two separate [`step`](Self::step) loops (the
-    /// reference path), but runs on the hoisted per-polarity
-    /// [`ScStepPlan`]s: the comparator constants and all integrator
-    /// per-step invariants are computed once per modulator instead of once
-    /// per cycle, and the kT/C draws come from the batched noise buffer.
-    /// The modulators share no state, so interleaving only lets the CPU
-    /// overlap their two dependency chains. The exact instantiation is
-    /// chosen once for the block, when both modulators are exact.
-    pub fn process_pair_block(
-        mod_i: &mut Self,
-        mod_q: &mut Self,
-        x: &[f64],
-        polarities: impl Iterator<Item = (bool, bool)>,
-    ) -> (i64, i64) {
-        if mod_i.is_exact() && mod_q.is_exact() {
-            Self::count_pair_block::<true>(mod_i, mod_q, x, polarities)
-        } else {
-            Self::count_pair_block::<false>(mod_i, mod_q, x, polarities)
+    /// The modulator's state: integrator output and last decision.
+    pub fn state(&self) -> ModulatorState {
+        ModulatorState {
+            integrator: self.integrator.output(),
+            last_bit: self.last_bit,
         }
     }
 
-    fn count_pair_block<const EXACT: bool>(
-        mod_i: &mut Self,
-        mod_q: &mut Self,
-        x: &[f64],
-        polarities: impl Iterator<Item = (bool, bool)>,
-    ) -> (i64, i64) {
-        let mut acc_i = 0i64;
-        let mut acc_q = 0i64;
-        for (&xi, (qi, qq)) in x.iter().zip(polarities) {
-            acc_i += if mod_i.step_planned::<EXACT>(xi, qi) {
-                1
-            } else {
-                -1
-            };
-            acc_q += if mod_q.step_planned::<EXACT>(xi, qq) {
-                1
-            } else {
-                -1
-            };
-        }
-        (acc_i, acc_q)
+    /// Restores a state taken with [`state`](Self::state).
+    pub fn set_state(&mut self, state: ModulatorState) {
+        self.integrator.set_output(state.integrator);
+        self.last_bit = state.last_bit;
     }
 
     /// Whether block loops may take the exact instantiation of
-    /// [`step_planned`](Self::step_planned): both polarity plans are
+    /// [`step_from`](Self::step_from): both polarity plans are
     /// [exact](ScStepPlan::is_exact) and the comparator is ideal (zero
-    /// offset, hysteresis and noise), so its threshold is exactly `+0.0`.
+    /// offset, hysteresis and noise), so its threshold is exactly `+0.0`
+    /// and a step draws nothing.
     fn is_exact(&self) -> bool {
         let cmp = &self.config.comparator;
         self.plan_pos.is_exact()
@@ -314,36 +279,219 @@ impl SigmaDeltaModulator {
             && cmp.noise_rms.value() == 0.0
     }
 
-    /// One master-clock cycle on the hoisted plans — bit-identical to
-    /// [`step`](Self::step). `EXACT = true` is only valid when
-    /// [`is_exact`](Self::is_exact) holds: the ideal comparator then
-    /// reduces to `u >= 0.0` (`0 + 0 − (±1)·0` is `+0.0`, and the
-    /// zero-σ draw consumes nothing) and the integrator takes its exact
-    /// instantiation.
+    /// Draws the noise of one step with polarity `q`: the comparator
+    /// value, then the `kT/C` values of that polarity's own plan — the
+    /// draws [`step`](Self::step) makes, from the same streams.
+    #[inline]
+    fn draw_step(&mut self, q: bool) -> StepNoise {
+        let comparator = self
+            .comparator_noise
+            .gaussian(self.config.comparator.noise_rms.value());
+        let plan = if q { &self.plan_pos } else { &self.plan_neg };
+        let [input, dac, offset, _] = self.integrator.draw_ktc(plan);
+        [comparator, input, dac, offset]
+    }
+
+    /// One master-clock cycle of a device in `state`, on the hoisted
+    /// plans and the step's pre-drawn `noise` — bit-identical to
+    /// [`step`](Self::step) from the same state with the same draws.
+    /// `EXACT = true` is only valid when [`is_exact`](Self::is_exact)
+    /// holds: the ideal comparator then reduces to `u >= 0.0`
+    /// (`0 + 0 − (±1)·0` is `+0.0`), nothing was drawn, and the
+    /// integrator takes its exact instantiation.
     #[inline(always)]
-    fn step_planned<const EXACT: bool>(&mut self, x: f64, q: bool) -> bool {
+    fn step_from<const EXACT: bool>(
+        &self,
+        state: &mut ModulatorState,
+        x: f64,
+        q: bool,
+        [comparator, input, dac, offset]: StepNoise,
+    ) -> bool {
         let bit = if EXACT {
-            self.integrator.output() >= 0.0
+            state.integrator >= 0.0
         } else {
             // Latch decision on the previous integrator state — the same
             // expression shape as `step` (sum, noise draw, then the
             // signed hysteresis term subtracted).
             let cmp = &self.config.comparator;
-            let hyst_sign = if self.last_bit { 1.0 } else { -1.0 };
-            let threshold = cmp.offset.value()
-                + self.comparator_noise.gaussian(cmp.noise_rms.value())
-                - hyst_sign * cmp.hysteresis.value();
-            self.integrator.output() >= threshold
+            let hyst_sign = if state.last_bit { 1.0 } else { -1.0 };
+            let threshold = cmp.offset.value() + comparator - hyst_sign * cmp.hysteresis.value();
+            state.integrator >= threshold
         };
         let d_sign = if bit { 1.0 } else { -1.0 };
         let plan = if q { &self.plan_pos } else { &self.plan_neg };
-        self.integrator.step_planned_in::<EXACT>(
+        state.integrator = self.integrator.step_from::<EXACT>(
+            state.integrator,
             plan,
             &[x, d_sign * self.config.vref.value(), self.input_offset],
+            &[input, dac, offset, 0.0],
         );
-        self.last_bit = bit;
+        state.last_bit = bit;
         bit
     }
+}
+
+/// One step's pre-drawn noise: the comparator value, then the `kT/C`
+/// values of the input, DAC and offset branches.
+type StepNoise = [f64; 4];
+
+/// The noise of a step that draws nothing, for both modulators.
+const NO_NOISE: [StepNoise; 2] = [[0.0; 4]; 2];
+
+/// What one device carries from one sample to the next through a
+/// modulator: the integrator output and the last decision. The
+/// configuration, the hoisted plans and the noise streams belong to the
+/// [`SigmaDeltaModulator`], which every device of a lane shares.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct ModulatorState {
+    /// Integrator output, volts.
+    pub integrator: f64,
+    /// The last comparator decision (`true` = +1).
+    pub last_bit: bool,
+}
+
+/// A matched I/Q pair of modulators that any number of devices share.
+///
+/// The modulators' noise never depends on the signal: a step's
+/// comparator and `kT/C` draws come from the modulator's own seeded
+/// streams in step order, whatever the input. So each block's noise is
+/// drawn once, by the first device to run the block, and every other
+/// device runs its own [`ModulatorState`]s through the block with those
+/// same draws ([`process_block`](Self::process_block)). Each device
+/// decides exactly what a fresh pair of its own, stepped with
+/// [`SigmaDeltaModulator::step`], would decide.
+#[derive(Debug, Clone)]
+pub struct ModulatorPair {
+    i: SigmaDeltaModulator,
+    q: SigmaDeltaModulator,
+    /// Both modulators are exact: blocks draw nothing and take the exact
+    /// step.
+    exact: bool,
+    /// The current block's kept noise, per step: in-phase, then
+    /// quadrature.
+    noise: Vec<[StepNoise; 2]>,
+}
+
+impl ModulatorPair {
+    /// Pairs the in-phase modulator `i` with the quadrature modulator
+    /// `q`.
+    pub fn new(i: SigmaDeltaModulator, q: SigmaDeltaModulator) -> Self {
+        Self {
+            exact: i.is_exact() && q.is_exact(),
+            i,
+            q,
+            noise: Vec::new(),
+        }
+    }
+
+    /// The in-phase and quadrature modulators' states.
+    pub fn states(&self) -> [ModulatorState; 2] {
+        [self.i.state(), self.q.state()]
+    }
+
+    /// Restores both modulators' states.
+    pub fn set_states(&mut self, [i, q]: [ModulatorState; 2]) {
+        self.i.set_state(i);
+        self.q.set_state(q);
+    }
+
+    /// Runs one device's `states` (in-phase, quadrature) through a
+    /// block: each sample of `x` goes to the in-phase modulator with the
+    /// first polarity of the next `polarities` item and to the
+    /// quadrature one with the second. Returns both signed counts (`+1`
+    /// per high bit, `−1` per low bit) — what the signature counters
+    /// integrate.
+    ///
+    /// `draws` says where the block's noise comes from (see
+    /// [`BlockDraws`]): the block's first device draws each step's noise
+    /// as it runs, advancing each modulator's streams exactly as one
+    /// device's step loop would, and keeps the draws when other devices
+    /// follow; they reuse them, so the streams advance once per block
+    /// however many devices run it. An exact pair draws nothing.
+    ///
+    /// The two modulators share no state, so stepping them in one loop
+    /// only lets the CPU overlap their dependency chains. The exact
+    /// instantiation is chosen once, when both modulators are exact.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a non-exact pair reuses draws for more samples than the
+    /// block's first device kept.
+    pub fn process_block(
+        &mut self,
+        states: &mut [ModulatorState; 2],
+        x: &[f64],
+        polarities: impl Iterator<Item = (bool, bool)>,
+        draws: BlockDraws,
+    ) -> (i64, i64) {
+        match (self.exact, draws) {
+            (true, _) => self.count_block::<true, false, false>(states, x, polarities),
+            (false, BlockDraws::Draw) => {
+                self.count_block::<false, true, false>(states, x, polarities)
+            }
+            (false, BlockDraws::DrawAndKeep) => {
+                self.count_block::<false, true, true>(states, x, polarities)
+            }
+            (false, BlockDraws::Reuse) => {
+                self.count_block::<false, false, false>(states, x, polarities)
+            }
+        }
+    }
+
+    fn count_block<const EXACT: bool, const DRAW: bool, const KEEP: bool>(
+        &mut self,
+        [state_i, state_q]: &mut [ModulatorState; 2],
+        x: &[f64],
+        polarities: impl Iterator<Item = (bool, bool)>,
+    ) -> (i64, i64) {
+        let Self { i, q, noise, .. } = self;
+        if KEEP {
+            // Every slot is overwritten below; only a longer block than
+            // the last one writes fresh slots.
+            noise.resize(x.len(), NO_NOISE);
+        }
+        let kept = if EXACT || (DRAW && !KEEP) { 0 } else { x.len() };
+        let noise = &mut noise[..kept];
+        let mut acc_i = 0i64;
+        let mut acc_q = 0i64;
+        for (t, (&xt, (qi, qq))) in x.iter().zip(polarities).enumerate() {
+            let [ni, nq] = if EXACT {
+                NO_NOISE
+            } else if DRAW {
+                let drawn = [i.draw_step(qi), q.draw_step(qq)];
+                if KEEP {
+                    noise[t] = drawn;
+                }
+                drawn
+            } else {
+                noise[t]
+            };
+            acc_i += if i.step_from::<EXACT>(state_i, xt, qi, ni) {
+                1
+            } else {
+                -1
+            };
+            acc_q += if q.step_from::<EXACT>(state_q, xt, qq, nq) {
+                1
+            } else {
+                -1
+            };
+        }
+        (acc_i, acc_q)
+    }
+}
+
+/// Where one device's run through a block takes the block's noise from
+/// ([`ModulatorPair::process_block`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum BlockDraws {
+    /// Draw each step's noise as it runs: the only device of the block.
+    Draw,
+    /// Draw each step's noise as it runs and keep it: the first of
+    /// several devices of the block.
+    DrawAndKeep,
+    /// Run through the draws the block's first device kept.
+    Reuse,
 }
 
 #[cfg(test)]
@@ -481,8 +629,10 @@ mod tests {
             };
             let mut step_i = SigmaDeltaModulator::new(cfg.clone());
             let mut step_q = SigmaDeltaModulator::new(cfg_q.clone());
-            let mut block_i = SigmaDeltaModulator::new(cfg);
-            let mut block_q = SigmaDeltaModulator::new(cfg_q);
+            let mut pair = ModulatorPair::new(
+                SigmaDeltaModulator::new(cfg),
+                SigmaDeltaModulator::new(cfg_q),
+            );
             let x: Vec<f64> = (0..777)
                 .map(|i| 0.6 * (2.0 * std::f64::consts::PI * i as f64 / 96.0).sin())
                 .collect();
@@ -494,19 +644,15 @@ mod tests {
                 want.0 += if step_i.step(xi, qi) { 1 } else { -1 };
                 want.1 += if step_q.step(xi, qq) { 1 } else { -1 };
             }
+            let mut states = pair.states();
             let mut got = (0i64, 0i64);
             for (xc, qc) in x.chunks(100).zip(q.chunks(100)) {
-                let (ci, cq) = SigmaDeltaModulator::process_pair_block(
-                    &mut block_i,
-                    &mut block_q,
-                    xc,
-                    qc.iter().copied(),
-                );
+                let (ci, cq) =
+                    pair.process_block(&mut states, xc, qc.iter().copied(), BlockDraws::Draw);
                 got = (got.0 + ci, got.1 + cq);
             }
             assert_eq!(want, got);
-            assert_eq!(step_i.integrator_state(), block_i.integrator_state());
-            assert_eq!(step_q.integrator_state(), block_q.integrator_state());
+            assert_eq!(states, [step_i.state(), step_q.state()]);
         }
     }
 

@@ -159,6 +159,17 @@ pub(crate) struct SquareWavePhases {
     quarter: u64,
 }
 
+impl SquareWavePhases {
+    /// Moves the counter `samples` samples ahead, as that many
+    /// [`next`](Iterator::next) calls would.
+    /// `k < N` and `N` fits a u32 (see [`QuadratureSquareWave::new`]),
+    /// so neither the product nor the sum can overflow.
+    pub(crate) fn skip_samples(&mut self, samples: usize) {
+        let ahead = self.step * (mixsig::cast::u64_from_usize(samples) % self.n) % self.n;
+        self.pos = (self.pos + ahead) % self.n;
+    }
+}
+
 impl Iterator for SquareWavePhases {
     type Item = (bool, bool);
 
@@ -197,6 +208,24 @@ mod tests {
             for (s, (p, q)) in (0..1000u64).zip(sq.phases()) {
                 assert_eq!(p, sq.in_phase(s) > 0, "k={k} n={n} s={s}");
                 assert_eq!(q, sq.quadrature(s) > 0, "k={k} n={n} s={s}");
+            }
+        }
+    }
+
+    #[test]
+    fn skipping_samples_equals_stepping_through_them() {
+        for (k, n) in [(0u32, 96u32), (1, 96), (3, 96), (1, 8)] {
+            let sq = QuadratureSquareWave::new(k, n).unwrap();
+            for samples in [0usize, 1, 7, 95, 96, 97, 1024, 100_003] {
+                let mut skipped = sq.phases();
+                skipped.skip_samples(samples);
+                let mut stepped = sq.phases();
+                stepped.by_ref().take(samples).for_each(drop);
+                assert_eq!(
+                    skipped.take(200).collect::<Vec<_>>(),
+                    stepped.take(200).collect::<Vec<_>>(),
+                    "k={k} n={n} samples={samples}"
+                );
             }
         }
     }

@@ -39,5 +39,5 @@ pub mod service;
 
 pub use error::ServeError;
 pub use job::{ClientFrame, DutDescription, JobRequest, ServerFrame, WireError, SCHEMA};
-pub use server::JobServer;
+pub use server::{JobServer, MAX_FRAME_BYTES};
 pub use service::{FaultPlan, JobEvent, ScreenService, ServiceConfig};

@@ -16,14 +16,23 @@
 //! Unparseable frames are answered with a `rejected` frame carrying a
 //! `bad_frame` error — the connection stays open, the service keeps
 //! running; no input a client can send brings the process down.
+//!
+//! A frame is read through a bounded reader: a line longer than
+//! [`MAX_FRAME_BYTES`] (a submit frame is a few hundred bytes) is
+//! answered with a `bad_frame` rejection and its connection closed, so a
+//! client that never sends a newline cannot make the server buffer
+//! without limit. Other connections are unaffected.
 
 use crate::job::{ClientFrame, ServerFrame, WireError};
 use crate::service::{JobEvent, ScreenService, ServiceConfig};
-use std::io::{self, BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io::{self, BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
+
+/// Longest frame a connection may send, in bytes, its newline excluded.
+pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
 struct Shared {
     service: ScreenService,
@@ -135,11 +144,54 @@ fn send(writer: &mut TcpStream, frame: &ServerFrame) -> io::Result<()> {
     writer.flush()
 }
 
+/// One frame off the wire.
+enum Frame {
+    /// A line, its newline removed.
+    Line(String),
+    /// A line longer than [`MAX_FRAME_BYTES`]; only its first
+    /// `MAX_FRAME_BYTES + 1` bytes were read.
+    Oversized,
+}
+
+/// Reads the next frame, never buffering more than
+/// `MAX_FRAME_BYTES + 1` bytes of it: `None` at the end of the stream.
+/// Like [`BufRead::lines`], a final line without a newline is a frame
+/// and a line that is not UTF-8 is an [`io::ErrorKind::InvalidData`]
+/// error.
+fn read_frame(reader: &mut impl BufRead) -> io::Result<Option<Frame>> {
+    let limit = mixsig::cast::u64_from_usize(MAX_FRAME_BYTES) + 1;
+    let mut bytes = Vec::new();
+    if reader.take(limit).read_until(b'\n', &mut bytes)? == 0 {
+        return Ok(None);
+    }
+    if bytes.last() == Some(&b'\n') {
+        bytes.pop();
+    } else if bytes.len() > MAX_FRAME_BYTES {
+        return Ok(Some(Frame::Oversized));
+    }
+    String::from_utf8(bytes)
+        .map(|line| Some(Frame::Line(line)))
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+}
+
 fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
     let mut writer = stream.try_clone()?;
-    let reader = BufReader::new(stream);
-    for line in reader.lines() {
-        let line = line?;
+    let mut reader = BufReader::new(stream);
+    while let Some(frame) = read_frame(&mut reader)? {
+        let line = match frame {
+            Frame::Line(line) => line,
+            Frame::Oversized => {
+                send(
+                    &mut writer,
+                    &ServerFrame::Rejected {
+                        error: WireError::BadFrame {
+                            message: format!("frame exceeds {MAX_FRAME_BYTES} bytes"),
+                        },
+                    },
+                )?;
+                return writer.shutdown(Shutdown::Write);
+            }
+        };
         let line = line.trim();
         if line.is_empty() {
             continue;

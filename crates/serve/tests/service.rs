@@ -10,7 +10,7 @@ use netan::{
 };
 use netan_serve::{
     ClientFrame, DutDescription, FaultPlan, JobEvent, JobRequest, JobServer, ScreenService,
-    ServeError, ServerFrame, ServiceConfig, WireError,
+    ServeError, ServerFrame, ServiceConfig, WireError, MAX_FRAME_BYTES,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -386,4 +386,62 @@ fn tcp_round_trip_streams_and_matches_the_monolith() {
                 .unwrap_or(true)
         }
     );
+}
+
+/// Reads one frame and demands a `bad_frame` rejection.
+fn expect_bad_frame(reader: &mut impl BufRead, case: &str) -> String {
+    let mut line = String::new();
+    reader.read_line(&mut line).expect("read rejection");
+    match ServerFrame::parse(line.trim()).expect("parse rejection") {
+        ServerFrame::Rejected {
+            error: WireError::BadFrame { message },
+        } => message,
+        other => panic!("{case}: expected bad_frame rejection, got {other:?}"),
+    }
+}
+
+#[test]
+fn an_oversized_frame_is_rejected_and_only_its_connection_closed() {
+    let server = JobServer::start("127.0.0.1:0", ServiceConfig::new().with_workers(1))
+        .expect("bind an ephemeral port");
+    let addr = server.addr();
+    let bystander = TcpStream::connect(addr).expect("connect bystander");
+    let mut bystander_writer = bystander.try_clone().expect("clone");
+    let mut bystander_reader = BufReader::new(bystander);
+
+    // A line of exactly the limit is a frame: parsed, rejected as
+    // garbage, and the connection stays open.
+    let at_limit = TcpStream::connect(addr).expect("connect");
+    let mut writer = at_limit.try_clone().expect("clone");
+    let mut reader = BufReader::new(at_limit);
+    let mut line = vec![b'x'; MAX_FRAME_BYTES];
+    line.push(b'\n');
+    writer.write_all(&line).expect("write a frame at the limit");
+    expect_bad_frame(&mut reader, "at the limit");
+    writer.write_all(b"still here\n").expect("write again");
+    expect_bad_frame(&mut reader, "after the limit frame");
+
+    // One byte more and no newline: the server stops reading at the
+    // limit, rejects the frame and closes the connection.
+    let hostile = TcpStream::connect(addr).expect("connect");
+    // A server that kept buffering would never answer: fail, not hang.
+    hostile
+        .set_read_timeout(Some(std::time::Duration::from_secs(30)))
+        .expect("set a read timeout");
+    let mut writer = hostile.try_clone().expect("clone");
+    let mut reader = BufReader::new(hostile);
+    writer
+        .write_all(&vec![b'x'; MAX_FRAME_BYTES + 1])
+        .expect("write an oversized frame");
+    let message = expect_bad_frame(&mut reader, "oversized");
+    assert!(message.contains(&MAX_FRAME_BYTES.to_string()), "{message}");
+    let mut rest = String::new();
+    assert_eq!(reader.read_line(&mut rest).expect("read to the end"), 0);
+
+    // Every other connection is still served.
+    bystander_writer
+        .write_all(b"not json\n")
+        .expect("bystander writes");
+    expect_bad_frame(&mut bystander_reader, "bystander");
+    server.shutdown();
 }

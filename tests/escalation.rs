@@ -15,7 +15,6 @@ use dut::ActiveRcFilter;
 use mixsig::units::{Hertz, Seconds};
 use netan::{
     AnalyzerConfig, EscalationSchedule, GainMask, LotEngine, LotPlan, NetanError, SpecVerdict,
-    SweepEngine,
 };
 
 fn paper_factory(sigma: f64) -> impl Fn(u64) -> ActiveRcFilter + Sync {
@@ -58,12 +57,6 @@ fn parallel_escalated_matches_serial_ideal() {
         "expected at least one re-test stage, got {:?}",
         serial.stages()
     );
-    // A nested per-device point engine must not change the bits either.
-    let nested = LotEngine::with_threads(3)
-        .with_point_engine(SweepEngine::with_threads(2))
-        .run_escalated(&factory, &seeds, &plan, &schedule)
-        .unwrap();
-    assert_eq!(serial, nested);
 }
 
 #[test]
@@ -178,11 +171,7 @@ fn lowest_index_device_error_wins_under_any_schedule() {
     };
     let expected = NetanError::DeviceNotSimulable { seed: 2 };
 
-    for engine in [
-        LotEngine::serial(),
-        LotEngine::with_threads(8),
-        LotEngine::with_threads(3).with_point_engine(SweepEngine::with_threads(2)),
-    ] {
+    for engine in [LotEngine::serial(), LotEngine::with_threads(8)] {
         assert_eq!(
             engine
                 .run_escalated(factory, &seeds, &plan, &schedule)

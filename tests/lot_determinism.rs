@@ -50,20 +50,37 @@ fn parallel_lot_matches_serial_ideal() {
 }
 
 #[test]
-fn nested_point_engine_does_not_change_the_bits() {
+fn lane_layout_does_not_change_the_bits() {
+    // A lot larger than one lane, on worker counts that split it into
+    // lanes, into grid-point groups, or both: every layout measures each
+    // device exactly as the serial engine does, and as the device's own
+    // analyzer does point by point.
     let plan = paper_plan();
-    let config = AnalyzerConfig::ideal().with_periods(60);
-    let seeds: Vec<u64> = (0..4).collect();
+    let config = AnalyzerConfig::ideal().with_periods(20);
+    let seeds: Vec<u64> = (0..netan::LANE_DEVICES as u64 + 3).collect();
     let factory = paper_factory(0.05);
 
     let reference = LotEngine::serial()
         .run(&factory, &seeds, &plan, config)
         .unwrap();
-    let nested = LotEngine::with_threads(3)
-        .with_point_engine(SweepEngine::with_threads(2))
-        .run(&factory, &seeds, &plan, config)
-        .unwrap();
-    assert_eq!(reference, nested);
+    for threads in [2, 3, 5] {
+        let laned = LotEngine::with_threads(threads)
+            .run(&factory, &seeds, &plan, config)
+            .unwrap();
+        assert_eq!(reference, laned, "threads = {threads}");
+    }
+    let cal = LotEngine::shared_calibration(config).unwrap();
+    for d in [
+        &reference.devices()[0],
+        &reference.devices()[seeds.len() - 1],
+    ] {
+        let device = factory(d.seed);
+        let alone = NetworkAnalyzer::new(&device, config);
+        for (point, &f) in d.plot.points().iter().zip(plan.grid()) {
+            let want = alone.measure_point_calibrated(cal, f).unwrap();
+            assert_eq!(point.gain, want.gain, "seed {} at {} Hz", d.seed, f.value());
+        }
+    }
 }
 
 #[test]
@@ -103,13 +120,50 @@ fn lowest_index_device_error_wins_under_any_schedule() {
     };
     let expected = NetanError::DeviceNotSimulable { seed: 2 };
 
+    for engine in [LotEngine::serial(), LotEngine::with_threads(8)] {
+        assert_eq!(
+            engine.run(factory, &seeds, &plan, config).unwrap_err(),
+            expected,
+            "{engine:?}"
+        );
+    }
+}
+
+#[test]
+fn a_device_that_cannot_be_simulated_fails_its_lot_from_mid_lane() {
+    // Seeds 70 and 100 fabricate into devices with a NaN pole, in the
+    // middle of the second and third lanes of a lot of more than two
+    // lanes. The lot fails with the lowest failing seed, typed — exactly
+    // what an in-order run of one device at a time reports — on every
+    // lane layout, plain and escalated.
+    let plan = paper_plan();
+    let config = AnalyzerConfig::ideal().with_periods(10);
+    let seeds: Vec<u64> = (0..2 * netan::LANE_DEVICES as u64 + 2).collect();
+    let factory = |seed: u64| {
+        if seed == 70 || seed == 100 {
+            ActiveRcFilter::new(Hertz(f64::NAN), 0.7, 1.0)
+        } else {
+            ActiveRcFilter::paper_dut()
+                .linearized()
+                .fabricate(0.05, seed)
+        }
+    };
+    let expected = NetanError::DeviceNotSimulable { seed: 70 };
+    let schedule = netan::EscalationSchedule::from_periods(config, &[10, 20]);
     for engine in [
         LotEngine::serial(),
+        LotEngine::with_threads(2),
         LotEngine::with_threads(8),
-        LotEngine::with_threads(3).with_point_engine(SweepEngine::with_threads(2)),
     ] {
         assert_eq!(
             engine.run(factory, &seeds, &plan, config).unwrap_err(),
+            expected,
+            "{engine:?}"
+        );
+        assert_eq!(
+            engine
+                .run_escalated(factory, &seeds, &plan, &schedule)
+                .unwrap_err(),
             expected,
             "{engine:?}"
         );

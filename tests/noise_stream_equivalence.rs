@@ -13,11 +13,12 @@
 //! It also property-tests the hoisted-plan consumers introduced for the
 //! batched hot path: `ScIntegrator::step_planned` vs. `step` (including
 //! the exact instantiation on ideal hardware, over signed zeros,
-//! subnormals and ±1e300), and the interleaved I/Q
-//! `SigmaDeltaModulator::process_pair_block` vs. `step`, on both the ideal
-//! and the 0.35 µm CMOS profiles. Finally, the evaluator's acquisition is
-//! checked against a from-scratch loop over `SigmaDeltaModulator::step`
-//! with polarities from `QuadratureSquareWave::in_phase`/`quadrature` —
+//! subnormals and ±1e300, and the pre-drawn-noise step that lanes
+//! share), and the interleaved I/Q `ModulatorPair` vs. `step`, on both
+//! the ideal and the 0.35 µm CMOS profiles. Finally, the evaluator's
+//! acquisition — of one device and of lanes of many — is checked
+//! against a from-scratch loop over `SigmaDeltaModulator::step` with
+//! polarities from `QuadratureSquareWave::in_phase`/`quadrature` —
 //! unlike the block-length test, whose two sides share one `acquire`.
 
 use mixsig::noise::{ktc_noise_rms, NoiseSource, NORMAL_REFILL};
@@ -246,7 +247,7 @@ mod planned_consumers {
     use mixsig::sc::{Branch, ScIntegrator};
     use mixsig::units::Seconds;
     use proptest::prelude::*;
-    use sdeval::{SdmConfig, SigmaDeltaModulator};
+    use sdeval::{BlockDraws, ModulatorPair, ModulatorState, SdmConfig, SigmaDeltaModulator};
 
     fn integrator(opamp: OpAmpModel, noise: Option<u64>) -> ScIntegrator {
         ScIntegrator::new(
@@ -310,6 +311,11 @@ mod planned_consumers {
                 let mut scalar = integrator(opamp, noise);
                 let mut planned = integrator(opamp, noise);
                 let mut forced = integrator(opamp, noise);
+                // The pre-drawn path: the step's draws taken from its own
+                // plan first, then applied to a state held outside the
+                // integrator, whose output never moves.
+                let mut drawn = integrator(opamp, noise);
+                let mut state = drawn.output();
                 let plan = planned.plan(&caps);
                 prop_assert_eq!(plan.is_exact(), exact);
                 for cycle in voltages.chunks_exact(caps.len()) {
@@ -329,16 +335,28 @@ mod planned_consumers {
                         got.to_bits(), want.to_bits(),
                         "{} (exact instantiation): {} vs {}", label, got, want
                     );
+                    let ktc = drawn.draw_ktc(&plan);
+                    state = if exact {
+                        drawn.step_from::<true>(state, &plan, cycle, &ktc)
+                    } else {
+                        drawn.step_from::<false>(state, &plan, cycle, &ktc)
+                    };
+                    prop_assert_eq!(
+                        state.to_bits(), want.to_bits(),
+                        "{} (pre-drawn noise): {} vs {}", label, state, want
+                    );
+                    prop_assert_eq!(drawn.output().to_bits(), 0.0f64.to_bits());
                 }
             }
         }
 
-        /// `SigmaDeltaModulator::process_pair_block` counts exactly what
-        /// two `step` loops over the same record decide, on both profiles
-        /// — the interleaved plan path must not disturb either modulator's
-        /// state or noise stream. The second modulator has its own noise
-        /// stream and a quarter-shifted polarity, and the record is split
-        /// into two blocks, so state carried across blocks is checked too.
+        /// A `ModulatorPair` counts exactly what two `step` loops over the
+        /// same record decide, on both profiles — drawing and keeping
+        /// each block's noise while stepping the pair's states must not
+        /// disturb either modulator's state or noise stream. The
+        /// second modulator has its own noise stream and a
+        /// quarter-shifted polarity, and the record is split into two
+        /// blocks, so state carried across blocks is checked too.
         #[test]
         fn sdm_block_matches_step_loop(
             seed in 0u64..100_000,
@@ -352,8 +370,10 @@ mod planned_consumers {
                 let qq: Vec<bool> = (0..xs.len()).map(|i| ((i + chop / 2) / chop) % 2 == 0).collect();
                 let mut stepped_i = SigmaDeltaModulator::new(config.clone());
                 let mut stepped_q = SigmaDeltaModulator::new(config_q.clone());
-                let mut pair_i = SigmaDeltaModulator::new(config.clone());
-                let mut pair_q = SigmaDeltaModulator::new(config_q);
+                let mut pair = ModulatorPair::new(
+                    SigmaDeltaModulator::new(config.clone()),
+                    SigmaDeltaModulator::new(config_q),
+                );
                 let count = |m: &mut SigmaDeltaModulator, qs: &[bool]| -> i64 {
                     xs.iter()
                         .zip(qs)
@@ -362,22 +382,19 @@ mod planned_consumers {
                 };
                 let want = (count(&mut stepped_i, &qs), count(&mut stepped_q, &qq));
                 let split = xs.len() / 3;
-                let mut polarities = qs.iter().copied().zip(qq.iter().copied());
-                let head = SigmaDeltaModulator::process_pair_block(
-                    &mut pair_i, &mut pair_q, &xs[..split], &mut polarities,
-                );
-                let tail = SigmaDeltaModulator::process_pair_block(
-                    &mut pair_i, &mut pair_q, &xs[split..], &mut polarities,
+                let polarities = || qs.iter().copied().zip(qq.iter().copied());
+                let mut states = pair.states();
+                let head =
+                    pair.process_block(&mut states, &xs[..split], polarities(), BlockDraws::Draw);
+                let tail = pair.process_block(
+                    &mut states,
+                    &xs[split..],
+                    polarities().skip(split),
+                    BlockDraws::Draw,
                 );
                 prop_assert_eq!((head.0 + tail.0, head.1 + tail.1), want);
-                prop_assert_eq!(
-                    pair_i.integrator_state().to_bits(),
-                    stepped_i.integrator_state().to_bits()
-                );
-                prop_assert_eq!(
-                    pair_q.integrator_state().to_bits(),
-                    stepped_q.integrator_state().to_bits()
-                );
+                let bits = |s: [ModulatorState; 2]| s.map(|s| (s.integrator.to_bits(), s.last_bit));
+                prop_assert_eq!(bits(states), bits([stepped_i.state(), stepped_q.state()]));
             }
         }
     }
@@ -389,7 +406,8 @@ mod planned_consumers {
 
 mod evaluator_reference {
     use sdeval::{
-        BlockSource, EvaluatorConfig, QuadratureSquareWave, SigmaDeltaModulator, SinewaveEvaluator,
+        BlockSource, EvaluatorConfig, LaneSource, QuadratureSquareWave, SigmaDeltaModulator,
+        SinewaveEvaluator,
     };
 
     /// A recorded signal drained block by block, in order.
@@ -509,6 +527,123 @@ mod evaluator_reference {
                             }
                         }
                         assert_eq!(source.next, reference.next, "{label} k={k} block={block}");
+                    }
+                }
+            }
+        }
+    }
+
+    /// Every device's own recorded signal, drained as one lane: each
+    /// block, every device gets the next samples of its own record.
+    struct LaneReplay<'a> {
+        signals: &'a [Vec<f64>],
+        /// Start and length of the current block.
+        start: usize,
+        len: usize,
+    }
+
+    impl LaneSource for LaneReplay<'_> {
+        fn devices(&self) -> usize {
+            self.signals.len()
+        }
+
+        fn advance(&mut self, len: usize) {
+            self.start += self.len;
+            self.len = len;
+        }
+
+        fn device_block(&mut self, device: usize, out: &mut [f64]) {
+            assert_eq!(out.len(), self.len, "a device block is the whole block");
+            out.copy_from_slice(&self.signals[device][self.start..self.start + self.len]);
+        }
+    }
+
+    /// Device `d`'s output: its own level, amplitude, phase and
+    /// harmonic content.
+    fn device_signal(d: usize, len: usize) -> Vec<f64> {
+        let (level, gain, shift) = (
+            0.01 * (d % 7) as f64 - 0.03,
+            0.1 + 0.004 * (d % 53) as f64,
+            0.37 * d as f64,
+        );
+        (0..len)
+            .map(|i| {
+                let t = 2.0 * std::f64::consts::PI * i as f64 / 96.0;
+                level
+                    + gain * (t + shift).sin()
+                    + 0.2 * gain * (2.0 * t - shift).cos()
+                    + 0.05 * gain * (3.0 * t + 0.5 * shift).sin()
+            })
+            .collect()
+    }
+
+    /// A lane of devices measures each device exactly as that device's
+    /// own fresh modulators, stepped from scratch over its own signal,
+    /// do — for lanes around and across the lot engine's lane size,
+    /// every chop mode, hardware profile and block length. Afterwards
+    /// the evaluator's noise streams and modulator state stand where the
+    /// first device's acquisition alone leaves them: its next
+    /// measurement matches that device's second reference measurement.
+    #[test]
+    fn lane_acquisition_matches_each_devices_own_step_loop() {
+        const M: u32 = 4;
+        let cap = netan::LANE_DEVICES;
+        let sizes = [1, 2, cap - 1, cap, cap + 1, 2 * cap + 1];
+        let window = M as usize * 96;
+        let signals: Vec<Vec<f64>> = (0..2 * cap + 1)
+            .map(|d| device_signal(d, 4 * window))
+            .collect();
+        for (label, base) in [
+            ("ideal", EvaluatorConfig::ideal()),
+            ("cmos_035um", EvaluatorConfig::cmos_035um(12)),
+        ] {
+            for chopped in [true, false] {
+                let consumed = window * if chopped { 2 } else { 1 };
+                for k in [1u32, 3] {
+                    let config = base.clone().with_chopped(chopped);
+                    let want: Vec<(f64, f64)> = signals
+                        .iter()
+                        .map(|s| Reference::new(config.clone(), s).signatures(k, M))
+                        .collect();
+                    let first_again = {
+                        let mut reference = Reference::new(config.clone(), &signals[0]);
+                        reference.signatures(k, M);
+                        reference.signatures(k, M)
+                    };
+                    for size in sizes {
+                        for block in [1usize, 7, 1024, usize::MAX] {
+                            let case = format!(
+                                "{label} chopped={chopped} k={k} lane={size} block={block}"
+                            );
+                            let mut ev =
+                                SinewaveEvaluator::new(config.clone().with_block_samples(block));
+                            let mut lane = LaneReplay {
+                                signals: &signals[..size],
+                                start: 0,
+                                len: 0,
+                            };
+                            let got = ev.measure_harmonic_lane(&mut lane, k, M).unwrap();
+                            assert_eq!(got.len(), size, "{case}");
+                            assert_eq!(lane.start + lane.len, consumed, "{case}");
+                            for (d, (h, want)) in got.iter().zip(&want).enumerate() {
+                                assert_eq!(
+                                    (h.signatures.i1.to_bits(), h.signatures.i2.to_bits()),
+                                    (want.0.to_bits(), want.1.to_bits()),
+                                    "{case}: device {d}"
+                                );
+                                assert_eq!(h.samples_consumed, consumed as u64, "{case}");
+                            }
+                            let mut first = Replay {
+                                samples: &signals[0],
+                                next: consumed,
+                            };
+                            let again = ev.measure_harmonic_blocks(&mut first, k, M).unwrap();
+                            assert_eq!(
+                                (again.signatures.i1.to_bits(), again.signatures.i2.to_bits()),
+                                (first_again.0.to_bits(), first_again.1.to_bits()),
+                                "{case}: the evaluator after the lane"
+                            );
+                        }
                     }
                 }
             }
