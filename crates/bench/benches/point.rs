@@ -6,9 +6,8 @@
 //! measurements are asserted bit-identical before any timing is printed.
 //!
 //! Also includes a Gaussian-synthesis microbench (per-call vs. batched
-//! `fill_gaussian`, plus the fast-math variant when that feature is
-//! compiled in), with the batched stream asserted bit-identical to the
-//! per-call stream before timing.
+//! `fill_gaussian`), with the batched stream asserted bit-identical to
+//! the per-call stream before timing.
 //!
 //! Run with `cargo bench --bench point`; `cargo bench --bench point --
 //! --smoke` runs a reduced workload (CI exercises the bit-identity
@@ -151,30 +150,6 @@ fn main() {
                 panic!("{diagnosis}");
             }
         }
-
-        // Opt-in fast-math variant of the same point (noisy profile
-        // only): polynomial noise kernels, deliberately *not*
-        // bit-identical — reported for the ratio, asserted nowhere.
-        #[cfg(feature = "fast-math")]
-        if w.cmos_seed.is_some() {
-            let clk = MasterClock::for_stimulus(Hertz(1000.0));
-            let gc = gen_config(w, clk).with_fast_math(true);
-            let mut ec = eval_config(w);
-            ec.sdm.fast_math = true;
-            let fast = best_of(reps, || {
-                let mut b = DemoBoard::new(gc.clone(), &dut);
-                b.warm_up(w.warmup as usize);
-                let mut evaluator = SinewaveEvaluator::new(ec.clone());
-                evaluator
-                    .measure_harmonic_blocks(&mut b, 1, w.periods)
-                    .expect("fast-math measurement failed")
-            });
-            println!(
-                "point_{mode}/{label}  fast-math  {fast:>12?}   ({:.2}x vs default block; not bit-identical by design)",
-                block.as_secs_f64() / fast.as_secs_f64().max(1e-12),
-                label = w.label
-            );
-        }
     }
 
     // The calibration side of the same lever: a bypass acquisition now
@@ -203,9 +178,9 @@ fn main() {
     noise_microbench(smoke);
 }
 
-/// Gaussian-synthesis microbench: per-call vs. batched `fill_gaussian`
-/// (and, when compiled in, the opt-in fast-math kernels). Batched output
-/// is asserted bit-identical to the per-call stream before any timing.
+/// Gaussian-synthesis microbench: per-call vs. batched `fill_gaussian`.
+/// Batched output is asserted bit-identical to the per-call stream
+/// before any timing.
 fn noise_microbench(smoke: bool) {
     use criterion::{Criterion, Throughput};
     use mixsig::noise::NoiseSource;
@@ -256,20 +231,6 @@ fn noise_microbench(smoke: bool) {
             buf[BLOCK - 1]
         })
     });
-
-    #[cfg(feature = "fast-math")]
-    {
-        let mut src = NoiseSource::new(1).with_fast_math(true);
-        let mut buf = vec![0.0; BLOCK];
-        group.bench_function("fill_gaussian_fast_math", |b| {
-            b.iter(|| {
-                for _ in 0..blocks {
-                    src.fill_gaussian(1.0, &mut buf);
-                }
-                buf[BLOCK - 1]
-            })
-        });
-    }
 
     group.finish();
 }

@@ -24,7 +24,6 @@ fn generator_sfdr(opamp: OpAmpModel, matching: MatchingSpec, noise: bool) -> f64
         unit_cap_farads: 1.0e-12,
         seed: 4,
         noise,
-        fast_math: false,
     };
     let mut generator = SinewaveGenerator::new(cfg);
     GeneratorSpectrum::measure(&mut generator, 64, 10).sfdr_db()

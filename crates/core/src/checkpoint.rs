@@ -1,42 +1,45 @@
-//! Checkpoint/resume for sharded lot runs.
+//! Sharded lot drives: the one shard driver, and checkpoint/resume on
+//! top of it.
 //!
-//! A wafer-scale lot (ROADMAP: 10⁵–10⁶ devices) cannot assume it
-//! finishes in one process lifetime. [`LotCheckpoint`] drives a lot as
-//! a sequence of fixed-size seed shards ([`LotEngine::run_range`] /
-//! [`LotEngine::run_escalated_range`]), persisting each completed
-//! shard's partial `netan.lot.v4` document under a directory and
-//! merging everything — loaded and freshly run alike — with
-//! [`LotReport::merge`] in seed order.
+//! [`ShardDriver`] is the only code that knows the sharding policy: the
+//! seed-order spans, the schedule each shard runs under (a budget is
+//! **global**: each shard gets `global − Σ observed spend` of the merged
+//! prefix, read off [`LotReport::spent`], and the finished lot answers
+//! for the global budget), the seed-order merge of shards that finish in
+//! any order, and the checkpoint hook that loads a persisted shard or
+//! runs and persists it. [`LotCheckpoint`] drives a lot through it one
+//! shard after another; the `netan-serve` service runs the same driver's
+//! shards on its worker pool.
 //!
-//! Restarting the same drive resumes from the highest complete seed
-//! index on disk: every shard whose document is present, parseable and
-//! span-matched is loaded instead of re-run; anything missing, torn or
-//! stale is simply measured again. Because `netan.lot.v4` re-renders
-//! parsed documents byte for byte
-//! ([`parse_lot_json`]), an interrupted
-//! and resumed lot produces the **identical** final document an
-//! uninterrupted run would have — the resume-equality guarantee the
-//! property suite and the lot bench assert.
+//! # Resume
 //!
-//! A budgeted escalation schedule is threaded through the shards as a
-//! **global** budget: each shard runs with whatever the earlier shards
-//! left over, `global − Σ observed spend so far`, where the spend is
-//! read off the merged observed-cost ledger
-//! ([`LotReport::spent`]). Loaded checkpoints contribute their
-//! persisted ledgers exactly like freshly run shards, so the remaining
-//! budget every shard sees — and therefore which devices its re-tests
-//! admit — is identical across kill-and-resume.
+//! A restarted drive loads every shard whose `netan.lot.v4` document is
+//! present, parseable and not stale, and measures anything missing, torn
+//! or stale again. Because parsed documents re-render byte for byte
+//! ([`parse_lot_json`]), a resumed lot produces the **identical** final
+//! document an uninterrupted one would have; loaded shards contribute
+//! their persisted ledgers exactly like fresh ones, so every shard sees
+//! the same remaining budget across kill-and-resume. Shard files are
+//! written atomically (temp file + rename), so a crash mid-write leaves
+//! at worst an ignorable temp file.
 //!
-//! Shard files are written atomically (temp file + rename), so a crash
-//! mid-write leaves at worst an ignorable torn temp file, never a
-//! corrupt checkpoint.
+//! A persisted shard is **stale** unless the drive's schedule could have
+//! produced it: the same span, mask and stopping policy, exactly the
+//! budget the shard runs under (none when unbudgeted), no more stages
+//! than the schedule with its `M` at every index, and — if it stopped
+//! before the last stage — no device left ambiguous, or its budget
+//! spent. `netan.lot.v4` does not record the DUT factory, the hardware
+//! profile, amplitude or warm-up, so one checkpoint directory serves one
+//! of each (the service keys its directories by the rendered request).
 
 use crate::analyzer::AnalyzerConfig;
 use crate::error::NetanError;
 use crate::lot::{EscalationSchedule, LotEngine, LotPlan, LotReport, ShardSpan};
 use crate::report::{lot_json, parse_lot_json};
+use crate::spec::GainMask;
 use dut::Dut;
 use mixsig::units::Seconds;
+use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
 use std::path::{Path, PathBuf};
@@ -88,8 +91,225 @@ impl From<NetanError> for CheckpointError {
     }
 }
 
-/// Drives a lot in fixed-size seed shards with per-shard persistence
-/// and resume.
+/// The sharding policy of one lot (see the [module docs](self)).
+/// [`task`](Self::task) hands out shards that run without the driver, so
+/// a worker pool can run them while the driver records others.
+#[derive(Debug, Clone)]
+pub struct ShardDriver {
+    lot: Range<u64>,
+    shard_devices: u64,
+    plan: LotPlan,
+    schedule: EscalationSchedule,
+    dir: Option<PathBuf>,
+    /// The merged seed-order prefix `lot.start..next`.
+    merged: LotReport,
+    next: u64,
+    /// Finished shards past the prefix, by first seed.
+    ready: BTreeMap<u64, Shard>,
+}
+
+impl ShardDriver {
+    /// A driver for `lot` in shards of `shard_devices` seeds (at least
+    /// 1), measured against `plan` under `schedule`.
+    ///
+    /// # Errors
+    ///
+    /// [`NetanError::EmptyLot`] for an empty `lot`.
+    pub fn new(
+        lot: Range<u64>,
+        shard_devices: u64,
+        plan: &LotPlan,
+        schedule: &EscalationSchedule,
+    ) -> Result<Self, NetanError> {
+        if lot.is_empty() {
+            return Err(NetanError::EmptyLot);
+        }
+        Ok(Self {
+            next: lot.start,
+            lot,
+            shard_devices,
+            plan: plan.clone(),
+            schedule: schedule.clone(),
+            dir: None,
+            merged: LotReport::empty(plan),
+            ready: BTreeMap::new(),
+        })
+    }
+
+    /// Returns the driver resuming from, and persisting to, the shard
+    /// documents under `dir` (created on first persist).
+    #[must_use]
+    pub fn with_dir(mut self, dir: impl Into<PathBuf>) -> Self {
+        self.dir = Some(dir.into());
+        self
+    }
+
+    /// The seed-order spans of `lot`, `shard_devices` seeds each (at
+    /// least 1; the last may be shorter), produced lazily: the first
+    /// spans of a huge range allocate nothing, and the last ends at
+    /// `lot.end` without wrapping.
+    pub fn spans(lot: Range<u64>, shard_devices: u64) -> impl Iterator<Item = Range<u64>> {
+        let size = shard_devices.max(1);
+        let mut start = lot.start;
+        std::iter::from_fn(move || {
+            (start < lot.end).then(|| {
+                let span = start..lot.end.min(start.saturating_add(size));
+                start = span.end;
+                span
+            })
+        })
+    }
+
+    /// How many spans [`spans`](Self::spans) yields, without producing
+    /// them.
+    pub fn shard_count(lot: Range<u64>, shard_devices: u64) -> u64 {
+        (lot.end.saturating_sub(lot.start)).div_ceil(shard_devices.max(1))
+    }
+
+    /// The first span the merged prefix has not reached, `None` once it
+    /// covers the lot.
+    pub fn next_span(&self) -> Option<Range<u64>> {
+        Self::spans(self.next..self.lot.end, self.shard_devices).next()
+    }
+
+    /// The shard covering `span`, under the driver's schedule with its
+    /// budget cut to what the merged prefix left over.
+    pub fn task(&self, span: Range<u64>) -> ShardTask {
+        let schedule = match self.schedule.budget() {
+            Some(global) => self.schedule.clone().with_budget(Seconds(
+                (global.value() - self.merged.spent().value()).max(0.0),
+            )),
+            None => self.schedule.clone(),
+        };
+        ShardTask {
+            span,
+            schedule,
+            mask: self.plan.mask().clone(),
+            dir: self.dir.clone(),
+        }
+    }
+
+    /// Buffers a finished shard and folds every shard that is now next
+    /// in seed order into the merged prefix, calling
+    /// `merged(self, span, loaded)` after each fold.
+    pub fn record(&mut self, shard: Shard, mut merged: impl FnMut(&Self, Range<u64>, bool)) {
+        self.ready.insert(shard.span.start, shard);
+        while let Some(shard) = self.ready.remove(&self.next) {
+            let prefix = std::mem::replace(&mut self.merged, LotReport::empty(&self.plan));
+            self.merged = prefix.merge(shard.report);
+            self.next = shard.span.end;
+            merged(self, shard.span, shard.loaded);
+        }
+    }
+
+    /// The merged seed-order prefix.
+    pub fn merged(&self) -> &LotReport {
+        &self.merged
+    }
+
+    /// How many shards the merged prefix holds.
+    pub fn merged_shards(&self) -> u64 {
+        Self::shard_count(self.lot.start..self.next, self.shard_devices)
+    }
+
+    /// The driven lot, answering for the global budget rather than the
+    /// per-shard remainders. Before the prefix covers the lot — a halted
+    /// drive — it is that prefix, with the lot's span incomplete.
+    pub fn finish(self) -> LotReport {
+        let mut report = self.merged;
+        if self.next < self.lot.end {
+            report = report.with_shard(ShardSpan {
+                seed_start: self.lot.start,
+                seed_end: self.lot.end,
+                complete: false,
+            });
+        }
+        let exhausted = report.budget_exhausted();
+        report.with_budget(self.schedule.budget(), exhausted)
+    }
+}
+
+/// One shard of a driven lot: its span and the schedule it runs under.
+#[derive(Debug, Clone)]
+pub struct ShardTask {
+    span: Range<u64>,
+    schedule: EscalationSchedule,
+    mask: GainMask,
+    dir: Option<PathBuf>,
+}
+
+impl ShardTask {
+    /// Loads the shard from the checkpoint directory when its document
+    /// is not stale; otherwise measures it with `run(span, schedule)` and
+    /// persists it atomically.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `run` returns, and [`CheckpointError::Io`] when the
+    /// measured shard cannot be persisted.
+    pub fn run<E: From<CheckpointError>>(
+        self,
+        run: impl FnOnce(Range<u64>, &EscalationSchedule) -> Result<LotReport, E>,
+    ) -> Result<Shard, E> {
+        let path = self.dir.as_ref().map(|dir| shard_path(dir, &self.span));
+        let persisted = path
+            .as_deref()
+            .and_then(|path| std::fs::read_to_string(path).ok())
+            .and_then(|text| parse_lot_json(&text).ok())
+            .filter(|report| self.could_have_produced(report));
+        let loaded = persisted.is_some();
+        let report = match persisted {
+            Some(report) => report,
+            None => run(self.span.clone(), &self.schedule)?,
+        };
+        if let (Some(dir), Some(path), false) = (&self.dir, &path, loaded) {
+            let io_err = |path: &Path| {
+                let path = path.to_path_buf();
+                move |source| CheckpointError::Io { path, source }
+            };
+            std::fs::create_dir_all(dir).map_err(io_err(dir))?;
+            let tmp = path.with_extension("json.tmp");
+            std::fs::write(&tmp, format!("{}\n", lot_json(&report))).map_err(io_err(&tmp))?;
+            std::fs::rename(&tmp, path).map_err(io_err(path))?;
+        }
+        Ok(Shard {
+            span: self.span,
+            report,
+            loaded,
+        })
+    }
+
+    /// The stale-shard rule: whether this task could have produced the
+    /// persisted `report` (see the [module docs](self#resume)).
+    fn could_have_produced(&self, report: &LotReport) -> bool {
+        let (stages, ran) = (self.schedule.stages(), report.stages());
+        report.shard() == Some(ShardSpan::complete(self.span.clone()))
+            && report.mask() == &self.mask
+            && report.stopping() == self.schedule.stopping()
+            && report.budget() == self.schedule.budget()
+            && ran.len() <= stages.len()
+            && ran.iter().zip(stages).all(|(s, c)| s.periods == c.periods)
+            && (ran.len() == stages.len()
+                || report.counts().ambiguous == 0
+                || report.budget_exhausted())
+    }
+}
+
+/// A finished shard: its report, and whether it was loaded from the
+/// checkpoint directory instead of measured.
+#[derive(Debug, Clone)]
+pub struct Shard {
+    span: Range<u64>,
+    report: LotReport,
+    loaded: bool,
+}
+
+fn shard_path(dir: &Path, span: &Range<u64>) -> PathBuf {
+    dir.join(format!("shard-{:08}-{:08}.json", span.start, span.end))
+}
+
+/// Drives a lot through a [`ShardDriver`] one shard after another, with
+/// per-shard persistence and resume.
 ///
 /// # Example
 ///
@@ -152,24 +372,13 @@ impl LotCheckpoint {
         self
     }
 
-    /// The checkpoint directory.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    /// Devices per shard.
-    pub fn shard_devices(&self) -> u64 {
-        self.shard_devices
-    }
-
     /// The path of the shard document covering `span`.
     pub fn shard_path(&self, span: &Range<u64>) -> PathBuf {
-        self.dir
-            .join(format!("shard-{:08}-{:08}.json", span.start, span.end))
+        shard_path(&self.dir, span)
     }
 
-    /// Drives `lot` through `engine.run_range` shard by shard,
-    /// persisting and resuming as described on the type.
+    /// [`run_escalated`](Self::run_escalated) with the one-stage
+    /// schedule of `config`.
     ///
     /// # Errors
     ///
@@ -188,24 +397,18 @@ impl LotCheckpoint {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        self.drive(lot, plan, |span, _spent| {
-            engine.run_range(&factory, span, plan, config)
-        })
+        let schedule = EscalationSchedule::new(vec![config]);
+        self.run_escalated(engine, factory, lot, plan, &schedule)
     }
 
-    /// Drives `lot` through `engine.run_escalated_range` shard by
-    /// shard. The schedule's budget (if any) is treated as **global**:
-    /// each shard runs under the remainder `global − Σ observed spend`
-    /// of every earlier shard, loaded checkpoints included, read off
-    /// the merged observed-cost ledger — see the
-    /// [sharding notes](crate::lot#sharding). Resume-equality to an
-    /// uninterrupted drive holds budgeted or not (the remaining budget
-    /// is recomputed from the persisted ledgers); byte-identity to a
-    /// monolithic `run_escalated` holds for unbudgeted schedules, while
-    /// a budgeted sharded drive stays deterministic but may admit a
-    /// different re-test prefix than the monolithic global one. The
-    /// final merged report carries the global budget, not the sum of
-    /// the per-shard remainders.
+    /// Drives `lot` through `engine.run_escalated_range` one shard after
+    /// another on a [`ShardDriver`]. The schedule's budget (if any) is
+    /// **global** — see the [sharding notes](crate::lot#sharding).
+    /// Resume-equality to an uninterrupted drive holds budgeted or not;
+    /// byte-identity to a monolithic `run_escalated` holds for
+    /// unbudgeted schedules, while a budgeted sharded drive stays
+    /// deterministic but may admit a different re-test prefix than the
+    /// monolithic global one.
     ///
     /// # Errors
     ///
@@ -224,114 +427,27 @@ impl LotCheckpoint {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let global = schedule.budget();
-        let report = self.drive(lot, plan, |span, spent| {
-            let shard_schedule = match global {
-                Some(b) => schedule
-                    .clone()
-                    .with_budget(Seconds((b.value() - spent.value()).max(0.0))),
-                None => schedule.clone(),
-            };
-            engine.run_escalated_range(&factory, span, plan, &shard_schedule)
-        })?;
-        // Each shard document answers for the budget that remained when
-        // it ran; the merged lot answers for the one global budget.
-        Ok(match global {
-            Some(b) => {
-                let exhausted = report.budget_exhausted();
-                report.with_budget(Some(b), exhausted)
-            }
-            None => report,
-        })
-    }
-
-    fn drive(
-        &self,
-        lot: Range<u64>,
-        plan: &LotPlan,
-        run_shard: impl Fn(Range<u64>, Seconds) -> Result<LotReport, NetanError>,
-    ) -> Result<LotReport, CheckpointError> {
-        if lot.start >= lot.end {
-            return Err(CheckpointError::Lot(NetanError::EmptyLot));
-        }
-        // The empty report is a merge identity, so seeding the fold with
-        // it keeps the loop total without an "at least one shard"
-        // assertion — the non-empty `lot` guard above guarantees at
-        // least one real shard is merged in.
-        let mut merged = LotReport::empty(plan);
+        let mut driver =
+            ShardDriver::new(lot, self.shard_devices, plan, schedule)?.with_dir(&self.dir);
         let mut fresh = 0usize;
-        let mut start = lot.start;
-        while start < lot.end {
-            let end = lot.end.min(start.saturating_add(self.shard_devices));
-            let span = start..end;
-            // Observed spend of everything merged so far — what earlier
-            // shards (loaded or fresh) charged against a global budget.
-            let spent = merged.spent();
-            let report = match self.load_shard(&span, plan) {
-                Some(loaded) => loaded,
-                None => {
-                    if self.shard_limit.is_some_and(|limit| fresh >= limit) {
-                        // Deterministic halt: hand back what is merged
-                        // so far, marked as the incomplete prefix of
-                        // the intended lot.
-                        return Ok(merged.with_shard(ShardSpan {
-                            seed_start: lot.start,
-                            seed_end: lot.end,
-                            complete: false,
-                        }));
-                    }
-                    let ran = run_shard(span.clone(), spent)?;
-                    self.persist_shard(&span, &ran)?;
-                    fresh += 1;
-                    ran
+        while let Some(span) = driver.next_span() {
+            // An error of `None` halts the drive: no fresh shard is left.
+            let shard = driver.task(span).run(|span, schedule| {
+                if self.shard_limit.is_some_and(|limit| fresh >= limit) {
+                    return Err(None);
                 }
-            };
-            merged = merged.merge(report);
-            start = end;
+                fresh += 1;
+                engine
+                    .run_escalated_range(&factory, span, plan, schedule)
+                    .map_err(|e| Some(e.into()))
+            });
+            match shard {
+                Ok(shard) => driver.record(shard, |_, _, _| {}),
+                Err(None) => break,
+                Err(Some(e)) => return Err(e),
+            }
         }
-        Ok(merged)
-    }
-
-    /// Loads the persisted shard covering `span`, or `None` when it
-    /// must be (re-)measured: file absent or unreadable, document
-    /// unparseable (e.g. a torn write), span/mask mismatched, or not
-    /// marked complete.
-    ///
-    /// Public so external drivers (e.g. the `netan-serve` screening
-    /// service) can resume from the same shard documents this type
-    /// writes.
-    pub fn load_shard(&self, span: &Range<u64>, plan: &LotPlan) -> Option<LotReport> {
-        let text = std::fs::read_to_string(self.shard_path(span)).ok()?;
-        let report = parse_lot_json(&text).ok()?;
-        let shard = report.shard()?;
-        let matches = shard.complete
-            && shard.seed_start == span.start
-            && shard.seed_end == span.end
-            && report.mask() == plan.mask();
-        matches.then_some(report)
-    }
-
-    /// Persists a completed shard document atomically: written to a
-    /// sibling temp file, then renamed into place.
-    ///
-    /// Public for the same reason as [`load_shard`](Self::load_shard):
-    /// external drivers persisting shards they ran themselves get the
-    /// identical naming and atomic-write discipline.
-    pub fn persist_shard(
-        &self,
-        span: &Range<u64>,
-        report: &LotReport,
-    ) -> Result<(), CheckpointError> {
-        let io_err = |path: &Path| {
-            let path = path.to_path_buf();
-            move |source| CheckpointError::Io { path, source }
-        };
-        std::fs::create_dir_all(&self.dir).map_err(io_err(&self.dir))?;
-        let path = self.shard_path(span);
-        let tmp = path.with_extension("json.tmp");
-        std::fs::write(&tmp, format!("{}\n", lot_json(report))).map_err(io_err(&tmp))?;
-        std::fs::rename(&tmp, &path).map_err(io_err(&path))?;
-        Ok(())
+        Ok(driver.finish())
     }
 }
 
@@ -355,11 +471,17 @@ mod tests {
         std::env::temp_dir().join(format!("netan-ckpt-{tag}-{}", std::process::id()))
     }
 
+    fn factory_at(sigma: f64) -> impl Fn(u64) -> ActiveRcFilter + Sync + Copy {
+        move |seed| {
+            ActiveRcFilter::paper_dut()
+                .linearized()
+                .fabricate(sigma, seed)
+        }
+    }
+
     #[test]
     fn constructor_and_paths() {
         let c = LotCheckpoint::new("/tmp/x", 16);
-        assert_eq!(c.dir(), Path::new("/tmp/x"));
-        assert_eq!(c.shard_devices(), 16);
         assert_eq!(
             c.shard_path(&(0..16)),
             Path::new("/tmp/x/shard-00000000-00000016.json")
@@ -498,6 +620,16 @@ mod tests {
             crate::report::lot_json(&resumed),
             crate::report::lot_json(&whole)
         );
+        // Every persisted shard carries exactly the remainder a replay
+        // hands it, so a drive allowed no fresh shard loads them all.
+        let replayed = ckpt
+            .with_shard_limit(0)
+            .run_escalated(&engine, factory, 0..6, &plan, &schedule)
+            .unwrap();
+        assert_eq!(
+            crate::report::lot_json(&replayed),
+            crate::report::lot_json(&whole)
+        );
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
     }
@@ -524,5 +656,146 @@ mod tests {
             (0, 4, false)
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn stale_shards_are_measured_again_never_merged() {
+        use crate::plan::grid_time;
+        use crate::report::lot_json;
+        let plan = plan();
+        let engine = LotEngine::serial();
+        let schedule =
+            |periods: &[u32]| EscalationSchedule::from_periods(AnalyzerConfig::ideal(), periods);
+        // Drives `lot` in shards of `size` under `before`, deletes the
+        // shard `gone`, drives the same directory again under `after`,
+        // and demands the bytes of an `after` drive in a fresh directory.
+        let case = |tag: &str,
+                    sigma: f64,
+                    size: u64,
+                    before: &EscalationSchedule,
+                    gone: Option<Range<u64>>,
+                    after: &EscalationSchedule| {
+            let (dir, fresh_dir) = (temp_dir(tag), temp_dir(&format!("{tag}-fresh")));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_dir_all(&fresh_dir).ok();
+            let ckpt = LotCheckpoint::new(&dir, size);
+            let factory = factory_at(sigma);
+            let lot = 0..8;
+            ckpt.run_escalated(&engine, factory, lot.clone(), &plan, before)
+                .unwrap();
+            if let Some(span) = gone {
+                std::fs::remove_file(ckpt.shard_path(&span)).unwrap();
+            }
+            let resumed = ckpt
+                .run_escalated(&engine, factory, lot.clone(), &plan, after)
+                .unwrap();
+            let fresh = LotCheckpoint::new(&fresh_dir, size)
+                .run_escalated(&engine, factory, lot, &plan, after)
+                .unwrap();
+            assert_eq!(lot_json(&resumed), lot_json(&fresh), "{tag}");
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_dir_all(&fresh_dir).ok();
+            fresh
+        };
+        // Another M: every shard is stale, also next to a re-measured
+        // one (two M at one stage must never meet in a merge).
+        case(
+            "stale-m",
+            0.05,
+            2,
+            &schedule(&[50]),
+            None,
+            &schedule(&[100]),
+        );
+        case(
+            "stale-m-gap",
+            0.05,
+            2,
+            &schedule(&[50]),
+            Some(2..4),
+            &schedule(&[100]),
+        );
+        // Another stopping policy, next to a re-measured shard.
+        case(
+            "stale-stopping",
+            0.09,
+            4,
+            &schedule(&[30, 120]),
+            Some(4..8),
+            &schedule(&[30, 120]).sequential(),
+        );
+        // A one-stage drive left devices ambiguous: a deeper schedule
+        // must re-test them instead of loading the shallow shards.
+        let deeper = case(
+            "stale-deeper",
+            0.09,
+            4,
+            &schedule(&[30]),
+            None,
+            &schedule(&[30, 120]),
+        );
+        assert!(deeper.stages().len() == 2 && deeper.stages()[1].tested > 0);
+        // Another budget admits another re-test prefix.
+        let (c0, c1) = (grid_time(30, plan.grid()), grid_time(120, plan.grid()));
+        let budget = |retests: f64| Seconds(8.0 * c0.value() + retests * c1.value());
+        let wider = case(
+            "stale-budget",
+            0.09,
+            8,
+            &schedule(&[30, 120]).with_budget(budget(1.5)),
+            None,
+            &schedule(&[30, 120]).with_budget(budget(3.5)),
+        );
+        assert!(wider.stages()[1].tested > 2);
+    }
+
+    #[test]
+    fn shards_finishing_in_any_order_merge_in_seed_order() {
+        use crate::report::lot_json;
+        let plan = plan();
+        let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 120]);
+        let engine = LotEngine::serial();
+        let factory = factory_at(0.09);
+        let monolith = engine
+            .run_escalated_range(factory, 0..8, &plan, &schedule)
+            .unwrap();
+        assert!(monolith.stages().len() > 1, "the lot must escalate");
+        let driver = ShardDriver::new(0..8, 2, &plan, &schedule).unwrap();
+        let shards: Vec<Shard> = ShardDriver::spans(0..8, 2)
+            .map(|span| {
+                driver
+                    .task(span)
+                    .run(|span, schedule| {
+                        engine
+                            .run_escalated_range(factory, span, &plan, schedule)
+                            .map_err(CheckpointError::from)
+                    })
+                    .unwrap()
+            })
+            .collect();
+
+        let orders: Vec<[usize; 4]> = (0..256usize)
+            .map(|n| [n % 4, n / 4 % 4, n / 16 % 4, n / 64])
+            .filter(|order| (0..4).all(|k| order.contains(&k)))
+            .collect();
+        assert_eq!(orders.len(), 24);
+        for order in orders {
+            let mut driver = ShardDriver::new(0..8, 2, &plan, &schedule).unwrap();
+            let mut merges = Vec::new();
+            for k in order {
+                assert!(driver.next_span().is_some());
+                driver.record(shards[k].clone(), |driver, span, loaded| {
+                    assert!(!loaded);
+                    merges.push((span, driver.merged_shards()));
+                });
+            }
+            assert_eq!(driver.next_span(), None, "{order:?}");
+            assert_eq!(
+                merges,
+                vec![(0..2, 1), (2..4, 2), (4..6, 3), (6..8, 4)],
+                "{order:?}"
+            );
+            assert_eq!(lot_json(&driver.finish()), lot_json(&monolith), "{order:?}");
+        }
     }
 }

@@ -35,11 +35,12 @@
 //!   device's acquisition only until its own verdict decides, charging
 //!   just the period increments,
 //! * **sharded lots** ([`LotEngine::run_range`], [`LotReport::merge`])
-//!   with **checkpoint/resume** ([`LotCheckpoint`]): a lot split into
-//!   seed ranges merges back byte-identical to the monolithic run, an
-//!   interrupted drive resumes from its persisted `netan.lot.v4` shard
-//!   documents, and a budgeted drive threads the remaining global
-//!   budget through successive shards off the observed ledger,
+//!   on one shard driver ([`ShardDriver`]) with **checkpoint/resume**
+//!   ([`LotCheckpoint`]): a lot split into seed ranges merges back
+//!   byte-identical to the monolithic run, an interrupted drive resumes
+//!   from its persisted `netan.lot.v4` shard documents, and a budgeted
+//!   drive threads the remaining global budget through successive
+//!   shards off the observed ledger,
 //! * a **harmonic distortion** mode (paper Fig. 10c), serial or parallel
 //!   per harmonic,
 //! * **report sinks**: tables, CSV and JSON for Bode plots and lot
@@ -80,7 +81,7 @@ pub mod sweep;
 
 pub use adaptive::{interpolate_gain_db, reconstruction_error_db, AdaptiveSweep, RefinementPolicy};
 pub use analyzer::{AnalyzerConfig, BodePoint, Calibration, HardwareProfile, NetworkAnalyzer};
-pub use checkpoint::{CheckpointError, LotCheckpoint};
+pub use checkpoint::{CheckpointError, LotCheckpoint, Shard, ShardDriver, ShardTask};
 pub use engine::SweepEngine;
 pub use error::NetanError;
 pub use harmonics::DistortionReport;

@@ -89,17 +89,18 @@
 //! would have produced, with [`LotReport::empty`] as the identity.
 //! Shard provenance travels as a [`ShardSpan`] through the
 //! `netan.lot.v4` JSON schema, which is what the
-//! [`checkpoint`](crate::checkpoint) driver persists per shard and
-//! resumes a lot from after an interruption.
+//! [`ShardDriver`](crate::ShardDriver) persists per shard and resumes a
+//! lot from after an interruption.
 //!
 //! Budgets under sharding: a budgeted schedule admits re-tests against
 //! the lot-global observed ledger, which a single shard cannot see, so
 //! one shard in isolation still budgets per shard. But because the
-//! ledger is *observed*, a sequential shard driver — the
-//! [`checkpoint`](crate::checkpoint) drive — can thread the remaining
-//! global budget into each successive shard (each shard's persisted
-//! report carries its observed spend), giving a sharded lot a
-//! global-style budget answer with deterministic kill-and-resume.
+//! ledger is *observed*, the shard driver — under both
+//! [`LotCheckpoint`](crate::LotCheckpoint) drives and the `netan-serve`
+//! service — threads the remaining global budget into each successive
+//! shard (each shard's persisted report carries its observed spend),
+//! giving a sharded lot a global-style budget answer with deterministic
+//! kill-and-resume.
 //! Byte-identity to a monolithic run holds for unbudgeted schedules
 //! (and plain runs); budgeted sharded lots are deterministic but admit
 //! re-tests at shard boundaries a monolithic ledger would interleave.
@@ -322,17 +323,6 @@ impl EscalationSchedule {
     #[must_use]
     pub fn with_budget(mut self, budget: Seconds) -> Self {
         self.budget = Some(budget);
-        self
-    }
-
-    /// Returns the schedule with any budget removed. Sharded drives
-    /// that want byte-identity between a merged partition and the
-    /// monolithic run use this: a budget admits re-tests against the
-    /// lot-global observed ledger, which a shard cannot observe in
-    /// isolation (see [Sharding](self#sharding)).
-    #[must_use]
-    pub fn without_budget(mut self) -> Self {
-        self.budget = None;
         self
     }
 
@@ -962,10 +952,10 @@ impl LotEngine {
     /// fixed grid is measured in lanes that share each point's stimulus
     /// and evaluator noise.
     ///
-    /// A contiguous ascending seed slice (`s, s+1, …`) gets a complete
-    /// [`ShardSpan`] attached — a plain `run` is "one shard covering
-    /// the whole lot" ([`run_range`](Self::run_range)); arbitrary seed
-    /// lists carry no span.
+    /// A plain run is the one-stage schedule of `config` through the
+    /// core of [`run_escalated`](Self::run_escalated). A contiguous
+    /// ascending seed slice (`s, s+1, …`) gets a complete [`ShardSpan`]
+    /// attached; arbitrary seed lists carry no span.
     ///
     /// # Errors
     ///
@@ -988,9 +978,7 @@ impl LotEngine {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let mut report = self.run_seeds(factory, seeds, plan, config)?;
-        report.shard = Self::slice_span(seeds);
-        Ok(report)
+        self.screen(factory, seeds, plan, &EscalationSchedule::new(vec![config]))
     }
 
     /// Characterizes the contiguous seed range `seed_range` as one
@@ -1016,9 +1004,8 @@ impl LotEngine {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let seeds: Vec<u64> = seed_range.clone().collect();
-        let report = self.run_seeds(factory, &seeds, plan, config)?;
-        Ok(report.with_shard(ShardSpan::complete(seed_range)))
+        let seeds: Vec<u64> = seed_range.collect();
+        self.run(factory, &seeds, plan, config)
     }
 
     /// The shard span of an explicit seed slice: a complete span when
@@ -1031,42 +1018,6 @@ impl LotEngine {
             .windows(2)
             .all(|w| w[0].checked_add(1) == Some(w[1]))
             .then(|| ShardSpan::complete(first..end))
-    }
-
-    fn run_seeds<D, F>(
-        &self,
-        factory: F,
-        seeds: &[u64],
-        plan: &LotPlan,
-        config: AnalyzerConfig,
-    ) -> Result<LotReport, NetanError>
-    where
-        D: Dut,
-        F: Fn(u64) -> D + Sync,
-    {
-        Self::validate_lot(seeds, plan)?;
-        let stage = Stage::fresh(0, config)?;
-        let fresh: Vec<(u64, &[Seconds])> = seeds.iter().map(|&seed| (seed, &[][..])).collect();
-        let results = self.characterize(&factory, &fresh, plan, stage);
-        // Buffered results: the lowest-index error wins, as in a serial
-        // in-order run.
-        let devices = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-        let summary = StageSummary {
-            stage: 0,
-            periods: config.periods,
-            tested: devices.len(),
-            counts: VerdictCounts::tally(&devices),
-            time: devices
-                .iter()
-                .fold(Seconds(0.0), |acc, d| acc + d.test_time),
-            // Fixed grids cost the same on every device; adaptive plans
-            // refine per device, so no uniform cost exists.
-            device_time: plan
-                .refinement()
-                .is_none()
-                .then(|| grid_time(config.periods, plan.grid())),
-        };
-        Ok(LotReport::new(plan.mask().clone(), devices).with_stages(vec![summary]))
     }
 
     /// Screens the whole lot at `schedule` stage 0, then re-tests only
@@ -1112,9 +1063,7 @@ impl LotEngine {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let mut report = self.run_escalated_seeds(factory, seeds, plan, schedule)?;
-        report.shard = Self::slice_span(seeds);
-        Ok(report)
+        self.screen(factory, seeds, plan, schedule)
     }
 
     /// Escalation-screens the contiguous seed range `seed_range` as one
@@ -1142,12 +1091,13 @@ impl LotEngine {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let seeds: Vec<u64> = seed_range.clone().collect();
-        let report = self.run_escalated_seeds(factory, &seeds, plan, schedule)?;
-        Ok(report.with_shard(ShardSpan::complete(seed_range)))
+        let seeds: Vec<u64> = seed_range.collect();
+        self.run_escalated(factory, &seeds, plan, schedule)
     }
 
-    fn run_escalated_seeds<D, F>(
+    /// The one lot core behind every entry point (see
+    /// [`run_escalated`](Self::run_escalated)).
+    fn screen<D, F>(
         &self,
         factory: F,
         seeds: &[u64],
@@ -1184,8 +1134,6 @@ impl LotEngine {
         let results = self.characterize(&factory, &fresh, plan, Stage::fresh(0, config0)?);
         let mut devices = results.into_iter().collect::<Result<Vec<_>, _>>()?;
 
-        // Folded from the measured devices — exactly what `run` records,
-        // so a one-stage schedule is bit-identical to a plain run.
         let screen_time = devices
             .iter()
             .fold(Seconds(0.0), |acc, d| acc + d.test_time);
@@ -1299,10 +1247,12 @@ impl LotEngine {
             });
         }
 
-        Ok(LotReport::new(plan.mask().clone(), devices)
+        let mut report = LotReport::new(plan.mask().clone(), devices)
             .with_stages(stages)
             .with_budget(schedule.budget(), budget_exhausted)
-            .with_stopping(schedule.stopping()))
+            .with_stopping(schedule.stopping());
+        report.shard = Self::slice_span(seeds);
+        Ok(report)
     }
 
     /// The typed budget-below-screening error, both sides rounded **up**

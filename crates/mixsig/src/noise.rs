@@ -28,21 +28,10 @@
 //!   [`NoiseSource::disabled`] source return `0.0` **without consuming a
 //!   buffered normal** (the scalar reference would not have advanced the
 //!   RNG either), so zero-σ calls never shift the stream.
-//! * **Default mode is byte-identical.** The buffered path evaluates the
+//! * **Byte-identical.** The buffered path evaluates the
 //!   exact same `(-2·ln u₁)·√ · cos(2π·u₂)` expressions through the same
 //!   `libm` calls as before, so every golden fixture and shard/checkpoint
 //!   byte-identity test is unaffected.
-//!
-//! ## `fast-math` caveat
-//!
-//! With the crate feature `fast-math` compiled in *and*
-//! `NoiseSource::with_fast_math` opted into at runtime, the refill loop
-//! uses polynomial `ln`/`cos` kernels (absolute error on the synthesized
-//! normals ≲ 1e-7; see `fast` module docs). That mode deliberately breaks
-//! bit-identity with the default stream and is never enabled implicitly —
-//! the default remains byte-identical even when the feature is compiled
-//! in. The measured error is far below every physical noise floor in the
-//! models, and enclosure-style reporting absorbs it.
 
 // No external `rand` dependency: the workspace builds fully offline, so the
 // uniform source is an in-tree xoshiro256++ generator seeded via SplitMix64.
@@ -183,138 +172,6 @@ unsafe fn deinterleave_uniforms_avx2(
     deinterleave_uniforms(raw, u1, u2);
 }
 
-/// Polynomial transcendental kernels for the opt-in fast-math refill.
-///
-/// Both kernels are exact-range implementations for the Box–Muller
-/// arguments only (`u ∈ [2⁻⁵³, 1)` turns — no general range reduction),
-/// with absolute error ≲ 2e-9 on their own outputs and ≲ 1e-7 on the
-/// synthesized normals (the `√(−2·ln u₁)` factor can reach ~8.6, scaling
-/// the cosine error up).
-///
-/// Both are written branch-free over plain lane-wise operations, so the
-/// batched synthesis loop autovectorizes; on x86-64 the refill dispatches
-/// at runtime to an AVX2-compiled version of the same loop when the CPU
-/// supports it. The lane width never changes the arithmetic — every lane
-/// performs the identical IEEE operation sequence — so the fast-math
-/// stream is the same on every dispatch path.
-#[cfg(feature = "fast-math")]
-mod fast {
-    /// `ln(u)` for `u ∈ [2⁻⁵³, 1)`: exponent/mantissa split, then the
-    /// atanh series `ln m = 2·(s + s³/3 + … + s¹¹/11)` with
-    /// `s = (m−1)/(m+1)` over `m ∈ [√½, √2)` (|s| ≤ 0.172).
-    #[inline(always)]
-    pub fn ln(u: f64) -> f64 {
-        const LN2: f64 = std::f64::consts::LN_2;
-        let bits = u.to_bits();
-        // The biased exponent fits in 12 bits, so a 32-bit extraction is
-        // exact and keeps the int→float convert vectorizable.
-        // netan-lint: allow(lossy-cast): `bits >> 52` is at most 12 bits, well inside i32 range
-        let e0 = ((bits >> 52) as i32 & 0x7FF) - 1023;
-        let m0 = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | 0x3FF0_0000_0000_0000);
-        // Branch-free normalization (the mantissa's top bit is effectively
-        // random here, so a real branch would mispredict half the time).
-        let big = m0 > std::f64::consts::SQRT_2;
-        let m = if big { m0 * 0.5 } else { m0 };
-        let e = e0 + i32::from(big);
-        let s = (m - 1.0) / (m + 1.0);
-        let s2 = s * s;
-        let series = s
-            * (2.0
-                + s2 * (2.0 / 3.0
-                    + s2 * (2.0 / 5.0 + s2 * (2.0 / 7.0 + s2 * (2.0 / 9.0 + s2 * (2.0 / 11.0))))));
-        f64::from(e) * LN2 + series
-    }
-
-    /// `cos(2π·x)` for `x ∈ [0, 1)`: quadrant reduction in turns, then
-    /// degree-10/9 sin/cos polynomials on `|r| ≤ π/4`.
-    ///
-    /// Both polynomials are evaluated unconditionally and the quadrant
-    /// picks between them arithmetically — the quadrant of a uniform draw
-    /// is random, so a real branch would mispredict half the time.
-    #[inline(always)]
-    pub fn cos_two_pi(x: f64) -> f64 {
-        let t = 4.0 * x;
-        // `t + 0.5 ∈ [0.5, 4.5)`, so 32-bit integer truncation *is*
-        // `floor` — and unlike `f64::floor`, it cannot fall back to a libm
-        // call on baseline x86-64 (and it vectorizes).
-        // netan-lint: allow(lossy-cast): truncation of `t + 0.5 ∈ [0.5, 4.5)` is the intended floor
-        let ki = (t + 0.5) as i32;
-        let k = f64::from(ki);
-        let r = (t - k) * std::f64::consts::FRAC_PI_2;
-        let r2 = r * r;
-        let c = 1.0
-            + r2 * (-0.5
-                + r2 * (1.0 / 24.0
-                    + r2 * (-1.0 / 720.0 + r2 * (1.0 / 40_320.0 + r2 * (-1.0 / 3_628_800.0)))));
-        let s = r
-            * (1.0
-                + r2 * (-1.0 / 6.0
-                    + r2 * (1.0 / 120.0 + r2 * (-1.0 / 5_040.0 + r2 * (1.0 / 362_880.0)))));
-        // Quadrant 0 → +c, 1 → −s, 2 → −c, 3 → +s. The sign flips and the
-        // c/s pick are pure bit operations (sign-bit XOR and a mask
-        // select), so no data-dependent branch exists and the results are
-        // exactly the ±1.0-multiplied values of the branched form.
-        // netan-lint: allow(lossy-cast): `ki ∈ [0, 4]`, so the widening to u64 is value-preserving
-        let q = ki as u64;
-        let c_signed = f64::from_bits(c.to_bits() ^ ((q & 2) << 62));
-        let s_signed = f64::from_bits(s.to_bits() ^ ((!q & 2) << 62));
-        let pick_s = (q & 1).wrapping_neg();
-        f64::from_bits((c_signed.to_bits() & !pick_s) | (s_signed.to_bits() & pick_s))
-    }
-
-    /// Box–Muller over the whole refill batch with the polynomial kernels:
-    /// `out[i] = √(−2·ln u1[i]) · cos(2π·u2[i])`.
-    ///
-    /// The loop body is branch-free lane arithmetic, so the compiler
-    /// vectorizes it; identical IEEE operations run per lane regardless of
-    /// lane width, so every dispatch target below produces the same
-    /// stream.
-    #[inline(always)]
-    fn synthesize_lanes(
-        u1: &[f64; super::NORMAL_REFILL],
-        u2: &[f64; super::NORMAL_REFILL],
-        out: &mut [f64; super::NORMAL_REFILL],
-    ) {
-        for ((z, &a), &b) in out.iter_mut().zip(u1.iter()).zip(u2.iter()) {
-            *z = (-2.0 * ln(a)).sqrt() * cos_two_pi(b);
-        }
-    }
-
-    /// AVX2-compiled clone of [`synthesize_lanes`] (same source, wider
-    /// autovectorization). Bit-identical to the portable build: no
-    /// FP contraction is enabled, so each lane still performs the exact
-    /// operation sequence of the scalar kernels.
-    ///
-    /// # Safety
-    ///
-    /// Caller must ensure the CPU supports AVX2.
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn synthesize_avx2(
-        u1: &[f64; super::NORMAL_REFILL],
-        u2: &[f64; super::NORMAL_REFILL],
-        out: &mut [f64; super::NORMAL_REFILL],
-    ) {
-        synthesize_lanes(u1, u2, out);
-    }
-
-    /// Synthesizes the batch through the widest instruction set the CPU
-    /// offers (checked once, cached by `is_x86_feature_detected!`).
-    pub fn synthesize(
-        u1: &[f64; super::NORMAL_REFILL],
-        u2: &[f64; super::NORMAL_REFILL],
-        out: &mut [f64; super::NORMAL_REFILL],
-    ) {
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: dispatch guarded by the runtime feature check.
-            unsafe { synthesize_avx2(u1, u2, out) };
-            return;
-        }
-        synthesize_lanes(u1, u2, out);
-    }
-}
-
 /// A seeded Gaussian noise source.
 #[derive(Clone)]
 pub struct NoiseSource {
@@ -324,19 +181,15 @@ pub struct NoiseSource {
     pos: usize,
     /// Pre-synthesized standard normals (see module docs).
     buf: [f64; NORMAL_REFILL],
-    #[cfg(feature = "fast-math")]
-    fast_math: bool,
 }
 
 impl std::fmt::Debug for NoiseSource {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut s = f.debug_struct("NoiseSource");
-        s.field("rng", &self.rng)
+        f.debug_struct("NoiseSource")
+            .field("rng", &self.rng)
             .field("enabled", &self.enabled)
-            .field("buffered", &(NORMAL_REFILL - self.pos));
-        #[cfg(feature = "fast-math")]
-        s.field("fast_math", &self.fast_math);
-        s.finish()
+            .field("buffered", &(NORMAL_REFILL - self.pos))
+            .finish()
     }
 }
 
@@ -348,8 +201,6 @@ impl NoiseSource {
             enabled: true,
             pos: NORMAL_REFILL,
             buf: [0.0; NORMAL_REFILL],
-            #[cfg(feature = "fast-math")]
-            fast_math: false,
         }
     }
 
@@ -364,28 +215,6 @@ impl NoiseSource {
     /// Whether the source produces nonzero samples.
     pub fn is_enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Opts this source into the polynomial fast-math refill kernels
-    /// (see module docs — breaks bit-identity with the default stream).
-    ///
-    /// Only available with the `fast-math` crate feature; even then the
-    /// default remains the exact `libm` path.
-    #[cfg(feature = "fast-math")]
-    #[must_use]
-    pub fn with_fast_math(mut self, enabled: bool) -> Self {
-        self.set_fast_math(enabled);
-        self
-    }
-
-    /// In-place variant of [`with_fast_math`](Self::with_fast_math), for
-    /// opting in a source that is already embedded in a consumer.
-    ///
-    /// Already-buffered normals are kept: the switch only affects draws
-    /// synthesized by future refills.
-    #[cfg(feature = "fast-math")]
-    pub fn set_fast_math(&mut self, enabled: bool) {
-        self.fast_math = enabled;
     }
 
     /// One zero-mean Gaussian sample with the given standard deviation.
@@ -485,12 +314,6 @@ impl NoiseSource {
         }
         #[cfg(not(target_arch = "x86_64"))]
         deinterleave_uniforms(&raw, &mut u1, &mut u2);
-        #[cfg(feature = "fast-math")]
-        if self.fast_math {
-            fast::synthesize(&u1, &u2, &mut self.buf);
-            self.pos = 0;
-            return;
-        }
         for ((z, &a), &b) in self.buf.iter_mut().zip(u1.iter()).zip(u2.iter()) {
             // Box–Muller, through the same libm calls as the historical
             // per-call path — byte-identical stream by construction.
@@ -660,61 +483,5 @@ mod tests {
             assert_eq!(by_one.next_u64(), b, "draw {i}");
         }
         assert_eq!(by_one.state, by_block.state);
-    }
-
-    #[cfg(feature = "fast-math")]
-    mod fast_math {
-        use super::*;
-
-        #[test]
-        fn fast_kernels_track_libm() {
-            let mut rng = Xoshiro256pp::seed_from_u64(4);
-            for _ in 0..100_000 {
-                let u = uniform_from_bits(rng.next_u64());
-                assert!(
-                    (fast::ln(u) - u.ln()).abs() < 2e-9,
-                    "ln({u}): {} vs {}",
-                    fast::ln(u),
-                    u.ln()
-                );
-                let c = fast::cos_two_pi(u);
-                let c_ref = (2.0 * std::f64::consts::PI * u).cos();
-                assert!((c - c_ref).abs() < 2e-9, "cos(2π·{u}): {c} vs {c_ref}");
-            }
-        }
-
-        #[test]
-        fn fast_normals_stay_close_to_exact_stream() {
-            let mut exact = NoiseSource::new(21);
-            let mut fast = NoiseSource::new(21).with_fast_math(true);
-            let mut max_err = 0.0f64;
-            for _ in 0..(4 * NORMAL_REFILL) {
-                let a = exact.gaussian(1.0);
-                let b = fast.gaussian(1.0);
-                max_err = max_err.max((a - b).abs());
-            }
-            assert!(max_err < 1e-7, "max deviation {max_err}");
-            assert!(max_err > 0.0, "fast path unexpectedly bit-identical");
-        }
-
-        #[test]
-        fn fast_math_defaults_off_even_when_compiled_in() {
-            let mut plain = NoiseSource::new(31);
-            let mut opted_out = NoiseSource::new(31).with_fast_math(false);
-            for _ in 0..NORMAL_REFILL + 3 {
-                assert_eq!(plain.gaussian(1.0), opted_out.gaussian(1.0));
-            }
-        }
-
-        #[test]
-        fn fast_statistics_remain_standard_normal() {
-            let mut n = NoiseSource::new(8).with_fast_math(true);
-            let count = 200_000;
-            let samples: Vec<f64> = (0..count).map(|_| n.gaussian(1.0)).collect();
-            let mean = samples.iter().sum::<f64>() / count as f64;
-            let var = samples.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / count as f64;
-            assert!(mean.abs() < 0.01, "mean {mean}");
-            assert!((var.sqrt() - 1.0).abs() < 0.01, "sigma {}", var.sqrt());
-        }
     }
 }

@@ -112,14 +112,6 @@ impl ScIntegrator {
         &self.opamp
     }
 
-    /// Opts this integrator's `kT/C` noise source into the polynomial
-    /// fast-math refill kernels (see [`crate::noise`] module docs — breaks
-    /// bit-identity with the default stream; never enabled implicitly).
-    #[cfg(feature = "fast-math")]
-    pub fn set_fast_math(&mut self, enabled: bool) {
-        self.noise.set_fast_math(enabled);
-    }
-
     /// Advances one clock cycle with the given input branches; returns the
     /// new output voltage.
     pub fn step(&mut self, branches: &[Branch]) -> f64 {

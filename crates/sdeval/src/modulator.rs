@@ -86,11 +86,6 @@ pub struct SdmConfig {
     pub seed: u64,
     /// Whether stochastic noise is injected.
     pub noise: bool,
-    /// Opt-in polynomial fast-math noise kernels for the `kT/C` and
-    /// comparator noise streams. Only effective when the `fast-math` crate
-    /// feature is compiled in; breaks bit-identity with the default stream
-    /// — see `mixsig::noise`.
-    pub fast_math: bool,
 }
 
 impl SdmConfig {
@@ -104,7 +99,6 @@ impl SdmConfig {
             settle_time: Seconds(80.0e-9),
             seed: 0,
             noise: false,
-            fast_math: false,
         }
     }
 
@@ -133,7 +127,6 @@ impl SdmConfig {
             settle_time: Seconds(80.0e-9),
             seed,
             noise: true,
-            fast_math: false,
         }
     }
 
@@ -141,14 +134,6 @@ impl SdmConfig {
     #[must_use]
     pub fn with_vref(mut self, vref: Volts) -> Self {
         self.vref = vref;
-        self
-    }
-
-    /// Returns the configuration with the fast-math flag set (no effect
-    /// unless the `fast-math` crate feature is compiled in).
-    #[must_use]
-    pub fn with_fast_math(mut self, fast_math: bool) -> Self {
-        self.fast_math = fast_math;
         self
     }
 }
@@ -185,11 +170,6 @@ impl SigmaDeltaModulator {
         } else {
             NoiseSource::disabled()
         };
-        #[cfg(feature = "fast-math")]
-        let (noise, comparator_noise) = (
-            noise.with_fast_math(config.fast_math),
-            comparator_noise.with_fast_math(config.fast_math),
-        );
         // Input-referred offset charges both the input and DAC branches.
         let input_offset = 2.0 * config.opamp.offset.value();
         let integrator = ScIntegrator::new(

@@ -48,7 +48,7 @@ use netan::json::{write_f64, write_str, Json};
 use netan::report::lot_json;
 use netan::{
     lot_report_from_json, AnalyzerConfig, EscalationSchedule, GainMask, HardwareProfile, LotPlan,
-    LotReport, MaskPoint, ReportParseError, StoppingPolicy,
+    LotReport, MaskPoint, ReportParseError, ShardDriver, StoppingPolicy,
 };
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -88,16 +88,10 @@ pub struct JobRequest {
 }
 
 impl JobRequest {
-    /// Devices per shard, clamped to at least 1 so sharding arithmetic
-    /// never divides by zero.
-    pub fn shard_size(&self) -> u64 {
-        self.shard_devices.max(1)
-    }
-
-    /// How many shards the job splits into (0 for an empty seed range).
+    /// How many shards the job splits into (0 for an empty seed range):
+    /// [`ShardDriver::shard_count`].
     pub fn shard_count(&self) -> u64 {
-        let len = self.seed_end.saturating_sub(self.seed_start);
-        len.div_ceil(self.shard_size())
+        ShardDriver::shard_count(self.seed_start..self.seed_end, self.shard_devices)
     }
 
     /// The job's shard spans in seed order.
@@ -105,19 +99,11 @@ impl JobRequest {
         self.span_iter().collect()
     }
 
-    /// The job's shard spans in seed order, produced lazily: taking the
-    /// first few spans of a huge seed range allocates nothing.
+    /// The job's shard spans in seed order, produced lazily
+    /// ([`ShardDriver::spans`]): taking the first few spans of a huge
+    /// seed range allocates nothing.
     pub fn span_iter(&self) -> impl Iterator<Item = Range<u64>> {
-        let (seed_end, size) = (self.seed_end, self.shard_size());
-        let mut start = self.seed_start;
-        std::iter::from_fn(move || {
-            (start < seed_end).then(|| {
-                let end = seed_end.min(start.saturating_add(size));
-                let span = start..end;
-                start = end;
-                span
-            })
-        })
+        ShardDriver::spans(self.seed_start..self.seed_end, self.shard_devices)
     }
 
     /// Renders the job object (the `"job"` payload of a submit frame).

@@ -18,9 +18,9 @@
 //!   as `netan.lot.v4` and with the same byte-exact parse→render
 //!   round-trip guarantee.
 //! - [`service`] — [`ScreenService`]: the bounded shard queue, worker
-//!   pool, in-order merging, observed-cost budget threading,
-//!   retry-once fault containment, checkpoint persistence, and
-//!   graceful shutdown.
+//!   pool, retry-once fault containment and graceful shutdown, with
+//!   each job's in-order merging, observed-cost budget threading and
+//!   checkpoint persistence on one [`netan::ShardDriver`].
 //! - [`server`] — [`JobServer`]: the TCP front end, one connection per
 //!   submitter, events streamed as they happen.
 //!

@@ -1,22 +1,19 @@
 //! The screening service proper: a bounded shard queue over
-//! [`LotEngine`], with incremental merging, budget threading, retry,
-//! checkpoint persistence, and graceful shutdown.
+//! [`LotEngine`], each job sharded, merged, budgeted and persisted by
+//! one [`ShardDriver`], with retry and graceful shutdown.
 //!
 //! # Execution model
 //!
-//! A submitted [`JobRequest`] splits into device-range shards
-//! ([`JobRequest::spans`]). **Unbudgeted** jobs enqueue every shard at
-//! submission; a fixed pool of worker threads steals them in any order,
-//! completed shards are buffered, and the job's report is folded with
-//! [`LotReport::merge`] strictly in seed order — so the merged result
-//! (and every streamed progress event) is byte-deterministic under any
-//! thread schedule, and byte-identical to one monolithic
-//! `run_escalated_range` over the whole lot. **Budgeted** jobs dispatch
-//! one shard at a time: shard *k+1* is queued only after shard *k*
-//! merges, and runs under the remaining global budget
-//! `global − merged.spent()` — exactly the observed-cost ledger
-//! threading of [`LotCheckpoint::run_escalated`], and byte-identical to
-//! a checkpointed drive with the same shard size.
+//! A submitted [`JobRequest`] becomes a [`ShardDriver`] over its seed
+//! range. **Unbudgeted** jobs enqueue every shard at submission; a fixed
+//! pool of worker threads steals them in any order, and the driver
+//! merges them strictly in seed order — so the merged result (and every
+//! streamed progress event) is byte-deterministic under any thread
+//! schedule, and byte-identical to one monolithic `run_escalated_range`
+//! over the whole lot. **Budgeted** jobs dispatch one shard at a time,
+//! each under the remaining global budget the driver hands out — the
+//! driver a [`netan::LotCheckpoint::run_escalated`] drive runs on, so
+//! the job is byte-identical to that drive with the same shard size.
 //!
 //! # Backpressure
 //!
@@ -40,11 +37,11 @@
 //!
 //! # Persistence
 //!
-//! With a state directory configured, each job gets a
-//! [`LotCheckpoint`] under `job-<fnv64 of the rendered request>`, so a
-//! resubmitted identical job loads its completed shards instead of
-//! re-measuring them (`resumed: true` in the progress stream), with the
-//! same byte-exact resume-equality the checkpoint driver guarantees.
+//! With a state directory configured, each job's driver persists under
+//! `job-<fnv64 of the rendered request>`, so a resubmitted identical job
+//! loads its completed shards instead of re-measuring them
+//! (`resumed: true` in the progress stream), with the same byte-exact
+//! resume-equality a checkpointed drive guarantees.
 //!
 //! # Shutdown
 //!
@@ -58,7 +55,10 @@ use crate::job::{job_key, JobRequest};
 use dut::ActiveRcFilter;
 use mixsig::cast::u64_from_usize;
 use mixsig::units::Seconds;
-use netan::{LotCheckpoint, LotEngine, LotReport, NetanError};
+use netan::{
+    CheckpointError, EscalationSchedule, LotEngine, LotReport, NetanError, Shard, ShardDriver,
+    ShardTask,
+};
 use std::collections::{BTreeMap, VecDeque};
 use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -210,18 +210,9 @@ struct Task {
 struct JobState {
     request: JobRequest,
     events: Sender<JobEvent>,
-    /// Merged prefix, seeded with the merge identity.
-    merged: LotReport,
-    /// Seed where the next in-order merge must start.
-    next_merge: u64,
-    /// Completed shards waiting for their turn to merge:
-    /// `start -> (end, report, resumed)`.
-    ready: BTreeMap<u64, (u64, LotReport, bool)>,
-    total: u64,
-    done: u64,
+    driver: ShardDriver,
     /// Shards of this job currently executing on a worker.
     active: usize,
-    checkpoint: Option<LotCheckpoint>,
 }
 
 struct State {
@@ -285,20 +276,17 @@ impl ScreenService {
     /// [`NetanError::EmptyLot`] for an empty seed range. Nothing is
     /// queued on any error.
     pub fn submit(&self, request: JobRequest) -> Result<(u64, Receiver<JobEvent>), ServeError> {
-        if request.seed_start >= request.seed_end {
-            return Err(ServeError::Lot(NetanError::EmptyLot));
+        let mut driver = ShardDriver::new(
+            request.seed_start..request.seed_end,
+            request.shard_devices,
+            &request.plan,
+            &request.schedule,
+        )?;
+        if let Some(dir) = &self.inner.state_dir {
+            let key = job_key(&request.render());
+            driver = driver.with_dir(dir.join(format!("job-{key:016x}")));
         }
         let budgeted = request.schedule.budget().is_some();
-        let checkpoint = match &self.inner.state_dir {
-            Some(dir) => {
-                let key = job_key(&request.render());
-                Some(LotCheckpoint::new(
-                    dir.join(format!("job-{key:016x}")),
-                    request.shard_size(),
-                ))
-            }
-            None => None,
-        };
 
         let mut st = self.inner.lock();
         if st.shutting_down {
@@ -326,19 +314,13 @@ impl ScreenService {
                 attempt: 0,
             }));
         let (events, receiver) = channel();
-        let merged = LotReport::empty(&request.plan);
         st.jobs.insert(
             job,
             JobState {
-                next_merge: request.seed_start,
-                total: request.shard_count(),
-                merged,
                 request,
                 events,
-                ready: BTreeMap::new(),
-                done: 0,
+                driver,
                 active: 0,
-                checkpoint,
             },
         );
         self.inner.work_ready.notify_all();
@@ -385,6 +367,14 @@ enum TaskFailure {
     Error(ServeError),
 }
 
+impl From<CheckpointError> for TaskFailure {
+    fn from(e: CheckpointError) -> Self {
+        TaskFailure::Error(ServeError::Checkpoint {
+            message: e.to_string(),
+        })
+    }
+}
+
 impl Inner {
     fn lock(&self) -> MutexGuard<'_, State> {
         self.state.lock().unwrap_or_else(PoisonError::into_inner)
@@ -395,7 +385,7 @@ impl Inner {
             // Pop a task and pin its job in one critical section, so
             // shutdown can tell in-flight shards (active > 0) from
             // queued ones.
-            let (task, request, spent, checkpoint) = {
+            let (task, request, shard) = {
                 let mut st = self.lock();
                 let task = loop {
                     match st.queue.pop_front() {
@@ -419,22 +409,18 @@ impl Inner {
                     }
                 };
                 let job = &st.jobs[&task.job];
-                (
-                    task,
-                    job.request.clone(),
-                    job.merged.spent(),
-                    job.checkpoint.clone(),
-                )
+                let shard = job.driver.task(task.span.clone());
+                (task, job.request.clone(), shard)
             };
 
-            let outcome = self.execute(&task, &request, spent, checkpoint.as_ref());
+            let outcome = self.execute(&request, shard);
 
             let mut st = self.lock();
             if let Some(job) = st.jobs.get_mut(&task.job) {
                 job.active -= 1;
             }
             match outcome {
-                Ok((report, resumed)) => self.record_shard(&mut st, &task, report, resumed),
+                Ok(shard) => self.record_shard(&mut st, &task, shard),
                 Err(TaskFailure::Panicked(message)) if task.attempt == 0 => {
                     if let Some(job) = st.jobs.get(&task.job) {
                         let _ = job.events.send(JobEvent::Retry {
@@ -466,115 +452,80 @@ impl Inner {
         }
     }
 
-    /// Runs one shard: checkpoint load first, engine run (fault
-    /// injection and panic containment included) otherwise, persisting
-    /// the fresh result before it is merged.
-    fn execute(
-        &self,
-        task: &Task,
-        request: &JobRequest,
-        spent: Seconds,
-        checkpoint: Option<&LotCheckpoint>,
-    ) -> Result<(LotReport, bool), TaskFailure> {
-        if let Some(loaded) = checkpoint.and_then(|c| c.load_shard(&task.span, &request.plan)) {
-            return Ok((loaded, true));
-        }
-        let span = task.span.clone();
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(fault) = &self.fault {
-                let armed = span.start == fault.seed_start
-                    && fault
-                        .times
-                        .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
-                        .is_ok();
-                if armed {
-                    std::panic::panic_any("injected worker fault".to_string());
-                }
-            }
-            run_shard(&self.engine, request, span.clone(), spent)
-        }));
-        match run {
-            Ok(Ok(report)) => {
-                if let Some(c) = checkpoint {
-                    if let Err(e) = c.persist_shard(&task.span, &report) {
-                        return Err(TaskFailure::Error(ServeError::Checkpoint {
-                            message: e.to_string(),
-                        }));
+    /// Runs one shard through its driver's load-or-run hook: the engine
+    /// run (fault injection and panic containment included) happens only
+    /// when no persisted shard can be reused.
+    fn execute(&self, request: &JobRequest, shard: ShardTask) -> Result<Shard, TaskFailure> {
+        shard.run(|span, schedule| {
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(fault) = &self.fault {
+                    let armed = span.start == fault.seed_start
+                        && fault
+                            .times
+                            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
+                            .is_ok();
+                    if armed {
+                        std::panic::panic_any("injected worker fault".to_string());
                     }
                 }
-                Ok((report, false))
+                run_shard(&self.engine, request, span, schedule)
+            }));
+            match run {
+                Ok(report) => report.map_err(|e| TaskFailure::Error(ServeError::Lot(e))),
+                Err(payload) => Err(TaskFailure::Panicked(panic_message(payload))),
             }
-            Ok(Err(e)) => Err(TaskFailure::Error(ServeError::Lot(e))),
-            Err(payload) => Err(TaskFailure::Panicked(panic_message(payload))),
-        }
+        })
     }
 
-    /// Buffers a completed shard and folds every now-contiguous shard
-    /// into the merged prefix, emitting progress in seed order; then
-    /// finishes the job, dispatches a budgeted job's next shard, or
-    /// fails the job if shutdown dropped its remaining shards.
-    fn record_shard(&self, st: &mut State, task: &Task, report: LotReport, resumed: bool) {
+    /// Hands a finished shard to the job's driver, emitting progress for
+    /// every shard it folds in seed order; then finishes the job,
+    /// dispatches a budgeted job's next shard, or fails the job if
+    /// shutdown dropped its remaining shards.
+    fn record_shard(&self, st: &mut State, task: &Task, shard: Shard) {
         let Some(job) = st.jobs.get_mut(&task.job) else {
             return;
         };
-        job.ready
-            .insert(task.span.start, (task.span.end, report, resumed));
-        while let Some((end, shard_report, shard_resumed)) = job.ready.remove(&job.next_merge) {
-            let start = job.next_merge;
-            job.merged = std::mem::replace(&mut job.merged, LotReport::empty(&job.request.plan))
-                .merge(shard_report);
-            job.next_merge = end;
-            job.done += 1;
-            let _ = job.events.send(JobEvent::Progress {
-                seed_start: start,
-                seed_end: end,
-                done: job.done,
-                total: job.total,
-                devices: u64_from_usize(job.merged.len()),
-                spent: job.merged.spent(),
-                resumed: shard_resumed,
+        let total = job.request.shard_count();
+        let events = &job.events;
+        job.driver.record(shard, |driver, span, loaded| {
+            let _ = events.send(JobEvent::Progress {
+                seed_start: span.start,
+                seed_end: span.end,
+                done: driver.merged_shards(),
+                total,
+                devices: u64_from_usize(driver.merged().len()),
+                spent: driver.merged().spent(),
+                resumed: loaded,
             });
-        }
-
-        if job.next_merge >= job.request.seed_end {
-            // Complete: the merged lot answers for the one global
-            // budget, not the per-shard remainders — same re-branding
-            // as `LotCheckpoint::run_escalated`.
-            let Some(job) = st.jobs.remove(&task.job) else {
-                return;
-            };
-            let report = match job.request.schedule.budget() {
-                Some(global) => {
-                    let exhausted = job.merged.budget_exhausted();
-                    job.merged.with_budget(Some(global), exhausted)
-                }
-                None => job.merged,
-            };
-            let _ = job.events.send(JobEvent::Done(Box::new(report)));
-            return;
-        }
+        });
 
         let budgeted = job.request.schedule.budget().is_some();
-        if st.shutting_down {
+        match job.driver.next_span() {
+            None => {
+                if let Some(job) = st.jobs.remove(&task.job) {
+                    let _ = job
+                        .events
+                        .send(JobEvent::Done(Box::new(job.driver.finish())));
+                }
+            }
             // No further dispatch under shutdown; once the job's last
             // in-flight shard has drained, nothing can complete it.
-            if job.active == 0 {
-                Self::fail_job(st, task.job, ServeError::ShuttingDown);
+            Some(_) if st.shutting_down => {
+                if job.active == 0 {
+                    Self::fail_job(st, task.job, ServeError::ShuttingDown);
+                }
             }
-        } else if budgeted && job.next_merge == task.span.end {
             // The budgeted sequence advanced: dispatch the next shard,
-            // which will run under `global − merged.spent()`.
-            let start = job.next_merge;
-            let end = job
-                .request
-                .seed_end
-                .min(start.saturating_add(job.request.shard_size()));
-            st.queue.push_back(Task {
-                job: task.job,
-                span: start..end,
-                attempt: 0,
-            });
-            self.work_ready.notify_all();
+            // which runs under what the merged prefix left over.
+            Some(span) if budgeted => {
+                st.queue.push_back(Task {
+                    job: task.job,
+                    span,
+                    attempt: 0,
+                });
+                self.work_ready.notify_all();
+            }
+            Some(_) => {}
         }
     }
 
@@ -589,21 +540,14 @@ impl Inner {
     }
 }
 
-/// One shard through the engine, under whatever budget the merged
-/// prefix left over.
+/// One shard through the engine, under the schedule its driver handed
+/// out.
 fn run_shard(
     engine: &LotEngine,
     request: &JobRequest,
     span: Range<u64>,
-    spent: Seconds,
+    schedule: &EscalationSchedule,
 ) -> Result<LotReport, NetanError> {
-    let schedule = match request.schedule.budget() {
-        Some(global) => request
-            .schedule
-            .clone()
-            .with_budget(Seconds((global.value() - spent.value()).max(0.0))),
-        None => request.schedule.clone(),
-    };
     let dut = request.dut.clone();
     let factory = move |seed: u64| {
         let base = ActiveRcFilter::paper_dut();
@@ -614,7 +558,7 @@ fn run_shard(
         };
         base.fabricate(dut.tolerance, seed)
     };
-    engine.run_escalated_range(factory, span, &request.plan, &schedule)
+    engine.run_escalated_range(factory, span, &request.plan, schedule)
 }
 
 /// Renders a `catch_unwind` payload to text (same convention as the

@@ -107,7 +107,7 @@ proptest! {
         let mut cursor = request.seed_start;
         for span in &spans {
             prop_assert_eq!(span.start, cursor);
-            prop_assert!(span.end - span.start <= request.shard_size());
+            prop_assert!(span.end - span.start <= request.shard_devices);
             cursor = span.end;
         }
         prop_assert_eq!(cursor, request.seed_end);

@@ -160,15 +160,6 @@ impl GeneratorBiquad {
         self.caps
     }
 
-    /// Opts both integrators' `kT/C` noise sources into the polynomial
-    /// fast-math refill kernels (breaks bit-identity with the default
-    /// stream; see `mixsig::noise` — never enabled implicitly).
-    #[cfg(feature = "fast-math")]
-    pub fn set_fast_math(&mut self, enabled: bool) {
-        self.int1.set_fast_math(enabled);
-        self.int2.set_fast_math(enabled);
-    }
-
     /// Output voltage (second integrator).
     pub fn output(&self) -> f64 {
         self.int2.output()

@@ -31,12 +31,6 @@ pub struct GeneratorConfig {
     pub seed: u64,
     /// Whether stochastic noise is injected.
     pub noise: bool,
-    /// Opt-in polynomial fast-math noise kernels for the circuit noise
-    /// streams (fabrication mismatch draws stay on the exact path either
-    /// way). Only effective when the `fast-math` crate feature is compiled
-    /// in; breaks bit-identity with the default stream — see
-    /// `mixsig::noise`.
-    pub fast_math: bool,
 }
 
 impl GeneratorConfig {
@@ -50,7 +44,6 @@ impl GeneratorConfig {
             unit_cap_farads: 1.0e-12,
             seed: 0,
             noise: false,
-            fast_math: false,
         }
     }
 
@@ -66,7 +59,6 @@ impl GeneratorConfig {
             unit_cap_farads: 1.0e-12,
             seed,
             noise: true,
-            fast_math: false,
         }
     }
 
@@ -74,14 +66,6 @@ impl GeneratorConfig {
     #[must_use]
     pub fn with_va_diff(mut self, va_diff: Volts) -> Self {
         self.va_diff = va_diff;
-        self
-    }
-
-    /// Returns the configuration with the fast-math flag set (no effect
-    /// unless the `fast-math` crate feature is compiled in).
-    #[must_use]
-    pub fn with_fast_math(mut self, fast_math: bool) -> Self {
-        self.fast_math = fast_math;
         self
     }
 
@@ -146,12 +130,6 @@ impl SinewaveGenerator {
             .map(|j| array.step_weight(j))
             .collect();
         let plans = biquad.plan_transfers(&weights);
-        #[cfg(feature = "fast-math")]
-        let biquad = {
-            let mut biquad = biquad;
-            biquad.set_fast_math(config.fast_math);
-            biquad
-        };
         Self {
             config,
             array,

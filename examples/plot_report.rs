@@ -24,271 +24,53 @@
 //! is exactly what the paper's Fig. 10a/10b overlay. Lot documents emit
 //! the same columns with a leading `seed` column, one block per device.
 
-use netan::{bode_json, log_spaced, AnalyzerConfig, NetworkAnalyzer, SweepEngine};
+use netan::{
+    bode_json, log_spaced, AnalyzerConfig, Json, NetworkAnalyzer, ReportParseError, SweepEngine,
+};
 
 use std::fmt::Write as _;
 
 // ---------------------------------------------------------------------
-// Minimal JSON value model + recursive-descent parser. The workspace is
-// fully offline (no serde); the grammar below covers everything the
-// `netan.*` emitters in `netan::report` produce.
-// ---------------------------------------------------------------------
-
-#[derive(Debug, Clone, PartialEq)]
-enum Json {
-    Null,
-    Bool(bool),
-    Num(f64),
-    Str(String),
-    Arr(Vec<Json>),
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    fn get(&self, key: &str) -> Option<&Json> {
-        match self {
-            Json::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    fn num(&self) -> Option<f64> {
-        match self {
-            Json::Num(v) => Some(*v),
-            _ => None,
-        }
-    }
-
-    fn str(&self) -> Option<&str> {
-        match self {
-            Json::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    fn arr(&self) -> &[Json] {
-        match self {
-            Json::Arr(items) => items,
-            _ => &[],
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn parse(text: &'a str) -> Result<Json, String> {
-        let mut p = Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        };
-        let v = p.value()?;
-        p.skip_ws();
-        if p.pos != p.bytes.len() {
-            return Err(format!("trailing bytes at offset {}", p.pos));
-        }
-        Ok(v)
-    }
-
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, b: u8) -> Result<(), String> {
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at offset {}", b as char, self.pos))
-        }
-    }
-
-    fn value(&mut self) -> Result<Json, String> {
-        self.skip_ws();
-        match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
-            Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b't') => self.literal("true", Json::Bool(true)),
-            Some(b'f') => self.literal("false", Json::Bool(false)),
-            Some(b'n') => self.literal("null", Json::Null),
-            Some(_) => self.number(),
-            None => Err("unexpected end of document".into()),
-        }
-    }
-
-    fn literal(&mut self, word: &str, v: Json) -> Result<Json, String> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
-            self.pos += word.len();
-            Ok(v)
-        } else {
-            Err(format!("bad literal at offset {}", self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<Json, String> {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_digit() || matches!(b, b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse().ok())
-            .map(Json::Num)
-            .ok_or_else(|| format!("bad number at offset {start}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.eat(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    let esc = self.bytes.get(self.pos + 1).copied();
-                    match esc {
-                        Some(b'n') => out.push('\n'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 2..self.pos + 6)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .and_then(|h| u32::from_str_radix(h, 16).ok())
-                                .and_then(char::from_u32)
-                                .ok_or_else(|| format!("bad \\u escape at offset {}", self.pos))?;
-                            out.push(hex);
-                            self.pos += 4;
-                        }
-                        _ => return Err(format!("bad escape at offset {}", self.pos)),
-                    }
-                    self.pos += 2;
-                }
-                Some(_) => {
-                    // Copy an unescaped run verbatim: the input is a &str,
-                    // so re-slicing it keeps multi-byte UTF-8 intact.
-                    let start = self.pos;
-                    while self
-                        .bytes
-                        .get(self.pos)
-                        .is_some_and(|&b| b != b'"' && b != b'\\')
-                    {
-                        self.pos += 1;
-                    }
-                    let run = std::str::from_utf8(&self.bytes[start..self.pos])
-                        .map_err(|_| format!("invalid UTF-8 at offset {start}"))?;
-                    out.push_str(run);
-                }
-                None => return Err("unterminated string".into()),
-            }
-        }
-    }
-
-    fn array(&mut self) -> Result<Json, String> {
-        self.eat(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b']') {
-            self.pos += 1;
-            return Ok(Json::Arr(items));
-        }
-        loop {
-            items.push(self.value()?);
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Json::Arr(items));
-                }
-                _ => return Err(format!("expected ',' or ']' at offset {}", self.pos)),
-            }
-        }
-    }
-
-    fn object(&mut self) -> Result<Json, String> {
-        self.eat(b'{')?;
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.bytes.get(self.pos) == Some(&b'}') {
-            self.pos += 1;
-            return Ok(Json::Obj(fields));
-        }
-        loop {
-            let key = self.string()?;
-            self.eat(b':')?;
-            fields.push((key, self.value()?));
-            self.skip_ws();
-            match self.bytes.get(self.pos) {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Json::Obj(fields));
-                }
-                _ => return Err(format!("expected ',' or '}}' at offset {}", self.pos)),
-            }
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// CSV emission.
+// CSV emission, read off the document with `netan::Json`: a missing or
+// non-numeric field becomes a NaN cell, not an error.
 // ---------------------------------------------------------------------
 
 const POINT_COLUMNS: &str = "freq_hz,gain_db_lo,gain_db_est,gain_db_hi,\
                              phase_deg_lo,phase_deg_est,phase_deg_hi,\
                              ideal_gain_db,ideal_phase_deg,round";
 
-fn f(v: Option<&Json>) -> f64 {
-    v.and_then(Json::num).unwrap_or(f64::NAN)
+fn num(v: Result<&Json, ReportParseError>) -> f64 {
+    v.and_then(Json::as_f64).unwrap_or(f64::NAN)
+}
+
+fn items<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
+    doc.field(key).and_then(Json::as_arr).unwrap_or_default()
 }
 
 fn push_point_row(out: &mut String, prefix: &str, p: &Json) {
-    let g = p.get("gain_db");
-    let ph = p.get("phase_deg");
-    let bound = |b: Option<&Json>, field: &str| f(b.and_then(|b| b.get(field)));
+    let bound = |enclosure: &str, side: &str| num(p.field(enclosure).and_then(|b| b.field(side)));
     // v1 documents (and lot points) carry no refinement provenance:
     // everything is a round-0 (seed/fixed-grid) point.
-    let round = p.get("round").and_then(Json::num).unwrap_or(0.0);
+    let round = p.field("round").and_then(Json::as_f64).unwrap_or(0.0);
     let _ = writeln!(
         out,
         "{prefix}{},{},{},{},{},{},{},{},{},{}",
-        f(p.get("freq_hz")),
-        bound(g, "lo"),
-        bound(g, "est"),
-        bound(g, "hi"),
-        bound(ph, "lo"),
-        bound(ph, "est"),
-        bound(ph, "hi"),
-        f(p.get("ideal_gain_db")),
-        f(p.get("ideal_phase_deg")),
+        num(p.field("freq_hz")),
+        bound("gain_db", "lo"),
+        bound("gain_db", "est"),
+        bound("gain_db", "hi"),
+        bound("phase_deg", "lo"),
+        bound("phase_deg", "est"),
+        bound("phase_deg", "hi"),
+        num(p.field("ideal_gain_db")),
+        num(p.field("ideal_phase_deg")),
         round,
     );
 }
 
 fn bode_csv(doc: &Json) -> String {
     let mut out = format!("{POINT_COLUMNS}\n");
-    for p in doc.get("points").map(Json::arr).unwrap_or_default() {
+    for p in items(doc, "points") {
         push_point_row(&mut out, "", p);
     }
     out
@@ -296,10 +78,10 @@ fn bode_csv(doc: &Json) -> String {
 
 fn lot_csv_points(doc: &Json) -> String {
     let mut out = format!("seed,verdict,{POINT_COLUMNS}\n");
-    for d in doc.get("devices").map(Json::arr).unwrap_or_default() {
-        let seed = f(d.get("seed"));
-        let verdict = d.get("verdict").and_then(Json::str).unwrap_or("?");
-        for p in d.get("points").map(Json::arr).unwrap_or_default() {
+    for d in items(doc, "devices") {
+        let seed = num(d.field("seed"));
+        let verdict = d.field("verdict").and_then(Json::as_str).unwrap_or("?");
+        for p in items(d, "points") {
             push_point_row(&mut out, &format!("{seed},{verdict},"), p);
         }
     }
@@ -357,8 +139,8 @@ fn main() {
             std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"))
         }
     };
-    let doc = Parser::parse(&text).unwrap_or_else(|e| panic!("bad JSON: {e}"));
-    let schema = doc.get("schema").and_then(Json::str).unwrap_or("");
+    let doc = Json::parse(&text).unwrap_or_else(|e| panic!("bad JSON: {e}"));
+    let schema = doc.field("schema").and_then(Json::as_str).unwrap_or("");
     let csv = match schema {
         "netan.bode.v1" | "netan.bode.v2" => bode_csv(&doc),
         "netan.lot.v1" | "netan.lot.v2" | "netan.lot.v3" | "netan.lot.v4" => lot_csv_points(&doc),

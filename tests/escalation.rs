@@ -14,7 +14,8 @@
 use dut::ActiveRcFilter;
 use mixsig::units::{Hertz, Seconds};
 use netan::{
-    AnalyzerConfig, EscalationSchedule, GainMask, LotEngine, LotPlan, NetanError, SpecVerdict,
+    lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotEngine, LotPlan, NetanError,
+    SpecVerdict,
 };
 
 fn paper_factory(sigma: f64) -> impl Fn(u64) -> ActiveRcFilter + Sync {
@@ -266,24 +267,35 @@ fn escalated_shard_partition_merges_to_the_monolithic_report() {
 #[test]
 fn single_stage_schedule_equals_plain_run() {
     // A one-stage schedule is exactly `run` with that stage's config —
-    // same devices, same provenance, same stage summary, bit for bit.
-    let plan = paper_plan();
+    // same devices, same provenance, same stage summary, bit for bit —
+    // through the slice and range entries, on fixed and adaptive plans,
+    // serial and pooled.
     let config = AnalyzerConfig::ideal().with_periods(50);
+    let schedule = EscalationSchedule::new(vec![config]);
     let seeds: Vec<u64> = (0..4).collect();
     let factory = paper_factory(0.05);
+    let adaptive = LotPlan::adaptive(
+        &[],
+        GainMask::paper_lowpass(),
+        netan::RefinementPolicy::default(),
+    );
 
-    let plain = LotEngine::serial()
-        .run(&factory, &seeds, &plan, config)
-        .unwrap();
-    let escalated = LotEngine::serial()
-        .run_escalated(
-            &factory,
-            &seeds,
-            &plan,
-            &EscalationSchedule::new(vec![config]),
-        )
-        .unwrap();
-    // Identical except for the (None, false) budget bookkeeping both
-    // carry by default.
-    assert_eq!(plain, escalated);
+    for plan in [paper_plan(), adaptive] {
+        for engine in [LotEngine::serial(), LotEngine::with_threads(3)] {
+            let plain = engine.run(&factory, &seeds, &plan, config).unwrap();
+            let escalated = engine
+                .run_escalated(&factory, &seeds, &plan, &schedule)
+                .unwrap();
+            // Identical except for the (None, false) budget bookkeeping
+            // both carry by default.
+            assert_eq!(plain, escalated);
+            let range = engine.run_range(&factory, 0..4, &plan, config).unwrap();
+            let escalated_range = engine
+                .run_escalated_range(&factory, 0..4, &plan, &schedule)
+                .unwrap();
+            for other in [&escalated, &range, &escalated_range] {
+                assert_eq!(lot_json(&plain), lot_json(other));
+            }
+        }
+    }
 }

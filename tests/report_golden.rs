@@ -17,10 +17,10 @@
 //! ever emitted.
 
 use dut::ActiveRcFilter;
-use mixsig::units::Seconds;
+use mixsig::units::{Hertz, Seconds};
 use netan::{
-    bode_json, lot_csv, lot_json, parse_lot_json, AnalyzerConfig, EscalationSchedule, GainMask,
-    LotEngine, LotPlan, LotReport,
+    bode_json, log_spaced, lot_csv, lot_json, parse_lot_json, AnalyzerConfig, EscalationSchedule,
+    GainMask, LotEngine, LotPlan, LotReport, NetworkAnalyzer, RefinementPolicy,
 };
 
 const FIXTURE: &str = concat!(
@@ -289,4 +289,33 @@ fn plot_report_consumes_schema_v4() {
     let lines: Vec<&str> = csv.lines().collect();
     assert_eq!(lines.len(), 1 + 6 * 4, "unexpected row count:\n{csv}");
     assert!(lines[0].starts_with("seed,verdict,freq_hz,"));
+}
+
+#[test]
+fn plot_report_consumes_bode_documents() {
+    // The bode path: an adaptive sweep's `netan.bode.v2` document, one
+    // row per point, each carrying its refinement round.
+    let dut = ActiveRcFilter::paper_dut().linearized();
+    let mut na = NetworkAnalyzer::new(&dut, AnalyzerConfig::ideal().with_periods(20));
+    let policy = RefinementPolicy::new(0.3)
+        .with_max_points(12)
+        .with_max_rounds(3);
+    let plot = na
+        .sweep_adaptive(&log_spaced(Hertz(200.0), Hertz(10_000.0), 5), &policy)
+        .unwrap();
+    let path = std::env::temp_dir().join(format!("netan-bode-{}.json", std::process::id()));
+    std::fs::write(&path, bode_json(&plot)).unwrap();
+    let csv = plot_report_output(path.to_str().unwrap());
+    std::fs::remove_file(&path).ok();
+
+    let lines: Vec<&str> = csv.lines().collect();
+    assert_eq!(lines.len(), 1 + plot.len(), "unexpected row count:\n{csv}");
+    assert!(lines[0].starts_with("freq_hz,") && lines[0].ends_with(",round"));
+    let rounds: Vec<String> = plot.points().iter().map(|p| p.round.to_string()).collect();
+    let columns: Vec<&str> = lines[1..]
+        .iter()
+        .map(|row| row.rsplit(',').next().unwrap())
+        .collect();
+    assert_eq!(columns, rounds);
+    assert!(plot.points().iter().any(|p| p.round > 0));
 }
