@@ -1,5 +1,6 @@
 //! Shared helpers for the figure/table regeneration harnesses
-//! (`src/bin/*`) and the Criterion benches (`benches/*`).
+//! (`src/bin/*`). Timing lives in the repository benchmark
+//! (`perfbench/`), not here.
 //!
 //! Every table and figure of the paper's evaluation section has a binary
 //! here that regenerates its rows/series:
@@ -16,6 +17,7 @@
 //! | headline dynamic range claim | `dynamic_range` |
 //! | ablation: oversampling ratio N | `ablation_n` |
 //! | ablation: circuit non-idealities | `ablation_nonideal` |
+//! | ablation: modulator order | `ablation_order` |
 
 // No unsafe code belongs in this crate; the only unsafe in the
 // workspace is mixsig's runtime-dispatched AVX2 noise kernels.

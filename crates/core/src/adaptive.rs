@@ -327,10 +327,10 @@ pub fn reconstruction_error_db(plot: &BodePlot, dut: &dyn Dut, probes: usize) ->
     if points.len() < 2 || probes < 2 {
         return None;
     }
-    let (lo, hi) = (
-        points.first().expect("non-empty").frequency,
-        points.last().expect("non-empty").frequency,
-    );
+    let (Some(first), Some(last)) = (points.first(), points.last()) else {
+        return None;
+    };
+    let (lo, hi) = (first.frequency, last.frequency);
     let mut worst = 0.0f64;
     for k in 0..probes {
         let t = k as f64 / (probes - 1) as f64;

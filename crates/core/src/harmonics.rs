@@ -34,22 +34,22 @@ impl DistortionReport {
     }
 
     /// The level of harmonic `h` relative to the fundamental, in dBc, with
-    /// the enclosure propagated through the interval ratio.
+    /// the enclosure propagated through the interval ratio. `None` for
+    /// `h < 2` or a harmonic that was not measured.
     ///
     /// # Panics
     ///
-    /// Panics if harmonic `h` was not measured or the fundamental enclosure
-    /// touches zero.
-    pub fn hd_dbc(&self, h: u32) -> Bounded {
-        assert!(h >= 2, "harmonic index starts at 2");
-        let m = self
-            .measurements
-            .iter()
-            .find(|m| m.k == h)
-            .unwrap_or_else(|| panic!("harmonic {h} was not measured"));
-        m.amplitude
-            .ratio(&self.fundamental())
-            .map_monotonic(|r| 20.0 * r.max(1e-15).log10())
+    /// Panics if the fundamental enclosure touches zero.
+    pub fn hd_dbc(&self, h: u32) -> Option<Bounded> {
+        if h < 2 {
+            return None;
+        }
+        let m = self.measurements.iter().find(|m| m.k == h)?;
+        Some(
+            m.amplitude
+                .ratio(&self.fundamental())
+                .map_monotonic(|r| 20.0 * r.max(1e-15).log10()),
+        )
     }
 
     /// Total harmonic distortion (positive dB, paper convention) using the
@@ -97,10 +97,10 @@ mod tests {
     #[test]
     fn hd_levels() {
         let r = report();
-        let hd2 = r.hd_dbc(2);
+        let hd2 = r.hd_dbc(2).unwrap();
         assert!((hd2.est + 40.0).abs() < 0.01, "{hd2}");
         assert!(hd2.lo < hd2.est && hd2.est < hd2.hi);
-        let hd3 = r.hd_dbc(3);
+        let hd3 = r.hd_dbc(3).unwrap();
         assert!((hd3.est + 46.02).abs() < 0.05, "{hd3}");
     }
 
@@ -118,9 +118,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "not measured")]
-    fn missing_harmonic_panics() {
-        let _ = report().hd_dbc(5);
+    fn missing_harmonic_is_none() {
+        let r = report();
+        assert_eq!(r.hd_dbc(5), None);
+        assert_eq!(r.hd_dbc(1), None);
+        assert_eq!(r.hd_dbc(0), None);
     }
 
     #[test]

@@ -53,13 +53,18 @@
 //! * [`StoppingPolicy::Staged`] re-inserts the device per stage — every
 //!   re-test is a fresh acquisition charged at the full stage `M`;
 //! * [`StoppingPolicy::Sequential`] keeps the device on the tester and
-//!   **continues** the acquisition — the simulation is deterministic, so
-//!   re-measuring at a deeper `M` reproduces exactly the accumulator
-//!   state a continued acquisition would hold, and only the *increment*
-//!   `M_s − M_{s−1}` is charged. Each device grows its own `M` only
-//!   until its verdict decides (SPRT-style sequential testing); verdicts
-//!   and stopping stages are identical to `Staged`, the observed spend is
-//!   strictly smaller whenever anything escalates.
+//!   charges only the *increment* `M_s − M_{s−1}` of each re-test. Each
+//!   device grows its own `M` only until its verdict decides (SPRT-style
+//!   sequential testing). The simulation still measures every re-test
+//!   from scratch at the deeper `M`, so verdicts, stopping stages and
+//!   plots are identical to `Staged`, and the observed spend is strictly
+//!   smaller whenever anything escalates.
+//!
+//!   The increment charge is a cost model, not a physical acquisition.
+//!   A from-scratch `M_s` run equals a continued acquisition only when
+//!   the evaluator is unchopped. A chopped acquisition (the default) runs
+//!   window A for `M` periods and then an inverted window B for `M`
+//!   periods, so the `M_{s−1}` run is not a prefix of the `M_s` run.
 //!
 //! # Budgets: the observed-cost ledger
 //!
@@ -246,15 +251,16 @@ impl LotPlan {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum StoppingPolicy {
     /// Each stage is a fresh insertion: a re-test is charged the full
-    /// stage `M`. The PR-5 staged policy, and the default.
+    /// stage `M`. The default.
     #[default]
     Staged,
-    /// Per-device sequential stopping: the device stays on the tester
-    /// and its acquisition *continues* into the next stage, so a
-    /// re-test is charged only the period increment `M_s − M_{s−1}`.
-    /// The measured plot and verdict at each stage are bit-identical to
-    /// `Staged` (the deterministic simulation reproduces the continued
-    /// accumulator state exactly); only the observed spend differs.
+    /// Per-device sequential stopping: the device stays on the tester,
+    /// so a re-test is charged only the period increment
+    /// `M_s − M_{s−1}`. The re-test itself is measured from scratch at
+    /// `M_s`, so the plot and verdict at each stage are bit-identical to
+    /// `Staged`; only the observed spend differs. The increment is a
+    /// cost model: a chopped acquisition at `M_{s−1}` is not a prefix of
+    /// one at `M_s` (see the [module docs](self#escalation)).
     Sequential,
 }
 
@@ -359,7 +365,7 @@ impl EscalationSchedule {
     /// Evaluation periods *charged* for one device passing `stage`: the
     /// full stage `M` under [`StoppingPolicy::Staged`] (each stage is a
     /// fresh insertion), the increment over the previous stage under
-    /// [`StoppingPolicy::Sequential`] (the acquisition continues).
+    /// [`StoppingPolicy::Sequential`] (the device stays inserted).
     ///
     /// # Panics
     ///
@@ -1025,9 +1031,9 @@ impl LotEngine {
     /// stage — one shared calibration per stage, re-tests fanned across
     /// the same worker pool — until no device is ambiguous, the schedule
     /// is exhausted, or the budget admits no further re-test. Under
-    /// [`StoppingPolicy::Sequential`] each re-test continues the
-    /// device's acquisition and is charged only the period increment;
-    /// verdicts are identical to `Staged`, the spend is smaller.
+    /// [`StoppingPolicy::Sequential`] each re-test is charged only the
+    /// period increment; verdicts are identical to `Staged`, the spend
+    /// is smaller.
     ///
     /// Budgeting is an **observed-cost ledger**: each re-test's actual
     /// measurement time is charged as it completes, and the next
@@ -2105,9 +2111,10 @@ mod tests {
 
     #[test]
     fn sequential_stopping_matches_staged_verdicts_and_spends_less() {
-        // Sequential stopping continues each device's acquisition, so
-        // verdicts, stages and plots bit-match the staged run while the
-        // charged spend is strictly smaller whenever anything escalates.
+        // Sequential stopping measures each re-test from scratch and
+        // charges only the increment, so verdicts, stages and plots
+        // bit-match the staged run while the charged spend is strictly
+        // smaller whenever anything escalates.
         let plan = LotPlan::from_mask(GainMask::paper_lowpass());
         let seeds: Vec<u64> = (0..8).collect();
         let staged = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 120, 480]);
@@ -2128,7 +2135,7 @@ mod tests {
             assert_eq!((da.stage, da.periods), (db.stage, db.periods));
             assert_eq!(da.plot, db.plot);
             if da.stage > 0 {
-                // The continued acquisition charges only the increments:
+                // Sequential stopping charges only the increments:
                 // cumulative spend equals the charge at the final M
                 // alone, which is strictly below the staged re-insertion
                 // total.

@@ -702,7 +702,10 @@ pub fn distortion_table(report: &DistortionReport) -> String {
         fund.est, fund.lo, fund.hi
     );
     for m in &report.measurements()[1..] {
-        let hd = report.hd_dbc(m.k);
+        // A harmonic index below 2 has no dBc level to render.
+        let Some(hd) = report.hd_dbc(m.k) else {
+            continue;
+        };
         let _ = writeln!(
             out,
             "H{}: {:>7.2} dBc  [{:>7.2}, {:>7.2}]   ({:.3} mV)",

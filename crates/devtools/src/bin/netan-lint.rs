@@ -1,14 +1,12 @@
 //! `netan-lint` — the workspace static-analysis pass.
 //!
 //! ```text
-//! netan-lint [--deny] [--bless-panics] [--root <dir>] [paths…]
+//! netan-lint [--deny] [--root <dir>] [paths…]
 //! ```
 //!
 //! * no flags: lint the whole workspace, print findings, exit 0
 //!   (advisory mode),
 //! * `--deny`: same, but exit 1 when anything is found (the CI mode),
-//! * `--bless-panics`: rewrite the panic-in-lib burn-down baseline from
-//!   the current tree (use after converting panic sites to typed errors),
 //! * `paths…`: restrict the scan to the given files/directories
 //!   (workspace-relative or absolute),
 //! * `--root <dir>`: workspace root override; by default the tool walks
@@ -20,14 +18,10 @@
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use devtools::{
-    collect_panic_counts, find_workspace_root, lint_paths, lint_workspace, render_baseline,
-    PANIC_BASELINE_PATH,
-};
+use devtools::{find_workspace_root, lint_paths, lint_workspace};
 
 fn main() -> ExitCode {
     let mut deny = false;
-    let mut bless = false;
     let mut root_override: Option<PathBuf> = None;
     let mut paths: Vec<PathBuf> = Vec::new();
 
@@ -35,7 +29,6 @@ fn main() -> ExitCode {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--deny" => deny = true,
-            "--bless-panics" => bless = true,
             "--root" => match args.next() {
                 Some(dir) => root_override = Some(PathBuf::from(dir)),
                 None => {
@@ -44,7 +37,7 @@ fn main() -> ExitCode {
                 }
             },
             "--help" | "-h" => {
-                eprintln!("usage: netan-lint [--deny] [--bless-panics] [--root <dir>] [paths...]");
+                eprintln!("usage: netan-lint [--deny] [--root <dir>] [paths...]");
                 return ExitCode::SUCCESS;
             }
             other if other.starts_with('-') => {
@@ -66,30 +59,6 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if bless {
-        let counts = match collect_panic_counts(&root) {
-            Ok(c) => c,
-            Err(e) => {
-                eprintln!("netan-lint: scan failed: {e}");
-                return ExitCode::from(2);
-            }
-        };
-        let doc = render_baseline(&counts);
-        let dest = root.join(PANIC_BASELINE_PATH);
-        if let Err(e) = std::fs::write(&dest, doc) {
-            eprintln!("netan-lint: writing {} failed: {e}", dest.display());
-            return ExitCode::from(2);
-        }
-        let total: usize = counts.values().sum();
-        eprintln!(
-            "netan-lint: blessed {} panic site(s) across {} file(s) into {}",
-            total,
-            counts.len(),
-            PANIC_BASELINE_PATH
-        );
-        return ExitCode::SUCCESS;
-    }
 
     let result = if paths.is_empty() {
         lint_workspace(&root)

@@ -9,14 +9,13 @@
 //! * numeric narrowing that can silently saturate (the `plan_measurement`
 //!   `as u32` overflow class),
 //! * hash-order collections inside the bit-identity crates,
-//! * wall-clock time and ambient entropy outside the bench harnesses,
+//! * wall-clock time and ambient entropy outside this tool,
 //! * `unsafe` without a written safety argument,
-//! * panics in `netan` library paths (ratcheted via a burn-down
-//!   baseline).
+//! * panics in `netan` and `netan-serve` library paths (a flat ban).
 //!
 //! The scanner is a hand-rolled, dependency-free token lexer
-//! ([`lexer`]) — the same offline-first move as the in-tree
-//! criterion/proptest shims — and the rule registry lives in [`rules`].
+//! ([`lexer`]) — the same offline-first move as the in-tree proptest
+//! shim — and the rule registry lives in [`rules`].
 //! Run it with `cargo run -p devtools --bin netan-lint -- --deny`; see
 //! `crates/devtools/RULES.md` for the rule reference and suppression
 //! syntax.
@@ -39,23 +38,17 @@
 pub mod lexer;
 pub mod rules;
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// Where the panic-in-lib burn-down baseline lives, relative to the
-/// workspace root.
-pub const PANIC_BASELINE_PATH: &str = "crates/devtools/panic_baseline.txt";
-
 /// Which compilation-target family a file belongs to, derived from its
-/// path (`src/` vs `tests/` vs `benches/` vs `examples/`).
+/// path (`src/` vs `tests/` vs `examples/`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FileKind {
     Lib,
     Test,
-    Bench,
     Example,
     Other,
 }
@@ -76,7 +69,6 @@ pub fn classify(rel: &str) -> FileCtx {
         let kind = match parts[2] {
             "src" => FileKind::Lib,
             "tests" => FileKind::Test,
-            "benches" => FileKind::Bench,
             "examples" => FileKind::Example,
             _ => FileKind::Other,
         };
@@ -177,15 +169,10 @@ fn parse_directives(lexed: &lexer::Lexed) -> Vec<Directive> {
 }
 
 /// Lints one file's source text under a pretend workspace-relative path
-/// (which selects the crate/kind scoping) and a panic burn-down baseline
-/// for that path. This is the whole per-file pipeline: lex → rules →
-/// directive hygiene → suppression → baseline ratchet → unused-directive
-/// check.
-pub fn lint_source(
-    rel_path: &str,
-    source: &str,
-    baseline: &BTreeMap<String, usize>,
-) -> Vec<Diagnostic> {
+/// (which selects the crate/kind scoping). This is the whole per-file
+/// pipeline: lex → rules → directive hygiene → suppression →
+/// unused-directive check.
+pub fn lint_source(rel_path: &str, source: &str) -> Vec<Diagnostic> {
     let ctx = classify(rel_path);
     let lexed = lexer::lex(source);
     let lines: Vec<&str> = source.lines().collect();
@@ -232,26 +219,6 @@ pub fn lint_source(
         true
     });
 
-    // Burn-down ratchet: only panic sites beyond the file's baseline
-    // count are reported, so the rule blocks new sites while the recorded
-    // backlog is worked off.
-    let base = baseline.get(rel_path).copied().unwrap_or(0);
-    let mut panic_seen = 0usize;
-    findings.retain_mut(|f| {
-        if f.rule != rules::PANIC_IN_LIB {
-            return true;
-        }
-        panic_seen += 1;
-        if panic_seen <= base {
-            return false;
-        }
-        f.message = format!(
-            "{} (site {} of this file exceeds the burn-down baseline of {}; see {})",
-            f.message, panic_seen, base, PANIC_BASELINE_PATH
-        );
-        true
-    });
-
     for d in &directives {
         if d.known && d.justified && !d.used {
             out.push(Diagnostic {
@@ -270,71 +237,6 @@ pub fn lint_source(
     out.extend(findings);
     out.sort();
     out
-}
-
-/// Counts unsuppressed panic-in-lib sites per file — the quantity the
-/// burn-down baseline records. Computed with an empty baseline so every
-/// site is visible.
-pub fn collect_panic_counts(root: &Path) -> io::Result<BTreeMap<String, usize>> {
-    let empty = BTreeMap::new();
-    let mut counts = BTreeMap::new();
-    for rel in workspace_files(root)? {
-        let source = fs::read_to_string(root.join(&rel))?;
-        let n = lint_source(&rel, &source, &empty)
-            .into_iter()
-            .filter(|d| d.rule == rules::PANIC_IN_LIB)
-            .count();
-        if n > 0 {
-            counts.insert(rel, n);
-        }
-    }
-    Ok(counts)
-}
-
-/// Renders a panic baseline document.
-pub fn render_baseline(counts: &BTreeMap<String, usize>) -> String {
-    let mut s = String::from(
-        "# netan-lint panic-in-lib burn-down baseline.\n\
-         #\n\
-         # Each line records how many `.unwrap()`/`.expect()`/`panic!` sites a\n\
-         # `netan` library file is still allowed to carry. The lint only reports\n\
-         # sites *beyond* a file's count, so new panics are blocked while the\n\
-         # backlog is converted to typed errors. Re-bless with:\n\
-         #\n\
-         #     cargo run -p devtools --bin netan-lint -- --bless-panics\n\
-         #\n\
-         # A workspace test asserts this file matches the tree exactly, so the\n\
-         # numbers can only ratchet down deliberately, never drift.\n",
-    );
-    for (path, count) in counts {
-        s.push_str(&format!("{path} {count}\n"));
-    }
-    s
-}
-
-/// Parses a panic baseline document (inverse of [`render_baseline`]).
-pub fn parse_baseline(text: &str) -> BTreeMap<String, usize> {
-    let mut map = BTreeMap::new();
-    for line in text.lines() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some((path, count)) = line.rsplit_once(' ') {
-            if let Ok(n) = count.parse::<usize>() {
-                map.insert(path.to_string(), n);
-            }
-        }
-    }
-    map
-}
-
-/// Loads the baseline from its in-tree location; a missing file is an
-/// empty baseline.
-pub fn load_baseline(root: &Path) -> BTreeMap<String, usize> {
-    fs::read_to_string(root.join(PANIC_BASELINE_PATH))
-        .map(|t| parse_baseline(&t))
-        .unwrap_or_default()
 }
 
 /// Directory names the walker never descends into: build output, VCS
@@ -400,11 +302,10 @@ pub fn lint_paths(root: &Path, paths: &[PathBuf]) -> io::Result<Vec<Diagnostic>>
 }
 
 fn lint_files(root: &Path, files: &[String]) -> io::Result<Vec<Diagnostic>> {
-    let baseline = load_baseline(root);
     let mut out = Vec::new();
     for rel in files {
         let source = fs::read_to_string(root.join(rel))?;
-        out.extend(lint_source(rel, &source, &baseline));
+        out.extend(lint_source(rel, &source));
     }
     out.sort();
     Ok(out)
@@ -439,9 +340,6 @@ mod tests {
         let c = classify("crates/mixsig/tests/properties.rs");
         assert_eq!(c.crate_name, "mixsig");
         assert_eq!(c.kind, FileKind::Test);
-        let c = classify("crates/bench/benches/lot.rs");
-        assert_eq!(c.crate_name, "bench");
-        assert_eq!(c.kind, FileKind::Bench);
         // Root tests/examples are netan (crates/core) targets.
         let c = classify("tests/escalation.rs");
         assert_eq!(c.crate_name, "core");
@@ -449,15 +347,6 @@ mod tests {
         let c = classify("examples/quickstart.rs");
         assert_eq!(c.crate_name, "core");
         assert_eq!(c.kind, FileKind::Example);
-    }
-
-    #[test]
-    fn baseline_round_trips() {
-        let mut counts = BTreeMap::new();
-        counts.insert("crates/core/src/lot.rs".to_string(), 12);
-        counts.insert("crates/core/src/report.rs".to_string(), 3);
-        let text = render_baseline(&counts);
-        assert_eq!(parse_baseline(&text), counts);
     }
 
     #[test]

@@ -1,18 +1,9 @@
 //! Fixture-based good/bad pairs for every `netan-lint` rule, plus
-//! scoping, suppression-directive hygiene, and burn-down-ratchet
-//! coverage. Each `*_bad.rs` fixture must fail without its rule and each
+//! scoping and suppression-directive hygiene coverage. Each `*_bad.rs` fixture must fail without its rule and each
 //! `*_good.rs` fixture must lint completely clean, so a regression in
 //! either direction (missed finding or false positive) breaks a test.
 
-use std::collections::BTreeMap;
-
-use devtools::{lint_source, rules, Diagnostic};
-
-/// Lints `src` under a pretend workspace-relative path with an empty
-/// panic baseline.
-fn lint(path: &str, src: &str) -> Vec<Diagnostic> {
-    lint_source(path, src, &BTreeMap::new())
-}
+use devtools::{lint_source as lint, rules, Diagnostic};
 
 /// The rule names of all findings, in diagnostic order.
 fn rules_of(diags: &[Diagnostic]) -> Vec<&'static str> {
@@ -127,11 +118,11 @@ fn wallclock_good_fixture_is_clean() {
 }
 
 #[test]
-fn wallclock_is_allowed_in_bench_crates() {
-    assert_clean(
-        "crates/bench/src/fixture.rs",
-        include_str!("fixtures/wallclock_bad.rs"),
-    );
+fn wallclock_is_allowed_only_in_devtools() {
+    let bad = include_str!("fixtures/wallclock_bad.rs");
+    assert_clean("crates/devtools/src/fixture.rs", bad);
+    // The figure harnesses read no clock, so they get no exemption.
+    assert!(!lint("crates/bench/src/fixture.rs", bad).is_empty());
 }
 
 #[test]
@@ -206,28 +197,6 @@ fn panic_rule_is_scoped_to_core_library_code() {
     let bad = include_str!("fixtures/panic_bad.rs");
     assert_clean("crates/dsp/src/fixture.rs", bad);
     assert_clean("crates/core/tests/fixture.rs", bad);
-}
-
-#[test]
-fn panic_baseline_ratchets_instead_of_blanket_allowing() {
-    let bad = include_str!("fixtures/panic_bad.rs");
-    let path = "crates/core/src/fixture.rs";
-
-    // Baseline covering every site: clean.
-    let mut baseline = BTreeMap::new();
-    baseline.insert(path.to_string(), 3usize);
-    assert!(lint_source(path, bad, &baseline).is_empty());
-
-    // Baseline one short: exactly the site beyond it is reported, with the
-    // ratchet arithmetic spelled out in the message.
-    baseline.insert(path.to_string(), 2usize);
-    let diags = lint_source(path, bad, &baseline);
-    assert_eq!(rules_of(&diags), [rules::PANIC_IN_LIB]);
-    assert!(
-        diags[0].message.contains("site 3") && diags[0].message.contains("baseline of 2"),
-        "{}",
-        diags[0].message
-    );
 }
 
 // ------------------------------------------------- suppression directives

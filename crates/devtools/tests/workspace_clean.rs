@@ -1,12 +1,9 @@
-//! The workspace-level acceptance tests: the tree lints clean, the lint
-//! lints itself, and the panic burn-down baseline cannot drift from
-//! reality in either direction.
+//! The workspace-level acceptance tests: the tree lints clean and the
+//! lint lints itself.
 
 use std::path::{Path, PathBuf};
 
-use devtools::{
-    collect_panic_counts, find_workspace_root, lint_paths, lint_workspace, load_baseline,
-};
+use devtools::{find_workspace_root, lint_paths, lint_workspace};
 
 fn root() -> PathBuf {
     find_workspace_root(Path::new(env!("CARGO_MANIFEST_DIR")))
@@ -31,17 +28,4 @@ fn workspace_lints_clean() {
 fn devtools_lints_itself_clean() {
     let diags = lint_paths(&root(), &[PathBuf::from("crates/devtools")]).expect("self scan");
     assert!(diags.is_empty(), "netan-lint findings:\n{}", render(&diags));
-}
-
-#[test]
-fn panic_baseline_matches_the_tree_exactly() {
-    let r = root();
-    let recorded = load_baseline(&r);
-    let actual = collect_panic_counts(&r).expect("workspace scan");
-    assert_eq!(
-        recorded, actual,
-        "crates/devtools/panic_baseline.txt is out of sync with the tree; \
-         after converting panic sites to typed errors re-bless with \
-         `cargo run -p devtools --bin netan-lint -- --bless-panics`"
-    );
 }

@@ -514,16 +514,6 @@ impl SinewaveEvaluator {
     }
 }
 
-/// Convenience: a source that replays a slice cyclically.
-pub fn cyclic_source(data: &[f64]) -> impl FnMut() -> f64 + '_ {
-    let mut i = 0usize;
-    move || {
-        let v = data[i % data.len()];
-        i += 1;
-        v
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -756,13 +746,5 @@ mod tests {
                 assert_eq!(reference, got, "block = {block}");
             }
         }
-    }
-
-    #[test]
-    fn cyclic_source_replays() {
-        let data = [1.0, 2.0, 3.0];
-        let mut src = cyclic_source(&data);
-        let got: Vec<f64> = (0..7).map(|_| src()).collect();
-        assert_eq!(got, vec![1.0, 2.0, 3.0, 1.0, 2.0, 3.0, 1.0]);
     }
 }

@@ -12,11 +12,11 @@
 //! to one per stage.
 //!
 //! The schedule runs with **sequential stopping**: a re-measured device
-//! is charged only the additional periods beyond its previous stage
-//! (the deterministic simulation reproduces a continued acquisition's
-//! accumulator exactly), so verdicts are bit-equal to the staged policy
-//! at strictly less observed test time. The example prices both and
-//! prints the saving.
+//! is charged only the additional periods beyond its previous stage.
+//! The simulation measures the re-test from scratch, so verdicts are
+//! bit-equal to the staged policy at strictly less observed test time.
+//! The increment is a cost model: a chopped acquisition is not a prefix
+//! of a deeper one. The example prices both and prints the saving.
 //!
 //! Run with: `cargo run --release --example production_screening`
 //!

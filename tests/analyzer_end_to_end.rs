@@ -115,8 +115,8 @@ fn distortion_mode_agrees_with_scope() {
     let mut source = board.source();
     let scope = DigitalOscilloscope::wavesurfer().measure_harmonics(&mut source, 1.0 / 96.0, 4);
 
-    let d2 = (report.hd_dbc(2).est - scope.harmonics_dbc[0]).abs();
-    let d3 = (report.hd_dbc(3).est - scope.harmonics_dbc[1]).abs();
+    let d2 = (report.hd_dbc(2).unwrap().est - scope.harmonics_dbc[0]).abs();
+    let d3 = (report.hd_dbc(3).unwrap().est - scope.harmonics_dbc[1]).abs();
     assert!(d2 < 1.5, "H2 disagreement {d2} dB");
     assert!(d3 < 1.5, "H3 disagreement {d3} dB");
 }

@@ -840,10 +840,10 @@ mod sequential_stopping_properties {
 
         /// A sequential run's decided verdicts — and plots — are
         /// bit-equal to a direct plain run at the device's stopping
-        /// stage: continuing a deterministic acquisition to a deeper `M`
-        /// holds exactly the accumulator state a fresh run at that `M`
-        /// builds, so charging only the increments changes cost, never
-        /// evidence.
+        /// stage: a sequential re-test is measured from scratch at the
+        /// deeper `M`, so charging only the increments changes cost,
+        /// never evidence. (The increment is a cost model: a chopped
+        /// acquisition at `M_{s−1}` is not a prefix of one at `M_s`.)
         #[test]
         fn sequential_verdicts_match_a_direct_run_at_the_stopping_stage(
             seed_base in 0u64..100_000,
@@ -983,9 +983,10 @@ mod sequential_stopping_properties {
         }
     }
 
-    /// Unbudgeted monolithic sanity anchor for the suite above: a
-    /// sequential report never spends more than its staged twin, and
-    /// spends strictly less whenever any device escalated.
+    /// Unbudgeted monolithic sanity anchor for the suite above: on a
+    /// lot that escalates, a sequential report stops every device at the
+    /// staged twin's stage with the staged verdict, and spends strictly
+    /// less.
     #[test]
     fn sequential_never_spends_more_than_staged() {
         let plan = plan();
@@ -999,14 +1000,17 @@ mod sequential_stopping_properties {
         let b = engine
             .run_escalated(factory(0.09), &seeds, &plan, &seq)
             .unwrap();
-        assert_eq!(
-            a.devices().iter().map(|d| d.verdict).collect::<Vec<_>>(),
-            b.devices().iter().map(|d| d.verdict).collect::<Vec<_>>()
-        );
-        assert!(b.spent().value() <= a.spent().value());
-        if a.devices().iter().any(|d| d.stage > 0) {
-            assert!(b.spent().value() < a.spent().value());
-        }
+        let outcomes = |r: &LotReport| {
+            r.devices()
+                .iter()
+                .map(|d| (d.seed, d.verdict, d.stage, d.periods))
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(outcomes(&a), outcomes(&b));
+        // The premise: σ = 9 % at M = 20 leaves devices to re-test, so
+        // the increment charge has something to save.
+        assert!(a.devices().iter().any(|d| d.stage > 0));
+        assert!(b.spent().value() < a.spent().value());
     }
 }
 
