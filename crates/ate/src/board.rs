@@ -142,7 +142,7 @@ impl DemoBoard {
     /// Runs `periods` stimulus periods to let the generator and every
     /// DUT settle.
     pub fn warm_up(&mut self, periods: usize) {
-        let mut sink = [0.0; mixsig::cast::usize_from_u32(mixsig::clock::OVERSAMPLING_RATIO)];
+        let mut sink = [0.0; mixsig::clock::OVERSAMPLING_RATIO as usize];
         for _ in 0..periods {
             self.fill_block(&mut sink);
         }

@@ -52,7 +52,7 @@ impl ControlProgram {
             if let Some(sel) = seq.selected_capacitor() {
                 c[sel - 1] = true;
             }
-            let s = mixsig::cast::u64_from_usize(t);
+            let s = t as u64;
             vectors.push(ControlVector {
                 c,
                 phi_in: seq.phi_in(),

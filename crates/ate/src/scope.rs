@@ -72,7 +72,11 @@ impl DigitalOscilloscope {
     ) -> ScopeHarmonics {
         let spec = self.capture(source);
         // Locate the fundamental bin nearest the expected frequency.
-        // netan-lint: allow(lossy-cast): bin index from a normalized frequency; `as` saturates NaN/∞ and the guard clamp below bounds it
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "bin index from a normalized frequency; `as` saturates NaN/∞ and the guard clamp below bounds it"
+        )]
         let expected = (f_norm * self.record_len as f64).round() as usize;
         let guard = self.window.leakage_bins().max(1);
         let lo = expected.saturating_sub(guard).max(1);

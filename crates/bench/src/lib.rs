@@ -19,10 +19,6 @@
 //! | ablation: circuit non-idealities | `ablation_nonideal` |
 //! | ablation: modulator order | `ablation_order` |
 
-// No unsafe code belongs in this crate; the only unsafe in the
-// workspace is mixsig's runtime-dispatched AVX2 noise kernels.
-#![forbid(unsafe_code)]
-
 use dsp::tone::Tone;
 
 /// Mean of a slice.

@@ -199,7 +199,10 @@ impl<'d> NetworkAnalyzer<'d> {
     pub(crate) fn validate_frequency(f_wave: Hertz) -> Result<(), NetanError> {
         if f_wave.value().partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(NetanError::InvalidFrequency {
-                // netan-lint: allow(lossy-cast): diagnostic-only millihertz render; `as` saturates NaN/∞ instead of panicking
+                #[expect(
+                    clippy::cast_possible_truncation,
+                    reason = "diagnostic-only millihertz render; `as` saturates NaN/∞ instead of panicking"
+                )]
                 hz_millis: (f_wave.value() * 1000.0) as i64,
             });
         }
@@ -456,9 +459,12 @@ impl<'d> NetworkAnalyzer<'d> {
         max_harmonic: u32,
     ) -> Result<Vec<HarmonicMeasurement>, NetanError> {
         Self::validate_frequency(f_wave)?;
-        let n = mixsig::cast::usize_from_u32(max_harmonic);
+        let n = max_harmonic as usize;
         crate::pool::map_indexed(engine.threads(), n, |i| {
-            // netan-lint: allow(lossy-cast): i < max_harmonic, which is a u32, so the cast is exact
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "i < max_harmonic, which is a u32, so the cast is exact"
+            )]
             let k = i as u32 + 1;
             Self::only(Self::acquire(&self.config, f_wave, k, Some(&[self.dut]))?)
         })
@@ -486,7 +492,7 @@ impl<'d> NetworkAnalyzer<'d> {
             Some(devices) => DemoBoard::with_devices(gen_cfg, devices),
             None => DemoBoard::for_bypass(gen_cfg),
         };
-        board.warm_up(mixsig::cast::usize_from_u32(config.warmup_periods));
+        board.warm_up(config.warmup_periods as usize);
         let eval_cfg = config
             .hardware
             .evaluator_config()

@@ -61,9 +61,17 @@
 //! # Ok::<(), netan::NetanError>(())
 //! ```
 
-// No unsafe code belongs in this crate; the only unsafe in the
-// workspace is mixsig's runtime-dispatched AVX2 noise kernels.
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
+)]
 
 pub mod adaptive;
 pub mod analyzer;

@@ -240,7 +240,10 @@ impl LotPlan {
     /// The typed missing-mask-frequency error for `frequency`.
     fn missing_mask_error(frequency: Hertz) -> NetanError {
         NetanError::MaskFrequencyMissing {
-            // netan-lint: allow(lossy-cast): diagnostic-only millihertz render; `as` saturates NaN/∞ instead of panicking
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "diagnostic-only millihertz render; `as` saturates NaN/∞ instead of panicking"
+            )]
             hz_millis: (frequency.value() * 1000.0) as i64,
         }
     }
@@ -1267,9 +1270,17 @@ impl LotEngine {
     /// pair never inverts the real comparison.
     fn budget_error(needed: Seconds, budget: Seconds) -> NetanError {
         NetanError::BudgetExhausted {
-            // netan-lint: allow(lossy-cast): diagnostic-only millisecond render; `as` saturates NaN/∞ instead of panicking
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "diagnostic-only millisecond render; `as` saturates NaN/∞ instead of panicking"
+            )]
             needed_ms: (needed.value() * 1000.0).ceil() as u64,
-            // netan-lint: allow(lossy-cast): diagnostic-only millisecond render; `as` saturates NaN/∞ instead of panicking
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "diagnostic-only millisecond render; `as` saturates NaN/∞ instead of panicking"
+            )]
             budget_ms: (budget.value() * 1000.0).ceil() as u64,
         }
     }
@@ -1299,10 +1310,7 @@ impl LotEngine {
                 .iter()
                 .any(|f| f.value().to_bits() == mp.frequency.value().to_bits());
             if !measured {
-                return Err(NetanError::MaskFrequencyMissing {
-                    // netan-lint: allow(lossy-cast): diagnostic-only millihertz render; `as` saturates NaN/∞ instead of panicking
-                    hz_millis: (mp.frequency.value() * 1000.0) as i64,
-                });
+                return Err(LotPlan::missing_mask_error(mp.frequency));
             }
         }
         Ok(())

@@ -113,16 +113,23 @@ pub fn plan_measurement(
     const MAX_EVEN_PERIODS: f64 = (u32::MAX - 1) as f64;
     if !m_ceil.is_finite() || m_ceil > MAX_EVEN_PERIODS {
         return Err(NetanError::PlanOverflow {
-            // Saturating f64 → u64 cast; u64::MAX for a non-finite demand.
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "saturation is the intent — reporting a demand beyond u64::MAX as u64::MAX"
+            )]
             required_periods: if m_ceil.is_finite() {
-                // netan-lint: allow(lossy-cast): saturation is the intent — reporting a demand beyond u64::MAX as u64::MAX
                 m_ceil as u64
             } else {
                 u64::MAX
             },
         });
     }
-    // netan-lint: allow(lossy-cast): m_ceil ≤ MAX_EVEN_PERIODS is checked above, so the cast is exact
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "m_ceil ≤ MAX_EVEN_PERIODS is checked above, so the cast is exact"
+    )]
     let mut m = m_ceil as u32;
     m += m % 2; // validity: M even (≤ u32::MAX − 1 by the cap above)
     let m = m.max(2);

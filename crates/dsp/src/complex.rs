@@ -185,7 +185,10 @@ impl Mul<f64> for Complex64 {
 impl Div for Complex64 {
     type Output = Self;
     #[inline]
-    #[allow(clippy::suspicious_arithmetic_impl)] // z/w == z·w⁻¹ by definition
+    #[expect(
+        clippy::suspicious_arithmetic_impl,
+        reason = "z/w == z·w⁻¹ by definition"
+    )]
     fn div(self, rhs: Self) -> Self {
         self * rhs.recip()
     }

@@ -159,7 +159,11 @@ impl Extend<Tone> for Multitone {
 /// assert_eq!(m % 2, 1);
 /// ```
 pub fn coherent_cycles(f_norm: f64, record_len: usize) -> usize {
-    // netan-lint: allow(lossy-cast): `f_norm < 1` keeps the product below record_len, and `as` saturates NaN/∞ to in-range values
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "`f_norm < 1` keeps the product below record_len, and `as` saturates NaN/∞ to in-range values"
+    )]
     let raw = (f_norm * record_len as f64).round() as usize;
     let m = raw.max(1);
     if m.is_multiple_of(2) {

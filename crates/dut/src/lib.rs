@@ -24,9 +24,14 @@
 //! assert!((20.0 * r.magnitude.log10() + 3.01).abs() < 0.05);
 //! ```
 
-// No unsafe code belongs in this crate; the only unsafe in the
-// workspace is mixsig's runtime-dispatched AVX2 noise kernels.
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
 
 pub mod active_rc;
 pub mod linear;

@@ -15,9 +15,7 @@
 //! * [`ct`] — continuous-time LTI state-space simulation with exact
 //!   zero-order-hold discretization (matrix exponential) and s-domain
 //!   transfer-function evaluation, used for the active-RC DUT,
-//! * [`matrix`] — the small dense-matrix kernel backing [`ct`],
-//! * [`cast`] — compile-time-checked lossless integer conversions shared
-//!   by every crate that must satisfy the `netan-lint` `lossy-cast` rule.
+//! * [`matrix`] — the small dense-matrix kernel backing [`ct`].
 //!
 //! # Example
 //!
@@ -30,13 +28,15 @@
 //! assert_eq!(clk.divided(96).frequency_hz(), 62.5e3);
 //! ```
 
-// The only `unsafe` in the workspace lives in `noise` (runtime-dispatched
-// AVX2 clones of the batched synthesis loops). Every unsafe operation
-// inside an `unsafe fn` must still be wrapped in an explicit `unsafe {}`
-// block with its own `// SAFETY:` argument.
-#![deny(unsafe_op_in_unsafe_fn)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
 
-pub mod cast;
 pub mod clock;
 pub mod ct;
 pub mod matrix;

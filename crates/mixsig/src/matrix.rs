@@ -128,13 +128,20 @@ impl Matrix {
         let n = self.rows;
         let norm = self.norm_inf();
         // Scale so the norm is below 0.5, then square back.
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "`log2` of a finite norm is far below u32::MAX and `as` saturates NaN/∞ to safe values"
+        )]
         let squarings = if norm > 0.5 {
-            // netan-lint: allow(lossy-cast): `log2` of a finite norm is far below u32::MAX and `as` saturates NaN/∞ to safe values
             (norm / 0.5).log2().ceil() as u32
         } else {
             0
         };
-        // netan-lint: allow(lossy-cast): squarings ≤ ~1074 for any finite f64 norm, far below i32::MAX
+        #[expect(
+            clippy::cast_possible_wrap,
+            reason = "squarings ≤ ~1074 for any finite f64 norm, far below i32::MAX"
+        )]
         let scaled = self.scaled(1.0 / f64::powi(2.0, squarings as i32));
         // Taylor: I + X + X²/2! + ...
         let mut result = Matrix::identity(n);

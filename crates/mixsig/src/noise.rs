@@ -132,9 +132,7 @@ fn uniform_from_bits(raw: u64) -> f64 {
     // arithmetic in f64 — the result is bit-identical to a direct u64
     // conversion of `v`.
     let v = raw >> 11;
-    // netan-lint: allow(lossy-cast): `v >> 26` is at most 27 bits, well inside i32 range
     let hi = (v >> 26) as i32;
-    // netan-lint: allow(lossy-cast): masked to 26 bits, well inside i32 range
     let lo = (v & 0x3FF_FFFF) as i32;
     let u = (f64::from(hi) * 67_108_864.0 + f64::from(lo)) * (1.0 / (1u64 << 53) as f64);
     u.max(f64::EPSILON)
@@ -143,7 +141,7 @@ fn uniform_from_bits(raw: u64) -> f64 {
 /// De-interleaves a raw refill block into the two Box–Muller argument
 /// arrays (`u1[i]` ← draw `2i`, `u2[i]` ← draw `2i + 1`), converting each
 /// to a uniform. Integer-exact arithmetic throughout, so the values are
-/// identical on every dispatch target.
+/// identical on every target.
 #[inline(always)]
 fn deinterleave_uniforms(
     raw: &[u64; 2 * NORMAL_REFILL],
@@ -154,22 +152,6 @@ fn deinterleave_uniforms(
         *a = uniform_from_bits(uv[0]);
         *b = uniform_from_bits(uv[1]);
     }
-}
-
-/// AVX2-compiled clone of [`deinterleave_uniforms`] (same source, wider
-/// autovectorization; value-identical — the pass is integer-exact).
-///
-/// # Safety
-///
-/// Caller must ensure the CPU supports AVX2.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2")]
-unsafe fn deinterleave_uniforms_avx2(
-    raw: &[u64; 2 * NORMAL_REFILL],
-    u1: &mut [f64; NORMAL_REFILL],
-    u2: &mut [f64; NORMAL_REFILL],
-) {
-    deinterleave_uniforms(raw, u1, u2);
 }
 
 /// A seeded Gaussian noise source.
@@ -305,14 +287,6 @@ impl NoiseSource {
         // per-call draw order exactly.
         let mut u1 = [0.0f64; NORMAL_REFILL];
         let mut u2 = [0.0f64; NORMAL_REFILL];
-        #[cfg(target_arch = "x86_64")]
-        if std::arch::is_x86_feature_detected!("avx2") {
-            // SAFETY: AVX2 support was just checked.
-            unsafe { deinterleave_uniforms_avx2(&raw, &mut u1, &mut u2) };
-        } else {
-            deinterleave_uniforms(&raw, &mut u1, &mut u2);
-        }
-        #[cfg(not(target_arch = "x86_64"))]
         deinterleave_uniforms(&raw, &mut u1, &mut u2);
         for ((z, &a), &b) in self.buf.iter_mut().zip(u1.iter()).zip(u2.iter()) {
             // Box–Muller, through the same libm calls as the historical

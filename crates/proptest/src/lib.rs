@@ -18,10 +18,6 @@
 //!
 //! [`proptest`]: https://docs.rs/proptest
 
-// No unsafe code belongs in this crate; the only unsafe in the
-// workspace is mixsig's runtime-dispatched AVX2 noise kernels.
-#![forbid(unsafe_code)]
-
 use std::ops::{Range, RangeInclusive};
 
 /// Run-time configuration for a [`proptest!`] block.

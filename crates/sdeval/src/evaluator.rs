@@ -456,8 +456,11 @@ impl SinewaveEvaluator {
         signatures: &mut [(f64, f64)],
     ) -> u64 {
         let window = u64::from(m) * u64::from(self.config.n);
-        let block_cap = mixsig::cast::u64_from_usize(self.config.block_samples.max(1));
-        // netan-lint: allow(lossy-cast): the value is ≤ block_samples, which is already a usize, so the cast is exact
+        let block_cap = self.config.block_samples.max(1) as u64;
+        #[expect(
+            clippy::cast_possible_truncation,
+            reason = "the value is ≤ block_samples, which is already a usize, so the cast is exact"
+        )]
         let block = block_cap.min(window) as usize;
         let mut buf = vec![0.0f64; block];
         let devices = signatures.len();
@@ -490,7 +493,7 @@ impl SinewaveEvaluator {
                     count.1 += b2;
                 }
                 phases.skip_samples(len);
-                t += mixsig::cast::u64_from_usize(len);
+                t += len as u64;
             }
             counts
         };

@@ -36,9 +36,14 @@
 //! # Ok::<(), sdeval::EvalError>(())
 //! ```
 
-// No unsafe code belongs in this crate; the only unsafe in the
-// workspace is mixsig's runtime-dispatched AVX2 noise kernels.
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
 
 pub mod evaluator;
 pub mod modulator;

@@ -132,11 +132,11 @@ impl QuadratureSquareWave {
         if self.k == 0 {
             return Complex64::ONE;
         }
-        let n = mixsig::cast::usize_from_u32(self.n);
-        let k = mixsig::cast::usize_from_u32(self.k);
+        let n = self.n as usize;
+        let k = self.k as usize;
         let mut acc = Complex64::ZERO;
         for i in 0..n {
-            let s = f64::from(self.in_phase(mixsig::cast::u64_from_usize(i)));
+            let s = f64::from(self.in_phase(i as u64));
             acc += Complex64::cis(-2.0 * PI * (k * i) as f64 / n as f64) * s;
         }
         acc / n as f64
@@ -165,7 +165,7 @@ impl SquareWavePhases {
     /// `k < N` and `N` fits a u32 (see [`QuadratureSquareWave::new`]),
     /// so neither the product nor the sum can overflow.
     pub(crate) fn skip_samples(&mut self, samples: usize) {
-        let ahead = self.step * (mixsig::cast::u64_from_usize(samples) % self.n) % self.n;
+        let ahead = self.step * (samples as u64 % self.n) % self.n;
         self.pos = (self.pos + ahead) % self.n;
     }
 }

@@ -10,6 +10,8 @@
 //! sends a `shutdown` frame, then drains in-flight shards and exits.
 //! See `examples/screening_client.rs` for the matching client.
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+
 use netan::LotEngine;
 use netan_serve::{JobServer, ServiceConfig};
 use std::process::ExitCode;

@@ -378,7 +378,7 @@ impl From<&ServeError> for WireError {
     fn from(e: &ServeError) -> Self {
         match e {
             ServeError::QueueFull { capacity } => WireError::QueueFull {
-                capacity: mixsig::cast::u64_from_usize(*capacity),
+                capacity: *capacity as u64,
             },
             ServeError::ShuttingDown => WireError::ShuttingDown,
             ServeError::ShardPanicked {

@@ -30,7 +30,17 @@
 //! `LotCheckpoint::run_escalated` drive (budgeted), no matter how many
 //! workers raced on its shards.
 
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss,
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic
+    )
+)]
 
 pub mod error;
 pub mod job;

@@ -159,7 +159,7 @@ enum Frame {
 /// and a line that is not UTF-8 is an [`io::ErrorKind::InvalidData`]
 /// error.
 fn read_frame(reader: &mut impl BufRead) -> io::Result<Option<Frame>> {
-    let limit = mixsig::cast::u64_from_usize(MAX_FRAME_BYTES) + 1;
+    let limit = MAX_FRAME_BYTES as u64 + 1;
     let mut bytes = Vec::new();
     if reader.take(limit).read_until(b'\n', &mut bytes)? == 0 {
         return Ok(None);

@@ -53,7 +53,6 @@
 use crate::error::ServeError;
 use crate::job::{job_key, JobRequest};
 use dut::ActiveRcFilter;
-use mixsig::cast::u64_from_usize;
 use mixsig::units::Seconds;
 use netan::{
     CheckpointError, EscalationSchedule, LotEngine, LotReport, NetanError, Shard, ShardDriver,
@@ -465,6 +464,10 @@ impl Inner {
                             .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| n.checked_sub(1))
                             .is_ok();
                     if armed {
+                        #[expect(
+                            clippy::panic,
+                            reason = "the FaultPlan's deliberate worker fault; the shard's catch_unwind contains it, and the shard is retried or fails with a typed error"
+                        )]
                         std::panic::panic_any("injected worker fault".to_string());
                     }
                 }
@@ -493,7 +496,7 @@ impl Inner {
                 seed_end: span.end,
                 done: driver.merged_shards(),
                 total,
-                devices: u64_from_usize(driver.merged().len()),
+                devices: driver.merged().len() as u64,
                 spent: driver.merged().spent(),
                 resumed: loaded,
             });

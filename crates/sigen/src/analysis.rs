@@ -33,7 +33,7 @@ impl GeneratorSpectrum {
         assert!(periods > 0, "need at least one period");
         assert!(n_harmonics >= 2, "need at least the 2nd harmonic");
         gen.settle(40);
-        let n = periods * mixsig::cast::usize_from_u32(OVERSAMPLING_RATIO);
+        let n = periods * OVERSAMPLING_RATIO as usize;
         let w = gen.waveform_at_feva(n);
         let half_n = n as f64 / 2.0;
         let amp_at = |cycles: f64| dft_bin(&w, cycles / n as f64).abs() / half_n;

@@ -11,8 +11,7 @@ use mixsig::units::{Hertz, Seconds, Volts};
 
 /// Number of master-clock samples for which each biquad output is held
 /// (`f_eva / (2·f_gen) = 3`).
-pub const HOLD_SAMPLES: usize =
-    mixsig::cast::usize_from_u32(OVERSAMPLING_RATIO) / TRANSFERS_PER_PERIOD;
+pub const HOLD_SAMPLES: usize = OVERSAMPLING_RATIO as usize / TRANSFERS_PER_PERIOD;
 
 /// Configuration of a [`SinewaveGenerator`].
 #[derive(Debug, Clone, PartialEq)]
@@ -225,7 +224,7 @@ impl SinewaveGenerator {
     /// Runs the generator until the start-up transient has decayed
     /// (`periods` stimulus periods, ≥ ~10 recommended for Q ≈ 2.5).
     pub fn settle(&mut self, periods: usize) {
-        let mut sink = [0.0; mixsig::cast::usize_from_u32(OVERSAMPLING_RATIO)];
+        let mut sink = [0.0; OVERSAMPLING_RATIO as usize];
         for _ in 0..periods {
             self.fill_block(&mut sink);
         }

@@ -42,9 +42,14 @@
 //! assert!((peak - 0.6).abs() < 0.08, "≈600 mV output, got {peak}");
 //! ```
 
-// No unsafe code belongs in this crate; the only unsafe in the
-// workspace is mixsig's runtime-dispatched AVX2 noise kernels.
-#![forbid(unsafe_code)]
+#![cfg_attr(
+    not(test),
+    deny(
+        clippy::cast_possible_truncation,
+        clippy::cast_possible_wrap,
+        clippy::cast_sign_loss
+    )
+)]
 
 pub mod analysis;
 pub mod array;

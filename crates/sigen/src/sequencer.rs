@@ -29,9 +29,7 @@ impl StepSequencer {
 
     /// Current staircase step index `j ∈ 0..16`.
     pub fn step_index(&self) -> usize {
-        let steps = mixsig::cast::u64_from_usize(STEPS_PER_PERIOD);
-        // netan-lint: allow(lossy-cast): the modulo bounds the value below STEPS_PER_PERIOD = 16, so the cast is exact
-        ((self.half_cycles / 2) % steps) as usize
+        ((self.half_cycles / 2) % STEPS_PER_PERIOD as u64) as usize
     }
 
     /// The `Φin` polarity for the current step (`true` = positive).
@@ -67,8 +65,7 @@ impl StepSequencer {
 
     /// Position inside the stimulus period as a fraction `[0, 1)`.
     pub fn period_fraction(&self) -> f64 {
-        let transfers = mixsig::cast::u64_from_usize(TRANSFERS_PER_PERIOD);
-        (self.half_cycles % transfers) as f64 / TRANSFERS_PER_PERIOD as f64
+        (self.half_cycles % TRANSFERS_PER_PERIOD as u64) as f64 / TRANSFERS_PER_PERIOD as f64
     }
 }
 
