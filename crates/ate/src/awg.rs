@@ -47,11 +47,6 @@ impl MultitoneAwg {
         self.sample
     }
 
-    /// Rewinds to sample 0.
-    pub fn rewind(&mut self) {
-        self.sample = 0;
-    }
-
     /// Fills `out` with the next `out.len()` samples (the batched
     /// equivalent of [`next_sample`](Self::next_sample)).
     pub fn fill_block(&mut self, out: &mut [f64]) {
@@ -93,16 +88,6 @@ mod tests {
         assert_eq!(tones[1].amplitude, 0.02);
         assert_eq!(tones[2].amplitude, 0.002);
         assert!((tones[0].frequency - 1.0 / 96.0).abs() < 1e-15);
-    }
-
-    #[test]
-    fn source_advances_and_rewinds() {
-        let mut awg = MultitoneAwg::fig9_stimulus(96);
-        let a: Vec<f64> = (0..5).map(|_| awg.next_sample()).collect();
-        assert_eq!(awg.position(), 5);
-        awg.rewind();
-        let b: Vec<f64> = (0..5).map(|_| awg.next_sample()).collect();
-        assert_eq!(a, b);
     }
 
     #[test]

@@ -26,12 +26,6 @@ pub fn mean(v: &[f64]) -> f64 {
     v.iter().sum::<f64>() / v.len() as f64
 }
 
-/// Sample standard deviation of a slice.
-pub fn std_dev(v: &[f64]) -> f64 {
-    let m = mean(v);
-    (v.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / (v.len() as f64 - 1.0).max(1.0)).sqrt()
-}
-
 /// Minimum and maximum of a slice.
 pub fn min_max(v: &[f64]) -> (f64, f64) {
     v.iter()
@@ -68,7 +62,6 @@ mod tests {
     fn statistics_helpers() {
         let v = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(mean(&v), 2.5);
-        assert!((std_dev(&v) - 1.2909944).abs() < 1e-6);
         assert_eq!(min_max(&v), (1.0, 4.0));
     }
 

@@ -15,13 +15,15 @@
 //!
 //! A restarted drive loads every shard whose `netan.lot.v4` document is
 //! present, parseable and not stale, and measures anything missing, torn
-//! or stale again. Because parsed documents re-render byte for byte
-//! ([`parse_lot_json`]), a resumed lot produces the **identical** final
-//! document an uninterrupted one would have; loaded shards contribute
-//! their persisted ledgers exactly like fresh ones, so every shard sees
-//! the same remaining budget across kill-and-resume. Shard files are
-//! written atomically (temp file + rename), so a crash mid-write leaves
-//! at worst an ignorable temp file.
+//! or stale again. [`parse_lot_json`] reads only the schema
+//! [`lot_json`] writes, so a shard document of any other schema version
+//! does not parse and is measured again too. Because parsed documents
+//! re-render byte for byte, a resumed lot produces the **identical**
+//! final document an uninterrupted one would have; loaded shards
+//! contribute their persisted ledgers exactly like fresh ones, so every
+//! shard sees the same remaining budget across kill-and-resume. Shard
+//! files are written atomically (temp file + rename), so a crash
+//! mid-write leaves at worst an ignorable temp file.
 //!
 //! A persisted shard is **stale** unless the drive's schedule could have
 //! produced it: the same span, mask and stopping policy, exactly the
@@ -575,6 +577,35 @@ mod tests {
             crate::report::lot_json(&recovered),
             crate::report::lot_json(&whole)
         );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shard_of_another_schema_version_is_measured_again() {
+        // Regression: a reader that also accepted `netan.lot.v3` loaded
+        // such a shard with empty per-device charges, and the resumed
+        // document differed from the uninterrupted one.
+        let dir = temp_dir("schema");
+        std::fs::remove_dir_all(&dir).ok();
+        let plan = plan();
+        let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[50, 200]);
+        let engine = LotEngine::serial();
+        let factory = factory_at(0.09);
+        let ckpt = LotCheckpoint::new(&dir, 4);
+        let whole = ckpt
+            .run_escalated(&engine, factory, 0..8, &plan, &schedule)
+            .unwrap();
+        assert!(whole.stages().len() > 1, "the lot must escalate");
+
+        let victim = ckpt.shard_path(&(0..4));
+        let text = std::fs::read_to_string(&victim).unwrap();
+        std::fs::write(&victim, text.replacen("netan.lot.v4", "netan.lot.v3", 1)).unwrap();
+        let resumed = ckpt
+            .run_escalated(&engine, factory, 0..8, &plan, &schedule)
+            .unwrap();
+        assert_eq!(lot_json(&resumed), lot_json(&whole));
+        let rewritten = std::fs::read_to_string(&victim).unwrap();
+        assert!(rewritten.starts_with("{\"schema\":\"netan.lot.v4\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -99,7 +99,6 @@ pub use lot::{
     StoppingPolicy, VerdictCounts, LANE_DEVICES,
 };
 pub use plan::{grid_time, measurement_time, plan_measurement, TestPlan};
-pub use pool::WorkerPanic;
 pub use report::{
     bode_csv, bode_json, bode_table, distortion_table, lot_csv, lot_json, lot_report_from_json,
     lot_table, parse_lot_json, ReportParseError,

@@ -91,7 +91,9 @@
 //! range as an independent **shard** (calibration stays amortized per
 //! analyzer configuration per shard), and [`LotReport::merge`] joins
 //! adjacent shards into the byte-identical report one monolithic run
-//! would have produced, with [`LotReport::empty`] as the identity.
+//! would have produced, with [`LotReport::empty`] as the identity: the
+//! devices are the only ledger, so the merged stage summaries are read
+//! off the merged devices.
 //! Shard provenance travels as a [`ShardSpan`] through the
 //! `netan.lot.v4` JSON schema, which is what the
 //! [`ShardDriver`](crate::ShardDriver) persists per shard and resumes a
@@ -187,28 +189,6 @@ impl LotPlan {
     /// The gain mask.
     pub fn mask(&self) -> &GainMask {
         &self.mask
-    }
-
-    /// Classifies a measured point set taken over exactly the plan grid.
-    /// Thin strictness wrapper over [`classify_plot`](Self::classify_plot)
-    /// for callers that expect a fixed-grid plot.
-    ///
-    /// # Errors
-    ///
-    /// [`NetanError::MaskFrequencyMissing`] if a mask frequency is
-    /// missing from `points` (see [`classify_plot`](Self::classify_plot)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points.len()` differs from the grid length — a strict
-    /// caller contract, not a data condition.
-    pub fn classify(&self, points: &[BodePoint]) -> Result<SpecVerdict, NetanError> {
-        assert_eq!(
-            points.len(),
-            self.grid.len(),
-            "measured points must match the plan grid"
-        );
-        self.classify_plot(points)
     }
 
     /// Classifies a measured point set that contains *at least* every
@@ -318,13 +298,6 @@ impl EscalationSchedule {
     /// Panics if `periods` is empty or not strictly increasing.
     pub fn from_periods(base: AnalyzerConfig, periods: &[u32]) -> Self {
         Self::new(periods.iter().map(|&m| base.with_periods(m)).collect())
-    }
-
-    /// The paper's trade-off as a default policy: an ideal analyzer at
-    /// `M = 50 → 200 → 800` (quarter, nominal, and 4× the Bode setting),
-    /// no budget.
-    pub fn paper_default() -> Self {
-        Self::from_periods(AnalyzerConfig::ideal(), &[50, 200, 800])
     }
 
     /// Returns the schedule with a total test-time budget in simulated
@@ -448,7 +421,8 @@ impl ShardSpan {
     }
 }
 
-/// Accounting for one executed stage of an escalated (or plain) lot run.
+/// Accounting for one executed stage of an escalated (or plain) lot run,
+/// as [`LotReport::stages`] reads it off the devices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageSummary {
     /// Stage index within the schedule (0 = the screening pass).
@@ -456,9 +430,12 @@ pub struct StageSummary {
     /// Evaluation periods `M` of this stage's analyzer configuration.
     pub periods: u32,
     /// Devices measured at this stage (the whole lot at stage 0, the
-    /// still-ambiguous — budget permitting — afterwards).
+    /// still-ambiguous — budget permitting — afterwards): the devices
+    /// with a [`stage_times`](DeviceReport::stage_times) entry for it.
     pub tested: usize,
-    /// Lot-wide verdict histogram *after* this stage completed.
+    /// Lot-wide verdict histogram *after* this stage completed: each
+    /// device's final verdict, or ambiguous for a device a later stage
+    /// re-tested.
     pub counts: VerdictCounts,
     /// Observed simulated test time charged at this stage across all
     /// tested devices (the seed-order left fold of their per-stage
@@ -468,63 +445,8 @@ pub struct StageSummary {
     /// ([`crate::plan::grid_time`] at the stage's *charged* periods —
     /// the full `M` for `Staged` stages, the increment for `Sequential`
     /// re-test stages), or `None` when the charge is device-dependent
-    /// (adaptive plans). [`StageSummary::merge`] re-derives the merged
-    /// `time` from it, so shard merges reproduce a monolithic run's
-    /// fold bit for bit.
+    /// (adaptive plans).
     pub device_time: Option<Seconds>,
-}
-
-impl StageSummary {
-    /// Merges the accounting of the same schedule stage from two
-    /// seed-disjoint shards: tested counts and verdict histograms add,
-    /// and — when the uniform per-device cost is known — the merged
-    /// `time` continues `self`'s accumulation by `other.tested` more
-    /// per-device steps, reproducing the monolithic left fold bit for
-    /// bit. Associative.
-    ///
-    /// Without a uniform cost (adaptive plans) the stage times are
-    /// summed; [`LotReport::merge`] instead re-folds such single-stage
-    /// summaries over the merged device list, preserving byte-identity
-    /// there too.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the summaries disagree on `stage`, `periods`, or (when
-    /// both carry one) the per-device cost.
-    #[must_use]
-    pub fn merge(self, other: Self) -> Self {
-        assert_eq!(
-            self.stage, other.stage,
-            "stage summaries merge by aligned stage index"
-        );
-        assert_eq!(
-            self.periods, other.periods,
-            "one schedule stage cannot have two different M"
-        );
-        let device_time = match (self.device_time, other.device_time) {
-            (Some(a), Some(b)) => {
-                assert_eq!(
-                    a.value().to_bits(),
-                    b.value().to_bits(),
-                    "shards of one lot share the per-device stage cost"
-                );
-                Some(a)
-            }
-            (a, b) => a.or(b),
-        };
-        let time = match device_time {
-            Some(c) => (0..other.tested).fold(self.time, |acc, _| acc + c),
-            None => self.time + other.time,
-        };
-        Self {
-            stage: self.stage,
-            periods: self.periods,
-            tested: self.tested + other.tested,
-            counts: self.counts.merge(other.counts),
-            time,
-            device_time,
-        }
-    }
 }
 
 /// One device's characterization within a lot.
@@ -552,8 +474,7 @@ pub struct DeviceReport {
     /// stage order (one entry per stage this device ran, so
     /// `stage_times.len() == stage + 1` for engine-produced reports).
     /// Under [`StoppingPolicy::Sequential`] an entry past stage 0 is the
-    /// cost of just the period increment. Empty for reports parsed from
-    /// pre-`netan.lot.v4` documents, which did not record it.
+    /// cost of just the period increment.
     pub stage_times: Vec<Seconds>,
 }
 
@@ -587,24 +508,16 @@ impl VerdictCounts {
     pub fn tally(devices: &[DeviceReport]) -> Self {
         let mut c = Self::default();
         for d in devices {
-            match d.verdict {
-                SpecVerdict::Pass => c.pass += 1,
-                SpecVerdict::Fail => c.fail += 1,
-                SpecVerdict::Ambiguous => c.ambiguous += 1,
-            }
+            c.count(d.verdict);
         }
         c
     }
 
-    /// Merges two histograms by fieldwise addition — the tally of the
-    /// union of two disjoint device sets. Associative and commutative,
-    /// with the all-zero histogram as the identity.
-    #[must_use]
-    pub fn merge(self, other: Self) -> Self {
-        Self {
-            pass: self.pass + other.pass,
-            fail: self.fail + other.fail,
-            ambiguous: self.ambiguous + other.ambiguous,
+    fn count(&mut self, verdict: SpecVerdict) {
+        match verdict {
+            SpecVerdict::Pass => self.pass += 1,
+            SpecVerdict::Fail => self.fail += 1,
+            SpecVerdict::Ambiguous => self.ambiguous += 1,
         }
     }
 }
@@ -612,11 +525,18 @@ impl VerdictCounts {
 /// The result of a lot run: per-device reports in seed order, the mask
 /// they were screened against, and — for escalated runs — per-stage
 /// summaries and budget accounting.
+///
+/// The devices are the lot's only ledger: each carries its verdict, its
+/// final stage and its observed per-stage charges, and
+/// [`stages`](Self::stages) reads every stage summary off them. Per
+/// executed stage the report keeps only what no device records: the
+/// stage's `M` and its uniform per-device charge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LotReport {
     mask: GainMask,
     devices: Vec<DeviceReport>,
-    stages: Vec<StageSummary>,
+    /// `(M, uniform per-device charge)` per executed stage.
+    stages: Vec<(u32, Option<Seconds>)>,
     budget: Option<Seconds>,
     budget_exhausted: bool,
     stopping: StoppingPolicy,
@@ -626,7 +546,7 @@ pub struct LotReport {
 impl LotReport {
     /// Assembles a report (device order is preserved) with no stage
     /// accounting — the constructor for synthetic reports; engine runs
-    /// attach their stage summaries via [`with_stages`](Self::with_stages).
+    /// and the `netan.lot.v4` loader also record their executed stages.
     pub fn new(mask: GainMask, devices: Vec<DeviceReport>) -> Self {
         Self {
             mask,
@@ -647,9 +567,11 @@ impl LotReport {
         Self::new(plan.mask().clone(), Vec::new())
     }
 
-    /// Returns the report with per-stage accounting attached.
+    /// Returns the report with its executed stages recorded: per stage,
+    /// its `M` and its uniform per-device charge (`None` when the charge
+    /// is device-dependent).
     #[must_use]
-    pub fn with_stages(mut self, stages: Vec<StageSummary>) -> Self {
+    pub(crate) fn with_stages(mut self, stages: Vec<(u32, Option<Seconds>)>) -> Self {
         self.stages = stages;
         self
     }
@@ -705,9 +627,40 @@ impl LotReport {
     }
 
     /// Per-stage summaries in execution order (one entry for a plain
-    /// [`LotEngine::run`], empty for synthetic reports).
-    pub fn stages(&self) -> &[StageSummary] {
-        &self.stages
+    /// [`LotEngine::run`], empty for synthetic reports), read off the
+    /// devices: stage `s` tested every device with a charge
+    /// `stage_times[s]`, its time is the seed-order left fold of those
+    /// charges, and its histogram counts each device's final verdict —
+    /// or ambiguous, for a device whose final stage is past `s`, since a
+    /// device is re-tested only while ambiguous.
+    pub fn stages(&self) -> Vec<StageSummary> {
+        let mut summaries: Vec<StageSummary> = self
+            .stages
+            .iter()
+            .enumerate()
+            .map(|(stage, &(periods, device_time))| StageSummary {
+                stage,
+                periods,
+                tested: 0,
+                counts: VerdictCounts::default(),
+                time: Seconds(0.0),
+                device_time,
+            })
+            .collect();
+        for d in &self.devices {
+            for s in &mut summaries {
+                if let Some(&t) = d.stage_times.get(s.stage) {
+                    s.tested += 1;
+                    s.time = s.time + t;
+                }
+                s.counts.count(if d.stage > s.stage {
+                    SpecVerdict::Ambiguous
+                } else {
+                    d.verdict
+                });
+            }
+        }
+        summaries
     }
 
     /// The schedule's test-time budget, if one was set.
@@ -724,7 +677,9 @@ impl LotReport {
 
     /// Total simulated test time spent across all executed stages.
     pub fn spent(&self) -> Seconds {
-        self.stages.iter().fold(Seconds(0.0), |acc, s| acc + s.time)
+        self.stages()
+            .iter()
+            .fold(Seconds(0.0), |acc, s| acc + s.time)
     }
 
     /// Number of devices in the lot.
@@ -781,19 +736,22 @@ impl LotReport {
     /// schedules are budgeted per shard).
     ///
     /// The operation is associative with [`LotReport::empty`] as a
-    /// two-sided identity: device lists concatenate in seed order,
-    /// stage summaries align by stage index — a shard whose escalation
-    /// stopped early contributes its devices' final verdicts to the
-    /// stages it never ran — budget ledgers sum, the exhaustion flags
-    /// OR, and adjacent [`ShardSpan`]s join (provenance degrades to
-    /// `None` if either side has none).
+    /// two-sided identity: device lists concatenate in seed order, the
+    /// executed-stage lists align by stage index and the longer one wins
+    /// (a shard whose escalation stopped early ran fewer stages), budget
+    /// ledgers sum, the exhaustion flags OR, and adjacent
+    /// [`ShardSpan`]s join (provenance degrades to `None` if either side
+    /// has none). The merged stage summaries are read off the merged
+    /// devices ([`stages`](Self::stages)), so they are exactly what one
+    /// run over the union accumulates.
     ///
     /// # Panics
     ///
-    /// Panics if the masks differ, the stopping policies differ, the
-    /// device seed lists are not ascending-disjoint, or both sides
-    /// carry shard spans that are not adjacent (`self` ending exactly
-    /// where `other` starts).
+    /// Panics if the masks differ, the stopping policies differ, a stage
+    /// both sides ran has two different `M` or per-device charges, the
+    /// device seed lists are not ascending-disjoint, or both sides carry
+    /// shard spans that are not adjacent (`self` ending exactly where
+    /// `other` starts).
     #[must_use]
     pub fn merge(self, other: Self) -> Self {
         assert_eq!(self.mask, other.mask, "shards of one lot share the mask");
@@ -832,58 +790,25 @@ impl LotReport {
             _ => None,
         };
 
-        // A shard whose escalation stopped before stage `s` (nothing
-        // left ambiguous, or nothing affordable) still holds a verdict
-        // for every one of its devices at that stage — the final one.
-        // The synthetic summary contributes exactly that tally and no
-        // tested devices or time, which keeps the carry-forward
-        // associative.
-        let synthetic = |devices: &[DeviceReport], like: &StageSummary| StageSummary {
-            stage: like.stage,
-            periods: like.periods,
-            tested: 0,
-            counts: VerdictCounts::tally(devices),
-            time: Seconds(0.0),
-            device_time: None,
+        let (stages, shorter) = if self.stages.len() >= other.stages.len() {
+            (self.stages, other.stages)
+        } else {
+            (other.stages, self.stages)
         };
-        let depth = self.stages.len().max(other.stages.len());
-        let mut stages = Vec::with_capacity(depth);
-        for s in 0..depth {
-            stages.push(match (self.stages.get(s), other.stages.get(s)) {
-                (Some(&a), Some(&b)) => a.merge(b),
-                (Some(&a), None) => a.merge(synthetic(&other.devices, &a)),
-                (None, Some(&b)) => synthetic(&self.devices, &b).merge(b),
-                (None, None) => unreachable!("s < max(stage depths)"),
-            });
+        for ((periods, charge), (other_periods, other_charge)) in stages.iter().zip(shorter) {
+            assert_eq!(
+                *periods, other_periods,
+                "one schedule stage cannot have two different M"
+            );
+            assert_eq!(
+                charge.map(|c| c.value().to_bits()),
+                other_charge.map(|c| c.value().to_bits()),
+                "shards of one lot share the per-device stage cost"
+            );
         }
 
         let mut devices = self.devices;
         devices.extend(other.devices);
-
-        // Stages without a uniform per-device charge (adaptive plans)
-        // are re-folded over the merged device list's observed
-        // per-stage spends — the exact accumulation a monolithic run
-        // performs. Devices parsed from pre-v4 documents carry no
-        // per-stage spends; a single-stage report can still re-fold
-        // from the cumulative `test_time`, anything else falls back to
-        // the summed operands.
-        let single_stage = stages.len() == 1;
-        for summary in stages.iter_mut().filter(|s| s.device_time.is_none()) {
-            let s = summary.stage;
-            let charges: Vec<Seconds> = devices
-                .iter()
-                .filter(|d| d.stage_times.len() > s)
-                .map(|d| d.stage_times[s])
-                .collect();
-            if charges.len() == summary.tested {
-                summary.time = charges.iter().fold(Seconds(0.0), |acc, &t| acc + t);
-            } else if single_stage {
-                summary.time = devices
-                    .iter()
-                    .fold(Seconds(0.0), |acc, d| acc + d.test_time);
-            }
-        }
-
         let budget = match (self.budget, other.budget) {
             (Some(a), Some(b)) => Some(a + b),
             (a, b) => a.or(b),
@@ -1152,14 +1077,7 @@ impl LotEngine {
             }
         }
         let mut spent = screen_time;
-        let mut stages = vec![StageSummary {
-            stage: 0,
-            periods: config0.periods,
-            tested: devices.len(),
-            counts: VerdictCounts::tally(&devices),
-            time: screen_time,
-            device_time: stage_charge(0),
-        }];
+        let mut stages = vec![(config0.periods, stage_charge(0))];
         let mut budget_exhausted = false;
 
         for (s, &config) in schedule.stages().iter().enumerate().skip(1) {
@@ -1210,7 +1128,6 @@ impl LotEngine {
             // in-order run would report it; results past the admission
             // cut-off never touch the report or the ledger.
             let mut tested = 0;
-            let mut stage_time = Seconds(0.0);
             let mut results = results.into_iter();
             for (j, &i) in ambiguous.iter().enumerate() {
                 let denied = j >= measure
@@ -1239,21 +1156,13 @@ impl LotEngine {
                     .copied()
                     .unwrap_or(report.test_time);
                 spent = spent + t;
-                stage_time = stage_time + t;
                 devices[i] = report;
                 tested += 1;
             }
             if tested == 0 {
                 break;
             }
-            stages.push(StageSummary {
-                stage: s,
-                periods: config.periods,
-                tested,
-                counts: VerdictCounts::tally(&devices),
-                time: stage_time,
-                device_time: stage_charge(s),
-            });
+            stages.push((config.periods, stage_charge(s)));
         }
 
         let mut report = LotReport::new(plan.mask().clone(), devices)
@@ -1762,7 +1671,7 @@ mod tests {
 
     #[test]
     fn schedule_constructors_and_stage_time() {
-        let s = EscalationSchedule::paper_default();
+        let s = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[50, 200, 800]);
         assert_eq!(
             s.stages().iter().map(|c| c.periods).collect::<Vec<_>>(),
             vec![50, 200, 800]
@@ -1915,24 +1824,6 @@ mod tests {
     }
 
     #[test]
-    fn verdict_counts_merge_adds_fieldwise() {
-        let a = VerdictCounts {
-            pass: 2,
-            fail: 1,
-            ambiguous: 3,
-        };
-        let b = VerdictCounts {
-            pass: 1,
-            fail: 0,
-            ambiguous: 2,
-        };
-        let ab = a.merge(b);
-        assert_eq!((ab.pass, ab.fail, ab.ambiguous), (3, 1, 5));
-        assert_eq!(a.merge(VerdictCounts::default()), a);
-        assert_eq!(VerdictCounts::default().merge(a), a);
-    }
-
-    #[test]
     fn merge_empty_is_a_two_sided_identity() {
         let plan = LotPlan::from_mask(GainMask::paper_lowpass());
         let report = LotEngine::serial()
@@ -1985,25 +1876,53 @@ mod tests {
     }
 
     #[test]
-    fn stage_summary_merge_continues_the_time_fold() {
-        let c = Seconds(0.125);
-        let mk = |tested: usize| StageSummary {
-            stage: 1,
-            periods: 100,
-            tested,
-            counts: VerdictCounts {
-                pass: tested,
-                fail: 0,
-                ambiguous: 0,
-            },
-            time: (0..tested).fold(Seconds(0.0), |acc, _| acc + c),
-            device_time: Some(c),
+    fn stage_summaries_are_read_off_the_devices() {
+        // Each stage folds the charges of the devices it tested; a device
+        // re-tested after stage `s` counts as ambiguous there.
+        let device = |seed, verdict, stage_times: &[f64]| DeviceReport {
+            seed,
+            plot: BodePlot::new(Vec::new()),
+            verdict,
+            fit: None,
+            stage: stage_times.len() - 1,
+            periods: 0,
+            test_time: Seconds(stage_times.iter().sum()),
+            stage_times: stage_times.iter().map(|&t| Seconds(t)).collect(),
         };
-        let merged = mk(3).merge(mk(2));
-        assert_eq!(merged.tested, 5);
-        assert_eq!(merged.time, mk(5).time);
-        assert_eq!(merged.device_time, Some(c));
-        assert_eq!(merged.counts.pass, 5);
+        let devices = vec![
+            device(0, SpecVerdict::Pass, &[0.5, 2.0]),
+            device(1, SpecVerdict::Fail, &[0.5]),
+            device(2, SpecVerdict::Ambiguous, &[0.5, 2.0, 8.0]),
+        ];
+        let ran = vec![
+            (50, Some(Seconds(0.5))),
+            (200, None),
+            (800, Some(Seconds(8.0))),
+        ];
+        let report = LotReport::new(GainMask::new(), devices.clone()).with_stages(ran.clone());
+        let rows: Vec<_> = report
+            .stages()
+            .iter()
+            .map(|s| {
+                let c = s.counts;
+                (s.periods, s.tested, [c.pass, c.fail, c.ambiguous], s.time)
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            vec![
+                (50, 3, [0, 1, 2], Seconds(1.5)),
+                (200, 2, [1, 1, 1], Seconds(4.0)),
+                (800, 1, [1, 1, 1], Seconds(8.0)),
+            ]
+        );
+        assert_eq!(report.stages()[1].device_time, None);
+        assert_eq!(report.spent(), Seconds(13.5));
+        // A shard that stopped a stage early merges into the same report.
+        let head =
+            LotReport::new(GainMask::new(), devices[..2].to_vec()).with_stages(ran[..2].to_vec());
+        let tail = LotReport::new(GainMask::new(), devices[2..].to_vec()).with_stages(ran);
+        assert_eq!(head.merge(tail), report);
     }
 
     #[test]
@@ -2105,7 +2024,7 @@ mod tests {
                     paper_factory(0.0),
                     &[0, 1],
                     &plan,
-                    &EscalationSchedule::paper_default(),
+                    &EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[50, 200, 800]),
                 )
                 .unwrap_err(),
             expected

@@ -15,15 +15,15 @@
 //!
 //! # Worker-panic containment
 //!
-//! A panicking job no longer takes the pool down with it. Each job runs
+//! A panicking job does not take the pool down with it. Each job runs
 //! under `catch_unwind`; the worker that caught it keeps stealing the
 //! remaining indices, and the slot mutex is recovered from poisoning via
 //! [`PoisonError::into_inner`] (the protected state is only ever a whole
 //! slot written in one assignment, so a poisoned lock cannot expose a
-//! torn value). [`try_map_indexed`] surfaces the **lowest-index** panic
-//! as a typed [`WorkerPanic`] — the same error a serial in-order run
-//! would hit first — while [`map_indexed`] keeps its infallible
-//! signature by resuming the unwind with that panic's payload.
+//! torn value). Once every job has been attempted, [`map_indexed`]
+//! resumes the unwind on the calling thread with the **lowest-index**
+//! panic's payload text — the panic a serial in-order run would hit
+//! first.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -43,28 +43,6 @@ pub fn auto_threads() -> usize {
             .unwrap_or(1)
     })
 }
-
-/// A job handed to the pool panicked.
-///
-/// `index` is the lowest job index that panicked (the one a serial
-/// in-order run would have hit first); `message` is the panic payload
-/// rendered to text (`&str` and `String` payloads verbatim, anything
-/// else a fixed placeholder).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WorkerPanic {
-    /// Lowest job index whose closure panicked.
-    pub index: usize,
-    /// The panic payload as text.
-    pub message: String,
-}
-
-impl std::fmt::Display for WorkerPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker job {} panicked: {}", self.index, self.message)
-    }
-}
-
-impl std::error::Error for WorkerPanic {}
 
 /// Renders a `catch_unwind` payload to text.
 fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
@@ -96,105 +74,60 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// # Panics
 ///
 /// If a job panics, the unwind is resumed on the calling thread with the
-/// lowest-index panic's payload after the surviving workers finish —
-/// i.e. `map_indexed` behaves like the serial loop: the panic
-/// propagates, but it never poisons sibling jobs into `"lock poisoned"`
-/// aborts. Callers that need to *handle* a panicking job use
-/// [`try_map_indexed`].
+/// lowest-index panic's payload text (`&str` and `String` payloads
+/// verbatim, anything else `"non-string panic payload"`) after every
+/// job has been attempted — i.e. `map_indexed` behaves like the serial
+/// loop: the panic propagates, but it never poisons sibling jobs into
+/// `"lock poisoned"` aborts.
 pub fn map_indexed<T, F>(workers: usize, len: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    match try_map_indexed(workers, len, job) {
-        Ok(values) => values,
-        Err(panic) => std::panic::resume_unwind(Box::new(panic.message)),
-    }
-}
-
-/// [`map_indexed`] with worker panics contained: runs every job, and if
-/// any job panicked returns the **lowest-index** panic as a typed
-/// [`WorkerPanic`] instead of unwinding.
-///
-/// All jobs are still attempted (a panic in job 3 does not cancel job
-/// 40), so a caller retrying the failed index pays only for that index.
-/// The scheduling and result order are identical to [`map_indexed`].
-///
-/// # Errors
-///
-/// [`WorkerPanic`] if at least one job panicked.
-pub fn try_map_indexed<T, F>(workers: usize, len: usize, job: F) -> Result<Vec<T>, WorkerPanic>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
     if len == 0 {
-        return Ok(Vec::new());
+        return Vec::new();
     }
     let workers = workers.clamp(1, len);
-    if workers == 1 {
-        let mut values = Vec::with_capacity(len);
-        let mut first_panic: Option<WorkerPanic> = None;
-        for i in 0..len {
-            match catch_unwind(AssertUnwindSafe(|| job(i))) {
-                Ok(value) => values.push(value),
-                Err(payload) => {
-                    first_panic.get_or_insert(WorkerPanic {
-                        index: i,
-                        message: panic_message(payload),
-                    });
-                }
+    let attempt = |i: usize| catch_unwind(AssertUnwindSafe(|| job(i))).map_err(panic_message);
+    let outcomes: Vec<Result<T, String>> = if workers == 1 {
+        (0..len).map(attempt).collect()
+    } else {
+        // Indexed result slots keep output order independent of
+        // completion order; the atomic cursor steals work job-by-job.
+        // Locks are recovered from poisoning because each critical
+        // section is a single whole-slot assignment — there is no torn
+        // state a poisoned lock could expose.
+        let slots: Mutex<Vec<Option<Result<T, String>>>> =
+            Mutex::new((0..len).map(|_| None).collect());
+        let cursor = AtomicUsize::new(0);
+        std::thread::scope(|scope| {
+            for _ in 0..workers {
+                scope.spawn(|| loop {
+                    let i = cursor.fetch_add(1, Ordering::Relaxed);
+                    if i >= len {
+                        break;
+                    }
+                    let outcome = attempt(i);
+                    slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(outcome);
+                });
             }
-        }
-        return match first_panic {
-            None => Ok(values),
-            Some(panic) => Err(panic),
-        };
-    }
-
-    // Indexed result slots keep output order independent of completion
-    // order; the atomic cursor steals work job-by-job. A slot records
-    // the job's value or its panic text; locks are recovered from
-    // poisoning because each critical section is a single whole-slot
-    // assignment — there is no torn state a poisoned lock could expose.
-    let slots: Mutex<Vec<Option<Result<T, String>>>> = Mutex::new((0..len).map(|_| None).collect());
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= len {
-                    break;
-                }
-                let outcome = catch_unwind(AssertUnwindSafe(|| job(i))).map_err(panic_message);
-                slots.lock().unwrap_or_else(PoisonError::into_inner)[i] = Some(outcome);
-            });
-        }
-    });
-
-    let mut values = Vec::with_capacity(len);
-    for (i, slot) in slots
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner)
+        });
+        // The cursor hands every index to some worker, and a worker
+        // writes its slot even when the job panics; a missing slot
+        // unwinds like a panicking job instead of asserting.
+        slots
+            .into_inner()
+            .unwrap_or_else(PoisonError::into_inner)
+            .into_iter()
+            .map(|slot| {
+                slot.unwrap_or_else(|| Err("worker never delivered its result".to_string()))
+            })
+            .collect()
+    };
+    outcomes
         .into_iter()
-        .enumerate()
-    {
-        match slot {
-            Some(Ok(value)) => values.push(value),
-            Some(Err(message)) => return Err(WorkerPanic { index: i, message }),
-            // Unreachable: the cursor hands every index to some worker,
-            // and a worker writes its slot even when the job panics. A
-            // missing slot is reported rather than asserted so the pool
-            // itself stays panic-free.
-            None => {
-                return Err(WorkerPanic {
-                    index: i,
-                    message: "worker never delivered its result".to_string(),
-                })
-            }
-        }
-    }
-    Ok(values)
+        .collect::<Result<Vec<T>, String>>()
+        .unwrap_or_else(|message| std::panic::resume_unwind(Box::new(message)))
 }
 
 #[cfg(test)]
@@ -246,18 +179,28 @@ mod tests {
         }
     }
 
+    /// The panic text `map_indexed` resumes the unwind with.
+    fn resumed_panic<T: Send + std::fmt::Debug>(
+        workers: usize,
+        len: usize,
+        job: impl Fn(usize) -> T + Sync,
+    ) -> String {
+        let caught = catch_unwind(AssertUnwindSafe(|| map_indexed(workers, len, job))).unwrap_err();
+        *caught
+            .downcast::<String>()
+            .expect("payload is the panic text")
+    }
+
     #[test]
     fn try_map_surfaces_the_lowest_index_panic() {
         for workers in [1, 2, 8] {
-            let err = try_map_indexed(workers, 20, |i| {
+            let message = resumed_panic(workers, 20, |i| {
                 if i == 7 || i == 13 {
                     panic!("job {i} failed");
                 }
                 i
-            })
-            .unwrap_err();
-            assert_eq!(err.index, 7, "workers = {workers}");
-            assert_eq!(err.message, "job 7 failed", "workers = {workers}");
+            });
+            assert_eq!(message, "job 7 failed", "workers = {workers}");
         }
     }
 
@@ -265,15 +208,14 @@ mod tests {
     fn sibling_jobs_survive_a_panicking_worker() {
         use std::sync::atomic::AtomicU32;
         let runs: Vec<AtomicU32> = (0..30).map(|_| AtomicU32::new(0)).collect();
-        let err = try_map_indexed(4, 30, |i| {
+        let message = resumed_panic(4, 30, |i| {
             runs[i].fetch_add(1, Ordering::Relaxed);
             if i == 0 {
                 panic!("first job dies");
             }
             i
-        })
-        .unwrap_err();
-        assert_eq!(err.index, 0);
+        });
+        assert_eq!(message, "first job dies");
         // Every sibling still ran exactly once — no poisoning cascade.
         for (i, r) in runs.iter().enumerate() {
             assert_eq!(r.load(Ordering::Relaxed), 1, "job {i}");
@@ -299,7 +241,7 @@ mod tests {
 
     #[test]
     fn non_string_payloads_get_a_placeholder() {
-        let err = try_map_indexed(1, 1, |_| -> u32 { std::panic::panic_any(42u64) }).unwrap_err();
-        assert_eq!(err.message, "non-string panic payload");
+        let message = resumed_panic(1, 1, |_| -> u32 { std::panic::panic_any(42u64) });
+        assert_eq!(message, "non-string panic payload");
     }
 }

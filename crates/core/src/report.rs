@@ -3,25 +3,24 @@
 //!
 //! JSON documents are hand-rendered (the workspace builds fully offline,
 //! so there is no serde) and self-describing via a `"schema"` field:
-//! `netan.bode.v2` for [`bode_json`] (v2 added the per-point `"round"`
-//! refinement provenance) and `netan.lot.v4` for [`lot_json`] (v2 added
-//! the escalation budget ledger, per-stage summaries and per-device
-//! stage provenance; v3 added the [`ShardSpan`] provenance and per-stage
-//! `device_time_s` that make shard merges and checkpoint resume exact;
-//! v4 added the observed-cost provenance — the report-level `stopping`
-//! policy and per-device `stage_times_s` charges); v1–v3 documents of
-//! both families remain readable, both by the `plot_report` consumer
-//! and by [`parse_lot_json`]. Numbers use Rust's shortest round-trip
-//! `f64` formatting; non-finite values render as `null`. Together those
-//! two facts make serialization lossless for every serialized field:
-//! re-rendering a parsed v4 document reproduces it byte for byte, which
-//! is what the [`checkpoint`](crate::checkpoint) driver's
-//! resume-equality guarantee rests on.
+//! `netan.bode.v2` for [`bode_json`] and `netan.lot.v4` for
+//! [`lot_json`]. Numbers use Rust's shortest round-trip `f64` formatting;
+//! non-finite values render as `null`. Together those two facts make
+//! serialization lossless for every serialized field: re-rendering a
+//! parsed document reproduces it byte for byte, which is what the
+//! [`checkpoint`](crate::checkpoint) driver's resume-equality guarantee
+//! rests on.
+//!
+//! A reader accepts exactly the schema its writer emits: a document of
+//! any other version is a [`ReportParseError`], both here and in the
+//! `plot_report` consumer, and the checkpoint driver measures a shard of
+//! any other version again. A schema bump therefore retires every older
+//! checkpoint shard with no new code.
 
 use crate::analyzer::BodePoint;
 use crate::harmonics::DistortionReport;
 use crate::json::{write_f64 as json_f64, Json};
-use crate::lot::{DeviceReport, LotReport, ShardSpan, StageSummary, StoppingPolicy, VerdictCounts};
+use crate::lot::{DeviceReport, LotReport, ShardSpan, StoppingPolicy, VerdictCounts};
 use crate::spec::{GainMask, MaskPoint, SpecVerdict};
 use crate::sweep::{BodePlot, LowpassFit};
 use mixsig::units::{Hertz, Seconds};
@@ -217,10 +216,9 @@ fn shard_cell(shard: Option<ShardSpan>) -> String {
 /// cutoff_hz, worst_gain_err_db, stage, periods, test_time_s,
 /// stage_times_s, shard` — `stage`/`periods`/`test_time_s` are the
 /// escalation provenance, stage 0 for plain runs; `stage_times_s` is
-/// the observed per-stage charge ledger, `;`-joined, empty for pre-v4
-/// documents; `shard` is the report's seed range, `start..end`,
-/// prefixed `~` when incomplete and empty when unknown); missing
-/// fit/cutoff fields render empty.
+/// the observed per-stage charge ledger, `;`-joined; `shard` is the
+/// report's seed range, `start..end`, prefixed `~` when incomplete and
+/// empty when unknown); missing fit/cutoff fields render empty.
 pub fn lot_csv(report: &LotReport) -> String {
     let mut out = String::from(
         "seed,verdict,fit_gain,fit_f0_hz,fit_q,cutoff_hz,worst_gain_err_db,stage,periods,test_time_s,stage_times_s,shard\n",
@@ -320,7 +318,7 @@ pub fn bode_json(plot: &BodePlot) -> String {
     out
 }
 
-fn json_counts(out: &mut String, c: &crate::lot::VerdictCounts) {
+fn json_counts(out: &mut String, c: &VerdictCounts) {
     let _ = write!(
         out,
         "{{\"pass\":{},\"fail\":{},\"ambiguous\":{}}}",
@@ -352,16 +350,12 @@ fn lot_json_capacity(report: &LotReport) -> usize {
 }
 
 /// Renders a lot report as a JSON document (schema `netan.lot.v4`): the
-/// shard provenance (`null` when unknown), the stopping policy, the
+/// stopping policy, the shard provenance (`null` when unknown), the
 /// mask, the verdict histogram, the yield enclosure (`null` for an
-/// empty lot), the escalation budget ledger and per-stage summaries (v3
-/// adds each stage's uniform `device_time_s`, `null` for
-/// device-dependent charges), and per-device verdict, stage provenance,
-/// observed per-stage charges (`stage_times_s`, v4), f0/Q fit and full
-/// point set. v1 documents (no `budget`/`stages`, no per-device
-/// provenance), v2 documents (no `shard`/`device_time_s`) and v3
-/// documents (no `stopping`/`stage_times_s`) remain readable, by the
-/// `plot_report` consumer and by [`parse_lot_json`].
+/// empty lot), the escalation budget ledger, the per-stage summaries
+/// (each with its uniform `device_time_s`, `null` for device-dependent
+/// charges), and per-device verdict, stage provenance, observed
+/// per-stage charges (`stage_times_s`), f0/Q fit and full point set.
 pub fn lot_json(report: &LotReport) -> String {
     let mut out = String::with_capacity(lot_json_capacity(report));
     out.push_str("{\"schema\":\"netan.lot.v4\",\"stopping\":");
@@ -479,7 +473,7 @@ pub fn lot_json(report: &LotReport) -> String {
             Some(f) => json_f64(&mut out, f.value()),
             None => out.push_str("null"),
         }
-        // Lot documents stay at schema v1: no per-point round field.
+        // Lot points carry no per-point round field.
         out.push_str(",\"points\":");
         json_points(&mut out, d.plot.points(), false);
         out.push('}');
@@ -498,15 +492,7 @@ fn parse_bounded(j: &Json) -> Result<Bounded, ReportParseError> {
     })
 }
 
-fn parse_counts(j: &Json) -> Result<VerdictCounts, ReportParseError> {
-    Ok(VerdictCounts {
-        pass: j.field("pass")?.as_int("count")?,
-        fail: j.field("fail")?.as_int("count")?,
-        ambiguous: j.field("ambiguous")?.as_int("count")?,
-    })
-}
-
-fn parse_device(d: &Json, version: u32) -> Result<DeviceReport, ReportParseError> {
+fn parse_device(d: &Json) -> Result<DeviceReport, ReportParseError> {
     let verdict = match d.field("verdict")?.as_str()? {
         "pass" => SpecVerdict::Pass,
         "fail" => SpecVerdict::Fail,
@@ -546,54 +532,41 @@ fn parse_device(d: &Json, version: u32) -> Result<DeviceReport, ReportParseError
             round: 0,
         });
     }
-    // v1 devices carry no escalation provenance: stage 0, M unknown.
-    let (stage, periods, test_time) = if version >= 2 {
-        (
-            d.field("stage")?.as_int("stage")?,
-            d.field("periods")?.as_int("periods")?,
-            Seconds(d.field("test_time_s")?.as_f64()?),
-        )
-    } else {
-        (0, 0, Seconds(0.0))
-    };
-    // Pre-v4 documents carry no observed per-stage charges.
     let mut stage_times = Vec::new();
-    if version >= 4 {
-        for t in d.field("stage_times_s")?.as_arr()? {
-            stage_times.push(Seconds(t.as_f64()?));
-        }
+    for t in d.field("stage_times_s")?.as_arr()? {
+        stage_times.push(Seconds(t.as_f64()?));
     }
     Ok(DeviceReport {
         seed: d.field("seed")?.as_int("seed")?,
         plot: BodePlot::new(points),
         verdict,
         fit,
-        stage,
-        periods,
-        test_time,
+        stage: d.field("stage")?.as_int("stage")?,
+        periods: d.field("periods")?.as_int("periods")?,
+        test_time: Seconds(d.field("test_time_s")?.as_f64()?),
         stage_times,
     })
 }
 
-/// Parses a `netan.lot.v1`/`v2`/`v3`/`v4` JSON document — the exact
-/// inverse of [`lot_json`] for every serialized field.
+/// Parses a `netan.lot.v4` JSON document — the exact inverse of
+/// [`lot_json`] for every serialized field.
 ///
-/// Derived fields (`counts`, `yield`, `spent_s`, `cutoff_hz`) are
-/// recomputed, not read; combined with shortest-round-trip number
-/// formatting, re-rendering a parsed v4 document with [`lot_json`]
-/// reproduces it **byte for byte**. Fields a schema version predates
-/// load as their neutral values (v1: stage-0 provenance with `M = 0`
-/// and zero test time, no budget/stages; v2: no shard span, no
-/// per-stage `device_time_s`; v3: staged stopping, empty per-device
-/// `stage_times_s`). The per-point linear `gain` enclosure is not
-/// serialized and is rebuilt from the dB enclosure; the f0/Q `fit` is
-/// parsed verbatim, never refitted.
+/// Derived fields are recomputed, not read: the report's `counts`,
+/// `yield` and `spent_s`, each device's `cutoff_hz`, and each stage's
+/// `stage`, `tested`, `counts` and `time_s`, which
+/// [`LotReport::stages`] reads off the devices (a stage contributes only
+/// its `periods` and `device_time_s`). Combined with
+/// shortest-round-trip number formatting, re-rendering a parsed
+/// document with [`lot_json`] reproduces it **byte for byte**. The
+/// per-point linear `gain` enclosure is not serialized and is rebuilt
+/// from the dB enclosure; the f0/Q `fit` is parsed verbatim, never
+/// refitted.
 ///
 /// # Errors
 ///
-/// [`ReportParseError`] on malformed JSON, an unsupported schema, or a
-/// missing/mistyped field, with the byte offset where the parser
-/// stopped.
+/// [`ReportParseError`] on malformed JSON, any schema other than
+/// `netan.lot.v4`, or a missing/mistyped field, with the byte offset
+/// where the parser stopped.
 pub fn parse_lot_json(text: &str) -> Result<LotReport, ReportParseError> {
     let doc = Json::parse(text)?;
     lot_report_from_json(&doc)
@@ -602,27 +575,22 @@ pub fn parse_lot_json(text: &str) -> Result<LotReport, ReportParseError> {
 /// Interprets an already-parsed [`Json`] document as a lot report.
 ///
 /// This is [`parse_lot_json`] minus the text parsing step; it exists so
-/// callers that embed a `netan.lot.v*` document inside a larger frame
+/// callers that embed a `netan.lot.v4` document inside a larger frame
 /// (e.g. the `netan.job.v1` service protocol) can hand over the nested
 /// value without re-rendering it to text first.
 ///
 /// # Errors
 ///
-/// [`ReportParseError`] on an unsupported schema or a missing/mistyped
-/// field (offset 0: interpretation happens after parsing).
+/// [`ReportParseError`] on any schema other than `netan.lot.v4` or a
+/// missing/mistyped field (offset 0: interpretation happens after
+/// parsing).
 pub fn lot_report_from_json(doc: &Json) -> Result<LotReport, ReportParseError> {
     let schema = doc.field("schema")?.as_str()?;
-    let version = match schema {
-        "netan.lot.v1" => 1,
-        "netan.lot.v2" => 2,
-        "netan.lot.v3" => 3,
-        "netan.lot.v4" => 4,
-        other => {
-            return Err(ReportParseError::doc(format!(
-                "unsupported schema {other:?} (expected netan.lot.v1/v2/v3/v4)"
-            )));
-        }
-    };
+    if schema != "netan.lot.v4" {
+        return Err(ReportParseError::doc(format!(
+            "unsupported schema {schema:?} (expected netan.lot.v4)"
+        )));
+    }
 
     let mut mask = GainMask::new();
     for m in doc.field("mask")?.as_arr()? {
@@ -635,59 +603,41 @@ pub fn lot_report_from_json(doc: &Json) -> Result<LotReport, ReportParseError> {
 
     let mut devices = Vec::new();
     for d in doc.field("devices")?.as_arr()? {
-        devices.push(parse_device(d, version)?);
+        devices.push(parse_device(d)?);
     }
 
-    let mut report = LotReport::new(mask, devices);
-    if version >= 2 {
-        let mut stages = Vec::new();
-        for s in doc.field("stages")?.as_arr()? {
-            let device_time = if version >= 3 {
-                match s.field("device_time_s")? {
-                    Json::Null => None,
-                    c => Some(Seconds(c.as_f64()?)),
-                }
-            } else {
-                None
-            };
-            stages.push(StageSummary {
-                stage: s.field("stage")?.as_int("stage")?,
-                periods: s.field("periods")?.as_int("periods")?,
-                tested: s.field("tested")?.as_int("tested")?,
-                counts: parse_counts(s.field("counts")?)?,
-                time: Seconds(s.field("time_s")?.as_f64()?),
-                device_time,
-            });
-        }
-        let budget = doc.field("budget")?;
-        let limit = match budget.field("limit_s")? {
+    let mut stages = Vec::new();
+    for s in doc.field("stages")?.as_arr()? {
+        let device_time = match s.field("device_time_s")? {
             Json::Null => None,
-            b => Some(Seconds(b.as_f64()?)),
+            c => Some(Seconds(c.as_f64()?)),
         };
-        report = report
-            .with_stages(stages)
-            .with_budget(limit, budget.field("exhausted")?.as_bool()?);
+        stages.push((s.field("periods")?.as_int("periods")?, device_time));
     }
-    if version >= 3 {
-        if let shard @ Json::Obj(_) = doc.field("shard")? {
-            report = report.with_shard(ShardSpan {
-                seed_start: shard.field("seed_start")?.as_int("seed")?,
-                seed_end: shard.field("seed_end")?.as_int("seed")?,
-                complete: shard.field("complete")?.as_bool()?,
-            });
+    let budget = doc.field("budget")?;
+    let limit = match budget.field("limit_s")? {
+        Json::Null => None,
+        b => Some(Seconds(b.as_f64()?)),
+    };
+    let stopping = match doc.field("stopping")?.as_str()? {
+        "staged" => StoppingPolicy::Staged,
+        "sequential" => StoppingPolicy::Sequential,
+        other => {
+            return Err(ReportParseError::doc(format!(
+                "unknown stopping policy {other:?}"
+            )));
         }
-    }
-    if version >= 4 {
-        let stopping = match doc.field("stopping")?.as_str()? {
-            "staged" => StoppingPolicy::Staged,
-            "sequential" => StoppingPolicy::Sequential,
-            other => {
-                return Err(ReportParseError::doc(format!(
-                    "unknown stopping policy {other:?}"
-                )));
-            }
-        };
-        report = report.with_stopping(stopping);
+    };
+    let mut report = LotReport::new(mask, devices)
+        .with_stages(stages)
+        .with_budget(limit, budget.field("exhausted")?.as_bool()?)
+        .with_stopping(stopping);
+    if let shard @ Json::Obj(_) = doc.field("shard")? {
+        report = report.with_shard(ShardSpan {
+            seed_start: shard.field("seed_start")?.as_int("seed")?,
+            seed_end: shard.field("seed_end")?.as_int("seed")?,
+            complete: shard.field("complete")?.as_bool()?,
+        });
     }
     Ok(report)
 }
@@ -761,7 +711,7 @@ mod tests {
     }
 
     fn synthetic_lot() -> LotReport {
-        use crate::lot::{DeviceReport, StageSummary, VerdictCounts};
+        use crate::lot::DeviceReport;
         use crate::spec::{GainMask, MaskPoint};
         use crate::sweep::LowpassFit;
         use mixsig::units::Seconds;
@@ -795,32 +745,7 @@ mod tests {
                 device(2, SpecVerdict::Fail, None, 0, 50),
             ],
         )
-        .with_stages(vec![
-            StageSummary {
-                stage: 0,
-                periods: 50,
-                tested: 3,
-                counts: VerdictCounts {
-                    pass: 1,
-                    fail: 1,
-                    ambiguous: 1,
-                },
-                time: Seconds(0.75),
-                device_time: Some(Seconds(0.25)),
-            },
-            StageSummary {
-                stage: 1,
-                periods: 200,
-                tested: 1,
-                counts: VerdictCounts {
-                    pass: 1,
-                    fail: 1,
-                    ambiguous: 1,
-                },
-                time: Seconds(0.25),
-                device_time: None,
-            },
-        ])
+        .with_stages(vec![(50, Some(Seconds(0.25))), (200, None)])
         .with_budget(Some(Seconds(2.0)), true)
     }
 
@@ -1018,45 +943,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_lot_json_reads_v1_and_v2_documents() {
-        // A v1 document: no budget/stages/shard, no device provenance.
-        let v1 = r#"{"schema":"netan.lot.v1","mask":[{"freq_hz":1000,"min_db":-4.5,"max_db":-1.5}],"counts":{"pass":1,"fail":0,"ambiguous":0},"yield":{"lo":1,"hi":1},"devices":[{"seed":3,"verdict":"pass","fit":null,"cutoff_hz":null,"points":[{"freq_hz":1000,"gain_db":{"lo":-3.1,"est":-3.01,"hi":-2.9},"phase_deg":{"lo":-91,"est":-90,"hi":-89},"ideal_gain_db":-3.01,"ideal_phase_deg":-90}]}]}"#;
-        let r = parse_lot_json(v1).expect("v1 parses");
-        assert_eq!(r.len(), 1);
-        assert_eq!(r.devices()[0].seed, 3);
-        assert_eq!(r.devices()[0].verdict, SpecVerdict::Pass);
-        // v1 carries no provenance: neutral values.
-        assert_eq!(r.devices()[0].periods, 0);
-        assert!(r.stages().is_empty());
-        assert_eq!(r.shard(), None);
-
-        // A v2 document gains budget + stages + device provenance.
-        let v2 = r#"{"schema":"netan.lot.v2","mask":[],"counts":{"pass":0,"fail":0,"ambiguous":1},"yield":{"lo":0,"hi":1},"budget":{"limit_s":null,"spent_s":0.5,"exhausted":false},"stages":[{"stage":0,"periods":50,"tested":1,"time_s":0.5,"counts":{"pass":0,"fail":0,"ambiguous":1}}],"devices":[{"seed":0,"verdict":"ambiguous","stage":0,"periods":50,"test_time_s":0.5,"fit":null,"cutoff_hz":null,"points":[]}]}"#;
-        let r = parse_lot_json(v2).expect("v2 parses");
-        assert_eq!(r.stages().len(), 1);
-        assert_eq!(r.stages()[0].periods, 50);
-        assert_eq!(r.stages()[0].device_time, None);
-        assert_eq!(r.devices()[0].periods, 50);
-        assert_eq!(r.shard(), None);
-        // Pre-v4 documents load the neutral observed-cost provenance.
-        assert_eq!(r.stopping(), crate::lot::StoppingPolicy::Staged);
-        assert!(r.devices()[0].stage_times.is_empty());
-    }
-
-    #[test]
-    fn parse_lot_json_reads_v3_documents_with_neutral_v4_fields() {
-        // A v3 document is a v4 one minus `stopping`/`stage_times_s`.
-        let v3 = r#"{"schema":"netan.lot.v3","shard":{"seed_start":0,"seed_end":1,"complete":true},"mask":[],"counts":{"pass":0,"fail":0,"ambiguous":1},"yield":{"lo":0,"hi":1},"budget":{"limit_s":null,"spent_s":0.5,"exhausted":false},"stages":[{"stage":0,"periods":50,"tested":1,"time_s":0.5,"device_time_s":0.5,"counts":{"pass":0,"fail":0,"ambiguous":1}}],"devices":[{"seed":0,"verdict":"ambiguous","stage":0,"periods":50,"test_time_s":0.5,"fit":null,"cutoff_hz":null,"points":[]}]}"#;
-        let r = parse_lot_json(v3).expect("v3 parses");
-        assert_eq!(r.stopping(), crate::lot::StoppingPolicy::Staged);
-        assert!(r.devices()[0].stage_times.is_empty());
-        assert_eq!(r.stages()[0].device_time, Some(Seconds(0.5)));
-        assert_eq!(r.shard().map(|s| s.seed_end), Some(1));
-        // Re-rendering upgrades the document to v4 with the neutral
-        // fields made explicit.
-        let j = lot_json(&r);
-        assert!(j.starts_with("{\"schema\":\"netan.lot.v4\",\"stopping\":\"staged\""));
-        assert!(j.contains("\"stage_times_s\":[]"));
+    fn parse_lot_json_accepts_only_the_schema_lot_json_writes() {
+        let v4 = lot_json(&synthetic_lot());
+        assert!(parse_lot_json(&v4).is_ok());
+        for version in ["v1", "v2", "v3", "v5"] {
+            let doc = v4.replacen("netan.lot.v4", &format!("netan.lot.{version}"), 1);
+            let err = parse_lot_json(&doc).unwrap_err();
+            assert!(err.to_string().contains("netan.lot.v4"), "{version}: {err}");
+        }
     }
 
     #[test]
@@ -1079,13 +973,17 @@ mod tests {
             "{",
             "nope",
             r#"{"schema":"netan.bode.v2"}"#,
-            r#"{"schema":"netan.lot.v3"}"#,
-            r#"{"schema":"netan.lot.v3","shard":null,"mask":[],"devices":[]} trailing"#,
-            r#"{"schema":"netan.lot.v1","mask":[],"devices":[{"seed":0,"verdict":"maybe","fit":null,"points":[]}]}"#,
+            r#"{"schema":"netan.lot.v4"}"#,
+            r#"{"schema":"netan.lot.v4","shard":null,"mask":[],"devices":[]} trailing"#,
         ];
         for doc in bad {
             assert!(parse_lot_json(doc).is_err(), "accepted: {doc:?}");
         }
+        let err = parse_lot_json(
+            r#"{"schema":"netan.lot.v4","mask":[],"devices":[{"seed":0,"verdict":"maybe","fit":null,"points":[]}]}"#,
+        )
+        .unwrap_err();
+        assert!(err.to_string().contains("unknown verdict"), "{err}");
         let err = parse_lot_json(r#"{"schema":"netan.lot.v9"}"#).unwrap_err();
         assert!(err.to_string().contains("unsupported schema"));
     }

@@ -40,36 +40,10 @@ pub fn db_to_amplitude(db: f64) -> f64 {
     10f64.powf(db / 20.0)
 }
 
-/// Converts decibels back to a power ratio.
-#[inline]
-pub fn db_to_power(db: f64) -> f64 {
-    10f64.powf(db / 10.0)
-}
-
 /// Amplitude (volts) → the paper's Fig. 9 "dBm" (dB-full-scale) axis.
 #[inline]
 pub fn amplitude_to_dbfs(volts: f64) -> f64 {
     amplitude_to_db(volts / DBFS_REF_VOLTS)
-}
-
-/// The paper's Fig. 9 "dBm" axis → amplitude in volts.
-#[inline]
-pub fn dbfs_to_amplitude(dbfs: f64) -> f64 {
-    db_to_amplitude(dbfs) * DBFS_REF_VOLTS
-}
-
-/// Amplitude relative to a carrier amplitude, in dBc.
-///
-/// # Example
-///
-/// ```
-/// use dsp::db::amplitude_to_dbc;
-/// // A spur 100x below the carrier is -40 dBc.
-/// assert!((amplitude_to_dbc(0.01, 1.0) + 40.0).abs() < 1e-12);
-/// ```
-#[inline]
-pub fn amplitude_to_dbc(amplitude: f64, carrier: f64) -> f64 {
-    amplitude_to_db(amplitude / carrier)
 }
 
 #[cfg(test)]
@@ -80,7 +54,6 @@ mod tests {
     fn db_round_trips() {
         for &a in &[1e-6, 0.01, 0.5, 1.0, 3.3, 1e4] {
             assert!((db_to_amplitude(amplitude_to_db(a)) - a).abs() / a < 1e-12);
-            assert!((db_to_power(power_to_db(a)) - a).abs() / a < 1e-12);
         }
     }
 
@@ -96,17 +69,5 @@ mod tests {
         assert!((amplitude_to_dbfs(0.2) + 10.98).abs() < 0.05);
         assert!((amplitude_to_dbfs(0.02) + 30.98).abs() < 0.05);
         assert!((amplitude_to_dbfs(0.002) + 50.98).abs() < 0.05);
-    }
-
-    #[test]
-    fn dbfs_round_trip() {
-        for &v in &[0.002, 0.02, 0.2, 0.7] {
-            assert!((dbfs_to_amplitude(amplitude_to_dbfs(v)) - v).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn dbc_of_carrier_is_zero() {
-        assert_eq!(amplitude_to_dbc(0.5, 0.5), 0.0);
     }
 }

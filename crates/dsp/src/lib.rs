@@ -8,10 +8,9 @@
 //! * [`goertzel`](mod@goertzel) — single-bin DFT evaluation,
 //! * [`window`] — spectral analysis windows and their gains,
 //! * [`spectrum`] — periodograms and peak bookkeeping,
-//! * [`metrics`] — THD, SFDR, SNR, SINAD, ENOB,
+//! * [`metrics`] — THD and SFDR,
 //! * [`db`] — decibel conversions and the paper's "dB full-scale" axis,
-//! * [`tone`] — sine/multitone synthesis and coherent-frequency helpers,
-//! * [`sinefit`] — three-parameter least-squares sine fitting.
+//! * [`tone`] — sine/multitone synthesis and coherent-frequency helpers.
 //!
 //! # Example
 //!
@@ -40,7 +39,6 @@ pub mod db;
 pub mod fft;
 pub mod goertzel;
 pub mod metrics;
-pub mod sinefit;
 pub mod spectrum;
 pub mod tone;
 pub mod window;
@@ -48,8 +46,7 @@ pub mod window;
 pub use complex::Complex64;
 pub use db::{amplitude_to_db, db_to_amplitude, power_to_db, DBFS_REF_VOLTS};
 pub use goertzel::goertzel;
-pub use metrics::{enob, sfdr, sinad, snr, thd, HarmonicAnalysis};
-pub use sinefit::SineFit;
+pub use metrics::{sfdr, thd, HarmonicAnalysis};
 pub use spectrum::Spectrum;
 pub use tone::{Multitone, Tone};
 pub use window::Window;

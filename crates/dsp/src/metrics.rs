@@ -1,4 +1,4 @@
-//! Spectral quality metrics: THD, SFDR, SNR, SINAD, ENOB.
+//! Spectral quality metrics: THD and SFDR.
 //!
 //! These are the figures the paper reports for the generator (Fig. 8b:
 //! SFDR = 70 dB, THD = 67 dB) and the numbers the "oscilloscope" reference
@@ -106,49 +106,6 @@ pub fn sfdr(spectrum: &Spectrum, fundamental_bin: usize) -> f64 {
     -amplitude_to_db(spur.max(1e-300) / carrier)
 }
 
-/// Signal-to-noise ratio (dB): carrier power over everything that is neither
-/// DC, carrier, nor one of the first ten harmonics.
-pub fn snr(spectrum: &Spectrum, fundamental_bin: usize) -> f64 {
-    let n = spectrum.record_len();
-    let guard = spectrum.window().leakage_bins() + 1;
-    let carrier = spectrum.tone_amplitude(fundamental_bin);
-    let harmonic_bins: Vec<usize> = (2..=10)
-        .map(|h| alias_bin(h * fundamental_bin, n))
-        .collect();
-    let mut noise_power = 0.0;
-    for (k, &a) in spectrum.amplitudes().iter().enumerate() {
-        let near_carrier = k.abs_diff(fundamental_bin) <= guard;
-        let near_dc = k <= guard;
-        let near_harm = harmonic_bins.iter().any(|&h| k.abs_diff(h) <= guard);
-        if !near_carrier && !near_dc && !near_harm {
-            noise_power += a * a / 2.0;
-        }
-    }
-    let carrier_power = carrier * carrier / 2.0;
-    10.0 * (carrier_power / noise_power.max(1e-300)).log10()
-}
-
-/// Signal-to-noise-and-distortion ratio (dB).
-pub fn sinad(spectrum: &Spectrum, fundamental_bin: usize) -> f64 {
-    let guard = spectrum.window().leakage_bins() + 1;
-    let carrier = spectrum.tone_amplitude(fundamental_bin);
-    let mut nd_power = 0.0;
-    for (k, &a) in spectrum.amplitudes().iter().enumerate() {
-        let near_carrier = k.abs_diff(fundamental_bin) <= guard;
-        let near_dc = k <= guard;
-        if !near_carrier && !near_dc {
-            nd_power += a * a / 2.0;
-        }
-    }
-    let carrier_power = carrier * carrier / 2.0;
-    10.0 * (carrier_power / nd_power.max(1e-300)).log10()
-}
-
-/// Effective number of bits from SINAD: `(SINAD − 1.76) / 6.02`.
-pub fn enob(sinad_db: f64) -> f64 {
-    (sinad_db - 1.76) / 6.02
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -208,27 +165,6 @@ mod tests {
         let s = two_tone(4096, 1500, 1.0, 2, 0.01);
         let ha = HarmonicAnalysis::new(&s, 1500, 3);
         assert!((ha.hd_dbc(2) + 40.0).abs() < 0.05);
-    }
-
-    #[test]
-    fn snr_of_clean_tone_is_huge() {
-        let n = 4096;
-        let x = Tone::new(64.0 / n as f64, 1.0, 0.0).samples(n);
-        let s = Spectrum::periodogram(&x, Window::Rect);
-        assert!(snr(&s, 64) > 150.0);
-    }
-
-    #[test]
-    fn sinad_includes_distortion() {
-        let s = two_tone(4096, 64, 1.0, 2, 0.01);
-        let sd = sinad(&s, 64);
-        assert!((sd - 40.0).abs() < 0.5, "{sd}");
-    }
-
-    #[test]
-    fn enob_known_point() {
-        // A perfect 12-bit quantizer has SINAD = 74 dB.
-        assert!((enob(74.0) - 12.0).abs() < 0.01);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 //! Fig. 10c: a one-sided amplitude spectrum with helpers for peak and
 //! harmonic lookup.
 
-use crate::db::amplitude_to_db;
 use crate::fft::{fft_real, FftLenError};
 use crate::window::Window;
 
@@ -91,11 +90,6 @@ impl Spectrum {
         self.window
     }
 
-    /// Normalized frequency (cycles/sample) of bin `k`.
-    pub fn bin_frequency(&self, k: usize) -> f64 {
-        k as f64 / self.record_len as f64
-    }
-
     /// Index of the largest non-DC bin.
     pub fn peak_bin(&self) -> usize {
         self.amplitudes
@@ -132,14 +126,6 @@ impl Spectrum {
             .max_by(|a, b| a.1.total_cmp(b.1))
             .map(|(i, a)| (i, *a))
             .unwrap_or((0, 0.0))
-    }
-
-    /// Spectrum in dB relative to the given reference amplitude.
-    pub fn to_db(&self, reference: f64) -> Vec<f64> {
-        self.amplitudes
-            .iter()
-            .map(|a| amplitude_to_db(a.max(1e-300) / reference))
-            .collect()
     }
 
     /// Total signal power from Parseval (sum of one-sided bin powers).
@@ -199,15 +185,6 @@ mod tests {
     }
 
     #[test]
-    fn bin_frequency_mapping() {
-        let n = 2048;
-        let x = vec![0.0; n];
-        let s = Spectrum::periodogram(&x, Window::Rect);
-        assert_eq!(s.len(), n / 2 + 1);
-        assert!((s.bin_frequency(n / 4) - 0.25).abs() < 1e-15);
-    }
-
-    #[test]
     fn max_spur_skips_carrier() {
         let n = 1024;
         let carrier = Tone::new(100.0 / n as f64, 1.0, 0.0).samples(n);
@@ -232,14 +209,5 @@ mod tests {
     fn non_power_of_two_errors() {
         let x = vec![0.0; 1000];
         assert!(Spectrum::try_periodogram(&x, Window::Rect).is_err());
-    }
-
-    #[test]
-    fn to_db_reference_scaling() {
-        let n = 1024;
-        let x = Tone::new(10.0 / n as f64, 0.1, 0.0).samples(n);
-        let s = Spectrum::periodogram(&x, Window::Rect);
-        let db = s.to_db(1.0);
-        assert!((db[10] + 20.0).abs() < 1e-6);
     }
 }

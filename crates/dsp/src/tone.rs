@@ -125,11 +125,6 @@ impl Multitone {
     pub fn samples(&self, n: usize) -> Vec<f64> {
         (0..n).map(|i| self.sample(i)).collect()
     }
-
-    /// Peak of the sum of amplitudes — a bound on the waveform's excursion.
-    pub fn amplitude_bound(&self) -> f64 {
-        self.dc.abs() + self.tones.iter().map(|t| t.amplitude.abs()).sum::<f64>()
-    }
 }
 
 impl FromIterator<Tone> for Multitone {
@@ -203,17 +198,6 @@ mod tests {
         let mt = Multitone::new(0.1).with_tone(a).with_tone(b);
         for n in [0usize, 3, 17, 100] {
             assert!((mt.sample(n) - (0.1 + a.sample(n) + b.sample(n))).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn amplitude_bound_is_bound() {
-        let mt = Multitone::new(-0.1)
-            .with_tone(Tone::new(0.011, 0.2, 0.0))
-            .with_tone(Tone::new(0.029, 0.05, 2.0));
-        let bound = mt.amplitude_bound();
-        for n in 0..10_000 {
-            assert!(mt.sample(n).abs() <= bound + 1e-12);
         }
     }
 

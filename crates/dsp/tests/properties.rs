@@ -2,7 +2,6 @@
 
 use dsp::db::{amplitude_to_db, db_to_amplitude};
 use dsp::goertzel::{dft_bin, tone_amplitude_phase, wrap_phase};
-use dsp::sinefit::SineFit;
 use dsp::spectrum::Spectrum;
 use dsp::tone::Tone;
 use dsp::window::Window;
@@ -87,27 +86,5 @@ proptest! {
         let lhs = dft_bin(&sum, f);
         let rhs = dft_bin(&a, f) + dft_bin(&b, f);
         prop_assert!((lhs - rhs).abs() < 1e-9);
-    }
-
-    /// The sine fit recovers arbitrary coherent sinusoids to numerical
-    /// precision, including DC.
-    #[test]
-    fn sinefit_exact_on_clean_data(
-        cycles in 1usize..40,
-        a in 1e-3f64..5.0,
-        phi in -3.0f64..3.0,
-        dc in -1.0f64..1.0,
-    ) {
-        let n = 960;
-        let f = cycles as f64 / n as f64;
-        let x: Vec<f64> = Tone::new(f, a, phi)
-            .samples(n)
-            .iter()
-            .map(|v| v + dc)
-            .collect();
-        let fit = SineFit::fit(&x, f);
-        prop_assert!((fit.amplitude - a).abs() / a < 1e-8);
-        prop_assert!((fit.dc - dc).abs() < 1e-8);
-        prop_assert!(fit.rms_residual < 1e-8);
     }
 }

@@ -54,20 +54,6 @@ impl ActiveRcFilter {
         }
     }
 
-    /// Returns the filter with a parasitic pole at `f_p` (board op-amp GBW).
-    #[must_use]
-    pub fn with_parasitic_pole(mut self, f_p: Hertz) -> Self {
-        self.parasitic_pole = Some(f_p);
-        self
-    }
-
-    /// Returns the filter with the given output nonlinearity.
-    #[must_use]
-    pub fn with_nonlinearity(mut self, poly: Polynomial) -> Self {
-        self.poly = poly;
-        self
-    }
-
     /// Returns a perfectly linear copy (for pure Bode experiments).
     #[must_use]
     pub fn linearized(mut self) -> Self {
@@ -252,7 +238,8 @@ mod tests {
     fn transfer_function_without_parasitic_is_second_order() {
         let dut = ActiveRcFilter::new(Hertz(1000.0), 1.0, 2.0);
         assert_eq!(dut.transfer_function().denominator().len(), 3);
-        let with_p = dut.with_parasitic_pole(Hertz(1.0e6));
+        // The paper DUT carries the 1 MHz parasitic pole.
+        let with_p = ActiveRcFilter::paper_dut();
         assert_eq!(with_p.transfer_function().denominator().len(), 4);
     }
 }

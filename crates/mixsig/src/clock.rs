@@ -128,11 +128,6 @@ impl TwoPhaseClock {
         self.clock
     }
 
-    /// Duration available for settling inside one phase (half the period).
-    pub fn phase_duration(self) -> Seconds {
-        Seconds(self.clock.period().value() / 2.0)
-    }
-
     /// Number of *full* cycles completed so far.
     pub fn cycles(self) -> u64 {
         self.half_cycles / 2
@@ -195,12 +190,6 @@ mod tests {
         assert_eq!(tp.tick(), ClockPhase::Phi2);
         assert_eq!(tp.tick(), ClockPhase::Phi1);
         assert_eq!(tp.cycles(), 1);
-    }
-
-    #[test]
-    fn phase_duration_is_half_period() {
-        let tp = TwoPhaseClock::new(MasterClock::from_hz(2.0e6));
-        assert!((tp.phase_duration().value() - 0.25e-6).abs() < 1e-18);
     }
 
     #[test]

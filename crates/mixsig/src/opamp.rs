@@ -105,11 +105,6 @@ impl OpAmpModel {
         1.0 - self.cubic * v * v
     }
 
-    /// DC gain in dB.
-    pub fn dc_gain_db(&self) -> f64 {
-        20.0 * self.dc_gain.log10()
-    }
-
     /// Fraction of an ideal charge-transfer step that completes within
     /// `settle_time`, given a closed-loop feedback factor `beta`.
     ///
@@ -183,12 +178,6 @@ mod tests {
         assert!((op.static_gain_factor(0.5) - 1.0).abs() < 1e-9);
         let s = op.settled_step(Volts(1.0), 0.5, Seconds(1e-9));
         assert!((s.value() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn folded_cascode_dc_gain_db() {
-        let op = OpAmpModel::folded_cascode_035um();
-        assert!((op.dc_gain_db() - 72.04).abs() < 0.1);
     }
 
     #[test]

@@ -125,11 +125,6 @@ impl Hertz {
 }
 
 impl Seconds {
-    /// Time from a microsecond value.
-    pub const fn from_micros(us: f64) -> Self {
-        Self(us * 1.0e-6)
-    }
-
     /// The corresponding frequency.
     ///
     /// # Panics

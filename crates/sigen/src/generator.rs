@@ -155,13 +155,6 @@ impl SinewaveGenerator {
         self.config.master_clock.stimulus_frequency()
     }
 
-    /// Expected output amplitude: `VA·2·|H(f_wave)|` (≈ `1.93·VA`).
-    pub fn expected_amplitude(&self) -> Volts {
-        Volts(self.config.va_diff.value() * GeneratorBiquad::amplitude_gain() / 2.0 * 2.0)
-        // kept explicit: staircase fundamental 2·VA times |H|, folded into
-        // `amplitude_gain()` which already includes the factor 2.
-    }
-
     /// Advances one biquad charge transfer (rate `2·f_gen = f_eva/3`)
     /// through the scalar [`GeneratorBiquad::transfer`] reference path —
     /// bit-identical to the planned path [`fill_block`](Self::fill_block)
@@ -309,13 +302,6 @@ mod tests {
             Volts(0.1),
         ));
         assert_eq!(gen.stimulus_frequency().value(), 20_000.0);
-    }
-
-    #[test]
-    fn expected_amplitude_close_to_twice_va() {
-        let gen = ideal_gen(0.15);
-        let a = gen.expected_amplitude().value();
-        assert!((a - 0.30).abs() < 0.02, "{a}");
     }
 
     #[test]

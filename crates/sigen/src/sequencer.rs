@@ -50,22 +50,12 @@ impl StepSequencer {
         }
     }
 
-    /// Number of *charge transfers* (half generator-clock cycles) elapsed.
-    pub fn transfers(&self) -> u64 {
-        self.half_cycles
-    }
-
     /// Advances by one charge-transfer cycle (half a generator clock) and
     /// returns the step index that was active during it.
     pub fn tick_half(&mut self) -> usize {
         let j = self.step_index();
         self.half_cycles += 1;
         j
-    }
-
-    /// Position inside the stimulus period as a fraction `[0, 1)`.
-    pub fn period_fraction(&self) -> f64 {
-        (self.half_cycles % TRANSFERS_PER_PERIOD as u64) as f64 / TRANSFERS_PER_PERIOD as f64
     }
 }
 
@@ -134,15 +124,5 @@ mod tests {
                 Some(1),
             ]
         );
-    }
-
-    #[test]
-    fn period_fraction_advances() {
-        let mut s = StepSequencer::new();
-        assert_eq!(s.period_fraction(), 0.0);
-        for _ in 0..16 {
-            s.tick_half();
-        }
-        assert!((s.period_fraction() - 0.5).abs() < 1e-12);
     }
 }

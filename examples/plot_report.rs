@@ -1,11 +1,8 @@
 //! Regenerates fig10-style gain/phase data from `netan.*` JSON report
-//! documents (the ROADMAP's plotting-script item). Reads `netan.bode.v1`,
-//! `netan.bode.v2` (v2 added the per-point adaptive-refinement `round`),
-//! and `netan.lot.v1` through `netan.lot.v4` (v2 added escalation stage
-//! summaries, per-device provenance and the budget ledger; v3 added
-//! shard provenance and per-device stage costs; v4 added the stopping
-//! policy and observed per-stage charges — the point rows this tool
-//! extracts are unchanged throughout).
+//! documents. Reads exactly the schemas the report sinks write:
+//! `netan.bode.v2` (`bode_json`, with the per-point adaptive-refinement
+//! `round`) and `netan.lot.v4` (`lot_json`); any other schema is
+//! refused.
 //!
 //! ```sh
 //! # CSV from a saved report (bode or lot schema is auto-detected):
@@ -49,8 +46,8 @@ fn items<'a>(doc: &'a Json, key: &str) -> &'a [Json] {
 
 fn push_point_row(out: &mut String, prefix: &str, p: &Json) {
     let bound = |enclosure: &str, side: &str| num(p.field(enclosure).and_then(|b| b.field(side)));
-    // v1 documents (and lot points) carry no refinement provenance:
-    // everything is a round-0 (seed/fixed-grid) point.
+    // Lot points carry no refinement provenance: they are round-0
+    // (fixed-grid) points.
     let round = p.field("round").and_then(Json::as_f64).unwrap_or(0.0);
     let _ = writeln!(
         out,
@@ -142,11 +139,9 @@ fn main() {
     let doc = Json::parse(&text).unwrap_or_else(|e| panic!("bad JSON: {e}"));
     let schema = doc.field("schema").and_then(Json::as_str).unwrap_or("");
     let csv = match schema {
-        "netan.bode.v1" | "netan.bode.v2" => bode_csv(&doc),
-        "netan.lot.v1" | "netan.lot.v2" | "netan.lot.v3" | "netan.lot.v4" => lot_csv_points(&doc),
-        other => {
-            panic!("unsupported schema {other:?} (expected netan.bode.v1/v2 or netan.lot.v1-v4)")
-        }
+        "netan.bode.v2" => bode_csv(&doc),
+        "netan.lot.v4" => lot_csv_points(&doc),
+        other => panic!("unsupported schema {other:?} (expected netan.bode.v2 or netan.lot.v4)"),
     };
     print!("{csv}");
     eprintln!(

@@ -12,7 +12,7 @@
 //! `netan.lot.v4` JSON equals the single-run document byte for byte —
 //! for the plain run and for an unbudgeted escalated run under
 //! sequential stopping (each shard escalates its own devices; the
-//! merged stage summaries re-fold from the per-device observed
+//! merged stage summaries are read off the devices' observed
 //! charges).
 //!
 //! Run with: `cargo run --release --example wafer_shards`

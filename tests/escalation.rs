@@ -316,7 +316,7 @@ fn escalated_shard_partition_merges_to_the_monolithic_report() {
         .run_escalated_range(&factory, 0..6, &plan, &schedule)
         .unwrap();
     // The premise: some shard escalates and some does not, so the merge
-    // exercises the stage carry-forward path.
+    // joins stage lists of different lengths.
     assert!(whole.stages().len() > 1);
 
     let merged = [0..2u64, 2..4, 4..6]

@@ -8,13 +8,6 @@
 //! change — moves the bytes, re-bless with
 //! `UPDATE_GOLDEN=1 cargo test -p netan --test report_golden`.
 //! The structural tests below are platform-independent.
-//!
-//! `tests/fixtures/lot_small_v1.json`, `lot_small_v2.json` and
-//! `lot_small_v3.json` are the frozen `netan.lot.v1`/`v2`/`v3`
-//! documents from before their respective schema bumps. They are never
-//! regenerated — they exist so the `plot_report` consumer and
-//! `netan::parse_lot_json` provably keep reading every schema version
-//! ever emitted.
 
 use dut::ActiveRcFilter;
 use mixsig::units::{Hertz, Seconds};
@@ -31,21 +24,6 @@ const FIXTURE: &str = concat!(
 const ESCALATED_FIXTURE: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/../../tests/fixtures/lot_escalated.json"
-);
-
-const V1_FIXTURE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../tests/fixtures/lot_small_v1.json"
-);
-
-const V2_FIXTURE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../tests/fixtures/lot_small_v2.json"
-);
-
-const V3_FIXTURE: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/../../tests/fixtures/lot_small_v3.json"
 );
 
 fn small_seeded_lot() -> LotReport {
@@ -66,8 +44,8 @@ fn small_seeded_lot() -> LotReport {
 }
 
 /// A seeded escalated lot whose budget pays for the screen plus some —
-/// not all — re-tests, so the fixture pins every v2 feature at once:
-/// stage summaries, per-device provenance, and an exhausted budget.
+/// not all — re-tests, so the fixture pins stage summaries, per-device
+/// provenance and an exhausted budget at once.
 /// (Half a re-test over the screening cost: the observed-cost ledger
 /// admits exactly one re-test — overshooting by its own charge — and
 /// denies the rest.)
@@ -203,82 +181,26 @@ fn parse_lot_json_round_trips_the_golden_fixtures() {
     }
 }
 
-#[test]
-fn parse_lot_json_reads_the_frozen_v1_v2_and_v3_fixtures() {
-    // Older documents parse (with their missing fields defaulted) and
-    // re-render as v4 — the upgrade path for saved reports.
-    for (path, devices) in [(V1_FIXTURE, 4), (V2_FIXTURE, 4), (V3_FIXTURE, 4)] {
-        let golden = std::fs::read_to_string(path).unwrap();
-        let report = parse_lot_json(&golden).unwrap_or_else(|e| panic!("{path}: {e}"));
-        assert_eq!(report.len(), devices, "{path}");
-        assert!(lot_json(&report).starts_with("{\"schema\":\"netan.lot.v4\","));
-        // Pre-v4 documents carry no observed per-stage charges.
-        assert!(
-            report.devices().iter().all(|d| d.stage_times.is_empty()),
-            "{path}"
-        );
-    }
-    // The v3 freeze and the live v4 fixture describe the same lot, so
-    // everything but the schema-versioned extras must agree — including
-    // the shard span the v3 schema already carried.
-    let v3 = parse_lot_json(&std::fs::read_to_string(V3_FIXTURE).unwrap()).unwrap();
-    let v4 = parse_lot_json(&std::fs::read_to_string(FIXTURE).unwrap()).unwrap();
-    assert_eq!(v3.devices().len(), v4.devices().len());
-    assert_eq!(v3.shard(), v4.shard());
-    for (a, b) in v3.devices().iter().zip(v4.devices()) {
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.verdict, b.verdict);
-        assert_eq!(a.test_time, b.test_time);
-    }
-}
-
-/// Runs the `plot_report` example on a fixture and returns its stdout.
-/// The nested cargo invocation reuses the build cache `cargo test`
-/// already produced for the example target.
-fn plot_report_output(fixture: &str) -> String {
-    let out = std::process::Command::new(env!("CARGO"))
+/// Runs the `plot_report` example on a fixture. The nested cargo
+/// invocation reuses the build cache `cargo test` already produced for
+/// the example target.
+fn run_plot_report(fixture: &str) -> std::process::Output {
+    std::process::Command::new(env!("CARGO"))
         .args(["run", "--quiet", "--example", "plot_report", "--"])
         .arg(fixture)
         .output()
-        .expect("failed to spawn cargo run --example plot_report");
+        .expect("failed to spawn cargo run --example plot_report")
+}
+
+/// Runs the `plot_report` example on a fixture and returns its stdout.
+fn plot_report_output(fixture: &str) -> String {
+    let out = run_plot_report(fixture);
     assert!(
         out.status.success(),
         "plot_report rejected {fixture}: {}",
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("plot_report emitted non-UTF-8")
-}
-
-#[test]
-fn plot_report_still_consumes_schema_v1() {
-    // Regression: the schema bumps must not orphan saved v1 documents.
-    // The frozen pre-bump fixture has 4 devices x 4 points.
-    let csv = plot_report_output(V1_FIXTURE);
-    let lines: Vec<&str> = csv.lines().collect();
-    assert_eq!(lines.len(), 1 + 16, "unexpected row count:\n{csv}");
-    assert!(lines[0].starts_with("seed,verdict,freq_hz,"));
-    // v1 points carry no provenance: every row parses as round 0.
-    for row in &lines[1..] {
-        assert!(row.ends_with(",0"), "row {row}");
-    }
-}
-
-#[test]
-fn plot_report_still_consumes_schema_v2() {
-    // Regression: the v3 bump must not orphan saved v2 documents.
-    let csv = plot_report_output(V2_FIXTURE);
-    let lines: Vec<&str> = csv.lines().collect();
-    assert_eq!(lines.len(), 1 + 16, "unexpected row count:\n{csv}");
-    assert!(lines[0].starts_with("seed,verdict,freq_hz,"));
-}
-
-#[test]
-fn plot_report_still_consumes_schema_v3() {
-    // Regression: the v4 bump must not orphan saved v3 documents.
-    let csv = plot_report_output(V3_FIXTURE);
-    let lines: Vec<&str> = csv.lines().collect();
-    assert_eq!(lines.len(), 1 + 16, "unexpected row count:\n{csv}");
-    assert!(lines[0].starts_with("seed,verdict,freq_hz,"));
 }
 
 #[test]
@@ -289,6 +211,20 @@ fn plot_report_consumes_schema_v4() {
     let lines: Vec<&str> = csv.lines().collect();
     assert_eq!(lines.len(), 1 + 6 * 4, "unexpected row count:\n{csv}");
     assert!(lines[0].starts_with("seed,verdict,freq_hz,"));
+}
+
+#[test]
+fn plot_report_rejects_other_lot_schema_versions() {
+    // The consumer reads exactly what the sink writes: a lot document
+    // under any other schema tag is refused, not read.
+    let golden = std::fs::read_to_string(ESCALATED_FIXTURE).unwrap();
+    let path = std::env::temp_dir().join(format!("netan-lot-v3-{}.json", std::process::id()));
+    std::fs::write(&path, golden.replacen("netan.lot.v4", "netan.lot.v3", 1)).unwrap();
+    let out = run_plot_report(path.to_str().unwrap());
+    std::fs::remove_file(&path).ok();
+    assert!(!out.status.success(), "plot_report read a netan.lot.v3 tag");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("netan.lot.v4"), "{stderr}");
 }
 
 #[test]
