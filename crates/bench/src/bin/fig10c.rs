@@ -43,7 +43,11 @@ fn main() {
         "Hk", "analyzer (dBc)", "analyzer band (dBc)", "scope (dBc)"
     );
     // Harmonics k = 1..=3 were measured, so H2 and H3 have levels.
-    let hd_dbc = |h: u32| report.hd_dbc(h).expect("H2 and H3 are measured");
+    let hd_dbc = |h: u32| {
+        report
+            .hd_dbc(h)
+            .expect("H2 and H3 are measured against a resolved fundamental")
+    };
     for (h, scope_dbc) in [(2u32, scope.harmonics_dbc[0]), (3, scope.harmonics_dbc[1])] {
         let hd = hd_dbc(h);
         println!(

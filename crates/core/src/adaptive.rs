@@ -4,9 +4,10 @@
 //! but the information content of a frequency response is anything but
 //! uniform: a high-Q biquad packs its whole personality into a
 //! fraction-of-an-octave resonance knee, and even the paper's Butterworth
-//! DUT bends hard only around the −3 dB shoulder. [`AdaptiveSweep`]
-//! reuses what the paper's signature DSP already guarantees — a hard
-//! enclosure on every gain/phase estimate — as the refinement signal:
+//! DUT bends hard only around the −3 dB shoulder.
+//! [`NetworkAnalyzer::sweep_adaptive`] reuses what the paper's signature
+//! DSP already guarantees — a hard enclosure on every gain/phase
+//! estimate — as the refinement signal:
 //!
 //! 1. measure a coarse **seed grid** (every seed point is kept, so the
 //!    refined grid is always a superset of the seed grid);
@@ -54,9 +55,9 @@ const PHASE_DEG_PER_DB: f64 = 15.0;
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefinementPolicy {
     /// Target reconstruction band, dB: an interval is refined while its
-    /// local bend (the curvature proxy described on [`AdaptiveSweep`])
-    /// exceeds this *and* exceeds the measurement floor set by the
-    /// endpoint gain enclosures.
+    /// local bend (the curvature proxy described in the
+    /// [module docs](self)) exceeds this *and* exceeds the measurement
+    /// floor set by the endpoint gain enclosures.
     pub target_width_db: f64,
     /// Hard cap on the total number of measured points (seed included).
     pub max_points: usize,
@@ -110,101 +111,38 @@ impl Default for RefinementPolicy {
     }
 }
 
-/// Drives rounds of enclosure/curvature-scored bisection on top of a
-/// [`SweepEngine`].
-///
-/// # Example
-///
-/// ```
-/// use netan::{AdaptiveSweep, AnalyzerConfig, NetworkAnalyzer, RefinementPolicy};
-/// use dut::ActiveRcFilter;
-/// use mixsig::units::Hertz;
-///
-/// let dut = ActiveRcFilter::paper_dut().linearized();
-/// let cfg = AnalyzerConfig::ideal().with_periods(20);
-/// let mut analyzer = NetworkAnalyzer::new(&dut, cfg);
-/// let seed = netan::log_spaced(Hertz(200.0), Hertz(5_000.0), 4);
-/// let policy = RefinementPolicy::new(0.5).with_max_points(8);
-/// let plot = analyzer.sweep_adaptive(&seed, &policy)?;
-/// assert!(plot.len() >= 4 && plot.len() <= 8);
-/// # Ok::<(), netan::NetanError>(())
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdaptiveSweep {
-    policy: RefinementPolicy,
-    engine: SweepEngine,
-}
+/// Measures the validated `seed` (sorted ascending, duplicates merged)
+/// through `engine`, then refines until `policy` is met, returning the
+/// phase-unwrapped plot. Seed points carry [`BodePoint::round`] 0;
+/// points added in round `r` carry `r`.
+pub(crate) fn sweep(
+    analyzer: &NetworkAnalyzer<'_>,
+    cal: Calibration,
+    seed: &[Hertz],
+    policy: &RefinementPolicy,
+    engine: &SweepEngine,
+) -> Result<BodePlot, NetanError> {
+    let mut grid: Vec<Hertz> = seed.to_vec();
+    grid.sort_by(|a, b| a.value().total_cmp(&b.value()));
+    grid.dedup_by_key(|f| f.value().to_bits());
 
-impl AdaptiveSweep {
-    /// An adaptive sweep measuring every batch serially.
-    pub fn new(policy: RefinementPolicy) -> Self {
-        Self::with_engine(policy, SweepEngine::serial())
-    }
-
-    /// An adaptive sweep fanning each round's candidate batch across
-    /// `engine`'s workers. Bit-identical to [`AdaptiveSweep::new`]: the
-    /// refinement decisions depend only on measured values, which are
-    /// themselves engine-independent, and candidates are ordered before
-    /// dispatch.
-    pub fn with_engine(policy: RefinementPolicy, engine: SweepEngine) -> Self {
-        Self { policy, engine }
-    }
-
-    /// The policy in use.
-    pub fn policy(&self) -> &RefinementPolicy {
-        &self.policy
-    }
-
-    /// The engine measuring each round's batch.
-    pub fn engine(&self) -> &SweepEngine {
-        &self.engine
-    }
-
-    /// Measures `seed` (sorted ascending, duplicates merged), then
-    /// refines until the policy is met, returning the phase-unwrapped
-    /// plot. Seed points carry [`BodePoint::round`] 0; points added in
-    /// round `r` carry `r`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetanError::EmptySweep`] for an empty seed and the
-    /// lowest-index [`NetanError::InvalidFrequency`] before any
-    /// simulation; per-point measurement errors surface exactly as the
-    /// underlying engine reports them.
-    pub fn run(
-        &self,
-        analyzer: &NetworkAnalyzer<'_>,
-        cal: Calibration,
-        seed: &[Hertz],
-    ) -> Result<BodePlot, NetanError> {
-        if seed.is_empty() {
-            return Err(NetanError::EmptySweep);
+    let mut points = engine.measure(analyzer, cal, &grid)?;
+    let mut round = 0u32;
+    while round < policy.max_rounds && points.len() < policy.max_points {
+        round += 1;
+        let candidates = plan_candidates(&points, policy);
+        if candidates.is_empty() {
+            break;
         }
-        for &f in seed {
-            NetworkAnalyzer::validate_frequency(f)?;
+        let mut fresh = engine.measure(analyzer, cal, &candidates)?;
+        for p in &mut fresh {
+            p.round = round;
         }
-        let mut grid: Vec<Hertz> = seed.to_vec();
-        grid.sort_by(|a, b| a.value().total_cmp(&b.value()));
-        grid.dedup_by_key(|f| f.value().to_bits());
-
-        let mut points = self.engine.measure(analyzer, cal, &grid)?;
-        let mut round = 0u32;
-        while round < self.policy.max_rounds && points.len() < self.policy.max_points {
-            round += 1;
-            let candidates = plan_candidates(&points, &self.policy);
-            if candidates.is_empty() {
-                break;
-            }
-            let mut fresh = self.engine.measure(analyzer, cal, &candidates)?;
-            for p in &mut fresh {
-                p.round = round;
-            }
-            points.extend(fresh);
-            points.sort_by(|a, b| a.frequency.value().total_cmp(&b.frequency.value()));
-        }
-        unwrap_phase_by_continuity(&mut points);
-        Ok(BodePlot::new(points))
+        points.extend(fresh);
+        points.sort_by(|a, b| a.frequency.value().total_cmp(&b.frequency.value()));
     }
+    unwrap_phase_by_continuity(&mut points);
+    Ok(BodePlot::new(points))
 }
 
 /// The next round's bisection frequencies, ascending: every refinable

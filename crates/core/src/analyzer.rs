@@ -197,7 +197,7 @@ impl<'d> NetworkAnalyzer<'d> {
 
     /// Rejects NaN and non-positive stimulus frequencies.
     pub(crate) fn validate_frequency(f_wave: Hertz) -> Result<(), NetanError> {
-        if f_wave.value().partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
+        if !is_positive(f_wave.value()) {
             return Err(NetanError::InvalidFrequency {
                 #[expect(
                     clippy::cast_possible_truncation,
@@ -215,8 +215,9 @@ impl<'d> NetworkAnalyzer<'d> {
     /// # Errors
     ///
     /// Returns [`NetanError::InvalidFrequency`] for non-positive
-    /// frequencies — before performing any lazy calibration work — and
-    /// propagates evaluator errors.
+    /// frequencies — before performing any lazy calibration work —
+    /// [`NetanError::UnresolvedStimulus`] when the calibrated stimulus
+    /// amplitude enclosure reaches zero, and propagates evaluator errors.
     pub fn measure_point(&mut self, f_wave: Hertz) -> Result<BodePoint, NetanError> {
         Self::validate_frequency(f_wave)?;
         let cal = self.ensure_calibrated()?;
@@ -235,7 +236,8 @@ impl<'d> NetworkAnalyzer<'d> {
     /// # Errors
     ///
     /// Returns [`NetanError::InvalidFrequency`] for non-positive
-    /// frequencies and propagates evaluator errors.
+    /// frequencies, [`NetanError::UnresolvedStimulus`] when `cal`'s
+    /// amplitude enclosure reaches zero, and propagates evaluator errors.
     pub fn measure_point_calibrated(
         &self,
         cal: Calibration,
@@ -259,7 +261,9 @@ impl<'d> NetworkAnalyzer<'d> {
     /// # Errors
     ///
     /// Returns [`NetanError::InvalidFrequency`] for non-positive
-    /// frequencies and propagates evaluator errors.
+    /// frequencies and [`NetanError::UnresolvedStimulus`] for a
+    /// calibration whose amplitude enclosure reaches zero, both before
+    /// acquiring, and propagates evaluator errors.
     pub fn measure_lane(
         config: &AnalyzerConfig,
         cal: Calibration,
@@ -267,6 +271,9 @@ impl<'d> NetworkAnalyzer<'d> {
         f_wave: Hertz,
     ) -> Result<Vec<BodePoint>, NetanError> {
         Self::validate_frequency(f_wave)?;
+        if !is_positive(cal.amplitude.lo) {
+            return Err(NetanError::UnresolvedStimulus);
+        }
         let measured = Self::acquire(config, f_wave, 1, Some(lane))?;
         Ok(measured
             .iter()
@@ -384,9 +391,27 @@ impl<'d> NetworkAnalyzer<'d> {
 
     /// Adaptively sweeps the analyzer: measures `seed`, then refines per
     /// `policy` — bisecting the intervals whose local gain/phase bend and
-    /// endpoint enclosure widths score worst — until the policy is met.
-    /// Serial; see [`sweep_adaptive_with`](Self::sweep_adaptive_with) to
-    /// fan each round's batch across a [`SweepEngine`].
+    /// endpoint enclosure widths score worst — until the policy is met
+    /// (see [`crate::adaptive`]). Serial; see
+    /// [`sweep_adaptive_with`](Self::sweep_adaptive_with) to fan each
+    /// round's batch across a [`SweepEngine`].
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use netan::{AnalyzerConfig, NetworkAnalyzer, RefinementPolicy};
+    /// use dut::ActiveRcFilter;
+    /// use mixsig::units::Hertz;
+    ///
+    /// let dut = ActiveRcFilter::paper_dut().linearized();
+    /// let cfg = AnalyzerConfig::ideal().with_periods(20);
+    /// let mut analyzer = NetworkAnalyzer::new(&dut, cfg);
+    /// let seed = netan::log_spaced(Hertz(200.0), Hertz(5_000.0), 4);
+    /// let policy = RefinementPolicy::new(0.5).with_max_points(8);
+    /// let plot = analyzer.sweep_adaptive(&seed, &policy)?;
+    /// assert!(plot.len() >= 4 && plot.len() <= 8);
+    /// # Ok::<(), netan::NetanError>(())
+    /// ```
     ///
     /// # Errors
     ///
@@ -423,7 +448,7 @@ impl<'d> NetworkAnalyzer<'d> {
             Self::validate_frequency(f)?;
         }
         let cal = self.ensure_calibrated()?;
-        crate::adaptive::AdaptiveSweep::with_engine(*policy, *engine).run(self, cal, seed)
+        crate::adaptive::sweep(self, cal, seed, policy, engine)
     }
 
     /// Measures harmonics `1..=max_harmonic` of the DUT output at `f_wave`
@@ -500,6 +525,11 @@ impl<'d> NetworkAnalyzer<'d> {
         let mut evaluator = SinewaveEvaluator::new(eval_cfg);
         Ok(evaluator.measure_harmonic_lane(&mut board, k, config.periods)?)
     }
+}
+
+/// Whether `v` is strictly positive; NaN is not.
+pub(crate) fn is_positive(v: f64) -> bool {
+    v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater)
 }
 
 impl std::fmt::Debug for NetworkAnalyzer<'_> {
@@ -679,6 +709,42 @@ mod tests {
         // Paper Fig. 10c window.
         assert!(hd2 < -50.0 && hd2 > -66.0, "HD2 {hd2}");
         assert!(hd3 < -55.0 && hd3 > -72.0, "HD3 {hd3}");
+    }
+
+    #[test]
+    fn measure_point_rejects_an_unresolved_stimulus() {
+        // Regression: at `va_diff` 0 the calibrated amplitude enclosure
+        // reaches zero, and the gain's interval division used to panic.
+        let dut = ActiveRcFilter::paper_dut().linearized();
+        let cfg = AnalyzerConfig::ideal()
+            .with_periods(50)
+            .with_va_diff(Volts(0.0));
+        let mut na = NetworkAnalyzer::new(&dut, cfg);
+        assert_eq!(
+            na.measure_point(Hertz(1000.0)).unwrap_err(),
+            NetanError::UnresolvedStimulus
+        );
+        // The same for a hand-built calibration against any stimulus.
+        let na = analyzer_for(&dut);
+        let zero = Calibration {
+            amplitude: Bounded::new(0.0, 0.1, 0.2),
+            phase: Bounded::point(0.0),
+        };
+        // NaN is not positive either.
+        let nan = Calibration {
+            amplitude: Bounded {
+                lo: f64::NAN,
+                est: 0.1,
+                hi: 0.2,
+            },
+            ..zero
+        };
+        for cal in [zero, nan] {
+            assert_eq!(
+                na.measure_point_calibrated(cal, Hertz(1000.0)).unwrap_err(),
+                NetanError::UnresolvedStimulus
+            );
+        }
     }
 
     #[test]

@@ -633,7 +633,7 @@ mod tests {
         assert!(whole.spent().value() <= budget.value() + c1.value());
 
         // Kill after one fresh shard, then resume: the remaining budget
-        // is recomputed from the persisted observed ledgers, so the
+        // is recomputed from the persisted shard spends, so the
         // resumed drive reproduces the uninterrupted document exactly.
         let dir_b = temp_dir("budget-b");
         std::fs::remove_dir_all(&dir_b).ok();

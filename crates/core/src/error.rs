@@ -58,6 +58,11 @@ pub enum NetanError {
         /// the same way as `needed_ms`).
         budget_ms: u64,
     },
+    /// The calibration's stimulus amplitude enclosure reaches zero (or is
+    /// NaN), so no gain can be bounded against it: the stimulus is too
+    /// small for the evaluation length to resolve. Raise `va_diff` or
+    /// `M`.
+    UnresolvedStimulus,
 }
 
 impl std::fmt::Display for NetanError {
@@ -109,6 +114,10 @@ impl std::fmt::Display for NetanError {
                     *needed_ms as f64 / 1000.0
                 )
             }
+            NetanError::UnresolvedStimulus => f.write_str(
+                "stimulus amplitude enclosure reaches zero, so no gain can be bounded; \
+                 raise va_diff or M",
+            ),
         }
     }
 }
@@ -158,6 +167,8 @@ mod tests {
         let m = NetanError::MaskFrequencyMissing { hz_millis: 750 };
         assert!(m.to_string().contains("0.75"));
         assert!(m.to_string().contains("mask frequency"));
+        let u = NetanError::UnresolvedStimulus.to_string();
+        assert!(u.contains("va_diff") && u.contains(" M"), "{u}");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Harmonic-distortion reporting (paper Fig. 10c).
 
+use crate::analyzer::is_positive;
 use sdeval::{Bounded, HarmonicMeasurement};
 
 /// A harmonic-distortion characterization of a DUT output: the fundamental
@@ -35,13 +36,10 @@ impl DistortionReport {
 
     /// The level of harmonic `h` relative to the fundamental, in dBc, with
     /// the enclosure propagated through the interval ratio. `None` for
-    /// `h < 2` or a harmonic that was not measured.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the fundamental enclosure touches zero.
+    /// `h < 2`, a harmonic that was not measured, or a fundamental whose
+    /// enclosure reaches zero (no ratio can be bounded against it).
     pub fn hd_dbc(&self, h: u32) -> Option<Bounded> {
-        if h < 2 {
+        if h < 2 || !is_positive(self.fundamental().lo) {
             return None;
         }
         let m = self.measurements.iter().find(|m| m.k == h)?;
@@ -123,6 +121,18 @@ mod tests {
         assert_eq!(r.hd_dbc(5), None);
         assert_eq!(r.hd_dbc(1), None);
         assert_eq!(r.hd_dbc(0), None);
+    }
+
+    #[test]
+    fn fundamental_reaching_zero_has_no_dbc_level() {
+        // Regression: an enclosure `[0, x]` used to panic in the interval
+        // division.
+        let r = DistortionReport::new(vec![
+            fake_measurement(1, 1e-4, 1e-4),
+            fake_measurement(2, 1e-5, 1e-6),
+        ]);
+        assert_eq!(r.fundamental().lo, 0.0);
+        assert_eq!(r.hd_dbc(2), None);
     }
 
     #[test]

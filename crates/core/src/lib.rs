@@ -17,10 +17,10 @@
 //! * a **frequency sweep** planner (log grid, constant `N`),
 //! * a **parallel sweep engine** ([`SweepEngine`]) that fans independent
 //!   sweep points out across worker threads with bit-identical results,
-//! * **adaptive refinement** ([`AdaptiveSweep`]): rounds of
-//!   curvature/enclosure-scored bisection that concentrate points where
-//!   the response bends, on the same engine and with the same
-//!   serial == parallel bit-identity,
+//! * **adaptive refinement** ([`NetworkAnalyzer::sweep_adaptive`]):
+//!   rounds of curvature/enclosure-scored bisection that concentrate
+//!   points where the response bends, on the same engine and with the
+//!   same serial == parallel bit-identity,
 //! * a **parallel lot engine** ([`LotEngine`]) that fans whole
 //!   Monte-Carlo devices across the same worker-pool primitive with a
 //!   shared, amortized calibration — the paper's production-screening
@@ -29,9 +29,9 @@
 //!   [`LotEngine::run_escalated`]): budgeted multi-pass re-testing that
 //!   screens the lot at a cheap `M` and re-tests only still-ambiguous
 //!   devices at deeper stages — the paper's accuracy-for-test-time trade
-//!   as an operational policy. Budgets are an **observed-cost ledger**
-//!   (actual measurement time charged per completed device, adaptive
-//!   plans included), and [`StoppingPolicy::Sequential`] grows each
+//!   as an operational policy. Every device of a stage is charged the
+//!   stage's per-device cost, re-tests are admitted in seed order while
+//!   the budget lasts, and [`StoppingPolicy::Sequential`] grows each
 //!   device's acquisition only until its own verdict decides, charging
 //!   just the period increments,
 //! * **sharded lots** ([`LotEngine::run_range`], [`LotReport::merge`])
@@ -40,7 +40,7 @@
 //!   byte-identical to the monolithic run, an interrupted drive resumes
 //!   from its persisted `netan.lot.v4` shard documents, and a budgeted
 //!   drive threads the remaining global budget through successive
-//!   shards off the observed ledger,
+//!   shards,
 //! * a **harmonic distortion** mode (paper Fig. 10c), serial or parallel
 //!   per harmonic,
 //! * **report sinks**: tables, CSV and JSON for Bode plots and lot
@@ -87,7 +87,7 @@ pub mod report;
 pub mod spec;
 pub mod sweep;
 
-pub use adaptive::{interpolate_gain_db, reconstruction_error_db, AdaptiveSweep, RefinementPolicy};
+pub use adaptive::{interpolate_gain_db, reconstruction_error_db, RefinementPolicy};
 pub use analyzer::{AnalyzerConfig, BodePoint, Calibration, HardwareProfile, NetworkAnalyzer};
 pub use checkpoint::{CheckpointError, LotCheckpoint, Shard, ShardDriver, ShardTask};
 pub use engine::SweepEngine;

@@ -19,9 +19,8 @@
 //!   device;
 //! * (lane × point-group) tasks are fanned across a
 //!   [`std::thread::scope`] worker pool (the same atomic-cursor work
-//!   stealing as the point-level [`SweepEngine`], via [`crate::pool`]);
-//!   adaptive plans, whose refinement points differ per device, run one
-//!   device per task;
+//!   stealing as the point-level [`SweepEngine`](crate::SweepEngine), via
+//!   [`crate::pool`]);
 //! * results are **bit-identical** to the serial reference and to
 //!   measuring each device alone: every device sees exactly the stimulus
 //!   and noise a fresh analyzer of its own would produce, device order
@@ -66,23 +65,20 @@
 //!   window A for `M` periods and then an inverted window B for `M`
 //!   periods, so the `M_{s−1}` run is not a prefix of the `M_s` run.
 //!
-//! # Budgets: the observed-cost ledger
+//! # Budgets
 //!
 //! An optional test-time budget — simulated seconds, the currency of
-//! [`crate::plan::measurement_time`] — caps the total. The ledger is
-//! **observed**, not projected: each admitted device's actual
-//! measurement time is charged as it completes, and the next re-test is
-//! admitted (in seed order) while `spent < budget`. The final admitted
-//! device may therefore overshoot the budget by at most its own re-test
-//! time. Because no cost needs to be known ahead of measuring, budgeted
-//! escalation accepts [adaptive](LotPlan::adaptive) plans, whose
-//! per-device refined grids have device-dependent costs.
+//! [`crate::plan::measurement_time`] — caps the total. Every device of a
+//! stage measures the same grid, so each is charged the same stage
+//! charge, [`EscalationSchedule::device_stage_charge`]. Re-tests are
+//! admitted in seed order while `spent < budget`, each adding its charge
+//! to `spent`, so the last admitted device may overshoot the budget by
+//! at most one charge. The admitted prefix is known before measuring:
+//! only it is measured, and a denied device is never measured again.
 //!
 //! The stage-0 screening pass is all-or-nothing — without it no device
 //! has a verdict — so a budget that cannot cover it is
-//! [`NetanError::BudgetExhausted`], rejected before any simulation on
-//! fixed grids and right after the (observed) screening pass on
-//! adaptive plans.
+//! [`NetanError::BudgetExhausted`], rejected before any simulation.
 //!
 //! # Sharding
 //!
@@ -100,23 +96,20 @@
 //! lot from after an interruption.
 //!
 //! Budgets under sharding: a budgeted schedule admits re-tests against
-//! the lot-global observed ledger, which a single shard cannot see, so
-//! one shard in isolation still budgets per shard. But because the
-//! ledger is *observed*, the shard driver — under both
+//! the lot-global ledger, which a single shard cannot see, so one shard
+//! in isolation still budgets per shard. But because each shard's
+//! report carries its spend, the shard driver — under both
 //! [`LotCheckpoint`](crate::LotCheckpoint) drives and the `netan-serve`
 //! service — threads the remaining global budget into each successive
-//! shard (each shard's persisted report carries its observed spend),
-//! giving a sharded lot a global-style budget answer with deterministic
-//! kill-and-resume.
+//! shard, giving a sharded lot a global-style budget answer with
+//! deterministic kill-and-resume.
 //! Byte-identity to a monolithic run holds for unbudgeted schedules
 //! (and plain runs); budgeted sharded lots are deterministic but admit
 //! re-tests at shard boundaries a monolithic ledger would interleave.
 
-use crate::adaptive::{AdaptiveSweep, RefinementPolicy};
 use crate::analyzer::{AnalyzerConfig, BodePoint, Calibration, NetworkAnalyzer};
-use crate::engine::SweepEngine;
 use crate::error::NetanError;
-use crate::plan::{grid_time, measurement_time};
+use crate::plan::grid_time;
 use crate::pool;
 use crate::spec::{GainMask, SpecVerdict};
 use crate::sweep::{unwrap_phase_by_continuity, BodePlot, LowpassFit};
@@ -129,18 +122,12 @@ use std::ops::Range;
 ///
 /// The effective grid is the union of the requested grid and the mask
 /// frequencies, sorted ascending and deduplicated, so every mask point is
-/// always measured and the phase-unwrap pass sees an ordered sweep.
-///
-/// An [`adaptive`](Self::adaptive) plan additionally refines each
-/// device's sweep around wherever its response bends — the grid then
-/// serves as the refinement *seed*, and the measured plot is a superset
-/// of it.
+/// always measured and the phase-unwrap pass sees an ordered sweep. Every
+/// device of a lot measures exactly this grid.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LotPlan {
     grid: Vec<Hertz>,
     mask: GainMask,
-    /// Per-device adaptive refinement on top of the grid, if requested.
-    refinement: Option<RefinementPolicy>,
 }
 
 impl LotPlan {
@@ -151,34 +138,13 @@ impl LotPlan {
         freqs.extend(mask.frequencies());
         freqs.sort_by(|a, b| a.value().total_cmp(&b.value()));
         freqs.dedup_by_key(|f| f.value().to_bits());
-        Self {
-            grid: freqs,
-            mask,
-            refinement: None,
-        }
+        Self { grid: freqs, mask }
     }
 
     /// A plan that measures exactly the mask frequencies — the minimal
     /// go/no-go sweep.
     pub fn from_mask(mask: GainMask) -> Self {
         Self::new(&[], mask)
-    }
-
-    /// An adaptive plan: every device measures the grid ∪ mask seed and
-    /// then refines per `policy`, so resolution concentrates around the
-    /// mask frequencies and each fabricated device's own response knee.
-    /// Mask classification is unchanged — mask frequencies are always in
-    /// the seed, hence always measured.
-    pub fn adaptive(grid: &[Hertz], mask: GainMask, policy: RefinementPolicy) -> Self {
-        Self {
-            refinement: Some(policy),
-            ..Self::new(grid, mask)
-        }
-    }
-
-    /// The per-device refinement policy, if this is an adaptive plan.
-    pub fn refinement(&self) -> Option<&RefinementPolicy> {
-        self.refinement.as_ref()
     }
 
     /// The effective sweep grid (ascending, deduplicated).
@@ -192,14 +158,13 @@ impl LotPlan {
     }
 
     /// Classifies a measured point set that contains *at least* every
-    /// mask frequency — e.g. an adaptively refined sweep, whose plot is a
-    /// superset of the plan grid. Mask points are located by frequency.
+    /// mask frequency. Mask points are located by frequency.
     ///
     /// # Errors
     ///
     /// [`NetanError::MaskFrequencyMissing`] if a mask frequency is
     /// missing from `points`. Unreachable for plots produced from this
-    /// plan, whose seed grid contains the mask — and the lot engine
+    /// plan, whose grid contains the mask — and the lot engine
     /// additionally rejects any plan whose grid does not cover its mask
     /// up front, before measuring anything — but a hand-assembled point
     /// set gets a typed error rather than a panic.
@@ -250,8 +215,8 @@ pub enum StoppingPolicy {
 /// An ordered multi-pass re-test schedule: stage 0 screens the whole
 /// lot, each later stage re-tests only the devices still
 /// [`SpecVerdict::Ambiguous`], and an optional budget caps the total
-/// simulated test time the lot may spend against the observed-cost
-/// ledger (see the [module docs](self#budgets-the-observed-cost-ledger)).
+/// simulated test time the lot may spend (see the
+/// [module docs](self#budgets)).
 ///
 /// Stages must escalate — strictly increasing `periods` — so every
 /// re-test buys a narrower enclosure than the pass that left the device
@@ -437,16 +402,14 @@ pub struct StageSummary {
     /// device's final verdict, or ambiguous for a device a later stage
     /// re-tested.
     pub counts: VerdictCounts,
-    /// Observed simulated test time charged at this stage across all
-    /// tested devices (the seed-order left fold of their per-stage
-    /// charges).
+    /// Simulated test time charged at this stage across all tested
+    /// devices (the seed-order left fold of their per-stage charges).
     pub time: Seconds,
-    /// Uniform per-device charge of this stage
-    /// ([`crate::plan::grid_time`] at the stage's *charged* periods —
-    /// the full `M` for `Staged` stages, the increment for `Sequential`
-    /// re-test stages), or `None` when the charge is device-dependent
-    /// (adaptive plans).
-    pub device_time: Option<Seconds>,
+    /// The per-device charge of this stage,
+    /// [`EscalationSchedule::device_stage_charge`]: [`crate::plan::grid_time`]
+    /// at the stage's *charged* periods — the full `M` for `Staged`
+    /// stages, the increment for `Sequential` re-test stages.
+    pub device_time: Seconds,
 }
 
 /// One device's characterization within a lot.
@@ -470,11 +433,12 @@ pub struct DeviceReport {
     /// ran, in the unit of [`crate::plan::measurement_time`] — the left
     /// fold of [`stage_times`](Self::stage_times).
     pub test_time: Seconds,
-    /// Observed simulated test time *charged* per executed stage, in
-    /// stage order (one entry per stage this device ran, so
-    /// `stage_times.len() == stage + 1` for engine-produced reports).
-    /// Under [`StoppingPolicy::Sequential`] an entry past stage 0 is the
-    /// cost of just the period increment.
+    /// Simulated test time *charged* per executed stage, in stage order
+    /// (one entry per stage this device ran, so
+    /// `stage_times.len() == stage + 1` for engine-produced reports):
+    /// each stage's [`device_time`](StageSummary::device_time). Under
+    /// [`StoppingPolicy::Sequential`] an entry past stage 0 is the cost
+    /// of just the period increment.
     pub stage_times: Vec<Seconds>,
 }
 
@@ -527,16 +491,16 @@ impl VerdictCounts {
 /// summaries and budget accounting.
 ///
 /// The devices are the lot's only ledger: each carries its verdict, its
-/// final stage and its observed per-stage charges, and
-/// [`stages`](Self::stages) reads every stage summary off them. Per
-/// executed stage the report keeps only what no device records: the
-/// stage's `M` and its uniform per-device charge.
+/// final stage and its per-stage charges, and [`stages`](Self::stages)
+/// reads every stage summary off them. Per executed stage the report
+/// keeps only what no device records: the stage's `M` and its
+/// per-device charge.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LotReport {
     mask: GainMask,
     devices: Vec<DeviceReport>,
-    /// `(M, uniform per-device charge)` per executed stage.
-    stages: Vec<(u32, Option<Seconds>)>,
+    /// `(M, per-device charge)` per executed stage.
+    stages: Vec<(u32, Seconds)>,
     budget: Option<Seconds>,
     budget_exhausted: bool,
     stopping: StoppingPolicy,
@@ -568,10 +532,9 @@ impl LotReport {
     }
 
     /// Returns the report with its executed stages recorded: per stage,
-    /// its `M` and its uniform per-device charge (`None` when the charge
-    /// is device-dependent).
+    /// its `M` and its per-device charge.
     #[must_use]
-    pub(crate) fn with_stages(mut self, stages: Vec<(u32, Option<Seconds>)>) -> Self {
+    pub(crate) fn with_stages(mut self, stages: Vec<(u32, Seconds)>) -> Self {
         self.stages = stages;
         self
     }
@@ -801,8 +764,8 @@ impl LotReport {
                 "one schedule stage cannot have two different M"
             );
             assert_eq!(
-                charge.map(|c| c.value().to_bits()),
-                other_charge.map(|c| c.value().to_bits()),
+                charge.value().to_bits(),
+                other_charge.value().to_bits(),
                 "shards of one lot share the per-device stage cost"
             );
         }
@@ -825,9 +788,8 @@ impl LotReport {
     }
 }
 
-/// Schedules a lot's characterizations over a worker pool: (lane ×
-/// point group) tasks for fixed grids, one device per task for adaptive
-/// plans (see the [module docs](self)).
+/// Schedules a lot's characterizations over a worker pool as (lane ×
+/// point group) tasks (see the [module docs](self)).
 ///
 /// # Example
 ///
@@ -963,29 +925,26 @@ impl LotEngine {
     /// period increment; verdicts are identical to `Staged`, the spend
     /// is smaller.
     ///
-    /// Budgeting is an **observed-cost ledger**: each re-test's actual
-    /// measurement time is charged as it completes, and the next
-    /// ambiguous device (in seed order) is admitted while
-    /// `spent < budget` — so the final admitted re-test may overshoot
-    /// the budget by at most its own time, the report's
+    /// Each device of a stage is charged the stage's per-device charge,
+    /// [`EscalationSchedule::device_stage_charge`]. Under a budget the
+    /// ambiguous devices are admitted in seed order while
+    /// `spent < budget`, so the final admitted re-test may overshoot the
+    /// budget by at most one charge. The admitted prefix is computed
+    /// before measuring and only it is measured; the report's
     /// [`budget_exhausted`](LotReport::budget_exhausted) flag is set
-    /// whenever an ambiguous device was denied, and
-    /// [adaptive](LotPlan::adaptive) plans (device-dependent costs) are
-    /// fully supported.
+    /// whenever an ambiguous device was denied.
     ///
-    /// Results are bit-identical to a serial in-order run: admissions
-    /// are replayed in seed order against the ledger (never by
-    /// completion order), and on failure the lowest-seed-index error
-    /// among the *admitted* measurements of the failing stage is
-    /// reported.
+    /// Results are bit-identical to a serial in-order run: admission
+    /// depends only on verdicts and seed order (never on completion
+    /// order), and on failure the lowest-seed-index error among the
+    /// admitted measurements of the failing stage is reported.
     ///
     /// # Errors
     ///
     /// Everything [`run`](Self::run) returns, plus
     /// [`NetanError::BudgetExhausted`] when the budget cannot cover the
     /// all-or-nothing stage-0 screening pass — rejected before any
-    /// simulation on fixed grids, and right after the observed screening
-    /// pass on adaptive plans.
+    /// simulation.
     pub fn run_escalated<D, F>(
         &self,
         factory: F,
@@ -1043,41 +1002,24 @@ impl LotEngine {
         F: Fn(u64) -> D + Sync,
     {
         Self::validate_lot(seeds, plan)?;
-        // Fixed grids have a uniform, projectable per-device charge at
-        // every stage; adaptive plans refine per device, so every cost
-        // is observed.
-        let uniform = plan.refinement().is_none();
-        let stage_charge =
-            |s: usize| uniform.then(|| grid_time(schedule.charged_periods(s), plan.grid()));
+        let charge = |s: usize| schedule.device_stage_charge(s, plan.grid());
 
         // The screening pass is all-or-nothing: without it no device has
         // a verdict, so a budget that cannot cover it is an error, not a
-        // silently empty report. On a fixed grid the screening cost is
-        // projectable and rejected before any simulation; an adaptive
-        // plan's cost is observed, so the same check runs right after
-        // the screening pass below.
-        if let (Some(budget), Some(c0)) = (schedule.budget(), stage_charge(0)) {
-            let screening_cost = (0..seeds.len()).fold(Seconds(0.0), |acc, _| acc + c0);
-            if screening_cost.value() > budget.value() {
-                return Err(Self::budget_error(screening_cost, budget));
+        // silently empty report.
+        let c0 = charge(0);
+        let mut spent = seeds.iter().fold(Seconds(0.0), |acc, _| acc + c0);
+        if let Some(budget) = schedule.budget() {
+            if spent.value() > budget.value() {
+                return Err(Self::budget_error(spent, budget));
             }
         }
 
         let config0 = schedule.stages()[0];
-        let fresh: Vec<(u64, &[Seconds])> = seeds.iter().map(|&seed| (seed, &[][..])).collect();
-        let results = self.characterize(&factory, &fresh, plan, Stage::fresh(0, config0)?);
+        let mut stages = vec![(config0.periods, c0)];
+        let stage = Stage::new(0, config0, &stages)?;
+        let results = self.characterize(&factory, seeds, plan, &stage);
         let mut devices = results.into_iter().collect::<Result<Vec<_>, _>>()?;
-
-        let screen_time = devices
-            .iter()
-            .fold(Seconds(0.0), |acc, d| acc + d.test_time);
-        if let Some(budget) = schedule.budget() {
-            if !uniform && screen_time.value() > budget.value() {
-                return Err(Self::budget_error(screen_time, budget));
-            }
-        }
-        let mut spent = screen_time;
-        let mut stages = vec![(config0.periods, stage_charge(0))];
         let mut budget_exhausted = false;
 
         for (s, &config) in schedule.stages().iter().enumerate().skip(1) {
@@ -1090,79 +1032,34 @@ impl LotEngine {
             if ambiguous.is_empty() {
                 break;
             }
-            // How many candidates to measure. With a uniform per-device
-            // charge the admitted seed-order prefix — admit while
-            // `spent < budget`, charge on completion — is computable
-            // without measuring; adaptive charges are observed, so every
-            // candidate is measured and the ledger replay below decides.
-            let measure = match (schedule.budget(), stage_charge(s)) {
-                (Some(budget), Some(c)) => {
-                    let mut k = 0;
-                    let mut acc = spent;
-                    while k < ambiguous.len() && acc.value() < budget.value() {
-                        acc = acc + c;
-                        k += 1;
-                    }
-                    k
-                }
-                _ => ambiguous.len(),
-            };
-            if measure == 0 {
-                budget_exhausted = true;
+            // Admit in seed order while `spent < budget`, charging each
+            // admitted device the stage charge.
+            let c = charge(s);
+            let mut admitted = 0;
+            while admitted < ambiguous.len()
+                && schedule
+                    .budget()
+                    .is_none_or(|budget| spent.value() < budget.value())
+            {
+                spent = spent + c;
+                admitted += 1;
+            }
+            budget_exhausted |= admitted < ambiguous.len();
+            if admitted == 0 {
                 break;
             }
-            let stage = Stage {
-                charge_periods: schedule.charged_periods(s),
-                ..Stage::fresh(s, config)?
-            };
-            let retests: Vec<(u64, &[Seconds])> = ambiguous[..measure]
+            stages.push((config.periods, c));
+            let stage = Stage::new(s, config, &stages)?;
+            let retests: Vec<u64> = ambiguous[..admitted]
                 .iter()
-                .map(|&i| (devices[i].seed, &devices[i].stage_times[..]))
+                .map(|&i| devices[i].seed)
                 .collect();
-            let results = self.characterize(&factory, &retests, plan, stage);
-            // Observed-cost ledger replay, in seed order: admit the next
-            // ambiguous device while `spent < budget`, charge its actual
-            // measurement time as it completes. Results are buffered, so
-            // the lowest-seed-index error among the admitted re-tests
-            // wins under any thread schedule, exactly as a serial
-            // in-order run would report it; results past the admission
-            // cut-off never touch the report or the ledger.
-            let mut tested = 0;
-            let mut results = results.into_iter();
-            for (j, &i) in ambiguous.iter().enumerate() {
-                let denied = j >= measure
-                    || schedule
-                        .budget()
-                        .is_some_and(|budget| spent.value() >= budget.value());
-                if denied {
-                    budget_exhausted = true;
-                    break;
-                }
-                // `results` holds exactly `measure` items and `j < measure`
-                // here, so the iterator cannot run dry; treating an
-                // impossible dry read as exhaustion keeps the path
-                // panic-free without inventing an error variant.
-                let Some(report) = results.next() else {
-                    budget_exhausted = true;
-                    break;
-                };
-                let report = report?;
-                // Every re-test appends its stage charge; fall back to
-                // the cumulative spend (a sane degenerate ledger entry)
-                // rather than asserting.
-                let t = report
-                    .stage_times
-                    .last()
-                    .copied()
-                    .unwrap_or(report.test_time);
-                spent = spent + t;
-                devices[i] = report;
-                tested += 1;
+            // The lowest-seed-index error among the re-tests wins, as a
+            // serial in-order run would report it.
+            let results = self.characterize(&factory, &retests, plan, &stage);
+            for (&i, report) in ambiguous.iter().zip(results) {
+                devices[i] = report?;
             }
-            if tested == 0 {
-                break;
-            }
-            stages.push((config.periods, stage_charge(s)));
         }
 
         let mut report = LotReport::new(plan.mask().clone(), devices)
@@ -1236,63 +1133,45 @@ impl LotEngine {
         NetworkAnalyzer::new(&Bypass, config).calibrate()
     }
 
-    /// Characterizes every device of `devices` — `(seed, per-stage
-    /// charge history)` pairs — at `stage`, one result per device, in
-    /// order. Every device is attempted; a failed device carries its own
-    /// error, so collecting the results reports the lowest-index error,
-    /// as a serial in-order run would.
-    ///
-    /// A fixed grid is measured in lanes ([`measure_lanes`]); an adaptive
-    /// plan refines each device's grid from its own measurements, so its
-    /// devices run one per task, each on the serial point engine.
+    /// Characterizes every device of `seeds` at `stage`, one result per
+    /// device, in order, each charged the stage's charge history. Every
+    /// device is attempted; a failed device carries its own error, so
+    /// collecting the results reports the lowest-index error, as a
+    /// serial in-order run would.
     ///
     /// [`measure_lanes`]: Self::measure_lanes
     fn characterize<D, F>(
         &self,
         factory: &F,
-        devices: &[(u64, &[Seconds])],
+        seeds: &[u64],
         plan: &LotPlan,
-        stage: Stage,
+        stage: &Stage,
     ) -> Vec<Result<DeviceReport, NetanError>>
     where
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let report = |i: usize, plot: Result<BodePlot, NetanError>| {
-            let (seed, prior) = devices[i];
-            plot.and_then(|plot| Self::device_report(seed, plot, plan, stage, prior))
-        };
-        match plan.refinement() {
-            None => {
-                let seeds: Vec<u64> = devices.iter().map(|&(seed, _)| seed).collect();
-                self.measure_lanes(factory, &seeds, plan.grid(), stage)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(i, points)| {
-                        report(
-                            i,
-                            points.map(|mut points| {
-                                unwrap_phase_by_continuity(&mut points);
-                                BodePlot::new(points)
-                            }),
-                        )
-                    })
-                    .collect()
-            }
-            // Adaptive plan: the grid ∪ mask union seeds refinement, so
-            // each device also resolves its own (mismatch-shifted) knee.
-            Some(&policy) => pool::map_indexed(self.threads, devices.len(), |i| {
-                let plot = Self::fabricate(factory, devices[i].0, plan.grid()).and_then(|device| {
-                    let analyzer = NetworkAnalyzer::new(&device, stage.config);
-                    AdaptiveSweep::with_engine(policy, SweepEngine::serial()).run(
-                        &analyzer,
-                        stage.cal,
-                        plan.grid(),
-                    )
-                });
-                report(i, plot)
-            }),
-        }
+        self.measure_lanes(factory, seeds, plan.grid(), stage)
+            .into_iter()
+            .zip(seeds)
+            .map(|(points, &seed)| {
+                let mut points = points?;
+                unwrap_phase_by_continuity(&mut points);
+                let plot = BodePlot::new(points);
+                let verdict = plan.classify_plot(plot.points())?;
+                let fit = plot.fit_lowpass_biquad();
+                Ok(DeviceReport {
+                    seed,
+                    plot,
+                    verdict,
+                    fit,
+                    stage: stage.index,
+                    periods: stage.config.periods,
+                    test_time: stage.test_time,
+                    stage_times: stage.charges.clone(),
+                })
+            })
+            .collect()
     }
 
     /// Measures `grid` on every device of `seeds` at `stage`, in
@@ -1319,7 +1198,7 @@ impl LotEngine {
         factory: &F,
         seeds: &[u64],
         grid: &[Hertz],
-        stage: Stage,
+        stage: &Stage,
     ) -> Vec<Result<Vec<BodePoint>, NetanError>>
     where
         D: Dut,
@@ -1398,46 +1277,6 @@ impl LotEngine {
         }
         Ok(device)
     }
-
-    /// Classifies and fits a measured device and charges it
-    /// `stage.charge_periods`-worth of acquisition per measured point —
-    /// the full `config.periods` for a fresh insertion, the period
-    /// increment for a [`StoppingPolicy::Sequential`] continuation.
-    /// `prior` is the device's per-stage charge history from earlier
-    /// stages; the new stage's charge is appended to it.
-    fn device_report(
-        seed: u64,
-        plot: BodePlot,
-        plan: &LotPlan,
-        stage: Stage,
-        prior: &[Seconds],
-    ) -> Result<DeviceReport, NetanError> {
-        let verdict = plan.classify_plot(plot.points())?;
-        let fit = plot.fit_lowpass_biquad();
-        // Actual measured points (a superset of the grid for adaptive
-        // plans), each charged `charge_periods` of chopped acquisition —
-        // the whole stage `M` for a fresh insertion, the increment for a
-        // sequential continuation.
-        let time = plot.points().iter().fold(Seconds(0.0), |acc, p| {
-            acc + measurement_time(stage.charge_periods, p.frequency)
-        });
-        let mut stage_times = prior.to_vec();
-        stage_times.push(time);
-        // The cumulative spend continues the same left fold the prior
-        // stages accumulated, so stage sums, device sums and `spent`
-        // agree to the last bit.
-        let test_time = stage_times.iter().fold(Seconds(0.0), |acc, &t| acc + t);
-        Ok(DeviceReport {
-            seed,
-            plot,
-            verdict,
-            fit,
-            stage: stage.index,
-            periods: stage.config.periods,
-            test_time,
-            stage_times,
-        })
-    }
 }
 
 /// Most devices one lane task measures.
@@ -1449,26 +1288,35 @@ impl LotEngine {
 pub const LANE_DEVICES: usize = 64;
 
 /// One stage's measurement settings, shared by every task of the stage.
-#[derive(Debug, Clone, Copy)]
 struct Stage {
     /// Schedule stage index.
     index: usize,
     config: AnalyzerConfig,
     /// The stage's shared stimulus characterization.
     cal: Calibration,
-    /// Periods charged per measured point.
-    charge_periods: u32,
+    /// The per-device charge of every stage so far, this one last: the
+    /// charge history of every device measured here, since a device is
+    /// re-tested only while ambiguous and so ran every earlier stage.
+    charges: Vec<Seconds>,
+    /// The left fold of `charges` from zero.
+    test_time: Seconds,
 }
 
 impl Stage {
-    /// Stage `index` at `config`, calibrated once and charged the full
-    /// `config.periods` — a fresh insertion.
-    fn fresh(index: usize, config: AnalyzerConfig) -> Result<Self, NetanError> {
+    /// Stage `index` at `config`, calibrated once, after the executed
+    /// stages `ran` (`(M, per-device charge)` pairs, this one last).
+    fn new(
+        index: usize,
+        config: AnalyzerConfig,
+        ran: &[(u32, Seconds)],
+    ) -> Result<Self, NetanError> {
+        let charges: Vec<Seconds> = ran.iter().map(|&(_, c)| c).collect();
         Ok(Self {
             index,
             config,
             cal: LotEngine::shared_calibration(config)?,
-            charge_periods: config.periods,
+            test_time: charges.iter().fold(Seconds(0.0), |acc, &c| acc + c),
+            charges,
         })
     }
 }
@@ -1701,74 +1549,6 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_plans_escalate_on_the_observed_ledger() {
-        // Regression: adaptive plans used to be rejected with a typed
-        // `AdaptivePlanUnsupported` because the projected ledger could
-        // not price device-dependent grids. The observed ledger charges
-        // actual measurement times, so both budgeted and unbudgeted
-        // escalation now run.
-        let plan = LotPlan::adaptive(
-            &[Hertz(300.0)],
-            GainMask::paper_lowpass(),
-            RefinementPolicy::new(0.5),
-        );
-        let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 120]);
-        let report = LotEngine::serial()
-            .run_escalated(paper_factory(0.09), &[0, 1, 2], &plan, &schedule)
-            .unwrap();
-        assert_eq!(report.len(), 3);
-        // Adaptive charges are device-dependent: no uniform stage cost.
-        assert!(report.stages().iter().all(|s| s.device_time.is_none()));
-        // Every stage's time is the fold of its devices' observed
-        // charges.
-        for s in report.stages() {
-            let fold = report
-                .devices()
-                .iter()
-                .filter(|d| d.stage_times.len() > s.stage)
-                .fold(Seconds(0.0), |acc, d| acc + d.stage_times[s.stage]);
-            assert_eq!(s.time.value().to_bits(), fold.value().to_bits());
-        }
-        // A generous budget admits everything and reports identically.
-        let budgeted = LotEngine::serial()
-            .run_escalated(
-                paper_factory(0.09),
-                &[0, 1, 2],
-                &plan,
-                &schedule.clone().with_budget(Seconds(1e6)),
-            )
-            .unwrap();
-        assert_eq!(budgeted.devices(), report.devices());
-        assert!(!budgeted.budget_exhausted());
-    }
-
-    #[test]
-    fn adaptive_budget_below_screening_is_a_typed_error() {
-        // The screening pass stays all-or-nothing; with an adaptive plan
-        // the check runs on the observed screening spend.
-        let plan = LotPlan::adaptive(
-            &[Hertz(300.0)],
-            GainMask::paper_lowpass(),
-            RefinementPolicy::new(0.5),
-        );
-        let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 120])
-            .with_budget(Seconds(1e-6));
-        let err = LotEngine::serial()
-            .run_escalated(paper_factory(0.0), &[0, 1], &plan, &schedule)
-            .unwrap_err();
-        match err {
-            NetanError::BudgetExhausted {
-                needed_ms,
-                budget_ms,
-            } => {
-                assert!(needed_ms >= budget_ms);
-                assert_eq!(budget_ms, 1); // 1 µs budget rounds *up*, not to 0
-            }
-            other => panic!("expected BudgetExhausted, got {other:?}"),
-        }
-    }
-
-    #[test]
     fn shard_span_helpers_and_slice_detection() {
         let span = ShardSpan::complete(3..7);
         assert_eq!((span.seed_start, span.seed_end), (3, 7));
@@ -1894,11 +1674,7 @@ mod tests {
             device(1, SpecVerdict::Fail, &[0.5]),
             device(2, SpecVerdict::Ambiguous, &[0.5, 2.0, 8.0]),
         ];
-        let ran = vec![
-            (50, Some(Seconds(0.5))),
-            (200, None),
-            (800, Some(Seconds(8.0))),
-        ];
+        let ran = vec![(50, Seconds(0.5)), (200, Seconds(2.0)), (800, Seconds(8.0))];
         let report = LotReport::new(GainMask::new(), devices.clone()).with_stages(ran.clone());
         let rows: Vec<_> = report
             .stages()
@@ -1916,7 +1692,7 @@ mod tests {
                 (800, 1, [1, 1, 1], Seconds(8.0)),
             ]
         );
-        assert_eq!(report.stages()[1].device_time, None);
+        assert_eq!(report.stages()[1].device_time, Seconds(2.0));
         assert_eq!(report.spent(), Seconds(13.5));
         // A shard that stopped a stage early merges into the same report.
         let head =
@@ -2004,7 +1780,6 @@ mod tests {
         let plan = LotPlan {
             grid: vec![Hertz(200.0), Hertz(500.0)],
             mask: GainMask::paper_lowpass(), // needs 1 kHz and 10 kHz too
-            refinement: None,
         };
         let engine = LotEngine::serial();
         let expected = NetanError::MaskFrequencyMissing {
@@ -2034,6 +1809,31 @@ mod tests {
         assert!(engine
             .run(paper_factory(0.0), &[0], &ok, quick_config())
             .is_ok());
+    }
+
+    #[test]
+    fn unresolved_stimulus_is_a_typed_error() {
+        // Regression: a calibration whose amplitude enclosure reaches zero
+        // (no stimulus, or too small a stimulus for M) used to panic in
+        // the gain's interval division.
+        use mixsig::units::Volts;
+        let plan = LotPlan::from_mask(GainMask::paper_lowpass());
+        for config in [
+            quick_config().with_va_diff(Volts(0.0)),
+            AnalyzerConfig::ideal()
+                .with_periods(2)
+                .with_va_diff(Volts(0.02)),
+        ] {
+            for engine in [LotEngine::serial(), LotEngine::with_threads(4)] {
+                assert_eq!(
+                    engine
+                        .run(paper_factory(0.0), &[0, 1, 2], &plan, config)
+                        .unwrap_err(),
+                    NetanError::UnresolvedStimulus,
+                    "{config:?} on {engine:?}"
+                );
+            }
+        }
     }
 
     #[test]

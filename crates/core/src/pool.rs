@@ -44,8 +44,9 @@ pub fn auto_threads() -> usize {
     })
 }
 
-/// Renders a `catch_unwind` payload to text.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+/// Renders a `catch_unwind` payload to text: a `String` or `&str`
+/// payload as itself, anything else as a fixed placeholder.
+pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     match payload.downcast::<String>() {
         Ok(s) => *s,
         Err(payload) => match payload.downcast::<&'static str>() {

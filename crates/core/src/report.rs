@@ -326,6 +326,66 @@ fn json_counts(out: &mut String, c: &VerdictCounts) {
     );
 }
 
+/// Renders `mask` as the JSON array that both `netan.lot.v4` and
+/// `netan.job.v1` carry: `[{"freq_hz":…,"min_db":…,"max_db":…},…]`.
+pub fn write_mask_json(out: &mut String, mask: &GainMask) {
+    out.push('[');
+    for (i, m) in mask.points().iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("{\"freq_hz\":");
+        json_f64(out, m.frequency.value());
+        out.push_str(",\"min_db\":");
+        json_f64(out, m.min_db);
+        out.push_str(",\"max_db\":");
+        json_f64(out, m.max_db);
+        out.push('}');
+    }
+    out.push(']');
+}
+
+/// Parses the mask array [`write_mask_json`] renders.
+///
+/// # Errors
+///
+/// [`ReportParseError`] on a value that is not an array of mask points.
+pub fn mask_from_json(doc: &Json) -> Result<GainMask, ReportParseError> {
+    let mut mask = GainMask::new();
+    for m in doc.as_arr()? {
+        mask = mask.with_point(MaskPoint {
+            frequency: Hertz(m.field("freq_hz")?.as_f64()?),
+            min_db: m.field("min_db")?.as_f64()?,
+            max_db: m.field("max_db")?.as_f64()?,
+        });
+    }
+    Ok(mask)
+}
+
+/// Renders `stopping` as the JSON string that both `netan.lot.v4` and
+/// `netan.job.v1` carry: `"staged"` or `"sequential"`.
+pub fn write_stopping_json(out: &mut String, stopping: StoppingPolicy) {
+    out.push_str(match stopping {
+        StoppingPolicy::Staged => "\"staged\"",
+        StoppingPolicy::Sequential => "\"sequential\"",
+    });
+}
+
+/// Parses the stopping-policy string [`write_stopping_json`] renders.
+///
+/// # Errors
+///
+/// [`ReportParseError`] on a non-string or an unknown policy name.
+pub fn stopping_from_json(doc: &Json) -> Result<StoppingPolicy, ReportParseError> {
+    match doc.as_str()? {
+        "staged" => Ok(StoppingPolicy::Staged),
+        "sequential" => Ok(StoppingPolicy::Sequential),
+        other => Err(ReportParseError::doc(format!(
+            "unknown stopping policy {other:?}"
+        ))),
+    }
+}
+
 /// Bytes [`lot_json`] reserves up front: a little above what typical
 /// reports render to (about 265 bytes per Bode point and 250 per device
 /// besides its points), so a lot document is written into one allocation
@@ -353,20 +413,13 @@ fn lot_json_capacity(report: &LotReport) -> usize {
 /// stopping policy, the shard provenance (`null` when unknown), the
 /// mask, the verdict histogram, the yield enclosure (`null` for an
 /// empty lot), the escalation budget ledger, the per-stage summaries
-/// (each with its uniform `device_time_s`, `null` for device-dependent
-/// charges), and per-device verdict, stage provenance, observed
-/// per-stage charges (`stage_times_s`), f0/Q fit and full point set.
+/// (each with its per-device charge `device_time_s`), and per-device
+/// verdict, stage provenance, per-stage charges (`stage_times_s`), f0/Q
+/// fit and full point set.
 pub fn lot_json(report: &LotReport) -> String {
     let mut out = String::with_capacity(lot_json_capacity(report));
     out.push_str("{\"schema\":\"netan.lot.v4\",\"stopping\":");
-    let _ = write!(
-        out,
-        "\"{}\"",
-        match report.stopping() {
-            StoppingPolicy::Staged => "staged",
-            StoppingPolicy::Sequential => "sequential",
-        }
-    );
+    write_stopping_json(&mut out, report.stopping());
     out.push_str(",\"shard\":");
     match report.shard() {
         Some(s) => {
@@ -378,20 +431,9 @@ pub fn lot_json(report: &LotReport) -> String {
         }
         None => out.push_str("null"),
     }
-    out.push_str(",\"mask\":[");
-    for (i, m) in report.mask().points().iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"freq_hz\":");
-        json_f64(&mut out, m.frequency.value());
-        out.push_str(",\"min_db\":");
-        json_f64(&mut out, m.min_db);
-        out.push_str(",\"max_db\":");
-        json_f64(&mut out, m.max_db);
-        out.push('}');
-    }
-    out.push_str("],\"counts\":");
+    out.push_str(",\"mask\":");
+    write_mask_json(&mut out, report.mask());
+    out.push_str(",\"counts\":");
     json_counts(&mut out, &report.counts());
     out.push_str(",\"yield\":");
     match report.yield_bounds() {
@@ -425,10 +467,7 @@ pub fn lot_json(report: &LotReport) -> String {
         );
         json_f64(&mut out, s.time.value());
         out.push_str(",\"device_time_s\":");
-        match s.device_time {
-            Some(c) => json_f64(&mut out, c.value()),
-            None => out.push_str("null"),
-        }
+        json_f64(&mut out, s.device_time.value());
         out.push_str(",\"counts\":");
         json_counts(&mut out, &s.counts);
         out.push('}');
@@ -592,15 +631,7 @@ pub fn lot_report_from_json(doc: &Json) -> Result<LotReport, ReportParseError> {
         )));
     }
 
-    let mut mask = GainMask::new();
-    for m in doc.field("mask")?.as_arr()? {
-        mask = mask.with_point(MaskPoint {
-            frequency: Hertz(m.field("freq_hz")?.as_f64()?),
-            min_db: m.field("min_db")?.as_f64()?,
-            max_db: m.field("max_db")?.as_f64()?,
-        });
-    }
-
+    let mask = mask_from_json(doc.field("mask")?)?;
     let mut devices = Vec::new();
     for d in doc.field("devices")?.as_arr()? {
         devices.push(parse_device(d)?);
@@ -608,26 +639,17 @@ pub fn lot_report_from_json(doc: &Json) -> Result<LotReport, ReportParseError> {
 
     let mut stages = Vec::new();
     for s in doc.field("stages")?.as_arr()? {
-        let device_time = match s.field("device_time_s")? {
-            Json::Null => None,
-            c => Some(Seconds(c.as_f64()?)),
-        };
-        stages.push((s.field("periods")?.as_int("periods")?, device_time));
+        stages.push((
+            s.field("periods")?.as_int("periods")?,
+            Seconds(s.field("device_time_s")?.as_f64()?),
+        ));
     }
     let budget = doc.field("budget")?;
     let limit = match budget.field("limit_s")? {
         Json::Null => None,
         b => Some(Seconds(b.as_f64()?)),
     };
-    let stopping = match doc.field("stopping")?.as_str()? {
-        "staged" => StoppingPolicy::Staged,
-        "sequential" => StoppingPolicy::Sequential,
-        other => {
-            return Err(ReportParseError::doc(format!(
-                "unknown stopping policy {other:?}"
-            )));
-        }
-    };
+    let stopping = stopping_from_json(doc.field("stopping")?)?;
     let mut report = LotReport::new(mask, devices)
         .with_stages(stages)
         .with_budget(limit, budget.field("exhausted")?.as_bool()?)
@@ -652,7 +674,8 @@ pub fn distortion_table(report: &DistortionReport) -> String {
         fund.est, fund.lo, fund.hi
     );
     for m in &report.measurements()[1..] {
-        // A harmonic index below 2 has no dBc level to render.
+        // A harmonic index below 2, or a fundamental whose enclosure
+        // reaches zero, has no dBc level to render.
         let Some(hd) = report.hd_dbc(m.k) else {
             continue;
         };
@@ -745,7 +768,7 @@ mod tests {
                 device(2, SpecVerdict::Fail, None, 0, 50),
             ],
         )
-        .with_stages(vec![(50, Some(Seconds(0.25))), (200, None)])
+        .with_stages(vec![(50, Seconds(0.25)), (200, Seconds(0.25))])
         .with_budget(Some(Seconds(2.0)), true)
     }
 
@@ -863,12 +886,12 @@ mod tests {
         assert!(j.contains("\"min_db\":-4.5"));
         // v2: budget ledger, per-stage summaries, per-device provenance.
         assert!(j.contains("\"budget\":{\"limit_s\":2,\"spent_s\":1,\"exhausted\":true}"));
-        // v3: each stage's uniform per-device cost (null when unknown).
+        // v3: each stage's per-device charge.
         assert!(j.contains(
             "\"stages\":[{\"stage\":0,\"periods\":50,\"tested\":3,\"time_s\":0.75,\"device_time_s\":0.25"
         ));
         assert!(j.contains(
-            "{\"stage\":1,\"periods\":200,\"tested\":1,\"time_s\":0.25,\"device_time_s\":null"
+            "{\"stage\":1,\"periods\":200,\"tested\":1,\"time_s\":0.25,\"device_time_s\":0.25"
         ));
         assert!(j.contains(
             "\"seed\":1,\"verdict\":\"ambiguous\",\"stage\":1,\"periods\":200,\"test_time_s\":0.5"

@@ -34,21 +34,21 @@
 //! # What a job serializes
 //!
 //! A [`JobRequest`] carries the DUT description, the seed range, the
-//! shard size, a **fixed-grid** [`LotPlan`] (adaptive refinement
-//! policies are per-device closures over measured data and are not
-//! serializable; the service rejects nothing — a fixed grid is simply
-//! all the schema can express), and the [`EscalationSchedule`]. The
-//! analyzer `block_samples` throughput knob is deliberately **not**
-//! part of the schema: results are bit-identical for any value, so the
-//! server's default cannot change a report byte.
+//! shard size, the [`LotPlan`] (its grid and mask; the mask and the
+//! stopping policy use the same codec as `netan.lot.v4`), and the
+//! [`EscalationSchedule`]. The analyzer `block_samples` throughput knob
+//! is deliberately **not** part of the schema: results are bit-identical
+//! for any value, so the server's default cannot change a report byte.
 
 use crate::error::ServeError;
 use mixsig::units::{Hertz, Seconds, Volts};
 use netan::json::{write_f64, write_str, Json};
-use netan::report::lot_json;
+use netan::report::{
+    lot_json, mask_from_json, stopping_from_json, write_mask_json, write_stopping_json,
+};
 use netan::{
-    lot_report_from_json, AnalyzerConfig, EscalationSchedule, GainMask, HardwareProfile, LotPlan,
-    LotReport, MaskPoint, ReportParseError, ShardDriver, StoppingPolicy,
+    lot_report_from_json, AnalyzerConfig, EscalationSchedule, HardwareProfile, LotPlan, LotReport,
+    ReportParseError, ShardDriver,
 };
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -81,7 +81,7 @@ pub struct JobRequest {
     /// Devices per shard (the final shard may be smaller). Treated as
     /// at least 1.
     pub shard_devices: u64,
-    /// The fixed-grid lot plan (grid ∪ mask, like [`LotPlan::new`]).
+    /// The lot plan (grid ∪ mask, like [`LotPlan::new`]).
     pub plan: LotPlan,
     /// The escalation schedule, budget and stopping policy included.
     pub schedule: EscalationSchedule,
@@ -123,24 +123,10 @@ impl JobRequest {
             }
             write_f64(&mut out, f.value());
         }
-        out.push_str("],\"mask\":[");
-        for (i, m) in self.plan.mask().points().iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("{\"freq_hz\":");
-            write_f64(&mut out, m.frequency.value());
-            out.push_str(",\"min_db\":");
-            write_f64(&mut out, m.min_db);
-            out.push_str(",\"max_db\":");
-            write_f64(&mut out, m.max_db);
-            out.push('}');
-        }
-        out.push_str("]},\"schedule\":{\"stopping\":");
-        out.push_str(match self.schedule.stopping() {
-            StoppingPolicy::Staged => "\"staged\"",
-            StoppingPolicy::Sequential => "\"sequential\"",
-        });
+        out.push_str("],\"mask\":");
+        write_mask_json(&mut out, self.plan.mask());
+        out.push_str("},\"schedule\":{\"stopping\":");
+        write_stopping_json(&mut out, self.schedule.stopping());
         out.push_str(",\"budget_s\":");
         match self.schedule.budget() {
             Some(b) => write_f64(&mut out, b.value()),
@@ -210,26 +196,10 @@ impl JobRequest {
         for f in plan_doc.field("grid_hz")?.as_arr()? {
             grid.push(Hertz(f.as_f64()?));
         }
-        let mut mask = GainMask::new();
-        for m in plan_doc.field("mask")?.as_arr()? {
-            mask = mask.with_point(MaskPoint {
-                frequency: Hertz(m.field("freq_hz")?.as_f64()?),
-                min_db: m.field("min_db")?.as_f64()?,
-                max_db: m.field("max_db")?.as_f64()?,
-            });
-        }
-        let plan = LotPlan::new(&grid, mask);
+        let plan = LotPlan::new(&grid, mask_from_json(plan_doc.field("mask")?)?);
 
         let sched_doc = doc.field("schedule")?;
-        let stopping = match sched_doc.field("stopping")?.as_str()? {
-            "staged" => StoppingPolicy::Staged,
-            "sequential" => StoppingPolicy::Sequential,
-            other => {
-                return Err(ReportParseError::doc(format!(
-                    "unknown stopping policy {other:?}"
-                )));
-            }
-        };
+        let stopping = stopping_from_json(sched_doc.field("stopping")?)?;
         let mut stages = Vec::new();
         for s in sched_doc.field("stages")?.as_arr()? {
             let mut config = AnalyzerConfig::ideal();
@@ -488,8 +458,7 @@ pub enum ServerFrame {
         total: u64,
         /// Devices screened so far across the merged prefix.
         devices: u64,
-        /// Simulated seconds spent so far (the observed-cost ledger of
-        /// the merged prefix).
+        /// Simulated seconds spent so far by the merged prefix.
         spent_s: f64,
         /// Whether the shard was loaded from a persisted checkpoint
         /// instead of measured.

@@ -19,8 +19,8 @@
 //!   round-trip guarantee.
 //! - [`service`] — [`ScreenService`]: the bounded shard queue, worker
 //!   pool, retry-once fault containment and graceful shutdown, with
-//!   each job's in-order merging, observed-cost budget threading and
-//!   checkpoint persistence on one [`netan::ShardDriver`].
+//!   each job's in-order merging, budget threading and checkpoint
+//!   persistence on one [`netan::ShardDriver`].
 //! - [`server`] — [`JobServer`]: the TCP front end, one connection per
 //!   submitter, events streamed as they happen.
 //!

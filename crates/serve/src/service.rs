@@ -54,6 +54,7 @@ use crate::error::ServeError;
 use crate::job::{job_key, JobRequest};
 use dut::ActiveRcFilter;
 use mixsig::units::Seconds;
+use netan::pool::panic_message;
 use netan::{
     CheckpointError, EscalationSchedule, LotEngine, LotReport, NetanError, Shard, ShardDriver,
     ShardTask,
@@ -562,16 +563,4 @@ fn run_shard(
         base.fabricate(dut.tolerance, seed)
     };
     engine.run_escalated_range(factory, span, &request.plan, schedule)
-}
-
-/// Renders a `catch_unwind` payload to text (same convention as the
-/// core worker pool).
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    match payload.downcast::<String>() {
-        Ok(s) => *s,
-        Err(payload) => match payload.downcast::<&'static str>() {
-            Ok(s) => (*s).to_string(),
-            Err(_) => "non-string panic payload".to_string(),
-        },
-    }
 }

@@ -3,10 +3,10 @@
 //! checkpoint resume, graceful shutdown, and the TCP round trip.
 
 use dut::ActiveRcFilter;
-use mixsig::units::Seconds;
+use mixsig::units::{Seconds, Volts};
 use netan::{
     lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotCheckpoint, LotEngine, LotPlan,
-    LotReport,
+    LotReport, NetanError,
 };
 use netan_serve::{
     ClientFrame, DutDescription, FaultPlan, JobEvent, JobRequest, JobServer, ScreenService,
@@ -119,6 +119,28 @@ fn merged_report_is_byte_identical_to_monolithic() {
     assert!(outcome.retries.is_empty());
     let report = outcome.result.expect("job completes");
     assert_eq!(lot_json(&report), lot_json(&reference));
+    service.shutdown();
+}
+
+#[test]
+fn zero_amplitude_job_fails_typed_without_a_retry() {
+    // Regression: at `va_diff` 0 the calibrated stimulus enclosure
+    // reaches zero; the worker used to panic on it twice, and the job
+    // failed as `shard_panicked` after a retry.
+    let service = ScreenService::start(ServiceConfig::new().with_workers(2));
+    let job = JobRequest {
+        schedule: EscalationSchedule::new(vec![AnalyzerConfig::ideal()
+            .with_periods(50)
+            .with_va_diff(Volts(0.0))]),
+        ..request(0, 2, 2)
+    };
+    let (_, events) = service.submit(job).expect("submit");
+    let outcome = drain(&events);
+    assert!(outcome.retries.is_empty(), "{:?}", outcome.retries);
+    assert_eq!(
+        outcome.result.unwrap_err(),
+        ServeError::Lot(NetanError::UnresolvedStimulus)
+    );
     service.shutdown();
 }
 

@@ -45,7 +45,11 @@ fn main() -> Result<(), netan::NetanError> {
     println!("THD: {:.2} dB", h.thd_db);
 
     // Harmonics k = 1..=3 were measured, so H2 and H3 have levels.
-    let hd_dbc = |h: u32| report.hd_dbc(h).expect("H2 and H3 are measured");
+    let hd_dbc = |h: u32| {
+        report
+            .hd_dbc(h)
+            .expect("H2 and H3 are measured against a resolved fundamental")
+    };
     let d2 = (hd_dbc(2).est - h.harmonics_dbc[0]).abs();
     let d3 = (hd_dbc(3).est - h.harmonics_dbc[1]).abs();
     println!("\nagreement: ΔH2 = {d2:.2} dB, ΔH3 = {d3:.2} dB");

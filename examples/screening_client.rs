@@ -194,8 +194,8 @@ fn recompute(seed_start: u64, seed_end: u64, shard: u64, budget: Option<f64>) ->
     };
     let engine = LotEngine::serial();
     if budget.is_some() {
-        // Budgeted sharding threads the observed-cost ledger shard by
-        // shard; the reference is a checkpoint drive, not a monolith.
+        // Budgeted sharding threads the remaining budget shard by shard;
+        // the reference is a checkpoint drive, not a monolith.
         let dir = std::env::temp_dir().join(format!(
             "netan-client-verify-{}-{seed_start}",
             std::process::id()

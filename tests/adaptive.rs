@@ -1,12 +1,11 @@
 //! Integration tests for enclosure-driven adaptive sweep refinement:
-//! provenance, determinism, the points-to-equal-accuracy claim, and the
-//! adaptive lot plan.
+//! provenance, determinism and the points-to-equal-accuracy claim.
 
 use dut::ActiveRcFilter;
 use mixsig::units::{Hertz, Volts};
 use netan::{
-    log_spaced, reconstruction_error_db, AnalyzerConfig, GainMask, LotEngine, LotPlan, NetanError,
-    NetworkAnalyzer, RefinementPolicy, SweepEngine,
+    log_spaced, reconstruction_error_db, AnalyzerConfig, NetanError, NetworkAnalyzer,
+    RefinementPolicy, SweepEngine,
 };
 
 fn fast_ideal(periods: u32) -> AnalyzerConfig {
@@ -106,57 +105,6 @@ fn adaptive_matches_fixed_grid_accuracy_with_fewer_points() {
         e_fixed > 2.0 && e_adaptive < 0.75 * e_fixed,
         "expected a decisive win: adaptive {e_adaptive:.3} dB vs fixed {e_fixed:.3} dB"
     );
-}
-
-#[test]
-fn adaptive_lot_plan_refines_and_classifies_like_the_fixed_plan() {
-    let mask = GainMask::paper_lowpass();
-    let factory = |seed: u64| {
-        ActiveRcFilter::paper_dut()
-            .linearized()
-            .fabricate(0.03, seed)
-    };
-    let seeds = [0u64, 1, 2, 3];
-    let cfg = fast_ideal(30);
-
-    let fixed_plan = LotPlan::from_mask(mask.clone());
-    let policy = RefinementPolicy::new(0.3)
-        .with_max_points(10)
-        .with_max_rounds(2);
-    let adaptive_plan = LotPlan::adaptive(&[], mask, policy);
-    assert_eq!(adaptive_plan.refinement(), Some(&policy));
-    assert_eq!(fixed_plan.refinement(), None);
-
-    let fixed = LotEngine::serial()
-        .run(factory, &seeds, &fixed_plan, cfg)
-        .unwrap();
-    let adaptive = LotEngine::serial()
-        .run(factory, &seeds, &adaptive_plan, cfg)
-        .unwrap();
-
-    for (df, da) in fixed.devices().iter().zip(adaptive.devices()) {
-        // The refined plot is a superset of the mask grid...
-        assert!(da.plot.len() >= df.plot.len(), "seed {}", df.seed);
-        for f in adaptive_plan.grid() {
-            assert!(
-                da.plot
-                    .points()
-                    .iter()
-                    .any(|p| p.frequency.value().to_bits() == f.value().to_bits()),
-                "seed {}: grid frequency {f} missing",
-                df.seed
-            );
-        }
-        // ...and mask frequencies measure identically (same config, same
-        // deterministic simulation), so the verdict cannot change.
-        assert_eq!(df.verdict, da.verdict, "seed {}", df.seed);
-    }
-
-    // Device-parallel adaptive lots stay bit-identical to serial.
-    let parallel = LotEngine::with_threads(4)
-        .run(factory, &seeds, &adaptive_plan, cfg)
-        .unwrap();
-    assert_eq!(adaptive, parallel);
 }
 
 #[test]

@@ -350,9 +350,9 @@ mod escalation_properties {
         /// Cumulative per-device test time is exactly the schedule's
         /// stage-cost prefix sum for the device's final stage — monotone
         /// in stage index — and the lot total never exceeds the budget
-        /// by more than one re-test charge (the observed-cost ledger
-        /// admits a re-test while `spent < budget`, so the final
-        /// admitted one may overshoot by at most its own time).
+        /// by more than one re-test charge (the ledger admits a
+        /// re-test while `spent < budget`, so the final admitted one
+        /// may overshoot by at most its own charge).
         #[test]
         fn test_time_is_monotone_and_within_budget(
             seed_base in 0u64..100_000,
@@ -936,7 +936,7 @@ mod sequential_stopping_properties {
         /// final document, or the identical typed error when an early
         /// shard's re-tests leave a later shard's screening unpayable.
         /// The remaining global budget every shard sees is recomputed
-        /// from the persisted observed ledgers, so both paths replay.
+        /// from the persisted shard spends, so both paths replay.
         #[test]
         fn budgeted_sequential_checkpoint_resumes_byte_identically(
             seed in 0u64..100_000,

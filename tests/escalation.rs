@@ -17,6 +17,7 @@ use netan::{
     lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotEngine, LotPlan, NetanError,
     SpecVerdict,
 };
+use std::sync::Mutex;
 
 fn paper_factory(sigma: f64) -> impl Fn(u64) -> ActiveRcFilter + Sync {
     move |seed| {
@@ -150,10 +151,10 @@ fn parallel_escalated_matches_serial_with_seeded_cmos_noise() {
 #[test]
 fn budget_exhausted_early_stop_is_deterministic() {
     // A budget that pays for the screening pass plus half a re-test:
-    // the observed-cost ledger admits the lowest-seed ambiguous device
-    // (re-tests are admitted while `spent < budget`, so the last one
-    // may overshoot by its own charge), denies the rest, flags the
-    // exhaustion, and does so identically under any schedule.
+    // the ledger admits the lowest-seed ambiguous device (re-tests are
+    // admitted while `spent < budget`, so the last one may overshoot by
+    // its own charge), denies the rest, flags the exhaustion, and does
+    // so identically under any schedule.
     let plan = paper_plan();
     let seeds: Vec<u64> = (0..6).collect();
     let factory = paper_factory(0.09);
@@ -163,8 +164,14 @@ fn budget_exhausted_early_stop_is_deterministic() {
     let budget = Seconds(seeds.len() as f64 * c0 + 0.5 * c1);
     let schedule = free.clone().with_budget(budget);
 
+    // The serial run records every seed it fabricates.
+    let fabricated = Mutex::new(Vec::new());
+    let recording = |seed: u64| {
+        fabricated.lock().unwrap().push(seed);
+        factory(seed)
+    };
     let serial = LotEngine::serial()
-        .run_escalated(&factory, &seeds, &plan, &schedule)
+        .run_escalated(recording, &seeds, &plan, &schedule)
         .unwrap();
     let parallel = LotEngine::with_threads(6)
         .run_escalated(&factory, &seeds, &plan, &schedule)
@@ -195,8 +202,17 @@ fn budget_exhausted_early_stop_is_deterministic() {
         .unwrap();
     assert_eq!(escalated, vec![first_ambiguous]);
     // The admitted re-test overshoots the budget by at most its own
-    // observed charge — never more.
+    // charge — never more.
     assert!(serial.spent().value() <= budget.value() + c1 + 1e-12);
+    // On the serial engine a stage is one lane and one point group, so a
+    // device is fabricated once per stage that measures it: the admitted
+    // prefix is known before measuring, and a denied device is never
+    // measured again.
+    let fabricated = fabricated.into_inner().unwrap();
+    for d in serial.devices() {
+        let times = fabricated.iter().filter(|&&seed| seed == d.seed).count();
+        assert_eq!(times, d.stage + 1, "seed {}", d.seed);
+    }
 
     // The free-running schedule on the same lot re-tests every
     // ambiguous device — the budget is the only thing holding back.
@@ -212,13 +228,21 @@ fn budget_below_screening_pass_is_rejected_before_simulation() {
     let plan = paper_plan();
     let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 90])
         .with_budget(Seconds(1e-3));
+    let factory = paper_factory(0.0);
+    let fabricated = Mutex::new(Vec::new());
+    let recording = |seed: u64| {
+        fabricated.lock().unwrap().push(seed);
+        factory(seed)
+    };
     let err = LotEngine::serial()
-        .run_escalated(paper_factory(0.0), &[0, 1, 2], &plan, &schedule)
+        .run_escalated(recording, &[0, 1, 2], &plan, &schedule)
         .unwrap_err();
     assert!(
         matches!(err, NetanError::BudgetExhausted { .. }),
         "expected BudgetExhausted, got {err:?}"
     );
+    // Rejected before any device was fabricated.
+    assert_eq!(fabricated.into_inner().unwrap(), Vec::<u64>::new());
 }
 
 #[test]
@@ -249,55 +273,6 @@ fn lowest_index_device_error_wins_under_any_schedule() {
             "{engine:?}"
         );
     }
-}
-
-#[test]
-fn adaptive_plan_escalates_on_the_observed_ledger() {
-    // Regression: escalating over an adaptive plan used to be rejected
-    // with a typed error (and before that, a documented panic). The
-    // observed-cost ledger charges each device's actual measurement
-    // time, so device-dependent adaptive grids now escalate — slices
-    // and ranges alike, serial bit-identical to parallel.
-    let plan = LotPlan::adaptive(
-        &[],
-        GainMask::paper_lowpass(),
-        netan::RefinementPolicy::default(),
-    );
-    let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 90]);
-    let factory = paper_factory(0.09);
-    let seeds: Vec<u64> = (0..4).collect();
-
-    let serial = LotEngine::serial()
-        .run_escalated(&factory, &seeds, &plan, &schedule)
-        .unwrap();
-    let parallel = LotEngine::with_threads(4)
-        .run_escalated(&factory, &seeds, &plan, &schedule)
-        .unwrap();
-    assert_eq!(serial, parallel);
-    assert!(
-        serial.stages().len() > 1,
-        "expected a re-test stage, got {:?}",
-        serial.stages()
-    );
-    // Adaptive grids are device-dependent: no uniform per-device stage
-    // cost, and each stage's time is exactly the seed-order fold of the
-    // devices' observed per-stage charges.
-    for (s, summary) in serial.stages().iter().enumerate() {
-        assert_eq!(summary.device_time, None);
-        let fold = serial
-            .devices()
-            .iter()
-            .filter(|d| d.stage_times.len() > s)
-            .fold(Seconds(0.0), |acc, d| acc + d.stage_times[s]);
-        assert_eq!(summary.time, fold);
-    }
-    // The range variant agrees device for device and stage for stage
-    // (it additionally attaches the shard span).
-    let ranged = LotEngine::serial()
-        .run_escalated_range(&factory, 0..4, &plan, &schedule)
-        .unwrap();
-    assert_eq!(ranged.devices(), serial.devices());
-    assert_eq!(ranged.stages(), serial.stages());
 }
 
 #[test]
@@ -336,34 +311,27 @@ fn escalated_shard_partition_merges_to_the_monolithic_report() {
 fn single_stage_schedule_equals_plain_run() {
     // A one-stage schedule is exactly `run` with that stage's config —
     // same devices, same provenance, same stage summary, bit for bit —
-    // through the slice and range entries, on fixed and adaptive plans,
-    // serial and pooled.
+    // through the slice and range entries, serial and pooled.
     let config = AnalyzerConfig::ideal().with_periods(50);
     let schedule = EscalationSchedule::new(vec![config]);
     let seeds: Vec<u64> = (0..4).collect();
     let factory = paper_factory(0.05);
-    let adaptive = LotPlan::adaptive(
-        &[],
-        GainMask::paper_lowpass(),
-        netan::RefinementPolicy::default(),
-    );
+    let plan = paper_plan();
 
-    for plan in [paper_plan(), adaptive] {
-        for engine in [LotEngine::serial(), LotEngine::with_threads(3)] {
-            let plain = engine.run(&factory, &seeds, &plan, config).unwrap();
-            let escalated = engine
-                .run_escalated(&factory, &seeds, &plan, &schedule)
-                .unwrap();
-            // Identical except for the (None, false) budget bookkeeping
-            // both carry by default.
-            assert_eq!(plain, escalated);
-            let range = engine.run_range(&factory, 0..4, &plan, config).unwrap();
-            let escalated_range = engine
-                .run_escalated_range(&factory, 0..4, &plan, &schedule)
-                .unwrap();
-            for other in [&escalated, &range, &escalated_range] {
-                assert_eq!(lot_json(&plain), lot_json(other));
-            }
+    for engine in [LotEngine::serial(), LotEngine::with_threads(3)] {
+        let plain = engine.run(&factory, &seeds, &plan, config).unwrap();
+        let escalated = engine
+            .run_escalated(&factory, &seeds, &plan, &schedule)
+            .unwrap();
+        // Identical except for the (None, false) budget bookkeeping both
+        // carry by default.
+        assert_eq!(plain, escalated);
+        let range = engine.run_range(&factory, 0..4, &plan, config).unwrap();
+        let escalated_range = engine
+            .run_escalated_range(&factory, 0..4, &plan, &schedule)
+            .unwrap();
+        for other in [&escalated, &range, &escalated_range] {
+            assert_eq!(lot_json(&plain), lot_json(other));
         }
     }
 }

@@ -46,9 +46,8 @@ fn small_seeded_lot() -> LotReport {
 /// A seeded escalated lot whose budget pays for the screen plus some —
 /// not all — re-tests, so the fixture pins stage summaries, per-device
 /// provenance and an exhausted budget at once.
-/// (Half a re-test over the screening cost: the observed-cost ledger
-/// admits exactly one re-test — overshooting by its own charge — and
-/// denies the rest.)
+/// (Half a re-test over the screening cost: the ledger admits exactly
+/// one re-test — overshooting by its own charge — and denies the rest.)
 fn escalated_seeded_lot() -> LotReport {
     let plan = LotPlan::from_mask(GainMask::paper_lowpass());
     let seeds = [0u64, 1, 2, 3, 4, 5];
