@@ -17,7 +17,7 @@
 //!    width of its endpoints;
 //! 3. **bisect** the worst intervals at their log-frequency midpoint and
 //!    measure the new points as one batch through the same
-//!    [`SweepEngine`] the fixed sweep uses — candidates are ordered
+//!    [`LotEngine`] the fixed sweep uses — candidates are ordered
 //!    deterministically before dispatch, so a parallel refinement is
 //!    bit-identical to the serial one;
 //! 4. repeat rounds until the [`RefinementPolicy`] is met or its caps
@@ -41,8 +41,8 @@
 //! into `netan.bode.v2` JSON documents.
 
 use crate::analyzer::{BodePoint, Calibration, NetworkAnalyzer};
-use crate::engine::SweepEngine;
 use crate::error::NetanError;
+use crate::lot::LotEngine;
 use crate::sweep::{unwrap_phase_by_continuity, BodePlot};
 use dut::Dut;
 use mixsig::units::Hertz;
@@ -120,13 +120,13 @@ pub(crate) fn sweep(
     cal: Calibration,
     seed: &[Hertz],
     policy: &RefinementPolicy,
-    engine: &SweepEngine,
+    engine: &LotEngine,
 ) -> Result<BodePlot, NetanError> {
     let mut grid: Vec<Hertz> = seed.to_vec();
     grid.sort_by(|a, b| a.value().total_cmp(&b.value()));
     grid.dedup_by_key(|f| f.value().to_bits());
 
-    let mut points = engine.measure(analyzer, cal, &grid)?;
+    let mut points = analyzer.measure_batch(engine, cal, &grid)?;
     let mut round = 0u32;
     while round < policy.max_rounds && points.len() < policy.max_points {
         round += 1;
@@ -134,7 +134,7 @@ pub(crate) fn sweep(
         if candidates.is_empty() {
             break;
         }
-        let mut fresh = engine.measure(analyzer, cal, &candidates)?;
+        let mut fresh = analyzer.measure_batch(engine, cal, &candidates)?;
         for p in &mut fresh {
             p.round = round;
         }

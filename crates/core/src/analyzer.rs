@@ -1,7 +1,7 @@
 //! The network analyzer proper (paper Section III.C).
 
-use crate::engine::SweepEngine;
 use crate::error::NetanError;
+use crate::lot::LotEngine;
 use crate::sweep::BodePlot;
 use ate::DemoBoard;
 use dut::Dut;
@@ -226,8 +226,8 @@ impl<'d> NetworkAnalyzer<'d> {
 
     /// Measures one Bode point against an explicit stimulus
     /// characterization. Takes `&self`: every sweep point is an
-    /// independent simulation, so [`SweepEngine`]
-    /// workers can share one analyzer across threads. The acquisition is
+    /// independent simulation, so [`LotEngine`] workers can share one
+    /// analyzer across threads. The acquisition is
     /// driven block-wise end to end (generator → DUT → ΣΔ consume
     /// [`AnalyzerConfig::block_samples`]-sized blocks), bit-identical to
     /// the per-sample reference chain. It is the one-device case of
@@ -344,7 +344,7 @@ impl<'d> NetworkAnalyzer<'d> {
     pub fn measure_points(
         &mut self,
         frequencies: &[Hertz],
-        engine: &SweepEngine,
+        engine: &LotEngine,
     ) -> Result<Vec<BodePoint>, NetanError> {
         if frequencies.is_empty() {
             return Err(NetanError::EmptySweep);
@@ -353,20 +353,37 @@ impl<'d> NetworkAnalyzer<'d> {
             Self::validate_frequency(f)?;
         }
         let cal = self.ensure_calibrated()?;
-        engine.measure(self, cal, frequencies)
+        self.measure_batch(engine, cal, frequencies)
+    }
+
+    /// Measures `frequencies` against `cal` across `engine`'s pool,
+    /// returning points in request order. Every point is attempted and
+    /// the lowest-index error is returned, as a serial in-order run
+    /// would return it.
+    pub(crate) fn measure_batch(
+        &self,
+        engine: &LotEngine,
+        cal: Calibration,
+        frequencies: &[Hertz],
+    ) -> Result<Vec<BodePoint>, NetanError> {
+        crate::pool::map_indexed(engine.threads(), frequencies.len(), |i| {
+            self.measure_point_calibrated(cal, frequencies[i])
+        })
+        .into_iter()
+        .collect()
     }
 
     /// Sweeps the analyzer over `frequencies`, unwrapping the phase by
     /// continuity (the paper's Fig. 10b presentation). Serial; see
     /// [`sweep_with`](Self::sweep_with) to fan the points out across a
-    /// [`SweepEngine`]'s worker threads.
+    /// [`LotEngine`]'s worker threads.
     ///
     /// # Errors
     ///
     /// Returns [`NetanError::EmptySweep`] for an empty list and propagates
     /// per-point errors.
     pub fn sweep(&mut self, frequencies: &[Hertz]) -> Result<BodePlot, NetanError> {
-        self.sweep_with(&SweepEngine::serial(), frequencies)
+        self.sweep_with(&LotEngine::serial(), frequencies)
     }
 
     /// Sweeps the analyzer over `frequencies` using `engine` to schedule
@@ -381,7 +398,7 @@ impl<'d> NetworkAnalyzer<'d> {
     /// per-point errors.
     pub fn sweep_with(
         &mut self,
-        engine: &SweepEngine,
+        engine: &LotEngine,
         frequencies: &[Hertz],
     ) -> Result<BodePlot, NetanError> {
         let mut points = self.measure_points(frequencies, engine)?;
@@ -394,7 +411,7 @@ impl<'d> NetworkAnalyzer<'d> {
     /// endpoint enclosure widths score worst — until the policy is met
     /// (see [`crate::adaptive`]). Serial; see
     /// [`sweep_adaptive_with`](Self::sweep_adaptive_with) to fan each
-    /// round's batch across a [`SweepEngine`].
+    /// round's batch across a [`LotEngine`].
     ///
     /// # Example
     ///
@@ -422,7 +439,7 @@ impl<'d> NetworkAnalyzer<'d> {
         seed: &[Hertz],
         policy: &crate::adaptive::RefinementPolicy,
     ) -> Result<BodePlot, NetanError> {
-        self.sweep_adaptive_with(&SweepEngine::serial(), seed, policy)
+        self.sweep_adaptive_with(&LotEngine::serial(), seed, policy)
     }
 
     /// Like [`sweep_adaptive`](Self::sweep_adaptive), but measures each
@@ -437,7 +454,7 @@ impl<'d> NetworkAnalyzer<'d> {
     /// or any simulation, and propagates per-point errors.
     pub fn sweep_adaptive_with(
         &mut self,
-        engine: &SweepEngine,
+        engine: &LotEngine,
         seed: &[Hertz],
         policy: &crate::adaptive::RefinementPolicy,
     ) -> Result<BodePlot, NetanError> {
@@ -463,7 +480,7 @@ impl<'d> NetworkAnalyzer<'d> {
         f_wave: Hertz,
         max_harmonic: u32,
     ) -> Result<Vec<HarmonicMeasurement>, NetanError> {
-        self.measure_harmonics_with(&SweepEngine::serial(), f_wave, max_harmonic)
+        self.measure_harmonics_with(&LotEngine::serial(), f_wave, max_harmonic)
     }
 
     /// Like [`measure_harmonics`](Self::measure_harmonics), but fans the
@@ -479,7 +496,7 @@ impl<'d> NetworkAnalyzer<'d> {
     /// frequencies and propagates evaluator setup errors.
     pub fn measure_harmonics_with(
         &self,
-        engine: &SweepEngine,
+        engine: &LotEngine,
         f_wave: Hertz,
         max_harmonic: u32,
     ) -> Result<Vec<HarmonicMeasurement>, NetanError> {
@@ -544,6 +561,7 @@ impl std::fmt::Debug for NetworkAnalyzer<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::log_spaced;
     use dut::ActiveRcFilter;
 
     fn analyzer_for(dut: &ActiveRcFilter) -> NetworkAnalyzer<'_> {
@@ -752,5 +770,93 @@ mod tests {
         let dut = ActiveRcFilter::paper_dut();
         let na = analyzer_for(&dut);
         assert!(format!("{na:?}").contains("calibrated: false"));
+    }
+
+    #[test]
+    fn parallel_matches_serial_bit_identically() {
+        let dut = ActiveRcFilter::paper_dut().linearized();
+        let grid = log_spaced(Hertz(100.0), Hertz(20_000.0), 9);
+        let mut na = analyzer_for(&dut);
+        let serial = na.sweep_with(&LotEngine::serial(), &grid).unwrap();
+        let parallel = na.sweep_with(&LotEngine::with_threads(4), &grid).unwrap();
+        // PartialEq on f64 fields: bit-identical, not approximately equal.
+        assert_eq!(serial, parallel);
+        assert_eq!(serial.points().len(), grid.len());
+    }
+
+    #[test]
+    fn parallel_matches_serial_with_seeded_cmos_noise() {
+        // The CMOS profile exercises every seeded noise/mismatch source;
+        // determinism must survive the thread fan-out.
+        let dut = ActiveRcFilter::paper_dut().linearized();
+        let grid = log_spaced(Hertz(200.0), Hertz(5_000.0), 5);
+        let cfg = AnalyzerConfig::cmos_035um(7).with_periods(100);
+        let mut na = NetworkAnalyzer::new(&dut, cfg);
+        let serial = na.sweep_with(&LotEngine::serial(), &grid).unwrap();
+        let parallel = na.sweep_with(&LotEngine::with_threads(3), &grid).unwrap();
+        assert_eq!(serial, parallel);
+    }
+
+    #[test]
+    fn more_workers_than_points_is_fine() {
+        let dut = ActiveRcFilter::paper_dut().linearized();
+        let grid = [Hertz(800.0), Hertz(1200.0)];
+        let mut na = analyzer_for(&dut);
+        let plot = na.sweep_with(&LotEngine::with_threads(16), &grid).unwrap();
+        assert_eq!(plot.len(), 2);
+        assert!(plot.points()[0].frequency.value() < plot.points()[1].frequency.value());
+    }
+
+    #[test]
+    fn lowest_index_error_wins() {
+        let dut = ActiveRcFilter::paper_dut().linearized();
+        let mut na = analyzer_for(&dut);
+        let cal = na.calibrate().unwrap();
+        let grid = [Hertz(1000.0), Hertz(-3.0), Hertz(2000.0), Hertz(-7.0)];
+        let expected = NetanError::InvalidFrequency { hz_millis: -3000 };
+        // Batched API: rejected during up-front validation.
+        let err = na
+            .measure_points(&grid, &LotEngine::with_threads(4))
+            .unwrap_err();
+        assert_eq!(err, expected);
+        // The fan-out itself (validation bypassed): serial and parallel
+        // both attempt every point and report the lowest-index error.
+        for engine in [LotEngine::serial(), LotEngine::with_threads(4)] {
+            assert_eq!(na.measure_batch(&engine, cal, &grid).unwrap_err(), expected);
+        }
+    }
+
+    #[test]
+    fn invalid_frequency_rejected_before_calibration() {
+        let dut = ActiveRcFilter::paper_dut().linearized();
+        let mut na = analyzer_for(&dut);
+        let err = na
+            .measure_points(&[Hertz(1000.0), Hertz(0.0)], &LotEngine::auto())
+            .unwrap_err();
+        assert_eq!(err, NetanError::InvalidFrequency { hz_millis: 0 });
+        // No simulation work was spent on the bad batch.
+        assert!(na.calibration().is_none());
+    }
+
+    #[test]
+    fn empty_batch_rejected() {
+        let dut = ActiveRcFilter::paper_dut();
+        let mut na = analyzer_for(&dut);
+        assert_eq!(
+            na.measure_points(&[], &LotEngine::auto()).unwrap_err(),
+            NetanError::EmptySweep
+        );
+    }
+
+    #[test]
+    fn batched_api_calibrates_lazily_once() {
+        let dut = ActiveRcFilter::paper_dut().linearized();
+        let mut na = analyzer_for(&dut);
+        assert!(na.calibration().is_none());
+        let points = na
+            .measure_points(&[Hertz(1000.0)], &LotEngine::serial())
+            .unwrap();
+        assert_eq!(points.len(), 1);
+        assert!(na.calibration().is_some());
     }
 }

@@ -7,8 +7,8 @@
 //! prefix, read off [`LotReport::spent`], and the finished lot answers
 //! for the global budget), the seed-order merge of shards that finish in
 //! any order, and the checkpoint hook that loads a persisted shard or
-//! runs and persists it. [`LotCheckpoint`] drives a lot through it one
-//! shard after another; the `netan-serve` service runs the same driver's
+//! runs and persists it. [`ShardDriver::drive`] runs a lot's shards one
+//! after another; the `netan-serve` service runs the same driver's
 //! shards on its worker pool.
 //!
 //! # Resume
@@ -34,7 +34,6 @@
 //! profile, amplitude or warm-up, so one checkpoint directory serves one
 //! of each (the service keys its directories by the rendered request).
 
-use crate::analyzer::AnalyzerConfig;
 use crate::error::NetanError;
 use crate::lot::{EscalationSchedule, LotEngine, LotPlan, LotReport, ShardSpan};
 use crate::report::{lot_json, parse_lot_json};
@@ -215,8 +214,8 @@ impl ShardDriver {
     }
 
     /// The driven lot, answering for the global budget rather than the
-    /// per-shard remainders. Before the prefix covers the lot — a halted
-    /// drive — it is that prefix, with the lot's span incomplete.
+    /// per-shard remainders. Before the prefix covers the lot it is that
+    /// prefix, with the lot's span incomplete.
     pub fn finish(self) -> LotReport {
         let mut report = self.merged;
         if self.next < self.lot.end {
@@ -228,6 +227,70 @@ impl ShardDriver {
         }
         let exhausted = report.budget_exhausted();
         report.with_budget(self.schedule.budget(), exhausted)
+    }
+
+    /// Drives the lot one shard after another in seed order, loading
+    /// every persisted shard the stale-shard rule accepts and measuring
+    /// the rest with `engine.run_escalated_range`, then
+    /// [`finish`](Self::finish)es. With [`with_dir`](Self::with_dir) the
+    /// drive persists and resumes; without it, it runs in memory.
+    ///
+    /// Resume matches shards by their exact seed span, so a drive must
+    /// keep the same `shard_devices` across restarts to reuse its
+    /// documents — a mismatched split is re-measured, never mis-merged.
+    /// A drive interrupted after `k` shards has left exactly the
+    /// documents a drive over the lot's first `k` shards' seeds writes,
+    /// under the same budgets: each shard's schedule depends only on the
+    /// merged prefix before it. Resume-equality to an uninterrupted drive
+    /// holds budgeted or not; byte-identity to a monolithic
+    /// `run_escalated` holds for unbudgeted schedules, while a budgeted
+    /// drive may admit a different re-test prefix than the monolithic
+    /// global one (see the [sharding notes](crate::lot#sharding)).
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use netan::{AnalyzerConfig, EscalationSchedule, GainMask, LotEngine, LotPlan, ShardDriver};
+    /// use dut::ActiveRcFilter;
+    ///
+    /// let plan = LotPlan::from_mask(GainMask::paper_lowpass());
+    /// let schedule = EscalationSchedule::new(vec![AnalyzerConfig::ideal().with_periods(50)]);
+    /// let dir = std::env::temp_dir().join(format!("netan-ckpt-doc-{}", std::process::id()));
+    /// let report = ShardDriver::new(0..4, 2, &plan, &schedule)?
+    ///     .with_dir(&dir)
+    ///     .drive(&LotEngine::serial(), |seed| {
+    ///         ActiveRcFilter::paper_dut().linearized().fabricate(0.02, seed)
+    ///     })?;
+    /// assert_eq!(report.len(), 4);
+    /// assert!(report.shard().unwrap().complete);
+    /// # std::fs::remove_dir_all(&dir).ok();
+    /// # Ok::<(), netan::CheckpointError>(())
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// Every `run_escalated_range` error as [`CheckpointError::Lot`] — in
+    /// particular [`NetanError::BudgetExhausted`] when the remaining
+    /// global budget cannot cover a shard's screening pass — and
+    /// [`CheckpointError::Io`] when a measured shard cannot be persisted.
+    pub fn drive<D, F>(
+        mut self,
+        engine: &LotEngine,
+        factory: F,
+    ) -> Result<LotReport, CheckpointError>
+    where
+        D: Dut,
+        F: Fn(u64) -> D + Sync,
+    {
+        while let Some(span) = self.next_span() {
+            let shard = self.task(span).run(|span, schedule| {
+                engine
+                    .run_escalated_range(&factory, span, &self.plan, schedule)
+                    .map_err(CheckpointError::from)
+            })?;
+            self.record(shard, |_, _, _| {});
+        }
+        Ok(self.finish())
     }
 }
 
@@ -306,158 +369,18 @@ pub struct Shard {
     loaded: bool,
 }
 
+/// The document of the shard covering `span` under `dir`.
 fn shard_path(dir: &Path, span: &Range<u64>) -> PathBuf {
     dir.join(format!("shard-{:08}-{:08}.json", span.start, span.end))
-}
-
-/// Drives a lot through a [`ShardDriver`] one shard after another, with
-/// per-shard persistence and resume.
-///
-/// # Example
-///
-/// ```
-/// use netan::{AnalyzerConfig, GainMask, LotCheckpoint, LotEngine, LotPlan};
-/// use dut::ActiveRcFilter;
-///
-/// let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-/// let dir = std::env::temp_dir().join(format!("netan-ckpt-doc-{}", std::process::id()));
-/// let ckpt = LotCheckpoint::new(&dir, 2);
-/// let report = ckpt.run(
-///     &LotEngine::serial(),
-///     |seed| ActiveRcFilter::paper_dut().linearized().fabricate(0.02, seed),
-///     0..4,
-///     &plan,
-///     AnalyzerConfig::ideal().with_periods(50),
-/// )?;
-/// assert_eq!(report.len(), 4);
-/// assert!(report.shard().unwrap().complete);
-/// # std::fs::remove_dir_all(&dir).ok();
-/// # Ok::<(), netan::CheckpointError>(())
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LotCheckpoint {
-    dir: PathBuf,
-    shard_devices: u64,
-    shard_limit: Option<usize>,
-}
-
-impl LotCheckpoint {
-    /// A checkpoint driver persisting under `dir` (created on first
-    /// persist), splitting lots into shards of `shard_devices` seeds
-    /// (the final shard of a lot may be smaller).
-    ///
-    /// Resume matches shards by their exact seed span, so a drive must
-    /// keep the same `shard_devices` across restarts to reuse its
-    /// checkpoints — a mismatched split is re-measured, never
-    /// mis-merged.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shard_devices` is zero.
-    pub fn new(dir: impl Into<PathBuf>, shard_devices: u64) -> Self {
-        assert!(shard_devices > 0, "shards need at least one device");
-        Self {
-            dir: dir.into(),
-            shard_devices,
-            shard_limit: None,
-        }
-    }
-
-    /// Halts the drive after `limit` freshly measured shards (loaded
-    /// checkpoints are free), returning the partial merge with the
-    /// *intended* span marked `complete: false` — the hook the
-    /// kill-and-resume tests and the `production_screening --halt-after`
-    /// flag use to interrupt a lot deterministically.
-    #[must_use]
-    pub fn with_shard_limit(mut self, limit: usize) -> Self {
-        self.shard_limit = Some(limit);
-        self
-    }
-
-    /// The path of the shard document covering `span`.
-    pub fn shard_path(&self, span: &Range<u64>) -> PathBuf {
-        shard_path(&self.dir, span)
-    }
-
-    /// [`run_escalated`](Self::run_escalated) with the one-stage
-    /// schedule of `config`.
-    ///
-    /// # Errors
-    ///
-    /// [`CheckpointError::Lot`] for engine failures (including an empty
-    /// `lot`), [`CheckpointError::Io`] if a shard document cannot be
-    /// persisted.
-    pub fn run<D, F>(
-        &self,
-        engine: &LotEngine,
-        factory: F,
-        lot: Range<u64>,
-        plan: &LotPlan,
-        config: AnalyzerConfig,
-    ) -> Result<LotReport, CheckpointError>
-    where
-        D: Dut,
-        F: Fn(u64) -> D + Sync,
-    {
-        let schedule = EscalationSchedule::new(vec![config]);
-        self.run_escalated(engine, factory, lot, plan, &schedule)
-    }
-
-    /// Drives `lot` through `engine.run_escalated_range` one shard after
-    /// another on a [`ShardDriver`]. The schedule's budget (if any) is
-    /// **global** — see the [sharding notes](crate::lot#sharding).
-    /// Resume-equality to an uninterrupted drive holds budgeted or not;
-    /// byte-identity to a monolithic `run_escalated` holds for
-    /// unbudgeted schedules, while a budgeted sharded drive stays
-    /// deterministic but may admit a different re-test prefix than the
-    /// monolithic global one.
-    ///
-    /// # Errors
-    ///
-    /// As [`run`](Self::run), plus every `run_escalated` error — in
-    /// particular [`NetanError::BudgetExhausted`] when the remaining
-    /// global budget cannot cover a shard's screening pass.
-    pub fn run_escalated<D, F>(
-        &self,
-        engine: &LotEngine,
-        factory: F,
-        lot: Range<u64>,
-        plan: &LotPlan,
-        schedule: &EscalationSchedule,
-    ) -> Result<LotReport, CheckpointError>
-    where
-        D: Dut,
-        F: Fn(u64) -> D + Sync,
-    {
-        let mut driver =
-            ShardDriver::new(lot, self.shard_devices, plan, schedule)?.with_dir(&self.dir);
-        let mut fresh = 0usize;
-        while let Some(span) = driver.next_span() {
-            // An error of `None` halts the drive: no fresh shard is left.
-            let shard = driver.task(span).run(|span, schedule| {
-                if self.shard_limit.is_some_and(|limit| fresh >= limit) {
-                    return Err(None);
-                }
-                fresh += 1;
-                engine
-                    .run_escalated_range(&factory, span, plan, schedule)
-                    .map_err(|e| Some(e.into()))
-            });
-            match shard {
-                Ok(shard) => driver.record(shard, |_, _, _| {}),
-                Err(None) => break,
-                Err(Some(e)) => return Err(e),
-            }
-        }
-        Ok(driver.finish())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyzer::AnalyzerConfig;
     use crate::spec::GainMask;
     use dut::ActiveRcFilter;
+    use std::sync::Mutex;
 
     fn factory(seed: u64) -> ActiveRcFilter {
         ActiveRcFilter::paper_dut()
@@ -481,33 +404,51 @@ mod tests {
         }
     }
 
+    fn one_stage() -> EscalationSchedule {
+        EscalationSchedule::new(vec![AnalyzerConfig::ideal().with_periods(50)])
+    }
+
+    /// Drives `lot` in shards of `size` on the serial engine, persisting
+    /// under `dir`.
+    fn drive<D: Dut>(
+        dir: &Path,
+        size: u64,
+        lot: Range<u64>,
+        schedule: &EscalationSchedule,
+        factory: impl Fn(u64) -> D + Sync,
+    ) -> Result<LotReport, CheckpointError> {
+        ShardDriver::new(lot, size, &plan(), schedule)?
+            .with_dir(dir)
+            .drive(&LotEngine::serial(), factory)
+    }
+
+    /// [`drive`] of [`factory`], with the seeds it fabricated in order.
+    fn drive_logged(
+        dir: &Path,
+        size: u64,
+        lot: Range<u64>,
+        schedule: &EscalationSchedule,
+    ) -> (LotReport, Vec<u64>) {
+        let log = Mutex::new(Vec::new());
+        let report = drive(dir, size, lot, schedule, |seed| {
+            log.lock().unwrap().push(seed);
+            factory(seed)
+        })
+        .unwrap();
+        (report, log.into_inner().unwrap())
+    }
+
     #[test]
-    fn constructor_and_paths() {
-        let c = LotCheckpoint::new("/tmp/x", 16);
+    fn shard_paths_name_the_span() {
         assert_eq!(
-            c.shard_path(&(0..16)),
+            shard_path(Path::new("/tmp/x"), &(0..16)),
             Path::new("/tmp/x/shard-00000000-00000016.json")
         );
     }
 
     #[test]
-    #[should_panic(expected = "at least one device")]
-    fn zero_shard_size_panics() {
-        let _ = LotCheckpoint::new("/tmp/x", 0);
-    }
-
-    #[test]
     fn empty_lot_is_a_lot_error() {
-        let ckpt = LotCheckpoint::new(temp_dir("empty"), 4);
-        let err = ckpt
-            .run(
-                &LotEngine::serial(),
-                factory,
-                3..3,
-                &plan(),
-                AnalyzerConfig::ideal().with_periods(50),
-            )
-            .unwrap_err();
+        let err = drive(&temp_dir("empty"), 4, 3..3, &one_stage(), factory).unwrap_err();
         assert!(matches!(err, CheckpointError::Lot(NetanError::EmptyLot)));
         assert!(err.to_string().contains("lot run failed"));
     }
@@ -518,40 +459,29 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
         let plan = plan();
         let config = AnalyzerConfig::ideal().with_periods(50);
-        let engine = LotEngine::serial();
+        let schedule = one_stage();
 
         // The uninterrupted reference: same lot, no checkpoint dir.
-        let whole = engine.run_range(factory, 0..6, &plan, config).unwrap();
-
-        // Halt after two fresh shards: 4 of 6 devices measured.
-        let halted = LotCheckpoint::new(&dir, 2)
-            .with_shard_limit(2)
-            .run(&engine, factory, 0..6, &plan, config)
+        let whole = LotEngine::serial()
+            .run_range(factory, 0..6, &plan, config)
             .unwrap();
-        assert_eq!(halted.len(), 4);
-        let span = halted.shard().expect("halted drive declares its span");
-        assert_eq!(
-            (span.seed_start, span.seed_end, span.complete),
-            (0, 6, false)
-        );
 
-        // Resume: the two persisted shards load, the third runs fresh.
-        let resumed = LotCheckpoint::new(&dir, 2)
-            .run(&engine, factory, 0..6, &plan, config)
-            .unwrap();
-        assert_eq!(
-            crate::report::lot_json(&resumed),
-            crate::report::lot_json(&whole)
-        );
+        // A drive halted after two shards has left the documents of a
+        // drive over their seeds: 4 of 6 devices measured.
+        let prefix = drive(&dir, 2, 0..4, &schedule, factory).unwrap();
+        assert_eq!(prefix.len(), 4);
 
-        // A second resume is a pure replay from disk — same bytes again.
-        let replayed = LotCheckpoint::new(&dir, 2)
-            .run(&engine, factory, 0..6, &plan, config)
-            .unwrap();
-        assert_eq!(
-            crate::report::lot_json(&replayed),
-            crate::report::lot_json(&whole)
-        );
+        // Resume: the two persisted shards load, only the third is
+        // measured.
+        let (resumed, fabricated) = drive_logged(&dir, 2, 0..6, &schedule);
+        assert_eq!(lot_json(&resumed), lot_json(&whole));
+        assert_eq!(fabricated, [4, 5]);
+
+        // A second resume is a pure replay from disk — same bytes again,
+        // and no device fabricated.
+        let (replayed, fabricated) = drive_logged(&dir, 2, 0..6, &schedule);
+        assert_eq!(lot_json(&replayed), lot_json(&whole));
+        assert!(fabricated.is_empty(), "fabricated {fabricated:?}");
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -559,24 +489,17 @@ mod tests {
     fn torn_shard_document_is_re_measured() {
         let dir = temp_dir("torn");
         std::fs::remove_dir_all(&dir).ok();
-        let plan = plan();
-        let config = AnalyzerConfig::ideal().with_periods(50);
-        let engine = LotEngine::serial();
-        let ckpt = LotCheckpoint::new(&dir, 2);
-        let whole = engine.run_range(factory, 0..4, &plan, config).unwrap();
-        ckpt.run(&engine, factory, 0..4, &plan, config).unwrap();
+        let schedule = one_stage();
+        let whole = drive(&dir, 2, 0..4, &schedule, factory).unwrap();
 
         // Corrupt the first shard mid-document, as a crash during a
         // non-atomic write would have.
-        let victim = ckpt.shard_path(&(0..2));
+        let victim = shard_path(&dir, &(0..2));
         let text = std::fs::read_to_string(&victim).unwrap();
         std::fs::write(&victim, &text[..text.len() / 2]).unwrap();
 
-        let recovered = ckpt.run(&engine, factory, 0..4, &plan, config).unwrap();
-        assert_eq!(
-            crate::report::lot_json(&recovered),
-            crate::report::lot_json(&whole)
-        );
+        let recovered = drive(&dir, 2, 0..4, &schedule, factory).unwrap();
+        assert_eq!(lot_json(&recovered), lot_json(&whole));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -587,22 +510,15 @@ mod tests {
         // document differed from the uninterrupted one.
         let dir = temp_dir("schema");
         std::fs::remove_dir_all(&dir).ok();
-        let plan = plan();
         let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[50, 200]);
-        let engine = LotEngine::serial();
         let factory = factory_at(0.09);
-        let ckpt = LotCheckpoint::new(&dir, 4);
-        let whole = ckpt
-            .run_escalated(&engine, factory, 0..8, &plan, &schedule)
-            .unwrap();
+        let whole = drive(&dir, 4, 0..8, &schedule, factory).unwrap();
         assert!(whole.stages().len() > 1, "the lot must escalate");
 
-        let victim = ckpt.shard_path(&(0..4));
+        let victim = shard_path(&dir, &(0..4));
         let text = std::fs::read_to_string(&victim).unwrap();
         std::fs::write(&victim, text.replacen("netan.lot.v4", "netan.lot.v3", 1)).unwrap();
-        let resumed = ckpt
-            .run_escalated(&engine, factory, 0..8, &plan, &schedule)
-            .unwrap();
+        let resumed = drive(&dir, 4, 0..8, &schedule, factory).unwrap();
         assert_eq!(lot_json(&resumed), lot_json(&whole));
         let rewritten = std::fs::read_to_string(&victim).unwrap();
         assert!(rewritten.starts_with("{\"schema\":\"netan.lot.v4\""));
@@ -614,7 +530,6 @@ mod tests {
         use crate::plan::grid_time;
         let plan = plan();
         let config = AnalyzerConfig::ideal().with_periods(50);
-        let engine = LotEngine::serial();
         // Budget: screening for all 6 devices plus roughly one re-test —
         // later shards must see what earlier shards left over.
         let c0 = grid_time(50, plan.grid());
@@ -624,77 +539,53 @@ mod tests {
 
         let dir_a = temp_dir("budget-a");
         std::fs::remove_dir_all(&dir_a).ok();
-        let whole = LotCheckpoint::new(&dir_a, 2)
-            .run_escalated(&engine, factory, 0..6, &plan, &schedule)
-            .unwrap();
+        let whole = drive(&dir_a, 2, 0..6, &schedule, factory).unwrap();
         // The merged lot answers for the global budget, not the sum of
         // the per-shard remainders.
         assert_eq!(whole.budget(), Some(budget));
         assert!(whole.spent().value() <= budget.value() + c1.value());
+        // The same drive in memory: byte for byte.
+        let in_memory = ShardDriver::new(0..6, 2, &plan, &schedule)
+            .unwrap()
+            .drive(&LotEngine::serial(), factory)
+            .unwrap();
+        assert_eq!(lot_json(&in_memory), lot_json(&whole));
 
-        // Kill after one fresh shard, then resume: the remaining budget
-        // is recomputed from the persisted shard spends, so the
-        // resumed drive reproduces the uninterrupted document exactly.
+        // Kill after one shard, then resume: the remaining budget is
+        // recomputed from the persisted shard spends, so the resumed
+        // drive reproduces the uninterrupted document exactly.
         let dir_b = temp_dir("budget-b");
         std::fs::remove_dir_all(&dir_b).ok();
-        let ckpt = LotCheckpoint::new(&dir_b, 2);
-        let halted = ckpt
-            .clone()
-            .with_shard_limit(1)
-            .run_escalated(&engine, factory, 0..6, &plan, &schedule)
-            .unwrap();
-        assert!(!halted.shard().unwrap().complete);
-        let resumed = ckpt
-            .run_escalated(&engine, factory, 0..6, &plan, &schedule)
-            .unwrap();
-        assert_eq!(
-            crate::report::lot_json(&resumed),
-            crate::report::lot_json(&whole)
-        );
+        drive(&dir_b, 2, 0..2, &schedule, factory).unwrap();
+        let (resumed, fabricated) = drive_logged(&dir_b, 2, 0..6, &schedule);
+        assert_eq!(lot_json(&resumed), lot_json(&whole));
+        assert!(fabricated.iter().all(|&seed| seed >= 2), "{fabricated:?}");
         // Every persisted shard carries exactly the remainder a replay
-        // hands it, so a drive allowed no fresh shard loads them all.
-        let replayed = ckpt
-            .with_shard_limit(0)
-            .run_escalated(&engine, factory, 0..6, &plan, &schedule)
-            .unwrap();
-        assert_eq!(
-            crate::report::lot_json(&replayed),
-            crate::report::lot_json(&whole)
-        );
+        // hands it, so a replay loads them all and fabricates nothing.
+        let (replayed, fabricated) = drive_logged(&dir_b, 2, 0..6, &schedule);
+        assert_eq!(lot_json(&replayed), lot_json(&whole));
+        assert!(fabricated.is_empty(), "fabricated {fabricated:?}");
         std::fs::remove_dir_all(&dir_a).ok();
         std::fs::remove_dir_all(&dir_b).ok();
     }
 
     #[test]
-    fn halt_before_any_shard_returns_the_empty_incomplete_prefix() {
-        let dir = temp_dir("limit0");
-        std::fs::remove_dir_all(&dir).ok();
-        let plan = plan();
-        let halted = LotCheckpoint::new(&dir, 2)
-            .with_shard_limit(0)
-            .run(
-                &LotEngine::serial(),
-                factory,
-                0..4,
-                &plan,
-                AnalyzerConfig::ideal().with_periods(50),
-            )
-            .unwrap();
+    fn finishing_before_any_shard_returns_the_empty_incomplete_prefix() {
+        let halted = ShardDriver::new(0..4, 2, &plan(), &one_stage())
+            .unwrap()
+            .finish();
         assert!(halted.is_empty());
         let span = halted.shard().unwrap();
         assert_eq!(
             (span.seed_start, span.seed_end, span.complete),
             (0, 4, false)
         );
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn stale_shards_are_measured_again_never_merged() {
         use crate::plan::grid_time;
-        use crate::report::lot_json;
         let plan = plan();
-        let engine = LotEngine::serial();
         let schedule =
             |periods: &[u32]| EscalationSchedule::from_periods(AnalyzerConfig::ideal(), periods);
         // Drives `lot` in shards of `size` under `before`, deletes the
@@ -709,20 +600,14 @@ mod tests {
             let (dir, fresh_dir) = (temp_dir(tag), temp_dir(&format!("{tag}-fresh")));
             std::fs::remove_dir_all(&dir).ok();
             std::fs::remove_dir_all(&fresh_dir).ok();
-            let ckpt = LotCheckpoint::new(&dir, size);
             let factory = factory_at(sigma);
             let lot = 0..8;
-            ckpt.run_escalated(&engine, factory, lot.clone(), &plan, before)
-                .unwrap();
+            drive(&dir, size, lot.clone(), before, factory).unwrap();
             if let Some(span) = gone {
-                std::fs::remove_file(ckpt.shard_path(&span)).unwrap();
+                std::fs::remove_file(shard_path(&dir, &span)).unwrap();
             }
-            let resumed = ckpt
-                .run_escalated(&engine, factory, lot.clone(), &plan, after)
-                .unwrap();
-            let fresh = LotCheckpoint::new(&fresh_dir, size)
-                .run_escalated(&engine, factory, lot, &plan, after)
-                .unwrap();
+            let resumed = drive(&dir, size, lot.clone(), after, factory).unwrap();
+            let fresh = drive(&fresh_dir, size, lot, after, factory).unwrap();
             assert_eq!(lot_json(&resumed), lot_json(&fresh), "{tag}");
             std::fs::remove_dir_all(&dir).ok();
             std::fs::remove_dir_all(&fresh_dir).ok();
@@ -782,7 +667,6 @@ mod tests {
 
     #[test]
     fn shards_finishing_in_any_order_merge_in_seed_order() {
-        use crate::report::lot_json;
         let plan = plan();
         let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 120]);
         let engine = LotEngine::serial();

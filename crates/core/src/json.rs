@@ -18,9 +18,16 @@
 //! (`netan.job.v1`) reuses the same machinery for its request,
 //! progress and result frames.
 //!
-//! Parsing never panics: every malformed input is a typed
+//! Parsing never panics and never overflows its stack: every malformed
+//! input, including one nested deeper than [`MAX_DEPTH`], is a typed
 //! [`ReportParseError`] carrying the byte offset where the parser
 //! stopped.
+
+/// The deepest nesting of arrays and objects [`Json::parse`] accepts.
+/// The deepest document any `netan.*` writer emits nests 7 levels; the
+/// cap keeps a hostile document from overflowing the recursive parser's
+/// stack.
+pub const MAX_DEPTH: usize = 32;
 
 /// Error from parsing a `netan.*` JSON document: what went wrong and
 /// the byte offset in the document where the parser detected it (0 for
@@ -85,6 +92,8 @@ pub enum Json {
 struct JsonParser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl JsonParser<'_> {
@@ -123,8 +132,19 @@ impl JsonParser<'_> {
             Some(b't') if self.eat("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.eat("false") => Ok(Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(&open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return self.fail(format!("nesting deeper than {MAX_DEPTH}"));
+                }
+                self.depth += 1;
+                let nested = if open == b'[' {
+                    self.array()
+                } else {
+                    self.object()
+                };
+                self.depth -= 1;
+                nested
+            }
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => self.fail("expected a JSON value"),
         }
@@ -259,12 +279,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// [`ReportParseError`] on malformed JSON, with the byte offset
-    /// where the parser stopped. Never panics, whatever the input.
+    /// [`ReportParseError`] on malformed JSON or nesting deeper than
+    /// [`MAX_DEPTH`], with the byte offset where the parser stopped.
+    /// Never panics, whatever the input.
     pub fn parse(text: &str) -> Result<Json, ReportParseError> {
         let mut parser = JsonParser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let doc = parser.value()?;
         parser.skip_ws();
@@ -442,6 +464,27 @@ mod tests {
         // must survive so integer fields round-trip.
         let doc = Json::parse("18446744073709551615").unwrap();
         assert_eq!(doc.as_int::<u64>("seed").unwrap(), u64::MAX);
+    }
+
+    #[test]
+    fn nesting_deeper_than_the_cap_is_an_error_not_a_stack_overflow() {
+        let nested = |open: &str, close: &str, depth: usize| {
+            format!("{}{}", open.repeat(depth), close.repeat(depth))
+        };
+        assert!(Json::parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested("[", "]", MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(
+            err,
+            ReportParseError::at(32, format!("nesting deeper than {MAX_DEPTH}"))
+        );
+        assert_eq!(
+            err.to_string(),
+            "document invalid at byte 32: nesting deeper than 32"
+        );
+        for (open, close) in [("[", "]"), ("{\"k\":", "}")] {
+            let err = Json::parse(&nested(open, close, 50_000)).unwrap_err();
+            assert_eq!(err.message, "nesting deeper than 32", "{open}");
+        }
     }
 
     #[test]

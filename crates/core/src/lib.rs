@@ -15,16 +15,14 @@
 //! * **gain** = ratio of DUT-output and stimulus amplitude enclosures,
 //! * **phase shift** = difference of the phase enclosures,
 //! * a **frequency sweep** planner (log grid, constant `N`),
-//! * a **parallel sweep engine** ([`SweepEngine`]) that fans independent
-//!   sweep points out across worker threads with bit-identical results,
+//! * **one parallel engine** ([`LotEngine`]) that fans independent jobs
+//!   — sweep points, harmonics, whole Monte-Carlo devices sharing one
+//!   amortized calibration — across worker threads with bit-identical
+//!   results: the paper's production-screening scenario at throughput,
 //! * **adaptive refinement** ([`NetworkAnalyzer::sweep_adaptive`]):
 //!   rounds of curvature/enclosure-scored bisection that concentrate
 //!   points where the response bends, on the same engine and with the
 //!   same serial == parallel bit-identity,
-//! * a **parallel lot engine** ([`LotEngine`]) that fans whole
-//!   Monte-Carlo devices across the same worker-pool primitive with a
-//!   shared, amortized calibration — the paper's production-screening
-//!   scenario at throughput,
 //! * **escalation scheduling** ([`EscalationSchedule`],
 //!   [`LotEngine::run_escalated`]): budgeted multi-pass re-testing that
 //!   screens the lot at a cheap `M` and re-tests only still-ambiguous
@@ -36,7 +34,7 @@
 //!   just the period increments,
 //! * **sharded lots** ([`LotEngine::run_range`], [`LotReport::merge`])
 //!   on one shard driver ([`ShardDriver`]) with **checkpoint/resume**
-//!   ([`LotCheckpoint`]): a lot split into seed ranges merges back
+//!   ([`ShardDriver::drive`]): a lot split into seed ranges merges back
 //!   byte-identical to the monolithic run, an interrupted drive resumes
 //!   from its persisted `netan.lot.v4` shard documents, and a budgeted
 //!   drive threads the remaining global budget through successive
@@ -76,7 +74,6 @@
 pub mod adaptive;
 pub mod analyzer;
 pub mod checkpoint;
-pub mod engine;
 pub mod error;
 pub mod harmonics;
 pub mod json;
@@ -89,8 +86,7 @@ pub mod sweep;
 
 pub use adaptive::{interpolate_gain_db, reconstruction_error_db, RefinementPolicy};
 pub use analyzer::{AnalyzerConfig, BodePoint, Calibration, HardwareProfile, NetworkAnalyzer};
-pub use checkpoint::{CheckpointError, LotCheckpoint, Shard, ShardDriver, ShardTask};
-pub use engine::SweepEngine;
+pub use checkpoint::{CheckpointError, Shard, ShardDriver, ShardTask};
 pub use error::NetanError;
 pub use harmonics::DistortionReport;
 pub use json::Json;

@@ -18,9 +18,8 @@
 //!   simulations, the modulator states, classification and fit run per
 //!   device;
 //! * (lane × point-group) tasks are fanned across a
-//!   [`std::thread::scope`] worker pool (the same atomic-cursor work
-//!   stealing as the point-level [`SweepEngine`](crate::SweepEngine), via
-//!   [`crate::pool`]);
+//!   [`std::thread::scope`] worker pool (the atomic-cursor work stealing
+//!   of [`crate::pool`], which every other fan-out also runs on);
 //! * results are **bit-identical** to the serial reference and to
 //!   measuring each device alone: every device sees exactly the stimulus
 //!   and noise a fresh analyzer of its own would produce, device order
@@ -99,7 +98,7 @@
 //! the lot-global ledger, which a single shard cannot see, so one shard
 //! in isolation still budgets per shard. But because each shard's
 //! report carries its spend, the shard driver — under both
-//! [`LotCheckpoint`](crate::LotCheckpoint) drives and the `netan-serve`
+//! [`ShardDriver::drive`](crate::ShardDriver::drive) and the `netan-serve`
 //! service — threads the remaining global budget into each successive
 //! shard, giving a sharded lot a global-style budget answer with
 //! deterministic kill-and-resume.
@@ -788,8 +787,10 @@ impl LotReport {
     }
 }
 
-/// Schedules a lot's characterizations over a worker pool as (lane ×
-/// point group) tasks (see the [module docs](self)).
+/// The one worker pool for every fan-out: a lot's characterizations as
+/// (lane × point group) tasks (see the [module docs](self)), and the
+/// analyzer's sweep points, refinement rounds and harmonics (e.g.
+/// [`NetworkAnalyzer::sweep_with`]).
 ///
 /// # Example
 ///

@@ -1,15 +1,14 @@
 //! The shared worker pool: pool sizing and the atomic-cursor
-//! work-stealing loop used by every parallel engine in this crate.
+//! work-stealing loop under every fan-out in this crate.
 //!
-//! [`SweepEngine`](crate::SweepEngine) fans sweep *points* across workers,
-//! [`LotEngine`](crate::LotEngine) fans whole *devices*, and the parallel
-//! harmonics path fans per-`k` acquisitions — all three are instances of
-//! the same schedule: `len` independent jobs, indexed `0..len`, pulled
-//! from a shared atomic cursor by `workers` scoped threads, with results
-//! written into indexed slots so the output order matches the input order
-//! regardless of completion order.
+//! A [`LotEngine`](crate::LotEngine) fans sweep *points*, refinement
+//! rounds, per-`k` harmonic acquisitions and lot *lanes* across workers
+//! — all instances of the same schedule: `len` independent jobs, indexed
+//! `0..len`, pulled from a shared atomic cursor by `workers` scoped
+//! threads, with results written into indexed slots so the output order
+//! matches the input order regardless of completion order.
 //!
-//! Keeping the loop here (instead of one copy per engine) is what makes
+//! Keeping the loop here (instead of one copy per fan-out) is what makes
 //! the determinism argument auditable: there is exactly one scheduling
 //! primitive to reason about.
 //!
@@ -30,7 +29,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock, PoisonError};
 
 /// The machine's available parallelism (1 if it cannot be determined) —
-/// the sizing rule behind every engine's `auto()` constructor.
+/// the sizing rule behind [`LotEngine::auto`](crate::LotEngine::auto).
 ///
 /// Read once per process and cached: `available_parallelism` re-reads
 /// the cgroup CPU quota files on every call, which costs far more than

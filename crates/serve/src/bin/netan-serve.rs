@@ -1,8 +1,8 @@
 //! The screening service daemon.
 //!
 //! ```text
-//! netan-serve [--addr HOST:PORT] [--workers N] [--device-threads N]
-//!             [--queue SHARDS] [--state-dir DIR]
+//! netan-serve [--addr HOST:PORT] [--workers N] [--queue SHARDS]
+//!             [--state-dir DIR]
 //! ```
 //!
 //! Binds the address (default `127.0.0.1:7411`; port `0` picks a free
@@ -12,7 +12,6 @@
 
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use netan::LotEngine;
 use netan_serve::{JobServer, ServiceConfig};
 use std::process::ExitCode;
 
@@ -29,7 +28,6 @@ fn main() -> ExitCode {
 fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let mut addr = String::from("127.0.0.1:7411");
     let mut workers: usize = 2;
-    let mut device_threads: usize = 1;
     let mut queue: usize = 64;
     let mut state_dir: Option<String> = None;
 
@@ -38,15 +36,12 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
         match arg.as_str() {
             "--addr" => addr = value("--addr")?,
             "--workers" => workers = parse(&value("--workers")?, "--workers")?,
-            "--device-threads" => {
-                device_threads = parse(&value("--device-threads")?, "--device-threads")?;
-            }
             "--queue" => queue = parse(&value("--queue")?, "--queue")?,
             "--state-dir" => state_dir = Some(value("--state-dir")?),
             "--help" | "-h" => {
                 println!(
                     "usage: netan-serve [--addr HOST:PORT] [--workers N] \
-                     [--device-threads N] [--queue SHARDS] [--state-dir DIR]"
+                     [--queue SHARDS] [--state-dir DIR]"
                 );
                 return Ok(());
             }
@@ -56,7 +51,6 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
 
     let mut config = ServiceConfig::new()
         .with_workers(workers)
-        .with_engine(LotEngine::with_threads(device_threads))
         .with_queue_capacity(queue);
     if let Some(dir) = state_dir {
         config = config.with_state_dir(dir);
@@ -65,7 +59,7 @@ fn run(mut args: impl Iterator<Item = String>) -> Result<(), String> {
     let server = JobServer::start(addr.as_str(), config)
         .map_err(|e| format!("cannot listen on {addr}: {e}"))?;
     println!(
-        "netan-serve listening on {} ({workers} workers x {device_threads} device threads, queue {queue})",
+        "netan-serve listening on {} ({workers} workers, queue {queue})",
         server.addr()
     );
     server.wait();

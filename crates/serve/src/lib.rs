@@ -26,9 +26,9 @@
 //!
 //! Everything is std-only and deterministic: a job's merged report is
 //! byte-identical to the equivalent monolithic
-//! `run_escalated_range` call (unbudgeted) or checkpointed
-//! `LotCheckpoint::run_escalated` drive (budgeted), no matter how many
-//! workers raced on its shards.
+//! `run_escalated_range` call (unbudgeted) or [`netan::ShardDriver::drive`]
+//! with the same shard size (budgeted), no matter how many workers raced
+//! on its shards.
 
 #![cfg_attr(
     not(test),

@@ -11,9 +11,12 @@
 //! streamed progress event) is byte-deterministic under any thread
 //! schedule, and byte-identical to one monolithic `run_escalated_range`
 //! over the whole lot. **Budgeted** jobs dispatch one shard at a time,
-//! each under the remaining global budget the driver hands out — the
-//! driver a [`netan::LotCheckpoint::run_escalated`] drive runs on, so
-//! the job is byte-identical to that drive with the same shard size.
+//! each under the remaining global budget the driver hands out, so the
+//! job is byte-identical to a [`ShardDriver::drive`] with the same shard
+//! size.
+//!
+//! Every shard runs on [`LotEngine::serial`]: the shard workers are the
+//! service's only parallelism.
 //!
 //! # Backpressure
 //!
@@ -100,8 +103,6 @@ pub struct ServiceConfig {
     /// Bounded shard-queue capacity; submissions that do not fit are
     /// refused with [`ServeError::QueueFull`].
     pub queue_capacity: usize,
-    /// The lot engine each worker runs shards on.
-    pub engine: LotEngine,
     /// Checkpoint root: per-job shard persistence and resume when set.
     pub state_dir: Option<PathBuf>,
     /// Deterministic worker-fault injection (tests and CI smoke only).
@@ -109,12 +110,11 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// One worker, a 64-shard queue, a serial engine, no persistence.
+    /// One worker, a 64-shard queue, no persistence.
     pub fn new() -> Self {
         Self {
             workers: 1,
             queue_capacity: 64,
-            engine: LotEngine::serial(),
             state_dir: None,
             fault: None,
         }
@@ -131,13 +131,6 @@ impl ServiceConfig {
     #[must_use]
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity;
-        self
-    }
-
-    /// Returns the config with the given lot engine.
-    #[must_use]
-    pub fn with_engine(mut self, engine: LotEngine) -> Self {
-        self.engine = engine;
         self
     }
 
@@ -223,7 +216,6 @@ struct State {
 }
 
 struct Inner {
-    engine: LotEngine,
     state_dir: Option<PathBuf>,
     fault: Option<FaultPlan>,
     queue_capacity: usize,
@@ -242,7 +234,6 @@ impl ScreenService {
     /// Starts the worker pool and returns the running service.
     pub fn start(config: ServiceConfig) -> Self {
         let inner = Arc::new(Inner {
-            engine: config.engine,
             state_dir: config.state_dir,
             fault: config.fault,
             queue_capacity: config.queue_capacity,
@@ -472,7 +463,7 @@ impl Inner {
                         std::panic::panic_any("injected worker fault".to_string());
                     }
                 }
-                run_shard(&self.engine, request, span, schedule)
+                run_shard(request, span, schedule)
             }));
             match run {
                 Ok(report) => report.map_err(|e| TaskFailure::Error(ServeError::Lot(e))),
@@ -544,10 +535,9 @@ impl Inner {
     }
 }
 
-/// One shard through the engine, under the schedule its driver handed
+/// One shard on the serial engine, under the schedule its driver handed
 /// out.
 fn run_shard(
-    engine: &LotEngine,
     request: &JobRequest,
     span: Range<u64>,
     schedule: &EscalationSchedule,
@@ -562,5 +552,5 @@ fn run_shard(
         };
         base.fabricate(dut.tolerance, seed)
     };
-    engine.run_escalated_range(factory, span, &request.plan, schedule)
+    LotEngine::serial().run_escalated_range(factory, span, &request.plan, schedule)
 }

@@ -5,8 +5,8 @@
 use dut::ActiveRcFilter;
 use mixsig::units::{Seconds, Volts};
 use netan::{
-    lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotCheckpoint, LotEngine, LotPlan,
-    LotReport, NetanError,
+    lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotEngine, LotPlan, LotReport,
+    NetanError, ShardDriver,
 };
 use netan_serve::{
     ClientFrame, DutDescription, FaultPlan, JobEvent, JobRequest, JobServer, ScreenService,
@@ -258,23 +258,15 @@ fn empty_jobs_are_refused_typed() {
 #[test]
 fn budgeted_jobs_match_the_checkpoint_drive_byte_for_byte() {
     // Re-test admission under a budget follows the sequential shard
-    // ledger, so the reference is a checkpoint drive with the same
-    // shard size — not a monolith (see the sharding notes in netan).
+    // ledger, so the reference is a drive with the same shard size —
+    // not a monolith (see the sharding notes in netan).
     let mut job = request(0, 6, 2);
     job.schedule = job.schedule.clone().with_budget(Seconds(400.0));
 
-    let dir = temp_dir("budget-ref");
-    std::fs::remove_dir_all(&dir).ok();
-    let reference = LotCheckpoint::new(&dir, 2)
-        .run_escalated(
-            &LotEngine::serial(),
-            factory,
-            0..6,
-            &job.plan,
-            &job.schedule,
-        )
-        .expect("reference checkpoint drive");
-    std::fs::remove_dir_all(&dir).ok();
+    let reference = ShardDriver::new(0..6, 2, &job.plan, &job.schedule)
+        .expect("a non-empty lot")
+        .drive(&LotEngine::serial(), factory)
+        .expect("reference drive");
 
     let service = ScreenService::start(ServiceConfig::new().with_workers(2));
     let (_, events) = service.submit(job).expect("submit");
@@ -465,5 +457,45 @@ fn an_oversized_frame_is_rejected_and_only_its_connection_closed() {
         .write_all(b"not json\n")
         .expect("bystander writes");
     expect_bad_frame(&mut bystander_reader, "bystander");
+    server.shutdown();
+}
+
+#[test]
+fn a_deeply_nested_frame_is_rejected_and_its_connection_still_screens() {
+    let server = JobServer::start("127.0.0.1:0", ServiceConfig::new().with_workers(1))
+        .expect("bind an ephemeral port");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+
+    // 40 KB, far under the frame limit, but 20,000 levels deep: a parser
+    // recursing without a limit overflows the connection thread's stack
+    // and aborts the whole daemon.
+    let nested = format!("{}{}\n", "[".repeat(20_000), "]".repeat(20_000));
+    writer
+        .write_all(nested.as_bytes())
+        .expect("write nested frame");
+    let message = expect_bad_frame(&mut reader, "nested");
+    let limit = format!("nesting deeper than {}", netan::json::MAX_DEPTH);
+    assert!(message.contains(&limit), "{message}");
+
+    // The same connection then screens a job, byte-identical to the
+    // monolith.
+    let job = request(0, 4, 2);
+    let reference = monolithic(&job);
+    let submit = ClientFrame::Submit(Box::new(job)).render();
+    writer
+        .write_all(format!("{submit}\n").as_bytes())
+        .expect("write submit");
+    let report = loop {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("read frame");
+        match ServerFrame::parse(line.trim()).expect("parse frame") {
+            ServerFrame::Accepted { .. } | ServerFrame::Progress { .. } => {}
+            ServerFrame::Finished { report, .. } => break report,
+            other => panic!("unexpected frame {other:?}"),
+        }
+    };
+    assert_eq!(lot_json(&report), lot_json(&reference));
     server.shutdown();
 }

@@ -22,12 +22,12 @@
 use dut::ActiveRcFilter;
 use mixsig::units::{Hertz, Volts};
 use netan::{
-    bode_csv, log_spaced, reconstruction_error_db, AnalyzerConfig, NetworkAnalyzer,
-    RefinementPolicy, SweepEngine,
+    bode_csv, log_spaced, reconstruction_error_db, AnalyzerConfig, LotEngine, NetworkAnalyzer,
+    RefinementPolicy,
 };
 
 fn main() -> Result<(), netan::NetanError> {
-    let engine = SweepEngine::auto();
+    let engine = LotEngine::auto();
 
     // ------------------------------------------------------------------
     // 1. The paper DUT under CMOS hardware, refined around its shoulder.

@@ -22,7 +22,7 @@
 //! the same columns with a leading `seed` column, one block per device.
 
 use netan::{
-    bode_json, log_spaced, AnalyzerConfig, Json, NetworkAnalyzer, ReportParseError, SweepEngine,
+    bode_json, log_spaced, AnalyzerConfig, Json, LotEngine, NetworkAnalyzer, ReportParseError,
 };
 
 use std::fmt::Write as _;
@@ -117,7 +117,7 @@ fn demo_document() -> String {
         13,
     );
     let plot = na
-        .sweep_with(&SweepEngine::auto(), &grid)
+        .sweep_with(&LotEngine::auto(), &grid)
         .expect("demo sweep failed");
     bode_json(&plot)
 }

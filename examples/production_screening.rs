@@ -22,12 +22,13 @@
 //!
 //! ## Checkpointed mode
 //!
-//! With `--checkpoint <dir>` the lot is driven through
-//! [`netan::LotCheckpoint`] in 5-device shards, persisting each shard as
-//! a `netan.lot.v4` document under `<dir>` and resuming from whatever is
-//! already there. `--halt-after <k>` stops the drive after `k` freshly
-//! measured shards — simulate a tester power-cut, then rerun the same
-//! command to resume:
+//! With `--checkpoint <dir>` the lot is driven by
+//! [`netan::ShardDriver::drive`] in 5-device shards, persisting each
+//! shard as a `netan.lot.v4` document under `<dir>` and resuming from
+//! whatever is already there. `--halt-after <k>` simulates a tester
+//! power-cut after `k` shards by driving only the lot's first `k`
+//! shards, which persists exactly the documents the cut drive would have
+//! left; rerun without it to resume:
 //!
 //! ```sh
 //! cargo run --release --example production_screening -- \
@@ -41,7 +42,7 @@
 //! persisted in the shard documents, so a resumed drive replays the same
 //! ledger — and the merged report carries the global figure. The example
 //! asserts on completion that the assembled document is byte-identical
-//! to an uninterrupted checkpoint drive of the same lot. (Re-test
+//! to an uninterrupted in-memory drive of the same lot. (Re-test
 //! admission is a function of the global seed-order ledger, so a
 //! budgeted sharded drive is *not* byte-identical to a monolithic
 //! `run_escalated` — see the sharding notes in `netan::lot`.)
@@ -49,8 +50,8 @@
 use dut::ActiveRcFilter;
 use mixsig::units::Seconds;
 use netan::{
-    lot_json, lot_table, AnalyzerConfig, EscalationSchedule, GainMask, LotCheckpoint, LotEngine,
-    LotPlan,
+    lot_json, lot_table, AnalyzerConfig, EscalationSchedule, GainMask, LotEngine, LotPlan,
+    ShardDriver,
 };
 
 const LOT_DEVICES: u64 = 20;
@@ -58,7 +59,7 @@ const SHARD_DEVICES: u64 = 5;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut checkpoint_dir: Option<std::path::PathBuf> = None;
-    let mut halt_after: Option<usize> = None;
+    let mut halt_after: Option<u64> = None;
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
@@ -158,7 +159,7 @@ fn run_checkpointed<D, F>(
     plan: &LotPlan,
     schedule: &EscalationSchedule,
     dir: &std::path::Path,
-    halt_after: Option<usize>,
+    halt_after: Option<u64>,
 ) -> Result<(), Box<dyn std::error::Error>>
 where
     D: dut::Dut,
@@ -166,26 +167,31 @@ where
 {
     // The drive threads the budget itself: shard k runs against the
     // global budget minus the observed spend persisted by shards 0..k,
-    // and the merged report carries the global figure.
-    let mut ckpt = LotCheckpoint::new(dir, SHARD_DEVICES);
-    if let Some(k) = halt_after {
-        ckpt = ckpt.with_shard_limit(k);
-    }
+    // and the merged report carries the global figure. So a drive
+    // halted after k shards has left exactly the documents of a drive
+    // over those shards' seeds.
     println!(
         "checkpointed screening of {LOT_DEVICES} devices in {SHARD_DEVICES}-device shards \
          under {}\n",
         dir.display()
     );
-    let report = ckpt.run_escalated(engine, factory, 0..LOT_DEVICES, plan, schedule)?;
-    let span = report.shard().expect("checkpointed runs carry a span");
-    if !span.complete {
-        println!(
-            "halted after {halt_after:?} fresh shards: {} of {LOT_DEVICES} devices measured; \
-             rerun without --halt-after to resume",
-            report.len(),
-        );
-        return Ok(());
+    let driver = |lot| ShardDriver::new(lot, SHARD_DEVICES, plan, schedule);
+    if let Some(k) = halt_after {
+        let end = LOT_DEVICES.min(k.saturating_mul(SHARD_DEVICES));
+        if end < LOT_DEVICES {
+            if end > 0 {
+                driver(0..end)?.with_dir(dir).drive(engine, factory)?;
+            }
+            println!(
+                "halted after {k} shards: {end} of {LOT_DEVICES} devices screened; \
+                 rerun without --halt-after to resume"
+            );
+            return Ok(());
+        }
     }
+    let report = driver(0..LOT_DEVICES)?
+        .with_dir(dir)
+        .drive(engine, factory)?;
 
     print!("{}", lot_table(&report));
 
@@ -195,15 +201,7 @@ where
     // sharded drive admits re-tests shard by shard, so it is compared
     // against an uninterrupted *drive*, not a monolithic run; see the
     // sharding notes in `netan::lot`.)
-    let fresh = tempdir_for("netan-screening-verify");
-    let uninterrupted = LotCheckpoint::new(&fresh, SHARD_DEVICES).run_escalated(
-        engine,
-        factory,
-        0..LOT_DEVICES,
-        plan,
-        schedule,
-    )?;
-    std::fs::remove_dir_all(&fresh).ok();
+    let uninterrupted = driver(0..LOT_DEVICES)?.drive(engine, factory)?;
     assert_eq!(
         lot_json(&report),
         lot_json(&uninterrupted),
@@ -211,8 +209,4 @@ where
     );
     println!("\nresumed document verified byte-identical to an uninterrupted drive");
     Ok(())
-}
-
-fn tempdir_for(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("{tag}-{}", std::process::id()))
 }

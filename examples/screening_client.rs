@@ -17,18 +17,18 @@
 //! seed range (job *i* screens seeds `[i*devices, (i+1)*devices)`), so
 //! the shared shard pool interleaves them. `--verify` recomputes every
 //! job after it completes — a monolithic
-//! [`netan::LotEngine::run_escalated_range`] for unbudgeted jobs, a
-//! [`netan::LotCheckpoint::run_escalated`] drive with the same shard
-//! size for budgeted ones (re-test admission follows the sequential
-//! shard ledger; see the sharding notes in `netan::lot`) — and asserts
+//! [`netan::LotEngine::run_escalated_range`] for unbudgeted jobs, an
+//! in-memory [`netan::ShardDriver::drive`] with the same shard size for
+//! budgeted ones (re-test admission follows the sequential shard ledger;
+//! see the sharding notes in `netan::lot`) — and asserts
 //! the `netan.lot.v4` documents are **byte-identical**. `--shutdown`
 //! sends the graceful-shutdown frame instead of a job.
 
 use dut::ActiveRcFilter;
 use mixsig::units::Seconds;
 use netan::{
-    lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotCheckpoint, LotEngine, LotPlan,
-    LotReport,
+    lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotEngine, LotPlan, LotReport,
+    ShardDriver,
 };
 use netan_serve::{ClientFrame, DutDescription, JobRequest, ServerFrame};
 use std::io::{BufRead, BufReader, Write};
@@ -195,22 +195,16 @@ fn recompute(seed_start: u64, seed_end: u64, shard: u64, budget: Option<f64>) ->
     let engine = LotEngine::serial();
     if budget.is_some() {
         // Budgeted sharding threads the remaining budget shard by shard;
-        // the reference is a checkpoint drive, not a monolith.
-        let dir = std::env::temp_dir().join(format!(
-            "netan-client-verify-{}-{seed_start}",
-            std::process::id()
-        ));
-        let report = LotCheckpoint::new(&dir, shard)
-            .run_escalated(
-                &engine,
-                factory,
-                seed_start..seed_end,
-                &request.plan,
-                &request.schedule,
-            )
-            .expect("reference checkpoint drive");
-        std::fs::remove_dir_all(&dir).ok();
-        report
+        // the reference is a drive, not a monolith.
+        ShardDriver::new(
+            seed_start..seed_end,
+            shard,
+            &request.plan,
+            &request.schedule,
+        )
+        .expect("a non-empty lot")
+        .drive(&engine, factory)
+        .expect("reference drive")
     } else {
         engine
             .run_escalated_range(

@@ -91,7 +91,7 @@ fn main() -> Result<(), netan::NetanError> {
     // sequential stopping, as long as the schedule is unbudgeted (a
     // budget gates re-tests on the global seed-order ledger, which a
     // shard cannot see — budgeted lots shard through
-    // `netan::LotCheckpoint`, which threads the remainder itself).
+    // `netan::ShardDriver::drive`, which threads the remainder itself).
     let schedule =
         netan::EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[50, 200]).sequential();
     let esc_monolithic = engine.run_escalated_range(factory, 0..LOT_DEVICES, &plan, &schedule)?;

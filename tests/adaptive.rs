@@ -4,8 +4,8 @@
 use dut::ActiveRcFilter;
 use mixsig::units::{Hertz, Volts};
 use netan::{
-    log_spaced, reconstruction_error_db, AnalyzerConfig, NetanError, NetworkAnalyzer,
-    RefinementPolicy, SweepEngine,
+    log_spaced, reconstruction_error_db, AnalyzerConfig, LotEngine, NetanError, NetworkAnalyzer,
+    RefinementPolicy,
 };
 
 fn fast_ideal(periods: u32) -> AnalyzerConfig {
@@ -58,10 +58,10 @@ fn parallel_adaptive_is_bit_identical_to_serial() {
     ] {
         let mut na = NetworkAnalyzer::new(&dut, cfg);
         let serial = na
-            .sweep_adaptive_with(&SweepEngine::serial(), &seed, &policy)
+            .sweep_adaptive_with(&LotEngine::serial(), &seed, &policy)
             .unwrap();
         let parallel = na
-            .sweep_adaptive_with(&SweepEngine::with_threads(4), &seed, &policy)
+            .sweep_adaptive_with(&LotEngine::with_threads(4), &seed, &policy)
             .unwrap();
         // PartialEq over f64 fields: bitwise, not approximate.
         assert_eq!(serial, parallel, "profile {:?}", cfg.hardware);

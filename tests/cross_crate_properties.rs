@@ -641,8 +641,8 @@ mod adaptive_properties {
 mod shard_properties {
     use dut::ActiveRcFilter;
     use netan::{
-        lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotCheckpoint, LotEngine, LotPlan,
-        LotReport,
+        lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotEngine, LotPlan, LotReport,
+        ShardDriver,
     };
     use proptest::prelude::*;
     use std::ops::Range;
@@ -763,13 +763,14 @@ mod shard_properties {
         }
 
         /// Checkpoint/resume equals the uninterrupted run: a drive halted
-        /// after a random number of fresh shards and then resumed emits
-        /// the byte-identical final document.
+        /// after a random number of shards — which has left exactly the
+        /// documents of a drive over those shards' seeds — and then
+        /// resumed emits the byte-identical final document.
         #[test]
         fn resumed_checkpoint_drive_equals_the_uninterrupted_run(
             seed in 0u64..100_000,
             sigma in 0.0..0.10f64,
-            halt_after in 0usize..3,
+            halt_after in 0u64..3,
         ) {
             let dir = std::env::temp_dir()
                 .join(format!("netan-ckpt-{}-{seed}", std::process::id()));
@@ -777,19 +778,23 @@ mod shard_properties {
             let lot = seed..seed + 6;
             let plan = plan();
             let config = config(false);
+            let schedule = EscalationSchedule::new(vec![config]);
             let engine = LotEngine::serial();
             let whole = engine
                 .run_range(factory(sigma), lot.clone(), &plan, config)
                 .unwrap();
-            let halted = LotCheckpoint::new(&dir, 2)
-                .with_shard_limit(halt_after)
-                .run(&engine, factory(sigma), lot.clone(), &plan, config)
-                .unwrap();
-            prop_assert!(!halted.shard().unwrap().complete);
-            prop_assert_eq!(halted.len() as u64, 2 * halt_after as u64);
-            let resumed = LotCheckpoint::new(&dir, 2)
-                .run(&engine, factory(sigma), lot, &plan, config)
-                .unwrap();
+            let drive = |lot: Range<u64>| {
+                ShardDriver::new(lot, 2, &plan, &schedule)
+                    .unwrap()
+                    .with_dir(&dir)
+                    .drive(&engine, factory(sigma))
+                    .unwrap()
+            };
+            if halt_after > 0 {
+                let halted = drive(lot.start..lot.start + 2 * halt_after);
+                prop_assert_eq!(halted.len() as u64, 2 * halt_after);
+            }
+            let resumed = drive(lot);
             std::fs::remove_dir_all(&dir).ok();
             prop_assert_eq!(lot_json(&resumed), lot_json(&whole));
         }
@@ -800,8 +805,8 @@ mod sequential_stopping_properties {
     use dut::ActiveRcFilter;
     use mixsig::units::Seconds;
     use netan::{
-        lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotCheckpoint, LotEngine, LotPlan,
-        LotReport, SpecVerdict,
+        lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotEngine, LotPlan, LotReport,
+        ShardDriver, SpecVerdict,
     };
     use proptest::prelude::*;
     use std::ops::Range;
@@ -931,17 +936,18 @@ mod sequential_stopping_properties {
         }
 
         /// A budgeted sequential checkpoint drive killed after a random
-        /// number of fresh shards and resumed reproduces the
-        /// uninterrupted drive's outcome exactly — the byte-identical
-        /// final document, or the identical typed error when an early
-        /// shard's re-tests leave a later shard's screening unpayable.
+        /// number of shards (a drive over those shards' seeds) and
+        /// resumed reproduces the uninterrupted drive's outcome exactly —
+        /// the byte-identical final document, or the identical typed
+        /// error when an early shard's re-tests leave a later shard's
+        /// screening unpayable.
         /// The remaining global budget every shard sees is recomputed
         /// from the persisted shard spends, so both paths replay.
         #[test]
         fn budgeted_sequential_checkpoint_resumes_byte_identically(
             seed in 0u64..100_000,
             sigma in 0.05..0.12f64,
-            halt_after in 0usize..3,
+            halt_after in 0u64..3,
         ) {
             let plan = plan();
             let c0 = netan::grid_time(20, plan.grid());
@@ -964,19 +970,18 @@ mod sequential_stopping_properties {
                 .join(format!("netan-seq-b-{}-{seed}", std::process::id()));
             std::fs::remove_dir_all(&dir_a).ok();
             std::fs::remove_dir_all(&dir_b).ok();
-            let whole = outcome(
-                LotCheckpoint::new(&dir_a, 2)
-                    .run_escalated(&engine, factory(sigma), lot.clone(), &plan, &sched),
-            );
+            let drive = |dir: &std::path::Path, lot: Range<u64>| {
+                ShardDriver::new(lot, 2, &plan, &sched)?
+                    .with_dir(dir)
+                    .drive(&engine, factory(sigma))
+            };
+            let whole = outcome(drive(&dir_a, lot.clone()));
             // Kill (possibly mid-error), then resume from the persisted
             // ledgers.
-            let _ = LotCheckpoint::new(&dir_b, 2)
-                .with_shard_limit(halt_after)
-                .run_escalated(&engine, factory(sigma), lot.clone(), &plan, &sched);
-            let resumed = outcome(
-                LotCheckpoint::new(&dir_b, 2)
-                    .run_escalated(&engine, factory(sigma), lot, &plan, &sched),
-            );
+            if halt_after > 0 {
+                let _ = drive(&dir_b, lot.start..lot.start + 2 * halt_after);
+            }
+            let resumed = outcome(drive(&dir_b, lot));
             std::fs::remove_dir_all(&dir_a).ok();
             std::fs::remove_dir_all(&dir_b).ok();
             prop_assert_eq!(resumed, whole);

@@ -12,9 +12,7 @@
 
 use dut::ActiveRcFilter;
 use mixsig::units::Hertz;
-use netan::{
-    AnalyzerConfig, GainMask, LotEngine, LotPlan, NetanError, NetworkAnalyzer, SweepEngine,
-};
+use netan::{AnalyzerConfig, GainMask, LotEngine, LotPlan, NetanError, NetworkAnalyzer};
 
 fn paper_factory(sigma: f64) -> impl Fn(u64) -> ActiveRcFilter + Sync {
     move |seed| {
@@ -212,7 +210,7 @@ fn amortized_calibration_matches_per_device_calibration() {
         .unwrap();
     let mut standalone = NetworkAnalyzer::new(&device, config);
     let plot = standalone
-        .sweep_with(&SweepEngine::serial(), plan.grid())
+        .sweep_with(&LotEngine::serial(), plan.grid())
         .unwrap();
     assert_eq!(lot.devices()[0].plot, plot);
 }
@@ -227,14 +225,14 @@ fn parallel_harmonics_match_serial_bit_identically() {
     let mut na = NetworkAnalyzer::new(&dut, config);
     let serial = na.measure_harmonics(Hertz(1600.0), 3).unwrap();
     let parallel = na
-        .measure_harmonics_with(&SweepEngine::with_threads(3), Hertz(1600.0), 3)
+        .measure_harmonics_with(&LotEngine::with_threads(3), Hertz(1600.0), 3)
         .unwrap();
     assert_eq!(serial, parallel);
     assert_eq!(parallel.len(), 3);
     assert_eq!(parallel[0].k, 1);
     // Invalid stimulus frequency is rejected before any acquisition.
     assert!(matches!(
-        na.measure_harmonics_with(&SweepEngine::auto(), Hertz(0.0), 3),
+        na.measure_harmonics_with(&LotEngine::auto(), Hertz(0.0), 3),
         Err(NetanError::InvalidFrequency { .. })
     ));
 }
