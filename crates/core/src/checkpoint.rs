@@ -13,29 +13,31 @@
 //!
 //! # Resume
 //!
-//! A restarted drive loads every shard whose `netan.lot.v4` document is
-//! present, parseable and not stale, and measures anything missing, torn
-//! or stale again. [`parse_lot_json`] reads only the schema
-//! [`lot_json`] writes, so a shard document of any other schema version
-//! does not parse and is measured again too. Because parsed documents
-//! re-render byte for byte, a resumed lot produces the **identical**
-//! final document an uninterrupted one would have; loaded shards
-//! contribute their persisted ledgers exactly like fresh ones, so every
-//! shard sees the same remaining budget across kill-and-resume. Shard
-//! files are written atomically (temp file + rename), so a crash
-//! mid-write leaves at worst an ignorable temp file.
+//! A restarted drive loads every shard whose `netan.lot.v5` document is
+//! present, not stale, and re-renders from its parse byte for byte —
+//! so one whose counts, yield, spend or stage tallies contradict its
+//! devices is measured again, as is a missing, torn or stale one.
+//! [`parse_lot_json`] reads only the schema [`lot_json`] writes, so a
+//! shard document of any other schema version is measured again too.
+//! A resumed lot therefore produces the **identical** final document an
+//! uninterrupted one would have; loaded shards contribute their
+//! persisted ledgers exactly like fresh ones, so every shard sees the
+//! same remaining budget across kill-and-resume. Shard files are
+//! written atomically (temp file + rename), so a crash mid-write leaves
+//! at worst an ignorable temp file.
 //!
 //! A persisted shard is **stale** unless the drive's schedule could have
 //! produced it: the same span, mask and stopping policy, exactly the
 //! budget the shard runs under (none when unbudgeted), no more stages
-//! than the schedule with its `M` at every index, and — if it stopped
-//! before the last stage — no device left ambiguous, or its budget
-//! spent. `netan.lot.v4` does not record the DUT factory, the hardware
-//! profile, amplitude or warm-up, so one checkpoint directory serves one
-//! of each (the service keys its directories by the rendered request).
+//! than the schedule with its whole configuration at every index
+//! (hardware and seed, amplitude, warm-up, `M`; not `block_samples`),
+//! and — if it stopped before the last stage — no device left
+//! ambiguous, or its budget spent. The DUT factory is opaque to the
+//! library, so one checkpoint directory serves one DUT factory (the
+//! service keys its directories by the rendered request).
 
 use crate::error::NetanError;
-use crate::lot::{EscalationSchedule, LotEngine, LotPlan, LotReport, ShardSpan};
+use crate::lot::{EscalationSchedule, LotEngine, LotPlan, LotReport};
 use crate::report::{lot_json, parse_lot_json};
 use crate::spec::GainMask;
 use dut::Dut;
@@ -214,19 +216,10 @@ impl ShardDriver {
     }
 
     /// The driven lot, answering for the global budget rather than the
-    /// per-shard remainders. Before the prefix covers the lot it is that
-    /// prefix, with the lot's span incomplete.
+    /// per-shard remainders.
     pub fn finish(self) -> LotReport {
-        let mut report = self.merged;
-        if self.next < self.lot.end {
-            report = report.with_shard(ShardSpan {
-                seed_start: self.lot.start,
-                seed_end: self.lot.end,
-                complete: false,
-            });
-        }
-        let exhausted = report.budget_exhausted();
-        report.with_budget(self.schedule.budget(), exhausted)
+        let exhausted = self.merged.budget_exhausted();
+        self.merged.with_budget(self.schedule.budget(), exhausted)
     }
 
     /// Drives the lot one shard after another in seed order, loading
@@ -262,7 +255,7 @@ impl ShardDriver {
     ///         ActiveRcFilter::paper_dut().linearized().fabricate(0.02, seed)
     ///     })?;
     /// assert_eq!(report.len(), 4);
-    /// assert!(report.shard().unwrap().complete);
+    /// assert_eq!(report.shard(), Some(0..4));
     /// # std::fs::remove_dir_all(&dir).ok();
     /// # Ok::<(), netan::CheckpointError>(())
     /// ```
@@ -305,8 +298,8 @@ pub struct ShardTask {
 
 impl ShardTask {
     /// Loads the shard from the checkpoint directory when its document
-    /// is not stale; otherwise measures it with `run(span, schedule)` and
-    /// persists it atomically.
+    /// re-renders byte for byte and is not stale; otherwise measures it
+    /// with `run(span, schedule)` and persists it atomically.
     ///
     /// # Errors
     ///
@@ -320,7 +313,11 @@ impl ShardTask {
         let persisted = path
             .as_deref()
             .and_then(|path| std::fs::read_to_string(path).ok())
-            .and_then(|text| parse_lot_json(&text).ok())
+            .and_then(|text| {
+                parse_lot_json(&text)
+                    .ok()
+                    .filter(|report| lot_json(report) == text.trim_end())
+            })
             .filter(|report| self.could_have_produced(report));
         let loaded = persisted.is_some();
         let report = match persisted {
@@ -348,12 +345,15 @@ impl ShardTask {
     /// persisted `report` (see the [module docs](self#resume)).
     fn could_have_produced(&self, report: &LotReport) -> bool {
         let (stages, ran) = (self.schedule.stages(), report.stages());
-        report.shard() == Some(ShardSpan::complete(self.span.clone()))
+        report.shard() == Some(self.span.clone())
             && report.mask() == &self.mask
             && report.stopping() == self.schedule.stopping()
             && report.budget() == self.schedule.budget()
             && ran.len() <= stages.len()
-            && ran.iter().zip(stages).all(|(s, c)| s.periods == c.periods)
+            && ran
+                .iter()
+                .zip(stages)
+                .all(|(s, c)| s.config == c.with_block_samples(s.config.block_samples))
             && (ran.len() == stages.len()
                 || report.counts().ambiguous == 0
                 || report.budget_exhausted())
@@ -380,6 +380,7 @@ mod tests {
     use crate::analyzer::AnalyzerConfig;
     use crate::spec::GainMask;
     use dut::ActiveRcFilter;
+    use mixsig::units::Volts;
     use std::sync::Mutex;
 
     fn factory(seed: u64) -> ActiveRcFilter {
@@ -517,11 +518,11 @@ mod tests {
 
         let victim = shard_path(&dir, &(0..4));
         let text = std::fs::read_to_string(&victim).unwrap();
-        std::fs::write(&victim, text.replacen("netan.lot.v4", "netan.lot.v3", 1)).unwrap();
+        std::fs::write(&victim, text.replacen("netan.lot.v5", "netan.lot.v4", 1)).unwrap();
         let resumed = drive(&dir, 4, 0..8, &schedule, factory).unwrap();
         assert_eq!(lot_json(&resumed), lot_json(&whole));
         let rewritten = std::fs::read_to_string(&victim).unwrap();
-        assert!(rewritten.starts_with("{\"schema\":\"netan.lot.v4\""));
+        assert!(rewritten.starts_with("{\"schema\":\"netan.lot.v5\""));
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -570,16 +571,47 @@ mod tests {
     }
 
     #[test]
-    fn finishing_before_any_shard_returns_the_empty_incomplete_prefix() {
-        let halted = ShardDriver::new(0..4, 2, &plan(), &one_stage())
+    fn shard_whose_counts_contradict_its_devices_is_measured_again() {
+        // The reader recomputes the counts and never reads them, so an
+        // edited document parses; it no longer re-renders to its own
+        // bytes, so it is measured again and rewritten clean.
+        let dir = temp_dir("edited");
+        std::fs::remove_dir_all(&dir).ok();
+        let schedule = one_stage();
+        let whole = drive(&dir, 2, 0..4, &schedule, factory).unwrap();
+        let victim = shard_path(&dir, &(0..2));
+        let clean = std::fs::read_to_string(&victim).unwrap();
+        let edited = clean.replacen("\"counts\":{\"pass\":", "\"counts\":{\"pass\":9", 1);
+        assert_ne!(edited, clean);
+        assert!(parse_lot_json(&edited).is_ok(), "the edit must still parse");
+        std::fs::write(&victim, &edited).unwrap();
+
+        let (resumed, fabricated) = drive_logged(&dir, 2, 0..4, &schedule);
+        assert_eq!(lot_json(&resumed), lot_json(&whole));
+        assert_eq!(fabricated, [0, 1]);
+        assert_eq!(std::fs::read_to_string(&victim).unwrap(), clean);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn shard_written_at_another_block_size_loads() {
+        // `block_samples` never moves a byte, so the stage records leave
+        // it out and the stale-shard rule sets it aside.
+        let dir = temp_dir("block");
+        std::fs::remove_dir_all(&dir).ok();
+        let config = AnalyzerConfig::ideal().with_periods(50);
+        let blocked = EscalationSchedule::new(vec![config.with_block_samples(7)]);
+        drive(&dir, 2, 0..4, &blocked, factory).unwrap();
+
+        let schedule = EscalationSchedule::new(vec![config]);
+        let (resumed, fabricated) = drive_logged(&dir, 2, 0..4, &schedule);
+        let in_memory = ShardDriver::new(0..4, 2, &plan(), &schedule)
             .unwrap()
-            .finish();
-        assert!(halted.is_empty());
-        let span = halted.shard().unwrap();
-        assert_eq!(
-            (span.seed_start, span.seed_end, span.complete),
-            (0, 4, false)
-        );
+            .drive(&LotEngine::serial(), factory)
+            .unwrap();
+        assert_eq!(lot_json(&resumed), lot_json(&in_memory));
+        assert!(fabricated.is_empty(), "fabricated {fabricated:?}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
@@ -663,6 +695,39 @@ mod tests {
             &schedule(&[30, 120]).with_budget(budget(3.5)),
         );
         assert!(wider.stages()[1].tested > 2);
+        // Another hardware profile, amplitude or warm-up at the same M:
+        // the stage records say what measured them, so every shard is
+        // stale and every seed is fabricated again.
+        let base = AnalyzerConfig::ideal().with_periods(50);
+        for (tag, other) in [
+            (
+                "stale-hardware",
+                AnalyzerConfig::cmos_035um(7).with_periods(50),
+            ),
+            ("stale-amplitude", base.with_va_diff(Volts(0.05))),
+            (
+                "stale-warmup",
+                AnalyzerConfig {
+                    warmup_periods: 0,
+                    ..base
+                },
+            ),
+        ] {
+            let (dir, fresh_dir) = (temp_dir(tag), temp_dir(&format!("{tag}-fresh")));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_dir_all(&fresh_dir).ok();
+            let (before, after) = (
+                EscalationSchedule::new(vec![base]),
+                EscalationSchedule::new(vec![other]),
+            );
+            drive(&dir, 2, 0..4, &before, factory).unwrap();
+            let (resumed, fabricated) = drive_logged(&dir, 2, 0..4, &after);
+            let fresh = drive(&fresh_dir, 2, 0..4, &after, factory).unwrap();
+            assert_eq!(lot_json(&resumed), lot_json(&fresh), "{tag}");
+            assert_eq!(fabricated, [0, 1, 2, 3], "{tag}");
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::remove_dir_all(&fresh_dir).ok();
+        }
     }
 
     #[test]

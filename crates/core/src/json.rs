@@ -14,7 +14,7 @@
 //!   an exact `f64` (a full-range `u64` seed) survive parsing.
 //!
 //! [`parse_lot_json`](crate::report::parse_lot_json) consumes this for
-//! the `netan.lot.v4` family; the `netan-serve` job protocol
+//! the `netan.lot.v5` family; the `netan-serve` job protocol
 //! (`netan.job.v1`) reuses the same machinery for its request,
 //! progress and result frames.
 //!

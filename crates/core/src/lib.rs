@@ -36,9 +36,10 @@
 //!   on one shard driver ([`ShardDriver`]) with **checkpoint/resume**
 //!   ([`ShardDriver::drive`]): a lot split into seed ranges merges back
 //!   byte-identical to the monolithic run, an interrupted drive resumes
-//!   from its persisted `netan.lot.v4` shard documents, and a budgeted
-//!   drive threads the remaining global budget through successive
-//!   shards,
+//!   from its persisted `netan.lot.v5` shard documents — only those that
+//!   re-render byte for byte and whose stage records name the drive's
+//!   own analyzer configurations — and a budgeted drive threads the
+//!   remaining global budget through successive shards,
 //! * a **harmonic distortion** mode (paper Fig. 10c), serial or parallel
 //!   per harmonic,
 //! * **report sinks**: tables, CSV and JSON for Bode plots and lot
@@ -91,8 +92,8 @@ pub use error::NetanError;
 pub use harmonics::DistortionReport;
 pub use json::Json;
 pub use lot::{
-    DeviceReport, EscalationSchedule, LotEngine, LotPlan, LotReport, ShardSpan, StageSummary,
-    StoppingPolicy, VerdictCounts, LANE_DEVICES,
+    DeviceReport, EscalationSchedule, LotEngine, LotPlan, LotReport, StageSummary, StoppingPolicy,
+    VerdictCounts, LANE_DEVICES,
 };
 pub use plan::{grid_time, measurement_time, plan_measurement, TestPlan};
 pub use report::{

@@ -87,10 +87,9 @@
 //! analyzer configuration per shard), and [`LotReport::merge`] joins
 //! adjacent shards into the byte-identical report one monolithic run
 //! would have produced, with [`LotReport::empty`] as the identity: the
-//! devices are the only ledger, so the merged stage summaries are read
-//! off the merged devices.
-//! Shard provenance travels as a [`ShardSpan`] through the
-//! `netan.lot.v4` JSON schema, which is what the
+//! merged stage summaries are read off the merged devices and stages.
+//! The seed range and each stage's [`AnalyzerConfig`] travel through
+//! the `netan.lot.v5` JSON schema, which is what the
 //! [`ShardDriver`](crate::ShardDriver) persists per shard and resumes a
 //! lot from after an interruption.
 //!
@@ -346,63 +345,25 @@ impl EscalationSchedule {
     }
 }
 
-/// The contiguous device-seed range a [`LotReport`] covers — the
-/// provenance that makes shard merges auditable and checkpoint resume
-/// safe.
-///
-/// Engine runs over a contiguous seed range attach a complete span,
-/// [`LotReport::merge`] joins adjacent spans, and a
-/// [`checkpoint`](crate::checkpoint) drive that halted mid-lot marks
-/// the *intended* span `complete: false`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ShardSpan {
-    /// First device seed of the span (inclusive).
-    pub seed_start: u64,
-    /// One past the last device seed of the span (exclusive).
-    pub seed_end: u64,
-    /// Whether every device of the span was measured.
-    pub complete: bool,
-}
-
-impl ShardSpan {
-    /// A complete span covering `range`.
-    pub fn complete(range: Range<u64>) -> Self {
-        Self {
-            seed_start: range.start,
-            seed_end: range.end,
-            complete: true,
-        }
-    }
-
-    /// Number of seeds the span covers.
-    pub fn len(&self) -> u64 {
-        self.seed_end.saturating_sub(self.seed_start)
-    }
-
-    /// Whether the span covers no seeds.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
 /// Accounting for one executed stage of an escalated (or plain) lot run,
-/// as [`LotReport::stages`] reads it off the devices.
+/// as [`LotReport::stages`] reads it off the stage list and the devices.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StageSummary {
     /// Stage index within the schedule (0 = the screening pass).
     pub stage: usize,
-    /// Evaluation periods `M` of this stage's analyzer configuration.
-    pub periods: u32,
+    /// The analyzer configuration that measured this stage, with the
+    /// default `block_samples`, which never moves a byte.
+    pub config: AnalyzerConfig,
     /// Devices measured at this stage (the whole lot at stage 0, the
     /// still-ambiguous — budget permitting — afterwards): the devices
-    /// with a [`stage_times`](DeviceReport::stage_times) entry for it.
+    /// whose final [`stage`](DeviceReport::stage) is this one or later.
     pub tested: usize,
     /// Lot-wide verdict histogram *after* this stage completed: each
     /// device's final verdict, or ambiguous for a device a later stage
     /// re-tested.
     pub counts: VerdictCounts,
     /// Simulated test time charged at this stage across all tested
-    /// devices (the seed-order left fold of their per-stage charges).
+    /// devices (the seed-order left fold of their `device_time`s).
     pub time: Seconds,
     /// The per-device charge of this stage,
     /// [`EscalationSchedule::device_stage_charge`]: [`crate::plan::grid_time`]
@@ -424,21 +385,10 @@ pub struct DeviceReport {
     /// fit a low-pass biquad).
     pub fit: Option<LowpassFit>,
     /// Escalation stage that produced the verdict and plot above (0 for
-    /// the screening pass and for every plain [`LotEngine::run`]).
+    /// the screening pass and for every plain [`LotEngine::run`]). The
+    /// device ran every stage up to it, at the report's
+    /// [`stages`](LotReport::stages) configurations and charges.
     pub stage: usize,
-    /// Evaluation periods `M` used at that final stage.
-    pub periods: u32,
-    /// Cumulative simulated test time across every stage this device
-    /// ran, in the unit of [`crate::plan::measurement_time`] — the left
-    /// fold of [`stage_times`](Self::stage_times).
-    pub test_time: Seconds,
-    /// Simulated test time *charged* per executed stage, in stage order
-    /// (one entry per stage this device ran, so
-    /// `stage_times.len() == stage + 1` for engine-produced reports):
-    /// each stage's [`device_time`](StageSummary::device_time). Under
-    /// [`StoppingPolicy::Sequential`] an entry past stage 0 is the cost
-    /// of just the period increment.
-    pub stage_times: Vec<Seconds>,
 }
 
 /// The lot-level verdict histogram.
@@ -489,27 +439,26 @@ impl VerdictCounts {
 /// they were screened against, and — for escalated runs — per-stage
 /// summaries and budget accounting.
 ///
-/// The devices are the lot's only ledger: each carries its verdict, its
-/// final stage and its per-stage charges, and [`stages`](Self::stages)
-/// reads every stage summary off them. Per executed stage the report
-/// keeps only what no device records: the stage's `M` and its
-/// per-device charge.
+/// The stage list is the lot's only ledger: per executed stage, the
+/// [`AnalyzerConfig`] that measured it and its per-device charge. Each
+/// device keeps only what was measured, and [`stages`](Self::stages)
+/// reads every stage summary off the two.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LotReport {
     mask: GainMask,
     devices: Vec<DeviceReport>,
-    /// `(M, per-device charge)` per executed stage.
-    stages: Vec<(u32, Seconds)>,
+    /// `(configuration, per-device charge)` per executed stage.
+    stages: Vec<(AnalyzerConfig, Seconds)>,
     budget: Option<Seconds>,
     budget_exhausted: bool,
     stopping: StoppingPolicy,
-    shard: Option<ShardSpan>,
+    shard: Option<Range<u64>>,
 }
 
 impl LotReport {
     /// Assembles a report (device order is preserved) with no stage
     /// accounting — the constructor for synthetic reports; engine runs
-    /// and the `netan.lot.v4` loader also record their executed stages.
+    /// and the `netan.lot.v5` loader also record their executed stages.
     pub fn new(mask: GainMask, devices: Vec<DeviceReport>) -> Self {
         Self {
             mask,
@@ -531,9 +480,9 @@ impl LotReport {
     }
 
     /// Returns the report with its executed stages recorded: per stage,
-    /// its `M` and its per-device charge.
+    /// its configuration and its per-device charge.
     #[must_use]
-    pub(crate) fn with_stages(mut self, stages: Vec<(u32, Seconds)>) -> Self {
+    pub(crate) fn with_stages(mut self, stages: Vec<(AnalyzerConfig, Seconds)>) -> Self {
         self.stages = stages;
         self
     }
@@ -561,21 +510,20 @@ impl LotReport {
         self.stopping
     }
 
-    /// Returns the report with explicit shard provenance — used by the
-    /// [`checkpoint`](crate::checkpoint) driver (a halted drive marks
-    /// the intended span incomplete) and by the `netan.lot.v4` loader.
+    /// Returns the report with the seed range it covers (used by the
+    /// `netan.lot.v5` loader).
     #[must_use]
-    pub fn with_shard(mut self, shard: ShardSpan) -> Self {
+    pub fn with_shard(mut self, shard: Range<u64>) -> Self {
         self.shard = Some(shard);
         self
     }
 
-    /// The device-seed span this report covers, when known: attached by
+    /// The device-seed range this report covers, when known: attached by
     /// range runs, by slice runs over contiguous ascending seeds, and
     /// by merges of adjacent shards. `None` for synthetic reports and
     /// arbitrary seed lists.
-    pub fn shard(&self) -> Option<ShardSpan> {
-        self.shard
+    pub fn shard(&self) -> Option<Range<u64>> {
+        self.shard.clone()
     }
 
     /// Per-device reports, in the seed order of the run.
@@ -589,20 +537,20 @@ impl LotReport {
     }
 
     /// Per-stage summaries in execution order (one entry for a plain
-    /// [`LotEngine::run`], empty for synthetic reports), read off the
-    /// devices: stage `s` tested every device with a charge
-    /// `stage_times[s]`, its time is the seed-order left fold of those
-    /// charges, and its histogram counts each device's final verdict —
-    /// or ambiguous, for a device whose final stage is past `s`, since a
-    /// device is re-tested only while ambiguous.
+    /// [`LotEngine::run`], empty for synthetic reports): stage `s`
+    /// tested every device whose stage is `s` or later, its time is the
+    /// seed-order left fold of their per-device charges, and its
+    /// histogram counts each device's final verdict — or ambiguous, for a
+    /// device whose final stage is past `s`, since a device is re-tested
+    /// only while ambiguous.
     pub fn stages(&self) -> Vec<StageSummary> {
         let mut summaries: Vec<StageSummary> = self
             .stages
             .iter()
             .enumerate()
-            .map(|(stage, &(periods, device_time))| StageSummary {
+            .map(|(stage, &(config, device_time))| StageSummary {
                 stage,
-                periods,
+                config,
                 tested: 0,
                 counts: VerdictCounts::default(),
                 time: Seconds(0.0),
@@ -611,9 +559,9 @@ impl LotReport {
             .collect();
         for d in &self.devices {
             for s in &mut summaries {
-                if let Some(&t) = d.stage_times.get(s.stage) {
+                if d.stage >= s.stage {
                     s.tested += 1;
-                    s.time = s.time + t;
+                    s.time = s.time + s.device_time;
                 }
                 s.counts.count(if d.stage > s.stage {
                     SpecVerdict::Ambiguous
@@ -701,19 +649,19 @@ impl LotReport {
     /// two-sided identity: device lists concatenate in seed order, the
     /// executed-stage lists align by stage index and the longer one wins
     /// (a shard whose escalation stopped early ran fewer stages), budget
-    /// ledgers sum, the exhaustion flags OR, and adjacent
-    /// [`ShardSpan`]s join (provenance degrades to `None` if either side
-    /// has none). The merged stage summaries are read off the merged
-    /// devices ([`stages`](Self::stages)), so they are exactly what one
-    /// run over the union accumulates.
+    /// ledgers sum, the exhaustion flags OR, and adjacent seed ranges
+    /// join (provenance degrades to `None` if either side has none). The
+    /// merged stage summaries are read off the merged devices
+    /// ([`stages`](Self::stages)), so they are exactly what one run over
+    /// the union accumulates.
     ///
     /// # Panics
     ///
     /// Panics if the masks differ, the stopping policies differ, a stage
-    /// both sides ran has two different `M` or per-device charges, the
-    /// device seed lists are not ascending-disjoint, or both sides carry
-    /// shard spans that are not adjacent (`self` ending exactly where
-    /// `other` starts).
+    /// both sides ran has two different configurations or per-device
+    /// charges, the device seed lists are not ascending-disjoint, or both
+    /// sides carry seed ranges that are not adjacent (`self` ending
+    /// exactly where `other` starts).
     #[must_use]
     pub fn merge(self, other: Self) -> Self {
         assert_eq!(self.mask, other.mask, "shards of one lot share the mask");
@@ -739,15 +687,8 @@ impl LotReport {
         }
         let shard = match (self.shard, other.shard) {
             (Some(a), Some(b)) => {
-                assert_eq!(
-                    a.seed_end, b.seed_start,
-                    "shard spans must be adjacent to merge"
-                );
-                Some(ShardSpan {
-                    seed_start: a.seed_start,
-                    seed_end: b.seed_end,
-                    complete: a.complete && b.complete,
-                })
+                assert_eq!(a.end, b.start, "shard spans must be adjacent to merge");
+                Some(a.start..b.end)
             }
             _ => None,
         };
@@ -757,10 +698,10 @@ impl LotReport {
         } else {
             (other.stages, self.stages)
         };
-        for ((periods, charge), (other_periods, other_charge)) in stages.iter().zip(shorter) {
+        for ((config, charge), (other_config, other_charge)) in stages.iter().zip(shorter) {
             assert_eq!(
-                *periods, other_periods,
-                "one schedule stage cannot have two different M"
+                *config, other_config,
+                "one schedule stage cannot have two configurations"
             );
             assert_eq!(
                 charge.value().to_bits(),
@@ -851,8 +792,9 @@ impl LotEngine {
     ///
     /// A plain run is the one-stage schedule of `config` through the
     /// core of [`run_escalated`](Self::run_escalated). A contiguous
-    /// ascending seed slice (`s, s+1, …`) gets a complete [`ShardSpan`]
-    /// attached; arbitrary seed lists carry no span.
+    /// ascending seed slice (`s, s+1, …`) gets its seed range attached
+    /// as [`shard`](LotReport::shard) provenance; arbitrary seed lists
+    /// carry none.
     ///
     /// # Errors
     ///
@@ -880,7 +822,7 @@ impl LotEngine {
 
     /// Characterizes the contiguous seed range `seed_range` as one
     /// **shard** of a larger lot: exactly [`run`](Self::run) over those
-    /// seeds, with a complete [`ShardSpan`] attached. Merging the
+    /// seeds, with the range attached as provenance. Merging the
     /// shards of any seed-contiguous partition with
     /// [`LotReport::merge`] is byte-identical (through
     /// [`lot_json`](crate::report::lot_json)) to one monolithic `run`
@@ -905,16 +847,16 @@ impl LotEngine {
         self.run(factory, &seeds, plan, config)
     }
 
-    /// The shard span of an explicit seed slice: a complete span when
-    /// the slice is one contiguous ascending run, `None` otherwise —
-    /// an arbitrary seed list has no range provenance.
-    fn slice_span(seeds: &[u64]) -> Option<ShardSpan> {
+    /// The seed range of an explicit seed slice when the slice is one
+    /// contiguous ascending run, `None` otherwise — an arbitrary seed
+    /// list has no range provenance.
+    fn slice_span(seeds: &[u64]) -> Option<Range<u64>> {
         let (&first, &last) = (seeds.first()?, seeds.last()?);
         let end = last.checked_add(1)?;
         seeds
             .windows(2)
             .all(|w| w[0].checked_add(1) == Some(w[1]))
-            .then(|| ShardSpan::complete(first..end))
+            .then_some(first..end)
     }
 
     /// Screens the whole lot at `schedule` stage 0, then re-tests only
@@ -962,8 +904,8 @@ impl LotEngine {
 
     /// Escalation-screens the contiguous seed range `seed_range` as one
     /// **shard** of a larger lot: exactly
-    /// [`run_escalated`](Self::run_escalated) over those seeds, with a
-    /// complete [`ShardSpan`] attached. For unbudgeted schedules,
+    /// [`run_escalated`](Self::run_escalated) over those seeds, with the
+    /// range attached as provenance. For unbudgeted schedules,
     /// merging the shards of any seed-contiguous partition with
     /// [`LotReport::merge`] is byte-identical (through
     /// [`lot_json`](crate::report::lot_json)) to one monolithic
@@ -1017,8 +959,8 @@ impl LotEngine {
         }
 
         let config0 = schedule.stages()[0];
-        let mut stages = vec![(config0.periods, c0)];
-        let stage = Stage::new(0, config0, &stages)?;
+        let mut stages = vec![(recorded(config0), c0)];
+        let stage = Stage::new(0, config0)?;
         let results = self.characterize(&factory, seeds, plan, &stage);
         let mut devices = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         let mut budget_exhausted = false;
@@ -1049,8 +991,8 @@ impl LotEngine {
             if admitted == 0 {
                 break;
             }
-            stages.push((config.periods, c));
-            let stage = Stage::new(s, config, &stages)?;
+            stages.push((recorded(config), c));
+            let stage = Stage::new(s, config)?;
             let retests: Vec<u64> = ambiguous[..admitted]
                 .iter()
                 .map(|&i| devices[i].seed)
@@ -1135,10 +1077,9 @@ impl LotEngine {
     }
 
     /// Characterizes every device of `seeds` at `stage`, one result per
-    /// device, in order, each charged the stage's charge history. Every
-    /// device is attempted; a failed device carries its own error, so
-    /// collecting the results reports the lowest-index error, as a
-    /// serial in-order run would.
+    /// device, in order. Every device is attempted; a failed device
+    /// carries its own error, so collecting the results reports the
+    /// lowest-index error, as a serial in-order run would.
     ///
     /// [`measure_lanes`]: Self::measure_lanes
     fn characterize<D, F>(
@@ -1167,9 +1108,6 @@ impl LotEngine {
                     verdict,
                     fit,
                     stage: stage.index,
-                    periods: stage.config.periods,
-                    test_time: stage.test_time,
-                    stage_times: stage.charges.clone(),
                 })
             })
             .collect()
@@ -1295,31 +1233,23 @@ struct Stage {
     config: AnalyzerConfig,
     /// The stage's shared stimulus characterization.
     cal: Calibration,
-    /// The per-device charge of every stage so far, this one last: the
-    /// charge history of every device measured here, since a device is
-    /// re-tested only while ambiguous and so ran every earlier stage.
-    charges: Vec<Seconds>,
-    /// The left fold of `charges` from zero.
-    test_time: Seconds,
 }
 
 impl Stage {
-    /// Stage `index` at `config`, calibrated once, after the executed
-    /// stages `ran` (`(M, per-device charge)` pairs, this one last).
-    fn new(
-        index: usize,
-        config: AnalyzerConfig,
-        ran: &[(u32, Seconds)],
-    ) -> Result<Self, NetanError> {
-        let charges: Vec<Seconds> = ran.iter().map(|&(_, c)| c).collect();
+    /// Stage `index` at `config`, calibrated once.
+    fn new(index: usize, config: AnalyzerConfig) -> Result<Self, NetanError> {
         Ok(Self {
             index,
             config,
             cal: LotEngine::shared_calibration(config)?,
-            test_time: charges.iter().fold(Seconds(0.0), |acc, &c| acc + c),
-            charges,
         })
     }
+}
+
+/// `config` as a report records it: with the default `block_samples`,
+/// which the lot schema leaves out, so a stage equals its parsed form.
+fn recorded(config: AnalyzerConfig) -> AnalyzerConfig {
+    config.with_block_samples(sdeval::DEFAULT_BLOCK_SAMPLES)
 }
 
 /// How a stage's fixed-grid measurement splits into pool tasks: `lanes`
@@ -1477,7 +1407,10 @@ mod tests {
         // lot tested at the configured M.
         assert_eq!(report.stages().len(), 1);
         let s0 = report.stages()[0];
-        assert_eq!((s0.stage, s0.periods, s0.tested), (0, 50, 3));
+        assert_eq!((s0.stage, s0.config, s0.tested), (0, quick_config(), 3));
+        // 4-point minimal mask grid at M = 50: Σ 2·50/f per device.
+        let expect: f64 = plan.grid().iter().map(|f| 2.0 * 50.0 / f.value()).sum();
+        assert!((s0.device_time.value() - expect).abs() < 1e-12);
         assert_eq!(s0.counts, report.counts());
         assert!((report.spent().value() - s0.time.value()).abs() < 1e-12);
         assert_eq!(report.budget(), None);
@@ -1485,10 +1418,7 @@ mod tests {
         for (d, &seed) in report.devices().iter().zip(&seeds) {
             assert_eq!(d.seed, seed);
             assert_eq!(d.plot.len(), plan.grid().len());
-            assert_eq!((d.stage, d.periods), (0, 50));
-            // 4-point minimal mask grid at M = 50: Σ 2·50/f.
-            let expect: f64 = plan.grid().iter().map(|f| 2.0 * 50.0 / f.value()).sum();
-            assert!((d.test_time.value() - expect).abs() < 1e-12);
+            assert_eq!(d.stage, 0);
             // The fitted summary must track the fabricated device.
             let device = paper_factory(0.01)(seed);
             let fit = d.fit.expect("low-pass fit");
@@ -1550,19 +1480,9 @@ mod tests {
     }
 
     #[test]
-    fn shard_span_helpers_and_slice_detection() {
-        let span = ShardSpan::complete(3..7);
-        assert_eq!((span.seed_start, span.seed_end), (3, 7));
-        assert!(span.complete);
-        assert_eq!(span.len(), 4);
-        assert!(!span.is_empty());
-        assert!(ShardSpan::complete(5..5).is_empty());
-
-        assert_eq!(
-            LotEngine::slice_span(&[2, 3, 4]),
-            Some(ShardSpan::complete(2..5))
-        );
-        assert_eq!(LotEngine::slice_span(&[7]), Some(ShardSpan::complete(7..8)));
+    fn slice_span_detects_contiguous_seed_runs() {
+        assert_eq!(LotEngine::slice_span(&[2, 3, 4]), Some(2..5));
+        assert_eq!(LotEngine::slice_span(&[7]), Some(7..8));
         // Gaps, reorderings and duplicates carry no range provenance.
         assert_eq!(LotEngine::slice_span(&[2, 4]), None);
         assert_eq!(LotEngine::slice_span(&[3, 2]), None);
@@ -1578,7 +1498,7 @@ mod tests {
         let contiguous = LotEngine::serial()
             .run(paper_factory(0.02), &[4, 5, 6], &plan, quick_config())
             .unwrap();
-        assert_eq!(contiguous.shard(), Some(ShardSpan::complete(4..7)));
+        assert_eq!(contiguous.shard(), Some(4..7));
         let gapped = LotEngine::serial()
             .run(paper_factory(0.02), &[4, 6], &plan, quick_config())
             .unwrap();
@@ -1639,7 +1559,7 @@ mod tests {
         assert_eq!(merged, whole);
         // Associativity: the other grouping lands on the same bits.
         assert_eq!(a.merge(b.merge(c)), whole);
-        assert_eq!(whole.shard(), Some(ShardSpan::complete(0..6)));
+        assert_eq!(whole.shard(), Some(0..6));
     }
 
     #[test]
@@ -1658,31 +1578,34 @@ mod tests {
 
     #[test]
     fn stage_summaries_are_read_off_the_devices() {
-        // Each stage folds the charges of the devices it tested; a device
+        // Each stage charges every device that reached it once; a device
         // re-tested after stage `s` counts as ambiguous there.
-        let device = |seed, verdict, stage_times: &[f64]| DeviceReport {
+        let device = |seed, verdict, stage| DeviceReport {
             seed,
             plot: BodePlot::new(Vec::new()),
             verdict,
             fit: None,
-            stage: stage_times.len() - 1,
-            periods: 0,
-            test_time: Seconds(stage_times.iter().sum()),
-            stage_times: stage_times.iter().map(|&t| Seconds(t)).collect(),
+            stage,
         };
         let devices = vec![
-            device(0, SpecVerdict::Pass, &[0.5, 2.0]),
-            device(1, SpecVerdict::Fail, &[0.5]),
-            device(2, SpecVerdict::Ambiguous, &[0.5, 2.0, 8.0]),
+            device(0, SpecVerdict::Pass, 1),
+            device(1, SpecVerdict::Fail, 0),
+            device(2, SpecVerdict::Ambiguous, 2),
         ];
-        let ran = vec![(50, Seconds(0.5)), (200, Seconds(2.0)), (800, Seconds(8.0))];
+        let at = |m| AnalyzerConfig::ideal().with_periods(m);
+        let ran = vec![
+            (at(50), Seconds(0.5)),
+            (at(200), Seconds(2.0)),
+            (at(800), Seconds(8.0)),
+        ];
         let report = LotReport::new(GainMask::new(), devices.clone()).with_stages(ran.clone());
         let rows: Vec<_> = report
             .stages()
             .iter()
             .map(|s| {
                 let c = s.counts;
-                (s.periods, s.tested, [c.pass, c.fail, c.ambiguous], s.time)
+                let m = s.config.periods;
+                (m, s.tested, [c.pass, c.fail, c.ambiguous], s.time)
             })
             .collect();
         assert_eq!(
@@ -1858,24 +1781,30 @@ mod tests {
         assert_eq!(b.stopping(), StoppingPolicy::Sequential);
         let escalated = a.stages().iter().skip(1).map(|s| s.tested).sum::<usize>();
         assert!(escalated > 0, "σ=9% at M=30 must leave someone ambiguous");
+        // A device's cumulative charge: one per stage up to its own.
+        let cumulative = |r: &LotReport, stage: usize| {
+            r.stages()[..=stage]
+                .iter()
+                .fold(Seconds(0.0), |acc, s| acc + s.device_time)
+        };
         for (da, db) in a.devices().iter().zip(b.devices()) {
             assert_eq!(da.verdict, db.verdict);
-            assert_eq!((da.stage, da.periods), (db.stage, db.periods));
+            assert_eq!(da.stage, db.stage);
             assert_eq!(da.plot, db.plot);
+            let (ta, tb) = (cumulative(&a, da.stage), cumulative(&b, db.stage));
             if da.stage > 0 {
                 // Sequential stopping charges only the increments:
                 // cumulative spend equals the charge at the final M
                 // alone, which is strictly below the staged re-insertion
                 // total.
-                assert!(db.test_time.value() < da.test_time.value());
+                assert!(tb.value() < ta.value());
             } else {
-                assert_eq!(
-                    da.test_time.value().to_bits(),
-                    db.test_time.value().to_bits()
-                );
+                assert_eq!(ta.value().to_bits(), tb.value().to_bits());
             }
-            assert_eq!(db.stage_times.len(), db.stage + 1);
         }
+        // Both runs measured each stage at the same configuration.
+        let configs = |r: &LotReport| r.stages().iter().map(|s| s.config).collect::<Vec<_>>();
+        assert_eq!(configs(&a), configs(&b));
         assert!(b.spent().value() < a.spent().value());
         // Charged periods across a device's walk telescope to the final
         // stage's M.
@@ -1918,11 +1847,7 @@ mod tests {
         assert_eq!(capped.stages().len(), 2);
         assert_eq!(capped.stages()[1].tested, 1);
         // The admitted re-test is the lowest-seed ambiguous device.
-        let first_ambiguous = free
-            .devices()
-            .iter()
-            .position(|d| d.stage_times.len() > 1)
-            .unwrap();
+        let first_ambiguous = free.devices().iter().position(|d| d.stage > 0).unwrap();
         assert_eq!(capped.devices()[first_ambiguous].stage, 1);
         let spent = capped.spent().value();
         assert!(spent > budget.value(), "admitted re-test overshoots");
@@ -1956,25 +1881,19 @@ mod tests {
         assert_eq!(report.len(), 6);
         let stage0 = report.stages()[0];
         assert_eq!(stage0.tested, 6);
-        // Whoever escalated carries stage-1 provenance and strictly more
-        // cumulative test time than a stage-0-only device.
+        // Each stage records the configuration that measured it and its
+        // per-device charge.
         let c0 = schedule.device_stage_time(0, plan.grid()).value();
         let c1 = schedule.device_stage_time(1, plan.grid()).value();
+        assert_eq!(stage0.config, schedule.stages()[0]);
+        assert!((stage0.device_time.value() - c0).abs() < 1e-12);
         for d in report.devices() {
-            match d.stage {
-                0 => {
-                    assert_eq!(d.periods, 30);
-                    assert!((d.test_time.value() - c0).abs() < 1e-12);
-                }
-                1 => {
-                    assert_eq!(d.periods, 120);
-                    assert!((d.test_time.value() - (c0 + c1)).abs() < 1e-12);
-                }
-                s => panic!("impossible stage {s}"),
-            }
+            assert!(d.stage <= 1, "impossible stage {}", d.stage);
         }
         if report.stages().len() == 2 {
             let stage1 = report.stages()[1];
+            assert_eq!(stage1.config, schedule.stages()[1]);
+            assert!((stage1.device_time.value() - c1).abs() < 1e-12);
             assert_eq!(stage1.tested, stage0.counts.ambiguous);
             assert_eq!(stage1.counts, report.counts());
             // Re-tests only ever shrink the ambiguous bin.

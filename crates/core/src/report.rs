@@ -3,7 +3,7 @@
 //!
 //! JSON documents are hand-rendered (the workspace builds fully offline,
 //! so there is no serde) and self-describing via a `"schema"` field:
-//! `netan.bode.v2` for [`bode_json`] and `netan.lot.v4` for
+//! `netan.bode.v2` for [`bode_json`] and `netan.lot.v5` for
 //! [`lot_json`]. Numbers use Rust's shortest round-trip `f64` formatting;
 //! non-finite values render as `null`. Together those two facts make
 //! serialization lossless for every serialized field: re-rendering a
@@ -17,13 +17,13 @@
 //! any other version again. A schema bump therefore retires every older
 //! checkpoint shard with no new code.
 
-use crate::analyzer::BodePoint;
+use crate::analyzer::{AnalyzerConfig, BodePoint, HardwareProfile};
 use crate::harmonics::DistortionReport;
 use crate::json::{write_f64 as json_f64, Json};
-use crate::lot::{DeviceReport, LotReport, ShardSpan, StoppingPolicy, VerdictCounts};
+use crate::lot::{DeviceReport, LotReport, StageSummary, StoppingPolicy, VerdictCounts};
 use crate::spec::{GainMask, MaskPoint, SpecVerdict};
 use crate::sweep::{BodePlot, LowpassFit};
-use mixsig::units::{Hertz, Seconds};
+use mixsig::units::{Hertz, Seconds, Volts};
 use sdeval::Bounded;
 use std::fmt::Write as _;
 
@@ -96,14 +96,23 @@ fn verdict_str(v: SpecVerdict) -> &'static str {
     }
 }
 
+/// A device's final `M` (`None` if the report has no such stage), its
+/// cumulative simulated test time, and the stages it ran — every one up
+/// to its own — read off the report's stage summaries.
+fn device_ledger(stages: &[StageSummary], stage: usize) -> (Option<u32>, Seconds, &[StageSummary]) {
+    let ran = &stages[..stages.len().min(stage.saturating_add(1))];
+    let time = ran.iter().fold(Seconds(0.0), |acc, s| acc + s.device_time);
+    (stages.get(stage).map(|s| s.config.periods), time, ran)
+}
+
 /// Renders a lot report as a human-readable screening table: one row per
 /// device (with its escalation stage, final `M` and cumulative simulated
-/// test time), the verdict histogram, the yield enclosure, and — when the
-/// run carried stage accounting — one summary line per executed stage
-/// plus the budget ledger (prefixed by a `stopping: sequential` line
-/// when the run used per-device sequential stopping). A report with
-/// shard provenance closes with a
-/// `shard: seeds [start, end) — complete|incomplete` footer line.
+/// test time, read off the stage list), the verdict histogram, the yield
+/// enclosure, and — when the run carried stage accounting — one summary
+/// line per executed stage plus the budget ledger (prefixed by a
+/// `stopping: sequential` line when the run used per-device sequential
+/// stopping). A report with shard provenance closes with a
+/// `shard: seeds [start, end)` footer line.
 pub fn lot_table(report: &LotReport) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -111,7 +120,9 @@ pub fn lot_table(report: &LotReport) -> String {
         "{:>8} {:>10} {:>6} {:>6} {:>9} {:>12} {:>8} {:>16}",
         "seed", "verdict", "stage", "M", "t (s)", "fit f0 (Hz)", "fit Q", "worst |dG| (dB)"
     );
+    let stages = report.stages();
     for d in report.devices() {
+        let (periods, time, _) = device_ledger(&stages, d.stage);
         let (f0, q) = match d.fit {
             Some(fit) => (format!("{:.1}", fit.f0.value()), format!("{:.4}", fit.q)),
             None => (String::from("-"), String::from("-")),
@@ -126,8 +137,8 @@ pub fn lot_table(report: &LotReport) -> String {
             d.seed,
             verdict_str(d.verdict),
             d.stage,
-            d.periods,
-            d.test_time.value(),
+            periods.map_or_else(|| String::from("-"), |m| m.to_string()),
+            time.value(),
             f0,
             q,
             worst,
@@ -153,12 +164,12 @@ pub fn lot_table(report: &LotReport) -> String {
     if report.stopping() == StoppingPolicy::Sequential {
         let _ = writeln!(out, "stopping: sequential (per-device stage increments)");
     }
-    for s in report.stages() {
+    for s in &stages {
         let _ = writeln!(
             out,
             "stage {} (M = {}): {} tested in {:.3} s — {} pass, {} fail, {} ambiguous",
             s.stage,
-            s.periods,
+            s.config.periods,
             s.tested,
             s.time.value(),
             s.counts.pass,
@@ -166,7 +177,7 @@ pub fn lot_table(report: &LotReport) -> String {
             s.counts.ambiguous,
         );
     }
-    if !report.stages().is_empty() {
+    if !stages.is_empty() {
         let spent = report.spent().value();
         match report.budget() {
             Some(b) => {
@@ -188,27 +199,9 @@ pub fn lot_table(report: &LotReport) -> String {
         }
     }
     if let Some(s) = report.shard() {
-        let _ = writeln!(
-            out,
-            "shard: seeds [{}, {}) — {}",
-            s.seed_start,
-            s.seed_end,
-            if s.complete { "complete" } else { "incomplete" }
-        );
+        let _ = writeln!(out, "shard: seeds [{}, {})", s.start, s.end);
     }
     out
-}
-
-/// The seed-range cell of the CSV shard column: `start..end` for a
-/// complete span, `~start..end` for a halted (incomplete) one, empty
-/// when the report carries no provenance — so rows keep saying which
-/// shard produced them even after shard CSVs are concatenated.
-fn shard_cell(shard: Option<ShardSpan>) -> String {
-    match shard {
-        Some(s) if s.complete => format!("{}..{}", s.seed_start, s.seed_end),
-        Some(s) => format!("~{}..{}", s.seed_start, s.seed_end),
-        None => String::new(),
-    }
 }
 
 /// Renders a lot report as CSV with a header row: one row per device,
@@ -216,15 +209,20 @@ fn shard_cell(shard: Option<ShardSpan>) -> String {
 /// cutoff_hz, worst_gain_err_db, stage, periods, test_time_s,
 /// stage_times_s, shard` — `stage`/`periods`/`test_time_s` are the
 /// escalation provenance, stage 0 for plain runs; `stage_times_s` is
-/// the observed per-stage charge ledger, `;`-joined; `shard` is the
-/// report's seed range, `start..end`, prefixed `~` when incomplete and
-/// empty when unknown); missing fit/cutoff fields render empty.
+/// the per-stage charges, `;`-joined, all three read off the stage list;
+/// `shard` is the report's seed range, `start..end`, empty when
+/// unknown); missing fit/cutoff fields render empty.
 pub fn lot_csv(report: &LotReport) -> String {
     let mut out = String::from(
         "seed,verdict,fit_gain,fit_f0_hz,fit_q,cutoff_hz,worst_gain_err_db,stage,periods,test_time_s,stage_times_s,shard\n",
     );
-    let shard = shard_cell(report.shard());
+    let shard = report
+        .shard()
+        .map(|s| format!("{}..{}", s.start, s.end))
+        .unwrap_or_default();
+    let stages = report.stages();
     for d in report.devices() {
+        let (periods, time, ran) = device_ledger(&stages, d.stage);
         let (gain, f0, q) = match d.fit {
             Some(fit) => (
                 fit.gain.to_string(),
@@ -244,10 +242,9 @@ pub fn lot_csv(report: &LotReport) -> String {
             .worst_gain_error_db()
             .map(|e| e.to_string())
             .unwrap_or_default();
-        let stage_times = d
-            .stage_times
+        let stage_times = ran
             .iter()
-            .map(|t| t.value().to_string())
+            .map(|s| s.device_time.value().to_string())
             .collect::<Vec<_>>()
             .join(";");
         let _ = writeln!(
@@ -261,8 +258,8 @@ pub fn lot_csv(report: &LotReport) -> String {
             cutoff,
             worst,
             d.stage,
-            d.periods,
-            d.test_time.value(),
+            periods.map(|m| m.to_string()).unwrap_or_default(),
+            time.value(),
             stage_times,
             shard,
         );
@@ -326,7 +323,7 @@ fn json_counts(out: &mut String, c: &VerdictCounts) {
     );
 }
 
-/// Renders `mask` as the JSON array that both `netan.lot.v4` and
+/// Renders `mask` as the JSON array that both `netan.lot.v5` and
 /// `netan.job.v1` carry: `[{"freq_hz":…,"min_db":…,"max_db":…},…]`.
 pub fn write_mask_json(out: &mut String, mask: &GainMask) {
     out.push('[');
@@ -349,20 +346,72 @@ pub fn write_mask_json(out: &mut String, mask: &GainMask) {
 ///
 /// # Errors
 ///
-/// [`ReportParseError`] on a value that is not an array of mask points.
+/// [`ReportParseError`] on a value that is not an array of mask points,
+/// or naming a point [`MaskPoint::new`] would refuse.
 pub fn mask_from_json(doc: &Json) -> Result<GainMask, ReportParseError> {
     let mut mask = GainMask::new();
-    for m in doc.as_arr()? {
-        mask = mask.with_point(MaskPoint {
+    for (i, m) in doc.as_arr()?.iter().enumerate() {
+        let point = MaskPoint {
             frequency: Hertz(m.field("freq_hz")?.as_f64()?),
             min_db: m.field("min_db")?.as_f64()?,
             max_db: m.field("max_db")?.as_f64()?,
-        });
+        };
+        if let Some(defect) = point.defect() {
+            return Err(ReportParseError::doc(format!("mask point {i}: {defect}")));
+        }
+        mask = mask.with_point(point);
     }
     Ok(mask)
 }
 
-/// Renders `stopping` as the JSON string that both `netan.lot.v4` and
+/// Renders `config` as the object both `netan.lot.v5` stage records and
+/// `netan.job.v1` stages carry: `{"periods":…,"warmup_periods":…,
+/// "va_diff_v":…,"hardware":"ideal"|{"cmos_035um":{"seed":…}}}`, without
+/// `block_samples`, which never moves a byte.
+pub fn write_config_json(out: &mut String, config: &AnalyzerConfig) {
+    let _ = write!(
+        out,
+        "{{\"periods\":{},\"warmup_periods\":{},\"va_diff_v\":",
+        config.periods, config.warmup_periods
+    );
+    json_f64(out, config.va_diff.value());
+    out.push_str(",\"hardware\":");
+    match config.hardware {
+        HardwareProfile::Ideal => out.push_str("\"ideal\""),
+        HardwareProfile::Cmos035um { seed } => {
+            let _ = write!(out, "{{\"cmos_035um\":{{\"seed\":{seed}}}}}");
+        }
+    }
+    out.push('}');
+}
+
+/// Parses the object [`write_config_json`] renders, with the default
+/// `block_samples`.
+///
+/// # Errors
+///
+/// [`ReportParseError`] on a missing/mistyped field or an unknown
+/// hardware profile.
+pub fn config_from_json(doc: &Json) -> Result<AnalyzerConfig, ReportParseError> {
+    let mut config = AnalyzerConfig::ideal();
+    config.periods = doc.field("periods")?.as_int("periods")?;
+    config.warmup_periods = doc.field("warmup_periods")?.as_int("warmup_periods")?;
+    config.va_diff = Volts(doc.field("va_diff_v")?.as_f64()?);
+    config.hardware = match doc.field("hardware")? {
+        Json::Str(kind) if kind.as_str() == "ideal" => HardwareProfile::Ideal,
+        hw @ Json::Obj(_) => HardwareProfile::Cmos035um {
+            seed: hw.field("cmos_035um")?.field("seed")?.as_int("seed")?,
+        },
+        _ => {
+            return Err(ReportParseError::doc(
+                "hardware must be \"ideal\" or {\"cmos_035um\":{\"seed\":…}}",
+            ));
+        }
+    };
+    Ok(config)
+}
+
+/// Renders `stopping` as the JSON string that both `netan.lot.v5` and
 /// `netan.job.v1` carry: `"staged"` or `"sequential"`.
 pub fn write_stopping_json(out: &mut String, stopping: StoppingPolicy) {
     out.push_str(match stopping {
@@ -387,21 +436,20 @@ pub fn stopping_from_json(doc: &Json) -> Result<StoppingPolicy, ReportParseError
 }
 
 /// Bytes [`lot_json`] reserves up front: a little above what typical
-/// reports render to (about 265 bytes per Bode point and 250 per device
+/// reports render to (about 265 bytes per Bode point and 165 per device
 /// besides its points), so a lot document is written into one allocation
 /// instead of growing by doubling. Capacity that is never written stays
 /// untouched, so the slack does not count towards resident memory.
 fn lot_json_capacity(report: &LotReport) -> usize {
     const HEADER: usize = 256;
     const PER_MASK_POINT: usize = 96;
-    const PER_STAGE: usize = 192;
-    const PER_DEVICE: usize = 320;
-    const PER_STAGE_TIME: usize = 24;
+    const PER_STAGE: usize = 256;
+    const PER_DEVICE: usize = 256;
     const PER_POINT: usize = 288;
     let devices: usize = report
         .devices()
         .iter()
-        .map(|d| PER_DEVICE + PER_STAGE_TIME * d.stage_times.len() + PER_POINT * d.plot.len())
+        .map(|d| PER_DEVICE + PER_POINT * d.plot.len())
         .sum();
     HEADER
         + PER_MASK_POINT * report.mask().points().len()
@@ -409,25 +457,21 @@ fn lot_json_capacity(report: &LotReport) -> usize {
         + devices
 }
 
-/// Renders a lot report as a JSON document (schema `netan.lot.v4`): the
+/// Renders a lot report as a JSON document (schema `netan.lot.v5`): the
 /// stopping policy, the shard provenance (`null` when unknown), the
 /// mask, the verdict histogram, the yield enclosure (`null` for an
 /// empty lot), the escalation budget ledger, the per-stage summaries
-/// (each with its per-device charge `device_time_s`), and per-device
-/// verdict, stage provenance, per-stage charges (`stage_times_s`), f0/Q
-/// fit and full point set.
+/// (each with the [`write_config_json`] configuration that measured it
+/// and its per-device charge `device_time_s`), and per-device verdict,
+/// final stage, f0/Q fit and full point set.
 pub fn lot_json(report: &LotReport) -> String {
     let mut out = String::with_capacity(lot_json_capacity(report));
-    out.push_str("{\"schema\":\"netan.lot.v4\",\"stopping\":");
+    out.push_str("{\"schema\":\"netan.lot.v5\",\"stopping\":");
     write_stopping_json(&mut out, report.stopping());
     out.push_str(",\"shard\":");
     match report.shard() {
         Some(s) => {
-            let _ = write!(
-                out,
-                "{{\"seed_start\":{},\"seed_end\":{},\"complete\":{}}}",
-                s.seed_start, s.seed_end, s.complete
-            );
+            let _ = write!(out, "{{\"seed_start\":{},\"seed_end\":{}}}", s.start, s.end);
         }
         None => out.push_str("null"),
     }
@@ -460,11 +504,9 @@ pub fn lot_json(report: &LotReport) -> String {
         if i > 0 {
             out.push(',');
         }
-        let _ = write!(
-            out,
-            "{{\"stage\":{},\"periods\":{},\"tested\":{},\"time_s\":",
-            s.stage, s.periods, s.tested
-        );
+        let _ = write!(out, "{{\"stage\":{},\"config\":", s.stage);
+        write_config_json(&mut out, &s.config);
+        let _ = write!(out, ",\"tested\":{},\"time_s\":", s.tested);
         json_f64(&mut out, s.time.value());
         out.push_str(",\"device_time_s\":");
         json_f64(&mut out, s.device_time.value());
@@ -479,22 +521,11 @@ pub fn lot_json(report: &LotReport) -> String {
         }
         let _ = write!(
             out,
-            "{{\"seed\":{},\"verdict\":\"{}\",\"stage\":{},\"periods\":{},\"test_time_s\":",
+            "{{\"seed\":{},\"verdict\":\"{}\",\"stage\":{},\"fit\":",
             d.seed,
             verdict_str(d.verdict),
-            d.stage,
-            d.periods
+            d.stage
         );
-        json_f64(&mut out, d.test_time.value());
-        out.push_str(",\"stage_times_s\":[");
-        for (k, t) in d.stage_times.iter().enumerate() {
-            if k > 0 {
-                out.push(',');
-            }
-            json_f64(&mut out, t.value());
-        }
-        out.push(']');
-        out.push_str(",\"fit\":");
         match d.fit {
             Some(fit) => {
                 out.push_str("{\"gain\":");
@@ -571,41 +602,34 @@ fn parse_device(d: &Json) -> Result<DeviceReport, ReportParseError> {
             round: 0,
         });
     }
-    let mut stage_times = Vec::new();
-    for t in d.field("stage_times_s")?.as_arr()? {
-        stage_times.push(Seconds(t.as_f64()?));
-    }
     Ok(DeviceReport {
         seed: d.field("seed")?.as_int("seed")?,
         plot: BodePlot::new(points),
         verdict,
         fit,
         stage: d.field("stage")?.as_int("stage")?,
-        periods: d.field("periods")?.as_int("periods")?,
-        test_time: Seconds(d.field("test_time_s")?.as_f64()?),
-        stage_times,
     })
 }
 
-/// Parses a `netan.lot.v4` JSON document — the exact inverse of
+/// Parses a `netan.lot.v5` JSON document — the exact inverse of
 /// [`lot_json`] for every serialized field.
 ///
 /// Derived fields are recomputed, not read: the report's `counts`,
 /// `yield` and `spent_s`, each device's `cutoff_hz`, and each stage's
 /// `stage`, `tested`, `counts` and `time_s`, which
 /// [`LotReport::stages`] reads off the devices (a stage contributes only
-/// its `periods` and `device_time_s`). Combined with
-/// shortest-round-trip number formatting, re-rendering a parsed
-/// document with [`lot_json`] reproduces it **byte for byte**. The
-/// per-point linear `gain` enclosure is not serialized and is rebuilt
-/// from the dB enclosure; the f0/Q `fit` is parsed verbatim, never
-/// refitted.
+/// its `config` and `device_time_s`). Combined with shortest-round-trip
+/// number formatting, re-rendering a document [`lot_json`] wrote
+/// reproduces it **byte for byte**; one whose derived fields were edited
+/// re-renders to other bytes. The per-point linear `gain` enclosure is
+/// not serialized and is rebuilt from the dB enclosure; the f0/Q `fit`
+/// is parsed verbatim, never refitted.
 ///
 /// # Errors
 ///
 /// [`ReportParseError`] on malformed JSON, any schema other than
-/// `netan.lot.v4`, or a missing/mistyped field, with the byte offset
-/// where the parser stopped.
+/// `netan.lot.v5`, or a missing/mistyped field or invalid mask point,
+/// with the byte offset where the parser stopped.
 pub fn parse_lot_json(text: &str) -> Result<LotReport, ReportParseError> {
     let doc = Json::parse(text)?;
     lot_report_from_json(&doc)
@@ -614,20 +638,20 @@ pub fn parse_lot_json(text: &str) -> Result<LotReport, ReportParseError> {
 /// Interprets an already-parsed [`Json`] document as a lot report.
 ///
 /// This is [`parse_lot_json`] minus the text parsing step; it exists so
-/// callers that embed a `netan.lot.v4` document inside a larger frame
+/// callers that embed a `netan.lot.v5` document inside a larger frame
 /// (e.g. the `netan.job.v1` service protocol) can hand over the nested
 /// value without re-rendering it to text first.
 ///
 /// # Errors
 ///
-/// [`ReportParseError`] on any schema other than `netan.lot.v4` or a
+/// [`ReportParseError`] on any schema other than `netan.lot.v5` or a
 /// missing/mistyped field (offset 0: interpretation happens after
 /// parsing).
 pub fn lot_report_from_json(doc: &Json) -> Result<LotReport, ReportParseError> {
     let schema = doc.field("schema")?.as_str()?;
-    if schema != "netan.lot.v4" {
+    if schema != "netan.lot.v5" {
         return Err(ReportParseError::doc(format!(
-            "unsupported schema {schema:?} (expected netan.lot.v4)"
+            "unsupported schema {schema:?} (expected netan.lot.v5)"
         )));
     }
 
@@ -640,7 +664,7 @@ pub fn lot_report_from_json(doc: &Json) -> Result<LotReport, ReportParseError> {
     let mut stages = Vec::new();
     for s in doc.field("stages")?.as_arr()? {
         stages.push((
-            s.field("periods")?.as_int("periods")?,
+            config_from_json(s.field("config")?)?,
             Seconds(s.field("device_time_s")?.as_f64()?),
         ));
     }
@@ -655,11 +679,9 @@ pub fn lot_report_from_json(doc: &Json) -> Result<LotReport, ReportParseError> {
         .with_budget(limit, budget.field("exhausted")?.as_bool()?)
         .with_stopping(stopping);
     if let shard @ Json::Obj(_) = doc.field("shard")? {
-        report = report.with_shard(ShardSpan {
-            seed_start: shard.field("seed_start")?.as_int("seed")?,
-            seed_end: shard.field("seed_end")?.as_int("seed")?,
-            complete: shard.field("complete")?.as_bool()?,
-        });
+        report = report.with_shard(
+            shard.field("seed_start")?.as_int("seed")?..shard.field("seed_end")?.as_int("seed")?,
+        );
     }
     Ok(report)
 }
@@ -697,7 +719,6 @@ pub fn distortion_table(report: &DistortionReport) -> String {
 mod tests {
     use super::*;
     use crate::analyzer::BodePoint;
-    use mixsig::units::Hertz;
     use sdeval::{Bounded, HarmonicMeasurement, SignaturePair};
 
     fn plot() -> BodePlot {
@@ -733,42 +754,47 @@ mod tests {
         assert!(row.ends_with(",0"));
     }
 
+    /// Stage 0 on ideal hardware at M = 50, stage 1 on seeded CMOS
+    /// hardware at M = 200 with another amplitude and warm-up, so the
+    /// stage records exercise every field of the configuration codec.
     fn synthetic_lot() -> LotReport {
         use crate::lot::DeviceReport;
         use crate::spec::{GainMask, MaskPoint};
         use crate::sweep::LowpassFit;
-        use mixsig::units::Seconds;
         let mask = GainMask::new()
             .with_point(MaskPoint::new(Hertz(100.0), -1.0, 1.0))
             .with_point(MaskPoint::new(Hertz(1000.0), -4.5, -1.5));
-        let device = |seed: u64,
-                      verdict: SpecVerdict,
-                      fit: Option<LowpassFit>,
-                      stage: usize,
-                      periods: u32| DeviceReport {
-            seed,
-            plot: plot(),
-            verdict,
-            fit,
-            stage,
-            periods,
-            test_time: Seconds(0.25 * (stage + 1) as f64),
-            stage_times: vec![Seconds(0.25); stage + 1],
-        };
+        let device =
+            |seed: u64, verdict: SpecVerdict, fit: Option<LowpassFit>, stage: usize| DeviceReport {
+                seed,
+                plot: plot(),
+                verdict,
+                fit,
+                stage,
+            };
         let fit = LowpassFit {
             gain: 1.0,
             f0: Hertz(1000.0),
             q: 0.72,
         };
+        let deep = AnalyzerConfig {
+            warmup_periods: 10,
+            ..AnalyzerConfig::cmos_035um(7)
+                .with_periods(200)
+                .with_va_diff(Volts(0.125))
+        };
         LotReport::new(
             mask,
             vec![
-                device(0, SpecVerdict::Pass, Some(fit), 0, 50),
-                device(1, SpecVerdict::Ambiguous, Some(fit), 1, 200),
-                device(2, SpecVerdict::Fail, None, 0, 50),
+                device(0, SpecVerdict::Pass, Some(fit), 0),
+                device(1, SpecVerdict::Ambiguous, Some(fit), 1),
+                device(2, SpecVerdict::Fail, None, 0),
             ],
         )
-        .with_stages(vec![(50, Seconds(0.25)), (200, Seconds(0.25))])
+        .with_stages(vec![
+            (AnalyzerConfig::ideal().with_periods(50), Seconds(0.25)),
+            (deep, Seconds(0.25)),
+        ])
         .with_budget(Some(Seconds(2.0)), true)
     }
 
@@ -816,44 +842,50 @@ mod tests {
         assert!(lines[3].starts_with("2,fail,,,"));
         assert!(lines[3].ends_with(",0,50,0.25,0.25,"));
         // The escalated device reports stage 1, its cumulative time and
-        // the `;`-joined observed per-stage charges.
+        // the `;`-joined per-stage charges, all read off the stage list.
         assert!(lines[2].ends_with(",1,200,0.5,0.25;0.25,"));
     }
 
     #[test]
     fn lot_csv_shard_column_carries_the_seed_range() {
-        use crate::lot::ShardSpan;
-        let report = synthetic_lot().with_shard(ShardSpan::complete(0..3));
+        let report = synthetic_lot().with_shard(0..3);
         let c = lot_csv(&report);
         for row in c.lines().skip(1) {
             assert!(row.ends_with(",0..3"), "row {row}");
-        }
-        let halted = synthetic_lot().with_shard(ShardSpan {
-            seed_start: 0,
-            seed_end: 8,
-            complete: false,
-        });
-        for row in lot_csv(&halted).lines().skip(1) {
-            assert!(row.ends_with(",~0..8"), "row {row}");
         }
     }
 
     #[test]
     fn lot_table_shard_footer_lines() {
-        use crate::lot::ShardSpan;
         let plain = lot_table(&synthetic_lot());
         assert!(!plain.contains("shard:"));
-        let t = lot_table(&synthetic_lot().with_shard(ShardSpan::complete(0..3)));
-        assert!(t.contains("shard: seeds [0, 3) — complete"));
+        let t = lot_table(&synthetic_lot().with_shard(0..3));
+        assert!(t.ends_with("shard: seeds [0, 3)\n"), "{t}");
         // Header + 3 devices + histogram + yield + 2 stages + budget +
         // shard footer.
         assert_eq!(t.lines().count(), 10);
-        let halted = lot_table(&synthetic_lot().with_shard(ShardSpan {
-            seed_start: 0,
-            seed_end: 8,
-            complete: false,
-        }));
-        assert!(halted.contains("shard: seeds [0, 8) — incomplete"));
+    }
+
+    #[test]
+    fn device_provenance_is_read_off_the_stage_list() {
+        // A device's `M` and charges come from the stages up to its own;
+        // a report that recorded no such stage renders them empty.
+        let t = lot_table(&synthetic_lot());
+        let row = |seed: &str| {
+            t.lines()
+                .find(|l| l.trim_start().starts_with(seed))
+                .unwrap()
+                .split_whitespace()
+                .take(5)
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(row("1 "), ["1", "ambiguous", "1", "200", "0.500"]);
+        assert_eq!(row("2 "), ["2", "fail", "0", "50", "0.250"]);
+        let lot = synthetic_lot();
+        let bare = LotReport::new(lot.mask().clone(), lot.devices().to_vec());
+        let rows: Vec<String> = lot_csv(&bare).lines().skip(1).map(String::from).collect();
+        assert!(rows[1].ends_with(",1,,0,,"), "{}", rows[1]);
+        assert!(lot_table(&bare).contains("ambiguous      1      -     0.000"));
     }
 
     #[test]
@@ -870,7 +902,7 @@ mod tests {
     fn lot_json_points_carry_no_round_field() {
         // Lot points still omit the per-point adaptive provenance.
         let j = lot_json(&synthetic_lot());
-        assert!(j.starts_with("{\"schema\":\"netan.lot.v4\""));
+        assert!(j.starts_with("{\"schema\":\"netan.lot.v5\""));
         assert!(!j.contains("\"round\":"));
     }
 
@@ -878,7 +910,7 @@ mod tests {
     fn lot_json_carries_mask_counts_stages_and_devices() {
         let j = lot_json(&synthetic_lot());
         assert!(j.starts_with(
-            "{\"schema\":\"netan.lot.v4\",\"stopping\":\"staged\",\"shard\":null,\"mask\":["
+            "{\"schema\":\"netan.lot.v5\",\"stopping\":\"staged\",\"shard\":null,\"mask\":["
         ));
         assert!(j.contains("\"counts\":{\"pass\":1,\"fail\":1,\"ambiguous\":1}"));
         assert!(j.contains("\"verdict\":\"ambiguous\""));
@@ -886,19 +918,29 @@ mod tests {
         assert!(j.contains("\"min_db\":-4.5"));
         // v2: budget ledger, per-stage summaries, per-device provenance.
         assert!(j.contains("\"budget\":{\"limit_s\":2,\"spent_s\":1,\"exhausted\":true}"));
-        // v3: each stage's per-device charge.
+        // v3: each stage's per-device charge; v5: the configuration
+        // that measured it.
         assert!(j.contains(
-            "\"stages\":[{\"stage\":0,\"periods\":50,\"tested\":3,\"time_s\":0.75,\"device_time_s\":0.25"
+            "\"stages\":[{\"stage\":0,\"config\":{\"periods\":50,\"warmup_periods\":40,\
+             \"va_diff_v\":0.15,\"hardware\":\"ideal\"},\"tested\":3,\"time_s\":0.75,\
+             \"device_time_s\":0.25"
         ));
         assert!(j.contains(
-            "{\"stage\":1,\"periods\":200,\"tested\":1,\"time_s\":0.25,\"device_time_s\":0.25"
+            "{\"stage\":1,\"config\":{\"periods\":200,\"warmup_periods\":10,\
+             \"va_diff_v\":0.125,\"hardware\":{\"cmos_035um\":{\"seed\":7}}},\"tested\":1,\
+             \"time_s\":0.25,\"device_time_s\":0.25"
         ));
-        assert!(j.contains(
-            "\"seed\":1,\"verdict\":\"ambiguous\",\"stage\":1,\"periods\":200,\"test_time_s\":0.5"
-        ));
-        // v4: observed per-stage charges ride along with each device.
-        assert!(j.contains("\"test_time_s\":0.5,\"stage_times_s\":[0.25,0.25]"));
-        assert_eq!(j.matches("\"seed\":").count(), 3);
+        // v5: a device records only what was measured.
+        assert!(j.contains("\"seed\":1,\"verdict\":\"ambiguous\",\"stage\":1,\"fit\":{"));
+        for dropped in [
+            "\"periods\":50,\"test",
+            "test_time_s",
+            "stage_times_s",
+            "complete",
+        ] {
+            assert!(!j.contains(dropped), "{dropped}");
+        }
+        assert_eq!(j.matches("\"seed\":").count(), 3 + 1);
         // Balanced braces/brackets — a cheap well-formedness check.
         assert_eq!(j.matches('{').count(), j.matches('}').count());
         assert_eq!(j.matches('[').count(), j.matches(']').count());
@@ -906,14 +948,9 @@ mod tests {
 
     #[test]
     fn lot_json_shard_provenance_round_trips() {
-        use crate::lot::ShardSpan;
-        let report = synthetic_lot().with_shard(ShardSpan {
-            seed_start: 4,
-            seed_end: 9,
-            complete: false,
-        });
+        let report = synthetic_lot().with_shard(4..9);
         let j = lot_json(&report);
-        assert!(j.contains("\"shard\":{\"seed_start\":4,\"seed_end\":9,\"complete\":false}"));
+        assert!(j.contains("\"shard\":{\"seed_start\":4,\"seed_end\":9},"));
         let parsed = parse_lot_json(&j).expect("own output parses");
         assert_eq!(parsed.shard(), report.shard());
         assert_eq!(lot_json(&parsed), j);
@@ -952,11 +989,7 @@ mod tests {
             assert_eq!(p.seed, d.seed);
             assert_eq!(p.verdict, d.verdict);
             assert_eq!(p.fit, d.fit);
-            assert_eq!(
-                (p.stage, p.periods, p.test_time),
-                (d.stage, d.periods, d.test_time)
-            );
-            assert_eq!(p.stage_times, d.stage_times);
+            assert_eq!(p.stage, d.stage);
             for (pp, dp) in p.plot.points().iter().zip(d.plot.points()) {
                 assert_eq!(pp.gain_db, dp.gain_db);
                 assert_eq!(pp.phase_deg, dp.phase_deg);
@@ -967,12 +1000,42 @@ mod tests {
 
     #[test]
     fn parse_lot_json_accepts_only_the_schema_lot_json_writes() {
-        let v4 = lot_json(&synthetic_lot());
-        assert!(parse_lot_json(&v4).is_ok());
-        for version in ["v1", "v2", "v3", "v5"] {
-            let doc = v4.replacen("netan.lot.v4", &format!("netan.lot.{version}"), 1);
+        let v5 = lot_json(&synthetic_lot());
+        assert!(parse_lot_json(&v5).is_ok());
+        for version in ["v1", "v2", "v3", "v4", "v6"] {
+            let doc = v5.replacen("netan.lot.v5", &format!("netan.lot.{version}"), 1);
             let err = parse_lot_json(&doc).unwrap_err();
-            assert!(err.to_string().contains("netan.lot.v4"), "{version}: {err}");
+            assert!(err.to_string().contains("netan.lot.v5"), "{version}: {err}");
+        }
+    }
+
+    #[test]
+    fn parse_lot_json_refuses_a_mask_point_the_constructor_refuses() {
+        // The decoder builds mask points by struct literal, so it checks
+        // them with `MaskPoint::new`'s own predicate.
+        let j = lot_json(&synthetic_lot());
+        let point = "{\"freq_hz\":100,\"min_db\":-1,\"max_db\":1}";
+        assert!(j.contains(point));
+        for (bad, why) in [
+            (
+                "{\"freq_hz\":100,\"min_db\":1,\"max_db\":-1}",
+                "limits inverted",
+            ),
+            (
+                "{\"freq_hz\":100,\"min_db\":null,\"max_db\":1}",
+                "limits inverted",
+            ),
+            (
+                "{\"freq_hz\":0,\"min_db\":-1,\"max_db\":1}",
+                "positive and finite",
+            ),
+        ] {
+            let err = parse_lot_json(&j.replacen(point, bad, 1)).unwrap_err();
+            let message = err.to_string();
+            assert!(
+                message.contains("mask point 0") && message.contains(why),
+                "{bad}: {message}"
+            );
         }
     }
 
@@ -980,7 +1043,7 @@ mod tests {
     fn lot_json_sequential_stopping_round_trips() {
         let report = synthetic_lot().with_stopping(crate::lot::StoppingPolicy::Sequential);
         let j = lot_json(&report);
-        assert!(j.starts_with("{\"schema\":\"netan.lot.v4\",\"stopping\":\"sequential\""));
+        assert!(j.starts_with("{\"schema\":\"netan.lot.v5\",\"stopping\":\"sequential\""));
         let parsed = parse_lot_json(&j).expect("own output parses");
         assert_eq!(parsed.stopping(), crate::lot::StoppingPolicy::Sequential);
         assert_eq!(lot_json(&parsed), j);
@@ -996,14 +1059,14 @@ mod tests {
             "{",
             "nope",
             r#"{"schema":"netan.bode.v2"}"#,
-            r#"{"schema":"netan.lot.v4"}"#,
-            r#"{"schema":"netan.lot.v4","shard":null,"mask":[],"devices":[]} trailing"#,
+            r#"{"schema":"netan.lot.v5"}"#,
+            r#"{"schema":"netan.lot.v5","shard":null,"mask":[],"devices":[]} trailing"#,
         ];
         for doc in bad {
             assert!(parse_lot_json(doc).is_err(), "accepted: {doc:?}");
         }
         let err = parse_lot_json(
-            r#"{"schema":"netan.lot.v4","mask":[],"devices":[{"seed":0,"verdict":"maybe","fit":null,"points":[]}]}"#,
+            r#"{"schema":"netan.lot.v5","mask":[],"devices":[{"seed":0,"verdict":"maybe","fit":null,"points":[]}]}"#,
         )
         .unwrap_err();
         assert!(err.to_string().contains("unknown verdict"), "{err}");

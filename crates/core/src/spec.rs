@@ -50,15 +50,27 @@ impl MaskPoint {
     /// Panics if `frequency` is not a positive finite value, or if
     /// `min_db > max_db` (including either limit being NaN).
     pub fn new(frequency: Hertz, min_db: f64, max_db: f64) -> Self {
-        assert!(
-            frequency.value().is_finite() && frequency.value() > 0.0,
-            "mask frequency must be positive and finite, got {frequency}"
-        );
-        assert!(min_db <= max_db, "mask limits inverted at {frequency}");
-        Self {
+        let point = Self {
             frequency,
             min_db,
             max_db,
+        };
+        let defect = point.defect();
+        assert!(defect.is_none(), "{}", defect.unwrap_or_default());
+        point
+    }
+
+    /// Why [`new`](Self::new) would refuse this point, or `None`.
+    pub(crate) fn defect(&self) -> Option<String> {
+        let f = self.frequency;
+        if !f.value().is_finite() || f.value() <= 0.0 {
+            Some(format!(
+                "mask frequency must be positive and finite, got {f}"
+            ))
+        } else if self.min_db <= self.max_db {
+            None
+        } else {
+            Some(format!("mask limits inverted at {f}"))
         }
     }
 

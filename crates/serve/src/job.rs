@@ -2,7 +2,7 @@
 //! line-delimited frames the service and its clients exchange.
 //!
 //! One frame is one JSON document on one line, built from the same
-//! hand-rolled machinery as `netan.lot.v4` ([`netan::json`]): numbers
+//! hand-rolled machinery as `netan.lot.v5` ([`netan::json`]): numbers
 //! render through the shortest-round-trip formatter, strings through the
 //! canonical escaper, and a parsed frame **re-renders byte-identically**
 //! — `render(parse(render(x))) == render(x)` for every frame, the
@@ -25,7 +25,7 @@
 //! {"schema":"netan.job.v1","type":"accepted","job":1,"shards":4}
 //! {"schema":"netan.job.v1","type":"progress","job":1,"shard":{"seed_start":0,"seed_end":2},"done":1,"total":4,"devices":2,"spent_s":12.5,"resumed":false}
 //! {"schema":"netan.job.v1","type":"retry","job":1,"shard":{"seed_start":2,"seed_end":4},"message":"…"}
-//! {"schema":"netan.job.v1","type":"result","job":1,"report":{…netan.lot.v4…}}
+//! {"schema":"netan.job.v1","type":"result","job":1,"report":{…netan.lot.v5…}}
 //! {"schema":"netan.job.v1","type":"rejected","error":{"kind":"queue_full","capacity":8}}
 //! {"schema":"netan.job.v1","type":"error","job":1,"error":{"kind":"shard_panicked",…}}
 //! {"schema":"netan.job.v1","type":"bye"}
@@ -34,27 +34,33 @@
 //! # What a job serializes
 //!
 //! A [`JobRequest`] carries the DUT description, the seed range, the
-//! shard size, the [`LotPlan`] (its grid and mask; the mask and the
-//! stopping policy use the same codec as `netan.lot.v4`), and the
-//! [`EscalationSchedule`]. The analyzer `block_samples` throughput knob
-//! is deliberately **not** part of the schema: results are bit-identical
-//! for any value, so the server's default cannot change a report byte.
+//! shard size, the [`LotPlan`] (its grid and mask), and the
+//! [`EscalationSchedule`]; the mask, the stopping policy and each stage
+//! use the same codecs as `netan.lot.v5` ([`netan::report`]). The
+//! analyzer `block_samples` throughput knob is deliberately **not** part
+//! of the schema: results are bit-identical for any value, so the
+//! server's default cannot change a report byte.
 
 use crate::error::ServeError;
-use mixsig::units::{Hertz, Seconds, Volts};
+use mixsig::units::{Hertz, Seconds};
 use netan::json::{write_f64, write_str, Json};
 use netan::report::{
-    lot_json, mask_from_json, stopping_from_json, write_mask_json, write_stopping_json,
+    config_from_json, lot_json, mask_from_json, stopping_from_json, write_config_json,
+    write_mask_json, write_stopping_json,
 };
 use netan::{
-    lot_report_from_json, AnalyzerConfig, EscalationSchedule, HardwareProfile, LotPlan, LotReport,
-    ReportParseError, ShardDriver,
+    lot_report_from_json, EscalationSchedule, LotPlan, LotReport, ReportParseError, ShardDriver,
 };
 use std::fmt::Write as _;
 use std::ops::Range;
 
 /// The schema tag every frame carries.
 pub const SCHEMA: &str = "netan.job.v1";
+
+/// The most Bode points (devices × grid points) one shard of a submitted
+/// job may hold: a shard holds its seeds, devices and points at once, so
+/// [`JobRequest::from_json`] refuses a larger one before it exists.
+pub const MAX_SHARD_POINTS: u64 = 1 << 20;
 
 /// Which device family a job fabricates — the serializable subset of
 /// the workspace's DUT zoo.
@@ -137,20 +143,7 @@ impl JobRequest {
             if i > 0 {
                 out.push(',');
             }
-            let _ = write!(
-                out,
-                "{{\"periods\":{},\"warmup_periods\":{},\"va_diff_v\":",
-                s.periods, s.warmup_periods
-            );
-            write_f64(&mut out, s.va_diff.value());
-            out.push_str(",\"hardware\":");
-            match s.hardware {
-                HardwareProfile::Ideal => out.push_str("\"ideal\""),
-                HardwareProfile::Cmos035um { seed } => {
-                    let _ = write!(out, "{{\"cmos_035um\":{{\"seed\":{seed}}}}}");
-                }
-            }
-            out.push('}');
+            write_config_json(&mut out, s);
         }
         out.push_str("]}}");
         out
@@ -162,9 +155,10 @@ impl JobRequest {
     ///
     /// [`ReportParseError`] on a missing/mistyped field, an unknown DUT
     /// family or stopping policy, an empty or non-escalating stage
-    /// list, a zero shard size, or an empty seed range — every
-    /// constructor precondition is checked here so untrusted input can
-    /// never reach a library assert.
+    /// list, a zero shard size, an empty seed range, an invalid mask
+    /// point, or a shard of more than [`MAX_SHARD_POINTS`] points —
+    /// every constructor precondition is checked here so untrusted input
+    /// can never reach a library assert.
     pub fn from_json(doc: &Json) -> Result<Self, ReportParseError> {
         let dut = doc.field("dut")?;
         let family = dut.field("family")?.as_str()?;
@@ -197,27 +191,20 @@ impl JobRequest {
             grid.push(Hertz(f.as_f64()?));
         }
         let plan = LotPlan::new(&grid, mask_from_json(plan_doc.field("mask")?)?);
+        let devices = shard_devices.min(seed_end - seed_start);
+        let points = u64::try_from(plan.grid().len()).unwrap_or(u64::MAX);
+        if devices.saturating_mul(points) > MAX_SHARD_POINTS {
+            return Err(ReportParseError::doc(format!(
+                "a shard of {devices} devices × {points} grid points exceeds \
+                 {MAX_SHARD_POINTS} Bode points"
+            )));
+        }
 
         let sched_doc = doc.field("schedule")?;
         let stopping = stopping_from_json(sched_doc.field("stopping")?)?;
         let mut stages = Vec::new();
         for s in sched_doc.field("stages")?.as_arr()? {
-            let mut config = AnalyzerConfig::ideal();
-            config.periods = s.field("periods")?.as_int("periods")?;
-            config.warmup_periods = s.field("warmup_periods")?.as_int("warmup_periods")?;
-            config.va_diff = Volts(s.field("va_diff_v")?.as_f64()?);
-            config.hardware = match s.field("hardware")? {
-                Json::Str(kind) if kind.as_str() == "ideal" => HardwareProfile::Ideal,
-                hw @ Json::Obj(_) => HardwareProfile::Cmos035um {
-                    seed: hw.field("cmos_035um")?.field("seed")?.as_int("seed")?,
-                },
-                _ => {
-                    return Err(ReportParseError::doc(
-                        "hardware must be \"ideal\" or {\"cmos_035um\":{\"seed\":…}}",
-                    ));
-                }
-            };
-            stages.push(config);
+            stages.push(config_from_json(s)?);
         }
         // `EscalationSchedule::new` asserts these; check them first so a
         // malformed frame is a typed error, not a panic.
@@ -475,7 +462,7 @@ pub enum ServerFrame {
         /// The panic payload, rendered to text.
         message: String,
     },
-    /// The job completed: the merged `netan.lot.v4` report, nested
+    /// The job completed: the merged `netan.lot.v5` report, nested
     /// verbatim (it re-renders byte-identically).
     Finished {
         /// The completed job.
@@ -627,7 +614,7 @@ fn check_schema(doc: &Json) -> Result<(), ReportParseError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use netan::GainMask;
+    use netan::{AnalyzerConfig, GainMask};
 
     fn request() -> JobRequest {
         JobRequest {
@@ -693,7 +680,7 @@ mod tests {
         for doc in [
             r#"{"schema":"netan.job.v1","type":"submit","job":{}}"#,
             r#"{"schema":"netan.job.v1","type":"submit"}"#,
-            r#"{"schema":"netan.lot.v4","type":"submit"}"#,
+            r#"{"schema":"netan.lot.v5","type":"submit"}"#,
             r#"{"schema":"netan.job.v1","type":"warp"}"#,
             "{",
             "",
@@ -709,6 +696,14 @@ mod tests {
             (
                 "\"stages\":[{\"periods\":50",
                 "\"stages\":[{\"periods\":500",
+            ),
+            ("\"hardware\":\"ideal\"", "\"hardware\":\"tube\""),
+            // The 200 Hz mask point inverted: `MaskPoint::new` refuses it.
+            ("\"min_db\":-1,\"max_db\":1", "\"min_db\":1,\"max_db\":-1"),
+            // One shard of 2⁴⁰ devices: refused before it is allocated.
+            (
+                "\"seed_end\":8},\"shard_devices\":2",
+                "\"seed_end\":1099511627776},\"shard_devices\":1099511627776",
             ),
         ] {
             let mutated = base.replace(needle, replacement);

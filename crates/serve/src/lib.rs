@@ -15,8 +15,9 @@
 //!   panics on bad input, a full queue, a dying worker, or shutdown.
 //! - [`job`] — the `netan.job.v1` wire schema: [`JobRequest`] plus the
 //!   client/server frames, built on the same hand-rolled JSON machinery
-//!   as `netan.lot.v4` and with the same byte-exact parse→render
-//!   round-trip guarantee.
+//!   and codecs as `netan.lot.v5`, with the same byte-exact parse→render
+//!   round-trip guarantee; a submit's shard is bounded
+//!   ([`job::MAX_SHARD_POINTS`]) before anything is queued.
 //! - [`service`] — [`ScreenService`]: the bounded shard queue, worker
 //!   pool, retry-once fault containment and graceful shutdown, with
 //!   each job's in-order merging, budget threading and checkpoint

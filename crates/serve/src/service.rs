@@ -27,7 +27,10 @@
 //! free queue space before a single span is built, and admitted spans
 //! come from the lazy [`JobRequest::span_iter`], so a frame asking for
 //! 2⁶⁴ shards costs nothing to refuse. (A budgeted job's follow-on
-//! shards bypass the check: it only ever has one shard in flight.)
+//! shards bypass the check: it only ever has one shard in flight.) A
+//! frame whose one shard would hold more than
+//! [`MAX_SHARD_POINTS`](crate::job::MAX_SHARD_POINTS) points is a
+//! `bad_frame`, so no shard past that bound is ever allocated.
 //!
 //! # Fault containment
 //!

@@ -479,8 +479,36 @@ fn a_deeply_nested_frame_is_rejected_and_its_connection_still_screens() {
     let limit = format!("nesting deeper than {}", netan::json::MAX_DEPTH);
     assert!(message.contains(&limit), "{message}");
 
-    // The same connection then screens a job, byte-identical to the
-    // monolith.
+    screens_like_the_monolith(&mut writer, &mut reader);
+    server.shutdown();
+}
+
+#[test]
+fn a_one_shard_job_of_2_pow_40_devices_is_rejected_and_its_connection_still_screens() {
+    let server = JobServer::start("127.0.0.1:0", ServiceConfig::new().with_workers(1))
+        .expect("bind an ephemeral port");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+
+    // A 600-byte frame whose single shard holds 2⁴⁰ devices: collecting
+    // its seeds alone needs 8 TiB, and the failed allocation aborted the
+    // whole daemon. The shard is bounded before anything is allocated.
+    let huge = ClientFrame::Submit(Box::new(request(0, 1 << 40, 1 << 40))).render();
+    writer
+        .write_all(format!("{huge}\n").as_bytes())
+        .expect("write the 2^40-device frame");
+    let message = expect_bad_frame(&mut reader, "2^40 devices");
+    let limit = format!("{} Bode points", netan_serve::job::MAX_SHARD_POINTS);
+    assert!(message.contains(&limit), "{message}");
+
+    screens_like_the_monolith(&mut writer, &mut reader);
+    server.shutdown();
+}
+
+/// Screens a 4-device job over an open connection and demands the
+/// monolith's bytes.
+fn screens_like_the_monolith(writer: &mut impl Write, reader: &mut impl BufRead) {
     let job = request(0, 4, 2);
     let reference = monolithic(&job);
     let submit = ClientFrame::Submit(Box::new(job)).render();
@@ -497,5 +525,4 @@ fn a_deeply_nested_frame_is_rejected_and_its_connection_still_screens() {
         }
     };
     assert_eq!(lot_json(&report), lot_json(&reference));
-    server.shutdown();
 }

@@ -1,7 +1,7 @@
 //! Regenerates fig10-style gain/phase data from `netan.*` JSON report
 //! documents. Reads exactly the schemas the report sinks write:
 //! `netan.bode.v2` (`bode_json`, with the per-point adaptive-refinement
-//! `round`) and `netan.lot.v4` (`lot_json`); any other schema is
+//! `round`) and `netan.lot.v5` (`lot_json`); any other schema is
 //! refused.
 //!
 //! ```sh
@@ -140,8 +140,8 @@ fn main() {
     let schema = doc.field("schema").and_then(Json::as_str).unwrap_or("");
     let csv = match schema {
         "netan.bode.v2" => bode_csv(&doc),
-        "netan.lot.v4" => lot_csv_points(&doc),
-        other => panic!("unsupported schema {other:?} (expected netan.bode.v2 or netan.lot.v4)"),
+        "netan.lot.v5" => lot_csv_points(&doc),
+        other => panic!("unsupported schema {other:?} (expected netan.bode.v2 or netan.lot.v5)"),
     };
     print!("{csv}");
     eprintln!(

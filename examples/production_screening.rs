@@ -24,11 +24,12 @@
 //!
 //! With `--checkpoint <dir>` the lot is driven by
 //! [`netan::ShardDriver::drive`] in 5-device shards, persisting each
-//! shard as a `netan.lot.v4` document under `<dir>` and resuming from
-//! whatever is already there. `--halt-after <k>` simulates a tester
-//! power-cut after `k` shards by driving only the lot's first `k`
-//! shards, which persists exactly the documents the cut drive would have
-//! left; rerun without it to resume:
+//! shard as a `netan.lot.v5` document under `<dir>` and resuming from
+//! whatever is already there (one directory per DUT factory: shards
+//! record their configurations, not the factory). `--halt-after <k>`
+//! simulates a tester power-cut after `k` shards by driving only the
+//! lot's first `k` shards, which persists exactly the documents the cut
+//! drive would have left; rerun without it to resume:
 //!
 //! ```sh
 //! cargo run --release --example production_screening -- \
@@ -149,7 +150,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         staged.spent().value(),
     );
 
-    println!("\nmachine-readable sinks: netan::lot_csv / netan::lot_json (schema netan.lot.v4)");
+    println!("\nmachine-readable sinks: netan::lot_csv / netan::lot_json (schema netan.lot.v5)");
     Ok(())
 }
 

@@ -21,7 +21,7 @@
 //! in-memory [`netan::ShardDriver::drive`] with the same shard size for
 //! budgeted ones (re-test admission follows the sequential shard ledger;
 //! see the sharding notes in `netan::lot`) — and asserts
-//! the `netan.lot.v4` documents are **byte-identical**. `--shutdown`
+//! the `netan.lot.v5` documents are **byte-identical**. `--shutdown`
 //! sends the graceful-shutdown frame instead of a job.
 
 use dut::ActiveRcFilter;

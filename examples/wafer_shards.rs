@@ -9,7 +9,7 @@
 //! infrastructure, its own tester or host), and
 //! [`netan::LotReport::merge`] folds adjacent shards associatively. The
 //! punchline is asserted, not claimed: the merged document's
-//! `netan.lot.v4` JSON equals the single-run document byte for byte —
+//! `netan.lot.v5` JSON equals the single-run document byte for byte —
 //! for the plain run and for an unbudgeted escalated run under
 //! sequential stopping (each shard escalates its own devices; the
 //! merged stage summaries are read off the devices' observed
@@ -61,8 +61,8 @@ fn main() -> Result<(), netan::NetanError> {
         let span = shard.shard().expect("run_range always attaches a span");
         println!(
             "  seeds [{:2}, {:2}): {} pass / {} device(s)",
-            span.seed_start,
-            span.seed_end,
+            span.start,
+            span.end,
             shard.counts().pass,
             shard.len(),
         );
@@ -85,7 +85,7 @@ fn main() -> Result<(), netan::NetanError> {
     print!("{}", lot_table(&merged));
 
     let head: String = merged_json.chars().take(120).collect();
-    println!("\nnetan.lot.v4 head: {head}…");
+    println!("\nnetan.lot.v5 head: {head}…");
 
     // The same partition property holds for escalated screening with
     // sequential stopping, as long as the schedule is unbudgeted (a

@@ -347,12 +347,14 @@ mod escalation_properties {
             }
         }
 
-        /// Cumulative per-device test time is exactly the schedule's
-        /// stage-cost prefix sum for the device's final stage — monotone
-        /// in stage index — and the lot total never exceeds the budget
-        /// by more than one re-test charge (the ledger admits a
-        /// re-test while `spent < budget`, so the final admitted one
-        /// may overshoot by at most its own charge).
+        /// Every executed stage charges each device it tested the
+        /// schedule's stage cost, so a device's cumulative test time —
+        /// read off the stage list up to its final stage — is exactly
+        /// the schedule's stage-cost prefix sum there, monotone in stage
+        /// index; and the lot total never exceeds the budget by more
+        /// than one re-test charge (the ledger admits a re-test while
+        /// `spent < budget`, so the final admitted one may overshoot by
+        /// at most its own charge).
         #[test]
         fn test_time_is_monotone_and_within_budget(
             seed_base in 0u64..100_000,
@@ -378,14 +380,21 @@ mod escalation_properties {
             for w in cum.windows(2) {
                 prop_assert!(w[0] < w[1]);
             }
+            let stages = report.stages();
+            for s in &stages {
+                let cost = sched.device_stage_time(s.stage, plan.grid()).value();
+                prop_assert!((s.device_time.value() - cost).abs() < 1e-12,
+                    "stage {}: charge {} != schedule cost {}", s.stage, s.device_time.value(), cost);
+            }
             let mut total = 0.0;
             for d in report.devices() {
+                let time: f64 = stages[..=d.stage].iter().map(|s| s.device_time.value()).sum();
                 prop_assert!(
-                    (d.test_time.value() - cum[d.stage]).abs() < 1e-9,
+                    (time - cum[d.stage]).abs() < 1e-9,
                     "seed {}: cumulative time {} != prefix sum {} of stage {}",
-                    d.seed, d.test_time.value(), cum[d.stage], d.stage
+                    d.seed, time, cum[d.stage], d.stage
                 );
-                total += d.test_time.value();
+                total += time;
             }
             // Device times, stage accounting and the budget all agree.
             prop_assert!((report.spent().value() - total).abs() < 1e-9);
@@ -688,7 +697,7 @@ mod shard_properties {
 
         /// `LotReport::merge` is associative over adjacent shards:
         /// (A ⊕ B) ⊕ C and A ⊕ (B ⊕ C) are equal — as reports *and* as
-        /// serialized `netan.lot.v4` bytes.
+        /// serialized `netan.lot.v5` bytes.
         #[test]
         fn merge_is_associative(
             seed_base in 0u64..100_000,
@@ -719,7 +728,7 @@ mod shard_properties {
         }
 
         /// Any adjacent partition of a plain lot merges back to the
-        /// monolithic run — byte-identical `netan.lot.v4` JSON — for the
+        /// monolithic run — byte-identical `netan.lot.v5` JSON — for the
         /// ideal and the seeded-CMOS hardware profiles alike.
         #[test]
         fn shard_partition_merges_to_the_monolithic_plain_run(
@@ -806,7 +815,7 @@ mod sequential_stopping_properties {
     use mixsig::units::Seconds;
     use netan::{
         lot_json, AnalyzerConfig, EscalationSchedule, GainMask, LotEngine, LotPlan, LotReport,
-        ShardDriver, SpecVerdict,
+        ShardDriver,
     };
     use proptest::prelude::*;
     use std::ops::Range;
@@ -873,9 +882,9 @@ mod sequential_stopping_properties {
             }
         }
 
-        /// The report's `spent()` is exactly the seed-order fold of the
-        /// observed per-device stage charges — the ledger holds no time
-        /// the devices did not record, stage by stage.
+        /// The report's `spent()` is exactly the seed-order fold of one
+        /// schedule charge per device and stage it reached — the ledger
+        /// holds no time no device was charged, stage by stage.
         #[test]
         fn spent_is_the_fold_of_observed_device_charges(
             seed_base in 0u64..100_000,
@@ -890,30 +899,27 @@ mod sequential_stopping_properties {
                 .expect("sequential run failed");
             let mut total = Seconds(0.0);
             for (s, summary) in report.stages().iter().enumerate() {
+                prop_assert_eq!(summary.device_time, sched.device_stage_charge(s, plan.grid()),
+                    "stage {} records another charge than the schedule's", s);
+                prop_assert_eq!(summary.config, sched.stages()[s]);
                 let fold = report
                     .devices()
                     .iter()
-                    .filter(|d| d.stage_times.len() > s)
-                    .fold(Seconds(0.0), |acc, d| acc + d.stage_times[s]);
+                    .filter(|d| d.stage >= s)
+                    .fold(Seconds(0.0), |acc, _| acc + summary.device_time);
                 prop_assert_eq!(summary.time, fold,
-                    "stage {} time diverges from the observed charges", s);
+                    "stage {} time diverges from the charged devices", s);
                 total = total + summary.time;
             }
             prop_assert_eq!(report.spent(), total);
-            // Every device's cumulative time is the fold of its own
-            // per-stage charges, and decided devices stopped growing.
+            // No device outran the executed stages.
             for d in report.devices() {
-                let own = d.stage_times.iter().fold(Seconds(0.0), |acc, &t| acc + t);
-                prop_assert_eq!(d.test_time, own);
-                prop_assert_eq!(d.stage_times.len(), d.stage + 1);
-                if d.verdict != SpecVerdict::Ambiguous {
-                    prop_assert!(d.stage_times.len() <= sched.stages().len());
-                }
+                prop_assert!(d.stage < report.stages().len());
             }
         }
 
         /// Partition ⊕ merge == monolithic for unbudgeted sequential
-        /// lots — byte-identical `netan.lot.v4` documents — for the
+        /// lots — byte-identical `netan.lot.v5` documents — for the
         /// ideal and the seeded-CMOS hardware profiles alike.
         #[test]
         fn sequential_shards_merge_to_the_monolithic_run(
@@ -1008,10 +1014,12 @@ mod sequential_stopping_properties {
         let outcomes = |r: &LotReport| {
             r.devices()
                 .iter()
-                .map(|d| (d.seed, d.verdict, d.stage, d.periods))
+                .map(|d| (d.seed, d.verdict, d.stage))
                 .collect::<Vec<_>>()
         };
         assert_eq!(outcomes(&a), outcomes(&b));
+        let configs = |r: &LotReport| r.stages().iter().map(|s| s.config).collect::<Vec<_>>();
+        assert_eq!(configs(&a), configs(&b));
         // The premise: σ = 9 % at M = 20 leaves devices to re-test, so
         // the increment charge has something to save.
         assert!(a.devices().iter().any(|d| d.stage > 0));

@@ -115,9 +115,11 @@ fn early_verdicts_agree_with_the_deepest_stage_at_lower_spend() {
         // verdict at the deepest M.
         if decided(d.verdict) {
             assert_eq!(
-                e.verdict, d.verdict,
+                e.verdict,
+                d.verdict,
                 "seed {} binned at M = {} is contradicted at M = 100",
-                e.seed, e.periods
+                e.seed,
+                escalated.stages()[e.stage].config.periods
             );
         }
     }

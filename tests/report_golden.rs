@@ -8,6 +8,13 @@
 //! change — moves the bytes, re-bless with
 //! `UPDATE_GOLDEN=1 cargo test -p netan --test report_golden`.
 //! The structural tests below are platform-independent.
+//!
+//! Provenance: both fixtures were re-blessed for `netan.lot.v5`, a
+//! format-only change. Each stage record carries its whole analyzer
+//! configuration in place of its `M`, device records drop `periods`,
+//! `test_time_s` and `stage_times_s` (the stage list gives them), and
+//! the shard object drops `complete`. Every kept field, every
+//! enclosure, verdict and fit, and every `lot_csv` byte is unchanged.
 
 use dut::ActiveRcFilter;
 use mixsig::units::{Hertz, Seconds};
@@ -95,13 +102,19 @@ fn escalated_lot_json_matches_golden_fixture() {
 #[test]
 fn lot_json_structure_is_well_formed() {
     let json = lot_json(&small_seeded_lot());
-    assert!(json.starts_with("{\"schema\":\"netan.lot.v4\",\"stopping\":\"staged\","));
+    assert!(json.starts_with("{\"schema\":\"netan.lot.v5\",\"stopping\":\"staged\","));
     assert!(json.ends_with("]}"));
     assert_eq!(json.matches("\"seed\":").count(), 4);
-    // v4: one observed per-stage charge array per device.
-    assert_eq!(json.matches("\"stage_times_s\":").count(), 4);
+    // v5: the stage records the configuration that measured it; the
+    // devices record only what was measured.
+    assert!(json.contains(
+        "\"config\":{\"periods\":50,\"warmup_periods\":40,\"va_diff_v\":0.15,\"hardware\":\"ideal\"}"
+    ));
+    for dropped in ["stage_times_s", "test_time_s", "complete"] {
+        assert!(!json.contains(dropped), "{dropped}");
+    }
     // Seed-slice runs carry their span as shard provenance.
-    assert!(json.contains("\"shard\":{\"seed_start\":0,\"seed_end\":4,\"complete\":true}"));
+    assert!(json.contains("\"shard\":{\"seed_start\":0,\"seed_end\":4},"));
     // The mask plus 4 devices × 4 points each.
     assert_eq!(json.matches("\"freq_hz\":").count(), 4 + 4 * 4);
     // One stage summary (the plain run) plus a provenance field per device.
@@ -123,16 +136,18 @@ fn escalated_lot_json_structure_is_well_formed() {
     assert!(report.budget_exhausted());
     assert_eq!(report.stages().len(), 2);
     let json = lot_json(&report);
-    assert!(json.starts_with("{\"schema\":\"netan.lot.v4\","));
-    assert!(json.contains("\"shard\":{\"seed_start\":0,\"seed_end\":6,\"complete\":true}"));
+    assert!(json.starts_with("{\"schema\":\"netan.lot.v5\","));
+    assert!(json.contains("\"shard\":{\"seed_start\":0,\"seed_end\":6},"));
     assert_eq!(json.matches("\"seed\":").count(), 6);
-    assert_eq!(json.matches("\"stage_times_s\":").count(), 6);
+    assert!(!json.contains("stage_times_s") && !json.contains("test_time_s"));
     // Two stage summaries plus one provenance field per device.
     assert_eq!(json.matches("\"stage\":").count(), 2 + 6);
     assert_eq!(json.matches("\"device_time_s\":").count(), 2);
     assert!(json.contains("\"exhausted\":true"));
-    assert!(json.contains("\"periods\":30"));
-    assert!(json.contains("\"periods\":90"));
+    // `M` appears only in the stage records' configurations.
+    assert_eq!(json.matches("\"periods\":").count(), 2);
+    assert!(json.contains("{\"stage\":0,\"config\":{\"periods\":30,"));
+    assert!(json.contains("{\"stage\":1,\"config\":{\"periods\":90,"));
     assert_eq!(json.matches('{').count(), json.matches('}').count());
     assert_eq!(json.matches('[').count(), json.matches(']').count());
     assert!(!json.contains("NaN") && !json.contains("inf"));
@@ -152,8 +167,24 @@ fn lot_csv_rows_and_columns_are_pinned() {
     for (i, row) in lines[1..].iter().enumerate() {
         assert_eq!(row.split(',').count(), 12, "row {row}");
         assert!(row.starts_with(&format!("{i},")), "row {row}");
-        assert!(row.ends_with(",0..4"), "row {row}");
+        assert!(
+            row.ends_with(",0,50,0.8099999999999999,0.8099999999999999,0..4"),
+            "row {row}"
+        );
     }
+    // The escalated lot's `stage, periods, test_time_s, stage_times_s,
+    // shard`: seed 0 was re-tested at M = 90, seed 1 decided at the
+    // M = 30 screen.
+    let csv = lot_csv(&escalated_seeded_lot());
+    let rows: Vec<&str> = csv.lines().skip(1).collect();
+    assert!(rows[0].starts_with("0,"), "{}", rows[0]);
+    assert!(
+        rows[0].ends_with(",1,90,1.944,0.486;1.458,0..6"),
+        "{}",
+        rows[0]
+    );
+    assert!(rows[1].starts_with("1,"), "{}", rows[1]);
+    assert!(rows[1].ends_with(",0,30,0.486,0.486,0..6"), "{}", rows[1]);
 }
 
 #[test]
@@ -169,7 +200,7 @@ fn bode_json_round_trips_the_device_plot() {
 
 #[test]
 fn parse_lot_json_round_trips_the_golden_fixtures() {
-    // The v4 parser re-renders its own documents byte for byte — the
+    // The v5 parser re-renders its own documents byte for byte — the
     // property checkpoint/resume leans on, proven here against the
     // blessed fixtures rather than a fresh in-memory report.
     for path in [FIXTURE, ESCALATED_FIXTURE] {
@@ -203,9 +234,9 @@ fn plot_report_output(fixture: &str) -> String {
 }
 
 #[test]
-fn plot_report_consumes_schema_v4() {
+fn plot_report_consumes_schema_v5() {
     // The consumer reads what the sink now writes: same per-point rows,
-    // with the v4 stopping/observed-charge extras ignored.
+    // with the stopping policy and stage configurations ignored.
     let csv = plot_report_output(ESCALATED_FIXTURE);
     let lines: Vec<&str> = csv.lines().collect();
     assert_eq!(lines.len(), 1 + 6 * 4, "unexpected row count:\n{csv}");
@@ -217,13 +248,13 @@ fn plot_report_rejects_other_lot_schema_versions() {
     // The consumer reads exactly what the sink writes: a lot document
     // under any other schema tag is refused, not read.
     let golden = std::fs::read_to_string(ESCALATED_FIXTURE).unwrap();
-    let path = std::env::temp_dir().join(format!("netan-lot-v3-{}.json", std::process::id()));
-    std::fs::write(&path, golden.replacen("netan.lot.v4", "netan.lot.v3", 1)).unwrap();
+    let path = std::env::temp_dir().join(format!("netan-lot-v4-{}.json", std::process::id()));
+    std::fs::write(&path, golden.replacen("netan.lot.v5", "netan.lot.v4", 1)).unwrap();
     let out = run_plot_report(path.to_str().unwrap());
     std::fs::remove_file(&path).ok();
-    assert!(!out.status.success(), "plot_report read a netan.lot.v3 tag");
+    assert!(!out.status.success(), "plot_report read a netan.lot.v4 tag");
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(stderr.contains("netan.lot.v4"), "{stderr}");
+    assert!(stderr.contains("netan.lot.v5"), "{stderr}");
 }
 
 #[test]
