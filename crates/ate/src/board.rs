@@ -13,8 +13,9 @@
 //! [`LaneSource`]).
 
 use dut::{Dut, DutSim};
-use sdeval::{BlockSource, LaneSource};
+use sdeval::{BlockSource, LaneSource, GROUP_DEVICES};
 use sigen::{GeneratorConfig, SinewaveGenerator};
+use std::ops::Range;
 
 /// Which path the evaluator observes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -28,6 +29,15 @@ pub enum SignalPath {
 
 /// The demonstrator board: an on-chip generator wired to one or more
 /// DUTs, with a calibration bypass.
+///
+/// The mounted devices run in groups of up to [`GROUP_DEVICES`], in
+/// device order, whenever the board steps them all (warm-up, every
+/// [`fill_block`](Self::fill_block), the bypass path of a lane) and
+/// whenever a lane reader asks for a group
+/// ([`LaneSource::group_block`]). Each group runs through
+/// [`dut::process_group`], which steps the members' LTI cores in
+/// lockstep so their serial dependency chains overlap. Each device's
+/// samples are bit-identical to its own simulator's either way.
 pub struct DemoBoard {
     generator: SinewaveGenerator,
     /// One simulator per mounted device, all fed by the generator. Empty
@@ -37,9 +47,10 @@ pub struct DemoBoard {
     dut_sims: Vec<Box<dyn DutSim>>,
     path: SignalPath,
     /// Scratch buffers for block acquisition, grown once and reused:
-    /// the current stimulus block, and the unobserved DUT outputs.
+    /// the current stimulus block, and a group's outputs interleaved per
+    /// sample.
     stim: Vec<f64>,
-    sink: Vec<f64>,
+    group: Vec<f64>,
 }
 
 impl DemoBoard {
@@ -60,7 +71,7 @@ impl DemoBoard {
             dut_sims: devices.iter().map(|d| d.instantiate(fs)).collect(),
             path: SignalPath::Dut,
             stim: Vec::new(),
-            sink: Vec::new(),
+            group: Vec::new(),
         }
     }
 
@@ -116,18 +127,11 @@ impl DemoBoard {
     pub fn fill_block(&mut self, out: &mut [f64]) {
         let len = out.len();
         self.generate(len);
-        let stim = &self.stim[..len];
-        let mut sims = self.dut_sims.iter_mut();
-        let observed = match self.path {
-            SignalPath::Dut => sims.next(),
-            SignalPath::CalibrationBypass => None,
-        };
-        for sim in sims {
-            sim.process_block(stim, &mut self.sink[..len]);
-        }
-        match observed {
-            Some(sim) => sim.process_block(stim, out),
-            None => out.copy_from_slice(stim),
+        if self.path == SignalPath::Dut && self.has_dut() {
+            self.step_devices(len, Some(out));
+        } else {
+            self.step_devices(len, None);
+            out.copy_from_slice(&self.stim[..len]);
         }
     }
 
@@ -154,13 +158,44 @@ impl DemoBoard {
     }
 
     /// Generates the next `len` stimulus samples into the scratch
-    /// buffer, growing both scratch buffers as needed.
+    /// buffer, growing the scratch buffers as needed.
     fn generate(&mut self, len: usize) {
         if self.stim.len() < len {
             self.stim.resize(len, 0.0);
-            self.sink.resize(len, 0.0);
+            let width = GROUP_DEVICES.min(self.dut_sims.len());
+            self.group.resize(len * width, 0.0);
         }
         self.generator.fill_block(&mut self.stim[..len]);
+    }
+
+    /// Runs every mounted device over the current stimulus block of
+    /// `len` samples, a group at a time, writing the first device's
+    /// response to `first` when one is given and dropping the rest.
+    fn step_devices(&mut self, len: usize, mut first: Option<&mut [f64]>) {
+        let stim = &self.stim[..len];
+        for sims in self.dut_sims.chunks_mut(GROUP_DEVICES) {
+            let width = sims.len();
+            let group = &mut self.group[..len * width];
+            fill_group(sims, stim, group);
+            if let Some(first) = first.take() {
+                for (y, row) in first.iter_mut().zip(group.chunks_exact(width)) {
+                    *y = row[0];
+                }
+            }
+        }
+    }
+}
+
+/// Runs `sims`, one to [`GROUP_DEVICES`] of them, over `stim` as one
+/// group ([`dut::process_group`]), writing their responses to `out`
+/// interleaved per sample: `out[t·w + s]` is member `s`'s response to
+/// `stim[t]`, with `w = sims.len()`.
+fn fill_group(sims: &mut [Box<dyn DutSim>], stim: &[f64], out: &mut [f64]) {
+    match sims.len() {
+        1 => dut::process_group::<1>(sims, stim, out.as_chunks_mut().0),
+        2 => dut::process_group::<2>(sims, stim, out.as_chunks_mut().0),
+        3 => dut::process_group::<3>(sims, stim, out.as_chunks_mut().0),
+        _ => dut::process_group::<GROUP_DEVICES>(sims, stim, out.as_chunks_mut().0),
     }
 }
 
@@ -184,9 +219,7 @@ impl LaneSource for DemoBoard {
     fn advance(&mut self, len: usize) {
         self.generate(len);
         if self.path == SignalPath::CalibrationBypass {
-            for sim in &mut self.dut_sims {
-                sim.process_block(&self.stim[..len], &mut self.sink[..len]);
-            }
+            self.step_devices(len, None);
         }
     }
 
@@ -195,6 +228,30 @@ impl LaneSource for DemoBoard {
         match self.path {
             SignalPath::Dut => self.dut_sims[device].process_block(stim, out),
             SignalPath::CalibrationBypass => out.copy_from_slice(stim),
+        }
+    }
+
+    /// On the DUT path the group's devices step in lockstep where they
+    /// can (see [`DemoBoard`]); on the bypass path every slot is the
+    /// stimulus.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless `devices` holds 1 to [`GROUP_DEVICES`] devices.
+    fn group_block(&mut self, devices: Range<usize>, out: &mut [f64]) {
+        let width = devices.len();
+        assert!(
+            (1..=GROUP_DEVICES).contains(&width),
+            "a group of 1 to GROUP_DEVICES devices"
+        );
+        let stim = &self.stim[..out.len() / width];
+        match self.path {
+            SignalPath::Dut => fill_group(&mut self.dut_sims[devices], stim, out),
+            SignalPath::CalibrationBypass => {
+                for (row, &u) in out.chunks_exact_mut(width).zip(stim) {
+                    row.fill(u);
+                }
+            }
         }
     }
 }
@@ -213,7 +270,7 @@ impl std::fmt::Debug for DemoBoard {
 mod tests {
     use super::*;
     use dsp::goertzel::tone_amplitude_phase;
-    use dut::ActiveRcFilter;
+    use dut::{ActiveRcFilter, LinearDut, NonlinearDut, Polynomial};
     use mixsig::clock::MasterClock;
     use mixsig::units::Volts;
 
@@ -289,45 +346,114 @@ mod tests {
         assert_eq!(want, got);
     }
 
+    /// Device `d` of the mixed lanes: the order-3 paper DUT (with its
+    /// output polynomial), an order-2 active-RC biquad (with one), a
+    /// non-LTI `NonlinearDut`, or an order-2 `LinearDut` (with none).
+    /// The first group mixes orders 3 and 2 and the non-LTI device, the
+    /// second steps four biquads of one order fully in lockstep, and a
+    /// ninth device is a tail of one.
+    fn mixed_device(d: usize) -> Box<dyn Dut> {
+        let seed = d as u64;
+        let f0 = mixsig::units::Hertz(700.0 + 40.0 * d as f64);
+        match [0, 1, 2, 0, 1, 1, 1, 1, 3][d % 9] {
+            0 => Box::new(ActiveRcFilter::paper_dut().fabricate(0.05, seed)),
+            1 => Box::new(ActiveRcFilter::new(f0, 0.9, 1.0)),
+            2 => Box::new(NonlinearDut::new(
+                LinearDut::lowpass(f0, 0.8, 1.1),
+                Polynomial::new(0.02, 0.1),
+            )),
+            _ => Box::new(LinearDut::lowpass(f0, 0.6, 0.9)),
+        }
+    }
+
     #[test]
     fn lane_devices_see_what_their_own_boards_produce() {
+        // Lanes around the group width, each mixing orders 3 and 2 and a
+        // device with no LTI core inside one group: through warm-up and
+        // both ways of reading a block (group by group, one device at a
+        // time), each device's raw samples are its own board's.
         let clk = MasterClock::for_stimulus(mixsig::units::Hertz(1200.0));
         let cfg = GeneratorConfig::cmos_035um(clk, Volts(0.15), 4);
-        let devices: Vec<ActiveRcFilter> = (0..3)
-            .map(|seed| ActiveRcFilter::paper_dut().fabricate(0.05, seed))
-            .collect();
-        let mounted: Vec<&dyn Dut> = devices.iter().map(|d| d as &dyn Dut).collect();
-        let mut lane = DemoBoard::with_devices(cfg.clone(), &mounted);
-        let mut own: Vec<DemoBoard> = devices
-            .iter()
-            .map(|d| DemoBoard::new(cfg.clone(), d))
-            .collect();
-        assert_eq!(LaneSource::devices(&lane), devices.len());
-        lane.warm_up(3);
-        own.iter_mut().for_each(|b| b.warm_up(3));
-        for len in [1usize, 17, 96, 250] {
-            lane.advance(len);
+        for lane_size in [3usize, 4, 5, 9] {
+            let devices: Vec<Box<dyn Dut>> = (0..lane_size).map(mixed_device).collect();
+            let mounted: Vec<&dyn Dut> = devices.iter().map(|d| d.as_ref()).collect();
+            let mut lane = DemoBoard::with_devices(cfg.clone(), &mounted);
+            let mut own: Vec<DemoBoard> = devices
+                .iter()
+                .map(|d| DemoBoard::new(cfg.clone(), d.as_ref()))
+                .collect();
+            assert_eq!(LaneSource::devices(&lane), lane_size);
+            lane.warm_up(3);
+            own.iter_mut().for_each(|b| b.warm_up(3));
+            for (read, len) in [1usize, 17, 96, 250].into_iter().enumerate() {
+                lane.advance(len);
+                let want: Vec<Vec<f64>> = own
+                    .iter_mut()
+                    .map(|board| {
+                        let mut want = vec![0.0; len];
+                        board.fill_block(&mut want);
+                        want
+                    })
+                    .collect();
+                let mut got = vec![vec![0.0; len]; lane_size];
+                let width = if read == 1 { 1 } else { GROUP_DEVICES };
+                for first in (0..lane_size).step_by(width) {
+                    let devices = first..(first + width).min(lane_size);
+                    let w = devices.len();
+                    if read == 1 {
+                        lane.device_block(first, &mut got[first]);
+                        continue;
+                    }
+                    let mut rows = vec![0.0; len * w];
+                    lane.group_block(devices, &mut rows);
+                    for (t, row) in rows.chunks_exact(w).enumerate() {
+                        for (s, &y) in row.iter().enumerate() {
+                            got[first + s][t] = y;
+                        }
+                    }
+                }
+                for (d, (got, want)) in got.iter().zip(&want).enumerate() {
+                    assert_eq!(
+                        got.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
+                        want.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
+                        "lane of {lane_size}, device {d}, block of {len}"
+                    );
+                }
+            }
+            // On the bypass the lane is the one stimulus, as on a
+            // bypass-only board, and the DUTs keep pace unobserved.
+            lane.set_path(SignalPath::CalibrationBypass);
+            let mut bypass = DemoBoard::for_bypass(cfg.clone());
+            bypass.warm_up(3);
+            bypass.fill_block(&mut vec![0.0; 1 + 17 + 96 + 250]);
+            assert_eq!(LaneSource::devices(&lane), 1);
+            lane.advance(40);
+            let mut got = vec![0.0; 40];
+            lane.device_block(0, &mut got);
+            let mut want = vec![0.0; 40];
+            bypass.fill_block(&mut want);
+            assert_eq!(got, want);
+            lane.advance(40);
+            lane.group_block(0..1, &mut got);
+            bypass.fill_block(&mut want);
+            assert_eq!(got, want);
+            // Back on the DUT path, every device kept pace.
+            lane.set_path(SignalPath::Dut);
+            lane.advance(33);
             for (d, board) in own.iter_mut().enumerate() {
-                let mut got = vec![0.0; len];
-                lane.device_block(d, &mut got);
-                let mut want = vec![0.0; len];
+                board.set_path(SignalPath::CalibrationBypass);
+                board.fill_block(&mut vec![0.0; 80]);
+                board.set_path(SignalPath::Dut);
+                let mut want = vec![0.0; 33];
                 board.fill_block(&mut want);
-                assert_eq!(got, want, "device {d}, block of {len}");
+                let mut got = vec![0.0; 33];
+                lane.device_block(d, &mut got);
+                assert_eq!(
+                    got, want,
+                    "lane of {lane_size}, device {d} after the bypass"
+                );
             }
         }
-        // On the bypass the lane is the one stimulus, as on a
-        // bypass-only board, and the DUTs keep pace unobserved.
-        lane.set_path(SignalPath::CalibrationBypass);
-        let mut bypass = DemoBoard::for_bypass(cfg);
-        bypass.warm_up(3);
-        bypass.fill_block(&mut vec![0.0; 1 + 17 + 96 + 250]);
-        assert_eq!(LaneSource::devices(&lane), 1);
-        lane.advance(40);
-        let mut got = vec![0.0; 40];
-        lane.device_block(0, &mut got);
-        let mut want = vec![0.0; 40];
-        bypass.fill_block(&mut want);
-        assert_eq!(got, want);
     }
 
     #[test]

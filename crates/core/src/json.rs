@@ -21,7 +21,8 @@
 //! Parsing never panics and never overflows its stack: every malformed
 //! input, including one nested deeper than [`MAX_DEPTH`], is a typed
 //! [`ReportParseError`] carrying the byte offset where the parser
-//! stopped.
+//! stopped. A well-formed document that does not mean what its schema
+//! requires is a [`ReportParseError`] with no offset.
 
 /// The deepest nesting of arrays and objects [`Json::parse`] accepts.
 /// The deepest document any `netan.*` writer emits nests 7 levels; the
@@ -29,13 +30,16 @@
 /// stack.
 pub const MAX_DEPTH: usize = 32;
 
-/// Error from parsing a `netan.*` JSON document: what went wrong and
-/// the byte offset in the document where the parser detected it (0 for
-/// document-level interpretation failures, e.g. a missing field).
+/// Error from parsing a `netan.*` JSON document: what went wrong and,
+/// for a syntax error, the byte offset in the document where the parser
+/// detected it. A document-level interpretation failure (e.g. a missing
+/// field or an out-of-range value) has no offset: no one byte is where
+/// it went wrong.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReportParseError {
-    /// Byte offset into the document text.
-    pub offset: usize,
+    /// Byte offset into the document text; `None` for a document-level
+    /// error.
+    pub offset: Option<usize>,
     /// Human-readable description of the failure.
     pub message: String,
 }
@@ -44,25 +48,27 @@ impl ReportParseError {
     /// An error detected at byte `offset`.
     pub fn at(offset: usize, message: impl Into<String>) -> Self {
         Self {
-            offset,
+            offset: Some(offset),
             message: message.into(),
         }
     }
 
-    /// A document-level interpretation error (offset 0): the JSON was
-    /// well-formed but did not mean what the schema requires.
+    /// A document-level interpretation error: the JSON was well-formed
+    /// but did not mean what the schema requires.
     pub fn doc(message: impl Into<String>) -> Self {
-        Self::at(0, message)
+        Self {
+            offset: None,
+            message: message.into(),
+        }
     }
 }
 
 impl std::fmt::Display for ReportParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "document invalid at byte {}: {}",
-            self.offset, self.message
-        )
+        match self.offset {
+            Some(offset) => write!(f, "document invalid at byte {offset}: {}", self.message),
+            None => write!(f, "document invalid: {}", self.message),
+        }
     }
 }
 
@@ -441,8 +447,22 @@ mod tests {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
         let err = Json::parse("[1,@]").unwrap_err();
-        assert_eq!(err.offset, 3);
+        assert_eq!(err.offset, Some(3));
         assert!(err.to_string().contains("byte 3"));
+    }
+
+    #[test]
+    fn document_level_errors_name_no_byte() {
+        let err = Json::parse(r#"{"a":1}"#).unwrap().field("b").unwrap_err();
+        assert_eq!(err.offset, None);
+        assert_eq!(
+            err.to_string(),
+            format!("document invalid: {}", err.message)
+        );
+        assert_eq!(
+            ReportParseError::doc("not mine").to_string(),
+            "document invalid: not mine"
+        );
     }
 
     #[test]

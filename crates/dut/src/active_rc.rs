@@ -8,6 +8,7 @@
 //!   experiment (defaults chosen to land HD2/HD3 in the paper's
 //!   −56…−66 dBc window at the paper's drive level).
 
+use crate::group::LtiCore;
 use crate::nonlinear::Polynomial;
 use crate::traits::{Dut, DutSim};
 use mixsig::ct::{DiscreteStateSpace, FrequencyResponse, TransferFunction};
@@ -146,10 +147,19 @@ impl DutSim for ActiveRcSim {
     }
 
     fn process_block(&mut self, input: &[f64], out: &mut [f64]) {
-        self.dss.process_block(input, out);
-        for y in out.iter_mut() {
-            *y = self.poly.apply(*y);
-        }
+        self.core().process_block(input, out);
+    }
+
+    fn lti_core(&mut self) -> Option<LtiCore<'_>> {
+        Some(self.core())
+    }
+}
+
+impl ActiveRcSim {
+    /// The filter's core: the state-space system, then the output
+    /// polynomial.
+    fn core(&mut self) -> LtiCore<'_> {
+        LtiCore::new(&mut self.dss, Some(self.poly))
     }
 }
 

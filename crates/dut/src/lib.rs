@@ -34,11 +34,13 @@
 )]
 
 pub mod active_rc;
+pub mod group;
 pub mod linear;
 pub mod nonlinear;
 pub mod traits;
 
 pub use active_rc::ActiveRcFilter;
+pub use group::{process_group, LtiCore};
 pub use linear::LinearDut;
 pub use nonlinear::{NonlinearDut, Polynomial};
 pub use traits::{Bypass, Dut, DutSim};

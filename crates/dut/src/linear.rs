@@ -1,6 +1,7 @@
 //! Linear DUTs built from s-domain transfer functions — a biquad zoo for
 //! exercising the analyzer on different response shapes.
 
+use crate::group::LtiCore;
 use crate::traits::{Dut, DutSim};
 use mixsig::ct::{DiscreteStateSpace, FrequencyResponse, TransferFunction};
 use mixsig::units::Hertz;
@@ -82,7 +83,18 @@ impl DutSim for LinearDutSim {
     }
 
     fn process_block(&mut self, input: &[f64], out: &mut [f64]) {
-        self.dss.process_block(input, out);
+        self.core().process_block(input, out);
+    }
+
+    fn lti_core(&mut self) -> Option<LtiCore<'_>> {
+        Some(self.core())
+    }
+}
+
+impl LinearDutSim {
+    /// The device's core: the state-space system, with no polynomial.
+    fn core(&mut self) -> LtiCore<'_> {
+        LtiCore::new(&mut self.dss, None)
     }
 }
 

@@ -1,5 +1,6 @@
 //! The [`Dut`] abstraction.
 
+use crate::group::LtiCore;
 use mixsig::ct::FrequencyResponse;
 use mixsig::units::Hertz;
 
@@ -64,6 +65,18 @@ pub trait DutSim {
         let mut out = vec![0.0; input.len()];
         self.process_block(input, &mut out);
         out
+    }
+
+    /// The simulator's linear time-invariant core, which
+    /// [`process_group`](crate::process_group) steps in lockstep with
+    /// the cores of the other members of a group.
+    ///
+    /// The provided default is `None`: the simulator runs only through
+    /// its own `process_block`. Only this crate's LTI simulators return
+    /// a core ([`LtiCore`] is built nowhere else), and each of them runs
+    /// its own `process_block` as a group of one.
+    fn lti_core(&mut self) -> Option<LtiCore<'_>> {
+        None
     }
 }
 

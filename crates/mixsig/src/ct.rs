@@ -270,6 +270,12 @@ impl StateSpace {
 
 /// A discrete-time state-space stepper produced by
 /// [`StateSpace::discretize_zoh`].
+///
+/// One system runs per sample ([`step`](Self::step)) or per block
+/// ([`process_block`](Self::process_block)); a group of systems of one
+/// order runs in lockstep over a shared input
+/// ([`process_group`](Self::process_group)). All three are
+/// bit-identical per system.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteStateSpace {
     ad: Matrix,
@@ -292,85 +298,144 @@ impl DiscreteStateSpace {
 
     /// Processes `input` into `out`, one output sample per input sample —
     /// the batched equivalent of calling [`step`](Self::step) in a loop,
-    /// bit-identical to it.
-    ///
-    /// Orders 1 through 8 dispatch to a kernel monomorphized on the
-    /// order, so every inner loop has a compile-time trip count the
-    /// autovectorizer cannot miss (see
-    /// `process_block_n` for the layout).
+    /// bit-identical to it: a group of one
+    /// ([`process_group`](Self::process_group)).
     ///
     /// # Panics
     ///
     /// Panics if `input.len() != out.len()`.
     pub fn process_block(&mut self, input: &[f64], out: &mut [f64]) {
+        let (rows, _) = out.as_chunks_mut::<1>();
+        Self::process_group(&mut [Some(self)], input, rows);
+    }
+
+    /// Processes one shared `input` through a group of up to `W` systems
+    /// of one order in lockstep: `out[t][s]` is slot `s`'s output for
+    /// `input[t]`, bit-identical to that system's own
+    /// [`process_block`](Self::process_block). A `None` slot's column is
+    /// overwritten with no system's output, for the caller to fill.
+    ///
+    /// Each system is a serial dependency chain, so stepping `W` of
+    /// them in one loop lets the CPU overlap `W` chains where a group of
+    /// one runs one. Orders 1 through 8 dispatch to a kernel
+    /// monomorphized on the order and the width (`process_group_n`), so
+    /// every inner loop has a compile-time trip count the autovectorizer
+    /// cannot miss; order 0 (pure feedthrough) and anything beyond order
+    /// 8 step each system per sample — still correct, just slower.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `input.len() != out.len()` or the systems' orders
+    /// differ.
+    pub fn process_group<const W: usize>(
+        group: &mut [Option<&mut Self>; W],
+        input: &[f64],
+        out: &mut [[f64; W]],
+    ) {
         assert_eq!(
             input.len(),
             out.len(),
             "input and output blocks must have equal length"
         );
-        match self.state.len() {
-            1 => self.process_block_n::<1>(input, out),
-            2 => self.process_block_n::<2>(input, out),
-            3 => self.process_block_n::<3>(input, out),
-            4 => self.process_block_n::<4>(input, out),
-            5 => self.process_block_n::<5>(input, out),
-            6 => self.process_block_n::<6>(input, out),
-            7 => self.process_block_n::<7>(input, out),
-            8 => self.process_block_n::<8>(input, out),
-            // Order 0 (pure feedthrough) and anything beyond order 8
-            // take the per-sample path — still correct, just slower.
+        let mut orders = group.iter().flatten().map(|sys| sys.state.len());
+        let order = orders.next().unwrap_or(0);
+        assert!(
+            orders.all(|n| n == order),
+            "a group steps systems of one order"
+        );
+        match order {
+            1 => Self::process_group_n::<1, W>(group, input, out),
+            2 => Self::process_group_n::<2, W>(group, input, out),
+            3 => Self::process_group_n::<3, W>(group, input, out),
+            4 => Self::process_group_n::<4, W>(group, input, out),
+            5 => Self::process_group_n::<5, W>(group, input, out),
+            6 => Self::process_group_n::<6, W>(group, input, out),
+            7 => Self::process_group_n::<7, W>(group, input, out),
+            8 => Self::process_group_n::<8, W>(group, input, out),
             _ => {
-                for (y, &u) in out.iter_mut().zip(input) {
-                    *y = self.step(u);
+                for (s, sys) in group.iter_mut().enumerate() {
+                    if let Some(sys) = sys {
+                        for (y, &u) in out.iter_mut().zip(input) {
+                            y[s] = sys.step(u);
+                        }
+                    }
                 }
             }
         }
     }
 
-    /// The block kernel for a compile-time order `N`.
+    /// The group kernel for a compile-time order `N` and width `W`,
+    /// struct-of-arrays: `adt[j][i][s] = Ad[i][j]` of slot `s`'s system,
+    /// `x[i][s]` its state.
     ///
-    /// The state update runs column-major over a transposed `Ad`
-    /// (`adt[j][i] = Ad[i][j]`): the outer loop walks source states `j`,
-    /// the inner loop updates all `N` destination lanes — a fixed-width
-    /// loop the compiler turns into SIMD lanes. Each destination lane
-    /// still accumulates its products in ascending-`j` order from zero,
-    /// with `Bd·u` added last — exactly `mul_vec`'s left-to-right order —
-    /// so the vectorized path stays bit-identical to [`step`](Self::step).
-    fn process_block_n<const N: usize>(&mut self, input: &[f64], out: &mut [f64]) {
-        let mut adt = [[0.0f64; N]; N];
-        let mut bd = [0.0f64; N];
-        let mut c = [0.0f64; N];
-        for (j, row) in adt.iter_mut().enumerate() {
-            for (i, a) in row.iter_mut().enumerate() {
-                *a = self.ad[(i, j)];
+    /// The state update runs column-major over the transposed `Ad`: the
+    /// outer loop walks source states `j`, the inner loops update every
+    /// destination state of every slot — fixed-width loops the compiler
+    /// turns into SIMD lanes. Slot `s` still runs exactly the operations
+    /// of [`step`](Self::step) for its system, in `mul_vec`'s order: the
+    /// output `c·x` from `0.0` left to right, then `+ d·u`; each next
+    /// state from `0.0` over ascending `j`, then `+ Bd·u`. Nothing is
+    /// reassociated within a slot or across slots, so each slot stays
+    /// bit-identical to its system's own step loop. The coefficients and
+    /// states are gathered into stack arrays here and the states written
+    /// back at the end; a `None` slot runs on zeros, and every slot's
+    /// output is stored, so the store stays one fixed-width loop.
+    fn process_group_n<const N: usize, const W: usize>(
+        group: &mut [Option<&mut Self>; W],
+        input: &[f64],
+        out: &mut [[f64; W]],
+    ) {
+        let mut adt = [[[0.0f64; W]; N]; N];
+        let mut bd = [[0.0f64; W]; N];
+        let mut c = [[0.0f64; W]; N];
+        let mut d = [0.0f64; W];
+        let mut x = [[0.0f64; W]; N];
+        for (s, sys) in group.iter().enumerate() {
+            let Some(sys) = sys else { continue };
+            d[s] = sys.d;
+            for (j, row) in adt.iter_mut().enumerate() {
+                for (i, a) in row.iter_mut().enumerate() {
+                    a[s] = sys.ad[(i, j)];
+                }
+            }
+            for (i, ((b, cv), xv)) in bd.iter_mut().zip(&mut c).zip(&mut x).enumerate() {
+                b[s] = sys.bd[(i, 0)];
+                cv[s] = sys.c[(0, i)];
+                xv[s] = sys.state[i];
             }
         }
-        for (i, (b, cv)) in bd.iter_mut().zip(c.iter_mut()).enumerate() {
-            *b = self.bd[(i, 0)];
-            *cv = self.c[(0, i)];
-        }
-        let d = self.d;
-        let mut x = [0.0f64; N];
-        x.copy_from_slice(&self.state);
         for (y, &u) in out.iter_mut().zip(input) {
-            // Output row: same left-to-right reduction as `mul_vec`.
-            let mut acc = 0.0;
+            let mut acc = [0.0f64; W];
             for (cv, xv) in c.iter().zip(&x) {
-                acc += cv * xv;
+                for ((a, cs), xs) in acc.iter_mut().zip(cv).zip(xv) {
+                    *a += cs * xs;
+                }
             }
-            *y = acc + d * u;
-            let mut x_next = [0.0f64; N];
+            for ((ys, a), ds) in y.iter_mut().zip(&acc).zip(&d) {
+                *ys = a + ds * u;
+            }
+            let mut x_next = [[0.0f64; W]; N];
             for (row, xj) in adt.iter().zip(&x) {
                 for (xn, a) in x_next.iter_mut().zip(row) {
-                    *xn += a * xj;
+                    for ((xs, as_), xjs) in xn.iter_mut().zip(a).zip(xj) {
+                        *xs += as_ * xjs;
+                    }
                 }
             }
             for (xn, b) in x_next.iter_mut().zip(&bd) {
-                *xn += b * u;
+                for (xs, bs) in xn.iter_mut().zip(b) {
+                    *xs += bs * u;
+                }
             }
             x = x_next;
         }
-        self.state.copy_from_slice(&x);
+        for (s, sys) in group.iter_mut().enumerate() {
+            if let Some(sys) = sys {
+                for (state, xv) in sys.state.iter_mut().zip(&x) {
+                    *state = xv[s];
+                }
+            }
+        }
     }
 
     /// Processes a whole record (compatibility wrapper over
@@ -390,6 +455,11 @@ impl DiscreteStateSpace {
     /// Current state vector.
     pub fn state(&self) -> &[f64] {
         &self.state
+    }
+
+    /// System order: the length of the state vector.
+    pub fn order(&self) -> usize {
+        self.state.len()
     }
 }
 
@@ -498,6 +568,123 @@ mod tests {
             assert_eq!(want, got, "order {}", ss.order());
             assert_eq!(by_step.state(), by_block.state());
         }
+    }
+
+    /// Slot `slot`'s system of order `order`: real poles of its own (and
+    /// a feedthrough term in slot 3), discretized at 96 kHz.
+    fn group_member(order: usize, slot: usize) -> DiscreteStateSpace {
+        let mut den = vec![1.0];
+        for k in 0..order {
+            let w =
+                2.0 * std::f64::consts::PI * 400.0 * (1.0 + 0.7 * k as f64 + 0.13 * slot as f64);
+            let mut next = vec![0.0; den.len() + 1];
+            for (i, &c) in den.iter().enumerate() {
+                next[i] += c;
+                next[i + 1] += c / w;
+            }
+            den = next;
+        }
+        let num = if slot == 3 {
+            den.iter().rev().map(|c| 0.25 * c).collect()
+        } else {
+            vec![1.0 + 0.1 * slot as f64]
+        };
+        TransferFunction::new(num, den)
+            .to_state_space()
+            .discretize_zoh(1.0 / 96_000.0)
+    }
+
+    /// Runs `systems` as one group over `x` in uneven blocks, with slot
+    /// `skip` left out.
+    fn run_group<const W: usize>(
+        systems: &mut [DiscreteStateSpace; W],
+        skip: Option<usize>,
+        x: &[f64],
+    ) -> Vec<[f64; W]> {
+        let mut out = vec![[0.0; W]; x.len()];
+        let mut start = 0;
+        for len in [1usize, 13, 96, 7, 250].into_iter().cycle() {
+            let end = (start + len).min(x.len());
+            let mut group = systems.each_mut().map(Some);
+            if let Some(s) = skip {
+                group[s] = None;
+            }
+            DiscreteStateSpace::process_group(&mut group, &x[start..end], &mut out[start..end]);
+            start = end;
+            if start == x.len() {
+                break;
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn process_group_is_bit_identical_to_each_systems_own_block() {
+        // Every order the dispatcher monomorphizes, four different
+        // systems per group, so a slot that reads another slot's
+        // coefficients or state shows; uneven blocks carry the state.
+        // Each system's own reference is its per-sample step loop, which
+        // its own `process_block` (a group of one) also matches.
+        let x: Vec<f64> = (0..617)
+            .map(|i| (0.37 * i as f64).sin() + 0.2 * (1.3 * i as f64).cos())
+            .collect();
+        for order in 1..=8usize {
+            let systems: [DiscreteStateSpace; 4] =
+                std::array::from_fn(|slot| group_member(order, slot));
+            let mut alone = systems.clone();
+            let want: Vec<Vec<f64>> = alone
+                .iter_mut()
+                .map(|sys| x.iter().map(|&u| sys.step(u)).collect())
+                .collect();
+            for (sys, want) in systems.iter().zip(&want) {
+                let mut by_block = sys.clone();
+                let mut y = vec![0.0; x.len()];
+                for (xi, yi) in x.chunks(29).zip(y.chunks_mut(29)) {
+                    by_block.process_block(xi, yi);
+                }
+                assert_eq!(&y, want, "order {order}: process_block");
+            }
+            for skip in [None, Some(1)] {
+                let mut grouped = systems.clone();
+                let got = run_group(&mut grouped, skip, &x);
+                for (s, (want, sys)) in want.iter().zip(&grouped).enumerate() {
+                    let column: Vec<f64> = got.iter().map(|row| row[s]).collect();
+                    if skip == Some(s) {
+                        assert_eq!(sys.state(), systems[s].state(), "order {order}");
+                        continue;
+                    }
+                    assert_eq!(
+                        column.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
+                        want.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
+                        "order {order}, slot {s}, skip {skip:?}"
+                    );
+                    assert_eq!(sys.state(), alone[s].state(), "order {order}, slot {s}");
+                }
+            }
+            // Narrower groups (the tails of a lane) run the same kernel.
+            let [a, b, c, _] = systems.clone();
+            let tail = run_group(&mut [a, b, c], None, &x);
+            for (t, row) in tail.iter().enumerate() {
+                for (s, y) in row.iter().enumerate() {
+                    assert_eq!(y.to_bits(), want[s][t].to_bits(), "order {order}, tail");
+                }
+            }
+            let [a, ..] = systems.clone();
+            let one = run_group(&mut [a], None, &x);
+            assert!(one
+                .iter()
+                .zip(&want[0])
+                .all(|(r, w)| r[0].to_bits() == w.to_bits()));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "one order")]
+    fn a_group_of_mixed_orders_is_rejected() {
+        let mut a = group_member(2, 0);
+        let mut b = group_member(3, 1);
+        let mut out = [[0.0; 2]; 4];
+        DiscreteStateSpace::process_group(&mut [Some(&mut a), Some(&mut b)], &[0.0; 4], &mut out);
     }
 
     #[test]

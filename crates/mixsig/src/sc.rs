@@ -444,6 +444,39 @@ impl ScStepPlan {
         self.exact
     }
 
+    /// `W` independent exact steps at once, for an
+    /// [exact](Self::is_exact) plan of `B` branches: slot `s` becomes
+    /// `vout[s] + Σ_i (C_i/C_F)·voltages[i][s]`, the sum taken from
+    /// `+0.0` in branch order — the exact body of
+    /// [`ScIntegrator::step_planned_in`] for each slot, operation for
+    /// operation, with nothing reassociated within or across slots.
+    ///
+    /// Unlike the one-output step, it does not hand a step whose result
+    /// is not finite to the general body: the caller does. Under further
+    /// exact steps a non-finite output stays non-finite (`±∞ + Δ` is
+    /// `±∞` or NaN, and NaN stays NaN), so a caller may run a whole block
+    /// and check only the outputs it ends with. If they are all finite,
+    /// no step of the block needed the hand-off.
+    #[inline(always)]
+    pub fn exact_steps<const B: usize, const W: usize>(
+        &self,
+        vout: [f64; W],
+        voltages: [[f64; W]; B],
+    ) -> [f64; W] {
+        debug_assert!(self.exact && B == self.n, "an exact plan of B branches");
+        let mut delta = [0.0; W];
+        for (gain, v) in self.vgain.iter().zip(&voltages) {
+            for (d, v) in delta.iter_mut().zip(v) {
+                *d += gain * v;
+            }
+        }
+        let mut next = vout;
+        for (n, d) in next.iter_mut().zip(&delta) {
+            *n += d;
+        }
+        next
+    }
+
     /// Replica of [`OpAmpModel::settled_step`] over the hoisted constants
     /// — the same branch structure and floating-point expressions, so the
     /// result is bit-identical.

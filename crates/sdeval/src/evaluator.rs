@@ -14,11 +14,12 @@
 //! signatures "are processed using basic arithmetic operations in the
 //! digital domain to cancel the offset contribution of the modulators".
 
-use crate::modulator::{BlockDraws, ModulatorPair, SdmConfig, SigmaDeltaModulator};
+use crate::modulator::{BlockDraws, ModulatorPair, SdmConfig, SigmaDeltaModulator, GROUP_DEVICES};
 use crate::signature::{
     amplitude_from_signatures, dc_from_signature, phase_from_signatures, Bounded, SignaturePair,
 };
 use crate::squarewave::{QuadratureSquareWave, SquareWaveError};
+use std::ops::Range;
 
 /// Default acquisition block length, master-clock samples.
 ///
@@ -55,10 +56,11 @@ impl BlockSource for FnSource<'_> {
 /// a block at a time — the multi-device counterpart of [`BlockSource`].
 ///
 /// Each block is one [`advance`](Self::advance) of the shared stimulus
-/// followed by one [`device_block`](Self::device_block) per device, in
-/// device order. Device `d` must see exactly the samples a source of its
-/// own would produce: its response to the same stimulus, block after
-/// block.
+/// followed by the devices' responses in device order: one
+/// [`device_block`](Self::device_block) per device, or one
+/// [`group_block`](Self::group_block) per group of consecutive devices.
+/// Device `d` must see exactly the samples a source of its own would
+/// produce: its response to the same stimulus, block after block.
 pub trait LaneSource {
     /// Number of devices in the lane.
     fn devices(&self) -> usize;
@@ -70,6 +72,32 @@ pub trait LaneSource {
     /// [`advance`](Self::advance) produced into `out`, whose length is
     /// that block's.
     fn device_block(&mut self, device: usize, out: &mut [f64]);
+
+    /// Writes the responses of `devices`, a group of 1 to
+    /// [`GROUP_DEVICES`] consecutive devices, to the block the last
+    /// [`advance`](Self::advance) produced into `out`, interleaved per
+    /// sample: with `w = devices.len()`, `out[t·w + s]` is device
+    /// `devices.start + s`'s sample `t`, and `out.len()` is `w` times
+    /// the block's length. The samples are the ones
+    /// [`device_block`](Self::device_block) would write.
+    ///
+    /// The provided default fills each device through `device_block`, in
+    /// device order, and interleaves them. A source whose devices can
+    /// run in lockstep overrides it (`ate::DemoBoard` steps a group's DUT
+    /// recurrences together), and may panic on a wider group.
+    fn group_block(&mut self, devices: Range<usize>, out: &mut [f64]) {
+        let width = devices.len();
+        if width == 1 {
+            return self.device_block(devices.start, out);
+        }
+        let mut column = vec![0.0; out.len() / width];
+        for (s, device) in devices.enumerate() {
+            self.device_block(device, &mut column);
+            for (row, &y) in out.chunks_exact_mut(width).zip(&column) {
+                row[s] = y;
+            }
+        }
+    }
 }
 
 /// A [`BlockSource`] as a lane of one device: the source fills the
@@ -438,16 +466,24 @@ impl SinewaveEvaluator {
     /// samples consumed per device.
     ///
     /// The window is drained in blocks. Per block the source advances
-    /// the shared stimulus once; then each device's block runs through
-    /// its own I and Q modulator states in one loop, with polarities from
-    /// a running phase counter ([`QuadratureSquareWave::phases`]). The
-    /// first device draws the block's noise as it runs, keeping it when
-    /// other devices follow, and every other device reuses those draws. The two
+    /// the shared stimulus once; then the devices' samples run through
+    /// their own I and Q modulator states, with polarities from a
+    /// running phase counter ([`QuadratureSquareWave::phases`]). The two
     /// modulators are independent state machines with independent noise
     /// streams, so the order in which their steps interleave never
     /// changes a bit (the signatures are exact integer sums either way);
     /// stepping them together lets the CPU overlap their two serial
-    /// dependency chains.
+    /// dependency chains. Which loop runs follows from the pair:
+    ///
+    /// * An exact pair (ideal hardware) draws nothing, so no device
+    ///   depends on another. Devices run in groups of
+    ///   [`GROUP_DEVICES`] in device order (a tail of fewer runs at its
+    ///   own width): the source fills a group's samples interleaved per
+    ///   sample ([`LaneSource::group_block`]) and one kernel steps all of
+    ///   the group's modulators per sample, so their chains overlap too.
+    /// * Otherwise each device runs alone. The first device draws the
+    ///   block's noise as it runs, keeping it when other devices follow,
+    ///   and every other device reuses those draws.
     fn acquire(
         &mut self,
         source: &mut dyn LaneSource,
@@ -462,8 +498,10 @@ impl SinewaveEvaluator {
             reason = "the value is ≤ block_samples, which is already a usize, so the cast is exact"
         )]
         let block = block_cap.min(window) as usize;
-        let mut buf = vec![0.0f64; block];
         let devices = signatures.len();
+        let exact = self.modulators.is_exact();
+        let width = if exact { GROUP_DEVICES } else { 1 };
+        let mut buf = vec![0.0f64; block * width.min(devices).max(1)];
         let mut states = vec![self.modulators.states(); devices];
         let mut run = |this: &mut Self, invert: bool, src: &mut dyn LaneSource| {
             let mut phases = sq.phases();
@@ -476,21 +514,32 @@ impl SinewaveEvaluator {
                     .take(len)
                     .map(|(p, q)| (p ^ invert, q ^ invert));
                 src.advance(len);
-                for (device, (state, count)) in states.iter_mut().zip(&mut counts).enumerate() {
-                    src.device_block(device, &mut buf[..len]);
-                    let draws = match (device, devices) {
-                        (0, 1) => BlockDraws::Draw,
-                        (0, _) => BlockDraws::DrawAndKeep,
-                        _ => BlockDraws::Reuse,
-                    };
-                    let (b1, b2) = this.modulators.process_block(
-                        state,
-                        &buf[..len],
-                        polarities.clone(),
-                        draws,
-                    );
-                    count.0 += b1;
-                    count.1 += b2;
+                if exact {
+                    let groups = states.chunks_mut(width).zip(counts.chunks_mut(width));
+                    for (g, (group, count)) in groups.enumerate() {
+                        let first = g * width;
+                        let x = &mut buf[..len * group.len()];
+                        src.group_block(first..first + group.len(), x);
+                        this.modulators
+                            .exact_group(group, x, polarities.clone(), count);
+                    }
+                } else {
+                    for (device, (state, count)) in states.iter_mut().zip(&mut counts).enumerate() {
+                        src.device_block(device, &mut buf[..len]);
+                        let draws = match (device, devices) {
+                            (0, 1) => BlockDraws::Draw,
+                            (0, _) => BlockDraws::DrawAndKeep,
+                            _ => BlockDraws::Reuse,
+                        };
+                        let (b1, b2) = this.modulators.process_block(
+                            state,
+                            &buf[..len],
+                            polarities.clone(),
+                            draws,
+                        );
+                        count.0 += b1;
+                        count.1 += b2;
+                    }
                 }
                 phases.skip_samples(len);
                 t += len as u64;

@@ -57,6 +57,7 @@ pub use evaluator::{
 };
 pub use modulator::{
     BlockDraws, ComparatorModel, ModulatorPair, ModulatorState, SdmConfig, SigmaDeltaModulator,
+    GROUP_DEVICES,
 };
 pub use modulator2::SecondOrderModulator;
 pub use signature::{Bounded, SignaturePair, EPSILON_BOUND};

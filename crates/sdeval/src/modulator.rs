@@ -245,8 +245,9 @@ impl SigmaDeltaModulator {
         self.last_bit = state.last_bit;
     }
 
-    /// Whether block loops may take the exact instantiation of
-    /// [`step_from`](Self::step_from): both polarity plans are
+    /// Whether block loops may take the exact path (the exact
+    /// instantiation of [`step_from`](Self::step_from) and
+    /// [`ModulatorPair`]'s group kernel): both polarity plans are
     /// [exact](ScStepPlan::is_exact) and the comparator is ideal (zero
     /// offset, hysteresis and noise), so its threshold is exactly `+0.0`
     /// and a step draws nothing.
@@ -337,15 +338,16 @@ pub struct ModulatorState {
 /// streams in step order, whatever the input. So each block's noise is
 /// drawn once, by the first device to run the block, and every other
 /// device runs its own [`ModulatorState`]s through the block with those
-/// same draws ([`process_block`](Self::process_block)). Each device
-/// decides exactly what a fresh pair of its own, stepped with
-/// [`SigmaDeltaModulator::step`], would decide.
+/// same draws ([`process_block`](Self::process_block)). An exact pair
+/// draws nothing, so its devices step in groups of [`GROUP_DEVICES`]
+/// through one kernel. Each device decides exactly what a fresh pair of
+/// its own, stepped with [`SigmaDeltaModulator::step`], would decide.
 #[derive(Debug, Clone)]
 pub struct ModulatorPair {
     i: SigmaDeltaModulator,
     q: SigmaDeltaModulator,
     /// Both modulators are exact: blocks draw nothing and take the exact
-    /// step.
+    /// group kernel.
     exact: bool,
     /// The current block's kept noise, per step: in-phase, then
     /// quadrature.
@@ -375,6 +377,15 @@ impl ModulatorPair {
         self.q.set_state(q);
     }
 
+    /// Whether both modulators are exact ([`SigmaDeltaModulator`]'s
+    /// plans [exact](mixsig::sc::ScStepPlan::is_exact) and its comparator
+    /// ideal): a step then draws nothing and depends on no other device,
+    /// so blocks step devices in groups
+    /// ([`SinewaveEvaluator`](crate::SinewaveEvaluator)'s acquisition).
+    pub(crate) fn is_exact(&self) -> bool {
+        self.exact
+    }
+
     /// Runs one device's `states` (in-phase, quadrature) through a
     /// block: each sample of `x` goes to the in-phase modulator with the
     /// first polarity of the next `polarities` item and to the
@@ -387,11 +398,11 @@ impl ModulatorPair {
     /// as it runs, advancing each modulator's streams exactly as one
     /// device's step loop would, and keeps the draws when other devices
     /// follow; they reuse them, so the streams advance once per block
-    /// however many devices run it. An exact pair draws nothing.
+    /// however many devices run it. An exact pair draws nothing: it runs
+    /// the group kernel at a width of one device.
     ///
     /// The two modulators share no state, so stepping them in one loop
-    /// only lets the CPU overlap their dependency chains. The exact
-    /// instantiation is chosen once, when both modulators are exact.
+    /// only lets the CPU overlap their dependency chains.
     ///
     /// # Panics
     ///
@@ -401,24 +412,25 @@ impl ModulatorPair {
         &mut self,
         states: &mut [ModulatorState; 2],
         x: &[f64],
-        polarities: impl Iterator<Item = (bool, bool)>,
+        polarities: impl Iterator<Item = (bool, bool)> + Clone,
         draws: BlockDraws,
     ) -> (i64, i64) {
-        match (self.exact, draws) {
-            (true, _) => self.count_block::<true, false, false>(states, x, polarities),
-            (false, BlockDraws::Draw) => {
-                self.count_block::<false, true, false>(states, x, polarities)
-            }
-            (false, BlockDraws::DrawAndKeep) => {
-                self.count_block::<false, true, true>(states, x, polarities)
-            }
-            (false, BlockDraws::Reuse) => {
-                self.count_block::<false, false, false>(states, x, polarities)
-            }
+        if self.exact {
+            let mut counts = [(0, 0)];
+            self.exact_group(std::slice::from_mut(states), x, polarities, &mut counts);
+            let [counts] = counts;
+            return counts;
+        }
+        match draws {
+            BlockDraws::Draw => self.count_block::<true, false>(states, x, polarities),
+            BlockDraws::DrawAndKeep => self.count_block::<true, true>(states, x, polarities),
+            BlockDraws::Reuse => self.count_block::<false, false>(states, x, polarities),
         }
     }
 
-    fn count_block<const EXACT: bool, const DRAW: bool, const KEEP: bool>(
+    /// The general (non-exact) block loop of
+    /// [`process_block`](Self::process_block).
+    fn count_block<const DRAW: bool, const KEEP: bool>(
         &mut self,
         [state_i, state_q]: &mut [ModulatorState; 2],
         x: &[f64],
@@ -430,14 +442,12 @@ impl ModulatorPair {
             // the last one writes fresh slots.
             noise.resize(x.len(), NO_NOISE);
         }
-        let kept = if EXACT || (DRAW && !KEEP) { 0 } else { x.len() };
+        let kept = if DRAW && !KEEP { 0 } else { x.len() };
         let noise = &mut noise[..kept];
         let mut acc_i = 0i64;
         let mut acc_q = 0i64;
         for (t, (&xt, (qi, qq))) in x.iter().zip(polarities).enumerate() {
-            let [ni, nq] = if EXACT {
-                NO_NOISE
-            } else if DRAW {
+            let [ni, nq] = if DRAW {
                 let drawn = [i.draw_step(qi), q.draw_step(qq)];
                 if KEEP {
                     noise[t] = drawn;
@@ -446,12 +456,12 @@ impl ModulatorPair {
             } else {
                 noise[t]
             };
-            acc_i += if i.step_from::<EXACT>(state_i, xt, qi, ni) {
+            acc_i += if i.step_from::<false>(state_i, xt, qi, ni) {
                 1
             } else {
                 -1
             };
-            acc_q += if q.step_from::<EXACT>(state_q, xt, qq, nq) {
+            acc_q += if q.step_from::<false>(state_q, xt, qq, nq) {
                 1
             } else {
                 -1
@@ -459,7 +469,169 @@ impl ModulatorPair {
         }
         (acc_i, acc_q)
     }
+
+    /// Runs a group of devices through one block of an exact pair: the
+    /// devices' `states`, their samples `x` interleaved per sample
+    /// (`x[t·w + s]` is device `s`'s sample `t`, `w = states.len()`), one
+    /// polarity pair per sample for every device, and each device's
+    /// signed counts added to its slot of `counts`.
+    ///
+    /// A group holds one to [`GROUP_DEVICES`] devices and runs one
+    /// kernel monomorphized on its width
+    /// ([`exact_group_n`](Self::exact_group_n)).
+    pub(crate) fn exact_group(
+        &self,
+        states: &mut [[ModulatorState; 2]],
+        x: &[f64],
+        polarities: impl Iterator<Item = (bool, bool)> + Clone,
+        counts: &mut [(i64, i64)],
+    ) {
+        debug_assert!(
+            states.len() <= GROUP_DEVICES,
+            "a group of at most GROUP_DEVICES"
+        );
+        match states.len() {
+            1 => self.exact_group_n::<1>(states, x, polarities, counts),
+            2 => self.exact_group_n::<2>(states, x, polarities, counts),
+            3 => self.exact_group_n::<3>(states, x, polarities, counts),
+            _ => self.exact_group_n::<GROUP_DEVICES>(states, x, polarities, counts),
+        }
+    }
+
+    /// The exact group kernel for a compile-time width `W`.
+    ///
+    /// The block first runs on the exact sums alone
+    /// ([`exact_sums`](Self::exact_sums)). A non-finite integrator stays
+    /// non-finite under exact steps, so if every integrator ends the
+    /// block finite, no step needed the general body and the block is
+    /// what each device's own step loop computes. Otherwise the block
+    /// runs again from the same states, one step at a time with the
+    /// hand-off ([`exact_handoff`](Self::exact_handoff)).
+    fn exact_group_n<const W: usize>(
+        &self,
+        states: &mut [[ModulatorState; 2]],
+        x: &[f64],
+        polarities: impl Iterator<Item = (bool, bool)> + Clone,
+        counts: &mut [(i64, i64)],
+    ) {
+        let mut start = [[ModulatorState::default(); 2]; W];
+        for (slot, state) in start.iter_mut().zip(&*states) {
+            *slot = *state;
+        }
+        let (rows, _) = x.as_chunks::<W>();
+        let (end, acc) = self
+            .exact_sums(start, rows, polarities.clone())
+            .unwrap_or_else(|| self.exact_handoff(start, rows, polarities));
+        for (state, slot) in states.iter_mut().zip(&end) {
+            *state = *slot;
+        }
+        for (count, acc) in counts.iter_mut().zip(&acc) {
+            count.0 += acc.0;
+            count.1 += acc.1;
+        }
+    }
+
+    /// Runs `W` devices from `start` through `rows` on the exact sums,
+    /// struct-of-arrays: per sample and modulator, the `W` decisions,
+    /// DAC voltages and integrator sums ([`ScStepPlan::exact_steps`])
+    /// each run as one fixed-width loop, so the `2·W` dependency chains
+    /// overlap. Each slot runs its own device's operations in the order
+    /// [`SigmaDeltaModulator::step_from`] runs them: the decision
+    /// `u >= 0.0`, the DAC voltage `d·Vref`, then the exact sum.
+    ///
+    /// Returns the end states and the signed counts, or `None` if an
+    /// integrator ends the block non-finite.
+    fn exact_sums<const W: usize>(
+        &self,
+        start: [[ModulatorState; 2]; W],
+        rows: &[[f64; W]],
+        polarities: impl Iterator<Item = (bool, bool)>,
+    ) -> Option<GroupRun<W>> {
+        let mods = [&self.i, &self.q];
+        let mut u = [[0.0f64; W]; 2];
+        let mut bits = [[false; W]; 2];
+        for (s, slot) in start.iter().enumerate() {
+            for (m, state) in slot.iter().enumerate() {
+                u[m][s] = state.integrator;
+                bits[m][s] = state.last_bit;
+            }
+        }
+        let mut acc = [[0i64; W]; 2];
+        for (xt, (qi, qq)) in rows.iter().zip(polarities) {
+            for (m, q) in [qi, qq].into_iter().enumerate() {
+                let modulator = mods[m];
+                let plan = if q {
+                    &modulator.plan_pos
+                } else {
+                    &modulator.plan_neg
+                };
+                let vref = modulator.config.vref.value();
+                let mut dac = [0.0f64; W];
+                for (((b, a), d), &us) in
+                    bits[m].iter_mut().zip(&mut acc[m]).zip(&mut dac).zip(&u[m])
+                {
+                    *b = us >= 0.0;
+                    *a += if *b { 1 } else { -1 };
+                    let d_sign = if *b { 1.0 } else { -1.0 };
+                    *d = d_sign * vref;
+                }
+                u[m] = plan.exact_steps(u[m], [*xt, dac, [modulator.input_offset; W]]);
+            }
+        }
+        if !u.iter().flatten().all(|us| us.is_finite()) {
+            return None;
+        }
+        let mut end = start;
+        let mut counts = [(0i64, 0i64); W];
+        for (s, (slot, count)) in end.iter_mut().zip(&mut counts).enumerate() {
+            for (m, state) in slot.iter_mut().enumerate() {
+                state.integrator = u[m][s];
+                state.last_bit = bits[m][s];
+            }
+            *count = (acc[0][s], acc[1][s]);
+        }
+        Some((end, counts))
+    }
+
+    /// Runs `W` devices from `start` through `rows` one step at a time
+    /// ([`SigmaDeltaModulator::step_from`] with `EXACT = true`), which
+    /// hands each step whose exact result is not finite to the general
+    /// body — the path of a block whose exact sums ran out of range.
+    fn exact_handoff<const W: usize>(
+        &self,
+        mut slots: [[ModulatorState; 2]; W],
+        rows: &[[f64; W]],
+        polarities: impl Iterator<Item = (bool, bool)>,
+    ) -> GroupRun<W> {
+        let mut acc = [(0i64, 0i64); W];
+        for (xt, (qi, qq)) in rows.iter().zip(polarities) {
+            for (([state_i, state_q], &xs), acc) in slots.iter_mut().zip(xt).zip(&mut acc) {
+                acc.0 += if self.i.step_from::<true>(state_i, xs, qi, NO_NOISE[0]) {
+                    1
+                } else {
+                    -1
+                };
+                acc.1 += if self.q.step_from::<true>(state_q, xs, qq, NO_NOISE[1]) {
+                    1
+                } else {
+                    -1
+                };
+            }
+        }
+        (slots, acc)
+    }
 }
+
+/// A group's block, run: each device's end states (in-phase,
+/// quadrature) and signed counts.
+type GroupRun<const W: usize> = ([[ModulatorState; 2]; W], [(i64, i64); W]);
+
+/// Most devices one exact group steps in lockstep.
+///
+/// Four independent devices (eight modulator chains, four DUT
+/// recurrences) already keep the CPU's floating-point units busy:
+/// wider groups measured no faster per device-sample.
+pub const GROUP_DEVICES: usize = 4;
 
 /// Where one device's run through a block takes the block's noise from
 /// ([`ModulatorPair::process_block`]).

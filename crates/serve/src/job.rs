@@ -710,6 +710,20 @@ mod tests {
             assert_ne!(mutated, base, "mutation must apply: {needle}");
             assert!(ClientFrame::parse(&mutated).is_err(), "accepted: {needle}");
         }
+        // The 2⁴⁰-device shard is a document-level rejection: it names
+        // the bound, not a byte.
+        let huge = base.replace(
+            "\"seed_end\":8},\"shard_devices\":2",
+            "\"seed_end\":1099511627776},\"shard_devices\":1099511627776",
+        );
+        let points = request().plan.grid().len();
+        assert_eq!(
+            ClientFrame::parse(&huge).unwrap_err().to_string(),
+            format!(
+                "document invalid: a shard of 1099511627776 devices × {points} grid points \
+                 exceeds {MAX_SHARD_POINTS} Bode points"
+            )
+        );
     }
 
     #[test]
@@ -737,7 +751,7 @@ mod tests {
             },
             ServerFrame::Rejected {
                 error: WireError::BadFrame {
-                    message: "document invalid at byte 0: not mine".to_string(),
+                    message: "document invalid: not mine".to_string(),
                 },
             },
             ServerFrame::Error {

@@ -51,7 +51,8 @@ fn parallel_lot_matches_serial_ideal() {
 fn lane_layout_does_not_change_the_bits() {
     // A lot larger than one lane, on worker counts that split it into
     // lanes, into grid-point groups, or both: every layout measures each
-    // device exactly as the serial engine does, and as the device's own
+    // device exactly as the serial engine does, and every device — each
+    // slot of every device group, full or not — exactly as its own
     // analyzer does point by point.
     let plan = paper_plan();
     let config = AnalyzerConfig::ideal().with_periods(20);
@@ -68,10 +69,8 @@ fn lane_layout_does_not_change_the_bits() {
         assert_eq!(reference, laned, "threads = {threads}");
     }
     let cal = LotEngine::shared_calibration(config).unwrap();
-    for d in [
-        &reference.devices()[0],
-        &reference.devices()[seeds.len() - 1],
-    ] {
+    assert_eq!(reference.devices().len(), seeds.len());
+    for d in reference.devices() {
         let device = factory(d.seed);
         let alone = NetworkAnalyzer::new(&device, config);
         for (point, &f) in d.plot.points().iter().zip(plan.grid()) {

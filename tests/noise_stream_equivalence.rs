@@ -559,8 +559,14 @@ mod evaluator_reference {
     }
 
     /// Device `d`'s output: its own level, amplitude, phase and
-    /// harmonic content.
+    /// harmonic content. Device 2, the third slot of a lane's first
+    /// group, sits at 1e308 V instead: its integrators run past the
+    /// largest `f64`, so on ideal hardware its exact steps stop being
+    /// finite and each one is redone through the general body.
     fn device_signal(d: usize, len: usize) -> Vec<f64> {
+        if d == 2 {
+            return vec![1e308; len];
+        }
         let (level, gain, shift) = (
             0.01 * (d % 7) as f64 - 0.03,
             0.1 + 0.004 * (d % 53) as f64,
@@ -579,16 +585,28 @@ mod evaluator_reference {
 
     /// A lane of devices measures each device exactly as that device's
     /// own fresh modulators, stepped from scratch over its own signal,
-    /// do — for lanes around and across the lot engine's lane size,
-    /// every chop mode, hardware profile and block length. Afterwards
-    /// the evaluator's noise streams and modulator state stand where the
-    /// first device's acquisition alone leaves them: its next
-    /// measurement matches that device's second reference measurement.
+    /// do — for lanes around and across the exact path's group width
+    /// and the lot engine's lane size, every chop mode, hardware profile
+    /// and block length. Afterwards the evaluator's noise streams and
+    /// modulator state stand where the first device's acquisition alone
+    /// leaves them: its next measurement matches that device's second
+    /// reference measurement.
     #[test]
     fn lane_acquisition_matches_each_devices_own_step_loop() {
         const M: u32 = 4;
         let cap = netan::LANE_DEVICES;
-        let sizes = [1, 2, cap - 1, cap, cap + 1, 2 * cap + 1];
+        let group = sdeval::GROUP_DEVICES;
+        let sizes = [
+            1,
+            2,
+            group - 1,
+            group,
+            group + 1,
+            cap - 1,
+            cap,
+            cap + 1,
+            2 * cap + 1,
+        ];
         let window = M as usize * 96;
         let signals: Vec<Vec<f64>> = (0..2 * cap + 1)
             .map(|d| device_signal(d, 4 * window))
