@@ -36,15 +36,21 @@ impl<'a> LtiCore<'a> {
         let (rows, _) = out.as_chunks_mut::<1>();
         step_cores(&mut [Some(self)], input, rows);
     }
+
+    /// What cores stepping in lockstep share: the system's order, and
+    /// whether a polynomial follows it.
+    fn shape(&self) -> (usize, bool) {
+        (self.dss.order(), self.poly.is_some())
+    }
 }
 
 /// Runs a group of `W` simulators over one shared `input`: `out[t][s]`
 /// is member `s`'s response to `input[t]`, bit-identical to that
 /// member's own [`DutSim::process_block`].
 ///
-/// The members with an [`LtiCore`] of the group's order — the order of
-/// its first such member — step in lockstep; every other member runs
-/// its own `process_block`.
+/// The members with an [`LtiCore`] of the group's shape — the order of
+/// its first such member's system, and whether a polynomial follows it
+/// — step in lockstep; every other member runs its own `process_block`.
 ///
 /// # Panics
 ///
@@ -59,9 +65,9 @@ pub fn process_group<const W: usize>(
     for (core, sim) in cores.iter_mut().zip(sims.iter_mut()) {
         *core = sim.lti_core();
     }
-    let order = cores.iter().flatten().map(|core| core.dss.order()).next();
+    let shape = cores.iter().flatten().map(LtiCore::shape).next();
     for core in &mut cores {
-        if core.as_ref().map(|core| core.dss.order()) != order {
+        if core.as_ref().map(LtiCore::shape) != shape {
             *core = None;
         }
     }
@@ -79,25 +85,34 @@ pub fn process_group<const W: usize>(
     }
 }
 
-/// An LTI simulator's block for `W` cores of one order at once: the
-/// state-space systems in lockstep, then each core's polynomial, where
-/// it has one, on every sample of its column. A `None` slot's column is
-/// left for the caller to fill.
+/// An LTI simulator's block for `W` cores of one shape at once: the
+/// state-space systems in lockstep, then, if the cores have
+/// polynomials, each core's polynomial on every sample of its column. A
+/// `None` slot's column is left for the caller to overwrite.
+///
+/// # Panics
+///
+/// Panics if the cores' shapes differ.
 fn step_cores<const W: usize>(
     cores: &mut [Option<LtiCore<'_>>; W],
     input: &[f64],
     out: &mut [[f64; W]],
 ) {
+    let mut shapes = cores.iter().flatten().map(LtiCore::shape);
+    let shape = shapes.next();
+    assert!(shapes.all(|s| Some(s) == shape), "a group of one shape");
     let polys = cores
         .each_ref()
-        .map(|core| core.as_ref().and_then(|core| core.poly));
+        .map(|core| core.as_ref().and_then(|core| core.poly).unwrap_or_default());
     let mut systems = cores
         .each_mut()
         .map(|core| core.as_mut().map(|core| &mut *core.dss));
     DiscreteStateSpace::process_group(&mut systems, input, out);
-    for row in out {
-        for (y, poly) in row.iter_mut().zip(&polys) {
-            if let Some(poly) = poly {
+    if let Some((_, true)) = shape {
+        // Every core has a polynomial: one fixed-width loop applies them
+        // all, a `None` slot's included, since its column is overwritten.
+        for row in out {
+            for (y, poly) in row.iter_mut().zip(&polys) {
                 *y = poly.apply(*y);
             }
         }
@@ -112,15 +127,16 @@ mod tests {
 
     #[test]
     fn members_match_their_own_step_loops() {
-        // Two order-3 cores in lockstep, one with a polynomial and one
-        // without, then an order-2 core and a simulator with no core,
-        // which run alone: over uneven blocks, each member's column is
-        // its own per-sample loop, bit for bit.
+        // Two order-3 cores with different polynomials step in lockstep;
+        // an order-3 core with no polynomial, an order-2 core and a
+        // simulator with no core run alone: over uneven blocks, each
+        // member's column is its own per-sample loop, bit for bit.
         let paper = ActiveRcFilter::paper_dut;
-        let devices: [Box<dyn Dut>; 4] = [
+        let devices: [Box<dyn Dut>; 5] = [
             Box::new(paper().fabricate(0.05, 1)),
+            Box::new(paper().fabricate(0.05, 2).linearized()),
             Box::new(LinearDut::new(
-                paper().fabricate(0.05, 2).transfer_function(),
+                paper().fabricate(0.05, 3).transfer_function(),
             )),
             Box::new(ActiveRcFilter::new(Hertz(800.0), 0.9, 1.0)),
             Box::new(NonlinearDut::new(
@@ -131,7 +147,7 @@ mod tests {
         let fs = Hertz(96_000.0);
         let x: Vec<f64> = (0..400).map(|i| 0.3 * (0.21 * i as f64).sin()).collect();
         let mut sims: Vec<Box<dyn DutSim>> = devices.iter().map(|d| d.instantiate(fs)).collect();
-        let mut got = vec![[0.0; 4]; x.len()];
+        let mut got = vec![[0.0; 5]; x.len()];
         let mut start = 0;
         for len in [1, 37, 96, 266] {
             let end = start + len;
