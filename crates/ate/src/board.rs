@@ -34,7 +34,8 @@ pub enum SignalPath {
 /// device order, whenever the board steps them all (warm-up, every
 /// [`fill_block`](Self::fill_block), the bypass path of a lane) and
 /// whenever a lane reader asks for a group
-/// ([`LaneSource::group_block`]). Each group runs through
+/// ([`LaneSource::group_block`], the one way a lane is read, on any
+/// hardware; a group of one is one device alone). Each group runs through
 /// [`dut::process_group`], which steps the members' LTI cores in
 /// lockstep so their serial dependency chains overlap. Each device's
 /// samples are bit-identical to its own simulator's either way.
@@ -99,7 +100,7 @@ impl DemoBoard {
     }
 
     /// Whether a DUT is mounted (false only for [`for_bypass`](Self::for_bypass) boards).
-    pub fn has_dut(&self) -> bool {
+    fn has_dut(&self) -> bool {
         !self.dut_sims.is_empty()
     }
 
@@ -220,14 +221,6 @@ impl LaneSource for DemoBoard {
         self.generate(len);
         if self.path == SignalPath::CalibrationBypass {
             self.step_devices(len, None);
-        }
-    }
-
-    fn device_block(&mut self, device: usize, out: &mut [f64]) {
-        let stim = &self.stim[..out.len()];
-        match self.path {
-            SignalPath::Dut => self.dut_sims[device].process_block(stim, out),
-            SignalPath::CalibrationBypass => out.copy_from_slice(stim),
         }
     }
 
@@ -370,8 +363,8 @@ mod tests {
     fn lane_devices_see_what_their_own_boards_produce() {
         // Lanes around the group width, each mixing orders 3 and 2 and a
         // device with no LTI core inside one group: through warm-up and
-        // both ways of reading a block (group by group, one device at a
-        // time), each device's raw samples are its own board's.
+        // both ways of reading a block (group by group, and in groups of
+        // one), each device's raw samples are its own board's.
         let clk = MasterClock::for_stimulus(mixsig::units::Hertz(1200.0));
         let cfg = GeneratorConfig::cmos_035um(clk, Volts(0.15), 4);
         for lane_size in [3usize, 4, 5, 9] {
@@ -400,10 +393,6 @@ mod tests {
                 for first in (0..lane_size).step_by(width) {
                     let devices = first..(first + width).min(lane_size);
                     let w = devices.len();
-                    if read == 1 {
-                        lane.device_block(first, &mut got[first]);
-                        continue;
-                    }
                     let mut rows = vec![0.0; len * w];
                     lane.group_block(devices, &mut rows);
                     for (t, row) in rows.chunks_exact(w).enumerate() {
@@ -429,12 +418,8 @@ mod tests {
             assert_eq!(LaneSource::devices(&lane), 1);
             lane.advance(40);
             let mut got = vec![0.0; 40];
-            lane.device_block(0, &mut got);
-            let mut want = vec![0.0; 40];
-            bypass.fill_block(&mut want);
-            assert_eq!(got, want);
-            lane.advance(40);
             lane.group_block(0..1, &mut got);
+            let mut want = vec![0.0; 40];
             bypass.fill_block(&mut want);
             assert_eq!(got, want);
             // Back on the DUT path, every device kept pace.
@@ -442,12 +427,12 @@ mod tests {
             lane.advance(33);
             for (d, board) in own.iter_mut().enumerate() {
                 board.set_path(SignalPath::CalibrationBypass);
-                board.fill_block(&mut vec![0.0; 80]);
+                board.fill_block(&mut vec![0.0; 40]);
                 board.set_path(SignalPath::Dut);
                 let mut want = vec![0.0; 33];
                 board.fill_block(&mut want);
                 let mut got = vec![0.0; 33];
-                lane.device_block(d, &mut got);
+                lane.group_block(d..d + 1, &mut got);
                 assert_eq!(
                     got, want,
                     "lane of {lane_size}, device {d} after the bypass"

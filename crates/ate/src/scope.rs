@@ -57,7 +57,7 @@ impl DigitalOscilloscope {
     }
 
     /// Captures a record from `source` and returns its spectrum.
-    pub fn capture(&self, source: &mut dyn FnMut() -> f64) -> Spectrum {
+    fn capture(&self, source: &mut dyn FnMut() -> f64) -> Spectrum {
         let data: Vec<f64> = (0..self.record_len).map(|_| source()).collect();
         Spectrum::periodogram(&data, self.window)
     }

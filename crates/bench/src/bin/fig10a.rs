@@ -4,7 +4,7 @@
 
 use dut::ActiveRcFilter;
 use mixsig::units::Hertz;
-use netan::{bode_table, AnalyzerConfig, NetworkAnalyzer};
+use netan::{bode_table, AnalyzerConfig, LotEngine, NetworkAnalyzer};
 
 fn main() {
     bench::banner(
@@ -14,7 +14,9 @@ fn main() {
     let device = ActiveRcFilter::paper_dut().linearized();
     let mut analyzer = NetworkAnalyzer::new(&device, AnalyzerConfig::cmos_035um(3));
     let freqs = netan::log_spaced(Hertz(100.0), Hertz(20_000.0), 21);
-    let plot = analyzer.sweep(&freqs).expect("sweep failed");
+    let plot = analyzer
+        .sweep_with(&LotEngine::serial(), &freqs)
+        .expect("sweep failed");
 
     println!("{}", bode_table(&plot));
     if let Some(fc) = plot.cutoff_frequency() {

@@ -8,7 +8,7 @@ use ate::{DemoBoard, DigitalOscilloscope, SignalPath};
 use dut::ActiveRcFilter;
 use mixsig::clock::MasterClock;
 use mixsig::units::{Hertz, Volts};
-use netan::{AnalyzerConfig, DistortionReport, NetworkAnalyzer};
+use netan::{AnalyzerConfig, DistortionReport, LotEngine, NetworkAnalyzer};
 use sigen::GeneratorConfig;
 
 fn main() {
@@ -23,10 +23,10 @@ fn main() {
     let cfg = AnalyzerConfig::cmos_035um(5)
         .with_periods(400)
         .with_va_diff(Volts(0.2));
-    let mut analyzer = NetworkAnalyzer::new(&device, cfg);
+    let analyzer = NetworkAnalyzer::new(&device, cfg);
     let report = DistortionReport::new(
         analyzer
-            .measure_harmonics(f_test, 3)
+            .measure_harmonics_with(&LotEngine::serial(), f_test, 3)
             .expect("distortion measurement failed"),
     );
 

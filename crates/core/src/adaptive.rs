@@ -5,7 +5,7 @@
 //! uniform: a high-Q biquad packs its whole personality into a
 //! fraction-of-an-octave resonance knee, and even the paper's Butterworth
 //! DUT bends hard only around the −3 dB shoulder.
-//! [`NetworkAnalyzer::sweep_adaptive`] reuses what the paper's signature
+//! [`NetworkAnalyzer::sweep_adaptive_with`] reuses what the paper's signature
 //! DSP already guarantees — a hard enclosure on every gain/phase
 //! estimate — as the refinement signal:
 //!

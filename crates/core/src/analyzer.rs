@@ -373,24 +373,12 @@ impl<'d> NetworkAnalyzer<'d> {
         .collect()
     }
 
-    /// Sweeps the analyzer over `frequencies`, unwrapping the phase by
-    /// continuity (the paper's Fig. 10b presentation). Serial; see
-    /// [`sweep_with`](Self::sweep_with) to fan the points out across a
-    /// [`LotEngine`]'s worker threads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetanError::EmptySweep`] for an empty list and propagates
-    /// per-point errors.
-    pub fn sweep(&mut self, frequencies: &[Hertz]) -> Result<BodePlot, NetanError> {
-        self.sweep_with(&LotEngine::serial(), frequencies)
-    }
-
     /// Sweeps the analyzer over `frequencies` using `engine` to schedule
-    /// the points, then unwraps the phase by continuity. Parallel and
-    /// serial engines produce bit-identical plots: every point is an
-    /// independent, deterministic simulation and the continuity pass runs
-    /// over the ordered result.
+    /// the points, then unwraps the phase by continuity (the paper's
+    /// Fig. 10b presentation). Parallel and serial
+    /// ([`LotEngine::serial`]) engines produce bit-identical plots: every
+    /// point is an independent, deterministic simulation and the
+    /// continuity pass runs over the ordered result.
     ///
     /// # Errors
     ///
@@ -409,14 +397,15 @@ impl<'d> NetworkAnalyzer<'d> {
     /// Adaptively sweeps the analyzer: measures `seed`, then refines per
     /// `policy` — bisecting the intervals whose local gain/phase bend and
     /// endpoint enclosure widths score worst — until the policy is met
-    /// (see [`crate::adaptive`]). Serial; see
-    /// [`sweep_adaptive_with`](Self::sweep_adaptive_with) to fan each
-    /// round's batch across a [`LotEngine`].
+    /// (see [`crate::adaptive`]). Each round's candidate batch is
+    /// measured through `engine`; every engine gives the same plot, as
+    /// refinement decisions depend only on measured values and
+    /// candidates are ordered deterministically before dispatch.
     ///
     /// # Example
     ///
     /// ```
-    /// use netan::{AnalyzerConfig, NetworkAnalyzer, RefinementPolicy};
+    /// use netan::{AnalyzerConfig, LotEngine, NetworkAnalyzer, RefinementPolicy};
     /// use dut::ActiveRcFilter;
     /// use mixsig::units::Hertz;
     ///
@@ -425,27 +414,10 @@ impl<'d> NetworkAnalyzer<'d> {
     /// let mut analyzer = NetworkAnalyzer::new(&dut, cfg);
     /// let seed = netan::log_spaced(Hertz(200.0), Hertz(5_000.0), 4);
     /// let policy = RefinementPolicy::new(0.5).with_max_points(8);
-    /// let plot = analyzer.sweep_adaptive(&seed, &policy)?;
+    /// let plot = analyzer.sweep_adaptive_with(&LotEngine::serial(), &seed, &policy)?;
     /// assert!(plot.len() >= 4 && plot.len() <= 8);
     /// # Ok::<(), netan::NetanError>(())
     /// ```
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetanError::EmptySweep`] for an empty seed and
-    /// propagates per-point errors.
-    pub fn sweep_adaptive(
-        &mut self,
-        seed: &[Hertz],
-        policy: &crate::adaptive::RefinementPolicy,
-    ) -> Result<BodePlot, NetanError> {
-        self.sweep_adaptive_with(&LotEngine::serial(), seed, policy)
-    }
-
-    /// Like [`sweep_adaptive`](Self::sweep_adaptive), but measures each
-    /// round's candidate batch through `engine`. Bit-identical to the
-    /// serial path: refinement decisions depend only on measured values
-    /// and candidates are ordered deterministically before dispatch.
     ///
     /// # Errors
     ///
@@ -470,25 +442,11 @@ impl<'d> NetworkAnalyzer<'d> {
 
     /// Measures harmonics `1..=max_harmonic` of the DUT output at `f_wave`
     /// — the distortion mode of paper Fig. 10c. Each harmonic `k` must
-    /// satisfy `96 % 8k == 0` (k = 1, 2, 3 at `N = 96`).
-    ///
-    /// # Errors
-    ///
-    /// Propagates evaluator setup errors.
-    pub fn measure_harmonics(
-        &mut self,
-        f_wave: Hertz,
-        max_harmonic: u32,
-    ) -> Result<Vec<HarmonicMeasurement>, NetanError> {
-        self.measure_harmonics_with(&LotEngine::serial(), f_wave, max_harmonic)
-    }
-
-    /// Like [`measure_harmonics`](Self::measure_harmonics), but fans the
-    /// independent per-`k` acquisitions across `engine`'s worker pool —
-    /// distortion screening rides the same work-stealing loop as the Bode
-    /// sweep. Results come back ordered `k = 1..=max_harmonic` and are
-    /// bit-identical to the serial path; on failure the lowest-`k` error
-    /// is reported.
+    /// satisfy `96 % 8k == 0` (k = 1, 2, 3 at `N = 96`). The independent
+    /// per-`k` acquisitions fan out across `engine`'s worker pool — the
+    /// same work-stealing loop as the Bode sweep. Results come back
+    /// ordered `k = 1..=max_harmonic` and are bit-identical on every
+    /// engine; on failure the lowest-`k` error is reported.
     ///
     /// # Errors
     ///
@@ -686,7 +644,7 @@ mod tests {
             .iter()
             .map(|&f| Hertz(f))
             .collect();
-        let plot = na.sweep(&freqs).unwrap();
+        let plot = na.sweep_with(&LotEngine::serial(), &freqs).unwrap();
         let phases: Vec<f64> = plot.points().iter().map(|p| p.phase_deg.est).collect();
         // Monotonically decreasing toward ≈ −180° and beyond; no +wraps.
         for w in phases.windows(2) {
@@ -709,7 +667,10 @@ mod tests {
     fn empty_sweep_rejected() {
         let dut = ActiveRcFilter::paper_dut();
         let mut na = analyzer_for(&dut);
-        assert_eq!(na.sweep(&[]).unwrap_err(), NetanError::EmptySweep);
+        assert_eq!(
+            na.sweep_with(&LotEngine::serial(), &[]).unwrap_err(),
+            NetanError::EmptySweep
+        );
     }
 
     #[test]
@@ -718,8 +679,10 @@ mod tests {
         let cfg = AnalyzerConfig::ideal()
             .with_periods(400)
             .with_va_diff(Volts(0.2)); // 800 mVpp stimulus like Fig. 10c
-        let mut na = NetworkAnalyzer::new(&dut, cfg);
-        let hs = na.measure_harmonics(Hertz(1600.0), 3).unwrap();
+        let na = NetworkAnalyzer::new(&dut, cfg);
+        let hs = na
+            .measure_harmonics_with(&LotEngine::serial(), Hertz(1600.0), 3)
+            .unwrap();
         assert_eq!(hs.len(), 3);
         let a1 = hs[0].amplitude.est;
         let hd2 = 20.0 * (hs[1].amplitude.est / a1).log10();

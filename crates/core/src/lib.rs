@@ -19,7 +19,7 @@
 //!   — sweep points, harmonics, whole Monte-Carlo devices sharing one
 //!   amortized calibration — across worker threads with bit-identical
 //!   results: the paper's production-screening scenario at throughput,
-//! * **adaptive refinement** ([`NetworkAnalyzer::sweep_adaptive`]):
+//! * **adaptive refinement** ([`NetworkAnalyzer::sweep_adaptive_with`]):
 //!   rounds of curvature/enclosure-scored bisection that concentrate
 //!   points where the response bends, on the same engine and with the
 //!   same serial == parallel bit-identity,

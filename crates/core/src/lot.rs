@@ -232,25 +232,34 @@ impl EscalationSchedule {
     /// # Panics
     ///
     /// Panics if `stages` is empty or the stage `periods` are not
-    /// strictly increasing.
+    /// strictly increasing ([`defect`](Self::defect)).
     pub fn new(stages: Vec<AnalyzerConfig>) -> Self {
-        assert!(
-            !stages.is_empty(),
-            "an escalation schedule needs at least one stage"
-        );
-        for w in stages.windows(2) {
-            assert!(
-                w[0].periods < w[1].periods,
-                "escalation stages must strictly increase M ({} then {})",
-                w[0].periods,
-                w[1].periods
-            );
-        }
+        let defect = Self::defect(&stages);
+        assert!(defect.is_none(), "{}", defect.unwrap_or_default());
         Self {
             stages,
             budget: None,
             stopping: StoppingPolicy::Staged,
         }
+    }
+
+    /// Why `stages` cannot make a schedule, or `None` if they can: the
+    /// precondition [`new`](Self::new) asserts — at least one stage, and
+    /// strictly increasing `periods` — so a decoder of untrusted input
+    /// can refuse the stages with the same check and message.
+    pub fn defect(stages: &[AnalyzerConfig]) -> Option<String> {
+        if stages.is_empty() {
+            return Some("an escalation schedule needs at least one stage".into());
+        }
+        stages
+            .windows(2)
+            .find(|w| w[0].periods >= w[1].periods)
+            .map(|w| {
+                format!(
+                    "escalation stages must strictly increase M ({} then {})",
+                    w[0].periods, w[1].periods
+                )
+            })
     }
 
     /// A schedule that varies only the evaluation length: one stage per

@@ -292,23 +292,19 @@ impl ScIntegrator {
     /// One planned step from output `vout` with pre-drawn `kT/C` values
     /// (from [`draw_ktc`](Self::draw_ktc) on the same plan); returns the
     /// new output — bit-identical to
-    /// [`step_planned_in`](Self::step_planned_in) from that output with
-    /// those draws. Neither this integrator's output nor its noise stream
-    /// moves, so one integrator can advance many independent states
-    /// through the same draws.
+    /// [`step_planned`](Self::step_planned) from that output with those
+    /// draws. It always runs the general body, which on an
+    /// [exact](ScStepPlan::is_exact) plan with zero draws equals the
+    /// exact one with its hand-off. Neither this integrator's output nor
+    /// its noise stream moves, so one integrator can advance many
+    /// independent states through the same draws.
     ///
     /// # Panics
     ///
     /// Panics if `voltages.len()` differs from the planned branch count.
     #[inline(always)]
-    pub fn step_from<const EXACT: bool>(
-        &self,
-        vout: f64,
-        plan: &ScStepPlan,
-        voltages: &[f64],
-        ktc: &KtcDraws,
-    ) -> f64 {
-        Self::step_with::<EXACT>(&self.opamp, vout, plan, voltages, |i| ktc[i])
+    pub fn step_from(&self, vout: f64, plan: &ScStepPlan, voltages: &[f64], ktc: &KtcDraws) -> f64 {
+        Self::step_with::<false>(&self.opamp, vout, plan, voltages, |i| ktc[i])
     }
 
     /// The planned step from output `vout`, taking branch `i`'s `kT/C`

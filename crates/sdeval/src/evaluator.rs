@@ -14,7 +14,7 @@
 //! signatures "are processed using basic arithmetic operations in the
 //! digital domain to cancel the offset contribution of the modulators".
 
-use crate::modulator::{BlockDraws, ModulatorPair, SdmConfig, SigmaDeltaModulator, GROUP_DEVICES};
+use crate::modulator::{ModulatorPair, SdmConfig, SigmaDeltaModulator, GROUP_DEVICES};
 use crate::signature::{
     amplitude_from_signatures, dc_from_signature, phase_from_signatures, Bounded, SignaturePair,
 };
@@ -56,8 +56,7 @@ impl BlockSource for FnSource<'_> {
 /// a block at a time — the multi-device counterpart of [`BlockSource`].
 ///
 /// Each block is one [`advance`](Self::advance) of the shared stimulus
-/// followed by the devices' responses in device order: one
-/// [`device_block`](Self::device_block) per device, or one
+/// followed by the devices' responses in device order, one
 /// [`group_block`](Self::group_block) per group of consecutive devices.
 /// Device `d` must see exactly the samples a source of its own would
 /// produce: its response to the same stimulus, block after block.
@@ -68,36 +67,14 @@ pub trait LaneSource {
     /// Advances the shared stimulus by `len` samples — the next block.
     fn advance(&mut self, len: usize);
 
-    /// Writes device `device`'s response to the block the last
-    /// [`advance`](Self::advance) produced into `out`, whose length is
-    /// that block's.
-    fn device_block(&mut self, device: usize, out: &mut [f64]);
-
     /// Writes the responses of `devices`, a group of 1 to
     /// [`GROUP_DEVICES`] consecutive devices, to the block the last
     /// [`advance`](Self::advance) produced into `out`, interleaved per
     /// sample: with `w = devices.len()`, `out[t·w + s]` is device
     /// `devices.start + s`'s sample `t`, and `out.len()` is `w` times
-    /// the block's length. The samples are the ones
-    /// [`device_block`](Self::device_block) would write.
-    ///
-    /// The provided default fills each device through `device_block`, in
-    /// device order, and interleaves them. A source whose devices can
-    /// run in lockstep overrides it (`ate::DemoBoard` steps a group's DUT
-    /// recurrences together), and may panic on a wider group.
-    fn group_block(&mut self, devices: Range<usize>, out: &mut [f64]) {
-        let width = devices.len();
-        if width == 1 {
-            return self.device_block(devices.start, out);
-        }
-        let mut column = vec![0.0; out.len() / width];
-        for (s, device) in devices.enumerate() {
-            self.device_block(device, &mut column);
-            for (row, &y) in out.chunks_exact_mut(width).zip(&column) {
-                row[s] = y;
-            }
-        }
-    }
+    /// the block's length. A group of one is that device's block alone.
+    /// A source may panic on a wider group.
+    fn group_block(&mut self, devices: Range<usize>, out: &mut [f64]);
 }
 
 /// A [`BlockSource`] as a lane of one device: the source fills the
@@ -111,7 +88,7 @@ impl LaneSource for OneDevice<'_> {
 
     fn advance(&mut self, _len: usize) {}
 
-    fn device_block(&mut self, _device: usize, out: &mut [f64]) {
+    fn group_block(&mut self, _devices: Range<usize>, out: &mut [f64]) {
         self.0.fill_block(out);
     }
 }
@@ -335,14 +312,15 @@ impl SinewaveEvaluator {
     /// periods: one measurement per device, in device order.
     ///
     /// The devices share the acquisition's noise: each block's
-    /// comparator and `kT/C` draws are taken once and every device's
-    /// modulator states run through them. Every device starts from the
-    /// evaluator's current modulator state, so each measurement is
-    /// bit-identical to a [`measure_harmonic_blocks`] of that device
-    /// alone on a clone of this evaluator. Afterwards the evaluator
-    /// stands where the first device's acquisition alone would leave it:
-    /// noise streams and modulator state (a lane of no devices leaves it
-    /// as it was).
+    /// comparator and `kT/C` draws are taken once, before any device
+    /// steps, and every device's modulator states run through them.
+    /// Every device starts from the evaluator's current modulator state,
+    /// so each measurement is bit-identical to a
+    /// [`measure_harmonic_blocks`] of that device alone on a clone of
+    /// this evaluator. Afterwards the evaluator stands where the first
+    /// device's acquisition alone would leave it: noise streams and
+    /// modulator state. A lane of no devices draws nothing and leaves it
+    /// as it was.
     ///
     /// [`measure_harmonic_blocks`]: Self::measure_harmonic_blocks
     ///
@@ -463,27 +441,24 @@ impl SinewaveEvaluator {
     /// Runs one (or two, when chopping) acquisition windows over every
     /// device of `source`, writing each device's processed signatures to
     /// its slot of `signatures` (one slot per device); returns the
-    /// samples consumed per device.
+    /// samples consumed per device. A lane of no devices returns before
+    /// the first window, so it draws nothing.
     ///
-    /// The window is drained in blocks. Per block the source advances
-    /// the shared stimulus once; then the devices' samples run through
-    /// their own I and Q modulator states, with polarities from a
-    /// running phase counter ([`QuadratureSquareWave::phases`]). The two
-    /// modulators are independent state machines with independent noise
-    /// streams, so the order in which their steps interleave never
-    /// changes a bit (the signatures are exact integer sums either way);
-    /// stepping them together lets the CPU overlap their two serial
-    /// dependency chains. Which loop runs follows from the pair:
-    ///
-    /// * An exact pair (ideal hardware) draws nothing, so no device
-    ///   depends on another. Devices run in groups of
-    ///   [`GROUP_DEVICES`] in device order (a tail of fewer runs at its
-    ///   own width): the source fills a group's samples interleaved per
-    ///   sample ([`LaneSource::group_block`]) and one kernel steps all of
-    ///   the group's modulators per sample, so their chains overlap too.
-    /// * Otherwise each device runs alone. The first device draws the
-    ///   block's noise as it runs, keeping it when other devices follow,
-    ///   and every other device reuses those draws.
+    /// The window is drained in blocks, and every block runs the same
+    /// way whatever the hardware. The source advances the shared
+    /// stimulus once, and the modulator pair draws the block's noise
+    /// once ([`ModulatorPair::draw_block`]; an exact pair draws
+    /// nothing), with polarities from a running phase counter
+    /// ([`QuadratureSquareWave::phases`]). Then the devices run in groups
+    /// of [`GROUP_DEVICES`] in device order (a tail of fewer runs at its
+    /// own width): the source fills a group's samples interleaved per
+    /// sample ([`LaneSource::group_block`]) and one kernel steps all of
+    /// the group's I and Q modulator states per sample
+    /// ([`ModulatorPair::step_group`]), so their dependency chains
+    /// overlap. The hardware selects only the kernel: an exact pair's
+    /// groups run on the exact sums. Devices share no state, so the
+    /// order in which their steps interleave never changes a bit (the
+    /// signatures are exact integer sums either way).
     fn acquire(
         &mut self,
         source: &mut dyn LaneSource,
@@ -491,19 +466,25 @@ impl SinewaveEvaluator {
         m: u32,
         signatures: &mut [(f64, f64)],
     ) -> u64 {
+        let devices = signatures.len();
         let window = u64::from(m) * u64::from(self.config.n);
+        let consumed = if self.config.chopped {
+            2 * window
+        } else {
+            window
+        };
+        if devices == 0 {
+            return consumed;
+        }
         let block_cap = self.config.block_samples.max(1) as u64;
         #[expect(
             clippy::cast_possible_truncation,
             reason = "the value is ≤ block_samples, which is already a usize, so the cast is exact"
         )]
         let block = block_cap.min(window) as usize;
-        let devices = signatures.len();
-        let exact = self.modulators.is_exact();
-        let width = if exact { GROUP_DEVICES } else { 1 };
-        let mut buf = vec![0.0f64; block * width.min(devices).max(1)];
+        let mut buf = vec![0.0f64; block * GROUP_DEVICES.min(devices)];
         let mut states = vec![self.modulators.states(); devices];
-        let mut run = |this: &mut Self, invert: bool, src: &mut dyn LaneSource| {
+        let mut run = |pair: &mut ModulatorPair, invert: bool, src: &mut dyn LaneSource| {
             let mut phases = sq.phases();
             let mut counts = vec![(0i64, 0i64); devices];
             let mut t = 0u64;
@@ -514,54 +495,34 @@ impl SinewaveEvaluator {
                     .take(len)
                     .map(|(p, q)| (p ^ invert, q ^ invert));
                 src.advance(len);
-                if exact {
-                    let groups = states.chunks_mut(width).zip(counts.chunks_mut(width));
-                    for (g, (group, count)) in groups.enumerate() {
-                        let first = g * width;
-                        let x = &mut buf[..len * group.len()];
-                        src.group_block(first..first + group.len(), x);
-                        this.modulators
-                            .exact_group(group, x, polarities.clone(), count);
-                    }
-                } else {
-                    for (device, (state, count)) in states.iter_mut().zip(&mut counts).enumerate() {
-                        src.device_block(device, &mut buf[..len]);
-                        let draws = match (device, devices) {
-                            (0, 1) => BlockDraws::Draw,
-                            (0, _) => BlockDraws::DrawAndKeep,
-                            _ => BlockDraws::Reuse,
-                        };
-                        let (b1, b2) = this.modulators.process_block(
-                            state,
-                            &buf[..len],
-                            polarities.clone(),
-                            draws,
-                        );
-                        count.0 += b1;
-                        count.1 += b2;
-                    }
+                pair.draw_block(len, polarities.clone());
+                let groups = states
+                    .chunks_mut(GROUP_DEVICES)
+                    .zip(counts.chunks_mut(GROUP_DEVICES));
+                for (g, (group, count)) in groups.enumerate() {
+                    let first = g * GROUP_DEVICES;
+                    let x = &mut buf[..len * group.len()];
+                    src.group_block(first..first + group.len(), x);
+                    pair.step_group(group, x, polarities.clone(), count);
                 }
                 phases.skip_samples(len);
                 t += len as u64;
             }
             counts
         };
-        let consumed = if self.config.chopped {
-            let a = run(self, false, source);
-            let b = run(self, true, source);
+        let pair = &mut self.modulators;
+        if self.config.chopped {
+            let a = run(pair, false, source);
+            let b = run(pair, true, source);
             for (sig, ((a1, a2), (b1, b2))) in signatures.iter_mut().zip(a.into_iter().zip(b)) {
                 *sig = ((a1 - b1) as f64 / 2.0, (a2 - b2) as f64 / 2.0);
             }
-            2 * window
         } else {
-            for (sig, (a1, a2)) in signatures.iter_mut().zip(run(self, false, source)) {
+            for (sig, (a1, a2)) in signatures.iter_mut().zip(run(pair, false, source)) {
                 *sig = (a1 as f64, a2 as f64);
             }
-            window
-        };
-        if let Some(&first) = states.first() {
-            self.modulators.set_states(first);
         }
+        pair.set_states(states[0]);
         consumed
     }
 }
@@ -772,6 +733,44 @@ mod tests {
         let mut src = tone_source(1.0 / 96.0, 0.2, 0.3);
         let m = ev.measure_harmonic(&mut src, 1, 400).unwrap();
         assert!((m.amplitude.est - 0.2).abs() < 5e-3, "{}", m.amplitude.est);
+    }
+
+    /// A lane of no devices.
+    struct NoDevices;
+
+    impl LaneSource for NoDevices {
+        fn devices(&self) -> usize {
+            0
+        }
+
+        fn advance(&mut self, _len: usize) {}
+
+        fn group_block(&mut self, _devices: Range<usize>, _out: &mut [f64]) {
+            unreachable!("a lane of no devices has no group");
+        }
+    }
+
+    #[test]
+    fn an_empty_lane_leaves_the_evaluator_as_it_was() {
+        // An empty lane draws nothing: afterwards the noisy evaluator
+        // measures exactly what a fresh one does, and its modulators end
+        // each measurement in the same states — an integrator's value
+        // carries every `kT/C` draw it took, so a shifted noise stream
+        // shows there even where the signatures do not move.
+        let mut ev = SinewaveEvaluator::new(EvaluatorConfig::cmos_035um(5));
+        let mut fresh = ev.clone();
+        assert!(ev
+            .measure_harmonic_lane(&mut NoDevices, 1, 50)
+            .unwrap()
+            .is_empty());
+        let mut src = tone_source(1.0 / 96.0, 0.3, 0.8);
+        let mut fresh_src = tone_source(1.0 / 96.0, 0.3, 0.8);
+        for k in [1, 2, 3, 1] {
+            let got = ev.measure_harmonic(&mut src, k, 4).unwrap();
+            let want = fresh.measure_harmonic(&mut fresh_src, k, 4).unwrap();
+            assert_eq!(got, want, "k = {k}");
+            assert_eq!(ev.modulators.states(), fresh.modulators.states(), "k = {k}");
+        }
     }
 
     #[test]

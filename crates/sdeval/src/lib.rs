@@ -56,8 +56,7 @@ pub use evaluator::{
     LaneSource, SinewaveEvaluator, DEFAULT_BLOCK_SAMPLES,
 };
 pub use modulator::{
-    BlockDraws, ComparatorModel, ModulatorPair, ModulatorState, SdmConfig, SigmaDeltaModulator,
-    GROUP_DEVICES,
+    ComparatorModel, ModulatorPair, ModulatorState, SdmConfig, SigmaDeltaModulator, GROUP_DEVICES,
 };
 pub use modulator2::SecondOrderModulator;
 pub use signature::{Bounded, SignaturePair, EPSILON_BOUND};

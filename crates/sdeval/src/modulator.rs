@@ -51,7 +51,7 @@ impl ComparatorModel {
 
     /// A dynamic-latch comparator typical of a 0.35 µm process: a few mV of
     /// offset, sub-mV hysteresis and decision noise.
-    pub fn dynamic_latch_035um() -> Self {
+    fn dynamic_latch_035um() -> Self {
         Self {
             offset: Volts(3.0e-3),
             hysteresis: Volts(0.3e-3),
@@ -199,11 +199,6 @@ impl SigmaDeltaModulator {
         &self.config
     }
 
-    /// Current integrator state (volts).
-    pub fn integrator_state(&self) -> f64 {
-        self.integrator.output()
-    }
-
     /// Resets the modulator state.
     pub fn reset(&mut self) {
         self.integrator.reset();
@@ -240,14 +235,13 @@ impl SigmaDeltaModulator {
     }
 
     /// Restores a state taken with [`state`](Self::state).
-    pub fn set_state(&mut self, state: ModulatorState) {
+    fn set_state(&mut self, state: ModulatorState) {
         self.integrator.set_output(state.integrator);
         self.last_bit = state.last_bit;
     }
 
-    /// Whether block loops may take the exact path (the exact
-    /// instantiation of [`step_from`](Self::step_from) and
-    /// [`ModulatorPair`]'s group kernel): both polarity plans are
+    /// Whether [`ModulatorPair`]'s group kernel may run this modulator
+    /// on the exact sums: both polarity plans are
     /// [exact](ScStepPlan::is_exact) and the comparator is ideal (zero
     /// offset, hysteresis and noise), so its threshold is exactly `+0.0`
     /// and a step draws nothing.
@@ -275,33 +269,30 @@ impl SigmaDeltaModulator {
 
     /// One master-clock cycle of a device in `state`, on the hoisted
     /// plans and the step's pre-drawn `noise` — bit-identical to
-    /// [`step`](Self::step) from the same state with the same draws.
-    /// `EXACT = true` is only valid when [`is_exact`](Self::is_exact)
-    /// holds: the ideal comparator then reduces to `u >= 0.0`
-    /// (`0 + 0 − (±1)·0` is `+0.0`), nothing was drawn, and the
-    /// integrator takes its exact instantiation.
+    /// [`step`](Self::step) from the same state with the same draws. On
+    /// an [exact](Self::is_exact) modulator, with zero draws, it is also
+    /// what a step of the exact path computes: the ideal comparator's
+    /// threshold `0 + 0 − (±1)·0` is `+0.0`, and from any state the
+    /// integrator's general body equals its exact one with the hand-off
+    /// ([`ScIntegrator::step_planned_in`]).
     #[inline(always)]
-    fn step_from<const EXACT: bool>(
+    fn step_from(
         &self,
         state: &mut ModulatorState,
         x: f64,
         q: bool,
         [comparator, input, dac, offset]: StepNoise,
     ) -> bool {
-        let bit = if EXACT {
-            state.integrator >= 0.0
-        } else {
-            // Latch decision on the previous integrator state — the same
-            // expression shape as `step` (sum, noise draw, then the
-            // signed hysteresis term subtracted).
-            let cmp = &self.config.comparator;
-            let hyst_sign = if state.last_bit { 1.0 } else { -1.0 };
-            let threshold = cmp.offset.value() + comparator - hyst_sign * cmp.hysteresis.value();
-            state.integrator >= threshold
-        };
+        // Latch decision on the previous integrator state — the same
+        // expression shape as `step` (sum, noise draw, then the signed
+        // hysteresis term subtracted).
+        let cmp = &self.config.comparator;
+        let hyst_sign = if state.last_bit { 1.0 } else { -1.0 };
+        let threshold = cmp.offset.value() + comparator - hyst_sign * cmp.hysteresis.value();
+        let bit = state.integrator >= threshold;
         let d_sign = if bit { 1.0 } else { -1.0 };
         let plan = if q { &self.plan_pos } else { &self.plan_neg };
-        state.integrator = self.integrator.step_from::<EXACT>(
+        state.integrator = self.integrator.step_from(
             state.integrator,
             plan,
             &[x, d_sign * self.config.vref.value(), self.input_offset],
@@ -336,21 +327,21 @@ pub struct ModulatorState {
 /// The modulators' noise never depends on the signal: a step's
 /// comparator and `kT/C` draws come from the modulator's own seeded
 /// streams in step order, whatever the input. So each block's noise is
-/// drawn once, by the first device to run the block, and every other
-/// device runs its own [`ModulatorState`]s through the block with those
-/// same draws ([`process_block`](Self::process_block)). An exact pair
-/// draws nothing, so its devices step in groups of [`GROUP_DEVICES`]
-/// through one kernel. Each device decides exactly what a fresh pair of
-/// its own, stepped with [`SigmaDeltaModulator::step`], would decide.
+/// drawn once, before any device steps, and every device runs its own
+/// [`ModulatorState`]s through the block with those same draws, in
+/// groups of up to [`GROUP_DEVICES`]. An exact pair (ideal hardware)
+/// draws nothing, and its groups run on the exact sums. Each device
+/// decides exactly what a fresh pair of its own, stepped with
+/// [`SigmaDeltaModulator::step`], would decide.
 #[derive(Debug, Clone)]
 pub struct ModulatorPair {
     i: SigmaDeltaModulator,
     q: SigmaDeltaModulator,
-    /// Both modulators are exact: blocks draw nothing and take the exact
-    /// group kernel.
+    /// Both modulators are exact: blocks draw nothing and groups run on
+    /// the exact sums.
     exact: bool,
-    /// The current block's kept noise, per step: in-phase, then
-    /// quadrature.
+    /// The current block's noise, per step: in-phase, then quadrature.
+    /// Empty on an exact pair.
     noise: Vec<[StepNoise; 2]>,
 }
 
@@ -377,15 +368,6 @@ impl ModulatorPair {
         self.q.set_state(q);
     }
 
-    /// Whether both modulators are exact ([`SigmaDeltaModulator`]'s
-    /// plans [exact](mixsig::sc::ScStepPlan::is_exact) and its comparator
-    /// ideal): a step then draws nothing and depends on no other device,
-    /// so blocks step devices in groups
-    /// ([`SinewaveEvaluator`](crate::SinewaveEvaluator)'s acquisition).
-    pub(crate) fn is_exact(&self) -> bool {
-        self.exact
-    }
-
     /// Runs one device's `states` (in-phase, quadrature) through a
     /// block: each sample of `x` goes to the in-phase modulator with the
     /// first polarity of the next `polarities` item and to the
@@ -393,93 +375,61 @@ impl ModulatorPair {
     /// per high bit, `−1` per low bit) — what the signature counters
     /// integrate.
     ///
-    /// `draws` says where the block's noise comes from (see
-    /// [`BlockDraws`]): the block's first device draws each step's noise
-    /// as it runs, advancing each modulator's streams exactly as one
-    /// device's step loop would, and keeps the draws when other devices
-    /// follow; they reuse them, so the streams advance once per block
-    /// however many devices run it. An exact pair draws nothing: it runs
-    /// the group kernel at a width of one device.
-    ///
-    /// The two modulators share no state, so stepping them in one loop
-    /// only lets the CPU overlap their dependency chains.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-exact pair reuses draws for more samples than the
-    /// block's first device kept.
+    /// It is the block's draw and a group of one, so each modulator's
+    /// streams advance exactly as one device's step loop would advance
+    /// them.
     pub fn process_block(
         &mut self,
         states: &mut [ModulatorState; 2],
         x: &[f64],
         polarities: impl Iterator<Item = (bool, bool)> + Clone,
-        draws: BlockDraws,
     ) -> (i64, i64) {
-        if self.exact {
-            let mut counts = [(0, 0)];
-            self.exact_group(std::slice::from_mut(states), x, polarities, &mut counts);
-            let [counts] = counts;
-            return counts;
-        }
-        match draws {
-            BlockDraws::Draw => self.count_block::<true, false>(states, x, polarities),
-            BlockDraws::DrawAndKeep => self.count_block::<true, true>(states, x, polarities),
-            BlockDraws::Reuse => self.count_block::<false, false>(states, x, polarities),
-        }
+        self.draw_block(x.len(), polarities.clone());
+        let mut counts = [(0, 0)];
+        self.step_group(std::slice::from_mut(states), x, polarities, &mut counts);
+        let [counts] = counts;
+        counts
     }
 
-    /// The general (non-exact) block loop of
-    /// [`process_block`](Self::process_block).
-    fn count_block<const DRAW: bool, const KEEP: bool>(
+    /// Draws the noise of a block of `len` steps with `polarities`, in
+    /// step order, and keeps it for [`step_group`](Self::step_group):
+    /// per step the in-phase modulator's comparator and `kT/C` values,
+    /// then the quadrature one's, from each modulator's own streams —
+    /// the draws one device's step loop makes. An exact pair draws
+    /// nothing.
+    pub(crate) fn draw_block(
         &mut self,
-        [state_i, state_q]: &mut [ModulatorState; 2],
-        x: &[f64],
+        len: usize,
         polarities: impl Iterator<Item = (bool, bool)>,
-    ) -> (i64, i64) {
-        let Self { i, q, noise, .. } = self;
-        if KEEP {
-            // Every slot is overwritten below; only a longer block than
-            // the last one writes fresh slots.
-            noise.resize(x.len(), NO_NOISE);
+    ) {
+        let Self { i, q, exact, noise } = self;
+        if *exact {
+            return;
         }
-        let kept = if DRAW && !KEEP { 0 } else { x.len() };
-        let noise = &mut noise[..kept];
-        let mut acc_i = 0i64;
-        let mut acc_q = 0i64;
-        for (t, (&xt, (qi, qq))) in x.iter().zip(polarities).enumerate() {
-            let [ni, nq] = if DRAW {
-                let drawn = [i.draw_step(qi), q.draw_step(qq)];
-                if KEEP {
-                    noise[t] = drawn;
-                }
-                drawn
-            } else {
-                noise[t]
-            };
-            acc_i += if i.step_from::<false>(state_i, xt, qi, ni) {
-                1
-            } else {
-                -1
-            };
-            acc_q += if q.step_from::<false>(state_q, xt, qq, nq) {
-                1
-            } else {
-                -1
-            };
+        // Every slot is overwritten below; only a longer block than the
+        // last one writes fresh slots.
+        noise.resize(len, NO_NOISE);
+        for (step, (qi, qq)) in noise.iter_mut().zip(polarities) {
+            *step = [i.draw_step(qi), q.draw_step(qq)];
         }
-        (acc_i, acc_q)
     }
 
-    /// Runs a group of devices through one block of an exact pair: the
-    /// devices' `states`, their samples `x` interleaved per sample
-    /// (`x[t·w + s]` is device `s`'s sample `t`, `w = states.len()`), one
-    /// polarity pair per sample for every device, and each device's
-    /// signed counts added to its slot of `counts`.
+    /// Runs a group of devices through the block the last
+    /// [`draw_block`](Self::draw_block) drew: the devices' `states`,
+    /// their samples `x` interleaved per sample (`x[t·w + s]` is device
+    /// `s`'s sample `t`, `w = states.len()`), one polarity pair per
+    /// sample for every device, and each device's signed counts added
+    /// to its slot of `counts`.
     ///
     /// A group holds one to [`GROUP_DEVICES`] devices and runs one
     /// kernel monomorphized on its width
-    /// ([`exact_group_n`](Self::exact_group_n)).
-    pub(crate) fn exact_group(
+    /// ([`step_group_n`](Self::step_group_n)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if a pair that is not exact steps more samples than the
+    /// block drew.
+    pub(crate) fn step_group(
         &self,
         states: &mut [[ModulatorState; 2]],
         x: &[f64],
@@ -491,23 +441,24 @@ impl ModulatorPair {
             "a group of at most GROUP_DEVICES"
         );
         match states.len() {
-            1 => self.exact_group_n::<1>(states, x, polarities, counts),
-            2 => self.exact_group_n::<2>(states, x, polarities, counts),
-            3 => self.exact_group_n::<3>(states, x, polarities, counts),
-            _ => self.exact_group_n::<GROUP_DEVICES>(states, x, polarities, counts),
+            1 => self.step_group_n::<1>(states, x, polarities, counts),
+            2 => self.step_group_n::<2>(states, x, polarities, counts),
+            3 => self.step_group_n::<3>(states, x, polarities, counts),
+            _ => self.step_group_n::<GROUP_DEVICES>(states, x, polarities, counts),
         }
     }
 
-    /// The exact group kernel for a compile-time width `W`.
+    /// The group kernel for a compile-time width `W`.
     ///
-    /// The block first runs on the exact sums alone
+    /// An exact pair first runs the block on the exact sums alone
     /// ([`exact_sums`](Self::exact_sums)). A non-finite integrator stays
     /// non-finite under exact steps, so if every integrator ends the
     /// block finite, no step needed the general body and the block is
-    /// what each device's own step loop computes. Otherwise the block
-    /// runs again from the same states, one step at a time with the
-    /// hand-off ([`exact_handoff`](Self::exact_handoff)).
-    fn exact_group_n<const W: usize>(
+    /// what each device's own step loop computes. Otherwise, and on
+    /// every block of a pair that is not exact, the block runs through
+    /// the general body ([`general_sums`](Self::general_sums)) with the
+    /// block's draws; an exact pair's are zero.
+    fn step_group_n<const W: usize>(
         &self,
         states: &mut [[ModulatorState; 2]],
         x: &[f64],
@@ -519,9 +470,14 @@ impl ModulatorPair {
             *slot = *state;
         }
         let (rows, _) = x.as_chunks::<W>();
-        let (end, acc) = self
-            .exact_sums(start, rows, polarities.clone())
-            .unwrap_or_else(|| self.exact_handoff(start, rows, polarities));
+        let (end, acc) = if self.exact {
+            self.exact_sums(start, rows, polarities.clone())
+                .unwrap_or_else(|| {
+                    self.general_sums(start, rows, polarities, &vec![NO_NOISE; rows.len()])
+                })
+        } else {
+            self.general_sums(start, rows, polarities, &self.noise[..rows.len()])
+        };
         for (state, slot) in states.iter_mut().zip(&end) {
             *state = *slot;
         }
@@ -536,8 +492,9 @@ impl ModulatorPair {
     /// DAC voltages and integrator sums ([`ScStepPlan::exact_steps`])
     /// each run as one fixed-width loop, so the `2·W` dependency chains
     /// overlap. Each slot runs its own device's operations in the order
-    /// [`SigmaDeltaModulator::step_from`] runs them: the decision
-    /// `u >= 0.0`, the DAC voltage `d·Vref`, then the exact sum.
+    /// [`SigmaDeltaModulator::step_from`] runs them on an exact
+    /// modulator: the decision `u >= 0.0`, the DAC voltage `d·Vref`, then
+    /// the exact sum.
     ///
     /// Returns the end states and the signed counts, or `None` if an
     /// integrator ends the block non-finite.
@@ -593,25 +550,26 @@ impl ModulatorPair {
         Some((end, counts))
     }
 
-    /// Runs `W` devices from `start` through `rows` one step at a time
-    /// ([`SigmaDeltaModulator::step_from`] with `EXACT = true`), which
-    /// hands each step whose exact result is not finite to the general
-    /// body — the path of a block whose exact sums ran out of range.
-    fn exact_handoff<const W: usize>(
+    /// Runs `W` devices from `start` through `rows` on the general body
+    /// ([`SigmaDeltaModulator::step_from`]), step `t` of every device
+    /// with the draws `noise[t]`. Each slot steps only its own states,
+    /// so interleaving the devices' steps changes no bit.
+    fn general_sums<const W: usize>(
         &self,
         mut slots: [[ModulatorState; 2]; W],
         rows: &[[f64; W]],
         polarities: impl Iterator<Item = (bool, bool)>,
+        noise: &[[StepNoise; 2]],
     ) -> GroupRun<W> {
         let mut acc = [(0i64, 0i64); W];
-        for (xt, (qi, qq)) in rows.iter().zip(polarities) {
+        for ((xt, (qi, qq)), &[ni, nq]) in rows.iter().zip(polarities).zip(noise) {
             for (([state_i, state_q], &xs), acc) in slots.iter_mut().zip(xt).zip(&mut acc) {
-                acc.0 += if self.i.step_from::<true>(state_i, xs, qi, NO_NOISE[0]) {
+                acc.0 += if self.i.step_from(state_i, xs, qi, ni) {
                     1
                 } else {
                     -1
                 };
-                acc.1 += if self.q.step_from::<true>(state_q, xs, qq, NO_NOISE[1]) {
+                acc.1 += if self.q.step_from(state_q, xs, qq, nq) {
                     1
                 } else {
                     -1
@@ -626,25 +584,12 @@ impl ModulatorPair {
 /// quadrature) and signed counts.
 type GroupRun<const W: usize> = ([[ModulatorState; 2]; W], [(i64, i64); W]);
 
-/// Most devices one exact group steps in lockstep.
+/// Most devices one group steps in lockstep.
 ///
 /// Four independent devices (eight modulator chains, four DUT
 /// recurrences) already keep the CPU's floating-point units busy:
 /// wider groups measured no faster per device-sample.
 pub const GROUP_DEVICES: usize = 4;
-
-/// Where one device's run through a block takes the block's noise from
-/// ([`ModulatorPair::process_block`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BlockDraws {
-    /// Draw each step's noise as it runs: the only device of the block.
-    Draw,
-    /// Draw each step's noise as it runs and keep it: the first of
-    /// several devices of the block.
-    DrawAndKeep,
-    /// Run through the draws the block's first device kept.
-    Reuse,
-}
 
 #[cfg(test)]
 mod tests {
@@ -709,9 +654,9 @@ mod tests {
             let x = 0.8 * (2.0 * std::f64::consts::PI * n as f64 / 96.0).sin();
             m.step(x, true);
             assert!(
-                m.integrator_state().abs() <= CI_OVER_CF * 1.8 + 1.0,
+                m.state().integrator.abs() <= CI_OVER_CF * 1.8 + 1.0,
                 "integrator diverged: {}",
-                m.integrator_state()
+                m.state().integrator
             );
         }
     }
@@ -799,8 +744,7 @@ mod tests {
             let mut states = pair.states();
             let mut got = (0i64, 0i64);
             for (xc, qc) in x.chunks(100).zip(q.chunks(100)) {
-                let (ci, cq) =
-                    pair.process_block(&mut states, xc, qc.iter().copied(), BlockDraws::Draw);
+                let (ci, cq) = pair.process_block(&mut states, xc, qc.iter().copied());
                 got = (got.0 + ci, got.1 + cq);
             }
             assert_eq!(want, got);
@@ -815,6 +759,6 @@ mod tests {
             m.step(0.5, true);
         }
         m.reset();
-        assert_eq!(m.integrator_state(), 0.0);
+        assert_eq!(m.state().integrator, 0.0);
     }
 }

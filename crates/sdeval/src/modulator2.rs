@@ -17,15 +17,8 @@
 //! would cost the digital simplicity the scheme is built on.
 
 use crate::modulator::CI_OVER_CF;
-use mixsig::noise::NoiseSource;
-use mixsig::opamp::OpAmpModel;
 use mixsig::sc::{Branch, ScIntegrator};
 use mixsig::units::Volts;
-
-/// Signature error bound for the second-order loop (empirically validated
-/// worst case for inputs within ±0.8·Vref; compare
-/// [`crate::EPSILON_BOUND`] = 4 for the first-order loop).
-pub const EPSILON_BOUND_ORDER2: f64 = 8.0;
 
 /// A second-order ΣΔ modulator with square-wave input modulation.
 #[derive(Debug, Clone)]
@@ -45,28 +38,6 @@ impl SecondOrderModulator {
             vref: vref.value(),
             last_bit: false,
         }
-    }
-
-    /// A loop with a non-ideal op-amp model (shared by both integrators).
-    pub fn with_opamp(vref: Volts, opamp: OpAmpModel, seed: u64) -> Self {
-        let settle = mixsig::units::Seconds(80.0e-9);
-        Self {
-            int1: ScIntegrator::new(1.0, 1.0e-12, opamp, settle, NoiseSource::new(seed)),
-            int2: ScIntegrator::new(
-                1.0,
-                1.0e-12,
-                opamp,
-                settle,
-                NoiseSource::new(seed.wrapping_add(1)),
-            ),
-            vref: vref.value(),
-            last_bit: false,
-        }
-    }
-
-    /// First-integrator state (volts).
-    pub fn first_integrator_state(&self) -> f64 {
-        self.int1.output()
     }
 
     /// Resets the loop.
@@ -97,6 +68,13 @@ impl SecondOrderModulator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mixsig::noise::NoiseSource;
+    use mixsig::opamp::OpAmpModel;
+
+    /// Signature error bound for the second-order loop (empirically
+    /// validated worst case for inputs within ±0.8·Vref; compare
+    /// [`crate::EPSILON_BOUND`] = 4 for the first-order loop).
+    const EPSILON_BOUND_ORDER2: f64 = 8.0;
     use std::f64::consts::PI;
 
     #[test]
@@ -119,10 +97,7 @@ mod tests {
         for n in 0..100_000usize {
             let x = 0.7 * (2.0 * PI * n as f64 / 96.0).sin();
             m.step(x, true);
-            assert!(
-                m.first_integrator_state().abs() < 3.0,
-                "integrator 1 diverged at {n}"
-            );
+            assert!(m.int1.output().abs() < 3.0, "integrator 1 diverged at {n}");
         }
     }
 
@@ -156,9 +131,27 @@ mod tests {
         assert!((sum as f64 / n as f64 + 0.4).abs() < 3e-3);
     }
 
+    /// A loop with a non-ideal op-amp model (shared by both
+    /// integrators) and seeded `kT/C` noise.
+    fn with_opamp(vref: Volts, opamp: OpAmpModel, seed: u64) -> SecondOrderModulator {
+        let settle = mixsig::units::Seconds(80.0e-9);
+        SecondOrderModulator {
+            int1: ScIntegrator::new(1.0, 1.0e-12, opamp, settle, NoiseSource::new(seed)),
+            int2: ScIntegrator::new(
+                1.0,
+                1.0e-12,
+                opamp,
+                settle,
+                NoiseSource::new(seed.wrapping_add(1)),
+            ),
+            vref: vref.value(),
+            last_bit: false,
+        }
+    }
+
     #[test]
     fn nonideal_loop_still_converges() {
-        let mut m = SecondOrderModulator::with_opamp(
+        let mut m = with_opamp(
             Volts(1.0),
             OpAmpModel::folded_cascode_035um().with_cubic(0.0),
             3,

@@ -113,7 +113,7 @@ pub struct SignaturePair {
 
 impl SignaturePair {
     /// Total number of samples `M·N`.
-    pub fn total_samples(&self) -> f64 {
+    fn total_samples(&self) -> f64 {
         self.m as f64 * self.n as f64
     }
 }

@@ -27,6 +27,7 @@
 //! {"schema":"netan.job.v1","type":"retry","job":1,"shard":{"seed_start":2,"seed_end":4},"message":"…"}
 //! {"schema":"netan.job.v1","type":"result","job":1,"report":{…netan.lot.v5…}}
 //! {"schema":"netan.job.v1","type":"rejected","error":{"kind":"queue_full","capacity":8}}
+//! {"schema":"netan.job.v1","type":"rejected","error":{"kind":"too_many_connections","limit":64}}
 //! {"schema":"netan.job.v1","type":"error","job":1,"error":{"kind":"shard_panicked",…}}
 //! {"schema":"netan.job.v1","type":"bye"}
 //! ```
@@ -206,15 +207,10 @@ impl JobRequest {
         for s in sched_doc.field("stages")?.as_arr()? {
             stages.push(config_from_json(s)?);
         }
-        // `EscalationSchedule::new` asserts these; check them first so a
+        // `EscalationSchedule::new` asserts this; check it first so a
         // malformed frame is a typed error, not a panic.
-        if stages.is_empty() {
-            return Err(ReportParseError::doc("schedule needs at least one stage"));
-        }
-        if stages.windows(2).any(|w| w[0].periods >= w[1].periods) {
-            return Err(ReportParseError::doc(
-                "escalation stages must strictly increase periods",
-            ));
+        if let Some(defect) = EscalationSchedule::defect(&stages) {
+            return Err(ReportParseError::doc(defect));
         }
         let mut schedule = EscalationSchedule::new(stages).with_stopping(stopping);
         if let budget @ Json::Num(_) = sched_doc.field("budget_s")? {
@@ -329,6 +325,14 @@ pub enum WireError {
         /// The parse failure, rendered to text.
         message: String,
     },
+    /// The server already serves its most connections
+    /// ([`MAX_CONNECTIONS`](crate::server::MAX_CONNECTIONS)): the
+    /// connection is refused and closed. Wire-only, like
+    /// [`BadFrame`](Self::BadFrame).
+    TooManyConnections {
+        /// The server's connection limit.
+        limit: u64,
+    },
 }
 
 impl From<&ServeError> for WireError {
@@ -391,6 +395,12 @@ impl WireError {
                 write_str(out, message);
                 out.push('}');
             }
+            WireError::TooManyConnections { limit } => {
+                let _ = write!(
+                    out,
+                    "{{\"kind\":\"too_many_connections\",\"limit\":{limit}}}"
+                );
+            }
         }
     }
 
@@ -413,6 +423,9 @@ impl WireError {
             }),
             "bad_frame" => Ok(WireError::BadFrame {
                 message: doc.field("message")?.as_str()?.to_string(),
+            }),
+            "too_many_connections" => Ok(WireError::TooManyConnections {
+                limit: doc.field("limit")?.as_int("limit")?,
             }),
             other => Err(ReportParseError::doc(format!(
                 "unknown error kind {other:?}"
@@ -723,6 +736,23 @@ mod tests {
                 "document invalid: a shard of 1099511627776 devices × {points} grid points \
                  exceeds {MAX_SHARD_POINTS} Bode points"
             )
+        );
+        // A schedule is refused with `EscalationSchedule::defect`'s
+        // message: non-escalating stages, and no stage at all.
+        let inverted = base.replace(
+            "\"stages\":[{\"periods\":50",
+            "\"stages\":[{\"periods\":500",
+        );
+        assert_eq!(
+            ClientFrame::parse(&inverted).unwrap_err().to_string(),
+            "document invalid: escalation stages must strictly increase M (500 then 200)"
+        );
+        let stages = base.find("\"stages\":[").unwrap() + "\"stages\":[".len();
+        let end = stages + base[stages..].find(']').unwrap();
+        let empty = format!("{}{}", &base[..stages], &base[end..]);
+        assert_eq!(
+            ClientFrame::parse(&empty).unwrap_err().to_string(),
+            "document invalid: an escalation schedule needs at least one stage"
         );
     }
 

@@ -23,7 +23,8 @@
 //!   each job's in-order merging, budget threading and checkpoint
 //!   persistence on one [`netan::ShardDriver`].
 //! - [`server`] — [`JobServer`]: the TCP front end, one connection per
-//!   submitter, events streamed as they happen.
+//!   submitter, at most [`MAX_CONNECTIONS`] at once, events streamed as
+//!   they happen.
 //!
 //! Everything is std-only and deterministic: a job's merged report is
 //! byte-identical to the equivalent monolithic
@@ -50,5 +51,5 @@ pub mod service;
 
 pub use error::ServeError;
 pub use job::{ClientFrame, DutDescription, JobRequest, ServerFrame, WireError, SCHEMA};
-pub use server::{JobServer, MAX_FRAME_BYTES};
+pub use server::{JobServer, MAX_CONNECTIONS, MAX_FRAME_BYTES};
 pub use service::{FaultPlan, JobEvent, ScreenService, ServiceConfig};

@@ -22,22 +22,36 @@
 //! answered with a `bad_frame` rejection and its connection closed, so a
 //! client that never sends a newline cannot make the server buffer
 //! without limit. Other connections are unaffected.
+//!
+//! The server serves at most [`MAX_CONNECTIONS`] connections at once,
+//! so clients cannot make it spawn threads without limit. A connection
+//! past the limit gets no thread: it is answered with one `rejected`
+//! frame of kind `too_many_connections` and closed. A slot frees when
+//! its connection ends, however it ends.
 
 use crate::job::{ClientFrame, ServerFrame, WireError};
 use crate::service::{JobEvent, ScreenService, ServiceConfig};
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread::JoinHandle;
 
 /// Longest frame a connection may send, in bytes, its newline excluded.
 pub const MAX_FRAME_BYTES: usize = 1 << 20;
 
+/// Most connections the server serves at once, each on its own thread;
+/// one more is refused with a `too_many_connections` rejection. A
+/// submitter holds one connection per job in flight, so this is far
+/// above what a screening client needs.
+pub const MAX_CONNECTIONS: usize = 64;
+
 struct Shared {
     service: ScreenService,
     addr: SocketAddr,
     closing: AtomicBool,
+    /// Connections being served.
+    connections: AtomicUsize,
 }
 
 impl Shared {
@@ -74,6 +88,7 @@ impl JobServer {
             service: ScreenService::start(config),
             addr: local,
             closing: AtomicBool::new(false),
+            connections: AtomicUsize::new(0),
         });
         let accept = {
             let shared = Arc::clone(&shared);
@@ -121,10 +136,16 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
                 if shared.closing.load(Ordering::SeqCst) {
                     return;
                 }
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || {
-                    let _ = serve_connection(&shared, stream);
-                });
+                match Slot::claim(shared) {
+                    Some(slot) => {
+                        std::thread::spawn(move || {
+                            let _ = serve_connection(&slot.0, stream);
+                        });
+                    }
+                    None => {
+                        let _ = refuse(stream);
+                    }
+                }
             }
             Err(_) => {
                 // Transient accept failures (connection reset before
@@ -135,6 +156,43 @@ fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
             }
         }
     }
+}
+
+/// One of the [`MAX_CONNECTIONS`] connection slots, held by the thread
+/// serving the connection and freed when it drops, however the
+/// connection ends.
+struct Slot(Arc<Shared>);
+
+impl Slot {
+    /// Takes a free slot, or `None` if every slot is taken.
+    fn claim(shared: &Arc<Shared>) -> Option<Self> {
+        shared
+            .connections
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |n| {
+                (n < MAX_CONNECTIONS).then_some(n + 1)
+            })
+            .ok()?;
+        Some(Self(Arc::clone(shared)))
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.connections.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Answers a connection past [`MAX_CONNECTIONS`] with its rejection and
+/// closes it.
+fn refuse(mut stream: TcpStream) -> io::Result<()> {
+    let limit = u64::try_from(MAX_CONNECTIONS).unwrap_or(u64::MAX);
+    send(
+        &mut stream,
+        &ServerFrame::Rejected {
+            error: WireError::TooManyConnections { limit },
+        },
+    )?;
+    stream.shutdown(Shutdown::Write)
 }
 
 fn send(writer: &mut TcpStream, frame: &ServerFrame) -> io::Result<()> {

@@ -185,6 +185,9 @@ proptest! {
             ServerFrame::Rejected {
                 error: WireError::BadFrame { message: message.clone() },
             },
+            ServerFrame::Rejected {
+                error: WireError::TooManyConnections { limit: done + extra },
+            },
             ServerFrame::Error {
                 job,
                 error: WireError::ShardPanicked {

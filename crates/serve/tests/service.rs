@@ -10,11 +10,12 @@ use netan::{
 };
 use netan_serve::{
     ClientFrame, DutDescription, FaultPlan, JobEvent, JobRequest, JobServer, ScreenService,
-    ServeError, ServerFrame, ServiceConfig, WireError, MAX_FRAME_BYTES,
+    ServeError, ServerFrame, ServiceConfig, WireError, MAX_CONNECTIONS, MAX_FRAME_BYTES,
 };
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::mpsc::Receiver;
+use std::time::Duration;
 
 const TOL: f64 = 0.05;
 
@@ -510,6 +511,92 @@ fn a_one_shard_job_of_2_pow_40_devices_is_rejected_and_its_connection_still_scre
     );
 
     screens_like_the_monolith(&mut writer, &mut reader);
+    server.shutdown();
+}
+
+/// Connects to `addr` and listens: the rejection if the server refused
+/// the connection, or `None` if it serves it — a served connection
+/// hears nothing until it sends a frame, while a refusal is sent on
+/// accept.
+fn connect_and_listen(addr: SocketAddr) -> (BufReader<TcpStream>, Option<WireError>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(1)))
+        .expect("set a read timeout");
+    let mut reader = BufReader::new(stream);
+    let mut line = String::new();
+    match reader.read_line(&mut line) {
+        Ok(n) if n > 0 => match ServerFrame::parse(line.trim()).expect("parse rejection") {
+            ServerFrame::Rejected { error } => {
+                let mut rest = String::new();
+                assert_eq!(reader.read_line(&mut rest).expect("read to the end"), 0);
+                (reader, Some(error))
+            }
+            other => panic!("expected a rejection, got {other:?}"),
+        },
+        Ok(_) => panic!("closed without a rejection"),
+        Err(e) => {
+            assert!(
+                matches!(
+                    e.kind(),
+                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                ),
+                "{e}"
+            );
+            reader
+                .get_ref()
+                .set_read_timeout(None)
+                .expect("clear the timeout");
+            (reader, None)
+        }
+    }
+}
+
+#[test]
+fn a_connection_past_the_limit_is_refused_and_a_freed_slot_screens() {
+    let server = JobServer::start("127.0.0.1:0", ServiceConfig::new().with_workers(1))
+        .expect("bind an ephemeral port");
+    let addr = server.addr();
+    // Connections are accepted in order, and each takes its slot on
+    // accept, so these hold every slot.
+    let mut held: Vec<TcpStream> = (0..MAX_CONNECTIONS)
+        .map(|_| TcpStream::connect(addr).expect("connect"))
+        .collect();
+    let (_, refused) = connect_and_listen(addr);
+    let limit = u64::try_from(MAX_CONNECTIONS).unwrap();
+    assert_eq!(refused, Some(WireError::TooManyConnections { limit }));
+    assert_eq!(
+        ServerFrame::Rejected {
+            error: WireError::TooManyConnections { limit }
+        }
+        .render(),
+        format!(
+            "{{\"schema\":\"netan.job.v1\",\"type\":\"rejected\",\
+             \"error\":{{\"kind\":\"too_many_connections\",\"limit\":{MAX_CONNECTIONS}}}}}"
+        )
+    );
+    // A held connection is served.
+    let last = held.last().expect("a held connection");
+    let mut writer = last.try_clone().expect("clone");
+    writer.write_all(b"not json\n").expect("write garbage");
+    expect_bad_frame(&mut BufReader::new(last), "a held connection");
+
+    // Its thread frees a slot when a connection ends; the next
+    // connection after that is served like any other.
+    drop(held.remove(0));
+    let mut reader = (0..500)
+        .find_map(|_| match connect_and_listen(addr) {
+            (reader, None) => Some(reader),
+            (_, Some(error)) => {
+                assert_eq!(error, WireError::TooManyConnections { limit });
+                std::thread::sleep(Duration::from_millis(10));
+                None
+            }
+        })
+        .expect("a slot freed");
+    let mut writer = reader.get_ref().try_clone().expect("clone");
+    screens_like_the_monolith(&mut writer, &mut reader);
+    drop(held);
     server.shutdown();
 }
 

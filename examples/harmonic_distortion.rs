@@ -12,7 +12,7 @@ use ate::{DemoBoard, DigitalOscilloscope, SignalPath};
 use dut::ActiveRcFilter;
 use mixsig::clock::MasterClock;
 use mixsig::units::{Hertz, Volts};
-use netan::{distortion_table, AnalyzerConfig, DistortionReport, NetworkAnalyzer};
+use netan::{distortion_table, AnalyzerConfig, DistortionReport, LotEngine, NetworkAnalyzer};
 use sigen::GeneratorConfig;
 
 fn main() -> Result<(), netan::NetanError> {
@@ -23,8 +23,9 @@ fn main() -> Result<(), netan::NetanError> {
     let config = AnalyzerConfig::ideal()
         .with_periods(400) // paper: 400 periods for distortion
         .with_va_diff(Volts(0.2)); // 800 mVpp differential stimulus
-    let mut analyzer = NetworkAnalyzer::new(&device, config);
-    let report = DistortionReport::new(analyzer.measure_harmonics(f_test, 3)?);
+    let analyzer = NetworkAnalyzer::new(&device, config);
+    let report =
+        DistortionReport::new(analyzer.measure_harmonics_with(&LotEngine::serial(), f_test, 3)?);
 
     println!("— proposed network analyzer (M = 400) —");
     print!("{}", distortion_table(&report));

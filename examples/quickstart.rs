@@ -5,7 +5,7 @@
 
 use dut::ActiveRcFilter;
 use mixsig::units::Hertz;
-use netan::{bode_table, AnalyzerConfig, NetworkAnalyzer};
+use netan::{bode_table, AnalyzerConfig, LotEngine, NetworkAnalyzer};
 
 fn main() -> Result<(), netan::NetanError> {
     // The DUT of the paper's demonstrator board (linearized: pure Bode).
@@ -25,7 +25,7 @@ fn main() -> Result<(), netan::NetanError> {
     // Sweep a short log grid. The master clock is retuned per point so the
     // oversampling ratio N = 96 never changes.
     let freqs: Vec<Hertz> = netan::log_spaced(Hertz(100.0), Hertz(20_000.0), 9);
-    let plot = analyzer.sweep(&freqs)?;
+    let plot = analyzer.sweep_with(&LotEngine::serial(), &freqs)?;
 
     println!("{}", bode_table(&plot));
     if let Some(fc) = plot.cutoff_frequency() {

@@ -23,7 +23,9 @@ fn refined_grid_is_a_superset_with_provenance() {
     let policy = RefinementPolicy::new(0.3)
         .with_max_points(12)
         .with_max_rounds(3);
-    let plot = na.sweep_adaptive(&seed, &policy).unwrap();
+    let plot = na
+        .sweep_adaptive_with(&LotEngine::serial(), &seed, &policy)
+        .unwrap();
 
     // Every seed frequency survives, tagged round 0.
     for f in &seed {
@@ -83,12 +85,19 @@ fn adaptive_matches_fixed_grid_accuracy_with_fewer_points() {
     let mut na = NetworkAnalyzer::new(&dut, cfg);
 
     let fixed = na
-        .sweep(&log_spaced(Hertz(200.0), Hertz(5_000.0), 20))
+        .sweep_with(
+            &LotEngine::serial(),
+            &log_spaced(Hertz(200.0), Hertz(5_000.0), 20),
+        )
         .unwrap();
     let budget = 20 * 7 / 10; // ≥ 30 % fewer than the fixed grid
     let policy = RefinementPolicy::new(0.25).with_max_points(budget);
     let adaptive = na
-        .sweep_adaptive(&log_spaced(Hertz(200.0), Hertz(5_000.0), 8), &policy)
+        .sweep_adaptive_with(
+            &LotEngine::serial(),
+            &log_spaced(Hertz(200.0), Hertz(5_000.0), 8),
+            &policy,
+        )
         .unwrap();
 
     let e_fixed = reconstruction_error_db(&fixed, &dut, 256).unwrap();
@@ -113,11 +122,12 @@ fn adaptive_rejects_bad_seeds_before_simulation() {
     let mut na = NetworkAnalyzer::new(&dut, fast_ideal(20));
     let policy = RefinementPolicy::default();
     assert_eq!(
-        na.sweep_adaptive(&[], &policy).unwrap_err(),
+        na.sweep_adaptive_with(&LotEngine::serial(), &[], &policy)
+            .unwrap_err(),
         NetanError::EmptySweep
     );
     let err = na
-        .sweep_adaptive(&[Hertz(1000.0), Hertz(-2.0)], &policy)
+        .sweep_adaptive_with(&LotEngine::serial(), &[Hertz(1000.0), Hertz(-2.0)], &policy)
         .unwrap_err();
     assert_eq!(err, NetanError::InvalidFrequency { hz_millis: -2000 });
     // Rejected before any calibration was spent.
@@ -130,7 +140,9 @@ fn unsorted_seed_with_duplicates_is_normalized() {
     let mut na = NetworkAnalyzer::new(&dut, fast_ideal(20));
     let policy = RefinementPolicy::new(5.0).with_max_rounds(0); // no refinement
     let seed = [Hertz(5000.0), Hertz(500.0), Hertz(5000.0), Hertz(1000.0)];
-    let plot = na.sweep_adaptive(&seed, &policy).unwrap();
+    let plot = na
+        .sweep_adaptive_with(&LotEngine::serial(), &seed, &policy)
+        .unwrap();
     let freqs: Vec<f64> = plot.points().iter().map(|p| p.frequency.value()).collect();
     assert_eq!(freqs, vec![500.0, 1000.0, 5000.0]);
 }

@@ -3,7 +3,7 @@
 
 use dut::{ActiveRcFilter, Dut, LinearDut};
 use mixsig::units::{Hertz, Volts};
-use netan::{AnalyzerConfig, GainMask, NetworkAnalyzer, SpecVerdict};
+use netan::{AnalyzerConfig, GainMask, LotEngine, NetworkAnalyzer, SpecVerdict};
 
 /// The analyzer must track the analytic response of a DUT within a small
 /// absolute tolerance across its whole passband-to-stopband range.
@@ -81,13 +81,23 @@ fn spec_mask_screens_good_and_bad_devices() {
     // A nominal device passes.
     let good = ActiveRcFilter::paper_dut().linearized();
     let mut analyzer = NetworkAnalyzer::new(&good, AnalyzerConfig::ideal());
-    let verdict = mask.classify(analyzer.sweep(&freqs).unwrap().points());
+    let verdict = mask.classify(
+        analyzer
+            .sweep_with(&LotEngine::serial(), &freqs)
+            .unwrap()
+            .points(),
+    );
     assert_eq!(verdict, SpecVerdict::Pass);
 
     // A device with the cut-off at 2 kHz violates the 1 kHz mask point.
     let bad = ActiveRcFilter::new(Hertz(2000.0), std::f64::consts::FRAC_1_SQRT_2, 1.0);
     let mut analyzer = NetworkAnalyzer::new(&bad, AnalyzerConfig::ideal());
-    let verdict = mask.classify(analyzer.sweep(&freqs).unwrap().points());
+    let verdict = mask.classify(
+        analyzer
+            .sweep_with(&LotEngine::serial(), &freqs)
+            .unwrap()
+            .points(),
+    );
     assert_eq!(verdict, SpecVerdict::Fail);
 }
 
@@ -104,8 +114,12 @@ fn distortion_mode_agrees_with_scope() {
     let cfg = AnalyzerConfig::ideal()
         .with_periods(400)
         .with_va_diff(Volts(0.2));
-    let mut analyzer = NetworkAnalyzer::new(&device, cfg);
-    let report = netan::DistortionReport::new(analyzer.measure_harmonics(f_test, 3).unwrap());
+    let analyzer = NetworkAnalyzer::new(&device, cfg);
+    let report = netan::DistortionReport::new(
+        analyzer
+            .measure_harmonics_with(&LotEngine::serial(), f_test, 3)
+            .unwrap(),
+    );
 
     // Scope path.
     let clk = MasterClock::for_stimulus(f_test);
@@ -137,7 +151,7 @@ fn bode_csv_has_a_row_per_point() {
     let device = ActiveRcFilter::paper_dut().linearized();
     let mut analyzer = NetworkAnalyzer::new(&device, AnalyzerConfig::ideal().with_periods(50));
     let freqs = netan::log_spaced(Hertz(200.0), Hertz(5000.0), 4);
-    let plot = analyzer.sweep(&freqs).unwrap();
+    let plot = analyzer.sweep_with(&LotEngine::serial(), &freqs).unwrap();
     let csv = netan::bode_csv(&plot);
     assert_eq!(csv.lines().count(), 5); // header + 4 rows
 }

@@ -590,7 +590,9 @@ mod phase_unwrap_properties {
 mod adaptive_properties {
     use dut::ActiveRcFilter;
     use mixsig::units::Hertz;
-    use netan::{log_spaced, AnalyzerConfig, BodePlot, NetworkAnalyzer, RefinementPolicy};
+    use netan::{
+        log_spaced, AnalyzerConfig, BodePlot, LotEngine, NetworkAnalyzer, RefinementPolicy,
+    };
     use proptest::prelude::*;
 
     /// A fast adaptive sweep of the paper DUT (ideal hardware, M = 20).
@@ -605,7 +607,8 @@ mod adaptive_properties {
         let policy = RefinementPolicy::new(target_db)
             .with_max_points(max_points)
             .with_max_rounds(3);
-        na.sweep_adaptive(&seed, &policy).unwrap()
+        na.sweep_adaptive_with(&LotEngine::serial(), &seed, &policy)
+            .unwrap()
     }
 
     proptest! {

@@ -53,29 +53,41 @@ fn lane_layout_does_not_change_the_bits() {
     // lanes, into grid-point groups, or both: every layout measures each
     // device exactly as the serial engine does, and every device — each
     // slot of every device group, full or not — exactly as its own
-    // analyzer does point by point.
+    // analyzer does point by point, on ideal hardware (groups on the
+    // exact sums) and on noisy hardware (groups through each block's
+    // shared draws).
     let plan = paper_plan();
-    let config = AnalyzerConfig::ideal().with_periods(20);
     let seeds: Vec<u64> = (0..netan::LANE_DEVICES as u64 + 3).collect();
     let factory = paper_factory(0.05);
 
-    let reference = LotEngine::serial()
-        .run(&factory, &seeds, &plan, config)
-        .unwrap();
-    for threads in [2, 3, 5] {
-        let laned = LotEngine::with_threads(threads)
+    for config in [
+        AnalyzerConfig::ideal().with_periods(20),
+        AnalyzerConfig::cmos_035um(7).with_periods(20),
+    ] {
+        let reference = LotEngine::serial()
             .run(&factory, &seeds, &plan, config)
             .unwrap();
-        assert_eq!(reference, laned, "threads = {threads}");
-    }
-    let cal = LotEngine::shared_calibration(config).unwrap();
-    assert_eq!(reference.devices().len(), seeds.len());
-    for d in reference.devices() {
-        let device = factory(d.seed);
-        let alone = NetworkAnalyzer::new(&device, config);
-        for (point, &f) in d.plot.points().iter().zip(plan.grid()) {
-            let want = alone.measure_point_calibrated(cal, f).unwrap();
-            assert_eq!(point.gain, want.gain, "seed {} at {} Hz", d.seed, f.value());
+        for threads in [2, 3, 5] {
+            let laned = LotEngine::with_threads(threads)
+                .run(&factory, &seeds, &plan, config)
+                .unwrap();
+            assert_eq!(reference, laned, "{config:?}, threads = {threads}");
+        }
+        let cal = LotEngine::shared_calibration(config).unwrap();
+        assert_eq!(reference.devices().len(), seeds.len());
+        for d in reference.devices() {
+            let device = factory(d.seed);
+            let alone = NetworkAnalyzer::new(&device, config);
+            for (point, &f) in d.plot.points().iter().zip(plan.grid()) {
+                let want = alone.measure_point_calibrated(cal, f).unwrap();
+                assert_eq!(
+                    point.gain,
+                    want.gain,
+                    "{config:?}: seed {} at {} Hz",
+                    d.seed,
+                    f.value()
+                );
+            }
         }
     }
 }
@@ -217,8 +229,10 @@ fn parallel_harmonics_match_serial_bit_identically() {
     // bytes, fundamental first.
     let dut = ActiveRcFilter::paper_dut(); // includes the nonlinearity
     let config = AnalyzerConfig::ideal().with_periods(100);
-    let mut na = NetworkAnalyzer::new(&dut, config);
-    let serial = na.measure_harmonics(Hertz(1600.0), 3).unwrap();
+    let na = NetworkAnalyzer::new(&dut, config);
+    let serial = na
+        .measure_harmonics_with(&LotEngine::serial(), Hertz(1600.0), 3)
+        .unwrap();
     let parallel = na
         .measure_harmonics_with(&LotEngine::with_threads(3), Hertz(1600.0), 3)
         .unwrap();

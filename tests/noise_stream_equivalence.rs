@@ -247,7 +247,7 @@ mod planned_consumers {
     use mixsig::sc::{Branch, ScIntegrator};
     use mixsig::units::Seconds;
     use proptest::prelude::*;
-    use sdeval::{BlockDraws, ModulatorPair, ModulatorState, SdmConfig, SigmaDeltaModulator};
+    use sdeval::{ModulatorPair, ModulatorState, SdmConfig, SigmaDeltaModulator};
 
     fn integrator(opamp: OpAmpModel, noise: Option<u64>) -> ScIntegrator {
         ScIntegrator::new(
@@ -336,11 +336,7 @@ mod planned_consumers {
                         "{} (exact instantiation): {} vs {}", label, got, want
                     );
                     let ktc = drawn.draw_ktc(&plan);
-                    state = if exact {
-                        drawn.step_from::<true>(state, &plan, cycle, &ktc)
-                    } else {
-                        drawn.step_from::<false>(state, &plan, cycle, &ktc)
-                    };
+                    state = drawn.step_from(state, &plan, cycle, &ktc);
                     prop_assert_eq!(
                         state.to_bits(), want.to_bits(),
                         "{} (pre-drawn noise): {} vs {}", label, state, want
@@ -351,8 +347,8 @@ mod planned_consumers {
         }
 
         /// A `ModulatorPair` counts exactly what two `step` loops over the
-        /// same record decide, on both profiles — drawing and keeping
-        /// each block's noise while stepping the pair's states must not
+        /// same record decide, on both profiles — drawing each block's
+        /// noise before stepping the pair's states through it must not
         /// disturb either modulator's state or noise stream. The
         /// second modulator has its own noise stream and a
         /// quarter-shifted polarity, and the record is split into two
@@ -384,14 +380,8 @@ mod planned_consumers {
                 let split = xs.len() / 3;
                 let polarities = || qs.iter().copied().zip(qq.iter().copied());
                 let mut states = pair.states();
-                let head =
-                    pair.process_block(&mut states, &xs[..split], polarities(), BlockDraws::Draw);
-                let tail = pair.process_block(
-                    &mut states,
-                    &xs[split..],
-                    polarities().skip(split),
-                    BlockDraws::Draw,
-                );
+                let head = pair.process_block(&mut states, &xs[..split], polarities());
+                let tail = pair.process_block(&mut states, &xs[split..], polarities().skip(split));
                 prop_assert_eq!((head.0 + tail.0, head.1 + tail.1), want);
                 let bits = |s: [ModulatorState; 2]| s.map(|s| (s.integrator.to_bits(), s.last_bit));
                 prop_assert_eq!(bits(states), bits([stepped_i.state(), stepped_q.state()]));
@@ -409,6 +399,7 @@ mod evaluator_reference {
         BlockSource, EvaluatorConfig, LaneSource, QuadratureSquareWave, SigmaDeltaModulator,
         SinewaveEvaluator,
     };
+    use std::ops::Range;
 
     /// A recorded signal drained block by block, in order.
     struct Replay<'a> {
@@ -552,17 +543,27 @@ mod evaluator_reference {
             self.len = len;
         }
 
-        fn device_block(&mut self, device: usize, out: &mut [f64]) {
-            assert_eq!(out.len(), self.len, "a device block is the whole block");
-            out.copy_from_slice(&self.signals[device][self.start..self.start + self.len]);
+        fn group_block(&mut self, devices: Range<usize>, out: &mut [f64]) {
+            let width = devices.len();
+            assert_eq!(
+                out.len(),
+                width * self.len,
+                "a group block is the whole block"
+            );
+            for (s, device) in devices.enumerate() {
+                let record = &self.signals[device][self.start..self.start + self.len];
+                for (row, &y) in out.chunks_exact_mut(width).zip(record) {
+                    row[s] = y;
+                }
+            }
         }
     }
 
     /// Device `d`'s output: its own level, amplitude, phase and
     /// harmonic content. Device 2, the third slot of a lane's first
     /// group, sits at 1e308 V instead: its integrators run past the
-    /// largest `f64`, so on ideal hardware its exact steps stop being
-    /// finite and each one is redone through the general body.
+    /// largest `f64`, so on ideal hardware its group's exact sums stop
+    /// being finite and the block runs again through the general body.
     fn device_signal(d: usize, len: usize) -> Vec<f64> {
         if d == 2 {
             return vec![1e308; len];

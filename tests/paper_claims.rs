@@ -147,11 +147,11 @@ fn audio_range_sweep_all_points_valid() {
     // frequency range up to 20 kHz": every point of a 100 Hz – 20 kHz sweep
     // must produce a finite, bounded measurement.
     use dut::ActiveRcFilter;
-    use netan::{AnalyzerConfig, NetworkAnalyzer};
+    use netan::{AnalyzerConfig, LotEngine, NetworkAnalyzer};
     let device = ActiveRcFilter::paper_dut().linearized();
     let mut analyzer = NetworkAnalyzer::new(&device, AnalyzerConfig::ideal().with_periods(50));
     let freqs = netan::log_spaced(Hertz(100.0), Hertz(20_000.0), 7);
-    let plot = analyzer.sweep(&freqs).unwrap();
+    let plot = analyzer.sweep_with(&LotEngine::serial(), &freqs).unwrap();
     for p in plot.points() {
         assert!(p.gain_db.est.is_finite());
         assert!(p.gain.width().is_finite() && p.gain.width() > 0.0);

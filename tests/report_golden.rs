@@ -267,7 +267,11 @@ fn plot_report_consumes_bode_documents() {
         .with_max_points(12)
         .with_max_rounds(3);
     let plot = na
-        .sweep_adaptive(&log_spaced(Hertz(200.0), Hertz(10_000.0), 5), &policy)
+        .sweep_adaptive_with(
+            &LotEngine::serial(),
+            &log_spaced(Hertz(200.0), Hertz(10_000.0), 5),
+            &policy,
+        )
         .unwrap();
     let path = std::env::temp_dir().join(format!("netan-bode-{}.json", std::process::id()));
     std::fs::write(&path, bode_json(&plot)).unwrap();
