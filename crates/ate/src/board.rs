@@ -10,7 +10,8 @@
 //! the generator never sees the DUT, so one generator drives every
 //! mounted device with the stimulus each would get from a generator of
 //! its own ([`DemoBoard::with_devices`], read through
-//! [`LaneSource`]).
+//! [`LaneSource`]). Calibration is such a lane too: the bypass is the
+//! identity device [`dut::Bypass`] mounted on its own board.
 
 use dut::{Dut, DutSim};
 use sdeval::{BlockSource, LaneSource, GROUP_DEVICES};
@@ -30,10 +31,13 @@ pub enum SignalPath {
 /// The demonstrator board: an on-chip generator wired to one or more
 /// DUTs, with a calibration bypass.
 ///
+/// The [`SignalPath`] selects only what [`fill_block`](Self::fill_block)
+/// returns; a lane reader ([`LaneSource`]) always reads the devices.
+///
 /// The mounted devices run in groups of up to [`GROUP_DEVICES`], in
 /// device order, whenever the board steps them all (warm-up, every
-/// [`fill_block`](Self::fill_block), the bypass path of a lane) and
-/// whenever a lane reader asks for a group
+/// [`fill_block`](Self::fill_block)) and whenever a lane reader asks for
+/// a group
 /// ([`LaneSource::group_block`], the one way a lane is read, on any
 /// hardware; a group of one is one device alone). Each group runs through
 /// [`dut::process_group`], which steps the members' LTI cores in
@@ -41,10 +45,7 @@ pub enum SignalPath {
 /// samples are bit-identical to its own simulator's either way.
 pub struct DemoBoard {
     generator: SinewaveGenerator,
-    /// One simulator per mounted device, all fed by the generator. Empty
-    /// on a bypass-only board ([`DemoBoard::for_bypass`]): the DUT output
-    /// is never observed on the bypass path, so a board built purely for
-    /// calibration skips the DUT simulation entirely.
+    /// One simulator per mounted device, all fed by the generator.
     dut_sims: Vec<Box<dyn DutSim>>,
     path: SignalPath,
     /// Scratch buffers for block acquisition, grown once and reused:
@@ -76,19 +77,6 @@ impl DemoBoard {
         }
     }
 
-    /// Assembles a bypass-only board: the generator feeds the evaluator
-    /// directly (paper Fig. 1 dashed path) and **no DUT is simulated** —
-    /// the bypass output never observes the DUT, so a board built only to
-    /// characterize the stimulus can skip that work entirely. Output is
-    /// bit-identical to a full board switched to
-    /// [`SignalPath::CalibrationBypass`].
-    pub fn for_bypass(gen_config: GeneratorConfig) -> Self {
-        Self {
-            path: SignalPath::CalibrationBypass,
-            ..Self::with_devices(gen_config, &[])
-        }
-    }
-
     /// The generator on the board.
     pub fn generator(&self) -> &SinewaveGenerator {
         &self.generator
@@ -99,21 +87,9 @@ impl DemoBoard {
         self.path
     }
 
-    /// Whether a DUT is mounted (false only for [`for_bypass`](Self::for_bypass) boards).
-    fn has_dut(&self) -> bool {
-        !self.dut_sims.is_empty()
-    }
-
-    /// Selects the signal path.
-    ///
-    /// # Panics
-    ///
-    /// Panics when selecting [`SignalPath::Dut`] on a bypass-only board.
+    /// Selects the signal path that [`fill_block`](Self::fill_block)
+    /// observes.
     pub fn set_path(&mut self, path: SignalPath) {
-        assert!(
-            path != SignalPath::Dut || self.has_dut(),
-            "bypass-only board has no DUT path"
-        );
         self.path = path;
     }
 
@@ -123,16 +99,17 @@ impl DemoBoard {
     /// [`next_sample`](Self::next_sample), bit-identical to it. Every
     /// mounted DUT keeps processing the stimulus, whichever output is
     /// observed, exactly like the real board (the bypass taps the
-    /// signal, it does not disconnect the DUT); only a bypass-only board
-    /// skips that work.
+    /// signal, it does not disconnect the DUT). A board with no device
+    /// leaves `out` as it is on the DUT path.
     pub fn fill_block(&mut self, out: &mut [f64]) {
         let len = out.len();
         self.generate(len);
-        if self.path == SignalPath::Dut && self.has_dut() {
-            self.step_devices(len, Some(out));
-        } else {
-            self.step_devices(len, None);
-            out.copy_from_slice(&self.stim[..len]);
+        match self.path {
+            SignalPath::Dut => self.step_devices(len, Some(out)),
+            SignalPath::CalibrationBypass => {
+                self.step_devices(len, None);
+                out.copy_from_slice(&self.stim[..len]);
+            }
         }
     }
 
@@ -206,27 +183,19 @@ impl BlockSource for DemoBoard {
     }
 }
 
-/// The board as a lane: on the DUT path, device `d` is the `d`-th
-/// mounted device; on the bypass path the lane is the one stimulus
-/// (every DUT still processes it, unobserved).
+/// The board as a lane: device `d` is the `d`-th mounted device, on
+/// either path.
 impl LaneSource for DemoBoard {
     fn devices(&self) -> usize {
-        match self.path {
-            SignalPath::Dut => self.dut_sims.len(),
-            SignalPath::CalibrationBypass => 1,
-        }
+        self.dut_sims.len()
     }
 
     fn advance(&mut self, len: usize) {
         self.generate(len);
-        if self.path == SignalPath::CalibrationBypass {
-            self.step_devices(len, None);
-        }
     }
 
-    /// On the DUT path the group's devices step in lockstep where they
-    /// can (see [`DemoBoard`]); on the bypass path every slot is the
-    /// stimulus.
+    /// The group's devices step in lockstep where they can (see
+    /// [`DemoBoard`]).
     ///
     /// # Panics
     ///
@@ -238,14 +207,7 @@ impl LaneSource for DemoBoard {
             "a group of 1 to GROUP_DEVICES devices"
         );
         let stim = &self.stim[..out.len() / width];
-        match self.path {
-            SignalPath::Dut => fill_group(&mut self.dut_sims[devices], stim, out),
-            SignalPath::CalibrationBypass => {
-                for (row, &u) in out.chunks_exact_mut(width).zip(stim) {
-                    row.fill(u);
-                }
-            }
-        }
+        fill_group(&mut self.dut_sims[devices], stim, out);
     }
 }
 
@@ -327,15 +289,21 @@ mod tests {
 
     #[test]
     fn bypass_only_board_matches_full_board_bypass_output() {
+        // A bypass-only board — one whose only device is the identity
+        // `Bypass` — reads on its DUT path, block by block and as a lane,
+        // exactly what a full board reads on its bypass path.
         let clk = MasterClock::for_stimulus(mixsig::units::Hertz(1000.0));
         let cfg = GeneratorConfig::cmos_035um(clk, Volts(0.15), 11);
         let mut full = DemoBoard::new(cfg.clone(), &ActiveRcFilter::paper_dut());
         full.set_path(SignalPath::CalibrationBypass);
-        let mut bypass_only = DemoBoard::for_bypass(cfg);
-        assert!(!bypass_only.has_dut());
+        let mut bypass_only = DemoBoard::new(cfg.clone(), &dut::Bypass);
         let want: Vec<f64> = (0..96 * 4).map(|_| full.next_sample()).collect();
         let mut got = vec![0.0; want.len()];
         bypass_only.fill_block(&mut got);
+        assert_eq!(want, got);
+        let mut lane = DemoBoard::new(cfg, &dut::Bypass);
+        lane.advance(want.len());
+        lane.group_block(0..1, &mut got);
         assert_eq!(want, got);
     }
 
@@ -409,25 +377,20 @@ mod tests {
                     );
                 }
             }
-            // On the bypass the lane is the one stimulus, as on a
-            // bypass-only board, and the DUTs keep pace unobserved.
+            // The path selects only `fill_block`'s output: on the bypass
+            // it is the stimulus, the lane still reads every device, and
+            // the DUTs keep pace unobserved.
             lane.set_path(SignalPath::CalibrationBypass);
-            let mut bypass = DemoBoard::for_bypass(cfg.clone());
-            bypass.warm_up(3);
-            bypass.fill_block(&mut vec![0.0; 1 + 17 + 96 + 250]);
-            assert_eq!(LaneSource::devices(&lane), 1);
-            lane.advance(40);
-            let mut got = vec![0.0; 40];
-            lane.group_block(0..1, &mut got);
-            let mut want = vec![0.0; 40];
-            bypass.fill_block(&mut want);
-            assert_eq!(got, want);
-            // Back on the DUT path, every device kept pace.
+            assert_eq!(LaneSource::devices(&lane), lane_size);
+            let mut stimulus = vec![0.0; 40];
+            lane.fill_block(&mut stimulus);
             lane.set_path(SignalPath::Dut);
             lane.advance(33);
             for (d, board) in own.iter_mut().enumerate() {
                 board.set_path(SignalPath::CalibrationBypass);
-                board.fill_block(&mut vec![0.0; 40]);
+                let mut want = vec![0.0; 40];
+                board.fill_block(&mut want);
+                assert_eq!(stimulus, want, "lane of {lane_size}, bypass");
                 board.set_path(SignalPath::Dut);
                 let mut want = vec![0.0; 33];
                 board.fill_block(&mut want);
@@ -439,14 +402,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "no DUT path")]
-    fn bypass_only_board_rejects_dut_path() {
-        let clk = MasterClock::for_stimulus(mixsig::units::Hertz(1000.0));
-        let mut board = DemoBoard::for_bypass(GeneratorConfig::ideal(clk, Volts(0.15)));
-        board.set_path(SignalPath::Dut);
     }
 
     #[test]

@@ -21,7 +21,8 @@
 //!    deterministically before dispatch, so a parallel refinement is
 //!    bit-identical to the serial one;
 //! 4. repeat rounds until the [`RefinementPolicy`] is met or its caps
-//!    (total points, minimum octave spacing, round count) stop it.
+//!    (total points, a fixed 1/64-octave minimum spacing, round count)
+//!    stop it.
 //!
 //! The enclosure enters the score twice, with opposite signs:
 //!
@@ -51,6 +52,10 @@ use mixsig::units::Hertz;
 /// phase deviation score like one dB of gain deviation.
 const PHASE_DEG_PER_DB: f64 = 15.0;
 
+/// Minimum spacing between adjacent points, octaves: an interval is only
+/// bisected while both halves stay at least this wide.
+const MIN_OCTAVE_SPACING: f64 = 1.0 / 64.0;
+
 /// Stopping and spacing rules for an adaptive sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RefinementPolicy {
@@ -61,9 +66,6 @@ pub struct RefinementPolicy {
     pub target_width_db: f64,
     /// Hard cap on the total number of measured points (seed included).
     pub max_points: usize,
-    /// Minimum spacing between adjacent points, octaves: an interval is
-    /// only bisected while both halves stay at least this wide.
-    pub min_octave_spacing: f64,
     /// Cap on refinement rounds.
     pub max_rounds: u32,
 }
@@ -85,13 +87,6 @@ impl RefinementPolicy {
         self
     }
 
-    /// Returns the policy with a different minimum octave spacing.
-    #[must_use]
-    pub fn with_min_octave_spacing(mut self, octaves: f64) -> Self {
-        self.min_octave_spacing = octaves;
-        self
-    }
-
     /// Returns the policy with a different round cap.
     #[must_use]
     pub fn with_max_rounds(mut self, rounds: u32) -> Self {
@@ -105,7 +100,6 @@ impl Default for RefinementPolicy {
         Self {
             target_width_db: 0.5,
             max_points: 64,
-            min_octave_spacing: 1.0 / 64.0,
             max_rounds: 8,
         }
     }
@@ -163,7 +157,7 @@ fn plan_candidates(points: &[BodePoint], policy: &RefinementPolicy) -> Vec<Hertz
         let spacing_oct = (scratch[i + 1].frequency.value() / scratch[i].frequency.value()).log2();
         // Both halves of a bisected interval must stay ≥ the minimum
         // spacing.
-        if spacing_oct < 2.0 * policy.min_octave_spacing {
+        if spacing_oct < 2.0 * MIN_OCTAVE_SPACING {
             continue;
         }
         let bend = interval_bend_db(&scratch, i);
@@ -305,11 +299,9 @@ mod tests {
     fn policy_builders_apply() {
         let p = RefinementPolicy::new(0.25)
             .with_max_points(10)
-            .with_min_octave_spacing(0.125)
             .with_max_rounds(3);
         assert_eq!(p.target_width_db, 0.25);
         assert_eq!(p.max_points, 10);
-        assert_eq!(p.min_octave_spacing, 0.125);
         assert_eq!(p.max_rounds, 3);
     }
 
@@ -376,8 +368,8 @@ mod tests {
             point(1010.0, -10.0, 0.01, 0.0),
             point(1020.0, 0.0, 0.01, 0.0),
         ];
-        // ≈ 0.0144 octaves per interval: far below 2 × 0.5 octaves.
-        let policy = RefinementPolicy::new(0.1).with_min_octave_spacing(0.5);
+        // ≈ 0.0144 octaves per interval: below 2 × 1/64 octave.
+        let policy = RefinementPolicy::new(0.1);
         assert!(plan_candidates(&points, &policy).is_empty());
     }
 

@@ -1,10 +1,10 @@
 //! The network analyzer proper (paper Section III.C).
 
-use crate::error::NetanError;
+use crate::error::{millihertz, NetanError};
 use crate::lot::LotEngine;
 use crate::sweep::BodePlot;
 use ate::DemoBoard;
-use dut::Dut;
+use dut::{Bypass, Dut};
 use mixsig::clock::MasterClock;
 use mixsig::units::{Hertz, Volts};
 use sdeval::{Bounded, EvaluatorConfig, HarmonicMeasurement, SinewaveEvaluator};
@@ -156,11 +156,6 @@ impl<'d> NetworkAnalyzer<'d> {
         }
     }
 
-    /// The configuration in use.
-    pub fn config(&self) -> &AnalyzerConfig {
-        &self.config
-    }
-
     /// The stored calibration, if one has been performed.
     pub fn calibration(&self) -> Option<Calibration> {
         self.calibration
@@ -177,8 +172,9 @@ impl<'d> NetworkAnalyzer<'d> {
     /// Propagates evaluator setup errors.
     pub fn calibrate(&mut self) -> Result<Calibration, NetanError> {
         // Any valid stimulus frequency works; the normalized measurement is
-        // frequency-independent. Use 1 kHz.
-        let meas = Self::only(Self::acquire(&self.config, Hertz(1000.0), 1, None)?)?;
+        // frequency-independent. Use 1 kHz. The bypass is the identity
+        // device, measured like any other.
+        let meas = Self::only(Self::acquire(&self.config, Hertz(1000.0), 1, &[&Bypass])?)?;
         let cal = Calibration {
             amplitude: meas.amplitude,
             phase: meas.phase,
@@ -195,15 +191,24 @@ impl<'d> NetworkAnalyzer<'d> {
         }
     }
 
+    /// The calibration for sweeping `frequencies`, performed if
+    /// necessary — after refusing an empty list and the lowest-index
+    /// invalid frequency, so a refused list costs no simulation.
+    fn calibrated_for(&mut self, frequencies: &[Hertz]) -> Result<Calibration, NetanError> {
+        if frequencies.is_empty() {
+            return Err(NetanError::EmptySweep);
+        }
+        for &f in frequencies {
+            Self::validate_frequency(f)?;
+        }
+        self.ensure_calibrated()
+    }
+
     /// Rejects NaN and non-positive stimulus frequencies.
     pub(crate) fn validate_frequency(f_wave: Hertz) -> Result<(), NetanError> {
         if !is_positive(f_wave.value()) {
             return Err(NetanError::InvalidFrequency {
-                #[expect(
-                    clippy::cast_possible_truncation,
-                    reason = "diagnostic-only millihertz render; `as` saturates NaN/∞ instead of panicking"
-                )]
-                hz_millis: (f_wave.value() * 1000.0) as i64,
+                hz_millis: millihertz(f_wave),
             });
         }
         Ok(())
@@ -230,8 +235,8 @@ impl<'d> NetworkAnalyzer<'d> {
     /// analyzer across threads. The acquisition is
     /// driven block-wise end to end (generator → DUT → ΣΔ consume
     /// [`AnalyzerConfig::block_samples`]-sized blocks), bit-identical to
-    /// the per-sample reference chain. It is the one-device case of
-    /// [`measure_lane`](Self::measure_lane).
+    /// the per-sample reference chain. It is the one-device case of a
+    /// lane, which a lot measures for many devices at once.
     ///
     /// # Errors
     ///
@@ -264,7 +269,7 @@ impl<'d> NetworkAnalyzer<'d> {
     /// frequencies and [`NetanError::UnresolvedStimulus`] for a
     /// calibration whose amplitude enclosure reaches zero, both before
     /// acquiring, and propagates evaluator errors.
-    pub fn measure_lane(
+    pub(crate) fn measure_lane(
         config: &AnalyzerConfig,
         cal: Calibration,
         lane: &[&dyn Dut],
@@ -274,7 +279,7 @@ impl<'d> NetworkAnalyzer<'d> {
         if !is_positive(cal.amplitude.lo) {
             return Err(NetanError::UnresolvedStimulus);
         }
-        let measured = Self::acquire(config, f_wave, 1, Some(lane))?;
+        let measured = Self::acquire(config, f_wave, 1, lane)?;
         Ok(measured
             .iter()
             .zip(lane)
@@ -329,33 +334,6 @@ impl<'d> NetworkAnalyzer<'d> {
         results.into_iter().next().ok_or(NetanError::EmptySweep)
     }
 
-    /// Measures a batch of Bode points with `engine`, calibrating lazily.
-    /// Points come back in the order of `frequencies` with their raw
-    /// (wrapped) phase enclosures, regardless of how the engine schedules
-    /// the work.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`NetanError::EmptySweep`] for an empty list. The whole
-    /// batch is validated up front, so the lowest-index
-    /// [`NetanError::InvalidFrequency`] is rejected before calibration or
-    /// any simulation; measurement errors surface as the lowest-index
-    /// per-point error.
-    pub fn measure_points(
-        &mut self,
-        frequencies: &[Hertz],
-        engine: &LotEngine,
-    ) -> Result<Vec<BodePoint>, NetanError> {
-        if frequencies.is_empty() {
-            return Err(NetanError::EmptySweep);
-        }
-        for &f in frequencies {
-            Self::validate_frequency(f)?;
-        }
-        let cal = self.ensure_calibrated()?;
-        self.measure_batch(engine, cal, frequencies)
-    }
-
     /// Measures `frequencies` against `cal` across `engine`'s pool,
     /// returning points in request order. Every point is attempted and
     /// the lowest-index error is returned, as a serial in-order run
@@ -374,22 +352,27 @@ impl<'d> NetworkAnalyzer<'d> {
     }
 
     /// Sweeps the analyzer over `frequencies` using `engine` to schedule
-    /// the points, then unwraps the phase by continuity (the paper's
-    /// Fig. 10b presentation). Parallel and serial
+    /// the points, calibrating lazily, then unwraps the phase by
+    /// continuity (the paper's Fig. 10b presentation). Points come back
+    /// in the order of `frequencies`. Parallel and serial
     /// ([`LotEngine::serial`]) engines produce bit-identical plots: every
     /// point is an independent, deterministic simulation and the
     /// continuity pass runs over the ordered result.
     ///
     /// # Errors
     ///
-    /// Returns [`NetanError::EmptySweep`] for an empty list and propagates
-    /// per-point errors.
+    /// Returns [`NetanError::EmptySweep`] for an empty list. The whole
+    /// list is validated up front, so the lowest-index
+    /// [`NetanError::InvalidFrequency`] is rejected before calibration or
+    /// any simulation; measurement errors surface as the lowest-index
+    /// per-point error.
     pub fn sweep_with(
         &mut self,
         engine: &LotEngine,
         frequencies: &[Hertz],
     ) -> Result<BodePlot, NetanError> {
-        let mut points = self.measure_points(frequencies, engine)?;
+        let cal = self.calibrated_for(frequencies)?;
+        let mut points = self.measure_batch(engine, cal, frequencies)?;
         crate::sweep::unwrap_phase_by_continuity(&mut points);
         Ok(BodePlot::new(points))
     }
@@ -430,13 +413,7 @@ impl<'d> NetworkAnalyzer<'d> {
         seed: &[Hertz],
         policy: &crate::adaptive::RefinementPolicy,
     ) -> Result<BodePlot, NetanError> {
-        if seed.is_empty() {
-            return Err(NetanError::EmptySweep);
-        }
-        for &f in seed {
-            Self::validate_frequency(f)?;
-        }
-        let cal = self.ensure_calibrated()?;
+        let cal = self.calibrated_for(seed)?;
         crate::adaptive::sweep(self, cal, seed, policy, engine)
     }
 
@@ -466,7 +443,7 @@ impl<'d> NetworkAnalyzer<'d> {
                 reason = "i < max_harmonic, which is a u32, so the cast is exact"
             )]
             let k = i as u32 + 1;
-            Self::only(Self::acquire(&self.config, f_wave, k, Some(&[self.dut]))?)
+            Self::only(Self::acquire(&self.config, f_wave, k, &[self.dut])?)
         })
         .into_iter()
         .collect()
@@ -474,24 +451,19 @@ impl<'d> NetworkAnalyzer<'d> {
 
     /// One full acquisition of harmonic `k` at `f_wave`, driven
     /// block-wise (generator → DUT → ΣΔ all consume fixed-size blocks):
-    /// one measurement per device of `lane`, or the stimulus alone over
-    /// the calibration bypass when `lane` is `None`. A bypass acquisition
-    /// builds a bypass-only board, skipping the DUT simulation entirely:
-    /// a fresh board is built per acquisition, so no DUT state is lost,
-    /// and the bypass output never observes the DUT — the calibration
-    /// result is bit-identical.
+    /// one measurement per device of `lane`, all mounted on one board.
+    /// Calibration passes the identity device [`Bypass`], whose output
+    /// is the stimulus bit for bit — what the board's bypass path
+    /// (paper Fig. 1, dashed) returns.
     fn acquire(
         config: &AnalyzerConfig,
         f_wave: Hertz,
         k: u32,
-        lane: Option<&[&dyn Dut]>,
+        lane: &[&dyn Dut],
     ) -> Result<Vec<HarmonicMeasurement>, NetanError> {
         let clk = MasterClock::for_stimulus(f_wave);
         let gen_cfg = config.hardware.generator_config(clk, config.va_diff);
-        let mut board = match lane {
-            Some(devices) => DemoBoard::with_devices(gen_cfg, devices),
-            None => DemoBoard::for_bypass(gen_cfg),
-        };
+        let mut board = DemoBoard::with_devices(gen_cfg, lane);
         board.warm_up(config.warmup_periods as usize);
         let eval_cfg = config
             .hardware
@@ -538,34 +510,39 @@ mod tests {
 
     #[test]
     fn calibration_unchanged_by_dut_skip() {
-        // The bypass-only board must report exactly what a full board
-        // switched to the bypass path reports — the DUT never touches the
-        // bypass output, so skipping its simulation is free.
+        // Calibration measures the identity device `Bypass`, which must
+        // report exactly what a full board switched to the bypass path
+        // reports — the DUT never touches the bypass output — on ideal
+        // and on noisy hardware.
         use ate::{DemoBoard, SignalPath};
         use mixsig::clock::MasterClock;
         use sdeval::SinewaveEvaluator;
 
         let dut = ActiveRcFilter::paper_dut();
-        let cfg = AnalyzerConfig::cmos_035um(13).with_periods(50);
-        let mut na = NetworkAnalyzer::new(&dut, cfg);
-        let cal = na.calibrate().unwrap();
+        for cfg in [
+            AnalyzerConfig::ideal().with_periods(50),
+            AnalyzerConfig::cmos_035um(13).with_periods(50),
+        ] {
+            let mut na = NetworkAnalyzer::new(&dut, cfg);
+            let cal = na.calibrate().unwrap();
 
-        // Reference: the pre-skip acquisition — full board, bypass path.
-        let clk = MasterClock::for_stimulus(Hertz(1000.0));
-        let gen_cfg = cfg.hardware.generator_config(clk, cfg.va_diff);
-        let mut board = DemoBoard::new(gen_cfg, &dut);
-        board.set_path(SignalPath::CalibrationBypass);
-        board.warm_up(cfg.warmup_periods as usize);
-        let eval_cfg = cfg
-            .hardware
-            .evaluator_config()
-            .with_block_samples(cfg.block_samples);
-        let mut evaluator = SinewaveEvaluator::new(eval_cfg);
-        let want = evaluator
-            .measure_harmonic_blocks(&mut board, 1, cfg.periods)
-            .unwrap();
-        assert_eq!(cal.amplitude, want.amplitude);
-        assert_eq!(cal.phase, want.phase);
+            // Reference: full board, bypass path.
+            let clk = MasterClock::for_stimulus(Hertz(1000.0));
+            let gen_cfg = cfg.hardware.generator_config(clk, cfg.va_diff);
+            let mut board = DemoBoard::new(gen_cfg, &dut);
+            board.set_path(SignalPath::CalibrationBypass);
+            board.warm_up(cfg.warmup_periods as usize);
+            let eval_cfg = cfg
+                .hardware
+                .evaluator_config()
+                .with_block_samples(cfg.block_samples);
+            let mut evaluator = SinewaveEvaluator::new(eval_cfg);
+            let want = evaluator
+                .measure_harmonic_blocks(&mut board, 1, cfg.periods)
+                .unwrap();
+            assert_eq!(cal.amplitude, want.amplitude, "{cfg:?}");
+            assert_eq!(cal.phase, want.phase, "{cfg:?}");
+        }
     }
 
     #[test]
@@ -777,9 +754,9 @@ mod tests {
         let cal = na.calibrate().unwrap();
         let grid = [Hertz(1000.0), Hertz(-3.0), Hertz(2000.0), Hertz(-7.0)];
         let expected = NetanError::InvalidFrequency { hz_millis: -3000 };
-        // Batched API: rejected during up-front validation.
+        // The sweep: rejected during up-front validation.
         let err = na
-            .measure_points(&grid, &LotEngine::with_threads(4))
+            .sweep_with(&LotEngine::with_threads(4), &grid)
             .unwrap_err();
         assert_eq!(err, expected);
         // The fan-out itself (validation bypassed): serial and parallel
@@ -794,7 +771,7 @@ mod tests {
         let dut = ActiveRcFilter::paper_dut().linearized();
         let mut na = analyzer_for(&dut);
         let err = na
-            .measure_points(&[Hertz(1000.0), Hertz(0.0)], &LotEngine::auto())
+            .sweep_with(&LotEngine::auto(), &[Hertz(1000.0), Hertz(0.0)])
             .unwrap_err();
         assert_eq!(err, NetanError::InvalidFrequency { hz_millis: 0 });
         // No simulation work was spent on the bad batch.
@@ -806,7 +783,7 @@ mod tests {
         let dut = ActiveRcFilter::paper_dut();
         let mut na = analyzer_for(&dut);
         assert_eq!(
-            na.measure_points(&[], &LotEngine::auto()).unwrap_err(),
+            na.sweep_with(&LotEngine::auto(), &[]).unwrap_err(),
             NetanError::EmptySweep
         );
     }
@@ -816,10 +793,10 @@ mod tests {
         let dut = ActiveRcFilter::paper_dut().linearized();
         let mut na = analyzer_for(&dut);
         assert!(na.calibration().is_none());
-        let points = na
-            .measure_points(&[Hertz(1000.0)], &LotEngine::serial())
+        let plot = na
+            .sweep_with(&LotEngine::serial(), &[Hertz(1000.0)])
             .unwrap();
-        assert_eq!(points.len(), 1);
+        assert_eq!(plot.len(), 1);
         assert!(na.calibration().is_some());
     }
 }

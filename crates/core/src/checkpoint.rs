@@ -33,8 +33,10 @@
 //! (hardware and seed, amplitude, warm-up, `M`; not `block_samples`),
 //! and — if it stopped before the last stage — no device left
 //! ambiguous, or its budget spent. The DUT factory is opaque to the
-//! library, so one checkpoint directory serves one DUT factory (the
-//! service keys its directories by the rendered request).
+//! library, so the caller names it: [`ShardDriver::with_dir`] takes the
+//! factory's identity, and every shard file is named by its FNV-64
+//! ([`fnv64`]), so a drive never loads a shard persisted for another
+//! factory.
 
 use crate::error::NetanError;
 use crate::lot::{EscalationSchedule, LotEngine, LotPlan, LotReport};
@@ -103,7 +105,7 @@ pub struct ShardDriver {
     shard_devices: u64,
     plan: LotPlan,
     schedule: EscalationSchedule,
-    dir: Option<PathBuf>,
+    files: Option<ShardFiles>,
     /// The merged seed-order prefix `lot.start..next`.
     merged: LotReport,
     next: u64,
@@ -133,17 +135,24 @@ impl ShardDriver {
             shard_devices,
             plan: plan.clone(),
             schedule: schedule.clone(),
-            dir: None,
+            files: None,
             merged: LotReport::empty(plan),
             ready: BTreeMap::new(),
         })
     }
 
     /// Returns the driver resuming from, and persisting to, the shard
-    /// documents under `dir` (created on first persist).
+    /// documents under `dir` (created on first persist) of the DUT
+    /// factory `dut`: a rendering of what the factory builds, e.g.
+    /// netan-serve's `DutDescription`. The library cannot observe a
+    /// factory, so each shard file is named by the [`fnv64`] of `dut`,
+    /// and a drive never loads a shard persisted under another identity.
     #[must_use]
-    pub fn with_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.dir = Some(dir.into());
+    pub fn with_dir(mut self, dir: impl Into<PathBuf>, dut: &str) -> Self {
+        self.files = Some(ShardFiles {
+            dir: dir.into(),
+            dut_key: fnv64(dut),
+        });
         self
     }
 
@@ -188,7 +197,7 @@ impl ShardDriver {
             span,
             schedule,
             mask: self.plan.mask().clone(),
-            dir: self.dir.clone(),
+            files: self.files.clone(),
         }
     }
 
@@ -226,7 +235,8 @@ impl ShardDriver {
     /// every persisted shard the stale-shard rule accepts and measuring
     /// the rest with `engine.run_escalated_range`, then
     /// [`finish`](Self::finish)es. With [`with_dir`](Self::with_dir) the
-    /// drive persists and resumes; without it, it runs in memory.
+    /// drive persists and resumes the shards of its DUT identity;
+    /// without it, it runs in memory.
     ///
     /// Resume matches shards by their exact seed span, so a drive must
     /// keep the same `shard_devices` across restarts to reuse its
@@ -236,7 +246,7 @@ impl ShardDriver {
     /// under the same budgets: each shard's schedule depends only on the
     /// merged prefix before it. Resume-equality to an uninterrupted drive
     /// holds budgeted or not; byte-identity to a monolithic
-    /// `run_escalated` holds for unbudgeted schedules, while a budgeted
+    /// `run_escalated_range` holds for unbudgeted schedules, while a budgeted
     /// drive may admit a different re-test prefix than the monolithic
     /// global one (see the [sharding notes](crate::lot#sharding)).
     ///
@@ -250,7 +260,7 @@ impl ShardDriver {
     /// let schedule = EscalationSchedule::new(vec![AnalyzerConfig::ideal().with_periods(50)]);
     /// let dir = std::env::temp_dir().join(format!("netan-ckpt-doc-{}", std::process::id()));
     /// let report = ShardDriver::new(0..4, 2, &plan, &schedule)?
-    ///     .with_dir(&dir)
+    ///     .with_dir(&dir, "paper DUT, linearized, 2 % parts")
     ///     .drive(&LotEngine::serial(), |seed| {
     ///         ActiveRcFilter::paper_dut().linearized().fabricate(0.02, seed)
     ///     })?;
@@ -293,7 +303,7 @@ pub struct ShardTask {
     span: Range<u64>,
     schedule: EscalationSchedule,
     mask: GainMask,
-    dir: Option<PathBuf>,
+    files: Option<ShardFiles>,
 }
 
 impl ShardTask {
@@ -309,7 +319,7 @@ impl ShardTask {
         self,
         run: impl FnOnce(Range<u64>, &EscalationSchedule) -> Result<LotReport, E>,
     ) -> Result<Shard, E> {
-        let path = self.dir.as_ref().map(|dir| shard_path(dir, &self.span));
+        let path = self.files.as_ref().map(|files| files.path(&self.span));
         let persisted = path
             .as_deref()
             .and_then(|path| std::fs::read_to_string(path).ok())
@@ -324,7 +334,7 @@ impl ShardTask {
             Some(report) => report,
             None => run(self.span.clone(), &self.schedule)?,
         };
-        if let (Some(dir), Some(path), false) = (&self.dir, &path, loaded) {
+        if let (Some(ShardFiles { dir, .. }), Some(path), false) = (&self.files, &path, loaded) {
             let io_err = |path: &Path| {
                 let path = path.to_path_buf();
                 move |source| CheckpointError::Io { path, source }
@@ -369,9 +379,33 @@ pub struct Shard {
     loaded: bool,
 }
 
-/// The document of the shard covering `span` under `dir`.
-fn shard_path(dir: &Path, span: &Range<u64>) -> PathBuf {
-    dir.join(format!("shard-{:08}-{:08}.json", span.start, span.end))
+/// Where a drive persists its shards: a directory, and the key of the
+/// DUT identity that names every shard file in it.
+#[derive(Debug, Clone)]
+struct ShardFiles {
+    dir: PathBuf,
+    dut_key: u64,
+}
+
+impl ShardFiles {
+    /// The document of the shard covering `span`.
+    fn path(&self, span: &Range<u64>) -> PathBuf {
+        self.dir.join(format!(
+            "shard-{:016x}-{:08}-{:08}.json",
+            self.dut_key, span.start, span.end
+        ))
+    }
+}
+
+/// FNV-1a 64 of `text`: a content key that is stable across processes
+/// and builds (unlike `DefaultHasher`), for naming persisted documents.
+pub fn fnv64(text: &str) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for b in text.bytes() {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
 }
 
 #[cfg(test)]
@@ -409,6 +443,19 @@ mod tests {
         EscalationSchedule::new(vec![AnalyzerConfig::ideal().with_periods(50)])
     }
 
+    /// The DUT identity the tests' drives persist under.
+    const DUT: &str = "paper DUT, linearized";
+
+    /// The document of the shard covering `span` under `dir`, for
+    /// [`DUT`].
+    fn shard_path(dir: &Path, span: &Range<u64>) -> PathBuf {
+        ShardFiles {
+            dir: dir.to_path_buf(),
+            dut_key: fnv64(DUT),
+        }
+        .path(span)
+    }
+
     /// Drives `lot` in shards of `size` on the serial engine, persisting
     /// under `dir`.
     fn drive<D: Dut>(
@@ -419,7 +466,7 @@ mod tests {
         factory: impl Fn(u64) -> D + Sync,
     ) -> Result<LotReport, CheckpointError> {
         ShardDriver::new(lot, size, &plan(), schedule)?
-            .with_dir(dir)
+            .with_dir(dir, DUT)
             .drive(&LotEngine::serial(), factory)
     }
 
@@ -443,8 +490,38 @@ mod tests {
     fn shard_paths_name_the_span() {
         assert_eq!(
             shard_path(Path::new("/tmp/x"), &(0..16)),
-            Path::new("/tmp/x/shard-00000000-00000016.json")
+            Path::new(&format!(
+                "/tmp/x/shard-{:016x}-00000000-00000016.json",
+                fnv64(DUT)
+            ))
         );
+        // The FNV-1a reference vectors.
+        assert_eq!(fnv64(""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv64("a"), 0xaf63_dc4c_8601_ec8c);
+    }
+
+    #[test]
+    fn a_drive_never_loads_the_shards_of_another_dut() {
+        // σ 1 % parts persisted, then a drive of σ 20 % parts on the same
+        // directory: it measures its own shards, so it reads what the
+        // in-memory σ 20 % drive reads — byte for byte — and not the
+        // σ 1 % verdicts.
+        let dir = temp_dir("identity");
+        std::fs::remove_dir_all(&dir).ok();
+        let lot = || ShardDriver::new(0..4, 2, &plan(), &one_stage()).unwrap();
+        let tight = lot()
+            .with_dir(&dir, "paper DUT, linearized, 1 % parts")
+            .drive(&LotEngine::serial(), factory_at(0.01))
+            .unwrap();
+        let resumed = lot()
+            .with_dir(&dir, "paper DUT, linearized, 20 % parts")
+            .drive(&LotEngine::serial(), factory_at(0.20))
+            .unwrap();
+        let in_memory = lot().drive(&LotEngine::serial(), factory_at(0.20)).unwrap();
+        assert_eq!(lot_json(&resumed), lot_json(&in_memory));
+        // The premise: the two factories' lots read differently.
+        assert_ne!(tight.counts(), in_memory.counts());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

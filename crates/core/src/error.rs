@@ -1,5 +1,6 @@
 //! Error type of the network analyzer.
 
+use mixsig::units::Hertz;
 use sdeval::EvalError;
 
 /// Errors from network-analyzer operations.
@@ -40,6 +41,16 @@ pub enum NetanError {
     /// simulation.
     MaskFrequencyMissing {
         /// The unmeasured mask frequency in millihertz.
+        hz_millis: i64,
+    },
+    /// A lot plan's mask holds a point that
+    /// [`MaskPoint::new`](crate::spec::MaskPoint::new) would refuse —
+    /// inverted or NaN limits, or a frequency that is not positive and
+    /// finite. `MaskPoint`'s fields are public, so such a point can reach
+    /// a mask; every device would read `Fail` or `Ambiguous` against it.
+    /// Rejected before calibration or any simulation.
+    InvalidMaskPoint {
+        /// The offending point's frequency in millihertz.
         hz_millis: i64,
     },
     /// An escalation schedule's test-time budget cannot even cover the
@@ -101,6 +112,14 @@ impl std::fmt::Display for NetanError {
                     *hz_millis as f64 / 1000.0
                 )
             }
+            NetanError::InvalidMaskPoint { hz_millis } => {
+                write!(
+                    f,
+                    "mask point at {} Hz is invalid: its frequency must be \
+                     positive and finite and its limits ordered, neither NaN",
+                    *hz_millis as f64 / 1000.0
+                )
+            }
             NetanError::BudgetExhausted {
                 needed_ms,
                 budget_ms,
@@ -129,6 +148,16 @@ impl std::error::Error for NetanError {
             _ => None,
         }
     }
+}
+
+/// `f` in whole millihertz, for the frequency fields of [`NetanError`].
+pub(crate) fn millihertz(f: Hertz) -> i64 {
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "diagnostic-only millihertz render; `as` saturates NaN/∞ instead of panicking"
+    )]
+    let millis = (f.value() * 1000.0) as i64;
+    millis
 }
 
 impl From<EvalError> for NetanError {

@@ -25,7 +25,7 @@ impl DistortionReport {
     }
 
     /// The underlying measurements.
-    pub fn measurements(&self) -> &[HarmonicMeasurement] {
+    pub(crate) fn measurements(&self) -> &[HarmonicMeasurement] {
         &self.measurements
     }
 

@@ -46,7 +46,7 @@ pub struct ReportParseError {
 
 impl ReportParseError {
     /// An error detected at byte `offset`.
-    pub fn at(offset: usize, message: impl Into<String>) -> Self {
+    pub(crate) fn at(offset: usize, message: impl Into<String>) -> Self {
         Self {
             offset: Some(offset),
             message: message.into(),

@@ -24,7 +24,7 @@
 //!   points where the response bends, on the same engine and with the
 //!   same serial == parallel bit-identity,
 //! * **escalation scheduling** ([`EscalationSchedule`],
-//!   [`LotEngine::run_escalated`]): budgeted multi-pass re-testing that
+//!   [`LotEngine::run_escalated_range`]): budgeted multi-pass re-testing that
 //!   screens the lot at a cheap `M` and re-tests only still-ambiguous
 //!   devices at deeper stages — the paper's accuracy-for-test-time trade
 //!   as an operational policy. Every device of a stage is charged the
@@ -32,7 +32,8 @@
 //!   the budget lasts, and [`StoppingPolicy::Sequential`] grows each
 //!   device's acquisition only until its own verdict decides, charging
 //!   just the period increments,
-//! * **sharded lots** ([`LotEngine::run_range`], [`LotReport::merge`])
+//! * **sharded lots** ([`LotEngine::run_range`], [`LotReport::merge`]):
+//!   every lot run takes a contiguous seed range and is a shard, run
 //!   on one shard driver ([`ShardDriver`]) with **checkpoint/resume**
 //!   ([`ShardDriver::drive`]): a lot split into seed ranges merges back
 //!   byte-identical to the monolithic run, an interrupted drive resumes
@@ -87,7 +88,7 @@ pub mod sweep;
 
 pub use adaptive::{interpolate_gain_db, reconstruction_error_db, RefinementPolicy};
 pub use analyzer::{AnalyzerConfig, BodePoint, Calibration, HardwareProfile, NetworkAnalyzer};
-pub use checkpoint::{CheckpointError, Shard, ShardDriver, ShardTask};
+pub use checkpoint::{fnv64, CheckpointError, Shard, ShardDriver, ShardTask};
 pub use error::NetanError;
 pub use harmonics::DistortionReport;
 pub use json::Json;
@@ -105,3 +106,9 @@ pub use sweep::{log_spaced, BodePlot, LowpassFit};
 
 // Re-export the building blocks users need at the API surface.
 pub use sdeval::Bounded;
+
+/// The `rust` blocks of the workspace README, compiled and run as this
+/// crate's doctests, so the README cannot show an API that is gone.
+#[cfg(doctest)]
+#[doc = include_str!("../../../README.md")]
+pub struct ReadmeDoctests;

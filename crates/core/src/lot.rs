@@ -37,7 +37,7 @@
 //!
 //! The paper's central trade — accuracy (enclosure width) for test time
 //! (measurement periods `M`) — becomes an operational scheduling policy
-//! with an [`EscalationSchedule`]: [`LotEngine::run_escalated`] screens
+//! with an [`EscalationSchedule`]: [`LotEngine::run_escalated_range`] screens
 //! the whole lot at a cheap stage-0 configuration, then re-tests only the
 //! devices still [`SpecVerdict::Ambiguous`] at each deeper (larger-`M`)
 //! stage, amortizing one calibration per stage and fanning re-tests
@@ -81,10 +81,11 @@
 //!
 //! # Sharding
 //!
-//! A lot does not have to be one call: [`LotEngine::run_range`] and
-//! [`LotEngine::run_escalated_range`] characterize any contiguous seed
-//! range as an independent **shard** (calibration stays amortized per
-//! analyzer configuration per shard), and [`LotReport::merge`] joins
+//! A lot does not have to be one call. The engine's two entry points,
+//! [`LotEngine::run_range`] and [`LotEngine::run_escalated_range`], take
+//! a contiguous seed range and characterize it as an independent
+//! **shard** (calibration stays amortized per analyzer configuration per
+//! shard) that records its range; [`LotReport::merge`] joins
 //! adjacent shards into the byte-identical report one monolithic run
 //! would have produced, with [`LotReport::empty`] as the identity: the
 //! merged stage summaries are read off the merged devices and stages.
@@ -106,7 +107,7 @@
 //! re-tests at shard boundaries a monolithic ledger would interleave.
 
 use crate::analyzer::{AnalyzerConfig, BodePoint, Calibration, NetworkAnalyzer};
-use crate::error::NetanError;
+use crate::error::{millihertz, NetanError};
 use crate::plan::grid_time;
 use crate::pool;
 use crate::spec::{GainMask, SpecVerdict};
@@ -183,11 +184,7 @@ impl LotPlan {
     /// The typed missing-mask-frequency error for `frequency`.
     fn missing_mask_error(frequency: Hertz) -> NetanError {
         NetanError::MaskFrequencyMissing {
-            #[expect(
-                clippy::cast_possible_truncation,
-                reason = "diagnostic-only millihertz render; `as` saturates NaN/∞ instead of panicking"
-            )]
-            hz_millis: (frequency.value() * 1000.0) as i64,
+            hz_millis: millihertz(frequency),
         }
     }
 }
@@ -318,7 +315,7 @@ impl EscalationSchedule {
     /// # Panics
     ///
     /// Panics if `stage` is out of range.
-    pub fn charged_periods(&self, stage: usize) -> u32 {
+    pub(crate) fn charged_periods(&self, stage: usize) -> u32 {
         let m = self.stages[stage].periods;
         match self.stopping {
             StoppingPolicy::Sequential if stage > 0 => m - self.stages[stage - 1].periods,
@@ -394,7 +391,7 @@ pub struct DeviceReport {
     /// fit a low-pass biquad).
     pub fit: Option<LowpassFit>,
     /// Escalation stage that produced the verdict and plot above (0 for
-    /// the screening pass and for every plain [`LotEngine::run`]). The
+    /// the screening pass and for every plain [`LotEngine::run_range`]). The
     /// device ran every stage up to it, at the report's
     /// [`stages`](LotReport::stages) configurations and charges.
     pub stage: usize,
@@ -421,13 +418,8 @@ impl VerdictCounts {
         self.pass + self.fail + self.ambiguous
     }
 
-    /// Whether no devices were counted at all.
-    pub fn is_empty(&self) -> bool {
-        self.total() == 0
-    }
-
     /// Tallies the verdicts of a device slice.
-    pub fn tally(devices: &[DeviceReport]) -> Self {
+    pub(crate) fn tally(devices: &[DeviceReport]) -> Self {
         let mut c = Self::default();
         for d in devices {
             c.count(d.verdict);
@@ -468,7 +460,7 @@ impl LotReport {
     /// Assembles a report (device order is preserved) with no stage
     /// accounting — the constructor for synthetic reports; engine runs
     /// and the `netan.lot.v5` loader also record their executed stages.
-    pub fn new(mask: GainMask, devices: Vec<DeviceReport>) -> Self {
+    pub(crate) fn new(mask: GainMask, devices: Vec<DeviceReport>) -> Self {
         Self {
             mask,
             devices,
@@ -499,7 +491,7 @@ impl LotReport {
     /// Returns the report with the schedule's budget (if any) and
     /// whether escalation stopped early because of it.
     #[must_use]
-    pub fn with_budget(mut self, budget: Option<Seconds>, exhausted: bool) -> Self {
+    pub(crate) fn with_budget(mut self, budget: Option<Seconds>, exhausted: bool) -> Self {
         self.budget = budget;
         self.budget_exhausted = exhausted;
         self
@@ -508,29 +500,28 @@ impl LotReport {
     /// Returns the report with the stopping policy that produced it
     /// ([`StoppingPolicy::Staged`] is the constructor default).
     #[must_use]
-    pub fn with_stopping(mut self, stopping: StoppingPolicy) -> Self {
+    pub(crate) fn with_stopping(mut self, stopping: StoppingPolicy) -> Self {
         self.stopping = stopping;
         self
     }
 
     /// The per-device stopping policy the run used — provenance for the
     /// observed spends in the report.
-    pub fn stopping(&self) -> StoppingPolicy {
+    pub(crate) fn stopping(&self) -> StoppingPolicy {
         self.stopping
     }
 
     /// Returns the report with the seed range it covers (used by the
     /// `netan.lot.v5` loader).
     #[must_use]
-    pub fn with_shard(mut self, shard: Range<u64>) -> Self {
+    pub(crate) fn with_shard(mut self, shard: Range<u64>) -> Self {
         self.shard = Some(shard);
         self
     }
 
-    /// The device-seed range this report covers, when known: attached by
-    /// range runs, by slice runs over contiguous ascending seeds, and
-    /// by merges of adjacent shards. `None` for synthetic reports and
-    /// arbitrary seed lists.
+    /// The device-seed range this report covers, when known: every
+    /// engine run attaches its range, and merging adjacent shards joins
+    /// theirs. `None` for synthetic reports.
     pub fn shard(&self) -> Option<Range<u64>> {
         self.shard.clone()
     }
@@ -541,12 +532,12 @@ impl LotReport {
     }
 
     /// The mask the lot was screened against.
-    pub fn mask(&self) -> &GainMask {
+    pub(crate) fn mask(&self) -> &GainMask {
         &self.mask
     }
 
     /// Per-stage summaries in execution order (one entry for a plain
-    /// [`LotEngine::run`], empty for synthetic reports): stage `s`
+    /// [`LotEngine::run_range`], empty for synthetic reports): stage `s`
     /// tested every device whose stage is `s` or later, its time is the
     /// seed-order left fold of their per-device charges, and its
     /// histogram counts each device's final verdict — or ambiguous, for a
@@ -649,8 +640,8 @@ impl LotReport {
     /// Merges two seed-disjoint reports over the same mask into the
     /// report one run over the union would have produced — byte
     /// identical through [`lot_json`](crate::report::lot_json) when the
-    /// operands are adjacent shards of a monolithic `run`/
-    /// `run_escalated` (unbudgeted: a budget gates re-tests on a
+    /// operands are adjacent shards of a monolithic `run_range`/
+    /// `run_escalated_range` (unbudgeted: a budget gates re-tests on a
     /// *global* seed-order prefix no shard can see, so budgeted
     /// schedules are budgeted per shard).
     ///
@@ -749,10 +740,9 @@ impl LotReport {
 /// use dut::ActiveRcFilter;
 ///
 /// let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-/// let seeds: Vec<u64> = (0..4).collect();
-/// let report = LotEngine::auto().run(
+/// let report = LotEngine::auto().run_range(
 ///     |seed| ActiveRcFilter::paper_dut().linearized().fabricate(0.02, seed),
-///     &seeds,
+///     0..4,
 ///     &plan,
 ///     AnalyzerConfig::ideal().with_periods(50),
 /// )?;
@@ -773,7 +763,7 @@ impl LotEngine {
     }
 
     /// An engine sized to the machine's available parallelism. The pool
-    /// is sized once per process (see [`pool::auto_threads`]): a CPU
+    /// is sized once per process (see `pool::auto_threads`): a CPU
     /// quota changed later is not seen.
     pub fn auto() -> Self {
         Self {
@@ -793,54 +783,33 @@ impl LotEngine {
         self.threads
     }
 
-    /// Characterizes `factory(seed)` for every seed against `plan`,
-    /// fanning the work across the worker pool. Calibration is performed
-    /// once for `config` and shared read-only by every device, and a
-    /// fixed grid is measured in lanes that share each point's stimulus
-    /// and evaluator noise.
+    /// Characterizes `factory(seed)` for every seed of the contiguous
+    /// range `seed_range` against `plan`, fanning the work across the
+    /// worker pool — one **shard** of a lot, with the range attached as
+    /// its [`shard`](LotReport::shard). Calibration is performed once
+    /// for `config` and shared read-only by every device, and a fixed
+    /// grid is measured in lanes that share each point's stimulus and
+    /// evaluator noise.
     ///
     /// A plain run is the one-stage schedule of `config` through the
-    /// core of [`run_escalated`](Self::run_escalated). A contiguous
-    /// ascending seed slice (`s, s+1, …`) gets its seed range attached
-    /// as [`shard`](LotReport::shard) provenance; arbitrary seed lists
-    /// carry none.
+    /// core of [`run_escalated_range`](Self::run_escalated_range).
+    /// Merging the shards of any seed-contiguous partition with
+    /// [`LotReport::merge`] is byte-identical (through
+    /// [`lot_json`](crate::report::lot_json)) to one run over the whole
+    /// range.
     ///
     /// # Errors
     ///
-    /// * [`NetanError::EmptyLot`] for an empty seed list,
+    /// * [`NetanError::EmptyLot`] for an empty range,
     /// * [`NetanError::EmptySweep`] for an empty plan grid,
     /// * the lowest-index [`NetanError::InvalidFrequency`] if the grid
-    ///   contains a non-positive frequency (rejected before calibration
-    ///   or any simulation),
+    ///   contains a non-positive frequency, and
+    ///   [`NetanError::InvalidMaskPoint`] for a mask point that
+    ///   [`MaskPoint::new`](crate::spec::MaskPoint::new) would refuse
+    ///   (both rejected before calibration or any simulation),
     /// * [`NetanError::DeviceNotSimulable`] if a device's nominal
     ///   response is non-finite at a plan frequency,
-    /// * per-device measurement errors, lowest seed index first.
-    pub fn run<D, F>(
-        &self,
-        factory: F,
-        seeds: &[u64],
-        plan: &LotPlan,
-        config: AnalyzerConfig,
-    ) -> Result<LotReport, NetanError>
-    where
-        D: Dut,
-        F: Fn(u64) -> D + Sync,
-    {
-        self.screen(factory, seeds, plan, &EscalationSchedule::new(vec![config]))
-    }
-
-    /// Characterizes the contiguous seed range `seed_range` as one
-    /// **shard** of a larger lot: exactly [`run`](Self::run) over those
-    /// seeds, with the range attached as provenance. Merging the
-    /// shards of any seed-contiguous partition with
-    /// [`LotReport::merge`] is byte-identical (through
-    /// [`lot_json`](crate::report::lot_json)) to one monolithic `run`
-    /// over the whole range.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`run`](Self::run) returns;
-    /// [`NetanError::EmptyLot`] for an empty range.
+    /// * per-device measurement errors, lowest seed first.
     pub fn run_range<D, F>(
         &self,
         factory: F,
@@ -852,30 +821,23 @@ impl LotEngine {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let seeds: Vec<u64> = seed_range.collect();
-        self.run(factory, &seeds, plan, config)
+        self.run_escalated_range(
+            factory,
+            seed_range,
+            plan,
+            &EscalationSchedule::new(vec![config]),
+        )
     }
 
-    /// The seed range of an explicit seed slice when the slice is one
-    /// contiguous ascending run, `None` otherwise — an arbitrary seed
-    /// list has no range provenance.
-    fn slice_span(seeds: &[u64]) -> Option<Range<u64>> {
-        let (&first, &last) = (seeds.first()?, seeds.last()?);
-        let end = last.checked_add(1)?;
-        seeds
-            .windows(2)
-            .all(|w| w[0].checked_add(1) == Some(w[1]))
-            .then_some(first..end)
-    }
-
-    /// Screens the whole lot at `schedule` stage 0, then re-tests only
-    /// the devices still [`SpecVerdict::Ambiguous`] at each subsequent
-    /// stage — one shared calibration per stage, re-tests fanned across
-    /// the same worker pool — until no device is ambiguous, the schedule
-    /// is exhausted, or the budget admits no further re-test. Under
-    /// [`StoppingPolicy::Sequential`] each re-test is charged only the
-    /// period increment; verdicts are identical to `Staged`, the spend
-    /// is smaller.
+    /// Escalation-screens the contiguous seed range `seed_range` as one
+    /// **shard** of a lot: screens it at `schedule` stage 0, then
+    /// re-tests only the devices still [`SpecVerdict::Ambiguous`] at
+    /// each subsequent stage — one shared calibration per stage,
+    /// re-tests fanned across the same worker pool — until no device is
+    /// ambiguous, the schedule is exhausted, or the budget admits no
+    /// further re-test. Under [`StoppingPolicy::Sequential`] each
+    /// re-test is charged only the period increment; verdicts are
+    /// identical to `Staged`, the spend is smaller.
     ///
     /// Each device of a stage is charged the stage's per-device charge,
     /// [`EscalationSchedule::device_stage_charge`]. Under a budget the
@@ -888,43 +850,20 @@ impl LotEngine {
     ///
     /// Results are bit-identical to a serial in-order run: admission
     /// depends only on verdicts and seed order (never on completion
-    /// order), and on failure the lowest-seed-index error among the
-    /// admitted measurements of the failing stage is reported.
+    /// order), and on failure the lowest-seed error among the admitted
+    /// measurements of the failing stage is reported. For unbudgeted
+    /// schedules, merging the shards of any seed-contiguous partition
+    /// with [`LotReport::merge`] is byte-identical (through
+    /// [`lot_json`](crate::report::lot_json)) to one run over the whole
+    /// range; a budget applies per shard (see the
+    /// [module docs](self#sharding)).
     ///
     /// # Errors
     ///
-    /// Everything [`run`](Self::run) returns, plus
+    /// Everything [`run_range`](Self::run_range) returns, plus
     /// [`NetanError::BudgetExhausted`] when the budget cannot cover the
     /// all-or-nothing stage-0 screening pass — rejected before any
     /// simulation.
-    pub fn run_escalated<D, F>(
-        &self,
-        factory: F,
-        seeds: &[u64],
-        plan: &LotPlan,
-        schedule: &EscalationSchedule,
-    ) -> Result<LotReport, NetanError>
-    where
-        D: Dut,
-        F: Fn(u64) -> D + Sync,
-    {
-        self.screen(factory, seeds, plan, schedule)
-    }
-
-    /// Escalation-screens the contiguous seed range `seed_range` as one
-    /// **shard** of a larger lot: exactly
-    /// [`run_escalated`](Self::run_escalated) over those seeds, with the
-    /// range attached as provenance. For unbudgeted schedules,
-    /// merging the shards of any seed-contiguous partition with
-    /// [`LotReport::merge`] is byte-identical (through
-    /// [`lot_json`](crate::report::lot_json)) to one monolithic
-    /// `run_escalated` over the whole range; a budget applies per
-    /// shard (see the [module docs](self#sharding)).
-    ///
-    /// # Errors
-    ///
-    /// Everything [`run_escalated`](Self::run_escalated) returns;
-    /// [`NetanError::EmptyLot`] for an empty range.
     pub fn run_escalated_range<D, F>(
         &self,
         factory: F,
@@ -936,24 +875,8 @@ impl LotEngine {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let seeds: Vec<u64> = seed_range.collect();
-        self.run_escalated(factory, &seeds, plan, schedule)
-    }
-
-    /// The one lot core behind every entry point (see
-    /// [`run_escalated`](Self::run_escalated)).
-    fn screen<D, F>(
-        &self,
-        factory: F,
-        seeds: &[u64],
-        plan: &LotPlan,
-        schedule: &EscalationSchedule,
-    ) -> Result<LotReport, NetanError>
-    where
-        D: Dut,
-        F: Fn(u64) -> D + Sync,
-    {
-        Self::validate_lot(seeds, plan)?;
+        let seeds: Vec<u64> = seed_range.clone().collect();
+        Self::validate_lot(&seeds, plan)?;
         let charge = |s: usize| schedule.device_stage_charge(s, plan.grid());
 
         // The screening pass is all-or-nothing: without it no device has
@@ -970,7 +893,7 @@ impl LotEngine {
         let config0 = schedule.stages()[0];
         let mut stages = vec![(recorded(config0), c0)];
         let stage = Stage::new(0, config0)?;
-        let results = self.characterize(&factory, seeds, plan, &stage);
+        let results = self.characterize(&factory, &seeds, plan, &stage);
         let mut devices = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         let mut budget_exhausted = false;
 
@@ -1014,12 +937,11 @@ impl LotEngine {
             }
         }
 
-        let mut report = LotReport::new(plan.mask().clone(), devices)
+        Ok(LotReport::new(plan.mask().clone(), devices)
             .with_stages(stages)
             .with_budget(schedule.budget(), budget_exhausted)
-            .with_stopping(schedule.stopping());
-        report.shard = Self::slice_span(seeds);
-        Ok(report)
+            .with_stopping(schedule.stopping())
+            .with_shard(seed_range))
     }
 
     /// The typed budget-below-screening error, both sides rounded **up**
@@ -1044,9 +966,10 @@ impl LotEngine {
     }
 
     /// Shared up-front validation of a lot request: non-empty seeds,
-    /// non-empty grid, every grid frequency valid, every mask frequency
-    /// actually in the grid — all rejected before calibration or any
-    /// simulation.
+    /// non-empty grid, every grid frequency valid, every mask point one
+    /// that [`MaskPoint::new`](crate::spec::MaskPoint::new) accepts and
+    /// its frequency actually in the grid — all rejected before
+    /// calibration or any simulation.
     fn validate_lot(seeds: &[u64], plan: &LotPlan) -> Result<(), NetanError> {
         if seeds.is_empty() {
             return Err(NetanError::EmptyLot);
@@ -1063,6 +986,11 @@ impl LotEngine {
         // grid; plans assembled any other way are rejected here, up
         // front.
         for mp in plan.mask().points() {
+            if mp.defect().is_some() {
+                return Err(NetanError::InvalidMaskPoint {
+                    hz_millis: millihertz(mp.frequency),
+                });
+            }
             let measured = plan
                 .grid()
                 .iter()
@@ -1376,14 +1304,14 @@ mod tests {
         let engine = LotEngine::serial();
         assert_eq!(
             engine
-                .run(paper_factory(0.0), &[], &plan, quick_config())
+                .run_range(paper_factory(0.0), 0..0, &plan, quick_config())
                 .unwrap_err(),
             NetanError::EmptyLot
         );
         let empty_plan = LotPlan::from_mask(GainMask::new());
         assert_eq!(
             engine
-                .run(paper_factory(0.0), &[1], &empty_plan, quick_config())
+                .run_range(paper_factory(0.0), 1..2, &empty_plan, quick_config())
                 .unwrap_err(),
             NetanError::EmptySweep
         );
@@ -1396,7 +1324,7 @@ mod tests {
             GainMask::new().with_point(crate::spec::MaskPoint::new(Hertz(1000.0), -4.5, -1.5)),
         );
         let err = LotEngine::serial()
-            .run(paper_factory(0.0), &[0, 1], &plan, quick_config())
+            .run_range(paper_factory(0.0), 0..2, &plan, quick_config())
             .unwrap_err();
         assert_eq!(err, NetanError::InvalidFrequency { hz_millis: -5000 });
     }
@@ -1404,9 +1332,9 @@ mod tests {
     #[test]
     fn nominal_lot_passes_and_fits() {
         let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-        let seeds = [0u64, 1, 2];
+        let seeds = 0..3u64;
         let report = LotEngine::with_threads(3)
-            .run(paper_factory(0.01), &seeds, &plan, quick_config())
+            .run_range(paper_factory(0.01), seeds.clone(), &plan, quick_config())
             .unwrap();
         assert_eq!(report.len(), 3);
         assert_eq!(report.counts().total(), 3);
@@ -1424,7 +1352,7 @@ mod tests {
         assert!((report.spent().value() - s0.time.value()).abs() < 1e-12);
         assert_eq!(report.budget(), None);
         assert!(!report.budget_exhausted());
-        for (d, &seed) in report.devices().iter().zip(&seeds) {
+        for (d, seed) in report.devices().iter().zip(seeds) {
             assert_eq!(d.seed, seed);
             assert_eq!(d.plot.len(), plan.grid().len());
             assert_eq!(d.stage, 0);
@@ -1450,7 +1378,6 @@ mod tests {
         assert!(report.is_empty());
         assert_eq!(report.yield_bounds(), None);
         let c = report.counts();
-        assert!(c.is_empty());
         assert_eq!(c.total(), 0);
         assert_eq!((c.pass, c.fail, c.ambiguous), (0, 0, 0));
         assert_eq!(report.spent(), Seconds(0.0));
@@ -1486,51 +1413,6 @@ mod tests {
     #[should_panic(expected = "strictly increase")]
     fn non_escalating_schedule_panics() {
         let _ = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[100, 100]);
-    }
-
-    #[test]
-    fn slice_span_detects_contiguous_seed_runs() {
-        assert_eq!(LotEngine::slice_span(&[2, 3, 4]), Some(2..5));
-        assert_eq!(LotEngine::slice_span(&[7]), Some(7..8));
-        // Gaps, reorderings and duplicates carry no range provenance.
-        assert_eq!(LotEngine::slice_span(&[2, 4]), None);
-        assert_eq!(LotEngine::slice_span(&[3, 2]), None);
-        assert_eq!(LotEngine::slice_span(&[2, 2]), None);
-        assert_eq!(LotEngine::slice_span(&[]), None);
-        // The one range whose exclusive end does not exist.
-        assert_eq!(LotEngine::slice_span(&[u64::MAX]), None);
-    }
-
-    #[test]
-    fn run_attaches_span_only_to_contiguous_seed_lists() {
-        let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-        let contiguous = LotEngine::serial()
-            .run(paper_factory(0.02), &[4, 5, 6], &plan, quick_config())
-            .unwrap();
-        assert_eq!(contiguous.shard(), Some(4..7));
-        let gapped = LotEngine::serial()
-            .run(paper_factory(0.02), &[4, 6], &plan, quick_config())
-            .unwrap();
-        assert_eq!(gapped.shard(), None);
-    }
-
-    #[test]
-    fn run_range_is_run_over_the_collected_seeds() {
-        let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-        let factory = paper_factory(0.05);
-        let by_slice = LotEngine::serial()
-            .run(&factory, &[1, 2, 3], &plan, quick_config())
-            .unwrap();
-        let by_range = LotEngine::serial()
-            .run_range(&factory, 1..4, &plan, quick_config())
-            .unwrap();
-        assert_eq!(by_slice, by_range);
-        assert_eq!(
-            LotEngine::serial()
-                .run_range(&factory, 5..5, &plan, quick_config())
-                .unwrap_err(),
-            NetanError::EmptyLot
-        );
     }
 
     #[test]
@@ -1641,7 +1523,7 @@ mod tests {
         let engine = LotEngine::serial();
         assert_eq!(
             engine
-                .run_escalated(paper_factory(0.0), &[], &plan, &schedule)
+                .run_escalated_range(paper_factory(0.0), 0..0, &plan, &schedule)
                 .unwrap_err(),
             NetanError::EmptyLot
         );
@@ -1650,7 +1532,7 @@ mod tests {
         let c0 = schedule.device_stage_time(0, plan.grid()).value();
         let starved = schedule.clone().with_budget(Seconds(c0 * 1.5));
         let err = engine
-            .run_escalated(paper_factory(0.0), &[0, 1], &plan, &starved)
+            .run_escalated_range(paper_factory(0.0), 0..2, &plan, &starved)
             .unwrap_err();
         match err {
             NetanError::BudgetExhausted {
@@ -1676,7 +1558,7 @@ mod tests {
         let schedule = EscalationSchedule::from_periods(quick_config(), &[50, 100])
             .with_budget(Seconds(0.0009));
         let err = LotEngine::serial()
-            .run_escalated(paper_factory(0.0), &[0, 1], &plan, &schedule)
+            .run_escalated_range(paper_factory(0.0), 0..2, &plan, &schedule)
             .unwrap_err();
         match err {
             NetanError::BudgetExhausted {
@@ -1693,9 +1575,9 @@ mod tests {
         let c0 = schedule.device_stage_time(0, plan.grid());
         let exact = (0..2).fold(Seconds(0.0), |acc, _| acc + c0);
         let ok = LotEngine::serial()
-            .run_escalated(
+            .run_escalated_range(
                 paper_factory(0.0),
-                &[0, 1],
+                0..2,
                 &plan,
                 &EscalationSchedule::from_periods(quick_config(), &[50, 100]).with_budget(exact),
             )
@@ -1720,7 +1602,7 @@ mod tests {
         };
         assert_eq!(
             engine
-                .run(paper_factory(0.0), &[0, 1], &plan, quick_config())
+                .run_range(paper_factory(0.0), 0..2, &plan, quick_config())
                 .unwrap_err(),
             expected
         );
@@ -1728,9 +1610,9 @@ mod tests {
         // simulation.
         assert_eq!(
             engine
-                .run_escalated(
+                .run_escalated_range(
                     paper_factory(0.0),
-                    &[0, 1],
+                    0..2,
                     &plan,
                     &EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[50, 200, 800]),
                 )
@@ -1740,8 +1622,40 @@ mod tests {
         // A well-formed plan over the same mask still runs.
         let ok = LotPlan::new(&[Hertz(200.0), Hertz(500.0)], GainMask::paper_lowpass());
         assert!(engine
-            .run(paper_factory(0.0), &[0], &ok, quick_config())
+            .run_range(paper_factory(0.0), 0..1, &ok, quick_config())
             .is_ok());
+    }
+
+    #[test]
+    fn invalid_mask_point_is_rejected_before_any_device() {
+        // `MaskPoint`'s fields are public, so a mask built through
+        // `with_point` or `collect` can hold a point `MaskPoint::new`
+        // would refuse. Against inverted or NaN limits every device
+        // would read Fail or Ambiguous; the lot refuses the plan before
+        // fabricating a device.
+        let never = |seed: u64| -> ActiveRcFilter { panic!("device {seed} fabricated") };
+        let at_1k = |min_db, max_db| crate::spec::MaskPoint {
+            frequency: Hertz(1000.0),
+            min_db,
+            max_db,
+        };
+        let masks = [
+            GainMask::new().with_point(at_1k(-1.5, -4.5)),
+            [at_1k(f64::NAN, -1.5)].into_iter().collect(),
+            GainMask::paper_lowpass().with_point(at_1k(-4.5, f64::NAN)),
+        ];
+        let schedule = EscalationSchedule::from_periods(quick_config(), &[50, 100]);
+        let expected = NetanError::InvalidMaskPoint {
+            hz_millis: 1_000_000,
+        };
+        for mask in masks {
+            let plan = LotPlan::new(&[Hertz(500.0)], mask);
+            let engine = LotEngine::serial();
+            let plain = engine.run_range(never, 0..2, &plan, quick_config());
+            assert_eq!(plain.unwrap_err(), expected);
+            let escalated = engine.run_escalated_range(never, 0..2, &plan, &schedule);
+            assert_eq!(escalated.unwrap_err(), expected);
+        }
     }
 
     #[test]
@@ -1760,7 +1674,7 @@ mod tests {
             for engine in [LotEngine::serial(), LotEngine::with_threads(4)] {
                 assert_eq!(
                     engine
-                        .run(paper_factory(0.0), &[0, 1, 2], &plan, config)
+                        .run_range(paper_factory(0.0), 0..3, &plan, config)
                         .unwrap_err(),
                     NetanError::UnresolvedStimulus,
                     "{config:?} on {engine:?}"
@@ -1776,16 +1690,15 @@ mod tests {
         // bit-match the staged run while the charged spend is strictly
         // smaller whenever anything escalates.
         let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-        let seeds: Vec<u64> = (0..8).collect();
         let staged = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 120, 480]);
         let sequential = staged.clone().sequential();
         assert_eq!(sequential.stopping(), StoppingPolicy::Sequential);
         let engine = LotEngine::with_threads(3);
         let a = engine
-            .run_escalated(paper_factory(0.09), &seeds, &plan, &staged)
+            .run_escalated_range(paper_factory(0.09), 0..8, &plan, &staged)
             .unwrap();
         let b = engine
-            .run_escalated(paper_factory(0.09), &seeds, &plan, &sequential)
+            .run_escalated_range(paper_factory(0.09), 0..8, &plan, &sequential)
             .unwrap();
         assert_eq!(b.stopping(), StoppingPolicy::Sequential);
         let escalated = a.stages().iter().skip(1).map(|s| s.tested).sum::<usize>();
@@ -1829,25 +1742,25 @@ mod tests {
         // `spent < budget`; the final admitted re-test may overshoot by
         // at most its own charge.
         let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-        let seeds: Vec<u64> = (0..8).collect();
+        let seeds = 0..8u64;
         let schedule =
             EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 120]).sequential();
         let free = LotEngine::serial()
-            .run_escalated(paper_factory(0.09), &seeds, &plan, &schedule)
+            .run_escalated_range(paper_factory(0.09), seeds.clone(), &plan, &schedule)
             .unwrap();
         let ambiguous0 = free.stages()[0].counts.ambiguous;
         assert!(ambiguous0 >= 2, "need at least two escalating devices");
         let c0 = schedule.device_stage_charge(0, plan.grid());
         let c1 = schedule.device_stage_charge(1, plan.grid());
-        let screen = (0..seeds.len()).fold(Seconds(0.0), |acc, _| acc + c0);
+        let screen = seeds.clone().fold(Seconds(0.0), |acc, _| acc + c0);
         // Budget covers screening plus half of one re-test: exactly one
         // re-test is admitted (spent < budget holds before it), and the
         // ledger overshoots by half a charge.
         let budget = Seconds(screen.value() + 0.5 * c1.value());
         let capped = LotEngine::serial()
-            .run_escalated(
+            .run_escalated_range(
                 paper_factory(0.09),
-                &seeds,
+                seeds.clone(),
                 &plan,
                 &schedule.clone().with_budget(budget),
             )
@@ -1866,9 +1779,9 @@ mod tests {
         );
         // Parallel admission replay lands on the same bytes.
         let parallel = LotEngine::with_threads(4)
-            .run_escalated(
+            .run_escalated_range(
                 paper_factory(0.09),
-                &seeds,
+                seeds.clone(),
                 &plan,
                 &schedule.with_budget(budget),
             )
@@ -1882,10 +1795,9 @@ mod tests {
         // ambiguous and must escalate; everything decided at stage 0
         // keeps its stage-0 provenance untouched.
         let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-        let seeds: Vec<u64> = (0..6).collect();
         let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 120]);
         let report = LotEngine::with_threads(3)
-            .run_escalated(paper_factory(0.09), &seeds, &plan, &schedule)
+            .run_escalated_range(paper_factory(0.09), 0..6, &plan, &schedule)
             .unwrap();
         assert_eq!(report.len(), 6);
         let stage0 = report.stages()[0];

@@ -19,7 +19,7 @@
 //! remaining indices, and the slot mutex is recovered from poisoning via
 //! [`PoisonError::into_inner`] (the protected state is only ever a whole
 //! slot written in one assignment, so a poisoned lock cannot expose a
-//! torn value). Once every job has been attempted, [`map_indexed`]
+//! torn value). Once every job has been attempted, `map_indexed`
 //! resumes the unwind on the calling thread with the **lowest-index**
 //! panic's payload text — the panic a serial in-order run would hit
 //! first.
@@ -34,7 +34,7 @@ use std::sync::{Mutex, OnceLock, PoisonError};
 /// Read once per process and cached: `available_parallelism` re-reads
 /// the cgroup CPU quota files on every call, which costs far more than
 /// building an engine.
-pub fn auto_threads() -> usize {
+pub(crate) fn auto_threads() -> usize {
     static THREADS: OnceLock<usize> = OnceLock::new();
     *THREADS.get_or_init(|| {
         std::thread::available_parallelism()
@@ -79,7 +79,7 @@ pub fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 /// job has been attempted — i.e. `map_indexed` behaves like the serial
 /// loop: the panic propagates, but it never poisons sibling jobs into
 /// `"lock poisoned"` aborts.
-pub fn map_indexed<T, F>(workers: usize, len: usize, job: F) -> Vec<T>
+pub(crate) fn map_indexed<T, F>(workers: usize, len: usize, job: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,

@@ -81,7 +81,7 @@ impl MaskPoint {
     /// evidence the response is inside the mask, and the conservative
     /// verdict is the one that triggers a re-test instead of shipping
     /// the device.
-    pub fn classify(&self, gain_db: &Bounded) -> SpecVerdict {
+    pub(crate) fn classify(&self, gain_db: &Bounded) -> SpecVerdict {
         if gain_db.lo.is_nan() || gain_db.est.is_nan() || gain_db.hi.is_nan() {
             SpecVerdict::Ambiguous
         } else if gain_db.lo >= self.min_db && gain_db.hi <= self.max_db {

@@ -16,7 +16,7 @@ use std::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 /// ```
 /// use dsp::Complex64;
 ///
-/// let j = Complex64::I;
+/// let j = Complex64::new(0.0, 1.0);
 /// assert_eq!(j * j, Complex64::new(-1.0, 0.0));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
@@ -32,8 +32,6 @@ impl Complex64 {
     pub const ZERO: Self = Self { re: 0.0, im: 0.0 };
     /// The multiplicative identity.
     pub const ONE: Self = Self { re: 1.0, im: 0.0 };
-    /// The imaginary unit.
-    pub const I: Self = Self { re: 0.0, im: 1.0 };
 
     /// Creates a complex number from rectangular coordinates.
     #[inline]
@@ -80,31 +78,19 @@ impl Complex64 {
         self.im.atan2(self.re)
     }
 
-    /// Complex conjugate.
-    #[inline]
-    pub fn conj(self) -> Self {
-        Self::new(self.re, -self.im)
-    }
-
     /// Multiplicative inverse.
     ///
     /// Returns non-finite components when `self` is zero.
     #[inline]
-    pub fn recip(self) -> Self {
+    pub(crate) fn recip(self) -> Self {
         let d = self.norm_sqr();
         Self::new(self.re / d, -self.im / d)
     }
 
     /// Scales by a real factor.
     #[inline]
-    pub fn scale(self, k: f64) -> Self {
+    pub(crate) fn scale(self, k: f64) -> Self {
         Self::new(self.re * k, self.im * k)
-    }
-
-    /// Returns `true` when both components are finite.
-    #[inline]
-    pub fn is_finite(self) -> bool {
-        self.re.is_finite() && self.im.is_finite()
     }
 }
 
@@ -225,7 +211,8 @@ mod tests {
     #[test]
     fn constructors_and_identities() {
         assert_eq!(Complex64::ZERO + Complex64::ONE, Complex64::ONE);
-        assert_eq!(Complex64::I * Complex64::I, Complex64::new(-1.0, 0.0));
+        let j = Complex64::new(0.0, 1.0);
+        assert_eq!(j * j, Complex64::new(-1.0, 0.0));
         assert_eq!(Complex64::from(3.5), Complex64::new(3.5, 0.0));
     }
 
@@ -264,14 +251,7 @@ mod tests {
     #[test]
     fn recip_of_unit() {
         let z = Complex64::cis(0.7);
-        assert!((z.recip() - z.conj()).abs() < EPS);
-    }
-
-    #[test]
-    fn conjugate_negates_imaginary() {
-        let z = Complex64::new(1.0, -4.0);
-        assert_eq!(z.conj(), Complex64::new(1.0, 4.0));
-        assert!((z * z.conj()).im.abs() < EPS);
+        assert!((z.recip() - Complex64::cis(-0.7)).abs() < EPS);
     }
 
     #[test]

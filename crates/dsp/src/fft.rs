@@ -26,7 +26,7 @@ impl std::error::Error for FftLenError {}
 
 /// Returns `true` if `n` is a nonzero power of two.
 #[inline]
-pub fn is_power_of_two(n: usize) -> bool {
+pub(crate) fn is_power_of_two(n: usize) -> bool {
     n != 0 && n & (n - 1) == 0
 }
 

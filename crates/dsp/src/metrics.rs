@@ -9,7 +9,7 @@
 //! * **SFDR** is the carrier-to-highest-spur ratio in dB.
 //! * Metrics assume a coherent record (rect window) unless the spectrum was
 //!   built with another window, in which case leakage neighbourhoods are
-//!   grouped automatically via [`Spectrum::tone_amplitude`].
+//!   grouped automatically (`Spectrum::tone_amplitude`).
 
 use crate::db::amplitude_to_db;
 use crate::spectrum::Spectrum;
@@ -84,7 +84,7 @@ impl HarmonicAnalysis {
 }
 
 /// Folds a bin index back into the first Nyquist zone `[0, n/2]`.
-pub fn alias_bin(bin: usize, record_len: usize) -> usize {
+pub(crate) fn alias_bin(bin: usize, record_len: usize) -> usize {
     let m = bin % record_len;
     if m > record_len / 2 {
         record_len - m

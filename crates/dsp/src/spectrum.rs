@@ -25,8 +25,7 @@ impl Spectrum {
     /// # Panics
     ///
     /// Panics if `x.len()` is not a power of two — spectral records in this
-    /// workspace are always sized by the caller; see
-    /// [`Spectrum::try_periodogram`] for the fallible form.
+    /// workspace are always sized by the caller.
     pub fn periodogram(x: &[f64], window: Window) -> Self {
         Self::try_periodogram(x, window).expect("record length must be a power of two")
     }
@@ -36,7 +35,7 @@ impl Spectrum {
     /// # Errors
     ///
     /// Returns [`FftLenError`] when `x.len()` is not a power of two.
-    pub fn try_periodogram(x: &[f64], window: Window) -> Result<Self, FftLenError> {
+    pub(crate) fn try_periodogram(x: &[f64], window: Window) -> Result<Self, FftLenError> {
         let n = x.len();
         let w = window.generate(n);
         let cg = window.coherent_gain(n);
@@ -65,11 +64,6 @@ impl Spectrum {
         self.amplitudes[k]
     }
 
-    /// All amplitudes, bins `0..=N/2`.
-    pub fn amplitudes(&self) -> &[f64] {
-        &self.amplitudes
-    }
-
     /// Number of bins (`N/2 + 1`).
     pub fn len(&self) -> usize {
         self.amplitudes.len()
@@ -81,13 +75,8 @@ impl Spectrum {
     }
 
     /// Length of the time-domain record that produced this spectrum.
-    pub fn record_len(&self) -> usize {
+    pub(crate) fn record_len(&self) -> usize {
         self.record_len
-    }
-
-    /// The window the record was analyzed with.
-    pub fn window(&self) -> Window {
-        self.window
     }
 
     /// Index of the largest non-DC bin.
@@ -105,7 +94,7 @@ impl Spectrum {
     /// neighbourhood. Exact for coherent records (rect window); within the
     /// scalloping loss of the window otherwise (≈0.01 dB for
     /// [`Window::FlatTop`]).
-    pub fn tone_amplitude(&self, k: usize) -> f64 {
+    pub(crate) fn tone_amplitude(&self, k: usize) -> f64 {
         let r = self.window.leakage_bins();
         let lo = k.saturating_sub(r);
         let hi = (k + r).min(self.amplitudes.len() - 1);
@@ -117,7 +106,7 @@ impl Spectrum {
 
     /// Largest bin amplitude excluding a neighbourhood of `carrier_bin` and
     /// of DC — the "highest spur" used by SFDR.
-    pub fn max_spur(&self, carrier_bin: usize) -> (usize, f64) {
+    pub(crate) fn max_spur(&self, carrier_bin: usize) -> (usize, f64) {
         let guard = self.window.leakage_bins() + 1;
         self.amplitudes
             .iter()

@@ -39,28 +39,6 @@ impl Tone {
     pub fn samples(&self, n: usize) -> Vec<f64> {
         (0..n).map(|i| self.sample(i)).collect()
     }
-
-    /// An iterator over samples, for streaming consumers.
-    pub fn iter(&self) -> ToneIter {
-        ToneIter { tone: *self, n: 0 }
-    }
-}
-
-/// Iterator over the samples of a [`Tone`].
-#[derive(Debug, Clone)]
-pub struct ToneIter {
-    tone: Tone,
-    n: usize,
-}
-
-impl Iterator for ToneIter {
-    type Item = f64;
-
-    fn next(&mut self) -> Option<f64> {
-        let v = self.tone.sample(self.n);
-        self.n += 1;
-        Some(v)
-    }
 }
 
 /// A sum of tones plus a DC level — the Fig. 9 workload shape.
@@ -101,16 +79,6 @@ impl Multitone {
         self
     }
 
-    /// Adds a tone in place.
-    pub fn push(&mut self, tone: Tone) {
-        self.tones.push(tone);
-    }
-
-    /// The DC component.
-    pub fn dc(&self) -> f64 {
-        self.dc
-    }
-
     /// The tone list.
     pub fn tones(&self) -> &[Tone] {
         &self.tones
@@ -119,11 +87,6 @@ impl Multitone {
     /// Sample at index `n`.
     pub fn sample(&self, n: usize) -> f64 {
         self.dc + self.tones.iter().map(|t| t.sample(n)).sum::<f64>()
-    }
-
-    /// Generates `n` samples.
-    pub fn samples(&self, n: usize) -> Vec<f64> {
-        (0..n).map(|i| self.sample(i)).collect()
     }
 }
 
@@ -184,14 +147,6 @@ mod tests {
     }
 
     #[test]
-    fn iterator_matches_samples() {
-        let t = Tone::new(0.013, 0.8, 0.4);
-        let direct = t.samples(64);
-        let iterated: Vec<f64> = t.iter().take(64).collect();
-        assert_eq!(direct, iterated);
-    }
-
-    #[test]
     fn multitone_superposition() {
         let a = Tone::new(0.01, 1.0, 0.0);
         let b = Tone::new(0.02, 0.5, 1.0);
@@ -207,7 +162,7 @@ mod tests {
             .map(|k| Tone::new(k as f64 / 96.0, 1.0 / k as f64, 0.0))
             .collect();
         assert_eq!(mt.tones().len(), 3);
-        assert_eq!(mt.dc(), 0.0);
+        assert_eq!(mt.sample(0), 0.0);
     }
 
     #[test]

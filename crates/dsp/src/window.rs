@@ -32,7 +32,7 @@ impl Window {
     /// # Panics
     ///
     /// Panics if `i >= n`.
-    pub fn coefficient(self, i: usize, n: usize) -> f64 {
+    pub(crate) fn coefficient(self, i: usize, n: usize) -> f64 {
         assert!(i < n, "window index {i} out of range for length {n}");
         if n == 1 {
             return 1.0;

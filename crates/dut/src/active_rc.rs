@@ -8,10 +8,10 @@
 //!   experiment (defaults chosen to land HD2/HD3 in the paper's
 //!   −56…−66 dBc window at the paper's drive level).
 
-use crate::group::LtiCore;
+use crate::group::LtiSim;
 use crate::nonlinear::Polynomial;
 use crate::traits::{Dut, DutSim};
-use mixsig::ct::{DiscreteStateSpace, FrequencyResponse, TransferFunction};
+use mixsig::ct::{FrequencyResponse, TransferFunction};
 use mixsig::noise::NoiseSource;
 use mixsig::units::Hertz;
 
@@ -120,46 +120,7 @@ impl Dut for ActiveRcFilter {
     }
 
     fn instantiate(&self, fs: Hertz) -> Box<dyn DutSim> {
-        Box::new(ActiveRcSim {
-            dss: self
-                .transfer_function()
-                .to_state_space()
-                .discretize_zoh(1.0 / fs.value()),
-            poly: self.poly,
-        })
-    }
-}
-
-/// Streaming simulator of [`ActiveRcFilter`].
-#[derive(Debug, Clone)]
-pub struct ActiveRcSim {
-    dss: DiscreteStateSpace,
-    poly: Polynomial,
-}
-
-impl DutSim for ActiveRcSim {
-    fn step(&mut self, input: f64) -> f64 {
-        self.poly.apply(self.dss.step(input))
-    }
-
-    fn reset(&mut self) {
-        self.dss.reset();
-    }
-
-    fn process_block(&mut self, input: &[f64], out: &mut [f64]) {
-        self.core().process_block(input, out);
-    }
-
-    fn lti_core(&mut self) -> Option<LtiCore<'_>> {
-        Some(self.core())
-    }
-}
-
-impl ActiveRcSim {
-    /// The filter's core: the state-space system, then the output
-    /// polynomial.
-    fn core(&mut self) -> LtiCore<'_> {
-        LtiCore::new(&mut self.dss, Some(self.poly))
+        Box::new(LtiSim::new(&self.transfer_function(), fs, Some(self.poly)))
     }
 }
 

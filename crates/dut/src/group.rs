@@ -4,18 +4,68 @@
 //! a serial dependency chain. [`process_group`] steps the members whose
 //! simulators expose an [`LtiCore`] in lockstep
 //! ([`DiscreteStateSpace::process_group`]), so the CPU overlaps their
-//! chains where one device at a time runs one. This crate's LTI
-//! simulators run their own [`DutSim::process_block`] as a group of
-//! one, so a member's samples are the same bits whichever way it runs.
+//! chains where one device at a time runs one. This crate's one LTI
+//! simulator, `LtiSim`, runs its own [`DutSim::process_block`] as a
+//! group of one, so a member's samples are the same bits whichever way
+//! it runs.
 
 use crate::nonlinear::Polynomial;
 use crate::traits::DutSim;
-use mixsig::ct::DiscreteStateSpace;
+use mixsig::ct::{DiscreteStateSpace, TransferFunction};
+use mixsig::units::Hertz;
 
-/// The linear time-invariant core of one of this crate's simulators
-/// ([`DutSim::lti_core`]): its discretized state-space system, with its
-/// state, and the memoryless polynomial, if any, applied to each output
-/// sample.
+/// The streaming simulator of this crate's LTI devices
+/// ([`ActiveRcFilter`](crate::ActiveRcFilter) and
+/// [`LinearDut`](crate::LinearDut)): the device's transfer function
+/// discretized at the sampling rate, then its output polynomial, if it
+/// has one.
+#[derive(Debug, Clone)]
+pub(crate) struct LtiSim {
+    dss: DiscreteStateSpace,
+    poly: Option<Polynomial>,
+}
+
+impl LtiSim {
+    /// `tf` discretized by zero-order hold at `fs`, followed by `poly`.
+    pub(crate) fn new(tf: &TransferFunction, fs: Hertz, poly: Option<Polynomial>) -> Self {
+        Self {
+            dss: tf.to_state_space().discretize_zoh(1.0 / fs.value()),
+            poly,
+        }
+    }
+
+    /// The simulator's core: the state-space system, then the
+    /// polynomial.
+    fn core(&mut self) -> LtiCore<'_> {
+        LtiCore {
+            dss: &mut self.dss,
+            poly: self.poly,
+        }
+    }
+}
+
+impl DutSim for LtiSim {
+    fn step(&mut self, input: f64) -> f64 {
+        let y = self.dss.step(input);
+        self.poly.map_or(y, |poly| poly.apply(y))
+    }
+
+    fn reset(&mut self) {
+        self.dss.reset();
+    }
+
+    fn process_block(&mut self, input: &[f64], out: &mut [f64]) {
+        self.core().process_block(input, out);
+    }
+
+    fn lti_core(&mut self) -> Option<LtiCore<'_>> {
+        Some(self.core())
+    }
+}
+
+/// The linear time-invariant core of `LtiSim` ([`DutSim::lti_core`]):
+/// its discretized state-space system, with its state, and the
+/// memoryless polynomial, if any, applied to each output sample.
 ///
 /// Only this crate builds one, and only for a simulator whose own
 /// `process_block` runs that core as a group of one; so stepping the
@@ -26,13 +76,9 @@ pub struct LtiCore<'a> {
     poly: Option<Polynomial>,
 }
 
-impl<'a> LtiCore<'a> {
-    pub(crate) fn new(dss: &'a mut DiscreteStateSpace, poly: Option<Polynomial>) -> Self {
-        Self { dss, poly }
-    }
-
+impl LtiCore<'_> {
     /// Runs the core alone over `input` into `out`: a group of one.
-    pub(crate) fn process_block(self, input: &[f64], out: &mut [f64]) {
+    fn process_block(self, input: &[f64], out: &mut [f64]) {
         let (rows, _) = out.as_chunks_mut::<1>();
         step_cores(&mut [Some(self)], input, rows);
     }

@@ -33,11 +33,11 @@
     )
 )]
 
-pub mod active_rc;
+mod active_rc;
 pub mod group;
 pub mod linear;
 pub mod nonlinear;
-pub mod traits;
+mod traits;
 
 pub use active_rc::ActiveRcFilter;
 pub use group::{process_group, LtiCore};

@@ -1,9 +1,9 @@
 //! Linear DUTs built from s-domain transfer functions — a biquad zoo for
 //! exercising the analyzer on different response shapes.
 
-use crate::group::LtiCore;
+use crate::group::LtiSim;
 use crate::traits::{Dut, DutSim};
-use mixsig::ct::{DiscreteStateSpace, FrequencyResponse, TransferFunction};
+use mixsig::ct::{FrequencyResponse, TransferFunction};
 use mixsig::units::Hertz;
 
 /// A linear DUT wrapping a continuous-time transfer function; simulation is
@@ -15,7 +15,7 @@ pub struct LinearDut {
 
 impl LinearDut {
     /// Wraps an arbitrary (proper) transfer function.
-    pub fn new(tf: TransferFunction) -> Self {
+    pub(crate) fn new(tf: TransferFunction) -> Self {
         Self { tf }
     }
 
@@ -48,11 +48,6 @@ impl LinearDut {
         let w0 = 2.0 * std::f64::consts::PI * f0.value();
         Self::new(TransferFunction::new(vec![gain], vec![1.0, 1.0 / w0]))
     }
-
-    /// The wrapped transfer function.
-    pub fn transfer_function(&self) -> &TransferFunction {
-        &self.tf
-    }
 }
 
 impl Dut for LinearDut {
@@ -61,40 +56,7 @@ impl Dut for LinearDut {
     }
 
     fn instantiate(&self, fs: Hertz) -> Box<dyn DutSim> {
-        Box::new(LinearDutSim {
-            dss: self.tf.to_state_space().discretize_zoh(1.0 / fs.value()),
-        })
-    }
-}
-
-/// Streaming simulator of a [`LinearDut`].
-#[derive(Debug, Clone)]
-pub struct LinearDutSim {
-    dss: DiscreteStateSpace,
-}
-
-impl DutSim for LinearDutSim {
-    fn step(&mut self, input: f64) -> f64 {
-        self.dss.step(input)
-    }
-
-    fn reset(&mut self) {
-        self.dss.reset();
-    }
-
-    fn process_block(&mut self, input: &[f64], out: &mut [f64]) {
-        self.core().process_block(input, out);
-    }
-
-    fn lti_core(&mut self) -> Option<LtiCore<'_>> {
-        Some(self.core())
-    }
-}
-
-impl LinearDutSim {
-    /// The device's core: the state-space system, with no polynomial.
-    fn core(&mut self) -> LtiCore<'_> {
-        LtiCore::new(&mut self.dss, None)
+        Box::new(LtiSim::new(&self.tf, fs, None))
     }
 }
 

@@ -31,7 +31,7 @@ impl Polynomial {
 
     /// Applies the polynomial.
     #[inline]
-    pub fn apply(&self, y: f64) -> f64 {
+    pub(crate) fn apply(&self, y: f64) -> f64 {
         y + self.a2 * y * y + self.a3 * y * y * y
     }
 
@@ -58,16 +58,6 @@ impl<D: Dut> NonlinearDut<D> {
     pub fn new(core: D, poly: Polynomial) -> Self {
         Self { core, poly }
     }
-
-    /// The linear core.
-    pub fn core(&self) -> &D {
-        &self.core
-    }
-
-    /// The nonlinearity.
-    pub fn polynomial(&self) -> Polynomial {
-        self.poly
-    }
 }
 
 impl<D: Dut> Dut for NonlinearDut<D> {
@@ -86,7 +76,7 @@ impl<D: Dut> Dut for NonlinearDut<D> {
 }
 
 /// Streaming simulator of a [`NonlinearDut`].
-pub struct NonlinearDutSim {
+struct NonlinearDutSim {
     core: Box<dyn DutSim>,
     poly: Polynomial,
 }

@@ -72,8 +72,8 @@ pub trait DutSim {
     /// the cores of the other members of a group.
     ///
     /// The provided default is `None`: the simulator runs only through
-    /// its own `process_block`. Only this crate's LTI simulators return
-    /// a core ([`LtiCore`] is built nowhere else), and each of them runs
+    /// its own `process_block`. Only this crate's one LTI simulator
+    /// returns a core ([`LtiCore`] is built nowhere else), and it runs
     /// its own `process_block` as a group of one.
     fn lti_core(&mut self) -> Option<LtiCore<'_>> {
         None
@@ -99,7 +99,7 @@ impl Dut for Bypass {
 
 /// Streaming simulator of [`Bypass`].
 #[derive(Debug, Clone, Copy, Default)]
-pub struct BypassSim;
+struct BypassSim;
 
 impl DutSim for BypassSim {
     fn step(&mut self, input: f64) -> f64 {

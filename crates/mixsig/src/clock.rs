@@ -1,4 +1,4 @@
-//! Clock generation: master clock, integer dividers, two-phase clocking.
+//! Clock generation: the master clock and the generator's divider.
 //!
 //! The paper's system runs entirely off one external master clock at
 //! `f_eva`. A 1:6 divider produces the generator clock `f_gen`, and the
@@ -8,12 +8,12 @@
 //! "inherent synchronization" property. [`MasterClock`] encodes exactly
 //! that invariant.
 
-use crate::units::{Hertz, Seconds};
+use crate::units::Hertz;
 
 /// The paper's generator clock divider (`f_gen = f_eva / 6`).
-pub const GENERATOR_DIVIDER: u32 = 6;
+pub(crate) const GENERATOR_DIVIDER: u32 = 6;
 /// Steps per stimulus period in the generator (`f_wave = f_gen / 16`).
-pub const GENERATOR_STEPS: u32 = 16;
+pub(crate) const GENERATOR_STEPS: u32 = 16;
 /// The oversampling ratio fixed by construction: `N = 6 × 16 = 96`.
 pub const OVERSAMPLING_RATIO: u32 = GENERATOR_DIVIDER * GENERATOR_STEPS;
 
@@ -29,7 +29,7 @@ impl MasterClock {
     /// # Panics
     ///
     /// Panics if the frequency is not strictly positive and finite.
-    pub fn new(frequency: Hertz) -> Self {
+    pub(crate) fn new(frequency: Hertz) -> Self {
         assert!(
             frequency.value() > 0.0 && frequency.value().is_finite(),
             "master clock frequency must be positive and finite"
@@ -58,17 +58,12 @@ impl MasterClock {
         self.frequency.value()
     }
 
-    /// Sampling period `Ts = 1/f_eva`.
-    pub fn period(self) -> Seconds {
-        self.frequency.period()
-    }
-
     /// An integer-divided clock (`f_eva / n`).
     ///
     /// # Panics
     ///
     /// Panics if `n == 0`.
-    pub fn divided(self, n: u32) -> MasterClock {
+    fn divided(self, n: u32) -> MasterClock {
         assert!(n > 0, "division ratio must be nonzero");
         Self::new(Hertz(self.frequency.value() / n as f64))
     }
@@ -81,72 +76,6 @@ impl MasterClock {
     /// The stimulus frequency `f_wave = f_eva/96`.
     pub fn stimulus_frequency(self) -> Hertz {
         Hertz(self.frequency.value() / OVERSAMPLING_RATIO as f64)
-    }
-}
-
-/// One of the two non-overlapping clock phases of an SC circuit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum ClockPhase {
-    /// Sampling phase φ1.
-    Phi1,
-    /// Charge-transfer phase φ2.
-    Phi2,
-}
-
-impl ClockPhase {
-    /// The other phase.
-    pub fn other(self) -> Self {
-        match self {
-            ClockPhase::Phi1 => ClockPhase::Phi2,
-            ClockPhase::Phi2 => ClockPhase::Phi1,
-        }
-    }
-}
-
-/// A two-phase non-overlapping clock derived from a [`MasterClock`].
-///
-/// Iterating yields alternating [`ClockPhase`]s starting with φ1; each full
-/// clock cycle contains one φ1 and one φ2 interval of `period()/2` each
-/// (the non-overlap gap is abstracted away at behavioral level).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct TwoPhaseClock {
-    clock: MasterClock,
-    half_cycles: u64,
-}
-
-impl TwoPhaseClock {
-    /// Creates a two-phase clock from the given source clock.
-    pub fn new(clock: MasterClock) -> Self {
-        Self {
-            clock,
-            half_cycles: 0,
-        }
-    }
-
-    /// The source clock.
-    pub fn clock(self) -> MasterClock {
-        self.clock
-    }
-
-    /// Number of *full* cycles completed so far.
-    pub fn cycles(self) -> u64 {
-        self.half_cycles / 2
-    }
-
-    /// The phase that the next [`tick`](Self::tick) will return.
-    pub fn current_phase(self) -> ClockPhase {
-        if self.half_cycles.is_multiple_of(2) {
-            ClockPhase::Phi1
-        } else {
-            ClockPhase::Phi2
-        }
-    }
-
-    /// Advances by one half-cycle, returning the phase that just occurred.
-    pub fn tick(&mut self) -> ClockPhase {
-        let phase = self.current_phase();
-        self.half_cycles += 1;
-        phase
     }
 }
 
@@ -168,7 +97,7 @@ mod tests {
 
     #[test]
     fn for_stimulus_inverts_stimulus_frequency() {
-        let clk = MasterClock::for_stimulus(Hertz::from_khz(1.0));
+        let clk = MasterClock::for_stimulus(Hertz(1000.0));
         assert_eq!(clk.frequency_hz(), 96.0e3);
         assert_eq!(clk.stimulus_frequency().value(), 1.0e3);
     }
@@ -181,21 +110,6 @@ mod tests {
             let n = clk.frequency_hz() / clk.stimulus_frequency().value();
             assert!((n - 96.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn two_phase_alternates() {
-        let mut tp = TwoPhaseClock::new(MasterClock::from_hz(1.0e6));
-        assert_eq!(tp.tick(), ClockPhase::Phi1);
-        assert_eq!(tp.tick(), ClockPhase::Phi2);
-        assert_eq!(tp.tick(), ClockPhase::Phi1);
-        assert_eq!(tp.cycles(), 1);
-    }
-
-    #[test]
-    fn other_phase() {
-        assert_eq!(ClockPhase::Phi1.other(), ClockPhase::Phi2);
-        assert_eq!(ClockPhase::Phi2.other(), ClockPhase::Phi1);
     }
 
     #[test]

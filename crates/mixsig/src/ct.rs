@@ -38,32 +38,32 @@ mod dsp_complex {
     }
 
     impl Complex64 {
-        pub const ZERO: Self = Self { re: 0.0, im: 0.0 };
+        pub(crate) const ZERO: Self = Self { re: 0.0, im: 0.0 };
 
-        pub const fn new(re: f64, im: f64) -> Self {
+        pub(crate) const fn new(re: f64, im: f64) -> Self {
             Self { re, im }
         }
 
-        pub fn abs(self) -> f64 {
+        pub(crate) fn abs(self) -> f64 {
             self.re.hypot(self.im)
         }
 
-        pub fn arg(self) -> f64 {
+        pub(crate) fn arg(self) -> f64 {
             self.im.atan2(self.re)
         }
 
-        pub fn mul(self, o: Self) -> Self {
+        pub(crate) fn mul(self, o: Self) -> Self {
             Self::new(
                 self.re * o.re - self.im * o.im,
                 self.re * o.im + self.im * o.re,
             )
         }
 
-        pub fn add(self, o: Self) -> Self {
+        pub(crate) fn add(self, o: Self) -> Self {
             Self::new(self.re + o.re, self.im + o.im)
         }
 
-        pub fn div(self, o: Self) -> Self {
+        pub(crate) fn div(self, o: Self) -> Self {
             let d = o.re * o.re + o.im * o.im;
             Self::new(
                 (self.re * o.re + self.im * o.im) / d,
@@ -150,16 +150,6 @@ impl TransferFunction {
         }
     }
 
-    /// Magnitude in dB at frequency `f`.
-    pub fn magnitude_db(&self, f: Hertz) -> f64 {
-        20.0 * self.response(f).magnitude.log10()
-    }
-
-    /// Phase in degrees at frequency `f`.
-    pub fn phase_deg(&self, f: Hertz) -> f64 {
-        self.response(f).phase.to_degrees()
-    }
-
     /// Controllable-canonical state-space realization.
     ///
     /// # Panics
@@ -198,14 +188,15 @@ impl TransferFunction {
     }
 }
 
-/// A single-input single-output continuous-time state-space system.
+/// A single-input single-output continuous-time state-space system: a
+/// description, stateless; [`discretize_zoh`](Self::discretize_zoh)
+/// builds the stepper that carries state.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateSpace {
     a: Matrix,
     b: Matrix,
     c: Matrix,
     d: f64,
-    state: Vec<f64>,
 }
 
 impl StateSpace {
@@ -214,33 +205,17 @@ impl StateSpace {
     /// # Panics
     ///
     /// Panics on inconsistent dimensions.
-    pub fn new(a: Matrix, b: Matrix, c: Matrix, d: f64) -> Self {
+    pub(crate) fn new(a: Matrix, b: Matrix, c: Matrix, d: f64) -> Self {
         let n = a.rows();
         assert_eq!(a.cols(), n, "A must be square");
         assert_eq!((b.rows(), b.cols()), (n, 1), "B must be n×1");
         assert_eq!((c.rows(), c.cols()), (1, n), "C must be 1×n");
-        Self {
-            a,
-            b,
-            c,
-            d,
-            state: vec![0.0; n],
-        }
+        Self { a, b, c, d }
     }
 
     /// System order.
-    pub fn order(&self) -> usize {
+    pub(crate) fn order(&self) -> usize {
         self.a.rows()
-    }
-
-    /// Current state vector.
-    pub fn state(&self) -> &[f64] {
-        &self.state
-    }
-
-    /// Resets the state to zero.
-    pub fn reset(&mut self) {
-        self.state.iter_mut().for_each(|x| *x = 0.0);
     }
 
     /// Produces an exact zero-order-hold discretization at sample time `dt`
@@ -271,11 +246,10 @@ impl StateSpace {
 /// A discrete-time state-space stepper produced by
 /// [`StateSpace::discretize_zoh`].
 ///
-/// One system runs per sample ([`step`](Self::step)) or per block
-/// ([`process_block`](Self::process_block)); a group of systems of one
-/// order runs in lockstep over a shared input
-/// ([`process_group`](Self::process_group)). All three are
-/// bit-identical per system.
+/// One system runs per sample ([`step`](Self::step)); a block of
+/// samples runs a group of systems of one order in lockstep over a
+/// shared input ([`process_group`](Self::process_group)), a group of
+/// one included. Both are bit-identical per system.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DiscreteStateSpace {
     ad: Matrix,
@@ -296,23 +270,10 @@ impl DiscreteStateSpace {
         y
     }
 
-    /// Processes `input` into `out`, one output sample per input sample —
-    /// the batched equivalent of calling [`step`](Self::step) in a loop,
-    /// bit-identical to it: a group of one
-    /// ([`process_group`](Self::process_group)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `input.len() != out.len()`.
-    pub fn process_block(&mut self, input: &[f64], out: &mut [f64]) {
-        let (rows, _) = out.as_chunks_mut::<1>();
-        Self::process_group(&mut [Some(self)], input, rows);
-    }
-
     /// Processes one shared `input` through a group of up to `W` systems
     /// of one order in lockstep: `out[t][s]` is slot `s`'s output for
-    /// `input[t]`, bit-identical to that system's own
-    /// [`process_block`](Self::process_block). A `None` slot's column is
+    /// `input[t]`, bit-identical to stepping that system alone
+    /// ([`step`](Self::step)). A `None` slot's column is
     /// overwritten with no system's output, for the caller to fill.
     ///
     /// Each system is a serial dependency chain, so stepping `W` of
@@ -438,23 +399,9 @@ impl DiscreteStateSpace {
         }
     }
 
-    /// Processes a whole record (compatibility wrapper over
-    /// [`process_block`](Self::process_block); the block API writes into a
-    /// caller buffer and is the one to use in loops).
-    pub fn process(&mut self, input: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; input.len()];
-        self.process_block(input, &mut out);
-        out
-    }
-
     /// Resets the internal state to zero.
     pub fn reset(&mut self) {
         self.state.iter_mut().for_each(|x| *x = 0.0);
-    }
-
-    /// Current state vector.
-    pub fn state(&self) -> &[f64] {
-        &self.state
     }
 
     /// System order: the length of the state vector.
@@ -471,24 +418,38 @@ mod tests {
         (a - b).abs() < tol
     }
 
+    fn magnitude_db(tf: &TransferFunction, f: Hertz) -> f64 {
+        20.0 * tf.response(f).magnitude.log10()
+    }
+
+    fn phase_deg(tf: &TransferFunction, f: Hertz) -> f64 {
+        tf.response(f).phase.to_degrees()
+    }
+
+    /// `sys` over `input` as a group of one: the block form of `step`.
+    fn process_block(sys: &mut DiscreteStateSpace, input: &[f64], out: &mut [f64]) {
+        let (rows, _) = out.as_chunks_mut::<1>();
+        DiscreteStateSpace::process_group(&mut [Some(sys)], input, rows);
+    }
+
     #[test]
     fn lowpass_dc_gain_and_rolloff() {
         let tf =
             TransferFunction::lowpass_biquad(Hertz(1000.0), std::f64::consts::FRAC_1_SQRT_2, 1.0);
         assert!(close(tf.response(Hertz(0.001)).magnitude, 1.0, 1e-6));
         // Butterworth: -3 dB at f0.
-        assert!(close(tf.magnitude_db(Hertz(1000.0)), -3.0103, 0.01));
+        assert!(close(magnitude_db(&tf, Hertz(1000.0)), -3.0103, 0.01));
         // -40 dB/dec beyond: at 10 kHz expect about -40 dB.
-        assert!(tf.magnitude_db(Hertz(10_000.0)) < -39.0);
+        assert!(magnitude_db(&tf, Hertz(10_000.0)) < -39.0);
     }
 
     #[test]
     fn lowpass_phase_limits() {
         let tf =
             TransferFunction::lowpass_biquad(Hertz(1000.0), std::f64::consts::FRAC_1_SQRT_2, 1.0);
-        assert!(tf.phase_deg(Hertz(1.0)).abs() < 0.2);
-        assert!(close(tf.phase_deg(Hertz(1000.0)), -90.0, 0.1));
-        assert!(tf.phase_deg(Hertz(100_000.0)) < -175.0);
+        assert!(phase_deg(&tf, Hertz(1.0)).abs() < 0.2);
+        assert!(close(phase_deg(&tf, Hertz(1000.0)), -90.0, 0.1));
+        assert!(phase_deg(&tf, Hertz(100_000.0)) < -175.0);
     }
 
     #[test]
@@ -521,7 +482,7 @@ mod tests {
         let x: Vec<f64> = (0..n)
             .map(|i| (2.0 * std::f64::consts::PI * f_test * i as f64 / fs).sin())
             .collect();
-        let y = dss.process(&x);
+        let y: Vec<f64> = x.iter().map(|&u| dss.step(u)).collect();
         // Discard the first half (transient), fit the rest.
         let steady = &y[n / 2..];
         let amp = steady.iter().fold(0.0f64, |m, &v| m.max(v.abs()));
@@ -563,10 +524,10 @@ mod tests {
             let mut got = vec![0.0; x.len()];
             // Uneven chunking exercises the state carry between blocks.
             for (xi, yi) in x.chunks(13).zip(got.chunks_mut(13)) {
-                by_block.process_block(xi, yi);
+                process_block(&mut by_block, xi, yi);
             }
             assert_eq!(want, got, "order {}", ss.order());
-            assert_eq!(by_step.state(), by_block.state());
+            assert_eq!(by_step, by_block);
         }
     }
 
@@ -640,7 +601,7 @@ mod tests {
                 let mut by_block = sys.clone();
                 let mut y = vec![0.0; x.len()];
                 for (xi, yi) in x.chunks(29).zip(y.chunks_mut(29)) {
-                    by_block.process_block(xi, yi);
+                    process_block(&mut by_block, xi, yi);
                 }
                 assert_eq!(&y, want, "order {order}: process_block");
             }
@@ -650,7 +611,7 @@ mod tests {
                 for (s, (want, sys)) in want.iter().zip(&grouped).enumerate() {
                     let column: Vec<f64> = got.iter().map(|row| row[s]).collect();
                     if skip == Some(s) {
-                        assert_eq!(sys.state(), systems[s].state(), "order {order}");
+                        assert_eq!(sys, &systems[s], "order {order}");
                         continue;
                     }
                     assert_eq!(
@@ -658,7 +619,7 @@ mod tests {
                         want.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
                         "order {order}, slot {s}, skip {skip:?}"
                     );
-                    assert_eq!(sys.state(), alone[s].state(), "order {order}, slot {s}");
+                    assert_eq!(sys, &alone[s], "order {order}, slot {s}");
                 }
             }
             // Narrower groups (the tails of a lane) run the same kernel.
@@ -692,19 +653,20 @@ mod tests {
     fn mismatched_block_lengths_rejected() {
         let tf = TransferFunction::lowpass_biquad(Hertz(1000.0), 1.0, 1.0);
         let mut dss = tf.to_state_space().discretize_zoh(1.0e-5);
-        dss.process_block(&[0.0; 4], &mut [0.0; 3]);
+        process_block(&mut dss, &[0.0; 4], &mut [0.0; 3]);
     }
 
     #[test]
     fn reset_clears_state() {
         let tf = TransferFunction::lowpass_biquad(Hertz(1000.0), 1.0, 1.0);
-        let mut dss = tf.to_state_space().discretize_zoh(1.0e-5);
+        let fresh = tf.to_state_space().discretize_zoh(1.0e-5);
+        let mut dss = fresh.clone();
         for _ in 0..100 {
             dss.step(1.0);
         }
-        assert!(dss.state().iter().any(|&x| x != 0.0));
+        assert_ne!(dss, fresh);
         dss.reset();
-        assert!(dss.state().iter().all(|&x| x == 0.0));
+        assert_eq!(dss, fresh);
     }
 
     #[test]

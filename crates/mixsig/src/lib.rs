@@ -4,8 +4,7 @@
 //! the behavioral models that replace the silicon in the reproduction:
 //!
 //! * [`units`] — newtype wrappers for frequencies, times and voltages,
-//! * [`clock`] — master clock, the paper's 1:6 divider and two-phase
-//!   non-overlapping clocking,
+//! * [`clock`] — the master clock and the paper's 1:6 divider,
 //! * [`opamp`] — block-level op-amp non-idealities (finite gain, GBW-limited
 //!   settling, slew rate, swing, offset, noise) modelling the
 //!   folded-cascode amplifier of paper Fig. 3,
@@ -24,8 +23,8 @@
 //!
 //! // The paper's clocking: f_gen = f_eva/6, f_wave = f_eva/96.
 //! let clk = MasterClock::from_hz(6.0e6);
-//! assert_eq!(clk.divided(6).frequency_hz(), 1.0e6);
-//! assert_eq!(clk.divided(96).frequency_hz(), 62.5e3);
+//! assert_eq!(clk.generator_clock().frequency_hz(), 1.0e6);
+//! assert_eq!(clk.stimulus_frequency().value(), 62.5e3);
 //! ```
 
 #![cfg_attr(
@@ -46,7 +45,7 @@ pub mod opamp;
 pub mod sc;
 pub mod units;
 
-pub use clock::{ClockPhase, MasterClock, TwoPhaseClock};
+pub use clock::MasterClock;
 pub use ct::{StateSpace, TransferFunction};
 pub use matrix::Matrix;
 pub use mismatch::CapacitorLot;

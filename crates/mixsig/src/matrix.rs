@@ -18,7 +18,7 @@ pub struct Matrix {
 
 impl Matrix {
     /// Creates a matrix of zeros.
-    pub fn zeros(rows: usize, cols: usize) -> Self {
+    pub(crate) fn zeros(rows: usize, cols: usize) -> Self {
         Self {
             rows,
             cols,
@@ -27,7 +27,7 @@ impl Matrix {
     }
 
     /// Creates an identity matrix.
-    pub fn identity(n: usize) -> Self {
+    pub(crate) fn identity(n: usize) -> Self {
         let mut m = Self::zeros(n, n);
         for i in 0..n {
             m[(i, i)] = 1.0;
@@ -56,12 +56,12 @@ impl Matrix {
     }
 
     /// Number of rows.
-    pub fn rows(&self) -> usize {
+    pub(crate) fn rows(&self) -> usize {
         self.rows
     }
 
     /// Number of columns.
-    pub fn cols(&self) -> usize {
+    pub(crate) fn cols(&self) -> usize {
         self.cols
     }
 
@@ -70,7 +70,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics if `v.len() != self.cols()`.
-    pub fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
+    pub(crate) fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.cols, "dimension mismatch");
         (0..self.rows)
             .map(|r| (0..self.cols).map(|c| self[(r, c)] * v[c]).sum())
@@ -88,7 +88,7 @@ impl Matrix {
     }
 
     /// The maximum absolute row sum (∞-norm).
-    pub fn norm_inf(&self) -> f64 {
+    pub(crate) fn norm_inf(&self) -> f64 {
         (0..self.rows)
             .map(|r| (0..self.cols).map(|c| self[(r, c)].abs()).sum::<f64>())
             .fold(0.0, f64::max)
@@ -99,7 +99,7 @@ impl Matrix {
     /// # Panics
     ///
     /// Panics when the block exceeds the matrix bounds.
-    pub fn block(&self, r0: usize, c0: usize, h: usize, w: usize) -> Matrix {
+    pub(crate) fn block(&self, r0: usize, c0: usize, h: usize, w: usize) -> Matrix {
         assert!(
             r0 + h <= self.rows && c0 + w <= self.cols,
             "block out of range"

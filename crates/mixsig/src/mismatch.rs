@@ -38,7 +38,7 @@ impl MatchingSpec {
 
     /// Mismatch 1-σ for a capacitor of `ratio` unit sizes: Pelgrom scaling
     /// `σ_unit/√ratio`.
-    pub fn sigma_for_ratio(&self, ratio: f64) -> f64 {
+    pub(crate) fn sigma_for_ratio(&self, ratio: f64) -> f64 {
         if ratio <= 0.0 {
             return 0.0;
         }

@@ -37,9 +37,9 @@
 // uniform source is an in-tree xoshiro256++ generator seeded via SplitMix64.
 
 /// Boltzmann constant in J/K.
-pub const BOLTZMANN: f64 = 1.380_649e-23;
+pub(crate) const BOLTZMANN: f64 = 1.380_649e-23;
 /// Default simulation temperature in kelvin (27 °C).
-pub const ROOM_TEMPERATURE_K: f64 = 300.15;
+pub(crate) const ROOM_TEMPERATURE_K: f64 = 300.15;
 
 /// Number of standard normals synthesized per internal refill.
 ///

@@ -101,7 +101,7 @@ impl OpAmpModel {
     }
 
     /// The charge-transfer gain compression factor at output level `v`.
-    pub fn compression_factor(&self, v: f64) -> f64 {
+    pub(crate) fn compression_factor(&self, v: f64) -> f64 {
         1.0 - self.cubic * v * v
     }
 
@@ -150,13 +150,13 @@ impl OpAmpModel {
     }
 
     /// Clamps an output voltage to the swing limit.
-    pub fn clamp_output(&self, v: Volts) -> Volts {
+    pub(crate) fn clamp_output(&self, v: Volts) -> Volts {
         v.clamped(self.output_swing)
     }
 
     /// Finite-gain closed-loop error factor for a feedback factor `beta`:
     /// the static gain error `1/(1 + 1/(A0·β))`.
-    pub fn static_gain_factor(&self, beta: f64) -> f64 {
+    pub(crate) fn static_gain_factor(&self, beta: f64) -> f64 {
         1.0 / (1.0 + 1.0 / (self.dc_gain * beta))
     }
 }

@@ -107,11 +107,6 @@ impl ScIntegrator {
         self.vout = 0.0;
     }
 
-    /// The op-amp model in use.
-    pub fn opamp(&self) -> &OpAmpModel {
-        &self.opamp
-    }
-
     /// Advances one clock cycle with the given input branches; returns the
     /// new output voltage.
     pub fn step(&mut self, branches: &[Branch]) -> f64 {
@@ -425,11 +420,6 @@ pub struct ScStepPlan {
 }
 
 impl ScStepPlan {
-    /// Number of branches the plan was built for.
-    pub fn branches(&self) -> usize {
-        self.n
-    }
-
     /// Whether the plan is *exact*: leak = 1, μ = 1, a settling fraction
     /// of 1 with infinite slew, swing ±∞, cubic = 0, offset = 0 and a
     /// disabled noise source — ideal hardware. An exact plan's step is a
@@ -617,7 +607,7 @@ mod tests {
         let mut by_step = int.clone();
         let mut by_plan = int.clone();
         let plan = by_plan.plan(caps);
-        assert_eq!(plan.branches(), caps.len());
+        assert_eq!(plan.n, caps.len());
         let mut voltages = vec![0.0; caps.len()];
         for k in 0..1000 {
             for (j, v) in voltages.iter_mut().enumerate() {

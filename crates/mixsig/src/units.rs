@@ -22,12 +22,6 @@ macro_rules! unit_newtype {
             pub const fn value(self) -> f64 {
                 self.0
             }
-
-            /// Absolute value.
-            #[inline]
-            pub fn abs(self) -> Self {
-                Self(self.0.abs())
-            }
         }
 
         impl fmt::Display for $name {
@@ -103,11 +97,6 @@ unit_newtype!(
 );
 
 impl Hertz {
-    /// Frequency from a kilohertz value.
-    pub const fn from_khz(khz: f64) -> Self {
-        Self(khz * 1.0e3)
-    }
-
     /// Frequency from a megahertz value.
     pub const fn from_mhz(mhz: f64) -> Self {
         Self(mhz * 1.0e6)
@@ -143,7 +132,7 @@ impl Volts {
     }
 
     /// Clamps into `[-limit, limit]` — the op-amp swing model.
-    pub fn clamped(self, limit: Volts) -> Volts {
+    pub(crate) fn clamped(self, limit: Volts) -> Volts {
         Volts(self.0.clamp(-limit.0.abs(), limit.0.abs()))
     }
 }
@@ -154,7 +143,7 @@ mod tests {
 
     #[test]
     fn frequency_period_round_trip() {
-        let f = Hertz::from_khz(62.5);
+        let f = Hertz(62_500.0);
         assert_eq!(f.value(), 62_500.0);
         assert!((f.period().frequency().value() - f.value()).abs() < 1e-9);
     }
@@ -175,7 +164,7 @@ mod tests {
         let fgen = feva / 6.0;
         let fwave = fgen / 16.0;
         assert_eq!(fgen, Hertz::from_mhz(1.0));
-        assert_eq!(fwave, Hertz::from_khz(62.5));
+        assert_eq!(fwave, Hertz(62_500.0));
     }
 
     #[test]

@@ -67,7 +67,7 @@ impl TestRng {
     }
 
     /// Next raw 64-bit value.
-    pub fn next_u64(&mut self) -> u64 {
+    pub(crate) fn next_u64(&mut self) -> u64 {
         let [s0, s1, s2, s3] = self.state;
         let result = s0.wrapping_add(s3).rotate_left(23).wrapping_add(s0);
         let t = s1 << 17;
@@ -83,7 +83,7 @@ impl TestRng {
     }
 
     /// Uniform `f64` in `[0, 1)`.
-    pub fn unit_f64(&mut self) -> f64 {
+    pub(crate) fn unit_f64(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }

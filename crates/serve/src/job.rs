@@ -75,6 +75,17 @@ pub struct DutDescription {
     pub linearized: bool,
 }
 
+impl DutDescription {
+    /// Renders the description (the `"dut"` object of a job) — also the
+    /// DUT identity of the job's checkpoint directory.
+    pub(crate) fn render(&self) -> String {
+        let mut out = String::from("{\"family\":\"active_rc_paper\",\"tolerance\":");
+        write_f64(&mut out, self.tolerance);
+        let _ = write!(out, ",\"linearized\":{}}}", self.linearized);
+        out
+    }
+}
+
 /// One screening job: what to fabricate, which seeds, how to shard,
 /// what to measure, and how to escalate.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,10 +125,8 @@ impl JobRequest {
     }
 
     /// Renders the job object (the `"job"` payload of a submit frame).
-    pub fn render(&self) -> String {
-        let mut out = String::from("{\"dut\":{\"family\":\"active_rc_paper\",\"tolerance\":");
-        write_f64(&mut out, self.dut.tolerance);
-        let _ = write!(out, ",\"linearized\":{}}}", self.dut.linearized);
+    pub(crate) fn render(&self) -> String {
+        let mut out = format!("{{\"dut\":{}", self.dut.render());
         let _ = write!(
             out,
             ",\"lot\":{{\"seed_start\":{},\"seed_end\":{}}},\"shard_devices\":{}",
@@ -228,17 +237,11 @@ impl JobRequest {
     }
 }
 
-/// FNV-1a 64 of a rendered job — the content-addressed key the service
-/// uses to name a job's checkpoint directory, so resubmitting the same
-/// job resumes its persisted shards. Hand-rolled (not `DefaultHasher`)
-/// because the key must be stable across processes.
-pub fn job_key(rendered: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in rendered.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+/// [`netan::fnv64`] of a rendered job — the content-addressed key the
+/// service uses to name a job's checkpoint directory, so resubmitting
+/// the same job resumes its persisted shards.
+pub(crate) fn job_key(rendered: &str) -> u64 {
+    netan::fnv64(rendered)
 }
 
 /// A frame sent by a client.

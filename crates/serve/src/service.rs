@@ -278,7 +278,7 @@ impl ScreenService {
         )?;
         if let Some(dir) = &self.inner.state_dir {
             let key = job_key(&request.render());
-            driver = driver.with_dir(dir.join(format!("job-{key:016x}")));
+            driver = driver.with_dir(dir.join(format!("job-{key:016x}")), &request.dut.render());
         }
         let budgeted = request.schedule.budget().is_some();
 

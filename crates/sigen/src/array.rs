@@ -17,10 +17,10 @@ use mixsig::noise::NoiseSource;
 use std::f64::consts::PI;
 
 /// Number of capacitors in the array (`CI1..CI4`).
-pub const ARRAY_SIZE: usize = 4;
+pub(crate) const ARRAY_SIZE: usize = 4;
 
 /// Nominal capacitor weights `CIk = 2·sin(kπ/8)` for `k = 1..=4`.
-pub fn nominal_weights() -> [f64; ARRAY_SIZE] {
+pub(crate) fn nominal_weights() -> [f64; ARRAY_SIZE] {
     [1, 2, 3, 4].map(|k| 2.0 * (k as f64 * PI / 8.0).sin())
 }
 
@@ -75,11 +75,6 @@ impl CapacitorArray {
         };
         sign * self.weight(k)
     }
-
-    /// All sixteen signed step weights.
-    pub fn staircase(&self) -> [f64; 16] {
-        std::array::from_fn(|j| self.step_weight(j))
-    }
 }
 
 impl Default for CapacitorArray {
@@ -120,7 +115,7 @@ mod tests {
         // DFT of the nominal 16-step sequence: harmonics 2..7 are exactly 0;
         // first image at |k|=15/17 (i.e. bin 15 of a 16-point DFT aliases).
         let arr = CapacitorArray::nominal();
-        let w = arr.staircase();
+        let w: [f64; 16] = std::array::from_fn(|j| arr.step_weight(j));
         for k in 2..=7usize {
             let mut re = 0.0;
             let mut im = 0.0;

@@ -18,7 +18,7 @@ use mixsig::units::Seconds;
 /// 16 fabricated staircase weights every period) plus the second
 /// integrator's single fixed topology. Built by
 /// [`GeneratorBiquad::plan_transfers`], consumed by
-/// [`GeneratorBiquad::transfer_planned`].
+/// `GeneratorBiquad::transfer_planned_in`.
 #[derive(Debug, Clone)]
 pub struct TransferPlans {
     int1: Vec<ScStepPlan>,
@@ -28,16 +28,6 @@ pub struct TransferPlans {
 }
 
 impl TransferPlans {
-    /// Number of planned input-capacitor slots.
-    pub fn len(&self) -> usize {
-        self.int1.len()
-    }
-
-    /// Whether no input-capacitor slots were planned.
-    pub fn is_empty(&self) -> bool {
-        self.int1.is_empty()
-    }
-
     /// Whether every plan is [exact](ScStepPlan::is_exact), so transfers
     /// may take the integrators' exact instantiation.
     pub(crate) fn is_exact(&self) -> bool {
@@ -82,7 +72,7 @@ impl TableI {
     }
 
     /// Capacitor values in fabrication order `[A, B, C, D, F]`.
-    pub fn as_array(&self) -> [f64; 5] {
+    pub(crate) fn as_array(&self) -> [f64; 5] {
         [self.a, self.b, self.c, self.d, self.f]
     }
 }
@@ -109,7 +99,7 @@ impl GeneratorBiquad {
     ///
     /// `settle_time` is the time available per charge transfer;
     /// `unit_cap_farads` sets the `kT/C` noise scale.
-    pub fn fabricate(
+    pub(crate) fn fabricate(
         matching: MatchingSpec,
         opamp: OpAmpModel,
         settle_time: Seconds,
@@ -155,11 +145,6 @@ impl GeneratorBiquad {
         }
     }
 
-    /// The (fabricated) capacitor values.
-    pub fn caps(&self) -> TableI {
-        self.caps
-    }
-
     /// Output voltage (second integrator).
     pub fn output(&self) -> f64 {
         self.int2.output()
@@ -186,7 +171,7 @@ impl GeneratorBiquad {
     }
 
     /// Precomputes transfer plans for a fixed menu of input capacitors
-    /// (index `i` of the result serves `transfer_planned(plans, i, ·)`).
+    /// (index `i` of the result serves `transfer_planned_in(plans, i, ·)`).
     ///
     /// The plans cache this biquad's fabricated capacitors and op-amp
     /// constants; rebuild them if the biquad is replaced.
@@ -202,24 +187,14 @@ impl GeneratorBiquad {
 
     /// One charge transfer through precomputed plans — bit-identical to
     /// [`transfer`](Self::transfer) with the input capacitor that slot
-    /// `cap_index` was planned for (same arithmetic, same noise draws).
+    /// `cap_index` was planned for (same arithmetic, same noise draws) —
+    /// through one instantiation of the integrators' planned step (see
+    /// [`ScIntegrator::step_planned_in`]); block loops choose it once per
+    /// block from [`TransferPlans::is_exact`].
     ///
     /// # Panics
     ///
     /// Panics if `cap_index` is out of range for `plans`.
-    #[inline]
-    pub fn transfer_planned(&mut self, plans: &TransferPlans, cap_index: usize, vin: f64) -> f64 {
-        if plans.exact {
-            self.transfer_planned_in::<true>(plans, cap_index, vin)
-        } else {
-            self.transfer_planned_in::<false>(plans, cap_index, vin)
-        }
-    }
-
-    /// [`transfer_planned`](Self::transfer_planned) through one
-    /// instantiation of the integrators' planned step (see
-    /// [`ScIntegrator::step_planned_in`]); block loops choose it once per
-    /// block from [`TransferPlans::is_exact`].
     #[inline(always)]
     pub(crate) fn transfer_planned_in<const EXACT: bool>(
         &mut self,
@@ -388,13 +363,16 @@ mod tests {
             let mut by_plan = mk();
             let plans = by_plan.plan_transfers(&caps);
             assert_eq!(plans.is_exact(), label == "ideal");
-            assert_eq!(plans.len(), caps.len());
-            assert!(!plans.is_empty());
+            assert_eq!(plans.int1.len(), caps.len());
             for k in 0..2000usize {
                 let i = k % caps.len();
                 let vin = 0.15 * (k as f64 * 0.21).sin();
                 let want = by_scalar.transfer(caps[i], vin);
-                let got = by_plan.transfer_planned(&plans, i, vin);
+                let got = if plans.is_exact() {
+                    by_plan.transfer_planned_in::<true>(&plans, i, vin)
+                } else {
+                    by_plan.transfer_planned_in::<false>(&plans, i, vin)
+                };
                 assert_eq!(want, got, "{label}: transfer {k} diverged");
             }
         }

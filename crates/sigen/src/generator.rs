@@ -11,7 +11,7 @@ use mixsig::units::{Hertz, Seconds, Volts};
 
 /// Number of master-clock samples for which each biquad output is held
 /// (`f_eva / (2·f_gen) = 3`).
-pub const HOLD_SAMPLES: usize = OVERSAMPLING_RATIO as usize / TRANSFERS_PER_PERIOD;
+pub(crate) const HOLD_SAMPLES: usize = OVERSAMPLING_RATIO as usize / TRANSFERS_PER_PERIOD;
 
 /// Configuration of a [`SinewaveGenerator`].
 #[derive(Debug, Clone, PartialEq)]
@@ -59,13 +59,6 @@ impl GeneratorConfig {
             seed,
             noise: true,
         }
-    }
-
-    /// Returns the configuration with a different amplitude reference.
-    #[must_use]
-    pub fn with_va_diff(mut self, va_diff: Volts) -> Self {
-        self.va_diff = va_diff;
-        self
     }
 
     /// Time available per charge transfer (half a generator-clock phase).
@@ -140,16 +133,6 @@ impl SinewaveGenerator {
         }
     }
 
-    /// The generator configuration.
-    pub fn config(&self) -> &GeneratorConfig {
-        &self.config
-    }
-
-    /// The fabricated input capacitor array.
-    pub fn array(&self) -> &CapacitorArray {
-        &self.array
-    }
-
     /// Generated stimulus frequency `f_wave = f_eva/96`.
     pub fn stimulus_frequency(&self) -> Hertz {
         self.config.master_clock.stimulus_frequency()
@@ -167,15 +150,15 @@ impl SinewaveGenerator {
 
     /// Fills `out` with the next `out.len()` output samples at the
     /// master-clock rate `f_eva` (each biquad output held for
-    /// [`HOLD_SAMPLES`] samples) — the batched equivalent of calling
-    /// [`next_sample`](Self::next_sample) in a loop, bit-identical to it.
+    /// `HOLD_SAMPLES` samples), bit-identical however `out` is split
+    /// into blocks.
     ///
     /// Transfers run through the per-step [`TransferPlans`] cached at
     /// construction (same arithmetic and noise draws as
     /// [`next_transfer`](Self::next_transfer), with the per-transfer
     /// invariants hoisted). The block runs transfer-major: it finishes
     /// the hold in progress, then does one transfer per
-    /// [`HOLD_SAMPLES`] copies; the biquad's exact instantiation is chosen
+    /// `HOLD_SAMPLES` copies; the biquad's exact instantiation is chosen
     /// once per block from the plans.
     pub fn fill_block(&mut self, out: &mut [f64]) {
         if self.plans.is_exact() {
@@ -197,14 +180,6 @@ impl SinewaveGenerator {
             hold.fill(self.held);
             self.hold_phase = hold.len() % HOLD_SAMPLES;
         }
-    }
-
-    /// Next output sample at the master-clock rate `f_eva` (a 1-sample
-    /// [`fill_block`](Self::fill_block)).
-    pub fn next_sample(&mut self) -> f64 {
-        let mut s = [0.0];
-        self.fill_block(&mut s);
-        s[0]
     }
 
     /// Generates `n` samples at `f_eva`.
@@ -313,7 +288,12 @@ mod tests {
         ] {
             let mut by_sample = SinewaveGenerator::new(cfg.clone());
             let mut by_block = SinewaveGenerator::new(cfg);
-            let want: Vec<f64> = (0..96 * 3 + 17).map(|_| by_sample.next_sample()).collect();
+            let mut next_sample = || {
+                let mut s = [0.0];
+                by_sample.fill_block(&mut s);
+                s[0]
+            };
+            let want: Vec<f64> = (0..96 * 3 + 17).map(|_| next_sample()).collect();
             let mut got = vec![0.0; want.len()];
             // Uneven chunks land mid-hold, exercising the hold carry.
             for chunk in got.chunks_mut(11) {

@@ -13,7 +13,7 @@ pub const STEPS_PER_PERIOD: usize = 16;
 
 /// Charge-transfer cycles of the biquad per stimulus period (two clock
 /// phases per generator clock: `32` transfers per period).
-pub const TRANSFERS_PER_PERIOD: usize = 2 * STEPS_PER_PERIOD;
+pub(crate) const TRANSFERS_PER_PERIOD: usize = 2 * STEPS_PER_PERIOD;
 
 /// The digital sequencer generating `c1..c4` and `Φin`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]

@@ -7,7 +7,7 @@
 //! lot at a cheap `M = 50`, then re-tests only the devices whose error
 //! enclosure straddles a mask limit (`Ambiguous`) at `M = 200`, then
 //! `M = 800` — each stage narrowing the enclosure 4× — under a total
-//! simulated test-time budget. [`netan::LotEngine::run_escalated`] fans
+//! simulated test-time budget. [`netan::LotEngine::run_escalated_range`] fans
 //! every pass across a worker pool and amortizes the stimulus calibration
 //! to one per stage.
 //!
@@ -46,7 +46,7 @@
 //! to an uninterrupted in-memory drive of the same lot. (Re-test
 //! admission is a function of the global seed-order ledger, so a
 //! budgeted sharded drive is *not* byte-identical to a monolithic
-//! `run_escalated` — see the sharding notes in `netan::lot`.)
+//! `run_escalated_range` — see the sharding notes in `netan::lot`.)
 
 use dut::ActiveRcFilter;
 use mixsig::units::Seconds;
@@ -57,6 +57,8 @@ use netan::{
 
 const LOT_DEVICES: u64 = 20;
 const SHARD_DEVICES: u64 = 5;
+/// What the lot's factory builds: its identity in a checkpoint directory.
+const FACTORY: &str = "paper DUT, linearized, 9 % parts";
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut checkpoint_dir: Option<std::path::PathBuf> = None;
@@ -82,12 +84,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let plan = LotPlan::from_mask(GainMask::paper_lowpass());
     // 9 % parts: some devices genuinely violate the mask, and some sit
     // close enough to a limit that a fast pass cannot bin them.
+    // `FACTORY` names the factory to the checkpoint directory.
     let factory = |seed: u64| {
         ActiveRcFilter::paper_dut()
             .linearized()
             .fabricate(0.09, seed)
     };
-    let seeds: Vec<u64> = (0..LOT_DEVICES).collect();
 
     // M = 50 costs a quarter of the paper's Bode setting at 4× the
     // enclosure width; M = 800 costs 4× at a quarter of the width. The
@@ -105,17 +107,17 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!(
         "screening {} devices across {} workers ({} stages, one calibration each)\n",
-        seeds.len(),
+        LOT_DEVICES,
         engine.threads(),
         schedule.stages().len(),
     );
-    let report = engine.run_escalated(factory, &seeds, &plan, &schedule)?;
+    let report = engine.run_escalated_range(factory, 0..LOT_DEVICES, &plan, &schedule)?;
     print!("{}", lot_table(&report));
 
     // What the escalation bought: the same deep verdicts without paying
     // the deepest stage for every device.
     let deepest = schedule.stages().len() - 1;
-    let all_deep = schedule.device_stage_time(deepest, plan.grid()).value() * seeds.len() as f64;
+    let all_deep = schedule.device_stage_time(deepest, plan.grid()).value() * LOT_DEVICES as f64;
     let spent = report.spent().value();
     println!(
         "\neveryone at M = {} would cost {all_deep:.1} s of test time; escalation spent \
@@ -128,9 +130,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // re-tested device from scratch at the deeper M, charging the full
     // stage; sequential charges only the increment, with verdicts
     // bit-equal by construction.
-    let staged = engine.run_escalated(
+    let staged = engine.run_escalated_range(
         factory,
-        &seeds,
+        0..LOT_DEVICES,
         &plan,
         &schedule
             .clone()
@@ -181,7 +183,9 @@ where
         let end = LOT_DEVICES.min(k.saturating_mul(SHARD_DEVICES));
         if end < LOT_DEVICES {
             if end > 0 {
-                driver(0..end)?.with_dir(dir).drive(engine, factory)?;
+                driver(0..end)?
+                    .with_dir(dir, FACTORY)
+                    .drive(engine, factory)?;
             }
             println!(
                 "halted after {k} shards: {end} of {LOT_DEVICES} devices screened; \
@@ -191,7 +195,7 @@ where
         }
     }
     let report = driver(0..LOT_DEVICES)?
-        .with_dir(dir)
+        .with_dir(dir, FACTORY)
         .drive(engine, factory)?;
 
     print!("{}", lot_table(&report));

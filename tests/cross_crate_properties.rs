@@ -185,15 +185,15 @@ mod lot_properties {
     /// from `seed_base` (fast settings: minimal mask grid, `M = 50`).
     fn screening(seed_base: u64, sigma: f64, lot: usize) -> LotReport {
         let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-        let seeds: Vec<u64> = (0..lot as u64).map(|i| seed_base + i).collect();
+        let seeds = seed_base..seed_base + lot as u64;
         LotEngine::with_threads(4)
-            .run(
+            .run_range(
                 move |seed| {
                     ActiveRcFilter::paper_dut()
                         .linearized()
                         .fabricate(sigma, seed)
                 },
-                &seeds,
+                seeds,
                 &plan,
                 AnalyzerConfig::ideal().with_periods(50),
             )
@@ -300,11 +300,11 @@ mod escalation_properties {
 
     fn escalated(seed_base: u64, sigma: f64, lot: usize, budget_screens: f64) -> LotReport {
         let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-        let seeds: Vec<u64> = (0..lot as u64).map(|i| seed_base + i).collect();
+        let seeds = seed_base..seed_base + lot as u64;
         LotEngine::with_threads(4)
-            .run_escalated(
+            .run_escalated_range(
                 factory(sigma),
-                &seeds,
+                seeds.clone(),
                 &plan,
                 &schedule(budget_screens, &plan, lot),
             )
@@ -327,9 +327,9 @@ mod escalation_properties {
         ) {
             let lot = 4;
             let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-            let seeds: Vec<u64> = (0..lot as u64).map(|i| seed_base + i).collect();
+            let seeds = seed_base..seed_base + lot as u64;
             let stage0_only = LotEngine::with_threads(4)
-                .run(factory(sigma), &seeds, &plan, stage_base().with_periods(20))
+                .run_range(factory(sigma), seeds.clone(), &plan, stage_base().with_periods(20))
                 .expect("screening run failed");
             let report = escalated(seed_base, sigma, lot, 10.0);
             for (screened, esc) in stage0_only.devices().iter().zip(report.devices()) {
@@ -428,7 +428,7 @@ mod escalation_properties {
                     continue;
                 }
                 let direct = LotEngine::serial()
-                    .run(factory(sigma), &[d.seed], &plan, sched.stages()[d.stage])
+                    .run_range(factory(sigma), d.seed..d.seed + 1, &plan, sched.stages()[d.stage])
                     .expect("direct run failed");
                 let direct = &direct.devices()[0];
                 prop_assert_eq!(&d.verdict, &direct.verdict,
@@ -798,7 +798,7 @@ mod shard_properties {
             let drive = |lot: Range<u64>| {
                 ShardDriver::new(lot, 2, &plan, &schedule)
                     .unwrap()
-                    .with_dir(&dir)
+                    .with_dir(&dir, &format!("paper DUT, linearized, σ {sigma}"))
                     .drive(&engine, factory(sigma))
                     .unwrap()
             };
@@ -869,13 +869,13 @@ mod sequential_stopping_properties {
         ) {
             let plan = plan();
             let sched = schedule(cmos);
-            let seeds: Vec<u64> = (0..4u64).map(|i| seed_base + i).collect();
+            let seeds = seed_base..seed_base + 4;
             let report = LotEngine::with_threads(4)
-                .run_escalated(factory(sigma), &seeds, &plan, &sched)
+                .run_escalated_range(factory(sigma), seeds.clone(), &plan, &sched)
                 .expect("sequential run failed");
             for d in report.devices() {
                 let direct = LotEngine::serial()
-                    .run(factory(sigma), &[d.seed], &plan, sched.stages()[d.stage])
+                    .run_range(factory(sigma), d.seed..d.seed + 1, &plan, sched.stages()[d.stage])
                     .expect("direct run failed");
                 let direct = &direct.devices()[0];
                 prop_assert_eq!(&d.verdict, &direct.verdict,
@@ -896,9 +896,9 @@ mod sequential_stopping_properties {
         ) {
             let plan = plan();
             let sched = schedule(cmos);
-            let seeds: Vec<u64> = (0..4u64).map(|i| seed_base + i).collect();
+            let seeds = seed_base..seed_base + 4;
             let report = LotEngine::serial()
-                .run_escalated(factory(sigma), &seeds, &plan, &sched)
+                .run_escalated_range(factory(sigma), seeds.clone(), &plan, &sched)
                 .expect("sequential run failed");
             let mut total = Seconds(0.0);
             for (s, summary) in report.stages().iter().enumerate() {
@@ -981,7 +981,7 @@ mod sequential_stopping_properties {
             std::fs::remove_dir_all(&dir_b).ok();
             let drive = |dir: &std::path::Path, lot: Range<u64>| {
                 ShardDriver::new(lot, 2, &plan, &sched)?
-                    .with_dir(dir)
+                    .with_dir(dir, &format!("paper DUT, linearized, σ {sigma}"))
                     .drive(&engine, factory(sigma))
             };
             let whole = outcome(drive(&dir_a, lot.clone()));
@@ -1006,13 +1006,13 @@ mod sequential_stopping_properties {
         let plan = plan();
         let seq = schedule(false);
         let staged = seq.clone().with_stopping(netan::StoppingPolicy::Staged);
-        let seeds: Vec<u64> = (0..6).collect();
+        let seeds = 0..6;
         let engine = LotEngine::serial();
         let a = engine
-            .run_escalated(factory(0.09), &seeds, &plan, &staged)
+            .run_escalated_range(factory(0.09), seeds.clone(), &plan, &staged)
             .unwrap();
         let b = engine
-            .run_escalated(factory(0.09), &seeds, &plan, &seq)
+            .run_escalated_range(factory(0.09), seeds.clone(), &plan, &seq)
             .unwrap();
         let outcomes = |r: &LotReport| {
             r.devices()

@@ -1,5 +1,5 @@
 //! Determinism guarantees of escalated lot runs: a parallel
-//! `LotEngine::run_escalated` must be **bit-identical** to the serial
+//! `LotEngine::run_escalated_range` must be **bit-identical** to the serial
 //! reference — same plots, same verdicts, same stage provenance, same
 //! budget accounting, same error on failure — for both the ideal and the
 //! seeded-CMOS analyzer profiles, across every stage of the schedule and
@@ -37,19 +37,19 @@ fn parallel_escalated_matches_serial_ideal() {
     // so the re-test stages genuinely run.
     let plan = paper_plan();
     let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 60, 120]);
-    let seeds: Vec<u64> = (0..8).collect();
+    let seeds = 0..8;
     let factory = paper_factory(0.09);
 
     let serial = LotEngine::serial()
-        .run_escalated(&factory, &seeds, &plan, &schedule)
+        .run_escalated_range(&factory, seeds.clone(), &plan, &schedule)
         .unwrap();
     let parallel = LotEngine::with_threads(8)
-        .run_escalated(&factory, &seeds, &plan, &schedule)
+        .run_escalated_range(&factory, seeds.clone(), &plan, &schedule)
         .unwrap();
     assert_eq!(serial, parallel);
-    assert_eq!(serial.len(), seeds.len());
+    assert_eq!(serial.len(), 8);
     // Device order is seed order, regardless of completion order.
-    for (d, &seed) in serial.devices().iter().zip(&seeds) {
+    for (d, seed) in serial.devices().iter().zip(seeds.clone()) {
         assert_eq!(d.seed, seed);
     }
     // The schedule actually escalated someone (σ = 9 % at M = 30 leaves
@@ -64,10 +64,10 @@ fn parallel_escalated_matches_serial_ideal() {
     // engine-independent, charges included.
     let sequential = schedule.sequential();
     let serial = LotEngine::serial()
-        .run_escalated(&factory, &seeds, &plan, &sequential)
+        .run_escalated_range(&factory, seeds.clone(), &plan, &sequential)
         .unwrap();
     let parallel = LotEngine::with_threads(8)
-        .run_escalated(&factory, &seeds, &plan, &sequential)
+        .run_escalated_range(&factory, seeds.clone(), &plan, &sequential)
         .unwrap();
     assert_eq!(serial, parallel);
 }
@@ -87,16 +87,16 @@ fn early_verdicts_agree_with_the_deepest_stage_at_lower_spend() {
     let plan = paper_plan();
     let stages = [50, 100];
     let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &stages);
-    let seeds: Vec<u64> = (0..6).collect();
+    let seeds = 0..6;
     let factory = paper_factory(0.09);
 
     let escalated = LotEngine::auto()
-        .run_escalated(&factory, &seeds, &plan, &schedule)
+        .run_escalated_range(&factory, seeds.clone(), &plan, &schedule)
         .unwrap();
     let deepest = LotEngine::auto()
-        .run(
+        .run_range(
             &factory,
-            &seeds,
+            seeds.clone(),
             &plan,
             AnalyzerConfig::ideal().with_periods(100),
         )
@@ -138,14 +138,14 @@ fn parallel_escalated_matches_serial_with_seeded_cmos_noise() {
     // device fan-out and the per-stage recalibration.
     let plan = paper_plan();
     let schedule = EscalationSchedule::from_periods(AnalyzerConfig::cmos_035um(7), &[40, 80]);
-    let seeds: Vec<u64> = (0..5).collect();
+    let seeds = 0..5;
     let factory = paper_factory(0.06);
 
     let serial = LotEngine::serial()
-        .run_escalated(&factory, &seeds, &plan, &schedule)
+        .run_escalated_range(&factory, seeds.clone(), &plan, &schedule)
         .unwrap();
     let parallel = LotEngine::with_threads(8)
-        .run_escalated(&factory, &seeds, &plan, &schedule)
+        .run_escalated_range(&factory, seeds.clone(), &plan, &schedule)
         .unwrap();
     assert_eq!(serial, parallel);
 }
@@ -158,12 +158,12 @@ fn budget_exhausted_early_stop_is_deterministic() {
     // its own charge), denies the rest, flags the exhaustion, and does
     // so identically under any schedule.
     let plan = paper_plan();
-    let seeds: Vec<u64> = (0..6).collect();
+    let seeds = 0..6;
     let factory = paper_factory(0.09);
     let free = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 90]);
     let c0 = free.device_stage_time(0, plan.grid()).value();
     let c1 = free.device_stage_time(1, plan.grid()).value();
-    let budget = Seconds(seeds.len() as f64 * c0 + 0.5 * c1);
+    let budget = Seconds(6.0 * c0 + 0.5 * c1);
     let schedule = free.clone().with_budget(budget);
 
     // The serial run records every seed it fabricates.
@@ -173,10 +173,10 @@ fn budget_exhausted_early_stop_is_deterministic() {
         factory(seed)
     };
     let serial = LotEngine::serial()
-        .run_escalated(recording, &seeds, &plan, &schedule)
+        .run_escalated_range(recording, seeds.clone(), &plan, &schedule)
         .unwrap();
     let parallel = LotEngine::with_threads(6)
-        .run_escalated(&factory, &seeds, &plan, &schedule)
+        .run_escalated_range(&factory, seeds.clone(), &plan, &schedule)
         .unwrap();
     assert_eq!(serial, parallel);
 
@@ -219,7 +219,7 @@ fn budget_exhausted_early_stop_is_deterministic() {
     // The free-running schedule on the same lot re-tests every
     // ambiguous device — the budget is the only thing holding back.
     let unbounded = LotEngine::serial()
-        .run_escalated(&factory, &seeds, &plan, &free)
+        .run_escalated_range(&factory, seeds.clone(), &plan, &free)
         .unwrap();
     assert!(!unbounded.budget_exhausted());
     assert_eq!(unbounded.stages()[1].tested, ambiguous_after_screen);
@@ -237,7 +237,7 @@ fn budget_below_screening_pass_is_rejected_before_simulation() {
         factory(seed)
     };
     let err = LotEngine::serial()
-        .run_escalated(recording, &[0, 1, 2], &plan, &schedule)
+        .run_escalated_range(recording, 0..3, &plan, &schedule)
         .unwrap_err();
     assert!(
         matches!(err, NetanError::BudgetExhausted { .. }),
@@ -254,7 +254,7 @@ fn lowest_index_device_error_wins_under_any_schedule() {
     // lowest-index failing device, exactly as an in-order run would.
     let plan = paper_plan();
     let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 60]);
-    let seeds: Vec<u64> = (0..8).collect();
+    let seeds = 0..8;
     let factory = |seed: u64| {
         if seed == 2 || seed == 5 {
             ActiveRcFilter::new(Hertz(f64::NAN), 0.7, 1.0)
@@ -269,7 +269,7 @@ fn lowest_index_device_error_wins_under_any_schedule() {
     for engine in [LotEngine::serial(), LotEngine::with_threads(8)] {
         assert_eq!(
             engine
-                .run_escalated(factory, &seeds, &plan, &schedule)
+                .run_escalated_range(factory, seeds.clone(), &plan, &schedule)
                 .unwrap_err(),
             expected,
             "{engine:?}"
@@ -311,19 +311,21 @@ fn escalated_shard_partition_merges_to_the_monolithic_report() {
 
 #[test]
 fn single_stage_schedule_equals_plain_run() {
-    // A one-stage schedule is exactly `run` with that stage's config —
-    // same devices, same provenance, same stage summary, bit for bit —
-    // through the slice and range entries, serial and pooled.
+    // A one-stage schedule is exactly `run_range` with that stage's
+    // config — same devices, same provenance, same stage summary, bit
+    // for bit — serial and pooled.
     let config = AnalyzerConfig::ideal().with_periods(50);
     let schedule = EscalationSchedule::new(vec![config]);
-    let seeds: Vec<u64> = (0..4).collect();
+    let seeds = 0..4;
     let factory = paper_factory(0.05);
     let plan = paper_plan();
 
     for engine in [LotEngine::serial(), LotEngine::with_threads(3)] {
-        let plain = engine.run(&factory, &seeds, &plan, config).unwrap();
+        let plain = engine
+            .run_range(&factory, seeds.clone(), &plan, config)
+            .unwrap();
         let escalated = engine
-            .run_escalated(&factory, &seeds, &plan, &schedule)
+            .run_escalated_range(&factory, seeds.clone(), &plan, &schedule)
             .unwrap();
         // Identical except for the (None, false) budget bookkeeping both
         // carry by default.

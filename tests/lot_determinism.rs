@@ -30,19 +30,19 @@ fn paper_plan() -> LotPlan {
 fn parallel_lot_matches_serial_ideal() {
     let plan = paper_plan();
     let config = AnalyzerConfig::ideal().with_periods(60);
-    let seeds: Vec<u64> = (0..8).collect();
+    let seeds = 0..8;
     let factory = paper_factory(0.05);
 
     let serial = LotEngine::serial()
-        .run(&factory, &seeds, &plan, config)
+        .run_range(&factory, seeds.clone(), &plan, config)
         .unwrap();
     let parallel = LotEngine::with_threads(8)
-        .run(&factory, &seeds, &plan, config)
+        .run_range(&factory, seeds.clone(), &plan, config)
         .unwrap();
     assert_eq!(serial, parallel);
-    assert_eq!(serial.len(), seeds.len());
+    assert_eq!(serial.len(), 8);
     // Device order is seed order, regardless of completion order.
-    for (d, &seed) in serial.devices().iter().zip(&seeds) {
+    for (d, seed) in serial.devices().iter().zip(seeds.clone()) {
         assert_eq!(d.seed, seed);
     }
 }
@@ -57,7 +57,7 @@ fn lane_layout_does_not_change_the_bits() {
     // exact sums) and on noisy hardware (groups through each block's
     // shared draws).
     let plan = paper_plan();
-    let seeds: Vec<u64> = (0..netan::LANE_DEVICES as u64 + 3).collect();
+    let seeds = 0..netan::LANE_DEVICES as u64 + 3;
     let factory = paper_factory(0.05);
 
     for config in [
@@ -65,16 +65,16 @@ fn lane_layout_does_not_change_the_bits() {
         AnalyzerConfig::cmos_035um(7).with_periods(20),
     ] {
         let reference = LotEngine::serial()
-            .run(&factory, &seeds, &plan, config)
+            .run_range(&factory, seeds.clone(), &plan, config)
             .unwrap();
         for threads in [2, 3, 5] {
             let laned = LotEngine::with_threads(threads)
-                .run(&factory, &seeds, &plan, config)
+                .run_range(&factory, seeds.clone(), &plan, config)
                 .unwrap();
             assert_eq!(reference, laned, "{config:?}, threads = {threads}");
         }
         let cal = LotEngine::shared_calibration(config).unwrap();
-        assert_eq!(reference.devices().len(), seeds.len());
+        assert_eq!(reference.devices().len(), netan::LANE_DEVICES + 3);
         for d in reference.devices() {
             let device = factory(d.seed);
             let alone = NetworkAnalyzer::new(&device, config);
@@ -98,14 +98,14 @@ fn parallel_lot_matches_serial_with_seeded_cmos_noise() {
     // the analyzer's own hardware; determinism must survive the fan-out.
     let plan = paper_plan();
     let config = AnalyzerConfig::cmos_035um(7).with_periods(80);
-    let seeds: Vec<u64> = (0..5).collect();
+    let seeds = 0..5;
     let factory = paper_factory(0.03);
 
     let serial = LotEngine::serial()
-        .run(&factory, &seeds, &plan, config)
+        .run_range(&factory, seeds.clone(), &plan, config)
         .unwrap();
     let parallel = LotEngine::with_threads(8)
-        .run(&factory, &seeds, &plan, config)
+        .run_range(&factory, seeds.clone(), &plan, config)
         .unwrap();
     assert_eq!(serial, parallel);
 }
@@ -117,7 +117,7 @@ fn lowest_index_device_error_wins_under_any_schedule() {
     // lowest-index failing device, exactly as an in-order run would.
     let plan = paper_plan();
     let config = AnalyzerConfig::ideal().with_periods(60);
-    let seeds: Vec<u64> = (0..8).collect();
+    let seeds = 0..8;
     let factory = |seed: u64| {
         if seed == 2 || seed == 5 {
             ActiveRcFilter::new(Hertz(f64::NAN), 0.7, 1.0)
@@ -131,7 +131,9 @@ fn lowest_index_device_error_wins_under_any_schedule() {
 
     for engine in [LotEngine::serial(), LotEngine::with_threads(8)] {
         assert_eq!(
-            engine.run(factory, &seeds, &plan, config).unwrap_err(),
+            engine
+                .run_range(factory, seeds.clone(), &plan, config)
+                .unwrap_err(),
             expected,
             "{engine:?}"
         );
@@ -147,7 +149,7 @@ fn a_device_that_cannot_be_simulated_fails_its_lot_from_mid_lane() {
     // lane layout, plain and escalated.
     let plan = paper_plan();
     let config = AnalyzerConfig::ideal().with_periods(10);
-    let seeds: Vec<u64> = (0..2 * netan::LANE_DEVICES as u64 + 2).collect();
+    let seeds = 0..2 * netan::LANE_DEVICES as u64 + 2;
     let factory = |seed: u64| {
         if seed == 70 || seed == 100 {
             ActiveRcFilter::new(Hertz(f64::NAN), 0.7, 1.0)
@@ -165,13 +167,15 @@ fn a_device_that_cannot_be_simulated_fails_its_lot_from_mid_lane() {
         LotEngine::with_threads(8),
     ] {
         assert_eq!(
-            engine.run(factory, &seeds, &plan, config).unwrap_err(),
+            engine
+                .run_range(factory, seeds.clone(), &plan, config)
+                .unwrap_err(),
             expected,
             "{engine:?}"
         );
         assert_eq!(
             engine
-                .run_escalated(factory, &seeds, &plan, &schedule)
+                .run_escalated_range(factory, seeds.clone(), &plan, &schedule)
                 .unwrap_err(),
             expected,
             "{engine:?}"
@@ -181,9 +185,9 @@ fn a_device_that_cannot_be_simulated_fails_its_lot_from_mid_lane() {
 
 #[test]
 fn run_range_is_deterministic_and_equals_run_over_the_same_seeds() {
-    // Range execution is the sharding primitive: it must be bit-identical
-    // across thread counts and to `run` over the collected seed list
-    // (which attaches the same contiguous span).
+    // Range execution is the sharding primitive: a parallel run must be
+    // bit-identical to the serial run over the same seeds, and attach
+    // its range.
     let plan = paper_plan();
     let config = AnalyzerConfig::ideal().with_periods(60);
     let factory = paper_factory(0.05);
@@ -195,11 +199,6 @@ fn run_range_is_deterministic_and_equals_run_over_the_same_seeds() {
         .run_range(&factory, 3..9, &plan, config)
         .unwrap();
     assert_eq!(serial, parallel);
-    let seeds: Vec<u64> = (3..9).collect();
-    let from_slice = LotEngine::serial()
-        .run(&factory, &seeds, &plan, config)
-        .unwrap();
-    assert_eq!(serial, from_slice);
     assert_eq!(serial.shard(), Some(3..9));
 }
 
@@ -213,7 +212,7 @@ fn amortized_calibration_matches_per_device_calibration() {
     let device = paper_factory(0.05)(3);
 
     let lot = LotEngine::serial()
-        .run(|_| device.clone(), &[3], &plan, config)
+        .run_range(|_| device.clone(), 3..4, &plan, config)
         .unwrap();
     let mut standalone = NetworkAnalyzer::new(&device, config);
     let plot = standalone

@@ -35,15 +35,14 @@ const ESCALATED_FIXTURE: &str = concat!(
 
 fn small_seeded_lot() -> LotReport {
     let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-    let seeds = [0u64, 1, 2, 3];
     LotEngine::serial()
-        .run(
+        .run_range(
             |seed| {
                 ActiveRcFilter::paper_dut()
                     .linearized()
                     .fabricate(0.05, seed)
             },
-            &seeds,
+            0..4,
             &plan,
             AnalyzerConfig::ideal().with_periods(50),
         )
@@ -57,19 +56,19 @@ fn small_seeded_lot() -> LotReport {
 /// one re-test — overshooting by its own charge — and denies the rest.)
 fn escalated_seeded_lot() -> LotReport {
     let plan = LotPlan::from_mask(GainMask::paper_lowpass());
-    let seeds = [0u64, 1, 2, 3, 4, 5];
+    let seeds = 0..6u64;
     let free = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 90]);
     let c0 = free.device_stage_time(0, plan.grid()).value();
     let c1 = free.device_stage_time(1, plan.grid()).value();
-    let schedule = free.with_budget(Seconds(seeds.len() as f64 * c0 + 0.5 * c1));
+    let schedule = free.with_budget(Seconds(6.0 * c0 + 0.5 * c1));
     LotEngine::serial()
-        .run_escalated(
+        .run_escalated_range(
             |seed| {
                 ActiveRcFilter::paper_dut()
                     .linearized()
                     .fabricate(0.09, seed)
             },
-            &seeds,
+            seeds,
             &plan,
             &schedule,
         )
