@@ -12,8 +12,15 @@
 //! its own ([`DemoBoard::with_devices`], read through
 //! [`LaneSource`]). Calibration is such a lane too: the bypass is the
 //! identity device [`dut::Bypass`] mounted on its own board.
+//!
+//! A mounted simulator need not run at the generator's clock
+//! ([`DemoBoard::with_slots`]). Where the generator's stream ignores
+//! its clock ([`GeneratorConfig::is_clock_invariant`], ideal hardware),
+//! one board carries the devices of several stimulus frequencies, each
+//! simulator instantiated at its own point's master clock.
 
 use dut::{Dut, DutSim};
+use mixsig::clock::MasterClock;
 use sdeval::{BlockSource, LaneSource, GROUP_DEVICES};
 use sigen::{GeneratorConfig, SinewaveGenerator};
 use std::ops::Range;
@@ -29,7 +36,9 @@ pub enum SignalPath {
 }
 
 /// The demonstrator board: an on-chip generator wired to one or more
-/// DUTs, with a calibration bypass.
+/// DUTs, with a calibration bypass. Each mounted DUT simulator runs at
+/// the master clock it was mounted at (the generator's, unless
+/// [`with_slots`](Self::with_slots) says otherwise).
 ///
 /// The [`SignalPath`] selects only what [`fill_block`](Self::fill_block)
 /// returns; a lane reader ([`LaneSource`]) always reads the devices.
@@ -67,10 +76,26 @@ impl DemoBoard {
     /// master clock. Read through [`LaneSource`], device `d` responds
     /// exactly as it would on a board of its own.
     pub fn with_devices(gen_config: GeneratorConfig, devices: &[&dyn Dut]) -> Self {
-        let fs = gen_config.master_clock.frequency();
+        let clock = gen_config.master_clock;
+        let slots: Vec<(&dyn Dut, MasterClock)> = devices.iter().map(|&d| (d, clock)).collect();
+        Self::with_slots(gen_config, &slots)
+    }
+
+    /// Assembles a board of **slots**: one generator from `gen_config`
+    /// feeding every slot, each slot a device whose simulator is
+    /// instantiated at the slot's own master clock. Read through
+    /// [`LaneSource`], slot `s` responds exactly as its device would on
+    /// a board of its own built from `gen_config` at the slot's clock,
+    /// whenever that board's generator produces the same stream: the
+    /// slot's clock is the configured one, or the stream ignores the
+    /// clock ([`GeneratorConfig::is_clock_invariant`]).
+    pub fn with_slots(gen_config: GeneratorConfig, slots: &[(&dyn Dut, MasterClock)]) -> Self {
         Self {
             generator: SinewaveGenerator::new(gen_config),
-            dut_sims: devices.iter().map(|d| d.instantiate(fs)).collect(),
+            dut_sims: slots
+                .iter()
+                .map(|(d, clock)| d.instantiate(clock.frequency()))
+                .collect(),
             path: SignalPath::Dut,
             stim: Vec::new(),
             group: Vec::new(),
@@ -136,12 +161,10 @@ impl DemoBoard {
     }
 
     /// Generates the next `len` stimulus samples into the scratch
-    /// buffer, growing the scratch buffers as needed.
+    /// buffer, growing it as needed.
     fn generate(&mut self, len: usize) {
         if self.stim.len() < len {
             self.stim.resize(len, 0.0);
-            let width = GROUP_DEVICES.min(self.dut_sims.len());
-            self.group.resize(len * width, 0.0);
         }
         self.generator.fill_block(&mut self.stim[..len]);
     }
@@ -149,7 +172,13 @@ impl DemoBoard {
     /// Runs every mounted device over the current stimulus block of
     /// `len` samples, a group at a time, writing the first device's
     /// response to `first` when one is given and dropping the rest.
+    /// Only this path fills the group scratch buffer (a lane reader
+    /// brings its own), so only it grows the buffer.
     fn step_devices(&mut self, len: usize, mut first: Option<&mut [f64]>) {
+        let width = GROUP_DEVICES.min(self.dut_sims.len());
+        if self.group.len() < len * width {
+            self.group.resize(len * width, 0.0);
+        }
         let stim = &self.stim[..len];
         for sims in self.dut_sims.chunks_mut(GROUP_DEVICES) {
             let width = sims.len();

@@ -7,7 +7,7 @@ use ate::DemoBoard;
 use dut::{Bypass, Dut};
 use mixsig::clock::MasterClock;
 use mixsig::units::{Hertz, Volts};
-use sdeval::{Bounded, EvaluatorConfig, HarmonicMeasurement, SinewaveEvaluator};
+use sdeval::{Bounded, EvaluatorConfig, HarmonicMeasurement, LaneSource, SinewaveEvaluator};
 use sigen::GeneratorConfig;
 
 /// Hardware realism of the analyzer's own circuitry.
@@ -174,7 +174,8 @@ impl<'d> NetworkAnalyzer<'d> {
         // Any valid stimulus frequency works; the normalized measurement is
         // frequency-independent. Use 1 kHz. The bypass is the identity
         // device, measured like any other.
-        let meas = Self::only(Self::acquire(&self.config, Hertz(1000.0), 1, &[&Bypass])?)?;
+        let stimulus = Self::acquire(&self.config, &[Hertz(1000.0)], 1, &[&Bypass])?;
+        let meas = Self::only(stimulus)?;
         let cal = Calibration {
             amplitude: meas.amplitude,
             phase: meas.phase,
@@ -235,8 +236,8 @@ impl<'d> NetworkAnalyzer<'d> {
     /// analyzer across threads. The acquisition is
     /// driven block-wise end to end (generator → DUT → ΣΔ consume
     /// [`AnalyzerConfig::block_samples`]-sized blocks), bit-identical to
-    /// the per-sample reference chain. It is the one-device case of a
-    /// lane, which a lot measures for many devices at once.
+    /// the per-sample reference chain. It is the one-slot case of a
+    /// lane, which a lot measures for many devices and points at once.
     ///
     /// # Errors
     ///
@@ -248,42 +249,59 @@ impl<'d> NetworkAnalyzer<'d> {
         cal: Calibration,
         f_wave: Hertz,
     ) -> Result<BodePoint, NetanError> {
-        Self::only(Self::measure_lane(&self.config, cal, &[self.dut], f_wave)?)
+        let points = Self::measure_lane(&self.config, cal, &[self.dut], &[f_wave])?;
+        Self::only(points.into_iter().flatten())
     }
 
-    /// Measures one Bode point of every device of `lane` at `f_wave`
-    /// against `cal`, in lane order — each point bit-identical to that
-    /// device's own
+    /// Measures a Bode point of every device of `lane` at every
+    /// frequency of `points` against `cal`: one list per device, in lane
+    /// order, of its points in the order of `points` — each point
+    /// bit-identical to that device's own
     /// [`measure_point_calibrated`](Self::measure_point_calibrated).
     ///
-    /// The generator and the evaluator are set by the configuration
-    /// alone, never by the DUT (paper Section III.C), so every device of
-    /// the lane shares one of each: the stimulus is generated once per
-    /// block and the evaluator's comparator and `kT/C` noise drawn once
-    /// per block. Only the DUT simulations and the modulator states run
-    /// per device.
+    /// Every (device, point) pair is a **slot**, and all slots run in one
+    /// lockstep acquisition ([`acquire`](Self::acquire)): the generator
+    /// and the evaluator are set by the configuration alone, never by the
+    /// DUT (paper Section III.C), and the evaluator not by the point
+    /// either. So the evaluator's comparator and `kT/C` noise is drawn
+    /// once per block for every slot, and the stimulus is generated once
+    /// per block for every slot that sees the same stream. Only the DUT
+    /// simulations and the modulator states run per slot. The caller
+    /// bounds the slot count, which is the number of simulators mounted
+    /// at once.
     ///
     /// # Errors
     ///
-    /// Returns [`NetanError::InvalidFrequency`] for non-positive
-    /// frequencies and [`NetanError::UnresolvedStimulus`] for a
-    /// calibration whose amplitude enclosure reaches zero, both before
-    /// acquiring, and propagates evaluator errors.
+    /// Returns the lowest-index [`NetanError::InvalidFrequency`] for
+    /// non-positive frequencies, then [`NetanError::UnresolvedStimulus`]
+    /// for a calibration whose amplitude enclosure reaches zero, both
+    /// before acquiring, and propagates evaluator errors.
     pub(crate) fn measure_lane(
         config: &AnalyzerConfig,
         cal: Calibration,
         lane: &[&dyn Dut],
-        f_wave: Hertz,
-    ) -> Result<Vec<BodePoint>, NetanError> {
-        Self::validate_frequency(f_wave)?;
+        points: &[Hertz],
+    ) -> Result<Vec<Vec<BodePoint>>, NetanError> {
+        for &f in points {
+            Self::validate_frequency(f)?;
+        }
         if !is_positive(cal.amplitude.lo) {
             return Err(NetanError::UnresolvedStimulus);
         }
-        let measured = Self::acquire(config, f_wave, 1, lane)?;
-        Ok(measured
+        let measured = Self::acquire(config, points, 1, lane)?;
+        // Slots are point-major: slot `p·lane.len() + d` is device `d` at
+        // point `p`.
+        Ok(lane
             .iter()
-            .zip(lane)
-            .map(|(out, &dut)| Self::bode_point(dut, cal, f_wave, out))
+            .enumerate()
+            .map(|(d, &dut)| {
+                let slots = measured.iter().skip(d).step_by(lane.len());
+                points
+                    .iter()
+                    .zip(slots)
+                    .map(|(&f, out)| Self::bode_point(dut, cal, f, out))
+                    .collect()
+            })
             .collect())
     }
 
@@ -443,34 +461,66 @@ impl<'d> NetworkAnalyzer<'d> {
                 reason = "i < max_harmonic, which is a u32, so the cast is exact"
             )]
             let k = i as u32 + 1;
-            Self::only(Self::acquire(&self.config, f_wave, k, &[self.dut])?)
+            Self::only(Self::acquire(&self.config, &[f_wave], k, &[self.dut])?)
         })
         .into_iter()
         .collect()
     }
 
-    /// One full acquisition of harmonic `k` at `f_wave`, driven
-    /// block-wise (generator → DUT → ΣΔ all consume fixed-size blocks):
-    /// one measurement per device of `lane`, all mounted on one board.
-    /// Calibration passes the identity device [`Bypass`], whose output
-    /// is the stimulus bit for bit — what the board's bypass path
-    /// (paper Fig. 1, dashed) returns.
+    /// One lockstep acquisition of harmonic `k`, driven block-wise
+    /// (generator → DUT → ΣΔ all consume fixed-size blocks): one
+    /// measurement per slot, point-major — slot `p·lane.len() + d` is
+    /// device `d` of `lane` at `points[p]`, its simulator instantiated at
+    /// that point's master clock `96·f`. Calibration passes the identity
+    /// device [`Bypass`], whose output is the stimulus bit for bit — what
+    /// the board's bypass path (paper Fig. 1, dashed) returns.
+    ///
+    /// Every slot shares one evaluator, and so each block's noise draws:
+    /// its configuration and seeds do not depend on the point. The
+    /// points' generators differ only in their clocks, so when the
+    /// stream ignores the clock ([`GeneratorConfig::is_clock_invariant`])
+    /// one board and generator carry every slot, and the device groups
+    /// fill across points. Otherwise each point keeps a board of its
+    /// own, and the boards advance in the same block loop.
     fn acquire(
         config: &AnalyzerConfig,
-        f_wave: Hertz,
+        points: &[Hertz],
         k: u32,
         lane: &[&dyn Dut],
     ) -> Result<Vec<HarmonicMeasurement>, NetanError> {
-        let clk = MasterClock::for_stimulus(f_wave);
-        let gen_cfg = config.hardware.generator_config(clk, config.va_diff);
-        let mut board = DemoBoard::with_devices(gen_cfg, lane);
-        board.warm_up(config.warmup_periods as usize);
+        let generators: Vec<GeneratorConfig> = points
+            .iter()
+            .map(|&f| {
+                let clk = MasterClock::for_stimulus(f);
+                config.hardware.generator_config(clk, config.va_diff)
+            })
+            .collect();
+        let shared = generators
+            .first()
+            .is_some_and(GeneratorConfig::is_clock_invariant);
+        let per_board = if shared { generators.len() } else { 1 };
+        let mut boards: Vec<DemoBoard> = generators
+            .chunks(per_board)
+            .map(|board_points| {
+                let slots: Vec<(&dyn Dut, MasterClock)> = board_points
+                    .iter()
+                    .flat_map(|g| lane.iter().map(|&dut| (dut, g.master_clock)))
+                    .collect();
+                let mut board = DemoBoard::with_slots(board_points[0].clone(), &slots);
+                board.warm_up(config.warmup_periods as usize);
+                board
+            })
+            .collect();
+        let mut sources: Vec<&mut dyn LaneSource> = boards
+            .iter_mut()
+            .map(|board| board as &mut dyn LaneSource)
+            .collect();
         let eval_cfg = config
             .hardware
             .evaluator_config()
             .with_block_samples(config.block_samples);
         let mut evaluator = SinewaveEvaluator::new(eval_cfg);
-        Ok(evaluator.measure_harmonic_lane(&mut board, k, config.periods)?)
+        Ok(evaluator.measure_harmonic_lanes(&mut sources, k, config.periods)?)
     }
 }
 
@@ -547,27 +597,52 @@ mod tests {
 
     #[test]
     fn lane_points_match_each_devices_own_points() {
-        let devices: Vec<ActiveRcFilter> = (0..5)
-            .map(|seed| ActiveRcFilter::paper_dut().fabricate(0.05, seed))
-            .collect();
-        let lane: Vec<&dyn Dut> = devices.iter().map(|d| d as &dyn Dut).collect();
+        // Lanes over several points, whose device groups cross point
+        // boundaries: on ideal hardware one board carries every slot, and
+        // on noisy hardware each point has its own board under one noise
+        // draw per block. Either way each (device, point) slot is the
+        // device's own point. The grid runs to 200 kHz, past the paper's
+        // 62.5 kHz: there the 0.35 µm stimulus leaves its 1 kHz stream by
+        // about 1 mV, so a point fed another point's stimulus shows in the
+        // odd devices, whose 300 kHz cut-off passes it.
         for cfg in [
             AnalyzerConfig::ideal().with_periods(20),
-            AnalyzerConfig::cmos_035um(3).with_periods(20),
+            AnalyzerConfig::cmos_035um(7).with_periods(20),
         ] {
             let cal = NetworkAnalyzer::new(&dut::Bypass, cfg).calibrate().unwrap();
-            let f = Hertz(1500.0);
-            let points = NetworkAnalyzer::measure_lane(&cfg, cal, &lane, f).unwrap();
-            assert_eq!(points.len(), devices.len());
-            for (point, device) in points.iter().zip(&devices) {
-                let alone = NetworkAnalyzer::new(device, cfg);
-                assert_eq!(*point, alone.measure_point_calibrated(cal, f).unwrap());
+            for (lane_size, points) in [(3, 5), (1, 20), (24, 4)] {
+                let devices: Vec<ActiveRcFilter> = (0..lane_size)
+                    .map(|seed| {
+                        let nominal = if seed % 2 == 0 {
+                            ActiveRcFilter::paper_dut()
+                        } else {
+                            ActiveRcFilter::new(Hertz(300_000.0), 0.8, 1.0)
+                        };
+                        nominal.fabricate(0.05, seed)
+                    })
+                    .collect();
+                let lane: Vec<&dyn Dut> = devices.iter().map(|d| d as &dyn Dut).collect();
+                let grid = log_spaced(Hertz(150.0), Hertz(200_000.0), points);
+                let measured = NetworkAnalyzer::measure_lane(&cfg, cal, &lane, &grid).unwrap();
+                assert_eq!(measured.len(), devices.len());
+                for (d, (got, device)) in measured.iter().zip(&devices).enumerate() {
+                    let alone = NetworkAnalyzer::new(device, cfg);
+                    let want: Vec<BodePoint> = grid
+                        .iter()
+                        .map(|&f| alone.measure_point_calibrated(cal, f).unwrap())
+                        .collect();
+                    assert_eq!(*got, want, "{cfg:?}: {lane_size} × {points}, device {d}");
+                }
             }
-            assert!(NetworkAnalyzer::measure_lane(&cfg, cal, &[], f)
+            let f = [Hertz(1500.0)];
+            assert!(NetworkAnalyzer::measure_lane(&cfg, cal, &[], &f)
                 .unwrap()
                 .is_empty());
+            let lane: [&dyn Dut; 2] = [&dut::Bypass, &dut::Bypass];
+            let no_points = NetworkAnalyzer::measure_lane(&cfg, cal, &lane, &[]).unwrap();
+            assert_eq!(no_points, vec![Vec::new(), Vec::new()]);
             assert!(matches!(
-                NetworkAnalyzer::measure_lane(&cfg, cal, &lane, Hertz(-1.0)),
+                NetworkAnalyzer::measure_lane(&cfg, cal, &lane, &[f[0], Hertz(-1.0)]),
                 Err(NetanError::InvalidFrequency { .. })
             ));
         }

@@ -9,12 +9,16 @@
 //! * **the analyzer's own work is amortized**: the generator and the ΣΔ
 //!   evaluator are set by the DC references and digital control alone,
 //!   never by the DUT (paper Section III.C), and so is every draw of
-//!   their seeded noise. So the stimulus characterization is computed
-//!   once per analyzer configuration and shared read-only by every
-//!   device, and a fixed grid is measured in **lanes**: per grid point,
-//!   one generator and one evaluator serve up to [`LANE_DEVICES`]
-//!   devices, generating the stimulus and drawing the comparator and
-//!   `kT/C` noise once per block for all of them. Only the DUT
+//!   their seeded noise; the evaluator, clocked at `f_eva = 96·f_wave`,
+//!   is not set by the point either. So the stimulus characterization is
+//!   computed once per analyzer configuration and shared read-only by
+//!   every device, and a fixed grid is measured in **lanes** of up to
+//!   [`LANE_DEVICES`] devices over a group of points. Each (device,
+//!   point) pair is a **slot**, and up to [`LANE_DEVICES`] slots run in
+//!   one lockstep acquisition: one evaluator draws the comparator and
+//!   `kT/C` noise once per block for all of them, and one generator
+//!   serves every slot whose stimulus stream is the same (on ideal
+//!   hardware, every slot: its stream ignores the clock). Only the DUT
 //!   simulations, the modulator states, classification and fit run per
 //!   device;
 //! * (lane × point-group) tasks are fanned across a
@@ -788,8 +792,9 @@ impl LotEngine {
     /// worker pool — one **shard** of a lot, with the range attached as
     /// its [`shard`](LotReport::shard). Calibration is performed once
     /// for `config` and shared read-only by every device, and a fixed
-    /// grid is measured in lanes that share each point's stimulus and
-    /// evaluator noise.
+    /// grid is measured in lanes whose (device, point) slots share each
+    /// acquisition's evaluator noise and, where the stream allows, its
+    /// stimulus.
     ///
     /// A plain run is the one-stage schedule of `config` through the
     /// core of [`run_escalated_range`](Self::run_escalated_range).
@@ -1055,13 +1060,17 @@ impl LotEngine {
     /// points in grid order (phase not yet unwrapped).
     ///
     /// A lane task takes up to [`LANE_DEVICES`] devices and a contiguous
-    /// group of grid points. Per point it builds one generator and one
-    /// evaluator, and every device of the lane shares their stimulus and
-    /// their noise draws ([`NetworkAnalyzer::measure_lane`]); only the
-    /// DUT simulations and modulator states run per device. Each point
-    /// is bit-identical to the device's own
-    /// [`NetworkAnalyzer::measure_point_calibrated`], so the split (see
-    /// [`LaneLayout`]) never changes a byte.
+    /// group of grid points, and measures every (device, point) slot of
+    /// it in lockstep acquisitions ([`NetworkAnalyzer::measure_lane`]):
+    /// one evaluator, and so one noise draw per block, for all of an
+    /// acquisition's slots, and one stimulus for every slot that sees
+    /// the same stream. Only the DUT simulations and modulator states run
+    /// per slot. An acquisition mounts at most [`LANE_DEVICES`]
+    /// simulators, so the task's points go in batches of
+    /// `⌊LANE_DEVICES / lane⌋`. Each point is bit-identical to the
+    /// device's own [`NetworkAnalyzer::measure_point_calibrated`], so
+    /// neither the split (see [`LaneLayout`]) nor the batches change a
+    /// byte.
     ///
     /// A device that cannot be simulated is left out of its lane and
     /// fails on its own with [`NetanError::DeviceNotSimulable`]. A
@@ -1098,11 +1107,12 @@ impl LotEngine {
                 .iter()
                 .map(|_| Vec::with_capacity(points.len()))
                 .collect();
-            let outcome: Result<(), NetanError> = points.iter().try_for_each(|&f| {
+            let batch = (LANE_DEVICES / mounted.len().max(1)).max(1);
+            let outcome: Result<(), NetanError> = points.chunks(batch).try_for_each(|batch| {
                 let lane_points =
-                    NetworkAnalyzer::measure_lane(&stage.config, stage.cal, &mounted, f)?;
-                for (device_points, point) in measured.iter_mut().zip(lane_points) {
-                    device_points.push(point);
+                    NetworkAnalyzer::measure_lane(&stage.config, stage.cal, &mounted, batch)?;
+                for (device_points, batch_points) in measured.iter_mut().zip(lane_points) {
+                    device_points.extend(batch_points);
                 }
                 Ok(())
             });
@@ -1155,12 +1165,15 @@ impl LotEngine {
     }
 }
 
-/// Most devices one lane task measures.
+/// Most devices one lane task measures, and most DUT simulators one
+/// acquisition mounts.
 ///
-/// Sharing is per lane, so a larger lane saves more, but with diminishing
-/// returns: at 64 devices the shared work is already a small share of a
-/// device's cost. A lane holds one DUT simulation per device, and a
-/// large stage still splits into enough lanes to keep every worker busy.
+/// Sharing is per acquisition, so more slots save more, but with
+/// diminishing returns: at 64 the shared work is already a small share
+/// of a slot's cost. An acquisition holds one DUT simulator per (device,
+/// point) slot, so a task measures its points in batches of
+/// `⌊LANE_DEVICES / lane⌋`, and a large stage still splits into enough
+/// lanes to keep every worker busy.
 pub const LANE_DEVICES: usize = 64;
 
 /// One stage's measurement settings, shared by every task of the stage.
@@ -1196,10 +1209,10 @@ fn recorded(config: AnalyzerConfig) -> AnalyzerConfig {
 ///   worker busy: each task is one lane over the whole grid, and the
 ///   lane count rounds up to a multiple of the worker count so the
 ///   workers finish together.
-/// * Too few: the grid splits across the workers first (each group
-///   costs one generator and evaluator set-up per point, exactly like
-///   the whole grid), and the lanes split only if the grid runs out of
-///   points.
+/// * Too few: the grid splits across the workers first, and the lanes
+///   split only if the grid runs out of points. Either split repeats an
+///   acquisition's shared work (the block's noise draws, and a stimulus
+///   the slots share) in every task.
 ///
 /// The split depends only on the device, point and worker counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -59,7 +59,13 @@ impl BlockSource for FnSource<'_> {
 /// followed by the devices' responses in device order, one
 /// [`group_block`](Self::group_block) per group of consecutive devices.
 /// Device `d` must see exactly the samples a source of its own would
-/// produce: its response to the same stimulus, block after block.
+/// produce: its response to the same stimulus, block after block. A
+/// "device" is whatever responds to the stimulus: a lane of a lot may
+/// mount one device at several stimulus frequencies, a slot each.
+///
+/// Several lanes with stimuli of their own can share one acquisition
+/// ([`SinewaveEvaluator::measure_harmonic_lanes`]): each advances its
+/// stimulus once per block, and all share the block's noise draws.
 pub trait LaneSource {
     /// Number of devices in the lane.
     fn devices(&self) -> usize;
@@ -290,7 +296,7 @@ impl SinewaveEvaluator {
     /// path: the source fills a buffer batch-wise and each modulator
     /// consumes it in one tight loop. Bit-identical to the per-sample
     /// wrapper for any block length. It is the one-device case of
-    /// [`measure_harmonic_lane`](Self::measure_harmonic_lane).
+    /// [`measure_harmonic_lanes`](Self::measure_harmonic_lanes).
     ///
     /// # Errors
     ///
@@ -303,26 +309,15 @@ impl SinewaveEvaluator {
     ) -> Result<HarmonicMeasurement, EvalError> {
         let sq = Self::harmonic_wave(k, m, self.config.n)?;
         let mut signatures = [(0.0, 0.0)];
-        let consumed = self.acquire(&mut OneDevice(source), sq, m, &mut signatures);
+        let consumed = self.acquire(&mut [&mut OneDevice(source)], sq, m, &mut signatures);
         let [pair] = signatures;
         Ok(self.harmonic(sq, m, pair, consumed))
     }
 
     /// Measures harmonic `k ≥ 1` of every device of `source` over `m`
-    /// periods: one measurement per device, in device order.
-    ///
-    /// The devices share the acquisition's noise: each block's
-    /// comparator and `kT/C` draws are taken once, before any device
-    /// steps, and every device's modulator states run through them.
-    /// Every device starts from the evaluator's current modulator state,
-    /// so each measurement is bit-identical to a
-    /// [`measure_harmonic_blocks`] of that device alone on a clone of
-    /// this evaluator. Afterwards the evaluator stands where the first
-    /// device's acquisition alone would leave it: noise streams and
-    /// modulator state. A lane of no devices draws nothing and leaves it
-    /// as it was.
-    ///
-    /// [`measure_harmonic_blocks`]: Self::measure_harmonic_blocks
+    /// periods: one measurement per device, in device order. It is the
+    /// one-lane case of
+    /// [`measure_harmonic_lanes`](Self::measure_harmonic_lanes).
     ///
     /// # Errors
     ///
@@ -333,9 +328,43 @@ impl SinewaveEvaluator {
         k: u32,
         m: u32,
     ) -> Result<Vec<HarmonicMeasurement>, EvalError> {
+        self.measure_harmonic_lanes(&mut [source], k, m)
+    }
+
+    /// Measures harmonic `k ≥ 1` of every device of every lane of
+    /// `sources` over `m` periods, in one lockstep acquisition: one
+    /// measurement per device, lane after lane, in device order within
+    /// a lane.
+    ///
+    /// The devices share the acquisition's noise: each block's
+    /// comparator and `kT/C` draws are taken once, before any device of
+    /// any lane steps, and every device's modulator states run through
+    /// them. Every device starts from the evaluator's current modulator
+    /// state, so each measurement is bit-identical to a
+    /// [`measure_harmonic_blocks`] of that device alone on a clone of
+    /// this evaluator, and each lane's measurements to a
+    /// [`measure_harmonic_lane`] of that lane alone on a clone. The lanes
+    /// need not share a stimulus: each advances its own. Afterwards the
+    /// evaluator stands where the first device's acquisition alone would
+    /// leave it: noise streams and modulator state. Lanes of no devices
+    /// in all draw nothing and leave it as it was.
+    ///
+    /// [`measure_harmonic_blocks`]: Self::measure_harmonic_blocks
+    /// [`measure_harmonic_lane`]: Self::measure_harmonic_lane
+    ///
+    /// # Errors
+    ///
+    /// Same contract as [`measure_harmonic`](Self::measure_harmonic).
+    pub fn measure_harmonic_lanes(
+        &mut self,
+        sources: &mut [&mut dyn LaneSource],
+        k: u32,
+        m: u32,
+    ) -> Result<Vec<HarmonicMeasurement>, EvalError> {
         let sq = Self::harmonic_wave(k, m, self.config.n)?;
-        let mut signatures = vec![(0.0, 0.0); source.devices()];
-        let consumed = self.acquire(source, sq, m, &mut signatures);
+        let devices = sources.iter().map(|source| source.devices()).sum();
+        let mut signatures = vec![(0.0, 0.0); devices];
+        let consumed = self.acquire(sources, sq, m, &mut signatures);
         Ok(signatures
             .into_iter()
             .map(|pair| self.harmonic(sq, m, pair, consumed))
@@ -409,7 +438,7 @@ impl SinewaveEvaluator {
         }
         let sq = QuadratureSquareWave::new(0, self.config.n).expect("k = 0 is always valid");
         let mut signatures = [(0.0, 0.0)];
-        let consumed = self.acquire(&mut OneDevice(source), sq, m, &mut signatures);
+        let consumed = self.acquire(&mut [&mut OneDevice(source)], sq, m, &mut signatures);
         let [(i1, _)] = signatures;
         let vref = self.config.sdm.vref.value();
         Ok(DcMeasurement {
@@ -439,21 +468,23 @@ impl SinewaveEvaluator {
     }
 
     /// Runs one (or two, when chopping) acquisition windows over every
-    /// device of `source`, writing each device's processed signatures to
-    /// its slot of `signatures` (one slot per device); returns the
-    /// samples consumed per device. A lane of no devices returns before
-    /// the first window, so it draws nothing.
+    /// device of every lane of `sources`, writing each device's
+    /// processed signatures to its slot of `signatures` (one slot per
+    /// device, lane after lane); returns the samples consumed per device.
+    /// Lanes of no devices in all return before the first window, so
+    /// they draw nothing.
     ///
     /// The window is drained in blocks, and every block runs the same
-    /// way whatever the hardware. The source advances the shared
-    /// stimulus once, and the modulator pair draws the block's noise
-    /// once ([`ModulatorPair::draw_block`]; an exact pair draws
-    /// nothing), with polarities from a running phase counter
-    /// ([`QuadratureSquareWave::phases`]). Then the devices run in groups
-    /// of [`GROUP_DEVICES`] in device order (a tail of fewer runs at its
-    /// own width): the source fills a group's samples interleaved per
-    /// sample ([`LaneSource::group_block`]) and one kernel steps all of
-    /// the group's I and Q modulator states per sample
+    /// way whatever the hardware. Each source advances its stimulus
+    /// once, and the modulator pair draws the block's noise once
+    /// ([`ModulatorPair::draw_block`]; an exact pair draws nothing), with
+    /// polarities from a running phase counter
+    /// ([`QuadratureSquareWave::phases`]). Then, lane after lane, the
+    /// devices run in groups of [`GROUP_DEVICES`] in device order (a
+    /// lane's tail of fewer runs at its own width): the source fills a
+    /// group's samples interleaved per sample
+    /// ([`LaneSource::group_block`]) and one kernel steps all of the
+    /// group's I and Q modulator states per sample
     /// ([`ModulatorPair::step_group`]), so their dependency chains
     /// overlap. The hardware selects only the kernel: an exact pair's
     /// groups run on the exact sums. Devices share no state, so the
@@ -461,7 +492,7 @@ impl SinewaveEvaluator {
     /// signatures are exact integer sums either way).
     fn acquire(
         &mut self,
-        source: &mut dyn LaneSource,
+        sources: &mut [&mut dyn LaneSource],
         sq: QuadratureSquareWave,
         m: u32,
         signatures: &mut [(f64, f64)],
@@ -482,9 +513,15 @@ impl SinewaveEvaluator {
             reason = "the value is ≤ block_samples, which is already a usize, so the cast is exact"
         )]
         let block = block_cap.min(window) as usize;
-        let mut buf = vec![0.0f64; block * GROUP_DEVICES.min(devices)];
-        let mut states = vec![self.modulators.states(); devices];
-        let mut run = |pair: &mut ModulatorPair, invert: bool, src: &mut dyn LaneSource| {
+        let width = sources
+            .iter()
+            .map(|source| source.devices().min(GROUP_DEVICES))
+            .max()
+            .unwrap_or(0);
+        let mut buf = vec![0.0f64; block * width];
+        let pair = &mut self.modulators;
+        let mut states = vec![pair.states(); devices];
+        let mut run = |invert: bool| {
             let mut phases = sq.phases();
             let mut counts = vec![(0i64, 0i64); devices];
             let mut t = 0u64;
@@ -494,35 +531,40 @@ impl SinewaveEvaluator {
                     .clone()
                     .take(len)
                     .map(|(p, q)| (p ^ invert, q ^ invert));
-                src.advance(len);
+                for source in sources.iter_mut() {
+                    source.advance(len);
+                }
                 pair.draw_block(len, polarities.clone());
-                let groups = states
-                    .chunks_mut(GROUP_DEVICES)
-                    .zip(counts.chunks_mut(GROUP_DEVICES));
-                for (g, (group, count)) in groups.enumerate() {
-                    let first = g * GROUP_DEVICES;
-                    let x = &mut buf[..len * group.len()];
-                    src.group_block(first..first + group.len(), x);
-                    pair.step_group(group, x, polarities.clone(), count);
+                let mut lane = 0..0;
+                for source in sources.iter_mut() {
+                    lane = lane.end..lane.end + source.devices();
+                    let groups = states[lane.clone()]
+                        .chunks_mut(GROUP_DEVICES)
+                        .zip(counts[lane.clone()].chunks_mut(GROUP_DEVICES));
+                    for (g, (group, count)) in groups.enumerate() {
+                        let first = g * GROUP_DEVICES;
+                        let x = &mut buf[..len * group.len()];
+                        source.group_block(first..first + group.len(), x);
+                        pair.step_group(group, x, polarities.clone(), count);
+                    }
                 }
                 phases.skip_samples(len);
                 t += len as u64;
             }
             counts
         };
-        let pair = &mut self.modulators;
         if self.config.chopped {
-            let a = run(pair, false, source);
-            let b = run(pair, true, source);
+            let a = run(false);
+            let b = run(true);
             for (sig, ((a1, a2), (b1, b2))) in signatures.iter_mut().zip(a.into_iter().zip(b)) {
                 *sig = ((a1 - b1) as f64 / 2.0, (a2 - b2) as f64 / 2.0);
             }
         } else {
-            for (sig, (a1, a2)) in signatures.iter_mut().zip(run(pair, false, source)) {
+            for (sig, (a1, a2)) in signatures.iter_mut().zip(run(false)) {
                 *sig = (a1 as f64, a2 as f64);
             }
         }
-        pair.set_states(states[0]);
+        self.modulators.set_states(states[0]);
         consumed
     }
 }
@@ -770,6 +812,97 @@ mod tests {
             let want = fresh.measure_harmonic(&mut fresh_src, k, 4).unwrap();
             assert_eq!(got, want, "k = {k}");
             assert_eq!(ev.modulators.states(), fresh.modulators.states(), "k = {k}");
+        }
+    }
+
+    /// A lane of tones, one per device, each with its own amplitude and
+    /// phase, sampled at the running sample index.
+    #[derive(Clone)]
+    struct ToneLane {
+        tones: Vec<Tone>,
+        /// The first sample of the current block, and its length.
+        start: usize,
+        len: usize,
+    }
+
+    impl ToneLane {
+        fn new(devices: usize, offset: f64) -> Self {
+            let tones = (0..devices)
+                .map(|d| Tone::new(1.0 / 96.0, 0.1 + 0.03 * d as f64, offset + 0.4 * d as f64))
+                .collect();
+            Self {
+                tones,
+                start: 0,
+                len: 0,
+            }
+        }
+    }
+
+    impl LaneSource for ToneLane {
+        fn devices(&self) -> usize {
+            self.tones.len()
+        }
+
+        fn advance(&mut self, len: usize) {
+            self.start += self.len;
+            self.len = len;
+        }
+
+        fn group_block(&mut self, devices: Range<usize>, out: &mut [f64]) {
+            let tones = &self.tones[devices];
+            for (t, row) in out.chunks_exact_mut(tones.len()).enumerate() {
+                for (y, tone) in row.iter_mut().zip(tones) {
+                    *y = tone.sample(self.start + t);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn lanes_in_lockstep_match_each_lane_alone() {
+        // Two lanes of different devices, one a tail of three and one
+        // past a group, acquired in lockstep through one noise draw per
+        // block: each lane reads what it reads alone on a clone of the
+        // evaluator, on ideal and on noisy hardware, and the evaluator
+        // stands afterwards where the first lane alone leaves it. At the
+        // 0.35 µm `kT/C` level other draws seldom move an integer
+        // signature, so a third evaluator shrinks the unit capacitor to
+        // 0.1 fF: its draws are large enough that a lane stepped through
+        // any other draws reads other signatures.
+        let mut loud = EvaluatorConfig::cmos_035um(5);
+        loud.sdm.unit_cap_farads = 1.0e-16;
+        for config in [
+            EvaluatorConfig::ideal(),
+            EvaluatorConfig::cmos_035um(5),
+            loud,
+        ] {
+            let ev = SinewaveEvaluator::new(config.clone().with_block_samples(100));
+            let (a, b) = (ToneLane::new(3, 0.2), ToneLane::new(6, -1.1));
+            let mut alone_a = ev.clone();
+            let mut want = alone_a
+                .measure_harmonic_lane(&mut a.clone(), 1, 20)
+                .unwrap();
+            want.extend(
+                ev.clone()
+                    .measure_harmonic_lane(&mut b.clone(), 1, 20)
+                    .unwrap(),
+            );
+            let mut lockstep = ev.clone();
+            let got = lockstep
+                .measure_harmonic_lanes(&mut [&mut a.clone(), &mut b.clone()], 1, 20)
+                .unwrap();
+            assert_eq!(got, want, "{config:?}");
+            assert_eq!(
+                lockstep.modulators.states(),
+                alone_a.modulators.states(),
+                "{config:?}"
+            );
+            // Noise streams included: the next measurement agrees too.
+            assert_eq!(
+                lockstep.measure_harmonic_lane(&mut b.clone(), 1, 4),
+                alone_a.measure_harmonic_lane(&mut b.clone(), 1, 4),
+                "{config:?}"
+            );
         }
     }
 

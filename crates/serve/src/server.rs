@@ -23,6 +23,12 @@
 //! client that never sends a newline cannot make the server buffer
 //! without limit. Other connections are unaffected.
 //!
+//! Every served connection sets `TCP_NODELAY`: a job's `accepted`,
+//! `progress` and `result` frames are separate small writes with no
+//! client frame between them, so Nagle's algorithm would hold each one
+//! until the client acknowledged the one before, and clients delay
+//! their ACKs (by 40 ms on Linux).
+//!
 //! The server serves at most [`MAX_CONNECTIONS`] connections at once,
 //! so clients cannot make it spawn threads without limit. A connection
 //! past the limit gets no thread: it is answered with one `rejected`
@@ -233,6 +239,9 @@ fn read_frame(reader: &mut impl BufRead) -> io::Result<Option<Frame>> {
 }
 
 fn serve_connection(shared: &Shared, stream: TcpStream) -> io::Result<()> {
+    // Each frame goes out as written, not behind a delayed ACK (module
+    // docs).
+    stream.set_nodelay(true)?;
     let mut writer = stream.try_clone()?;
     let mut reader = BufReader::new(stream);
     while let Some(frame) = read_frame(&mut reader)? {

@@ -403,6 +403,49 @@ fn tcp_round_trip_streams_and_matches_the_monolith() {
     );
 }
 
+#[test]
+fn every_frame_of_a_small_job_arrives_without_a_delayed_ack() {
+    // A job's frames are separate small writes with no client frame
+    // between them. Under Nagle's algorithm each waits for the client's
+    // delayed ACK of the one before (40 ms on Linux); sent at once, each
+    // arrives as soon as the shard it reports is measured, well inside
+    // a 20 ms read timeout for a device of four points at M = 2.
+    let server = JobServer::start("127.0.0.1:0", ServiceConfig::new().with_workers(1))
+        .expect("bind an ephemeral port");
+    let stream = TcpStream::connect(server.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_millis(20)))
+        .expect("set a read timeout");
+    let mut writer = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let job = JobRequest {
+        schedule: EscalationSchedule::new(vec![AnalyzerConfig::ideal().with_periods(2)]),
+        ..request(0, 1, 1)
+    };
+    assert_eq!(job.plan.grid().len(), 4);
+    let submit = ClientFrame::Submit(Box::new(job)).render();
+    for round in 0..10 {
+        writer
+            .write_all(format!("{submit}\n").as_bytes())
+            .expect("write submit");
+        let mut frames = 0;
+        loop {
+            let mut line = String::new();
+            if let Err(e) = reader.read_line(&mut line) {
+                panic!("job {round}, frame {frames}: {e}");
+            }
+            frames += 1;
+            match ServerFrame::parse(line.trim()).expect("parse frame") {
+                ServerFrame::Accepted { .. } | ServerFrame::Progress { .. } => {}
+                ServerFrame::Finished { .. } => break,
+                other => panic!("job {round}: unexpected frame {other:?}"),
+            }
+        }
+        assert_eq!(frames, 3, "job {round}: accepted, one progress, result");
+    }
+    server.shutdown();
+}
+
 /// Reads one frame and demands a `bad_frame` rejection.
 fn expect_bad_frame(reader: &mut impl BufRead, case: &str) -> String {
     let mut line = String::new();

@@ -61,6 +61,18 @@ impl GeneratorConfig {
         }
     }
 
+    /// Whether the generated stream ignores the master clock: exact
+    /// capacitors, an ideal op-amp and no noise. Such a generator runs
+    /// [`GeneratorBiquad::ideal`], which never reads the clock (the clock
+    /// only sets [`settle_time`](Self::settle_time), which the ideal
+    /// biquad ignores), so configurations that differ only in their
+    /// clock produce the same samples, bit for bit, and one stream can
+    /// serve every stimulus frequency. [`SinewaveGenerator::new`] picks
+    /// the ideal biquad by this predicate.
+    pub fn is_clock_invariant(&self) -> bool {
+        self.opamp == OpAmpModel::ideal() && self.matching == MatchingSpec::ideal() && !self.noise
+    }
+
     /// Time available per charge transfer (half a generator-clock phase).
     pub fn settle_time(&self) -> Seconds {
         // The biquad transfers at 2·f_gen = f_eva/3; allow 80 % of the
@@ -99,10 +111,7 @@ impl SinewaveGenerator {
             NoiseSource::disabled()
         };
         let array = CapacitorArray::fabricate(config.matching, &mut fab_noise);
-        let biquad = if config.opamp == OpAmpModel::ideal()
-            && config.matching == MatchingSpec::ideal()
-            && !config.noise
-        {
+        let biquad = if config.is_clock_invariant() {
             GeneratorBiquad::ideal()
         } else {
             let mut circuit_noise = if config.noise {
@@ -329,6 +338,32 @@ mod tests {
             }
             assert_eq!(want, got);
         }
+    }
+
+    #[test]
+    fn ideal_stream_does_not_depend_on_the_clock() {
+        // Warm-up plus two M = 50 windows at three stimulus clocks: the
+        // ideal generator's samples are the same bits at each. The
+        // 0.35 µm generator settles within a slot that its clock sets, so
+        // it is not clock-invariant: at the paper's 62.5 kHz top its
+        // stream leaves the 1 kHz one.
+        let stream = |cfg: GeneratorConfig| {
+            let mut gen = SinewaveGenerator::new(cfg);
+            let w = gen.waveform_at_feva(96 * (40 + 2 * 50));
+            w.iter().map(|y| y.to_bits()).collect::<Vec<_>>()
+        };
+        let clk = |f_wave: f64| MasterClock::for_stimulus(Hertz(f_wave));
+        let ideal = |f_wave: f64| {
+            let cfg = GeneratorConfig::ideal(clk(f_wave), Volts(0.15));
+            assert!(cfg.is_clock_invariant(), "{f_wave} Hz");
+            stream(cfg)
+        };
+        let want = ideal(1000.0);
+        assert_eq!(ideal(100.0), want);
+        assert_eq!(ideal(20_000.0), want);
+        let cmos = |f_wave: f64| GeneratorConfig::cmos_035um(clk(f_wave), Volts(0.15), 7);
+        assert!(!cmos(1000.0).is_clock_invariant());
+        assert_ne!(stream(cmos(62_500.0)), stream(cmos(1000.0)));
     }
 
     #[test]

@@ -10,9 +10,16 @@
 //! could hide behind IEEE equality, and identical computations cannot
 //! produce one).
 
-use dut::ActiveRcFilter;
+use dut::{ActiveRcFilter, Dut, DutSim, LtiCore};
+use mixsig::ct::FrequencyResponse;
 use mixsig::units::Hertz;
-use netan::{AnalyzerConfig, GainMask, LotEngine, LotPlan, NetanError, NetworkAnalyzer};
+use netan::sweep::unwrap_phase_by_continuity;
+use netan::{
+    log_spaced, AnalyzerConfig, BodePoint, GainMask, LotEngine, LotPlan, NetanError,
+    NetworkAnalyzer,
+};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn paper_factory(sigma: f64) -> impl Fn(u64) -> ActiveRcFilter + Sync {
     move |seed| {
@@ -88,6 +95,135 @@ fn lane_layout_does_not_change_the_bits() {
                     f.value()
                 );
             }
+        }
+
+        // One lane task over many points on the serial engine, measured
+        // in lockstep: device groups that cross point boundaries (3
+        // devices × 5 points, 1 × 20), a task whose points the
+        // 64-simulator cap batches two at a time (24 × 4), and a full lane
+        // it batches one at a time (64 × 20). The grid runs to 200 kHz,
+        // where the 0.35 µm stimulus visibly depends on its clock, and the
+        // odd devices' 300 kHz cut-off passes it. Every (device, point) is
+        // the device's own point.
+        let wideband = |seed| {
+            let nominal = if seed % 2 == 0 {
+                ActiveRcFilter::paper_dut().linearized()
+            } else {
+                ActiveRcFilter::new(Hertz(300_000.0), 0.8, 1.0)
+            };
+            nominal.fabricate(0.05, seed)
+        };
+        for (devices, points) in [(3, 5), (1, 20), (24, 4), (netan::LANE_DEVICES, 20)] {
+            let grid = log_spaced(Hertz(150.0), Hertz(200_000.0), points);
+            let plan = LotPlan::new(&grid, GainMask::new());
+            assert_eq!(plan.grid(), &grid[..]);
+            let report = LotEngine::serial()
+                .run_range(wideband, 0..devices as u64, &plan, config)
+                .unwrap();
+            assert_eq!(report.devices().len(), devices);
+            for d in report.devices() {
+                let device = wideband(d.seed);
+                let alone = NetworkAnalyzer::new(&device, config);
+                let mut want: Vec<BodePoint> = grid
+                    .iter()
+                    .map(|&f| alone.measure_point_calibrated(cal, f).unwrap())
+                    .collect();
+                unwrap_phase_by_continuity(&mut want);
+                assert_eq!(
+                    d.plot.points(),
+                    &want[..],
+                    "{config:?}: {devices} × {points}, seed {}",
+                    d.seed
+                );
+            }
+        }
+    }
+}
+
+/// The paper DUT, counting its live simulators: each `instantiate` adds
+/// one and each dropped simulator takes one away, and `peak` keeps the
+/// most alive at once.
+struct Counted {
+    device: ActiveRcFilter,
+    live: Arc<AtomicUsize>,
+    peak: Arc<AtomicUsize>,
+}
+
+impl Dut for Counted {
+    fn ideal_response(&self, f: Hertz) -> FrequencyResponse {
+        self.device.ideal_response(f)
+    }
+
+    fn instantiate(&self, fs: Hertz) -> Box<dyn DutSim> {
+        let live = self.live.fetch_add(1, Ordering::SeqCst) + 1;
+        self.peak.fetch_max(live, Ordering::SeqCst);
+        Box::new(CountedSim {
+            sim: self.device.instantiate(fs),
+            live: Arc::clone(&self.live),
+        })
+    }
+}
+
+/// A [`Counted`] simulator: the device's own, with its core, so it still
+/// steps in lockstep with its group.
+struct CountedSim {
+    sim: Box<dyn DutSim>,
+    live: Arc<AtomicUsize>,
+}
+
+impl DutSim for CountedSim {
+    fn step(&mut self, input: f64) -> f64 {
+        self.sim.step(input)
+    }
+
+    fn reset(&mut self) {
+        self.sim.reset();
+    }
+
+    fn process_block(&mut self, input: &[f64], out: &mut [f64]) {
+        self.sim.process_block(input, out);
+    }
+
+    fn lti_core(&mut self) -> Option<LtiCore<'_>> {
+        self.sim.lti_core()
+    }
+}
+
+impl Drop for CountedSim {
+    fn drop(&mut self) {
+        self.live.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+#[test]
+fn no_acquisition_mounts_more_than_a_lane_of_simulators() {
+    // A lane task's points share acquisitions, each (device, point) slot
+    // with a simulator of its own, but no acquisition mounts more than
+    // `LANE_DEVICES` of them: a full lane over 20 points mounts one
+    // point at a time, 24 devices two points at a time, and 3 devices
+    // all 20 points at once. Every simulator is dropped after its lot.
+    let cap = netan::LANE_DEVICES;
+    for config in [
+        AnalyzerConfig::ideal().with_periods(2),
+        AnalyzerConfig::cmos_035um(7).with_periods(2),
+    ] {
+        for (devices, points, peak) in [(cap, 20, cap), (24, 4, 48), (3, 20, 60)] {
+            let live = Arc::new(AtomicUsize::new(0));
+            let most = Arc::new(AtomicUsize::new(0));
+            let factory = |seed| Counted {
+                device: ActiveRcFilter::paper_dut().fabricate(0.05, seed),
+                live: Arc::clone(&live),
+                peak: Arc::clone(&most),
+            };
+            let grid = log_spaced(Hertz(150.0), Hertz(200_000.0), points);
+            let plan = LotPlan::new(&grid, GainMask::new());
+            let report = LotEngine::serial()
+                .run_range(factory, 0..devices as u64, &plan, config)
+                .unwrap();
+            assert_eq!(report.devices().len(), devices);
+            let case = format!("{config:?}: {devices} × {points}");
+            assert_eq!(most.load(Ordering::SeqCst), peak, "{case}");
+            assert_eq!(live.load(Ordering::SeqCst), 0, "{case}");
         }
     }
 }
