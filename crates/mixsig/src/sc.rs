@@ -15,6 +15,14 @@
 //! each branch injects `kT/C` sampling noise, and the output saturates at
 //! the op-amp swing. With [`OpAmpModel::ideal`] and
 //! [`NoiseSource::disabled`] the engine is an exact discrete integrator.
+//!
+//! [`ScIntegrator::step`] is the reference. Every hot path runs one
+//! planned body instead, [`ScIntegrator::steps`]: it steps any number of
+//! independent outputs through one hoisted [`ScStepPlan`] and one step's
+//! `kT/C` draws, struct-of-arrays, in `step`'s operation order. The
+//! generator steps one output at a time through it
+//! ([`ScIntegrator::step_planned`]); the ΣΔ evaluator steps the
+//! integrators of a whole device group at once.
 
 use crate::noise::{ktc_noise_rms, NoiseSource};
 use crate::opamp::OpAmpModel;
@@ -153,9 +161,9 @@ impl ScIntegrator {
     /// cycle — only the sampled voltages change — yet
     /// [`step`](Self::step) rederives `ct`, `beta`, the leak, the static
     /// gain factor, each branch's `kT/C` σ and the settling constants on
-    /// every call. The plan hoists all of them;
-    /// [`step_planned`](Self::step_planned) then replicates `step`'s
-    /// arithmetic operation for operation, so it is bit-identical.
+    /// every call. The plan hoists all of them; [`steps`](Self::steps)
+    /// then replicates `step`'s arithmetic operation for operation, so it
+    /// is bit-identical.
     ///
     /// # Panics
     ///
@@ -191,7 +199,7 @@ impl ScIntegrator {
         let mu = self.opamp.static_gain_factor(beta);
         let offset = self.opamp.offset.value();
         let frac = self.opamp.settling_fraction(beta, self.settle_time);
-        // Every per-step factor is an identity: see `advance`.
+        // Every per-step factor is an identity: see `steps`.
         let exact = leak == 1.0
             && mu == 1.0
             && frac == 1.0
@@ -219,63 +227,62 @@ impl ScIntegrator {
         }
     }
 
-    /// Advances one clock cycle using a precomputed plan; `voltages[i]` is
-    /// the voltage sampled by the plan's `i`-th branch this cycle.
-    /// Bit-identical to [`step`](Self::step) with the same cap ratios and
-    /// voltages (including the noise stream: the same draws happen in the
-    /// same order).
+    /// Advances one clock cycle using a precomputed plan of `B` branches;
+    /// `voltages[i]` is the voltage sampled by the plan's `i`-th branch
+    /// this cycle. Bit-identical to [`step`](Self::step) with the same cap
+    /// ratios and voltages, including the noise stream: the same draws
+    /// happen in the same order.
     ///
-    /// Picks the instantiation from [`ScStepPlan::is_exact`] on every
-    /// call; block loops pick it once per block through
-    /// [`step_planned_in`](Self::step_planned_in).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `voltages.len()` differs from the planned branch count.
-    #[inline]
-    pub fn step_planned(&mut self, plan: &ScStepPlan, voltages: &[f64]) -> f64 {
-        if plan.exact {
-            self.step_planned_in::<true>(plan, voltages)
-        } else {
-            self.step_planned_in::<false>(plan, voltages)
-        }
-    }
-
-    /// [`step_planned`](Self::step_planned) through one instantiation of
-    /// the planned arithmetic body, drawing the step's `kT/C` noise from
-    /// this integrator's stream as the body asks for it.
-    ///
-    /// `EXACT = true` runs the identity-free body when the plan
-    /// [`is_exact`](ScStepPlan::is_exact); on a plan that is not, it runs
-    /// the general body, so a wrong choice costs speed, never bytes. The
-    /// exact body also hands any step whose result is not finite back to
-    /// the general body, which then reproduces the general path's
-    /// infinities and NaNs bit for bit.
+    /// It is one slot of [`steps`](Self::steps), from this integrator's
+    /// output, with the step's `kT/C` values drawn first from its own
+    /// stream (an exact plan's source is disabled, so they are zeros and
+    /// consume nothing). `EXACT = true` runs the exact instantiation when
+    /// the plan [`is_exact`](ScStepPlan::is_exact); on a plan that is
+    /// not, it runs the general body, so a wrong choice costs speed,
+    /// never bytes. A step whose exact result is not finite runs again
+    /// through the general body, which reproduces the general path's
+    /// infinities and NaNs bit for bit. Block loops choose `EXACT` once
+    /// per block.
     ///
     /// # Panics
     ///
-    /// Panics if `voltages.len()` differs from the planned branch count.
+    /// Panics if `B` differs from the planned branch count.
     #[inline(always)]
-    pub fn step_planned_in<const EXACT: bool>(
+    pub fn step_planned<const EXACT: bool, const B: usize>(
         &mut self,
         plan: &ScStepPlan,
-        voltages: &[f64],
+        voltages: [f64; B],
     ) -> f64 {
-        let noise = &mut self.noise;
-        self.vout = Self::step_with::<EXACT>(&self.opamp, self.vout, plan, voltages, |i| {
-            noise.gaussian(plan.sigma[i])
-        });
+        assert_eq!(
+            B, plan.n,
+            "voltage count must match the planned branch count"
+        );
+        let voltages = voltages.map(|v| [v]);
+        // Drawn before the exact check, so both bodies share their gain
+        // loads: that keeps the one-slot exact step scalar, where a
+        // vectorized pair of branch products lengthens the generator's
+        // dependency chain.
+        let ktc = self.draw_ktc(plan);
+        if EXACT && plan.exact {
+            let [next] = self.steps::<true, B, 1>(plan, [self.vout], voltages, ktc);
+            if next.is_finite() {
+                self.vout = next;
+                return next;
+            }
+        }
+        [self.vout] = self.steps::<false, B, 1>(plan, [self.vout], voltages, ktc);
         self.vout
     }
 
-    /// Draws one step's `kT/C` noise for `plan` from this integrator's
-    /// stream: one value per noisy branch, in branch order — exactly the
-    /// draws [`step_planned`](Self::step_planned) makes for that step.
-    /// Branches that draw nothing get `0.0`. A step's draws therefore
-    /// come from the plan it advances with, whichever polarity that is.
+    /// Draws one step's `kT/C` noise for a plan of `B` branches from this
+    /// integrator's stream: one value per noisy branch, in branch order —
+    /// exactly the draws [`step_planned`](Self::step_planned) makes for
+    /// that step. Branches that draw nothing get `0.0`. A step's draws
+    /// therefore come from the plan it advances with, whichever polarity
+    /// that is.
     #[inline]
-    pub fn draw_ktc(&mut self, plan: &ScStepPlan) -> KtcDraws {
-        let mut draws = [0.0; MAX_PLAN_BRANCHES];
+    pub fn draw_ktc<const B: usize>(&mut self, plan: &ScStepPlan) -> [f64; B] {
+        let mut draws = [0.0; B];
         for ((d, &noisy), &sigma) in draws.iter_mut().zip(&plan.noisy).zip(&plan.sigma) {
             if noisy {
                 *d = self.noise.gaussian(sigma);
@@ -284,109 +291,77 @@ impl ScIntegrator {
         draws
     }
 
-    /// One planned step from output `vout` with pre-drawn `kT/C` values
-    /// (from [`draw_ktc`](Self::draw_ktc) on the same plan); returns the
-    /// new output — bit-identical to
-    /// [`step_planned`](Self::step_planned) from that output with those
-    /// draws. It always runs the general body, which on an
-    /// [exact](ScStepPlan::is_exact) plan with zero draws equals the
-    /// exact one with its hand-off. Neither this integrator's output nor
-    /// its noise stream moves, so one integrator can advance many
-    /// independent states through the same draws.
+    /// The planned charge transfer, struct-of-arrays: `W` independent
+    /// outputs `vout` step through a plan of `B` branches, slot `s`
+    /// sampling `voltages[i][s]` on branch `i`, and every slot adds the
+    /// same `kT/C` draws `ktc` (from [`draw_ktc`](Self::draw_ktc) on the
+    /// same plan). Neither this integrator's output nor its noise stream
+    /// moves, so one integrator advances any number of states through one
+    /// step's draws. Each slot runs [`step`](Self::step)'s operations in
+    /// `step`'s order, with nothing reassociated within or across slots.
     ///
-    /// # Panics
-    ///
-    /// Panics if `voltages.len()` differs from the planned branch count.
-    #[inline(always)]
-    pub fn step_from(&self, vout: f64, plan: &ScStepPlan, voltages: &[f64], ktc: &KtcDraws) -> f64 {
-        Self::step_with::<false>(&self.opamp, vout, plan, voltages, |i| ktc[i])
-    }
-
-    /// The planned step from output `vout`, taking branch `i`'s `kT/C`
-    /// draw from `ktc(i)` — called once per noisy branch, in branch
-    /// order, and only by the general body.
-    #[inline(always)]
-    fn step_with<const EXACT: bool>(
-        opamp: &OpAmpModel,
-        vout: f64,
-        plan: &ScStepPlan,
-        voltages: &[f64],
-        mut ktc: impl FnMut(usize) -> f64,
-    ) -> f64 {
-        assert_eq!(
-            voltages.len(),
-            plan.n,
-            "voltage count must match the planned branch count"
-        );
-        if EXACT && plan.exact {
-            let next = Self::advance::<true>(opamp, vout, plan, voltages, &mut ktc);
-            if next.is_finite() {
-                return next;
-            }
-        }
-        Self::advance::<false>(opamp, vout, plan, voltages, &mut ktc)
-    }
-
-    /// The planned step's arithmetic body, instantiated twice: the new
-    /// output from `vout`, the sampled `voltages` and the step's `kT/C`
-    /// draws (`ktc(i)` for noisy branch `i`).
-    ///
-    /// On an exact plan (leak = μ = settling fraction = 1 with infinite
-    /// slew, swing ±∞, cubic = 0, offset = ±0, noise disabled) the
-    /// general body's extra operations are identities, so `EXACT` drops
-    /// them and keeps the summation order:
+    /// On an [exact](ScStepPlan::is_exact) plan the general body's extra
+    /// operations are identities, so `EXACT = true` drops them and keeps
+    /// the summation order:
     ///
     /// * `+ offset` adds ±0 and the disabled source's draws add `+0.0`.
     ///   Neither can change the sum: it starts at `+0.0`, so no partial
     ///   sum is ever −0, and `p + ±0 = p` for every other `p`.
     /// * `μ·compression`, the leak and the settling fraction multiply by
-    ///   exactly 1 while the state is finite, and
-    ///   [`ScStepPlan::settled`] only maps ±0 to `+0`, which the sum
-    ///   already is.
+    ///   exactly 1 while the state is finite, and the settling step only
+    ///   maps ±0 to `+0`, which the sum already is.
     /// * The ±∞ clamp returns its argument.
     ///
     /// A non-finite state breaks the second point (`0·∞` turns the
-    /// compression into NaN), which is why the caller re-runs such a step
-    /// through the general body. An exact plan's source is disabled, so
-    /// that re-run draws nothing.
+    /// compression into NaN), so the exact instantiation equals the
+    /// general body only where its result is finite. Under further exact
+    /// steps a non-finite output stays non-finite (`±∞ + Δ` is `±∞` or
+    /// NaN, and NaN stays NaN), so a caller may run a whole block exactly,
+    /// check only the outputs it ends with, and run the block again
+    /// through the general body if one of them is not finite.
     #[inline(always)]
-    fn advance<const EXACT: bool>(
-        opamp: &OpAmpModel,
-        vout: f64,
+    pub fn steps<const EXACT: bool, const B: usize, const W: usize>(
+        &self,
         plan: &ScStepPlan,
-        voltages: &[f64],
-        ktc: &mut impl FnMut(usize) -> f64,
-    ) -> f64 {
-        let mut delta = 0.0;
-        for (i, &v) in voltages.iter().enumerate() {
-            if EXACT {
-                delta += plan.vgain[i] * v;
-            } else {
-                delta += plan.vgain[i] * (v + plan.offset);
-                if plan.noisy[i] {
-                    delta += ktc(i) * plan.ngain[i];
+        vout: [f64; W],
+        voltages: [[f64; W]; B],
+        ktc: [f64; B],
+    ) -> [f64; W] {
+        debug_assert!(
+            B == plan.n && (plan.exact || !EXACT),
+            "a plan of B branches, exact if EXACT is"
+        );
+        let mut delta = [0.0; W];
+        for (i, (v, &gain)) in voltages.iter().zip(&plan.vgain).enumerate() {
+            for (d, &v) in delta.iter_mut().zip(v) {
+                *d += gain * if EXACT { v } else { v + plan.offset };
+            }
+            // kT/C noise of this branch, referred to the output.
+            if !EXACT && plan.noisy[i] {
+                let noise = ktc[i] * plan.ngain[i];
+                for d in &mut delta {
+                    *d += noise;
                 }
             }
         }
-        if EXACT {
-            vout + delta
-        } else {
-            let compression = opamp.compression_factor(vout);
-            let achieved = plan.settled(plan.mu * compression * delta);
-            opamp
-                .clamp_output(Volts(plan.leak * vout + achieved))
-                .value()
+        let mut next = vout;
+        for (n, d) in next.iter_mut().zip(delta) {
+            *n = if EXACT {
+                *n + d
+            } else {
+                let compression = self.opamp.compression_factor(*n);
+                let achieved = plan.settled(plan.mu * compression * d);
+                self.opamp
+                    .clamp_output(Volts(plan.leak * *n + achieved))
+                    .value()
+            };
         }
+        next
     }
 }
 
-/// One step's `kT/C` draws, one slot per planned branch (see
-/// [`ScIntegrator::draw_ktc`]).
-pub type KtcDraws = [f64; MAX_PLAN_BRANCHES];
-
 /// Hoisted per-step invariants of one [`ScIntegrator`] branch topology;
-/// built by [`ScIntegrator::plan`], consumed by
-/// [`ScIntegrator::step_planned`].
+/// built by [`ScIntegrator::plan`], consumed by [`ScIntegrator::steps`].
 ///
 /// A plan is only valid for the integrator (and op-amp/settle-time
 /// configuration) that built it — it caches that integrator's constants.
@@ -424,43 +399,10 @@ impl ScStepPlan {
     /// of 1 with infinite slew, swing ±∞, cubic = 0, offset = 0 and a
     /// disabled noise source — ideal hardware. An exact plan's step is a
     /// plain sum, `v_out + Σ (C_i/C_F)·v_i`, bit-identical to the general
-    /// body; [`ScIntegrator::step_planned_in`] takes it with
+    /// body wherever it is finite; [`ScIntegrator::steps`] takes it with
     /// `EXACT = true`.
     pub fn is_exact(&self) -> bool {
         self.exact
-    }
-
-    /// `W` independent exact steps at once, for an
-    /// [exact](Self::is_exact) plan of `B` branches: slot `s` becomes
-    /// `vout[s] + Σ_i (C_i/C_F)·voltages[i][s]`, the sum taken from
-    /// `+0.0` in branch order — the exact body of
-    /// [`ScIntegrator::step_planned_in`] for each slot, operation for
-    /// operation, with nothing reassociated within or across slots.
-    ///
-    /// Unlike the one-output step, it does not hand a step whose result
-    /// is not finite to the general body: the caller does. Under further
-    /// exact steps a non-finite output stays non-finite (`±∞ + Δ` is
-    /// `±∞` or NaN, and NaN stays NaN), so a caller may run a whole block
-    /// and check only the outputs it ends with. If they are all finite,
-    /// no step of the block needed the hand-off.
-    #[inline(always)]
-    pub fn exact_steps<const B: usize, const W: usize>(
-        &self,
-        vout: [f64; W],
-        voltages: [[f64; W]; B],
-    ) -> [f64; W] {
-        debug_assert!(self.exact && B == self.n, "an exact plan of B branches");
-        let mut delta = [0.0; W];
-        for (gain, v) in self.vgain.iter().zip(&voltages) {
-            for (d, v) in delta.iter_mut().zip(v) {
-                *d += gain * v;
-            }
-        }
-        let mut next = vout;
-        for (n, d) in next.iter_mut().zip(&delta) {
-            *n += d;
-        }
-        next
     }
 
     /// Replica of [`OpAmpModel::settled_step`] over the hoisted constants
@@ -603,30 +545,28 @@ mod tests {
     /// Drives `step` and `step_planned` over the same voltage sequence on
     /// clones of `int` and demands bit-identical outputs and noise-stream
     /// alignment afterwards.
-    fn assert_plan_matches_step(label: &str, int: &ScIntegrator, caps: &[f64]) {
+    fn assert_plan_matches_step<const B: usize>(label: &str, int: &ScIntegrator, caps: [f64; B]) {
         let mut by_step = int.clone();
         let mut by_plan = int.clone();
-        let plan = by_plan.plan(caps);
+        let plan = by_plan.plan(&caps);
         assert_eq!(plan.n, caps.len());
-        let mut voltages = vec![0.0; caps.len()];
         for k in 0..1000 {
-            for (j, v) in voltages.iter_mut().enumerate() {
-                *v = 0.4 * ((k * 7 + j * 3) as f64 * 0.13).sin();
-            }
+            let voltages: [f64; B] =
+                std::array::from_fn(|j| 0.4 * ((k * 7 + j * 3) as f64 * 0.13).sin());
             let branches: Vec<Branch> = caps
                 .iter()
                 .zip(&voltages)
                 .map(|(&c, &v)| Branch::new(c, v))
                 .collect();
             let want = by_step.step(&branches);
-            let got = by_plan.step_planned(&plan, &voltages);
+            let got = by_plan.step_planned::<true, B>(&plan, voltages);
             assert_eq!(want, got, "{label}: step {k} diverged");
         }
     }
 
     #[test]
     fn planned_step_is_bit_identical_to_step() {
-        let caps: &[f64] = &[0.4, -0.4, 0.4];
+        let caps = [0.4, -0.4, 0.4];
         assert_plan_matches_step("ideal", &ScIntegrator::ideal(1.0), caps);
         let cmos = ScIntegrator::new(
             1.0,
@@ -643,7 +583,7 @@ mod tests {
             Seconds(80.0e-9),
             NoiseSource::new(4),
         );
-        assert_plan_matches_step("offset", &offset, &[1.0, -2.574]);
+        assert_plan_matches_step("offset", &offset, [1.0, -2.574]);
     }
 
     #[test]
@@ -658,7 +598,7 @@ mod tests {
             Seconds(80.0e-9),
             NoiseSource::new(9),
         );
-        assert_plan_matches_step("zero-cap branch", &int, &[0.0, -2.574]);
+        assert_plan_matches_step("zero-cap branch", &int, [0.0, -2.574]);
     }
 
     #[test]
@@ -711,23 +651,98 @@ mod tests {
         let int = ScIntegrator::ideal(1.0);
         let plan = int.plan(&[0.4, -0.4, 0.4]);
         assert!(plan.is_exact());
-        for &state in &values {
-            for &a in &values {
-                for &b in &values {
-                    let mut exact = int.clone();
+        for &a in &values {
+            for &b in &values {
+                let voltages = [a, b, 0.0];
+                let want = values.map(|state| {
                     let mut general = int.clone();
-                    exact.set_output(state);
                     general.set_output(state);
-                    let voltages = [a, b, 0.0];
-                    let got = exact.step_planned_in::<true>(&plan, &voltages);
-                    let want = general.step_planned_in::<false>(&plan, &voltages);
+                    general.step_planned::<false, 3>(&plan, voltages)
+                });
+                for (&state, want) in values.iter().zip(want) {
+                    let mut exact = int.clone();
+                    exact.set_output(state);
+                    let got = exact.step_planned::<true, 3>(&plan, voltages);
                     assert_eq!(
                         got.to_bits(),
                         want.to_bits(),
                         "state {state}, inputs {a}, {b}: {got} vs {want}"
                     );
                 }
+                // Four states per call on the exact instantiation alone,
+                // which equals the general body wherever it is finite.
+                for k in 0..values.len() {
+                    let slot = |s: usize| (k + s) % values.len();
+                    let states = std::array::from_fn(|s| values[slot(s)]);
+                    let got =
+                        int.steps::<true, 3, 4>(&plan, states, voltages.map(|v| [v; 4]), [0.0; 3]);
+                    for (s, got) in got.into_iter().enumerate() {
+                        if got.is_finite() {
+                            assert_eq!(
+                                got.to_bits(),
+                                want[slot(s)].to_bits(),
+                                "state {}, inputs {a}, {b}, slot {s}",
+                                states[s]
+                            );
+                        }
+                    }
+                }
             }
+        }
+    }
+
+    #[test]
+    fn general_body_steps_four_states_like_four_integrators() {
+        // Every non-ideality of `only_ideal_hardware_plans_are_exact`, four
+        // states at a time through one step's draws. Each reference clone
+        // steps its own state with `step`, drawing from its own copy of
+        // the stream, and the states start at and swing past ±2.5 V.
+        let caps = [0.4, -0.4, 0.4];
+        let ideal = OpAmpModel::ideal();
+        let mut slewing = ideal;
+        slewing.slew_rate = 20.0e6;
+        let mut swing = ideal;
+        swing.output_swing = Volts(2.5);
+        for (label, opamp, noise) in [
+            ("finite gain", ideal.with_dc_gain(4000.0), None),
+            ("slow settling", ideal.with_gbw(Hertz::from_mhz(1.0)), None),
+            ("finite slew", slewing, None),
+            ("finite swing", swing, None),
+            ("cubic", ideal.with_cubic(6.0e-3), None),
+            ("offset", ideal.with_offset(Volts(0.001)), None),
+            ("cmos", OpAmpModel::folded_cascode_035um(), Some(3)),
+        ] {
+            let noise = noise.map_or_else(NoiseSource::disabled, NoiseSource::new);
+            let mut int = ScIntegrator::new(1.0, 1.0e-12, opamp, Seconds(80.0e-9), noise);
+            let plan = int.plan(&caps);
+            let mut states = [2.4, -2.5, 0.3, -1.0e-3];
+            let mut clones = states.map(|v| {
+                let mut clone = int.clone();
+                clone.set_output(v);
+                clone
+            });
+            for k in 0..300 {
+                let voltages: [[f64; 4]; 3] = std::array::from_fn(|i| {
+                    std::array::from_fn(|s| 1.5 * ((k * 7 + i * 3 + s * 5) as f64 * 0.13).sin())
+                });
+                let ktc = int.draw_ktc(&plan);
+                states = int.steps::<false, 3, 4>(&plan, states, voltages, ktc);
+                for (s, clone) in clones.iter_mut().enumerate() {
+                    let branches: Vec<Branch> = caps
+                        .iter()
+                        .zip(&voltages)
+                        .map(|(&c, v)| Branch::new(c, v[s]))
+                        .collect();
+                    let want = clone.step(&branches);
+                    assert_eq!(
+                        states[s].to_bits(),
+                        want.to_bits(),
+                        "{label}: slot {s}, step {k}: {} vs {want}",
+                        states[s]
+                    );
+                }
+            }
+            assert_eq!(int.output(), 0.0, "{label}: steps moved the output");
         }
     }
 
@@ -736,7 +751,7 @@ mod tests {
     fn planned_step_rejects_wrong_voltage_count() {
         let mut int = ScIntegrator::ideal(1.0);
         let plan = int.plan(&[1.0, -1.0]);
-        let _ = int.step_planned(&plan, &[0.5]);
+        let _ = int.step_planned::<true, 1>(&plan, [0.5]);
     }
 
     #[test]

@@ -486,10 +486,10 @@ impl SinewaveEvaluator {
     /// ([`LaneSource::group_block`]) and one kernel steps all of the
     /// group's I and Q modulator states per sample
     /// ([`ModulatorPair::step_group`]), so their dependency chains
-    /// overlap. The hardware selects only the kernel: an exact pair's
-    /// groups run on the exact sums. Devices share no state, so the
-    /// order in which their steps interleave never changes a bit (the
-    /// signatures are exact integer sums either way).
+    /// overlap. The hardware selects only the kernel's instantiation:
+    /// an exact pair's groups run the exact one. Devices share no state,
+    /// so the order in which their steps interleave never changes a bit
+    /// (the signatures are exact integer sums either way).
     fn acquire(
         &mut self,
         sources: &mut [&mut dyn LaneSource],

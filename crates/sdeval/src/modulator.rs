@@ -241,7 +241,7 @@ impl SigmaDeltaModulator {
     }
 
     /// Whether [`ModulatorPair`]'s group kernel may run this modulator
-    /// on the exact sums: both polarity plans are
+    /// on its exact instantiation: both polarity plans are
     /// [exact](ScStepPlan::is_exact) and the comparator is ideal (zero
     /// offset, hysteresis and noise), so its threshold is exactly `+0.0`
     /// and a step draws nothing.
@@ -263,52 +263,16 @@ impl SigmaDeltaModulator {
             .comparator_noise
             .gaussian(self.config.comparator.noise_rms.value());
         let plan = if q { &self.plan_pos } else { &self.plan_neg };
-        let [input, dac, offset, _] = self.integrator.draw_ktc(plan);
-        [comparator, input, dac, offset]
-    }
-
-    /// One master-clock cycle of a device in `state`, on the hoisted
-    /// plans and the step's pre-drawn `noise` — bit-identical to
-    /// [`step`](Self::step) from the same state with the same draws. On
-    /// an [exact](Self::is_exact) modulator, with zero draws, it is also
-    /// what a step of the exact path computes: the ideal comparator's
-    /// threshold `0 + 0 − (±1)·0` is `+0.0`, and from any state the
-    /// integrator's general body equals its exact one with the hand-off
-    /// ([`ScIntegrator::step_planned_in`]).
-    #[inline(always)]
-    fn step_from(
-        &self,
-        state: &mut ModulatorState,
-        x: f64,
-        q: bool,
-        [comparator, input, dac, offset]: StepNoise,
-    ) -> bool {
-        // Latch decision on the previous integrator state — the same
-        // expression shape as `step` (sum, noise draw, then the signed
-        // hysteresis term subtracted).
-        let cmp = &self.config.comparator;
-        let hyst_sign = if state.last_bit { 1.0 } else { -1.0 };
-        let threshold = cmp.offset.value() + comparator - hyst_sign * cmp.hysteresis.value();
-        let bit = state.integrator >= threshold;
-        let d_sign = if bit { 1.0 } else { -1.0 };
-        let plan = if q { &self.plan_pos } else { &self.plan_neg };
-        state.integrator = self.integrator.step_from(
-            state.integrator,
-            plan,
-            &[x, d_sign * self.config.vref.value(), self.input_offset],
-            &[input, dac, offset, 0.0],
-        );
-        state.last_bit = bit;
-        bit
+        (comparator, self.integrator.draw_ktc(plan))
     }
 }
 
 /// One step's pre-drawn noise: the comparator value, then the `kT/C`
 /// values of the input, DAC and offset branches.
-type StepNoise = [f64; 4];
+type StepNoise = (f64, [f64; 3]);
 
 /// The noise of a step that draws nothing, for both modulators.
-const NO_NOISE: [StepNoise; 2] = [[0.0; 4]; 2];
+const NO_NOISE: [StepNoise; 2] = [(0.0, [0.0; 3]); 2];
 
 /// What one device carries from one sample to the next through a
 /// modulator: the integrator output and the last decision. The
@@ -330,15 +294,15 @@ pub struct ModulatorState {
 /// drawn once, before any device steps, and every device runs its own
 /// [`ModulatorState`]s through the block with those same draws, in
 /// groups of up to [`GROUP_DEVICES`]. An exact pair (ideal hardware)
-/// draws nothing, and its groups run on the exact sums. Each device
-/// decides exactly what a fresh pair of its own, stepped with
-/// [`SigmaDeltaModulator::step`], would decide.
+/// draws nothing, and its groups run the kernel's exact instantiation.
+/// Each device decides exactly what a fresh pair of its own, stepped
+/// with [`SigmaDeltaModulator::step`], would decide.
 #[derive(Debug, Clone)]
 pub struct ModulatorPair {
     i: SigmaDeltaModulator,
     q: SigmaDeltaModulator,
-    /// Both modulators are exact: blocks draw nothing and groups run on
-    /// the exact sums.
+    /// Both modulators are exact: blocks draw nothing and groups run the
+    /// kernel's exact instantiation.
     exact: bool,
     /// The current block's noise, per step: in-phase, then quadrature.
     /// Empty on an exact pair.
@@ -450,14 +414,14 @@ impl ModulatorPair {
 
     /// The group kernel for a compile-time width `W`.
     ///
-    /// An exact pair first runs the block on the exact sums alone
-    /// ([`exact_sums`](Self::exact_sums)). A non-finite integrator stays
+    /// An exact pair first runs the block on the exact instantiation of
+    /// [`sums`](Self::sums) alone. A non-finite integrator stays
     /// non-finite under exact steps, so if every integrator ends the
     /// block finite, no step needed the general body and the block is
     /// what each device's own step loop computes. Otherwise, and on
     /// every block of a pair that is not exact, the block runs through
-    /// the general body ([`general_sums`](Self::general_sums)) with the
-    /// block's draws; an exact pair's are zero.
+    /// the general body with the block's draws; an exact pair's are
+    /// zero.
     fn step_group_n<const W: usize>(
         &self,
         states: &mut [[ModulatorState; 2]],
@@ -470,13 +434,20 @@ impl ModulatorPair {
             *slot = *state;
         }
         let (rows, _) = x.as_chunks::<W>();
+        // Both general runs take their draws from a slice, so they share
+        // one instantiation, which stays out of line while the exact one
+        // inlines here; an out-of-line exact kernel measured slower.
         let (end, acc) = if self.exact {
-            self.exact_sums(start, rows, polarities.clone())
-                .unwrap_or_else(|| {
-                    self.general_sums(start, rows, polarities, &vec![NO_NOISE; rows.len()])
-                })
+            let no_noise = std::iter::repeat(&NO_NOISE);
+            let run = self.sums::<true, W>(start, rows, polarities.clone(), no_noise);
+            let finite = run.0.iter().flatten().all(|end| end.integrator.is_finite());
+            if finite {
+                run
+            } else {
+                self.sums::<false, W>(start, rows, polarities, vec![NO_NOISE; rows.len()].iter())
+            }
         } else {
-            self.general_sums(start, rows, polarities, &self.noise[..rows.len()])
+            self.sums::<false, W>(start, rows, polarities, self.noise[..rows.len()].iter())
         };
         for (state, slot) in states.iter_mut().zip(&end) {
             *state = *slot;
@@ -487,23 +458,26 @@ impl ModulatorPair {
         }
     }
 
-    /// Runs `W` devices from `start` through `rows` on the exact sums,
-    /// struct-of-arrays: per sample and modulator, the `W` decisions,
-    /// DAC voltages and integrator sums ([`ScStepPlan::exact_steps`])
-    /// each run as one fixed-width loop, so the `2·W` dependency chains
-    /// overlap. Each slot runs its own device's operations in the order
-    /// [`SigmaDeltaModulator::step_from`] runs them on an exact
-    /// modulator: the decision `u >= 0.0`, the DAC voltage `d·Vref`, then
-    /// the exact sum.
+    /// Runs `W` devices from `start` through `rows`, step `t` of every
+    /// device with the `t`-th item of `noise`, struct-of-arrays: per
+    /// sample and modulator, the `W` decisions, DAC voltages and charge
+    /// transfers ([`ScIntegrator::steps`]) each run as one fixed-width
+    /// loop, so the `2·W` dependency chains overlap. Each slot runs its
+    /// own device's operations in the order
+    /// [`SigmaDeltaModulator::step`] runs them: the decision against the
+    /// threshold (offset plus the comparator draw, less the signed
+    /// hysteresis), the DAC voltage `d·Vref`, then the charge transfer.
     ///
-    /// Returns the end states and the signed counts, or `None` if an
-    /// integrator ends the block non-finite.
-    fn exact_sums<const W: usize>(
+    /// `EXACT` runs an exact pair on the exact instantiation: the ideal
+    /// comparator's threshold `0 + 0 − (±1)·0` is `+0.0`, and the draws
+    /// are not read. The caller checks the outputs it ends with.
+    fn sums<'a, const EXACT: bool, const W: usize>(
         &self,
         start: [[ModulatorState; 2]; W],
         rows: &[[f64; W]],
         polarities: impl Iterator<Item = (bool, bool)>,
-    ) -> Option<GroupRun<W>> {
+        noise: impl Iterator<Item = &'a [StepNoise; 2]>,
+    ) -> GroupRun<W> {
         let mods = [&self.i, &self.q];
         let mut u = [[0.0f64; W]; 2];
         let mut bits = [[false; W]; 2];
@@ -514,7 +488,7 @@ impl ModulatorPair {
             }
         }
         let mut acc = [[0i64; W]; 2];
-        for (xt, (qi, qq)) in rows.iter().zip(polarities) {
+        for ((xt, (qi, qq)), step_noise) in rows.iter().zip(polarities).zip(noise) {
             for (m, q) in [qi, qq].into_iter().enumerate() {
                 let modulator = mods[m];
                 let plan = if q {
@@ -522,21 +496,32 @@ impl ModulatorPair {
                 } else {
                     &modulator.plan_neg
                 };
+                let (comparator, ktc) = step_noise[m];
+                let cmp = &modulator.config.comparator;
+                let center = cmp.offset.value() + comparator;
                 let vref = modulator.config.vref.value();
                 let mut dac = [0.0f64; W];
                 for (((b, a), d), &us) in
                     bits[m].iter_mut().zip(&mut acc[m]).zip(&mut dac).zip(&u[m])
                 {
-                    *b = us >= 0.0;
+                    let threshold = if EXACT {
+                        0.0
+                    } else {
+                        let hyst_sign = if *b { 1.0 } else { -1.0 };
+                        center - hyst_sign * cmp.hysteresis.value()
+                    };
+                    *b = us >= threshold;
                     *a += if *b { 1 } else { -1 };
                     let d_sign = if *b { 1.0 } else { -1.0 };
                     *d = d_sign * vref;
                 }
-                u[m] = plan.exact_steps(u[m], [*xt, dac, [modulator.input_offset; W]]);
+                u[m] = modulator.integrator.steps::<EXACT, 3, W>(
+                    plan,
+                    u[m],
+                    [*xt, dac, [modulator.input_offset; W]],
+                    ktc,
+                );
             }
-        }
-        if !u.iter().flatten().all(|us| us.is_finite()) {
-            return None;
         }
         let mut end = start;
         let mut counts = [(0i64, 0i64); W];
@@ -547,36 +532,7 @@ impl ModulatorPair {
             }
             *count = (acc[0][s], acc[1][s]);
         }
-        Some((end, counts))
-    }
-
-    /// Runs `W` devices from `start` through `rows` on the general body
-    /// ([`SigmaDeltaModulator::step_from`]), step `t` of every device
-    /// with the draws `noise[t]`. Each slot steps only its own states,
-    /// so interleaving the devices' steps changes no bit.
-    fn general_sums<const W: usize>(
-        &self,
-        mut slots: [[ModulatorState; 2]; W],
-        rows: &[[f64; W]],
-        polarities: impl Iterator<Item = (bool, bool)>,
-        noise: &[[StepNoise; 2]],
-    ) -> GroupRun<W> {
-        let mut acc = [(0i64, 0i64); W];
-        for ((xt, (qi, qq)), &[ni, nq]) in rows.iter().zip(polarities).zip(noise) {
-            for (([state_i, state_q], &xs), acc) in slots.iter_mut().zip(xt).zip(&mut acc) {
-                acc.0 += if self.i.step_from(state_i, xs, qi, ni) {
-                    1
-                } else {
-                    -1
-                };
-                acc.1 += if self.q.step_from(state_q, xs, qq, nq) {
-                    1
-                } else {
-                    -1
-                };
-            }
-        }
-        (slots, acc)
+        (end, counts)
     }
 }
 
@@ -749,6 +705,68 @@ mod tests {
             }
             assert_eq!(want, got);
             assert_eq!(states, [step_i.state(), step_q.state()]);
+        }
+    }
+
+    #[test]
+    fn exact_group_hands_off_every_slot_at_every_width() {
+        // At one sample, one slot's input turns extreme while the others
+        // carry ordinary tones. At ±∞ and NaN that slot's exact sums stop
+        // being finite, so its group must run the block again through the
+        // general body; at 1e300 and f64::MAX they stay finite. The record
+        // is two blocks, so the second starts from the extreme state.
+        let cfg_q = SdmConfig {
+            seed: 1,
+            ..SdmConfig::ideal()
+        };
+        let len = 300;
+        let polarities: Vec<(bool, bool)> = (0..len)
+            .map(|t| (t % 96 < 48, (t + 24) % 96 < 48))
+            .collect();
+        for extreme in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, f64::MAX] {
+            for w in 1..=GROUP_DEVICES {
+                for hot in 0..w {
+                    let input = |s: usize, t: usize| {
+                        if s == hot && t == 137 {
+                            extreme
+                        } else {
+                            0.5 * (2.0 * std::f64::consts::PI * (t + 11 * s) as f64 / 96.0).sin()
+                        }
+                    };
+                    let x: Vec<f64> = (0..len)
+                        .flat_map(|t| (0..w).map(move |s| input(s, t)))
+                        .collect();
+                    let mut pair = ModulatorPair::new(
+                        SigmaDeltaModulator::new(SdmConfig::ideal()),
+                        SigmaDeltaModulator::new(cfg_q.clone()),
+                    );
+                    let mut states = vec![pair.states(); w];
+                    let mut counts = vec![(0, 0); w];
+                    for (xb, qb) in x.chunks(200 * w).zip(polarities.chunks(200)) {
+                        pair.draw_block(qb.len(), qb.iter().copied());
+                        pair.step_group(&mut states, xb, qb.iter().copied(), &mut counts);
+                    }
+                    for (s, (state, count)) in states.iter().zip(&counts).enumerate() {
+                        let mut step_i = SigmaDeltaModulator::new(SdmConfig::ideal());
+                        let mut step_q = SigmaDeltaModulator::new(cfg_q.clone());
+                        let mut want = (0i64, 0i64);
+                        for (t, &(qi, qq)) in polarities.iter().enumerate() {
+                            want.0 += if step_i.step(input(s, t), qi) { 1 } else { -1 };
+                            want.1 += if step_q.step(input(s, t), qq) { 1 } else { -1 };
+                        }
+                        let label = format!("{extreme} at slot {hot} of {w}, slot {s}");
+                        assert_eq!(*count, want, "{label}");
+                        for (got, want) in state.iter().zip([step_i.state(), step_q.state()]) {
+                            assert_eq!(
+                                got.integrator.to_bits(),
+                                want.integrator.to_bits(),
+                                "{label}"
+                            );
+                            assert_eq!(got.last_bit, want.last_bit, "{label}");
+                        }
+                    }
+                }
+            }
         }
     }
 

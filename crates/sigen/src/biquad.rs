@@ -189,7 +189,7 @@ impl GeneratorBiquad {
     /// [`transfer`](Self::transfer) with the input capacitor that slot
     /// `cap_index` was planned for (same arithmetic, same noise draws) —
     /// through one instantiation of the integrators' planned step (see
-    /// [`ScIntegrator::step_planned_in`]); block loops choose it once per
+    /// [`ScIntegrator::step_planned`]); block loops choose it once per
     /// block from [`TransferPlans::is_exact`].
     ///
     /// # Panics
@@ -205,9 +205,9 @@ impl GeneratorBiquad {
         let v2_prev = self.int2.output();
         let v1 = self
             .int1
-            .step_planned_in::<EXACT>(&plans.int1[cap_index], &[vin, v2_prev]);
+            .step_planned::<EXACT, 2>(&plans.int1[cap_index], [vin, v2_prev]);
         self.int2
-            .step_planned_in::<EXACT>(&plans.int2, &[v1, v2_prev])
+            .step_planned::<EXACT, 2>(&plans.int2, [v1, v2_prev])
     }
 
     /// The ideal frequency response per unit input capacitor at a

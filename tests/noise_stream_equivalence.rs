@@ -11,11 +11,12 @@
 //! zero-σ, `kT/C`, white) against it across refill boundaries.
 //!
 //! It also property-tests the hoisted-plan consumers introduced for the
-//! batched hot path: `ScIntegrator::step_planned` vs. `step` (including
-//! the exact instantiation on ideal hardware, over signed zeros,
-//! subnormals and ±1e300, and the pre-drawn-noise step that lanes
-//! share), and the interleaved I/Q `ModulatorPair` vs. `step`, on both
-//! the ideal and the 0.35 µm CMOS profiles. Finally, the evaluator's
+//! batched hot path: `ScIntegrator::step_planned` vs. `step` (both
+//! instantiations, the exact one on ideal hardware over signed zeros,
+//! subnormals and ±1e300, and a one-slot `ScIntegrator::steps` on the
+//! pre-drawn noise that device groups share), and the interleaved I/Q
+//! `ModulatorPair` vs. `step`, on both the ideal and the 0.35 µm CMOS
+//! profiles. Finally, the evaluator's
 //! acquisition — of one device and of lanes of many — is checked
 //! against a from-scratch loop over `SigmaDeltaModulator::step` with
 //! polarities from `QuadratureSquareWave::in_phase`/`quadrature` —
@@ -279,15 +280,80 @@ mod planned_consumers {
         ]
     }
 
+    /// One case of `step_planned_matches_step` on a plan of `B` branches:
+    /// `voltages` runs on fresh integrators, `B` voltages per cycle.
+    fn planned_matches_step<const B: usize>(
+        label: &str,
+        opamp: OpAmpModel,
+        noise: Option<u64>,
+        caps: &[f64],
+        exact: bool,
+        voltages: &[f64],
+    ) -> Result<(), String> {
+        let caps: [f64; B] = caps
+            .try_into()
+            .map_err(|_| format!("{label}: not {B} caps"))?;
+        let mut scalar = integrator(opamp, noise);
+        let mut planned = integrator(opamp, noise);
+        let mut forced = integrator(opamp, noise);
+        // The pre-drawn path: the step's draws taken from its own plan
+        // first, then applied to a state held outside the integrator,
+        // whose output never moves.
+        let mut drawn = integrator(opamp, noise);
+        let mut state = drawn.output();
+        let plan = planned.plan(&caps);
+        prop_assert_eq!(plan.is_exact(), exact);
+        for cycle in voltages.chunks_exact(B) {
+            let cycle: [f64; B] = std::array::from_fn(|i| cycle[i]);
+            let branches: Vec<Branch> = caps
+                .iter()
+                .zip(&cycle)
+                .map(|(&c, &v)| Branch::new(c, v))
+                .collect();
+            let want = scalar.step(&branches);
+            let got = planned.step_planned::<false, B>(&plan, cycle);
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{}: {} vs {}",
+                label,
+                got,
+                want
+            );
+            let got = forced.step_planned::<true, B>(&plan, cycle);
+            prop_assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "{} (exact instantiation): {} vs {}",
+                label,
+                got,
+                want
+            );
+            let ktc = drawn.draw_ktc(&plan);
+            [state] = drawn.steps::<false, B, 1>(&plan, [state], cycle.map(|v| [v]), ktc);
+            prop_assert_eq!(
+                state.to_bits(),
+                want.to_bits(),
+                "{} (pre-drawn noise): {} vs {}",
+                label,
+                state,
+                want
+            );
+            prop_assert_eq!(drawn.output().to_bits(), 0.0f64.to_bits());
+        }
+        Ok(())
+    }
+
     proptest! {
         /// `step_planned` replays `step` bit for bit — same outputs, same
         /// noise draws in the same order — for arbitrary branch
         /// topologies (including zero-cap branches, which must not draw)
-        /// and voltage sequences, on ideal and CMOS op-amp models. The
-        /// ideal plan is exact, so this pins the identity-free
-        /// instantiation to the scalar reference; forcing that
-        /// instantiation on the CMOS plan must fall back, not diverge.
-        /// Ordinary voltages and edge values run on fresh integrators.
+        /// and voltage sequences, on ideal and CMOS op-amp models, through
+        /// both instantiations. The ideal plan is exact, so this pins the
+        /// identity-free instantiation to the scalar reference; asking
+        /// for that instantiation on the CMOS plan must fall back, not
+        /// diverge. Ordinary voltages and edge values run on fresh
+        /// integrators.
         #[test]
         fn step_planned_matches_step(
             seed in 0u64..100_000,
@@ -308,40 +374,17 @@ mod planned_consumers {
                 ("ideal, edge values", OpAmpModel::ideal(), None, true, &edges),
                 ("cmos_035um, edge values", OpAmpModel::folded_cascode_035um(), Some(seed), false, &edges),
             ] {
-                let mut scalar = integrator(opamp, noise);
-                let mut planned = integrator(opamp, noise);
-                let mut forced = integrator(opamp, noise);
-                // The pre-drawn path: the step's draws taken from its own
-                // plan first, then applied to a state held outside the
-                // integrator, whose output never moves.
-                let mut drawn = integrator(opamp, noise);
-                let mut state = drawn.output();
-                let plan = planned.plan(&caps);
-                prop_assert_eq!(plan.is_exact(), exact);
-                for cycle in voltages.chunks_exact(caps.len()) {
-                    let branches: Vec<Branch> = caps
-                        .iter()
-                        .zip(cycle)
-                        .map(|(&c, &v)| Branch::new(c, v))
-                        .collect();
-                    let want = scalar.step(&branches);
-                    let got = planned.step_planned(&plan, cycle);
-                    prop_assert_eq!(
-                        got.to_bits(), want.to_bits(),
-                        "{}: {} vs {}", label, got, want
-                    );
-                    let got = forced.step_planned_in::<true>(&plan, cycle);
-                    prop_assert_eq!(
-                        got.to_bits(), want.to_bits(),
-                        "{} (exact instantiation): {} vs {}", label, got, want
-                    );
-                    let ktc = drawn.draw_ktc(&plan);
-                    state = drawn.step_from(state, &plan, cycle, &ktc);
-                    prop_assert_eq!(
-                        state.to_bits(), want.to_bits(),
-                        "{} (pre-drawn noise): {} vs {}", label, state, want
-                    );
-                    prop_assert_eq!(drawn.output().to_bits(), 0.0f64.to_bits());
+                // The branch count is a compile-time parameter.
+                macro_rules! run {
+                    ($b:literal) => {
+                        planned_matches_step::<$b>(label, opamp, noise, &caps, exact, voltages)?
+                    };
+                }
+                match caps.len() {
+                    1 => run!(1),
+                    2 => run!(2),
+                    3 => run!(3),
+                    _ => run!(4),
                 }
             }
         }
