@@ -92,6 +92,20 @@ impl AnalyzerConfig {
         self
     }
 
+    /// Refuses an evaluation length no acquisition can measure: `M` must
+    /// be positive and even ([`sdeval::EvalError::OddPeriods`]). A cheap
+    /// check, made without simulating, so a lot refuses a stage before
+    /// fabricating a device for it, and a decoder a frame before queuing
+    /// it.
+    ///
+    /// # Errors
+    ///
+    /// [`NetanError::Eval`] with [`sdeval::EvalError::OddPeriods`] for a
+    /// zero or odd `periods`.
+    pub fn check_periods(&self) -> Result<(), NetanError> {
+        Ok(SinewaveEvaluator::check_periods(self.periods)?)
+    }
+
     /// Returns the configuration with a different acquisition block
     /// length (`usize::MAX` means "one block per acquisition window").
     #[must_use]
@@ -107,6 +121,10 @@ impl Default for AnalyzerConfig {
     }
 }
 
+/// The stimulus frequency calibration measures the bypass at. Any valid
+/// frequency works: the normalized measurement does not depend on it.
+const CALIBRATION_FREQUENCY: Hertz = Hertz(1000.0);
+
 /// Stimulus characterization from the calibration bypass (paper Fig. 1
 /// dashed path): performed once, reused across the sweep.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -116,6 +134,26 @@ pub struct Calibration {
     /// Stimulus phase enclosure relative to the modulation square wave,
     /// radians.
     pub phase: Bounded,
+}
+
+impl Calibration {
+    /// The calibration a bypass measurement reads.
+    fn from_bypass(meas: &HarmonicMeasurement) -> Self {
+        Self {
+            amplitude: meas.amplitude,
+            phase: meas.phase,
+        }
+    }
+
+    /// Refuses a calibration whose amplitude enclosure reaches zero (or
+    /// is NaN): no gain can be divided by it.
+    fn check_resolved(&self) -> Result<(), NetanError> {
+        if is_positive(self.amplitude.lo) {
+            Ok(())
+        } else {
+            Err(NetanError::UnresolvedStimulus)
+        }
+    }
 }
 
 /// One point of a Bode characterization.
@@ -167,19 +205,17 @@ impl<'d> NetworkAnalyzer<'d> {
     /// (paper Section III.C); [`measure_point`](Self::measure_point)
     /// calibrates lazily if this was never called.
     ///
+    /// The bypass is the identity device [`Bypass`], measured like any
+    /// other at 1 kHz: an acquisition of that one slot. A lot's lane task
+    /// mounts the same slot next to its devices instead and reads the
+    /// same bits.
+    ///
     /// # Errors
     ///
     /// Propagates evaluator setup errors.
     pub fn calibrate(&mut self) -> Result<Calibration, NetanError> {
-        // Any valid stimulus frequency works; the normalized measurement is
-        // frequency-independent. Use 1 kHz. The bypass is the identity
-        // device, measured like any other.
-        let stimulus = Self::acquire(&self.config, &[Hertz(1000.0)], 1, &[&Bypass])?;
-        let meas = Self::only(stimulus)?;
-        let cal = Calibration {
-            amplitude: meas.amplitude,
-            phase: meas.phase,
-        };
+        let stimulus = Self::acquire(&self.config, 1, &[(&Bypass, CALIBRATION_FREQUENCY)])?;
+        let cal = Calibration::from_bypass(&Self::only(stimulus)?);
         self.calibration = Some(cal);
         Ok(cal)
     }
@@ -249,15 +285,16 @@ impl<'d> NetworkAnalyzer<'d> {
         cal: Calibration,
         f_wave: Hertz,
     ) -> Result<BodePoint, NetanError> {
-        let points = Self::measure_lane(&self.config, cal, &[self.dut], &[f_wave])?;
+        let (_, points) = Self::measure_lane(&self.config, Some(cal), &[self.dut], &[f_wave])?;
         Self::only(points.into_iter().flatten())
     }
 
     /// Measures a Bode point of every device of `lane` at every
-    /// frequency of `points` against `cal`: one list per device, in lane
-    /// order, of its points in the order of `points` — each point
-    /// bit-identical to that device's own
-    /// [`measure_point_calibrated`](Self::measure_point_calibrated).
+    /// frequency of `points`: one list per device, in lane order, of its
+    /// points in the order of `points` — each point bit-identical to that
+    /// device's own
+    /// [`measure_point_calibrated`](Self::measure_point_calibrated)
+    /// against the returned calibration.
     ///
     /// Every (device, point) pair is a **slot**, and all slots run in one
     /// lockstep acquisition ([`acquire`](Self::acquire)): the generator
@@ -270,28 +307,52 @@ impl<'d> NetworkAnalyzer<'d> {
     /// bounds the slot count, which is the number of simulators mounted
     /// at once.
     ///
+    /// With `cal` given, the points are formed against it. Without, the
+    /// acquisition mounts the identity device [`Bypass`] at
+    /// [`CALIBRATION_FREQUENCY`] as one more slot, and the points are
+    /// formed against the calibration read off it — bit-identical to
+    /// [`calibrate`](Self::calibrate), since that slot sees the stimulus
+    /// and noise a calibration of its own would. Either way the
+    /// calibration used comes back with the points.
+    ///
     /// # Errors
     ///
     /// Returns the lowest-index [`NetanError::InvalidFrequency`] for
-    /// non-positive frequencies, then [`NetanError::UnresolvedStimulus`]
-    /// for a calibration whose amplitude enclosure reaches zero, both
-    /// before acquiring, and propagates evaluator errors.
+    /// non-positive frequencies, before acquiring, then
+    /// [`NetanError::UnresolvedStimulus`] for a calibration whose
+    /// amplitude enclosure reaches zero (before acquiring when `cal` is
+    /// given), and propagates evaluator errors.
     pub(crate) fn measure_lane(
         config: &AnalyzerConfig,
-        cal: Calibration,
+        cal: Option<Calibration>,
         lane: &[&dyn Dut],
         points: &[Hertz],
-    ) -> Result<Vec<Vec<BodePoint>>, NetanError> {
+    ) -> Result<(Calibration, Vec<Vec<BodePoint>>), NetanError> {
         for &f in points {
             Self::validate_frequency(f)?;
         }
-        if !is_positive(cal.amplitude.lo) {
-            return Err(NetanError::UnresolvedStimulus);
+        if let Some(cal) = cal {
+            cal.check_resolved()?;
         }
-        let measured = Self::acquire(config, points, 1, lane)?;
         // Slots are point-major: slot `p·lane.len() + d` is device `d` at
-        // point `p`.
-        Ok(lane
+        // point `p`. A calibration slot comes last.
+        let mut slots: Vec<(&dyn Dut, Hertz)> = points
+            .iter()
+            .flat_map(|&f| lane.iter().map(move |&dut| (dut, f)))
+            .collect();
+        if cal.is_none() {
+            slots.push((&Bypass, CALIBRATION_FREQUENCY));
+        }
+        let mut measured = Self::acquire(config, 1, &slots)?;
+        let cal = match cal {
+            Some(cal) => cal,
+            None => {
+                let cal = Calibration::from_bypass(&measured.pop().ok_or(NetanError::EmptySweep)?);
+                cal.check_resolved()?;
+                cal
+            }
+        };
+        let points = lane
             .iter()
             .enumerate()
             .map(|(d, &dut)| {
@@ -302,7 +363,8 @@ impl<'d> NetworkAnalyzer<'d> {
                     .map(|(&f, out)| Self::bode_point(dut, cal, f, out))
                     .collect()
             })
-            .collect())
+            .collect();
+        Ok((cal, points))
     }
 
     /// A Bode point from the DUT-path measurement `out`.
@@ -461,7 +523,7 @@ impl<'d> NetworkAnalyzer<'d> {
                 reason = "i < max_harmonic, which is a u32, so the cast is exact"
             )]
             let k = i as u32 + 1;
-            Self::only(Self::acquire(&self.config, &[f_wave], k, &[self.dut])?)
+            Self::only(Self::acquire(&self.config, k, &[(self.dut, f_wave)])?)
         })
         .into_iter()
         .collect()
@@ -469,49 +531,56 @@ impl<'d> NetworkAnalyzer<'d> {
 
     /// One lockstep acquisition of harmonic `k`, driven block-wise
     /// (generator → DUT → ΣΔ all consume fixed-size blocks): one
-    /// measurement per slot, point-major — slot `p·lane.len() + d` is
-    /// device `d` of `lane` at `points[p]`, its simulator instantiated at
-    /// that point's master clock `96·f`. Calibration passes the identity
+    /// measurement per slot of `slots`, in slot order. A slot is a device
+    /// and a stimulus frequency `f`, its simulator instantiated at that
+    /// frequency's master clock `96·f`. Calibration passes the identity
     /// device [`Bypass`], whose output is the stimulus bit for bit — what
     /// the board's bypass path (paper Fig. 1, dashed) returns.
     ///
     /// Every slot shares one evaluator, and so each block's noise draws:
-    /// its configuration and seeds do not depend on the point. The
-    /// points' generators differ only in their clocks, so when the
+    /// its configuration and seeds do not depend on the frequency. The
+    /// frequencies' generators differ only in their clocks, so when the
     /// stream ignores the clock ([`GeneratorConfig::is_clock_invariant`])
     /// one board and generator carry every slot, and the device groups
-    /// fill across points. Otherwise each point keeps a board of its
-    /// own, and the boards advance in the same block loop.
+    /// fill across frequencies. Otherwise each frequency keeps a board of
+    /// its own, in order of first appearance, and the boards advance in
+    /// the same block loop.
     fn acquire(
         config: &AnalyzerConfig,
-        points: &[Hertz],
         k: u32,
-        lane: &[&dyn Dut],
+        slots: &[(&dyn Dut, Hertz)],
     ) -> Result<Vec<HarmonicMeasurement>, NetanError> {
-        let generators: Vec<GeneratorConfig> = points
-            .iter()
-            .map(|&f| {
-                let clk = MasterClock::for_stimulus(f);
-                config.hardware.generator_config(clk, config.va_diff)
-            })
-            .collect();
-        let shared = generators
+        let generator = |f: Hertz| {
+            let clk = MasterClock::for_stimulus(f);
+            config.hardware.generator_config(clk, config.va_diff)
+        };
+        let shared = slots
             .first()
-            .is_some_and(GeneratorConfig::is_clock_invariant);
-        let per_board = if shared { generators.len() } else { 1 };
-        let mut boards: Vec<DemoBoard> = generators
-            .chunks(per_board)
-            .map(|board_points| {
-                let slots: Vec<(&dyn Dut, MasterClock)> = board_points
+            .is_some_and(|&(_, f)| generator(f).is_clock_invariant());
+        // Each board's frequency and the indices of the slots it carries.
+        let mut boards: Vec<(Hertz, Vec<usize>)> = Vec::new();
+        for (s, &(_, f)) in slots.iter().enumerate() {
+            let same = |(g, _): &&mut (Hertz, Vec<usize>)| {
+                shared || g.value().to_bits() == f.value().to_bits()
+            };
+            match boards.iter_mut().find(same) {
+                Some((_, members)) => members.push(s),
+                None => boards.push((f, vec![s])),
+            }
+        }
+        let mut mounted: Vec<DemoBoard> = boards
+            .iter()
+            .map(|(f, members)| {
+                let board_slots: Vec<(&dyn Dut, MasterClock)> = members
                     .iter()
-                    .flat_map(|g| lane.iter().map(|&dut| (dut, g.master_clock)))
+                    .map(|&s| (slots[s].0, MasterClock::for_stimulus(slots[s].1)))
                     .collect();
-                let mut board = DemoBoard::with_slots(board_points[0].clone(), &slots);
+                let mut board = DemoBoard::with_slots(generator(*f), &board_slots);
                 board.warm_up(config.warmup_periods as usize);
                 board
             })
             .collect();
-        let mut sources: Vec<&mut dyn LaneSource> = boards
+        let mut sources: Vec<&mut dyn LaneSource> = mounted
             .iter_mut()
             .map(|board| board as &mut dyn LaneSource)
             .collect();
@@ -520,7 +589,14 @@ impl<'d> NetworkAnalyzer<'d> {
             .evaluator_config()
             .with_block_samples(config.block_samples);
         let mut evaluator = SinewaveEvaluator::new(eval_cfg);
-        Ok(evaluator.measure_harmonic_lanes(&mut sources, k, config.periods)?)
+        let measured = evaluator.measure_harmonic_lanes(&mut sources, k, config.periods)?;
+        // The evaluator returns board after board; put each back in its
+        // slot.
+        let mut by_slot: Vec<Option<HarmonicMeasurement>> = slots.iter().map(|_| None).collect();
+        for (&s, m) in boards.iter().flat_map(|(_, members)| members).zip(measured) {
+            by_slot[s] = Some(m);
+        }
+        Ok(by_slot.into_iter().flatten().collect())
     }
 }
 
@@ -623,28 +699,38 @@ mod tests {
                     .collect();
                 let lane: Vec<&dyn Dut> = devices.iter().map(|d| d as &dyn Dut).collect();
                 let grid = log_spaced(Hertz(150.0), Hertz(200_000.0), points);
-                let measured = NetworkAnalyzer::measure_lane(&cfg, cal, &lane, &grid).unwrap();
-                assert_eq!(measured.len(), devices.len());
-                for (d, (got, device)) in measured.iter().zip(&devices).enumerate() {
-                    let alone = NetworkAnalyzer::new(device, cfg);
-                    let want: Vec<BodePoint> = grid
-                        .iter()
-                        .map(|&f| alone.measure_point_calibrated(cal, f).unwrap())
-                        .collect();
-                    assert_eq!(*got, want, "{cfg:?}: {lane_size} × {points}, device {d}");
+                let want: Vec<Vec<BodePoint>> = devices
+                    .iter()
+                    .map(|device| {
+                        let alone = NetworkAnalyzer::new(device, cfg);
+                        grid.iter()
+                            .map(|&f| alone.measure_point_calibrated(cal, f).unwrap())
+                            .collect()
+                    })
+                    .collect();
+                // Against a given calibration, and against the one read
+                // off the lane's own identity slot.
+                for given in [Some(cal), None] {
+                    let (used, measured) =
+                        NetworkAnalyzer::measure_lane(&cfg, given, &lane, &grid).unwrap();
+                    assert_eq!(used, cal, "{cfg:?}: {lane_size} × {points}, {given:?}");
+                    assert_eq!(measured, want, "{cfg:?}: {lane_size} × {points}, {given:?}");
                 }
             }
             let f = [Hertz(1500.0)];
-            assert!(NetworkAnalyzer::measure_lane(&cfg, cal, &[], &f)
-                .unwrap()
-                .is_empty());
-            let lane: [&dyn Dut; 2] = [&dut::Bypass, &dut::Bypass];
-            let no_points = NetworkAnalyzer::measure_lane(&cfg, cal, &lane, &[]).unwrap();
-            assert_eq!(no_points, vec![Vec::new(), Vec::new()]);
-            assert!(matches!(
-                NetworkAnalyzer::measure_lane(&cfg, cal, &lane, &[f[0], Hertz(-1.0)]),
-                Err(NetanError::InvalidFrequency { .. })
-            ));
+            for given in [Some(cal), None] {
+                let (used, none) = NetworkAnalyzer::measure_lane(&cfg, given, &[], &f).unwrap();
+                assert!(none.is_empty());
+                assert_eq!(used, cal);
+                let lane: [&dyn Dut; 2] = [&dut::Bypass, &dut::Bypass];
+                let (_, no_points) =
+                    NetworkAnalyzer::measure_lane(&cfg, given, &lane, &[]).unwrap();
+                assert_eq!(no_points, vec![Vec::new(), Vec::new()]);
+                assert!(matches!(
+                    NetworkAnalyzer::measure_lane(&cfg, given, &lane, &[f[0], Hertz(-1.0)]),
+                    Err(NetanError::InvalidFrequency { .. })
+                ));
+            }
         }
     }
 

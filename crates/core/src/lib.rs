@@ -16,8 +16,8 @@
 //! * **phase shift** = difference of the phase enclosures,
 //! * a **frequency sweep** planner (log grid, constant `N`),
 //! * **one parallel engine** ([`LotEngine`]) that fans independent jobs
-//!   — sweep points, harmonics, whole Monte-Carlo devices sharing one
-//!   amortized calibration — across worker threads with bit-identical
+//!   — sweep points, harmonics, lanes of Monte-Carlo devices, each lane
+//!   calibrating in one extra slot — across worker threads with bit-identical
 //!   results: the paper's production-screening scenario at throughput,
 //! * **adaptive refinement** ([`NetworkAnalyzer::sweep_adaptive_with`]):
 //!   rounds of curvature/enclosure-scored bisection that concentrate

@@ -10,17 +10,24 @@
 //!   evaluator are set by the DC references and digital control alone,
 //!   never by the DUT (paper Section III.C), and so is every draw of
 //!   their seeded noise; the evaluator, clocked at `f_eva = 96·f_wave`,
-//!   is not set by the point either. So the stimulus characterization is
-//!   computed once per analyzer configuration and shared read-only by
-//!   every device, and a fixed grid is measured in **lanes** of up to
-//!   [`LANE_DEVICES`] devices over a group of points. Each (device,
-//!   point) pair is a **slot**, and up to [`LANE_DEVICES`] slots run in
-//!   one lockstep acquisition: one evaluator draws the comparator and
-//!   `kT/C` noise once per block for all of them, and one generator
-//!   serves every slot whose stimulus stream is the same (on ideal
-//!   hardware, every slot: its stream ignores the clock). Only the DUT
-//!   simulations, the modulator states, classification and fit run per
-//!   device;
+//!   is not set by the point either. So a fixed grid is measured in
+//!   **lanes** of up to [`LANE_DEVICES`] devices over a group of points.
+//!   Each (device, point) pair is a **slot**, and up to
+//!   [`LANE_DEVICES`] slots run in one lockstep acquisition: one
+//!   evaluator draws the comparator and `kT/C` noise once per block for
+//!   all of them, and one generator serves every slot whose stimulus
+//!   stream is the same (on ideal hardware, every slot: its stream
+//!   ignores the clock). Only the DUT simulations, the modulator states,
+//!   classification and fit run per device;
+//! * **calibration is one more slot**: the stimulus characterization
+//!   depends on the analyzer configuration alone, so each lane task
+//!   mounts the identity device [`Bypass`] at 1 kHz as one extra slot of
+//!   its first acquisition and forms all its points against the
+//!   calibration read off it — on ideal hardware on the shared board, on
+//!   `cmos_035um` on a 1 kHz board of its own, or on the 1 kHz point's
+//!   board when that acquisition measures 1 kHz. It is bit-identical to
+//!   [`LotEngine::shared_calibration`], and no stage runs an acquisition
+//!   outside its lane tasks;
 //! * (lane × point-group) tasks are fanned across a
 //!   [`std::thread::scope`] worker pool (the atomic-cursor work stealing
 //!   of [`crate::pool`], which every other fan-out also runs on);
@@ -44,10 +51,12 @@
 //! with an [`EscalationSchedule`]: [`LotEngine::run_escalated_range`] screens
 //! the whole lot at a cheap stage-0 configuration, then re-tests only the
 //! devices still [`SpecVerdict::Ambiguous`] at each deeper (larger-`M`)
-//! stage, amortizing one calibration per stage and fanning re-tests
-//! across the same pool. Hard enclosures make the policy sound: a
-//! deeper stage can only *narrow* an enclosure around the same truth, so
-//! a decided `Pass`/`Fail` is never re-tested and never flips.
+//! stage, each lane task calibrating in its own first acquisition, and
+//! fanning re-tests across the same pool. A stage at a zero or odd `M`,
+//! which no acquisition can measure, is refused when escalation reaches
+//! it, before it fabricates a device. Hard enclosures make the policy
+//! sound: a deeper stage can only *narrow* an enclosure around the same
+//! truth, so a decided `Pass`/`Fail` is never re-tested and never flips.
 //!
 //! How a device's acquisition grows across stages is the
 //! [`StoppingPolicy`]:
@@ -88,8 +97,8 @@
 //! A lot does not have to be one call. The engine's two entry points,
 //! [`LotEngine::run_range`] and [`LotEngine::run_escalated_range`], take
 //! a contiguous seed range and characterize it as an independent
-//! **shard** (calibration stays amortized per analyzer configuration per
-//! shard) that records its range; [`LotReport::merge`] joins
+//! **shard** (each lane task of a shard calibrates in one extra slot)
+//! that records its range; [`LotReport::merge`] joins
 //! adjacent shards into the byte-identical report one monolithic run
 //! would have produced, with [`LotReport::empty`] as the identity: the
 //! merged stage summaries are read off the merged devices and stages.
@@ -790,11 +799,10 @@ impl LotEngine {
     /// Characterizes `factory(seed)` for every seed of the contiguous
     /// range `seed_range` against `plan`, fanning the work across the
     /// worker pool — one **shard** of a lot, with the range attached as
-    /// its [`shard`](LotReport::shard). Calibration is performed once
-    /// for `config` and shared read-only by every device, and a fixed
-    /// grid is measured in lanes whose (device, point) slots share each
-    /// acquisition's evaluator noise and, where the stream allows, its
-    /// stimulus.
+    /// its [`shard`](LotReport::shard). A fixed grid is measured in
+    /// lanes whose (device, point) slots share each acquisition's
+    /// evaluator noise and, where the stream allows, its stimulus; each
+    /// lane task calibrates in one extra slot of its first acquisition.
     ///
     /// A plain run is the one-stage schedule of `config` through the
     /// core of [`run_escalated_range`](Self::run_escalated_range).
@@ -811,7 +819,12 @@ impl LotEngine {
     ///   contains a non-positive frequency, and
     ///   [`NetanError::InvalidMaskPoint`] for a mask point that
     ///   [`MaskPoint::new`](crate::spec::MaskPoint::new) would refuse
-    ///   (both rejected before calibration or any simulation),
+    ///   (both rejected before any simulation),
+    /// * [`NetanError::Eval`] with `OddPeriods` for a zero or odd `M`,
+    ///   before any device is fabricated
+    ///   ([`AnalyzerConfig::check_periods`]),
+    /// * [`NetanError::UnresolvedStimulus`] when the calibrated stimulus
+    ///   amplitude enclosure reaches zero,
     /// * [`NetanError::DeviceNotSimulable`] if a device's nominal
     ///   response is non-finite at a plan frequency,
     /// * per-device measurement errors, lowest seed first.
@@ -837,8 +850,9 @@ impl LotEngine {
     /// Escalation-screens the contiguous seed range `seed_range` as one
     /// **shard** of a lot: screens it at `schedule` stage 0, then
     /// re-tests only the devices still [`SpecVerdict::Ambiguous`] at
-    /// each subsequent stage — one shared calibration per stage,
-    /// re-tests fanned across the same worker pool — until no device is
+    /// each subsequent stage — each lane task calibrating in its first
+    /// acquisition, re-tests fanned across the same worker pool — until
+    /// no device is
     /// ambiguous, the schedule is exhausted, or the budget admits no
     /// further re-test. Under [`StoppingPolicy::Sequential`] each
     /// re-test is charged only the period increment; verdicts are
@@ -868,7 +882,8 @@ impl LotEngine {
     /// Everything [`run_range`](Self::run_range) returns, plus
     /// [`NetanError::BudgetExhausted`] when the budget cannot cover the
     /// all-or-nothing stage-0 screening pass — rejected before any
-    /// simulation.
+    /// simulation. A later stage at a zero or odd `M` is refused when
+    /// escalation reaches it, before it fabricates a re-test.
     pub fn run_escalated_range<D, F>(
         &self,
         factory: F,
@@ -973,8 +988,8 @@ impl LotEngine {
     /// Shared up-front validation of a lot request: non-empty seeds,
     /// non-empty grid, every grid frequency valid, every mask point one
     /// that [`MaskPoint::new`](crate::spec::MaskPoint::new) accepts and
-    /// its frequency actually in the grid — all rejected before
-    /// calibration or any simulation.
+    /// its frequency actually in the grid — all rejected before any
+    /// simulation.
     fn validate_lot(seeds: &[u64], plan: &LotPlan) -> Result<(), NetanError> {
         if seeds.is_empty() {
             return Err(NetanError::EmptyLot);
@@ -1011,9 +1026,10 @@ impl LotEngine {
     ///
     /// The calibration bypass taps the generated stimulus *ahead* of the
     /// DUT (paper Fig. 1 dashed path), so the measurement is independent
-    /// of which device sits on the board — one calibration per analyzer
+    /// of which device sits on the board: one calibration per analyzer
     /// configuration serves the whole lot, bit-identical to calibrating
-    /// per device.
+    /// per device. A lot does not call this: each lane task reads the
+    /// same bits off the identity slot of its first acquisition.
     pub fn shared_calibration(config: AnalyzerConfig) -> Result<Calibration, NetanError> {
         NetworkAnalyzer::new(&Bypass, config).calibrate()
     }
@@ -1059,9 +1075,10 @@ impl LotEngine {
     /// **lanes**: one result per device, in seed order, holding its
     /// points in grid order (phase not yet unwrapped).
     ///
-    /// A lane task takes up to [`LANE_DEVICES`] devices and a contiguous
-    /// group of grid points, and measures every (device, point) slot of
-    /// it in lockstep acquisitions ([`NetworkAnalyzer::measure_lane`]):
+    /// A lane task ([`lane_task`](Self::lane_task)) takes up to
+    /// [`LANE_DEVICES`] devices and a contiguous group of grid points,
+    /// calibrates, and measures every (device, point) slot of it in
+    /// lockstep acquisitions ([`NetworkAnalyzer::measure_lane`]):
     /// one evaluator, and so one noise draw per block, for all of an
     /// acquisition's slots, and one stimulus for every slot that sees
     /// the same stream. Only the DUT simulations and modulator states run
@@ -1095,37 +1112,7 @@ impl LotEngine {
         let tasks = pool::map_indexed(self.threads, layout.lanes * layout.groups, |task| {
             let lane = &seeds[split(seeds.len(), layout.lanes, task / layout.groups)];
             let points = &grid[split(grid.len(), layout.groups, task % layout.groups)];
-            let devices: Vec<Result<D, NetanError>> = lane
-                .iter()
-                .map(|&seed| Self::fabricate(factory, seed, grid))
-                .collect();
-            let mounted: Vec<&dyn Dut> = devices
-                .iter()
-                .filter_map(|d| d.as_ref().ok().map(|d| d as &dyn Dut))
-                .collect();
-            let mut measured: Vec<Vec<BodePoint>> = mounted
-                .iter()
-                .map(|_| Vec::with_capacity(points.len()))
-                .collect();
-            let batch = (LANE_DEVICES / mounted.len().max(1)).max(1);
-            let outcome: Result<(), NetanError> = points.chunks(batch).try_for_each(|batch| {
-                let lane_points =
-                    NetworkAnalyzer::measure_lane(&stage.config, stage.cal, &mounted, batch)?;
-                for (device_points, batch_points) in measured.iter_mut().zip(lane_points) {
-                    device_points.extend(batch_points);
-                }
-                Ok(())
-            });
-            // Mounted devices took their points in lane order.
-            let mut measured = measured.into_iter();
-            devices
-                .into_iter()
-                .map(|device| {
-                    device?;
-                    outcome?;
-                    Ok(measured.next().unwrap_or_default())
-                })
-                .collect::<Vec<Result<Vec<BodePoint>, NetanError>>>()
+            Self::lane_task(factory, lane, points, grid, stage).1
         });
         // Each device's groups arrive in grid order; its first error wins.
         let mut results: Vec<Result<Vec<BodePoint>, NetanError>> =
@@ -1143,6 +1130,65 @@ impl LotEngine {
             }
         }
         results
+    }
+
+    /// One lane task: fabricates the devices of `lane` and measures the
+    /// mounted ones at every frequency of `points` (a group of `grid`),
+    /// one result per device, in lane order.
+    ///
+    /// The task calibrates itself: its first acquisition mounts the
+    /// identity device as one more slot
+    /// ([`NetworkAnalyzer::measure_lane`]), the one mount past
+    /// [`LANE_DEVICES`], and every point of the task is formed against
+    /// the calibration read off it, which comes back too (`None` if the
+    /// task measured nothing). It is bit-identical to
+    /// [`shared_calibration`](Self::shared_calibration): the identity
+    /// slot sees the stimulus and noise a calibration of its own would.
+    fn lane_task<D, F>(
+        factory: &F,
+        lane: &[u64],
+        points: &[Hertz],
+        grid: &[Hertz],
+        stage: &Stage,
+    ) -> (Option<Calibration>, Vec<Result<Vec<BodePoint>, NetanError>>)
+    where
+        D: Dut,
+        F: Fn(u64) -> D + Sync,
+    {
+        let devices: Vec<Result<D, NetanError>> = lane
+            .iter()
+            .map(|&seed| Self::fabricate(factory, seed, grid))
+            .collect();
+        let mounted: Vec<&dyn Dut> = devices
+            .iter()
+            .filter_map(|d| d.as_ref().ok().map(|d| d as &dyn Dut))
+            .collect();
+        let mut measured: Vec<Vec<BodePoint>> = mounted
+            .iter()
+            .map(|_| Vec::with_capacity(points.len()))
+            .collect();
+        let batch = (LANE_DEVICES / mounted.len().max(1)).max(1);
+        let mut cal = None;
+        let outcome: Result<(), NetanError> = points.chunks(batch).try_for_each(|batch| {
+            let (batch_cal, lane_points) =
+                NetworkAnalyzer::measure_lane(&stage.config, cal, &mounted, batch)?;
+            cal = Some(batch_cal);
+            for (device_points, batch_points) in measured.iter_mut().zip(lane_points) {
+                device_points.extend(batch_points);
+            }
+            Ok(())
+        });
+        // Mounted devices took their points in lane order.
+        let mut measured = measured.into_iter();
+        let results = devices
+            .into_iter()
+            .map(|device| {
+                device?;
+                outcome?;
+                Ok(measured.next().unwrap_or_default())
+            })
+            .collect();
+        (cal, results)
     }
 
     /// Fabricates the device of `seed` and checks that it can be
@@ -1173,7 +1219,8 @@ impl LotEngine {
 /// of a slot's cost. An acquisition holds one DUT simulator per (device,
 /// point) slot, so a task measures its points in batches of
 /// `⌊LANE_DEVICES / lane⌋`, and a large stage still splits into enough
-/// lanes to keep every worker busy.
+/// lanes to keep every worker busy. The task's first acquisition mounts
+/// one simulator more: the identity device its calibration reads.
 pub const LANE_DEVICES: usize = 64;
 
 /// One stage's measurement settings, shared by every task of the stage.
@@ -1181,18 +1228,16 @@ struct Stage {
     /// Schedule stage index.
     index: usize,
     config: AnalyzerConfig,
-    /// The stage's shared stimulus characterization.
-    cal: Calibration,
 }
 
 impl Stage {
-    /// Stage `index` at `config`, calibrated once.
+    /// Stage `index` at `config`, refused before any device is
+    /// fabricated when no acquisition can run at its `M`
+    /// ([`AnalyzerConfig::check_periods`]). Each lane task calibrates
+    /// the stage itself, in its first acquisition.
     fn new(index: usize, config: AnalyzerConfig) -> Result<Self, NetanError> {
-        Ok(Self {
-            index,
-            config,
-            cal: LotEngine::shared_calibration(config)?,
-        })
+        config.check_periods()?;
+        Ok(Self { index, config })
     }
 }
 
@@ -1669,6 +1714,135 @@ mod tests {
             let escalated = engine.run_escalated_range(never, 0..2, &plan, &schedule);
             assert_eq!(escalated.unwrap_err(), expected);
         }
+    }
+
+    #[test]
+    fn every_lane_task_calibrates_like_the_shared_calibration() {
+        // Each lane task reads its calibration off the identity slot of
+        // its first acquisition. On ideal hardware the slot rides the one
+        // shared board; on 0.35 µm hardware it joins the 1 kHz point's
+        // board when that acquisition measures 1 kHz, and gets a board of
+        // its own otherwise. Either way, at every worker count's split,
+        // it is the shared calibration bit for bit, and each device's
+        // points are its own points against that calibration. Lanes of 10
+        // devices measure 6 points per acquisition, so the 8-point grids
+        // take two.
+        let bits =
+            |c: Calibration| [c.amplitude, c.phase].map(|b| [b.lo, b.est, b.hi].map(f64::to_bits));
+        let factory = paper_factory(0.05);
+        let seeds: Vec<u64> = (0..10).collect();
+        let with_1k = [
+            150.0, 300.0, 600.0, 1000.0, 2000.0, 4000.0, 8000.0, 16_000.0,
+        ];
+        let mut without_1k = with_1k;
+        without_1k[3] = 1200.0;
+        for hardware in [AnalyzerConfig::ideal(), AnalyzerConfig::cmos_035um(3)] {
+            let config = AnalyzerConfig {
+                warmup_periods: 5,
+                ..hardware.with_periods(8)
+            };
+            let shared = LotEngine::shared_calibration(config).unwrap();
+            let stage = Stage::new(0, config).unwrap();
+            let mut first_acquisitions = [0; 2];
+            for grid in [with_1k, without_1k] {
+                let grid = grid.map(Hertz);
+                let want: Vec<Vec<BodePoint>> = seeds
+                    .iter()
+                    .map(|&seed| {
+                        let device = factory(seed);
+                        let alone = NetworkAnalyzer::new(&device, config);
+                        grid.iter()
+                            .map(|&f| alone.measure_point_calibrated(shared, f).unwrap())
+                            .collect()
+                    })
+                    .collect();
+                for workers in [1, 2, 3, 5] {
+                    let layout = LaneLayout::new(seeds.len(), grid.len(), workers);
+                    for task in 0..layout.lanes * layout.groups {
+                        let lane = split(seeds.len(), layout.lanes, task / layout.groups);
+                        let points = split(grid.len(), layout.groups, task % layout.groups);
+                        let first = &grid[points.start..points.end.min(points.start + 6)];
+                        first_acquisitions[usize::from(first.contains(&Hertz(1000.0)))] += 1;
+                        let (cal, results) = LotEngine::lane_task(
+                            &factory,
+                            &seeds[lane.clone()],
+                            &grid[points.clone()],
+                            &grid,
+                            &stage,
+                        );
+                        let at = format!("{config:?}, {workers} workers, task {task}");
+                        assert_eq!(cal.map(bits), Some(bits(shared)), "{at}");
+                        for (got, want) in results.into_iter().zip(&want[lane]) {
+                            assert_eq!(got.unwrap(), want[points.clone()], "{at}");
+                        }
+                    }
+                }
+            }
+            // Both placements of the 0.35 µm identity slot ran.
+            assert!(
+                first_acquisitions.iter().all(|&n| n > 0),
+                "{first_acquisitions:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn odd_periods_are_refused_before_any_device() {
+        // A stage at a zero or odd M cannot be measured: the lot refuses
+        // it with the evaluator's own error before fabricating a device
+        // for it, plain or escalated, on any engine.
+        let never = |seed: u64| -> ActiveRcFilter { panic!("device {seed} fabricated") };
+        let plan = LotPlan::from_mask(GainMask::paper_lowpass());
+        for m in [0, 51] {
+            let expected = NetanError::Eval(sdeval::EvalError::OddPeriods { m });
+            let config = quick_config().with_periods(m);
+            let schedule = EscalationSchedule::new(vec![config]);
+            for engine in [LotEngine::serial(), LotEngine::with_threads(3)] {
+                let plain = engine.run_range(never, 0..4, &plan, config);
+                assert_eq!(plain.unwrap_err(), expected, "{engine:?}");
+                let escalated = engine.run_escalated_range(never, 0..4, &plan, &schedule);
+                assert_eq!(escalated.unwrap_err(), expected, "{engine:?}");
+            }
+        }
+        // It wins over a lowest seed that cannot be simulated, which is
+        // the lot's error at an even M.
+        let nan_first = |seed: u64| {
+            if seed == 0 {
+                ActiveRcFilter::new(Hertz(f64::NAN), 0.7, 1.0)
+            } else {
+                paper_factory(0.0)(seed)
+            }
+        };
+        let engine = LotEngine::with_threads(2);
+        assert_eq!(
+            engine
+                .run_range(nan_first, 0..3, &plan, quick_config().with_periods(51))
+                .unwrap_err(),
+            NetanError::Eval(sdeval::EvalError::OddPeriods { m: 51 })
+        );
+        assert_eq!(
+            engine
+                .run_range(nan_first, 0..3, &plan, quick_config())
+                .unwrap_err(),
+            NetanError::DeviceNotSimulable { seed: 0 }
+        );
+        // A later stage at an odd M is refused when escalation reaches
+        // it, before it fabricates a re-test: only stage 0 built devices,
+        // one per seed on one serial lane.
+        let built = std::sync::atomic::AtomicUsize::new(0);
+        let counting = |seed: u64| {
+            built.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            paper_factory(0.09)(seed)
+        };
+        let schedule = EscalationSchedule::from_periods(AnalyzerConfig::ideal(), &[30, 121]);
+        let err = LotEngine::serial()
+            .run_escalated_range(counting, 0..8, &plan, &schedule)
+            .unwrap_err();
+        assert_eq!(
+            err,
+            NetanError::Eval(sdeval::EvalError::OddPeriods { m: 121 })
+        );
+        assert_eq!(built.into_inner(), 8);
     }
 
     #[test]

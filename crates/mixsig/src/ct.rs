@@ -222,15 +222,7 @@ impl StateSpace {
     /// seconds, returning a stepper that advances one sample per call.
     pub fn discretize_zoh(&self, dt: f64) -> DiscreteStateSpace {
         let n = self.order();
-        // Augmented matrix [[A, B], [0, 0]] · dt, exponentiated.
-        let mut aug = Matrix::zeros(n + 1, n + 1);
-        for r in 0..n {
-            for c in 0..n {
-                aug[(r, c)] = self.a[(r, c)] * dt;
-            }
-            aug[(r, n)] = self.b[(r, 0)] * dt;
-        }
-        let e = aug.expm();
+        let e = self.zoh_augmented(dt).expm();
         let ad = e.block(0, 0, n, n);
         let bd = e.block(0, n, n, 1);
         DiscreteStateSpace {
@@ -240,6 +232,20 @@ impl StateSpace {
             d: self.d,
             state: vec![0.0; n],
         }
+    }
+
+    /// The augmented matrix `[[A, B], [0, 0]]·dt` whose exponential
+    /// [`discretize_zoh`](Self::discretize_zoh) reads `Ad` and `Bd` from.
+    pub(crate) fn zoh_augmented(&self, dt: f64) -> Matrix {
+        let n = self.order();
+        let mut aug = Matrix::zeros(n + 1, n + 1);
+        for r in 0..n {
+            for c in 0..n {
+                aug[(r, c)] = self.a[(r, c)] * dt;
+            }
+            aug[(r, n)] = self.b[(r, 0)] * dt;
+        }
+        aug
     }
 }
 

@@ -120,14 +120,36 @@ impl Matrix {
     /// small-norm matrices produced by audio-band filters discretized at
     /// the master-clock rate.
     ///
+    /// Orders 1 through 8 dispatch to a body on stack arrays
+    /// monomorphized on the order (`expm_n`), so a discretization
+    /// allocates nothing but its result; order 0 and anything beyond
+    /// order 8 run the same operations on heap matrices (`expm_heap`).
+    /// Both bodies run every operation in the same order, so each entry
+    /// has the same bits whichever body computes it.
+    ///
     /// # Panics
     ///
     /// Panics if the matrix is not square.
     pub fn expm(&self) -> Matrix {
         assert_eq!(self.rows, self.cols, "expm requires a square matrix");
-        let n = self.rows;
+        match self.rows {
+            1 => self.expm_n::<1>(),
+            2 => self.expm_n::<2>(),
+            3 => self.expm_n::<3>(),
+            4 => self.expm_n::<4>(),
+            5 => self.expm_n::<5>(),
+            6 => self.expm_n::<6>(),
+            7 => self.expm_n::<7>(),
+            8 => self.expm_n::<8>(),
+            _ => self.expm_heap(),
+        }
+    }
+
+    /// The scaling of [`expm`](Self::expm): how many squarings bring the
+    /// ∞-norm below 0.5, and the factor `2^−squarings` that scales the
+    /// matrix down by as much.
+    fn expm_scaling(&self) -> (u32, f64) {
         let norm = self.norm_inf();
-        // Scale so the norm is below 0.5, then square back.
         #[expect(
             clippy::cast_possible_truncation,
             clippy::cast_sign_loss,
@@ -142,13 +164,22 @@ impl Matrix {
             clippy::cast_possible_wrap,
             reason = "squarings ≤ ~1074 for any finite f64 norm, far below i32::MAX"
         )]
-        let scaled = self.scaled(1.0 / f64::powi(2.0, squarings as i32));
+        let scale = 1.0 / f64::powi(2.0, squarings as i32);
+        (squarings, scale)
+    }
+
+    /// [`expm`](Self::expm) on heap matrices: the body for order 0 and
+    /// every order past `expm_n`'s table, and the reference `expm_n`
+    /// reproduces bit for bit.
+    fn expm_heap(&self) -> Matrix {
+        let (squarings, scale) = self.expm_scaling();
+        let scaled = self.scaled(scale);
         // Taylor: I + X + X²/2! + ...
-        let mut result = Matrix::identity(n);
-        let mut term = Matrix::identity(n);
+        let mut result = Matrix::identity(self.rows);
+        let mut term = Matrix::identity(self.rows);
         for k in 1..=13u32 {
             term = &term * &scaled;
-            term = term.scaled(1.0 / k as f64);
+            term = term.scaled(1.0 / f64::from(k));
             result = &result + &term;
         }
         for _ in 0..squarings {
@@ -156,6 +187,58 @@ impl Matrix {
         }
         result
     }
+
+    /// [`expm`](Self::expm) of an `N×N` matrix on `[[f64; N]; N]`
+    /// arrays, with `expm_heap`'s operations in its order: the scaled
+    /// entries `x · 2^−s`; each Taylor term the product with the scaled
+    /// matrix (`array_product`, the `Mul` loop), each entry then times
+    /// `1/k` and added to the sum's; then the squarings. Nothing is
+    /// reassociated, so every entry keeps `expm_heap`'s bits.
+    fn expm_n<const N: usize>(&self) -> Matrix {
+        let (squarings, scale) = self.expm_scaling();
+        let scaled: [[f64; N]; N] =
+            std::array::from_fn(|r| std::array::from_fn(|c| self[(r, c)] * scale));
+        let identity: [[f64; N]; N] =
+            std::array::from_fn(|r| std::array::from_fn(|c| if r == c { 1.0 } else { 0.0 }));
+        let mut result = identity;
+        let mut term = identity;
+        for k in 1..=13u32 {
+            let inv = 1.0 / f64::from(k);
+            term = array_product(&term, &scaled);
+            for (sum_row, term_row) in result.iter_mut().zip(&mut term) {
+                for (sum, t) in sum_row.iter_mut().zip(term_row) {
+                    *t *= inv;
+                    *sum += *t;
+                }
+            }
+        }
+        for _ in 0..squarings {
+            result = array_product(&result, &result);
+        }
+        Matrix {
+            rows: N,
+            cols: N,
+            data: result.as_flattened().to_vec(),
+        }
+    }
+}
+
+/// `a · b` for `N×N` arrays, in the `Mul` loop's order: each output row
+/// from zeros, over ascending `k`, skipping a zero `a[r][k]`, adding
+/// `a[r][k] · b[k][c]` to every entry.
+fn array_product<const N: usize>(a: &[[f64; N]; N], b: &[[f64; N]; N]) -> [[f64; N]; N] {
+    let mut out = [[0.0; N]; N];
+    for (out_row, a_row) in out.iter_mut().zip(a) {
+        for (&x, b_row) in a_row.iter().zip(b) {
+            if x == 0.0 {
+                continue;
+            }
+            for (o, &y) in out_row.iter_mut().zip(b_row) {
+                *o += x * y;
+            }
+        }
+    }
+    out
 }
 
 impl std::ops::Index<(usize, usize)> for Matrix {
@@ -322,6 +405,106 @@ mod tests {
                 assert!((p[(r, c)] - e2[(r, c)]).abs() < 1e-12);
             }
         }
+    }
+
+    /// Every entry's bits, where `PartialEq` would take `0.0 == -0.0`
+    /// and `NaN != NaN`. A NaN counts as NaN whatever its sign and
+    /// payload: Rust leaves those unspecified for an operation's NaN
+    /// result, and the compiler may commute an addition's operands.
+    fn bits(m: &Matrix) -> Vec<u64> {
+        m.data
+            .iter()
+            .map(|x| if x.is_nan() { f64::NAN } else { *x }.to_bits())
+            .collect()
+    }
+
+    /// SplitMix64 as a uniform draw in `[-1, 1)`.
+    fn uniform(state: &mut u64) -> f64 {
+        *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = *state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        z ^= z >> 31;
+        (z >> 11) as f64 / (1u64 << 52) as f64 - 1.0
+    }
+
+    #[test]
+    fn array_expm_is_bit_identical_to_the_heap_body() {
+        // The paper DUT's augmented matrices (its biquad times the 1 MHz
+        // parasitic pole, order 3, so 4×4) from 100 Hz to 200 kHz, each
+        // at its own master clock 96·f.
+        let biquad = crate::ct::TransferFunction::lowpass_biquad(
+            crate::units::Hertz(1000.0),
+            std::f64::consts::FRAC_1_SQRT_2,
+            1.0,
+        );
+        let wp = 2.0 * std::f64::consts::PI * 1.0e6;
+        let d = biquad.denominator();
+        let mut den = vec![0.0; d.len() + 1];
+        for (i, &c) in d.iter().enumerate() {
+            den[i] += c;
+            den[i + 1] += c / wp;
+        }
+        let paper =
+            crate::ct::TransferFunction::new(biquad.numerator().to_vec(), den).to_state_space();
+        let mut cases: Vec<Matrix> = (0..=48)
+            .map(|i| {
+                let f = 100.0 * 2000f64.powf(f64::from(i) / 48.0);
+                paper.zoh_augmented(1.0 / (96.0 * f))
+            })
+            .collect();
+        assert_eq!(cases[0].rows(), 4);
+        // Every order of the table and the first past it: dense draws at
+        // norms from far below 0.5 (no squaring) to 10³, zero rows and
+        // entries, −0.0, subnormals, norms near f64::MAX (about 1024
+        // squarings), and NaN and ±∞. An ∞ sits in a row with a NaN:
+        // the ∞-norm skips a NaN row sum, so the norm stays finite. An ∞
+        // norm would ask for `u32::MAX` squarings of either body.
+        let mut state = 29;
+        for n in 1..=9usize {
+            for scale in [1e-3, 0.3, 3.0, 1e3] {
+                let data: Vec<f64> = (0..n * n).map(|_| scale * uniform(&mut state)).collect();
+                cases.push(Matrix {
+                    rows: n,
+                    cols: n,
+                    data,
+                });
+            }
+            let mut special = |entry: &dyn Fn(usize, f64) -> f64| {
+                let data = (0..n * n).map(|i| entry(i, uniform(&mut state))).collect();
+                cases.push(Matrix {
+                    rows: n,
+                    cols: n,
+                    data,
+                });
+            };
+            special(&|_, _| 0.0);
+            special(&|i, u| if i < n { 0.0 } else { 2.0 * u });
+            special(&|i, u| if i % 2 == 0 { 0.0 } else { u });
+            special(&|i, u| if i % 3 == 0 { -0.0 } else { 0.7 * u });
+            special(&|_, _| -0.0);
+            special(&|i, u| if i % 2 == 0 { u * 1e-310 } else { 0.4 * u });
+            special(&|_, u| u * f64::MIN_POSITIVE);
+            special(&|_, u| u * 1e300);
+            special(&|_, u| u * (f64::MAX / 16.0));
+            special(&|i, u| if i == n / 2 { f64::NAN } else { u });
+            special(&|i, u| if i % n == 0 { f64::NAN } else { 5.0 * u });
+            if n > 1 {
+                special(&|i, u| match (i / n, i % n) {
+                    (0, 0) => f64::INFINITY,
+                    (0, 1) => f64::NAN,
+                    (r, c) if r == n - 1 && c == n - 1 => f64::NEG_INFINITY,
+                    (r, 0) if r == n - 1 => -f64::NAN,
+                    _ => 0.2 * u,
+                });
+            }
+        }
+        for m in &cases {
+            assert_eq!(bits(&m.expm()), bits(&m.expm_heap()), "{m:?}");
+        }
+        // The table's orders took the array body; the heap body is what
+        // they must equal, not what ran.
+        assert!(cases.iter().any(|m| m.rows() == 8) && cases.iter().any(|m| m.rows() == 9));
     }
 
     #[test]

@@ -371,15 +371,27 @@ impl SinewaveEvaluator {
             .collect())
     }
 
+    /// Refuses an evaluation length `m` no measurement can run over:
+    /// zero, or odd (paper Section III.B). Every measurement makes this
+    /// check before it acquires.
+    ///
+    /// # Errors
+    ///
+    /// [`EvalError::OddPeriods`] if `m` is zero or odd.
+    pub fn check_periods(m: u32) -> Result<(), EvalError> {
+        if m == 0 || !m.is_multiple_of(2) {
+            return Err(EvalError::OddPeriods { m });
+        }
+        Ok(())
+    }
+
     /// The square waves of a harmonic measurement, after the validity
     /// checks.
     fn harmonic_wave(k: u32, m: u32, n: u32) -> Result<QuadratureSquareWave, EvalError> {
         if k == 0 {
             return Err(EvalError::HarmonicIndexZero);
         }
-        if m == 0 || !m.is_multiple_of(2) {
-            return Err(EvalError::OddPeriods { m });
-        }
+        Self::check_periods(m)?;
         Ok(QuadratureSquareWave::new(k, n)?)
     }
 
@@ -433,9 +445,7 @@ impl SinewaveEvaluator {
         source: &mut dyn BlockSource,
         m: u32,
     ) -> Result<DcMeasurement, EvalError> {
-        if m == 0 || !m.is_multiple_of(2) {
-            return Err(EvalError::OddPeriods { m });
-        }
+        Self::check_periods(m)?;
         let sq = QuadratureSquareWave::new(0, self.config.n).expect("k = 0 is always valid");
         let mut signatures = [(0.0, 0.0)];
         let consumed = self.acquire(&mut [&mut OneDevice(source)], sq, m, &mut signatures);

@@ -771,6 +771,70 @@ mod tests {
     }
 
     #[test]
+    fn noisy_groups_match_each_devices_own_step_loop() {
+        // On 0.35 µm hardware every step draws comparator and `kT/C`
+        // noise, and the comparator has an offset and hysteresis. Groups
+        // of 2, 3 and 4 devices, each on its own tone, run through uneven
+        // blocks, one shared draw per block. Every slot must end where a
+        // clone of the pair's modulators ends, stepped one sample at a
+        // time on that device's samples: both integrator outputs bit for
+        // bit, both last bits, and both signed counts.
+        let cfg_i = SdmConfig::cmos_035um(31);
+        let cfg_q = SdmConfig {
+            seed: 32,
+            ..cfg_i.clone()
+        };
+        assert!(cfg_i.comparator.hysteresis.value() > 0.0);
+        let blocks = [1, 95, 96, 97, 250, 461];
+        let len: usize = blocks.iter().sum();
+        let polarities: Vec<(bool, bool)> = (0..len)
+            .map(|t| (t % 96 < 48, (t + 24) % 96 < 48))
+            .collect();
+        let input = |s: usize, t: usize| {
+            let phase = 2.0 * std::f64::consts::PI * (t + 7 * s) as f64 / 96.0;
+            (0.15 + 0.2 * s as f64) * phase.sin()
+        };
+        for w in 2..=GROUP_DEVICES {
+            let mut pair = ModulatorPair::new(
+                SigmaDeltaModulator::new(cfg_i.clone()),
+                SigmaDeltaModulator::new(cfg_q.clone()),
+            );
+            assert!(!pair.exact);
+            let own = (pair.i.clone(), pair.q.clone());
+            let mut states = vec![pair.states(); w];
+            let mut counts = vec![(0, 0); w];
+            let mut t0 = 0;
+            for block in blocks {
+                let qb = &polarities[t0..t0 + block];
+                let xb: Vec<f64> = (t0..t0 + block)
+                    .flat_map(|t| (0..w).map(move |s| input(s, t)))
+                    .collect();
+                pair.draw_block(block, qb.iter().copied());
+                pair.step_group(&mut states, &xb, qb.iter().copied(), &mut counts);
+                t0 += block;
+            }
+            for (s, (state, count)) in states.iter().zip(&counts).enumerate() {
+                let (mut step_i, mut step_q) = own.clone();
+                let mut want = (0i64, 0i64);
+                for (t, &(qi, qq)) in polarities.iter().enumerate() {
+                    want.0 += if step_i.step(input(s, t), qi) { 1 } else { -1 };
+                    want.1 += if step_q.step(input(s, t), qq) { 1 } else { -1 };
+                }
+                let label = format!("slot {s} of {w}");
+                assert_eq!(*count, want, "{label}");
+                for (got, want) in state.iter().zip([step_i.state(), step_q.state()]) {
+                    assert_eq!(
+                        got.integrator.to_bits(),
+                        want.integrator.to_bits(),
+                        "{label}"
+                    );
+                    assert_eq!(got.last_bit, want.last_bit, "{label}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn reset_restores_initial_state() {
         let mut m = SigmaDeltaModulator::new(SdmConfig::ideal());
         for _ in 0..100 {

@@ -165,8 +165,9 @@ impl JobRequest {
     ///
     /// [`ReportParseError`] on a missing/mistyped field, an unknown DUT
     /// family or stopping policy, an empty or non-escalating stage
-    /// list, a zero shard size, an empty seed range, an invalid mask
-    /// point, or a shard of more than [`MAX_SHARD_POINTS`] points —
+    /// list, a stage at a zero or odd `periods`, a zero shard size, an
+    /// empty seed range, an invalid mask point, or a shard of more than
+    /// [`MAX_SHARD_POINTS`] points —
     /// every constructor precondition is checked here so untrusted input
     /// can never reach a library assert.
     pub fn from_json(doc: &Json) -> Result<Self, ReportParseError> {
@@ -220,6 +221,13 @@ impl JobRequest {
         // malformed frame is a typed error, not a panic.
         if let Some(defect) = EscalationSchedule::defect(&stages) {
             return Err(ReportParseError::doc(defect));
+        }
+        // A stage at a zero or odd M could only fail its shards, or pass
+        // because nothing escalated to it: refuse it before queuing any.
+        for stage in &stages {
+            stage
+                .check_periods()
+                .map_err(|e| ReportParseError::doc(e.to_string()))?;
         }
         let mut schedule = EscalationSchedule::new(stages).with_stopping(stopping);
         if let budget @ Json::Num(_) = sched_doc.field("budget_s")? {
@@ -757,6 +765,30 @@ mod tests {
             ClientFrame::parse(&empty).unwrap_err().to_string(),
             "document invalid: an escalation schedule needs at least one stage"
         );
+    }
+
+    #[test]
+    fn odd_periods_are_refused_at_decode() {
+        // Regression: a stage at a zero or odd M used to be accepted and
+        // queued, its shards able only to fail, or to pass because no
+        // device escalated to it. It is refused with the evaluator's
+        // message, whichever stage it is, before a shard exists.
+        let base = ClientFrame::Submit(Box::new(request())).render();
+        for (needle, replacement, m) in [
+            ("\"periods\":50", "\"periods\":51", 51),
+            ("\"periods\":200", "\"periods\":201", 201),
+            ("\"periods\":50", "\"periods\":0", 0),
+        ] {
+            let odd = base.replacen(needle, replacement, 1);
+            assert_ne!(odd, base, "mutation must apply: {needle}");
+            assert_eq!(
+                ClientFrame::parse(&odd).unwrap_err().to_string(),
+                format!(
+                    "document invalid: evaluator error: evaluation periods must be positive \
+                     and even, got {m}"
+                )
+            );
+        }
     }
 
     #[test]

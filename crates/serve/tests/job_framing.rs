@@ -19,15 +19,16 @@ fn arb_hardware() -> impl Strategy<Value = HardwareProfile> {
 }
 
 fn arb_schedule() -> impl Strategy<Value = EscalationSchedule> {
-    let stages = collection::vec((1u32..400, 0u32..50, 0.01f64..1.0, arb_hardware()), 1..4)
+    let stages = collection::vec((1u32..200, 0u32..50, 0.01f64..1.0, arb_hardware()), 1..4)
         .prop_map(|specs| {
             // Cumulative periods keep the escalation strictly increasing,
-            // the `EscalationSchedule::new` precondition.
+            // the `EscalationSchedule::new` precondition, and even
+            // increments keep every M even, which the decoder checks.
             let mut m = 0u32;
             specs
                 .into_iter()
                 .map(|(dm, warmup, va, hardware)| {
-                    m += dm;
+                    m += 2 * dm;
                     let mut c = AnalyzerConfig::ideal();
                     c.periods = m;
                     c.warmup_periods = warmup;
