@@ -14,14 +14,16 @@
 //! identity device [`dut::Bypass`] mounted on its own board.
 //!
 //! A mounted simulator need not run at the generator's clock
-//! ([`DemoBoard::with_slots`]). Where the generator's stream ignores
-//! its clock ([`GeneratorConfig::is_clock_invariant`], ideal hardware),
-//! one board carries the devices of several stimulus frequencies, each
-//! simulator instantiated at its own point's master clock.
+//! ([`DemoBoard::with_slots`]). Every clock at which each generator
+//! transfer settles completely ([`GeneratorConfig::settles_completely`]:
+//! any clock on ideal hardware, the audio band on the 0.35 µm profile)
+//! generates the same stream, so one board carries the devices of all
+//! such stimulus frequencies, each simulator instantiated at its own
+//! point's master clock.
 
 use dut::{Dut, DutSim};
 use mixsig::clock::MasterClock;
-use sdeval::{BlockSource, LaneSource, GROUP_DEVICES};
+use sdeval::{device_groups, BlockSource, LaneSource, GROUP_DEVICES};
 use sigen::{GeneratorConfig, SinewaveGenerator};
 use std::ops::Range;
 
@@ -43,10 +45,10 @@ pub enum SignalPath {
 /// The [`SignalPath`] selects only what [`fill_block`](Self::fill_block)
 /// returns; a lane reader ([`LaneSource`]) always reads the devices.
 ///
-/// The mounted devices run in groups of up to [`GROUP_DEVICES`], in
-/// device order, whenever the board steps them all (warm-up, every
-/// [`fill_block`](Self::fill_block)) and whenever a lane reader asks for
-/// a group
+/// The mounted devices run in groups of 1, 2, 4 or [`GROUP_DEVICES`]
+/// ([`device_groups`]), in device order, whenever the board steps them
+/// all (warm-up, every [`fill_block`](Self::fill_block)) and whenever a
+/// lane reader asks for a group
 /// ([`LaneSource::group_block`], the one way a lane is read, on any
 /// hardware; a group of one is one device alone). Each group runs through
 /// [`dut::process_group`], which steps the members' LTI cores in
@@ -87,8 +89,9 @@ impl DemoBoard {
     /// [`LaneSource`], slot `s` responds exactly as its device would on
     /// a board of its own built from `gen_config` at the slot's clock,
     /// whenever that board's generator produces the same stream: the
-    /// slot's clock is the configured one, or the stream ignores the
-    /// clock ([`GeneratorConfig::is_clock_invariant`]).
+    /// slot's clock is the configured one, or every transfer settles
+    /// completely at both clocks
+    /// ([`GeneratorConfig::settles_completely`]).
     pub fn with_slots(gen_config: GeneratorConfig, slots: &[(&dyn Dut, MasterClock)]) -> Self {
         Self {
             generator: SinewaveGenerator::new(gen_config),
@@ -180,10 +183,10 @@ impl DemoBoard {
             self.group.resize(len * width, 0.0);
         }
         let stim = &self.stim[..len];
-        for sims in self.dut_sims.chunks_mut(GROUP_DEVICES) {
-            let width = sims.len();
+        for devices in device_groups(self.dut_sims.len()) {
+            let width = devices.len();
             let group = &mut self.group[..len * width];
-            fill_group(sims, stim, group);
+            fill_group(&mut self.dut_sims[devices], stim, group);
             if let Some(first) = first.take() {
                 for (y, row) in first.iter_mut().zip(group.chunks_exact(width)) {
                     *y = row[0];
@@ -193,16 +196,24 @@ impl DemoBoard {
     }
 }
 
-/// Runs `sims`, one to [`GROUP_DEVICES`] of them, over `stim` as one
-/// group ([`dut::process_group`]), writing their responses to `out`
+/// Runs `sims`, a group of 1, 2, 4 or [`GROUP_DEVICES`] of them
+/// ([`device_groups`]), over `stim` as one group
+/// ([`dut::process_group`]), writing their responses to `out`
 /// interleaved per sample: `out[t·w + s]` is member `s`'s response to
 /// `stim[t]`, with `w = sims.len()`.
+///
+/// # Panics
+///
+/// Panics on a group of any other width.
 fn fill_group(sims: &mut [Box<dyn DutSim>], stim: &[f64], out: &mut [f64]) {
     match sims.len() {
         1 => dut::process_group::<1>(sims, stim, out.as_chunks_mut().0),
         2 => dut::process_group::<2>(sims, stim, out.as_chunks_mut().0),
-        3 => dut::process_group::<3>(sims, stim, out.as_chunks_mut().0),
-        _ => dut::process_group::<GROUP_DEVICES>(sims, stim, out.as_chunks_mut().0),
+        4 => dut::process_group::<4>(sims, stim, out.as_chunks_mut().0),
+        GROUP_DEVICES => {
+            dut::process_group::<GROUP_DEVICES>(sims, stim, out.as_chunks_mut().0);
+        }
+        w => panic!("a device group is 1, 2, 4 or {GROUP_DEVICES} wide, not {w}"),
     }
 }
 
@@ -228,14 +239,10 @@ impl LaneSource for DemoBoard {
     ///
     /// # Panics
     ///
-    /// Panics unless `devices` holds 1 to [`GROUP_DEVICES`] devices.
+    /// Panics unless `devices` holds 1, 2, 4 or [`GROUP_DEVICES`]
+    /// devices.
     fn group_block(&mut self, devices: Range<usize>, out: &mut [f64]) {
-        let width = devices.len();
-        assert!(
-            (1..=GROUP_DEVICES).contains(&width),
-            "a group of 1 to GROUP_DEVICES devices"
-        );
-        let stim = &self.stim[..out.len() / width];
+        let stim = &self.stim[..out.len() / devices.len().max(1)];
         fill_group(&mut self.dut_sims[devices], stim, out);
     }
 }
@@ -337,34 +344,37 @@ mod tests {
     }
 
     /// Device `d` of the mixed lanes: the order-3 paper DUT (with its
-    /// output polynomial), an order-2 active-RC biquad (with one), a
-    /// non-LTI `NonlinearDut`, or an order-2 `LinearDut` (with none).
-    /// The first group mixes orders 3 and 2 and the non-LTI device, the
-    /// second steps four biquads of one order fully in lockstep, and a
-    /// ninth device is a tail of one.
+    /// output polynomial), a non-LTI `NonlinearDut`, an order-2
+    /// `LinearDut` (with none), or an order-2 active-RC biquad (with
+    /// one). The first group of eight mixes orders 3 and 2, polynomial
+    /// and none, and the non-LTI device; the second steps eight biquads
+    /// of one shape fully in lockstep; and the seventeenth device is a
+    /// tail of one.
     fn mixed_device(d: usize) -> Box<dyn Dut> {
         let seed = d as u64;
         let f0 = mixsig::units::Hertz(700.0 + 40.0 * d as f64);
-        match [0, 1, 2, 0, 1, 1, 1, 1, 3][d % 9] {
-            0 => Box::new(ActiveRcFilter::paper_dut().fabricate(0.05, seed)),
-            1 => Box::new(ActiveRcFilter::new(f0, 0.9, 1.0)),
+        match d {
+            0 | 3 => Box::new(ActiveRcFilter::paper_dut().fabricate(0.05, seed)),
             2 => Box::new(NonlinearDut::new(
                 LinearDut::lowpass(f0, 0.8, 1.1),
                 Polynomial::new(0.02, 0.1),
             )),
-            _ => Box::new(LinearDut::lowpass(f0, 0.6, 0.9)),
+            7 | 16 => Box::new(LinearDut::lowpass(f0, 0.6, 0.9)),
+            _ => Box::new(ActiveRcFilter::new(f0, 0.9, 1.0)),
         }
     }
 
     #[test]
     fn lane_devices_see_what_their_own_boards_produce() {
         // Lanes around the group width, each mixing orders 3 and 2 and a
-        // device with no LTI core inside one group: through warm-up and
-        // both ways of reading a block (group by group, and in groups of
-        // one), each device's raw samples are its own board's.
+        // device with no LTI core inside one group, and running groups of
+        // every width (3 = 2 + 1, 7 = 4 + 2 + 1, 17 = 8 + 8 + 1): through
+        // warm-up and both ways of reading a block (group by group, and
+        // in groups of one), each device's raw samples are its own
+        // board's.
         let clk = MasterClock::for_stimulus(mixsig::units::Hertz(1200.0));
         let cfg = GeneratorConfig::cmos_035um(clk, Volts(0.15), 4);
-        for lane_size in [3usize, 4, 5, 9] {
+        for lane_size in [3usize, 4, 7, 9, 17] {
             let devices: Vec<Box<dyn Dut>> = (0..lane_size).map(mixed_device).collect();
             let mounted: Vec<&dyn Dut> = devices.iter().map(|d| d.as_ref()).collect();
             let mut lane = DemoBoard::with_devices(cfg.clone(), &mounted);
@@ -386,10 +396,13 @@ mod tests {
                     })
                     .collect();
                 let mut got = vec![vec![0.0; len]; lane_size];
-                let width = if read == 1 { 1 } else { GROUP_DEVICES };
-                for first in (0..lane_size).step_by(width) {
-                    let devices = first..(first + width).min(lane_size);
-                    let w = devices.len();
+                let groups: Vec<Range<usize>> = if read == 1 {
+                    (0..lane_size).map(|d| d..d + 1).collect()
+                } else {
+                    device_groups(lane_size).collect()
+                };
+                for devices in groups {
+                    let (first, w) = (devices.start, devices.len());
                     let mut rows = vec![0.0; len * w];
                     lane.group_block(devices, &mut rows);
                     for (t, row) in rows.chunks_exact(w).enumerate() {

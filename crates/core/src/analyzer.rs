@@ -24,7 +24,7 @@ pub enum HardwareProfile {
 }
 
 impl HardwareProfile {
-    fn generator_config(&self, clk: MasterClock, va: Volts) -> GeneratorConfig {
+    pub(crate) fn generator_config(&self, clk: MasterClock, va: Volts) -> GeneratorConfig {
         match *self {
             HardwareProfile::Ideal => GeneratorConfig::ideal(clk, va),
             HardwareProfile::Cmos035um { seed } => GeneratorConfig::cmos_035um(clk, va, seed),
@@ -278,13 +278,24 @@ impl<'d> NetworkAnalyzer<'d> {
     /// # Errors
     ///
     /// Returns [`NetanError::InvalidFrequency`] for non-positive
-    /// frequencies, [`NetanError::UnresolvedStimulus`] when `cal`'s
-    /// amplitude enclosure reaches zero, and propagates evaluator errors.
+    /// frequencies, [`NetanError::NominalResponseNotFinite`] for a device
+    /// whose nominal response at `f_wave` is not finite (as a lot refuses
+    /// one with [`NetanError::DeviceNotSimulable`]),
+    /// [`NetanError::UnresolvedStimulus`] when `cal`'s amplitude enclosure
+    /// reaches zero, and propagates evaluator errors. Each is refused
+    /// before any simulation.
     pub fn measure_point_calibrated(
         &self,
         cal: Calibration,
         f_wave: Hertz,
     ) -> Result<BodePoint, NetanError> {
+        Self::validate_frequency(f_wave)?;
+        let nominal = self.dut.ideal_response(f_wave);
+        if !nominal.magnitude.is_finite() || !nominal.phase.is_finite() {
+            return Err(NetanError::NominalResponseNotFinite {
+                hz_millis: millihertz(f_wave),
+            });
+        }
         let (_, points) = Self::measure_lane(&self.config, Some(cal), &[self.dut], &[f_wave])?;
         Self::only(points.into_iter().flatten())
     }
@@ -539,12 +550,14 @@ impl<'d> NetworkAnalyzer<'d> {
     ///
     /// Every slot shares one evaluator, and so each block's noise draws:
     /// its configuration and seeds do not depend on the frequency. The
-    /// frequencies' generators differ only in their clocks, so when the
-    /// stream ignores the clock ([`GeneratorConfig::is_clock_invariant`])
-    /// one board and generator carry every slot, and the device groups
-    /// fill across frequencies. Otherwise each frequency keeps a board of
-    /// its own, in order of first appearance, and the boards advance in
-    /// the same block loop.
+    /// frequencies' generators differ only in their clocks, and every
+    /// clock at which each transfer settles completely
+    /// ([`GeneratorConfig::settles_completely`]: any clock on ideal
+    /// hardware, the audio band on `cmos_035um`) generates the same
+    /// stream. So one board and generator carry every slot at such a
+    /// frequency, and the device groups fill across frequencies. Each
+    /// other frequency keeps a board of its own. Boards come in order of
+    /// first appearance and advance in the same block loop.
     fn acquire(
         config: &AnalyzerConfig,
         k: u32,
@@ -554,19 +567,33 @@ impl<'d> NetworkAnalyzer<'d> {
             let clk = MasterClock::for_stimulus(f);
             config.hardware.generator_config(clk, config.va_diff)
         };
-        let shared = slots
-            .first()
-            .is_some_and(|&(_, f)| generator(f).is_clock_invariant());
-        // Each board's frequency and the indices of the slots it carries.
+        // Each board's frequency and the indices of the slots it carries;
+        // each frequency seen, by its bits, and its board; and the board
+        // of the frequencies that settle completely, once there is one.
         let mut boards: Vec<(Hertz, Vec<usize>)> = Vec::new();
+        let mut board_of: Vec<(u64, usize)> = Vec::new();
+        let mut settled = None;
         for (s, &(_, f)) in slots.iter().enumerate() {
-            let same = |(g, _): &&mut (Hertz, Vec<usize>)| {
-                shared || g.value().to_bits() == f.value().to_bits()
+            let bits = f.value().to_bits();
+            let board = match board_of.iter().find(|&&(g, _)| g == bits) {
+                Some(&(_, board)) => board,
+                None => {
+                    let settles = generator(f).settles_completely();
+                    let board = match settled.filter(|_| settles) {
+                        Some(board) => board,
+                        None => {
+                            boards.push((f, Vec::new()));
+                            boards.len() - 1
+                        }
+                    };
+                    if settles {
+                        settled = Some(board);
+                    }
+                    board_of.push((bits, board));
+                    board
+                }
             };
-            match boards.iter_mut().find(same) {
-                Some((_, members)) => members.push(s),
-                None => boards.push((f, vec![s])),
-            }
+            boards[board].1.push(s);
         }
         let mut mounted: Vec<DemoBoard> = boards
             .iter()
@@ -674,17 +701,25 @@ mod tests {
     #[test]
     fn lane_points_match_each_devices_own_points() {
         // Lanes over several points, whose device groups cross point
-        // boundaries: on ideal hardware one board carries every slot, and
-        // on noisy hardware each point has its own board under one noise
-        // draw per block. Either way each (device, point) slot is the
-        // device's own point. The grid runs to 200 kHz, past the paper's
-        // 62.5 kHz: there the 0.35 µm stimulus leaves its 1 kHz stream by
-        // about 1 mV, so a point fed another point's stimulus shows in the
-        // odd devices, whose 300 kHz cut-off passes it.
+        // boundaries: one board carries every slot whose stimulus settles
+        // completely (on ideal hardware every slot), and on noisy
+        // hardware each point past that keeps its own board, all under
+        // one noise draw per block. Either way each (device, point) slot
+        // is the device's own point. The grid runs to 200 kHz, past the
+        // paper's 62.5 kHz, so on 0.35 µm hardware it straddles the
+        // boundary, near 28 kHz: past it the stimulus leaves its 1 kHz
+        // stream by up to about 1 mV, so a point fed another point's
+        // stimulus shows in the odd devices, whose 300 kHz cut-off passes
+        // it.
         for cfg in [
             AnalyzerConfig::ideal().with_periods(20),
             AnalyzerConfig::cmos_035um(7).with_periods(20),
         ] {
+            let settles = |f: Hertz| {
+                let clk = MasterClock::for_stimulus(f);
+                let generator = cfg.hardware.generator_config(clk, cfg.va_diff);
+                generator.settles_completely()
+            };
             let cal = NetworkAnalyzer::new(&dut::Bypass, cfg).calibrate().unwrap();
             for (lane_size, points) in [(3, 5), (1, 20), (24, 4)] {
                 let devices: Vec<ActiveRcFilter> = (0..lane_size)
@@ -699,6 +734,10 @@ mod tests {
                     .collect();
                 let lane: Vec<&dyn Dut> = devices.iter().map(|d| d as &dyn Dut).collect();
                 let grid = log_spaced(Hertz(150.0), Hertz(200_000.0), points);
+                let shared = grid.iter().filter(|&&f| settles(f)).count();
+                let ideal = cfg.hardware == HardwareProfile::Ideal;
+                assert!(shared >= 2, "{cfg:?}: {grid:?}");
+                assert_eq!(shared == grid.len(), ideal, "{cfg:?}: {grid:?}");
                 let want: Vec<Vec<BodePoint>> = devices
                     .iter()
                     .map(|device| {
@@ -732,6 +771,30 @@ mod tests {
                 ));
             }
         }
+    }
+
+    #[test]
+    fn a_non_finite_nominal_response_is_refused_before_simulation() {
+        // An infinite corner frequency has a NaN nominal response, and its
+        // discretization would ask `Matrix::expm` for the exponential of a
+        // matrix with an infinite entry: the point is refused first, well
+        // within a second, with a typed error.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let worker = std::thread::spawn(move || {
+            let dut = ActiveRcFilter::new(Hertz(f64::INFINITY), 0.8, 1.0);
+            let mut na = NetworkAnalyzer::new(&dut, AnalyzerConfig::ideal().with_periods(20));
+            tx.send(na.measure_point(Hertz(1000.0)))
+        });
+        let got = rx
+            .recv_timeout(std::time::Duration::from_secs(1))
+            .expect("an answer within a second");
+        worker.join().unwrap().unwrap();
+        assert_eq!(
+            got,
+            Err(NetanError::NominalResponseNotFinite {
+                hz_millis: 1_000_000
+            })
+        );
     }
 
     #[test]

@@ -24,6 +24,15 @@ pub enum NetanError {
         /// Monte-Carlo seed of the offending device.
         seed: u64,
     },
+    /// The device's nominal response is not finite at the stimulus
+    /// frequency (e.g. an infinite corner frequency), so it cannot be
+    /// simulated: the one-device counterpart of
+    /// [`DeviceNotSimulable`](Self::DeviceNotSimulable), refused before
+    /// the device is discretized.
+    NominalResponseNotFinite {
+        /// The stimulus frequency in millihertz.
+        hz_millis: i64,
+    },
     /// A planned evaluation length does not fit the hardware's `M`
     /// counter: the tolerance/level combination demands more periods than
     /// a `u32` can hold. Relax the tolerance or raise the expected level.
@@ -86,6 +95,13 @@ impl std::fmt::Display for NetanError {
                 write!(
                     f,
                     "device with seed {seed} has a non-finite nominal response and cannot be simulated"
+                )
+            }
+            NetanError::NominalResponseNotFinite { hz_millis } => {
+                write!(
+                    f,
+                    "the device's nominal response at {} Hz is not finite, so it cannot be simulated",
+                    *hz_millis as f64 / 1000.0
                 )
             }
             NetanError::InvalidFrequency { hz_millis } => {
@@ -196,6 +212,8 @@ mod tests {
         let m = NetanError::MaskFrequencyMissing { hz_millis: 750 };
         assert!(m.to_string().contains("0.75"));
         assert!(m.to_string().contains("mask frequency"));
+        let r = NetanError::NominalResponseNotFinite { hz_millis: 2500 }.to_string();
+        assert!(r.contains("2.5 Hz") && r.contains("not finite"), "{r}");
         let u = NetanError::UnresolvedStimulus.to_string();
         assert!(u.contains("va_diff") && u.contains(" M"), "{u}");
     }

@@ -16,16 +16,19 @@
 //!   [`LANE_DEVICES`] slots run in one lockstep acquisition: one
 //!   evaluator draws the comparator and `kT/C` noise once per block for
 //!   all of them, and one generator serves every slot whose stimulus
-//!   stream is the same (on ideal hardware, every slot: its stream
-//!   ignores the clock). Only the DUT simulations, the modulator states,
+//!   stream is the same: every slot whose generator settles completely
+//!   at its clock ([`GeneratorConfig::settles_completely`](sigen::GeneratorConfig::settles_completely)), which on
+//!   ideal hardware is every slot and on `cmos_035um` every slot in the
+//!   audio band. Only the DUT simulations, the modulator states,
 //!   classification and fit run per device;
 //! * **calibration is one more slot**: the stimulus characterization
 //!   depends on the analyzer configuration alone, so each lane task
 //!   mounts the identity device [`Bypass`] at 1 kHz as one extra slot of
 //!   its first acquisition and forms all its points against the
-//!   calibration read off it — on ideal hardware on the shared board, on
-//!   `cmos_035um` on a 1 kHz board of its own, or on the 1 kHz point's
-//!   board when that acquisition measures 1 kHz. It is bit-identical to
+//!   calibration read off it — on the board shared by every point whose
+//!   generator settles completely, or, when that acquisition measures
+//!   only points past them (on `cmos_035um`, above about 28 kHz), on a
+//!   1 kHz board of its own. It is bit-identical to
 //!   [`LotEngine::shared_calibration`], and no stage runs an acquisition
 //!   outside its lane tasks;
 //! * (lane × point-group) tasks are fanned across a
@@ -1298,6 +1301,7 @@ impl Default for LotEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::analyzer::HardwareProfile;
     use dut::ActiveRcFilter;
 
     fn paper_factory(sigma: f64) -> impl Fn(u64) -> ActiveRcFilter + Sync {
@@ -1719,14 +1723,15 @@ mod tests {
     #[test]
     fn every_lane_task_calibrates_like_the_shared_calibration() {
         // Each lane task reads its calibration off the identity slot of
-        // its first acquisition. On ideal hardware the slot rides the one
-        // shared board; on 0.35 µm hardware it joins the 1 kHz point's
-        // board when that acquisition measures 1 kHz, and gets a board of
-        // its own otherwise. Either way, at every worker count's split,
-        // it is the shared calibration bit for bit, and each device's
-        // points are its own points against that calibration. Lanes of 10
-        // devices measure 6 points per acquisition, so the 8-point grids
-        // take two.
+        // its first acquisition, at 1 kHz. It rides the one board of every
+        // point whose stimulus settles completely: on ideal hardware every
+        // point's, on 0.35 µm hardware the audio band's. A first
+        // acquisition of 0.35 µm points that all lie past it (the
+        // straddling grid's 50 and 62.5 kHz) gives the slot a board of its
+        // own. Either way, at every worker count's split, it is the shared
+        // calibration bit for bit, and each device's points are its own
+        // points against that calibration. Lanes of 10 devices measure 6
+        // points per acquisition, so the 8-point grids take two.
         let bits =
             |c: Calibration| [c.amplitude, c.phase].map(|b| [b.lo, b.est, b.hi].map(f64::to_bits));
         let factory = paper_factory(0.05);
@@ -1736,15 +1741,25 @@ mod tests {
         ];
         let mut without_1k = with_1k;
         without_1k[3] = 1200.0;
+        let straddling = [
+            150.0, 600.0, 1200.0, 8000.0, 20_000.0, 40_000.0, 50_000.0, 62_500.0,
+        ];
         for hardware in [AnalyzerConfig::ideal(), AnalyzerConfig::cmos_035um(3)] {
             let config = AnalyzerConfig {
                 warmup_periods: 5,
                 ..hardware.with_periods(8)
             };
+            let settles = |f: Hertz| {
+                let clk = mixsig::clock::MasterClock::for_stimulus(f);
+                let generator = config.hardware.generator_config(clk, config.va_diff);
+                generator.settles_completely()
+            };
             let shared = LotEngine::shared_calibration(config).unwrap();
             let stage = Stage::new(0, config).unwrap();
+            // First acquisitions whose identity slot had a board of its
+            // own, and those where it shared one with points.
             let mut first_acquisitions = [0; 2];
-            for grid in [with_1k, without_1k] {
+            for grid in [with_1k, without_1k, straddling] {
                 let grid = grid.map(Hertz);
                 let want: Vec<Vec<BodePoint>> = seeds
                     .iter()
@@ -1762,7 +1777,8 @@ mod tests {
                         let lane = split(seeds.len(), layout.lanes, task / layout.groups);
                         let points = split(grid.len(), layout.groups, task % layout.groups);
                         let first = &grid[points.start..points.end.min(points.start + 6)];
-                        first_acquisitions[usize::from(first.contains(&Hertz(1000.0)))] += 1;
+                        let shares = first.iter().any(|&f| settles(f));
+                        first_acquisitions[usize::from(shares)] += 1;
                         let (cal, results) = LotEngine::lane_task(
                             &factory,
                             &seeds[lane.clone()],
@@ -1778,11 +1794,19 @@ mod tests {
                     }
                 }
             }
-            // Both placements of the 0.35 µm identity slot ran.
-            assert!(
-                first_acquisitions.iter().all(|&n| n > 0),
+            // On ideal hardware every point shares the slot's board; on
+            // 0.35 µm hardware both placements ran.
+            let placements = if config.hardware == HardwareProfile::Ideal {
+                [0, 1]
+            } else {
+                [1, 1]
+            };
+            assert_eq!(
+                first_acquisitions.map(|n| n.min(1)),
+                placements,
                 "{first_acquisitions:?}"
             );
+            assert!(!settles(Hertz(40_000.0)) || config.hardware == HardwareProfile::Ideal);
         }
     }
 

@@ -127,6 +127,11 @@ impl Matrix {
     /// Both bodies run every operation in the same order, so each entry
     /// has the same bits whichever body computes it.
     ///
+    /// A matrix whose ∞-norm is infinite (an infinite entry, or row sums
+    /// past `f64::MAX`), or so large that halving it below 0.5 takes
+    /// more squarings than an `f64` exponent spans, has no scaling: its
+    /// exponential comes back at once with every entry NaN.
+    ///
     /// # Panics
     ///
     /// Panics if the matrix is not square.
@@ -147,9 +152,13 @@ impl Matrix {
 
     /// The scaling of [`expm`](Self::expm): how many squarings bring the
     /// ∞-norm below 0.5, and the factor `2^−squarings` that scales the
-    /// matrix down by as much.
-    fn expm_scaling(&self) -> (u32, f64) {
+    /// matrix down by as much; `None` when `norm / 0.5` overflows, where
+    /// the squarings would saturate at `u32::MAX`.
+    fn expm_scaling(&self) -> Option<(u32, f64)> {
         let norm = self.norm_inf();
+        if (norm / 0.5).is_infinite() {
+            return None;
+        }
         #[expect(
             clippy::cast_possible_truncation,
             clippy::cast_sign_loss,
@@ -165,14 +174,25 @@ impl Matrix {
             reason = "squarings ≤ ~1074 for any finite f64 norm, far below i32::MAX"
         )]
         let scale = 1.0 / f64::powi(2.0, squarings as i32);
-        (squarings, scale)
+        Some((squarings, scale))
+    }
+
+    /// The exponential of a matrix with no scaling: every entry NaN.
+    fn expm_unscalable(&self) -> Matrix {
+        Matrix {
+            rows: self.rows,
+            cols: self.cols,
+            data: vec![f64::NAN; self.data.len()],
+        }
     }
 
     /// [`expm`](Self::expm) on heap matrices: the body for order 0 and
     /// every order past `expm_n`'s table, and the reference `expm_n`
     /// reproduces bit for bit.
     fn expm_heap(&self) -> Matrix {
-        let (squarings, scale) = self.expm_scaling();
+        let Some((squarings, scale)) = self.expm_scaling() else {
+            return self.expm_unscalable();
+        };
         let scaled = self.scaled(scale);
         // Taylor: I + X + X²/2! + ...
         let mut result = Matrix::identity(self.rows);
@@ -195,7 +215,9 @@ impl Matrix {
     /// `1/k` and added to the sum's; then the squarings. Nothing is
     /// reassociated, so every entry keeps `expm_heap`'s bits.
     fn expm_n<const N: usize>(&self) -> Matrix {
-        let (squarings, scale) = self.expm_scaling();
+        let Some((squarings, scale)) = self.expm_scaling() else {
+            return self.expm_unscalable();
+        };
         let scaled: [[f64; N]; N] =
             std::array::from_fn(|r| std::array::from_fn(|c| self[(r, c)] * scale));
         let identity: [[f64; N]; N] =
@@ -459,7 +481,7 @@ mod tests {
         // entries, −0.0, subnormals, norms near f64::MAX (about 1024
         // squarings), and NaN and ±∞. An ∞ sits in a row with a NaN:
         // the ∞-norm skips a NaN row sum, so the norm stays finite. An ∞
-        // norm would ask for `u32::MAX` squarings of either body.
+        // norm has no scaling (`expm_of_an_unscalable_norm_is_nan_at_once`).
         let mut state = 29;
         for n in 1..=9usize {
             for scale in [1e-3, 0.3, 3.0, 1e3] {
@@ -505,6 +527,36 @@ mod tests {
         // The table's orders took the array body; the heap body is what
         // they must equal, not what ran.
         assert!(cases.iter().any(|m| m.rows() == 8) && cases.iter().any(|m| m.rows() == 9));
+    }
+
+    #[test]
+    fn expm_of_an_unscalable_norm_is_nan_at_once() {
+        // One ∞ entry in a 1×1, a 4×4 (the array body) and a 9×9 (the heap
+        // body), and a finite 2×2 whose ∞-norm is past f64::MAX / 2: each
+        // used to ask for u32::MAX squarings. Each answer must come back
+        // within a second, every entry NaN.
+        let with = |n: usize, entry: f64| {
+            let mut m = Matrix::identity(n);
+            m[(n / 2, n - 1)] = entry;
+            m
+        };
+        let cases = [
+            with(1, f64::INFINITY),
+            with(4, f64::INFINITY),
+            with(9, f64::NEG_INFINITY),
+            Matrix::from_rows(&[&[f64::MAX, 0.0], &[0.0, 1.0]]),
+        ];
+        for m in cases {
+            let (tx, rx) = std::sync::mpsc::channel();
+            let input = m.clone();
+            let worker = std::thread::spawn(move || tx.send(input.expm()));
+            let got = rx
+                .recv_timeout(std::time::Duration::from_secs(1))
+                .unwrap_or_else(|e| panic!("{m:?}: no answer within a second ({e})"));
+            worker.join().unwrap().unwrap();
+            assert!(got.data.iter().all(|x| x.is_nan()), "{m:?}: {got:?}");
+            assert_eq!(bits(&got), bits(&m.expm_heap()), "{m:?}");
+        }
     }
 
     #[test]

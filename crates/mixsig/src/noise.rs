@@ -48,6 +48,13 @@ pub(crate) const ROOM_TEMPERATURE_K: f64 = 300.15;
 /// transcendental loop.
 pub const NORMAL_REFILL: usize = 256;
 
+/// A bound on every standard normal a [`NoiseSource`] draws, in
+/// magnitude: Box–Muller's radius `√(−2·ln u₁)` is largest at the
+/// smallest uniform the source makes, `f64::EPSILON`, where it is
+/// 8.490424…, and the cosine never exceeds 1. So a draw of σ never
+/// exceeds `NORMAL_CEILING·σ` in magnitude.
+pub(crate) const NORMAL_CEILING: f64 = 8.4905;
+
 /// RMS voltage of `kT/C` sampling noise for a capacitance in farads.
 ///
 /// # Panics
@@ -306,6 +313,22 @@ mod tests {
         let u1 = uniform_from_bits(rng.next_u64());
         let u2 = uniform_from_bits(rng.next_u64());
         (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
+    }
+
+    #[test]
+    fn normal_ceiling_bounds_box_muller() {
+        // The largest radius, at the smallest uniform, through the
+        // refill's own expression.
+        let radius = (-2.0 * uniform_from_bits(0).ln()).sqrt();
+        assert_eq!(uniform_from_bits(0), f64::EPSILON);
+        assert!(
+            radius < NORMAL_CEILING && NORMAL_CEILING - radius < 1e-3,
+            "{radius}"
+        );
+        let mut source = NoiseSource::new(5);
+        let mut draws = vec![0.0; 100_000];
+        source.fill_gaussian(1.0, &mut draws);
+        assert!(draws.iter().all(|z| z.abs() <= NORMAL_CEILING));
     }
 
     #[test]

@@ -149,7 +149,10 @@ impl OpAmpModel {
         Volts(sign * (magnitude - remaining))
     }
 
-    /// Clamps an output voltage to the swing limit.
+    /// Clamps an output voltage to the swing limit. Inlined, so a group
+    /// kernel instantiated in another crate keeps its slots' states in
+    /// registers across the clamp.
+    #[inline]
     pub(crate) fn clamp_output(&self, v: Volts) -> Volts {
         v.clamped(self.output_swing)
     }

@@ -24,7 +24,7 @@
 //! ([`ScIntegrator::step_planned`]); the ΣΔ evaluator steps the
 //! integrators of a whole device group at once.
 
-use crate::noise::{ktc_noise_rms, NoiseSource};
+use crate::noise::{ktc_noise_rms, NoiseSource, NORMAL_CEILING};
 use crate::opamp::OpAmpModel;
 use crate::units::{Seconds, Volts};
 
@@ -113,6 +113,50 @@ impl ScIntegrator {
     /// Resets the integrator state to zero.
     pub fn reset(&mut self) {
         self.vout = 0.0;
+    }
+
+    /// The op-amp's output swing limit, volts: every output a step
+    /// produces lies within `±swing` (∞ when the swing is unlimited).
+    pub fn swing(&self) -> f64 {
+        self.opamp.output_swing.value().abs()
+    }
+
+    /// Whether every step through `plan` that this integrator can be
+    /// asked for settles completely: its settled step is the step itself,
+    /// to the last bit (a zero step aside, which settles to `+0.0`), so
+    /// the step does not depend on the settling time `plan` was built
+    /// with. The steps are those from a state within the output swing
+    /// ([`swing`](Self::swing)), with branch `i` sampling at most
+    /// `max_voltage[i]` in magnitude and each `kT/C` draw within the
+    /// noise source's Box–Muller ceiling of 8.49 standard deviations.
+    ///
+    /// It holds when the plan's linear settling fraction is exactly 1,
+    /// and either the op-amp never slews, or the largest such step
+    /// settles linearly, or it neither slews through the whole phase nor
+    /// leaves an exponential tail of a quarter ulp of `v_lin` (the
+    /// linear-region boundary, below every slewing step) or more, which
+    /// the step's magnitude then absorbs exactly. The tail only shrinks
+    /// with the step, and the largest step is bounded term by term, then
+    /// widened by a relative 10⁻⁹, far more than the rounding of the
+    /// bound and of libm's `exp` can move it. An unlimited swing, or a
+    /// NaN or infinite bound, refuses.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `max_voltage` holds fewer voltages than the plan has
+    /// branches.
+    pub fn settles_completely(&self, plan: &ScStepPlan, max_voltage: &[f64]) -> bool {
+        let swing = self.swing();
+        let compression = (1.0 - self.opamp.cubic * swing * swing).abs().max(1.0);
+        let mut delta = 0.0;
+        for (i, &v) in max_voltage[..plan.n].iter().enumerate() {
+            delta += plan.vgain[i].abs() * (v.abs() + plan.offset.abs());
+            if plan.noisy[i] {
+                delta += plan.sigma[i] * NORMAL_CEILING * plan.ngain[i];
+            }
+        }
+        let largest = plan.mu.abs() * compression * delta * (1.0 + 1e-9);
+        plan.settles_completely(largest)
     }
 
     /// Advances one clock cycle with the given input branches; returns the
@@ -345,16 +389,23 @@ impl ScIntegrator {
             }
         }
         let mut next = vout;
-        for (n, d) in next.iter_mut().zip(delta) {
-            *n = if EXACT {
-                *n + d
-            } else {
-                let compression = self.opamp.compression_factor(*n);
-                let achieved = plan.settled(plan.mu * compression * d);
-                self.opamp
-                    .clamp_output(Volts(plan.leak * *n + achieved))
-                    .value()
-            };
+        if EXACT {
+            for (n, d) in next.iter_mut().zip(delta) {
+                *n += d;
+            }
+            return next;
+        }
+        let mut step = [0.0; W];
+        for ((s, &n), d) in step.iter_mut().zip(&vout).zip(delta) {
+            let compression = self.opamp.compression_factor(n);
+            *s = plan.mu * compression * d;
+        }
+        let achieved = plan.settle(step);
+        for (n, achieved) in next.iter_mut().zip(achieved) {
+            *n = self
+                .opamp
+                .clamp_output(Volts(plan.leak * *n + achieved))
+                .value();
         }
         next
     }
@@ -405,26 +456,80 @@ impl ScStepPlan {
         self.exact
     }
 
-    /// Replica of [`OpAmpModel::settled_step`] over the hoisted constants
-    /// — the same branch structure and floating-point expressions, so the
-    /// result is bit-identical.
-    #[inline]
-    fn settled(&self, step: f64) -> f64 {
-        let magnitude = step.abs();
-        if magnitude == 0.0 {
-            return 0.0;
+    /// Whether every step of magnitude at most `largest` settles to
+    /// itself through [`settle`](Self::settle): see
+    /// [`ScIntegrator::settles_completely`].
+    fn settles_completely(&self, largest: f64) -> bool {
+        if self.frac != 1.0 {
+            return false;
         }
-        let sign = step.signum();
-        if !self.slew_finite || magnitude <= self.v_lin {
-            return sign * magnitude * self.frac;
+        if !self.slew_finite || largest <= self.v_lin {
+            return true;
         }
-        let t_slew = (magnitude - self.v_lin) / self.slew_rate;
-        if t_slew >= self.settle_time {
-            return sign * self.slew_rate * self.settle_time;
-        }
+        let t_slew = (largest - self.v_lin) / self.slew_rate;
         let t_lin = self.settle_time - t_slew;
-        let remaining = self.v_lin * (-t_lin / self.tau).exp();
-        sign * (magnitude - remaining)
+        let tail = self.v_lin * (-t_lin / self.tau).exp();
+        let quarter_ulp = (self.v_lin.next_up() - self.v_lin) / 4.0;
+        t_slew < self.settle_time && tail < quarter_ulp
+    }
+
+    /// [`OpAmpModel::settled_step`] of `W` steps over the hoisted
+    /// constants, in fixed-width passes: every slot's magnitude, sign and
+    /// regime; then, unless every slot settles linearly, every slot's
+    /// slewing time and exponential-tail argument; then the `W` `exp`
+    /// calls back to back, unless no slot is in the tail regime; and
+    /// last each slot's result, picked by select from `settled_step`'s
+    /// branches in their order (a zero step, linear settling, a slew
+    /// through the whole phase, the exponential tail). Each candidate is
+    /// `settled_step`'s floating-point expression, so every slot is
+    /// bit-identical to it, NaN and ±∞ steps included; a candidate a slot
+    /// does not pick is computed and dropped.
+    #[inline(always)]
+    fn settle<const W: usize>(&self, step: [f64; W]) -> [f64; W] {
+        let magnitude = step.map(f64::abs);
+        let sign = step.map(f64::signum);
+        let mut settled = [0.0; W];
+        let mut all_linear = true;
+        for ((out, &m), &s) in settled.iter_mut().zip(&magnitude).zip(&sign) {
+            let lin = s * m * self.frac;
+            *out = if m == 0.0 { 0.0 } else { lin };
+            all_linear &= m <= self.v_lin;
+        }
+        if !self.slew_finite || all_linear {
+            return settled;
+        }
+        // `remaining` holds each slot's exponent until the `exp` pass
+        // turns it into the tail; without that pass no slot picks it.
+        let mut t_slew = [0.0; W];
+        let mut remaining = [0.0; W];
+        let mut no_tail = true;
+        for ((t, r), &m) in t_slew.iter_mut().zip(&mut remaining).zip(&magnitude) {
+            *t = (m - self.v_lin) / self.slew_rate;
+            let t_lin = self.settle_time - *t;
+            *r = -t_lin / self.tau;
+            no_tail &= (m <= self.v_lin) | (*t >= self.settle_time);
+        }
+        if !no_tail {
+            for r in &mut remaining {
+                *r = self.v_lin * r.exp();
+            }
+        }
+        for (s, out) in settled.iter_mut().enumerate() {
+            let (m, sign) = (magnitude[s], sign[s]);
+            let slewed = sign * self.slew_rate * self.settle_time;
+            let tail = sign * (m - remaining[s]);
+            let late = if t_slew[s] >= self.settle_time {
+                slewed
+            } else {
+                tail
+            };
+            *out = if m == 0.0 || m <= self.v_lin {
+                *out
+            } else {
+                late
+            };
+        }
+        settled
     }
 }
 
@@ -691,9 +796,35 @@ mod tests {
         }
     }
 
+    /// Steps `int`'s clones, one per slot, each from its own state with
+    /// `step` on the slot's voltages, and demands each slot of `got` equal
+    /// its clone's output bit for bit.
+    fn assert_slots_match_step<const W: usize>(
+        label: &str,
+        clones: &mut [ScIntegrator; W],
+        caps: &[f64; 3],
+        voltages: &[[f64; W]; 3],
+        got: &[f64; W],
+    ) {
+        for (s, clone) in clones.iter_mut().enumerate() {
+            let branches: Vec<Branch> = caps
+                .iter()
+                .zip(voltages)
+                .map(|(&c, v)| Branch::new(c, v[s]))
+                .collect();
+            let want = clone.step(&branches);
+            assert_eq!(
+                got[s].to_bits(),
+                want.to_bits(),
+                "{label}: slot {s}: {} vs {want}",
+                got[s]
+            );
+        }
+    }
+
     #[test]
-    fn general_body_steps_four_states_like_four_integrators() {
-        // Every non-ideality of `only_ideal_hardware_plans_are_exact`, four
+    fn general_body_steps_eight_states_like_eight_integrators() {
+        // Every non-ideality of `only_ideal_hardware_plans_are_exact`, eight
         // states at a time through one step's draws. Each reference clone
         // steps its own state with `step`, drawing from its own copy of
         // the stream, and the states start at and swing past ±2.5 V.
@@ -715,34 +846,69 @@ mod tests {
             let noise = noise.map_or_else(NoiseSource::disabled, NoiseSource::new);
             let mut int = ScIntegrator::new(1.0, 1.0e-12, opamp, Seconds(80.0e-9), noise);
             let plan = int.plan(&caps);
-            let mut states = [2.4, -2.5, 0.3, -1.0e-3];
+            let mut states = [2.4, -2.5, 0.3, -1.0e-3, 0.0, 1.7, -0.8, 2.5];
             let mut clones = states.map(|v| {
                 let mut clone = int.clone();
                 clone.set_output(v);
                 clone
             });
             for k in 0..300 {
-                let voltages: [[f64; 4]; 3] = std::array::from_fn(|i| {
+                let voltages: [[f64; 8]; 3] = std::array::from_fn(|i| {
                     std::array::from_fn(|s| 1.5 * ((k * 7 + i * 3 + s * 5) as f64 * 0.13).sin())
                 });
                 let ktc = int.draw_ktc(&plan);
-                states = int.steps::<false, 3, 4>(&plan, states, voltages, ktc);
-                for (s, clone) in clones.iter_mut().enumerate() {
-                    let branches: Vec<Branch> = caps
-                        .iter()
-                        .zip(&voltages)
-                        .map(|(&c, v)| Branch::new(c, v[s]))
-                        .collect();
-                    let want = clone.step(&branches);
-                    assert_eq!(
-                        states[s].to_bits(),
-                        want.to_bits(),
-                        "{label}: slot {s}, step {k}: {} vs {want}",
-                        states[s]
-                    );
-                }
+                states = int.steps::<false, 3, 8>(&plan, states, voltages, ktc);
+                let label = format!("{label}, step {k}");
+                assert_slots_match_step(&label, &mut clones, &caps, &voltages, &states);
             }
             assert_eq!(int.output(), 0.0, "{label}: steps moved the output");
+        }
+        // On the 0.35 µm op-amp (slew-limited, v_lin ≈ 0.23 V, an 80 ns
+        // phase) one step holds a slot in each branch of `settled_step`:
+        // a zero step, linear settling, the exponential tail (both signs),
+        // a slew through the whole phase, a NaN step and both infinite
+        // steps. Each slot equals its own integrator's `step`, bit for
+        // bit, through the batched passes at widths 8 and 1.
+        let int = ScIntegrator::new(
+            1.0,
+            1.0e-12,
+            OpAmpModel::folded_cascode_035um(),
+            Seconds(80.0e-9),
+            NoiseSource::disabled(),
+        );
+        let plan = int.plan(&caps);
+        // The first branch's voltage sets each slot's step, 0.4·v.
+        let regimes = [
+            ("zero", 0.0),
+            ("linear", 0.2),
+            ("tail", 1.0),
+            ("negative tail", -1.0),
+            ("whole-phase slew", 5.0),
+            ("NaN", f64::NAN),
+            ("+∞", f64::INFINITY),
+            ("−∞", f64::NEG_INFINITY),
+        ];
+        let magnitude = |v: f64| (0.4 * v).abs();
+        let t_slew = |v: f64| (magnitude(v) - plan.v_lin) / plan.slew_rate;
+        assert!(plan.slew_finite && magnitude(0.2) <= plan.v_lin);
+        assert!(magnitude(1.0) > plan.v_lin && t_slew(1.0) < plan.settle_time);
+        assert!(t_slew(5.0) >= plan.settle_time);
+        let states = [0.0, 0.3, -1.0, 1.2, 0.0, 0.5, -2.0, 2.4];
+        let voltages: [[f64; 8]; 3] = [regimes.map(|(_, v)| v), [0.0; 8], [0.0; 8]];
+        let mut clones = states.map(|v| {
+            let mut clone = int.clone();
+            clone.set_output(v);
+            clone
+        });
+        let got = int.steps::<false, 3, 8>(&plan, states, voltages, [0.0; 3]);
+        assert_slots_match_step("eight regimes", &mut clones, &caps, &voltages, &got);
+        assert!(got[5].is_nan() && got[4].is_finite() && got[6].is_finite());
+        for (s, &(regime, v)) in regimes.iter().enumerate() {
+            let mut clone = int.clone();
+            clone.set_output(states[s]);
+            let voltages = [[v], [0.0], [0.0]];
+            let got = int.steps::<false, 3, 1>(&plan, [states[s]], voltages, [0.0; 3]);
+            assert_slots_match_step(regime, &mut [clone], &caps, &voltages, &got);
         }
     }
 

@@ -132,6 +132,7 @@ impl Volts {
     }
 
     /// Clamps into `[-limit, limit]` — the op-amp swing model.
+    #[inline]
     pub(crate) fn clamped(self, limit: Volts) -> Volts {
         Volts(self.0.clamp(-limit.0.abs(), limit.0.abs()))
     }

@@ -14,7 +14,9 @@
 //! signatures "are processed using basic arithmetic operations in the
 //! digital domain to cancel the offset contribution of the modulators".
 
-use crate::modulator::{ModulatorPair, SdmConfig, SigmaDeltaModulator, GROUP_DEVICES};
+use crate::modulator::{
+    device_groups, ModulatorPair, SdmConfig, SigmaDeltaModulator, GROUP_DEVICES,
+};
 use crate::signature::{
     amplitude_from_signatures, dc_from_signature, phase_from_signatures, Bounded, SignaturePair,
 };
@@ -73,13 +75,14 @@ pub trait LaneSource {
     /// Advances the shared stimulus by `len` samples — the next block.
     fn advance(&mut self, len: usize);
 
-    /// Writes the responses of `devices`, a group of 1 to
-    /// [`GROUP_DEVICES`] consecutive devices, to the block the last
+    /// Writes the responses of `devices`, a group of 1, 2, 4 or
+    /// [`GROUP_DEVICES`] consecutive devices ([`device_groups`]), to
+    /// the block the last
     /// [`advance`](Self::advance) produced into `out`, interleaved per
     /// sample: with `w = devices.len()`, `out[t·w + s]` is device
     /// `devices.start + s`'s sample `t`, and `out.len()` is `w` times
     /// the block's length. A group of one is that device's block alone.
-    /// A source may panic on a wider group.
+    /// A source may panic on a group of any other width.
     fn group_block(&mut self, devices: Range<usize>, out: &mut [f64]);
 }
 
@@ -491,8 +494,9 @@ impl SinewaveEvaluator {
     /// polarities from a running phase counter
     /// ([`QuadratureSquareWave::phases`]). Then, lane after lane, the
     /// devices run in groups of [`GROUP_DEVICES`] in device order (a
-    /// lane's tail of fewer runs at its own width): the source fills a
-    /// group's samples interleaved per sample
+    /// lane's tail of fewer runs in power-of-two groups,
+    /// [`device_groups`]): the source fills a group's samples
+    /// interleaved per sample
     /// ([`LaneSource::group_block`]) and one kernel steps all of the
     /// group's I and Q modulator states per sample
     /// ([`ModulatorPair::step_group`]), so their dependency chains
@@ -545,18 +549,16 @@ impl SinewaveEvaluator {
                     source.advance(len);
                 }
                 pair.draw_block(len, polarities.clone());
-                let mut lane = 0..0;
+                let mut first = 0;
                 for source in sources.iter_mut() {
-                    lane = lane.end..lane.end + source.devices();
-                    let groups = states[lane.clone()]
-                        .chunks_mut(GROUP_DEVICES)
-                        .zip(counts[lane.clone()].chunks_mut(GROUP_DEVICES));
-                    for (g, (group, count)) in groups.enumerate() {
-                        let first = g * GROUP_DEVICES;
+                    for group in device_groups(source.devices()) {
+                        let slots = first + group.start..first + group.end;
                         let x = &mut buf[..len * group.len()];
-                        source.group_block(first..first + group.len(), x);
-                        pair.step_group(group, x, polarities.clone(), count);
+                        source.group_block(group, x);
+                        let (states, counts) = (&mut states[slots.clone()], &mut counts[slots]);
+                        pair.step_group(states, x, polarities.clone(), counts);
                     }
+                    first += source.devices();
                 }
                 phases.skip_samples(len);
                 t += len as u64;

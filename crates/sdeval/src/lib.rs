@@ -56,7 +56,8 @@ pub use evaluator::{
     LaneSource, SinewaveEvaluator, DEFAULT_BLOCK_SAMPLES,
 };
 pub use modulator::{
-    ComparatorModel, ModulatorPair, ModulatorState, SdmConfig, SigmaDeltaModulator, GROUP_DEVICES,
+    device_groups, ComparatorModel, ModulatorPair, ModulatorState, SdmConfig, SigmaDeltaModulator,
+    GROUP_DEVICES,
 };
 pub use modulator2::SecondOrderModulator;
 pub use signature::{Bounded, SignaturePair, EPSILON_BOUND};

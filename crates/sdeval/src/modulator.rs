@@ -23,6 +23,7 @@ use mixsig::noise::NoiseSource;
 use mixsig::opamp::OpAmpModel;
 use mixsig::sc::{Branch, ScIntegrator, ScStepPlan};
 use mixsig::units::{Seconds, Volts};
+use std::ops::Range;
 
 /// The paper's integrator capacitor ratio `CI/CF = 0.4`.
 pub const CI_OVER_CF: f64 = 0.4;
@@ -385,14 +386,14 @@ impl ModulatorPair {
     /// sample for every device, and each device's signed counts added
     /// to its slot of `counts`.
     ///
-    /// A group holds one to [`GROUP_DEVICES`] devices and runs one
-    /// kernel monomorphized on its width
+    /// A group is 1, 2, 4 or [`GROUP_DEVICES`] devices wide (see
+    /// [`device_groups`]) and runs one kernel monomorphized on its width
     /// ([`step_group_n`](Self::step_group_n)).
     ///
     /// # Panics
     ///
-    /// Panics if a pair that is not exact steps more samples than the
-    /// block drew.
+    /// Panics on a group of any other width, and if a pair that is not
+    /// exact steps more samples than the block drew.
     pub(crate) fn step_group(
         &self,
         states: &mut [[ModulatorState; 2]],
@@ -400,15 +401,12 @@ impl ModulatorPair {
         polarities: impl Iterator<Item = (bool, bool)> + Clone,
         counts: &mut [(i64, i64)],
     ) {
-        debug_assert!(
-            states.len() <= GROUP_DEVICES,
-            "a group of at most GROUP_DEVICES"
-        );
         match states.len() {
             1 => self.step_group_n::<1>(states, x, polarities, counts),
             2 => self.step_group_n::<2>(states, x, polarities, counts),
-            3 => self.step_group_n::<3>(states, x, polarities, counts),
-            _ => self.step_group_n::<GROUP_DEVICES>(states, x, polarities, counts),
+            4 => self.step_group_n::<4>(states, x, polarities, counts),
+            GROUP_DEVICES => self.step_group_n::<GROUP_DEVICES>(states, x, polarities, counts),
+            w => panic!("a device group is 1, 2, 4 or {GROUP_DEVICES} wide, not {w}"),
         }
     }
 
@@ -467,6 +465,10 @@ impl ModulatorPair {
     /// [`SigmaDeltaModulator::step`] runs them: the decision against the
     /// threshold (offset plus the comparator draw, less the signed
     /// hysteresis), the DAC voltage `d·Vref`, then the charge transfer.
+    /// A slot carries its last decision as its sign `d = ±1.0`, the
+    /// factor both the hysteresis and the DAC take, and counts its high
+    /// decisions, `(highs − lows) = 2·highs − steps`; so the whole step
+    /// stays in floating-point lanes.
     ///
     /// `EXACT` runs an exact pair on the exact instantiation: the ideal
     /// comparator's threshold `0 + 0 − (±1)·0` is `+0.0`, and the draws
@@ -480,15 +482,17 @@ impl ModulatorPair {
     ) -> GroupRun<W> {
         let mods = [&self.i, &self.q];
         let mut u = [[0.0f64; W]; 2];
-        let mut bits = [[false; W]; 2];
+        let mut signs = [[0.0f64; W]; 2];
         for (s, slot) in start.iter().enumerate() {
             for (m, state) in slot.iter().enumerate() {
                 u[m][s] = state.integrator;
-                bits[m][s] = state.last_bit;
+                signs[m][s] = if state.last_bit { 1.0 } else { -1.0 };
             }
         }
-        let mut acc = [[0i64; W]; 2];
+        let mut highs = [[0i64; W]; 2];
+        let mut steps = 0i64;
         for ((xt, (qi, qq)), step_noise) in rows.iter().zip(polarities).zip(noise) {
+            steps += 1;
             for (m, q) in [qi, qq].into_iter().enumerate() {
                 let modulator = mods[m];
                 let plan = if q {
@@ -501,19 +505,21 @@ impl ModulatorPair {
                 let center = cmp.offset.value() + comparator;
                 let vref = modulator.config.vref.value();
                 let mut dac = [0.0f64; W];
-                for (((b, a), d), &us) in
-                    bits[m].iter_mut().zip(&mut acc[m]).zip(&mut dac).zip(&u[m])
+                for (((sign, h), d), &us) in signs[m]
+                    .iter_mut()
+                    .zip(&mut highs[m])
+                    .zip(&mut dac)
+                    .zip(&u[m])
                 {
                     let threshold = if EXACT {
                         0.0
                     } else {
-                        let hyst_sign = if *b { 1.0 } else { -1.0 };
-                        center - hyst_sign * cmp.hysteresis.value()
+                        center - *sign * cmp.hysteresis.value()
                     };
-                    *b = us >= threshold;
-                    *a += if *b { 1 } else { -1 };
-                    let d_sign = if *b { 1.0 } else { -1.0 };
-                    *d = d_sign * vref;
+                    let high = us >= threshold;
+                    *h += i64::from(high);
+                    *sign = if high { 1.0 } else { -1.0 };
+                    *d = *sign * vref;
                 }
                 u[m] = modulator.integrator.steps::<EXACT, 3, W>(
                     plan,
@@ -528,9 +534,9 @@ impl ModulatorPair {
         for (s, (slot, count)) in end.iter_mut().zip(&mut counts).enumerate() {
             for (m, state) in slot.iter_mut().enumerate() {
                 state.integrator = u[m][s];
-                state.last_bit = bits[m][s];
+                state.last_bit = signs[m][s] > 0.0;
             }
-            *count = (acc[0][s], acc[1][s]);
+            *count = (2 * highs[0][s] - steps, 2 * highs[1][s] - steps);
         }
         (end, counts)
     }
@@ -542,10 +548,35 @@ type GroupRun<const W: usize> = ([[ModulatorState; 2]; W], [(i64, i64); W]);
 
 /// Most devices one group steps in lockstep.
 ///
-/// Four independent devices (eight modulator chains, four DUT
-/// recurrences) already keep the CPU's floating-point units busy:
-/// wider groups measured no faster per device-sample.
-pub const GROUP_DEVICES: usize = 4;
+/// Eight independent devices are sixteen modulator chains and eight DUT
+/// recurrences per sample. On noisy hardware each modulator step settles
+/// all of its group's slots in fixed-width passes, with the group's
+/// `exp` calls back to back ([`ScIntegrator::steps`]), so the wider the
+/// group, the more of the settling runs as SIMD lanes around the libm
+/// calls; the exact kernel gains from the width too.
+///
+/// [`ScIntegrator::steps`]: mixsig::sc::ScIntegrator::steps
+pub const GROUP_DEVICES: usize = 8;
+
+/// The groups a lane of `devices` devices runs in, in device order: full
+/// groups of [`GROUP_DEVICES`], then the tail in power-of-two groups,
+/// widest first (a tail of 7 runs as 4, 2 and 1). Every group is 1, 2, 4
+/// or [`GROUP_DEVICES`] wide, the widths the group kernels are built for.
+/// Devices share no state, so how a lane splits into groups never changes
+/// a bit.
+pub fn device_groups(devices: usize) -> impl Iterator<Item = Range<usize>> {
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let left = devices - start;
+        let width = match left {
+            0 => return None,
+            GROUP_DEVICES.. => GROUP_DEVICES,
+            _ => 1 << left.ilog2(),
+        };
+        start += width;
+        Some(start - width..start)
+    })
+}
 
 #[cfg(test)]
 mod tests {
@@ -724,7 +755,7 @@ mod tests {
             .map(|t| (t % 96 < 48, (t + 24) % 96 < 48))
             .collect();
         for extreme in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, f64::MAX] {
-            for w in 1..=GROUP_DEVICES {
+            for w in [1, 2, 4, GROUP_DEVICES] {
                 for hot in 0..w {
                     let input = |s: usize, t: usize| {
                         if s == hot && t == 137 {
@@ -774,8 +805,9 @@ mod tests {
     fn noisy_groups_match_each_devices_own_step_loop() {
         // On 0.35 µm hardware every step draws comparator and `kT/C`
         // noise, and the comparator has an offset and hysteresis. Groups
-        // of 2, 3 and 4 devices, each on its own tone, run through uneven
-        // blocks, one shared draw per block. Every slot must end where a
+        // of every width the kernels run, 1, 2, 4 and 8 devices, each on
+        // its own tone, run through uneven blocks, one shared draw per
+        // block. Every slot must end where a
         // clone of the pair's modulators ends, stepped one sample at a
         // time on that device's samples: both integrator outputs bit for
         // bit, both last bits, and both signed counts.
@@ -794,7 +826,7 @@ mod tests {
             let phase = 2.0 * std::f64::consts::PI * (t + 7 * s) as f64 / 96.0;
             (0.15 + 0.2 * s as f64) * phase.sin()
         };
-        for w in 2..=GROUP_DEVICES {
+        for w in [1, 2, 4, GROUP_DEVICES] {
             let mut pair = ModulatorPair::new(
                 SigmaDeltaModulator::new(cfg_i.clone()),
                 SigmaDeltaModulator::new(cfg_q.clone()),
@@ -832,6 +864,43 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn lanes_split_into_groups_the_kernels_are_built_for() {
+        for devices in 0..=3 * GROUP_DEVICES + 7 {
+            let groups: Vec<Range<usize>> = device_groups(devices).collect();
+            let mut next = 0;
+            for group in &groups {
+                assert_eq!(group.start, next, "lane of {devices}: {groups:?}");
+                assert!(
+                    [1, 2, 4, GROUP_DEVICES].contains(&group.len()),
+                    "lane of {devices}: {groups:?}"
+                );
+                next = group.end;
+            }
+            assert_eq!(next, devices, "lane of {devices}: {groups:?}");
+            let widths: Vec<usize> = groups.iter().map(Range::len).collect();
+            assert!(
+                widths.windows(2).all(|w| w[0] >= w[1]),
+                "lane of {devices}: widest first, {widths:?}"
+            );
+        }
+        let seven: Vec<usize> = device_groups(7).map(|g| g.len()).collect();
+        assert_eq!(seven, [4, 2, 1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "wide, not 3")]
+    fn a_group_of_another_width_is_refused() {
+        let pair = ModulatorPair::new(
+            SigmaDeltaModulator::new(SdmConfig::ideal()),
+            SigmaDeltaModulator::new(SdmConfig::ideal()),
+        );
+        let mut states = [pair.states(); 3];
+        let mut counts = [(0, 0); 3];
+        let polarities = std::iter::repeat_n((true, true), 2);
+        pair.step_group(&mut states, &[0.1; 6], polarities, &mut counts);
     }
 
     #[test]

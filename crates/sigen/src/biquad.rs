@@ -185,6 +185,20 @@ impl GeneratorBiquad {
         TransferPlans { int1, int2, exact }
     }
 
+    /// Whether every transfer through `plans` settles completely
+    /// ([`ScIntegrator::settles_completely`]) with the input capacitors
+    /// sampling `vin`: the first integrator samples `vin` and the
+    /// second's output, the second the first's output and its own, and
+    /// each output stays within its op-amp's swing.
+    pub(crate) fn settles_completely(&self, plans: &TransferPlans, vin: f64) -> bool {
+        let (swing1, swing2) = (self.int1.swing(), self.int2.swing());
+        plans
+            .int1
+            .iter()
+            .all(|plan| self.int1.settles_completely(plan, &[vin, swing2]))
+            && self.int2.settles_completely(&plans.int2, &[swing1, swing2])
+    }
+
     /// One charge transfer through precomputed plans — bit-identical to
     /// [`transfer`](Self::transfer) with the input capacitor that slot
     /// `cap_index` was planned for (same arithmetic, same noise draws) —

@@ -73,6 +73,32 @@ impl GeneratorConfig {
         self.opamp == OpAmpModel::ideal() && self.matching == MatchingSpec::ideal() && !self.noise
     }
 
+    /// Whether every charge transfer of this configuration's generator
+    /// settles completely within its slot, to the last bit, so its stream
+    /// does not depend on the clock: configurations that differ only in
+    /// their master clocks, and of which this holds, generate the same
+    /// samples, bit for bit, and one stream serves all their stimulus
+    /// frequencies.
+    ///
+    /// The clock sets only the time a transfer has to settle
+    /// ([`settle_time`](Self::settle_time)). Through the generator's
+    /// step plans at this clock ([`ScIntegrator::settles_completely`]),
+    /// it holds when every plan's linear settling fraction is exactly 1,
+    /// no transfer it can be asked for slews through the whole slot, and
+    /// the exponential tail stays below a quarter ulp of the op-amp's
+    /// linear-region boundary for the largest such transfer: the one the
+    /// ±swing clamp, the `va_diff` staircase and Box–Muller's 8.49σ
+    /// ceiling on the `kT/C` draws allow. Ideal hardware passes without
+    /// building a plan ([`is_clock_invariant`](Self::is_clock_invariant));
+    /// on the 0.35 µm profile it holds through the audio band (up to
+    /// about 28 kHz at the default references) and fails where the
+    /// streams part, as at 50 kHz.
+    ///
+    /// [`ScIntegrator::settles_completely`]: mixsig::sc::ScIntegrator::settles_completely
+    pub fn settles_completely(&self) -> bool {
+        self.is_clock_invariant() || SinewaveGenerator::new(self.clone()).settles_completely()
+    }
+
     /// Time available per charge transfer (half a generator-clock phase).
     pub fn settle_time(&self) -> Seconds {
         // The biquad transfers at 2·f_gen = f_eva/3; allow 80 % of the
@@ -140,6 +166,14 @@ impl SinewaveGenerator {
             held: 0.0,
             hold_phase: 0,
         }
+    }
+
+    /// Whether every transfer this generator can make settles
+    /// completely ([`GeneratorConfig::settles_completely`]), from its own
+    /// plans.
+    pub(crate) fn settles_completely(&self) -> bool {
+        self.biquad
+            .settles_completely(&self.plans, self.config.va_diff.value())
     }
 
     /// Generated stimulus frequency `f_wave = f_eva/96`.
@@ -364,6 +398,53 @@ mod tests {
         let cmos = |f_wave: f64| GeneratorConfig::cmos_035um(clk(f_wave), Volts(0.15), 7);
         assert!(!cmos(1000.0).is_clock_invariant());
         assert_ne!(stream(cmos(62_500.0)), stream(cmos(1000.0)));
+    }
+
+    #[test]
+    fn clocks_that_settle_completely_share_one_stream() {
+        // The 0.35 µm generator at several seeds and references, over
+        // warm-up plus two M = 50 windows: every clock the predicate
+        // accepts gives the stream of every other clock it accepts, bit
+        // for bit. It accepts the audio band and refuses 50 kHz and
+        // 62.5 kHz, whose streams leave the 1 kHz one.
+        let stream = |cfg: GeneratorConfig| {
+            let mut gen = SinewaveGenerator::new(cfg);
+            let w = gen.waveform_at_feva(96 * (40 + 2 * 50));
+            w.iter().map(|y| y.to_bits()).collect::<Vec<_>>()
+        };
+        let clk = |f_wave: f64| MasterClock::for_stimulus(Hertz(f_wave));
+        // Up to about 33 kHz the streams still match the 1 kHz one, so
+        // a predicate that accepted too much would show only past that:
+        // 34 to 40 kHz hold it to its bound.
+        let clocks = [
+            100.0, 1000.0, 10_000.0, 20_000.0, 25_000.0, 28_000.0, 30_000.0, 34_000.0, 36_000.0,
+            40_000.0, 50_000.0, 62_500.0,
+        ];
+        for seed in [1, 7, 90210] {
+            for va in [0.05, 0.15, 0.3] {
+                let cfg = |f_wave: f64| GeneratorConfig::cmos_035um(clk(f_wave), Volts(va), seed);
+                let accepted: Vec<f64> = clocks
+                    .into_iter()
+                    .filter(|&f| cfg(f).settles_completely())
+                    .collect();
+                let case = format!("seed {seed}, va {va}: accepts {accepted:?}");
+                assert_eq!(accepted[..4], [100.0, 1000.0, 10_000.0, 20_000.0], "{case}");
+                let want = stream(cfg(accepted[0]));
+                for &f in &accepted[1..] {
+                    assert!(stream(cfg(f)) == want, "{case}: {f} Hz");
+                }
+                for f in [50_000.0, 62_500.0] {
+                    assert!(!accepted.contains(&f), "{case}");
+                    assert!(stream(cfg(f)) != want, "{case}: {f} Hz");
+                }
+            }
+        }
+        // Ideal hardware passes at every clock, through its plans too.
+        for f in clocks.into_iter().chain([200_000.0]) {
+            let cfg = GeneratorConfig::ideal(clk(f), Volts(0.15));
+            assert!(cfg.settles_completely(), "{f} Hz");
+            assert!(SinewaveGenerator::new(cfg).settles_completely(), "{f} Hz");
+        }
     }
 
     #[test]
