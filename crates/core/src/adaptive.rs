@@ -16,10 +16,11 @@
 //!    chord through its neighbours, in dB) and by the gain-enclosure
 //!    width of its endpoints;
 //! 3. **bisect** the worst intervals at their log-frequency midpoint and
-//!    measure the new points as one batch through the same
-//!    [`LotEngine`] the fixed sweep uses — candidates are ordered
-//!    deterministically before dispatch, so a parallel refinement is
-//!    bit-identical to the serial one;
+//!    measure the new points as one batch through the [`LotEngine`]
+//!    lane tasks the fixed sweep runs, against the seed round's
+//!    calibration — candidates are ordered deterministically before
+//!    dispatch, so a parallel refinement is bit-identical to the serial
+//!    one;
 //! 4. repeat rounds until the [`RefinementPolicy`] is met or its caps
 //!    (total points, a fixed 1/64-octave minimum spacing, round count)
 //!    stop it.
@@ -41,7 +42,7 @@
 //! [`BodePoint::round`]; seed points carry 0. The provenance survives
 //! into `netan.bode.v2` JSON documents.
 
-use crate::analyzer::{BodePoint, Calibration, NetworkAnalyzer};
+use crate::analyzer::{BodePoint, NetworkAnalyzer};
 use crate::error::NetanError;
 use crate::lot::LotEngine;
 use crate::sweep::{unwrap_phase_by_continuity, BodePlot};
@@ -110,8 +111,7 @@ impl Default for RefinementPolicy {
 /// phase-unwrapped plot. Seed points carry [`BodePoint::round`] 0;
 /// points added in round `r` carry `r`.
 pub(crate) fn sweep(
-    analyzer: &NetworkAnalyzer<'_>,
-    cal: Calibration,
+    analyzer: &mut NetworkAnalyzer<'_>,
     seed: &[Hertz],
     policy: &RefinementPolicy,
     engine: &LotEngine,
@@ -120,7 +120,7 @@ pub(crate) fn sweep(
     grid.sort_by(|a, b| a.value().total_cmp(&b.value()));
     grid.dedup_by_key(|f| f.value().to_bits());
 
-    let mut points = analyzer.measure_batch(engine, cal, &grid)?;
+    let mut points = analyzer.measure_points(engine, &grid)?;
     let mut round = 0u32;
     while round < policy.max_rounds && points.len() < policy.max_points {
         round += 1;
@@ -128,7 +128,7 @@ pub(crate) fn sweep(
         if candidates.is_empty() {
             break;
         }
-        let mut fresh = analyzer.measure_batch(engine, cal, &candidates)?;
+        let mut fresh = analyzer.measure_points(engine, &candidates)?;
         for p in &mut fresh {
             p.round = round;
         }

@@ -202,12 +202,13 @@ impl<'d> NetworkAnalyzer<'d> {
     /// Characterizes the stimulus over the bypass path and stores the
     /// result. The stimulus amplitude/phase are set by the DC references
     /// and digital control only, so one calibration serves the whole sweep
-    /// (paper Section III.C); [`measure_point`](Self::measure_point)
-    /// calibrates lazily if this was never called.
+    /// (paper Section III.C). Calling this first is optional: a sweep or
+    /// [`measure_point`](Self::measure_point) without a stored calibration
+    /// reads the same bits off its own first acquisition and stores them.
     ///
     /// The bypass is the identity device [`Bypass`], measured like any
-    /// other at 1 kHz: an acquisition of that one slot. A lot's lane task
-    /// mounts the same slot next to its devices instead and reads the
+    /// other at 1 kHz: an acquisition of that one slot. A lane task
+    /// mounts the same slot next to its points instead and reads the
     /// same bits.
     ///
     /// # Errors
@@ -220,29 +221,19 @@ impl<'d> NetworkAnalyzer<'d> {
         Ok(cal)
     }
 
-    /// Returns the stored calibration, performing one if necessary.
-    fn ensure_calibrated(&mut self) -> Result<Calibration, NetanError> {
-        match self.calibration {
-            Some(c) => Ok(c),
-            None => self.calibrate(),
-        }
-    }
-
-    /// The calibration for sweeping `frequencies`, performed if
-    /// necessary — after refusing an empty list and the lowest-index
-    /// invalid frequency, so a refused list costs no simulation.
-    fn calibrated_for(&mut self, frequencies: &[Hertz]) -> Result<Calibration, NetanError> {
+    /// Refuses an empty frequency list, then its lowest-index invalid
+    /// frequency.
+    pub(crate) fn check_frequencies(frequencies: &[Hertz]) -> Result<(), NetanError> {
         if frequencies.is_empty() {
             return Err(NetanError::EmptySweep);
         }
-        for &f in frequencies {
-            Self::validate_frequency(f)?;
-        }
-        self.ensure_calibrated()
+        frequencies
+            .iter()
+            .try_for_each(|&f| Self::validate_frequency(f))
     }
 
     /// Rejects NaN and non-positive stimulus frequencies.
-    pub(crate) fn validate_frequency(f_wave: Hertz) -> Result<(), NetanError> {
+    fn validate_frequency(f_wave: Hertz) -> Result<(), NetanError> {
         if !is_positive(f_wave.value()) {
             return Err(NetanError::InvalidFrequency {
                 hz_millis: millihertz(f_wave),
@@ -252,28 +243,24 @@ impl<'d> NetworkAnalyzer<'d> {
     }
 
     /// Measures the DUT gain and phase shift at `f_wave` (the master clock
-    /// is set to `96·f_wave`, keeping `N` constant).
+    /// is set to `96·f_wave`, keeping `N` constant) as a one-point
+    /// [`sweep_with`](Self::sweep_with) on the serial engine.
     ///
     /// # Errors
     ///
-    /// Returns [`NetanError::InvalidFrequency`] for non-positive
-    /// frequencies — before performing any lazy calibration work —
-    /// [`NetanError::UnresolvedStimulus`] when the calibrated stimulus
-    /// amplitude enclosure reaches zero, and propagates evaluator errors.
+    /// Everything [`sweep_with`](Self::sweep_with) returns.
     pub fn measure_point(&mut self, f_wave: Hertz) -> Result<BodePoint, NetanError> {
-        Self::validate_frequency(f_wave)?;
-        let cal = self.ensure_calibrated()?;
-        self.measure_point_calibrated(cal, f_wave)
+        Self::only(self.measure_points(&LotEngine::serial(), &[f_wave])?)
     }
 
     /// Measures one Bode point against an explicit stimulus
-    /// characterization. Takes `&self`: every sweep point is an
-    /// independent simulation, so [`LotEngine`] workers can share one
-    /// analyzer across threads. The acquisition is
-    /// driven block-wise end to end (generator → DUT → ΣΔ consume
+    /// characterization, in an acquisition of its own, and stores
+    /// nothing. The acquisition is driven block-wise end to end
+    /// (generator → DUT → ΣΔ consume
     /// [`AnalyzerConfig::block_samples`]-sized blocks), bit-identical to
     /// the per-sample reference chain. It is the one-slot case of a
-    /// lane, which a lot measures for many devices and points at once.
+    /// lane, which a sweep or a lot measures for many points and devices
+    /// at once: each of their points equals this one.
     ///
     /// # Errors
     ///
@@ -290,12 +277,7 @@ impl<'d> NetworkAnalyzer<'d> {
         f_wave: Hertz,
     ) -> Result<BodePoint, NetanError> {
         Self::validate_frequency(f_wave)?;
-        let nominal = self.dut.ideal_response(f_wave);
-        if !nominal.magnitude.is_finite() || !nominal.phase.is_finite() {
-            return Err(NetanError::NominalResponseNotFinite {
-                hz_millis: millihertz(f_wave),
-            });
-        }
+        check_nominal(self.dut, &[f_wave])?;
         let (_, points) = Self::measure_lane(&self.config, Some(cal), &[self.dut], &[f_wave])?;
         Self::only(points.into_iter().flatten())
     }
@@ -425,45 +407,55 @@ impl<'d> NetworkAnalyzer<'d> {
         results.into_iter().next().ok_or(NetanError::EmptySweep)
     }
 
-    /// Measures `frequencies` against `cal` across `engine`'s pool,
-    /// returning points in request order. Every point is attempted and
-    /// the lowest-index error is returned, as a serial in-order run
-    /// would return it.
-    pub(crate) fn measure_batch(
-        &self,
+    /// Measures `frequencies` in request order as a lot of this one
+    /// device ([`LotEngine::measure_lanes`]), against the stored
+    /// calibration or, with none, storing the one its lane tasks read.
+    pub(crate) fn measure_points(
+        &mut self,
         engine: &LotEngine,
-        cal: Calibration,
         frequencies: &[Hertz],
     ) -> Result<Vec<BodePoint>, NetanError> {
-        crate::pool::map_indexed(engine.threads(), frequencies.len(), |i| {
-            self.measure_point_calibrated(cal, frequencies[i])
-        })
-        .into_iter()
-        .collect()
+        Self::check_frequencies(frequencies)?;
+        self.config.check_periods()?;
+        check_nominal(self.dut, frequencies)?;
+        let (cal, devices) = engine.measure_lanes(
+            &|_| self.dut,
+            &[0],
+            frequencies,
+            &self.config,
+            self.calibration,
+        );
+        let points = Self::only(devices)??;
+        self.calibration = cal.or(self.calibration);
+        Ok(points)
     }
 
-    /// Sweeps the analyzer over `frequencies` using `engine` to schedule
-    /// the points, calibrating lazily, then unwraps the phase by
-    /// continuity (the paper's Fig. 10b presentation). Points come back
-    /// in the order of `frequencies`. Parallel and serial
-    /// ([`LotEngine::serial`]) engines produce bit-identical plots: every
-    /// point is an independent, deterministic simulation and the
-    /// continuity pass runs over the ordered result.
+    /// Sweeps the analyzer over `frequencies`, then unwraps the phase by
+    /// continuity (the paper's Fig. 10b presentation). The sweep is a
+    /// one-device lot: `engine` splits the points into at most one
+    /// contiguous group per worker, and each group's lane task measures
+    /// it in lockstep acquisitions that share the evaluator's noise and
+    /// the stimulus. Without a stored calibration each task calibrates in
+    /// its first acquisition, bit-identical to
+    /// [`calibrate`](Self::calibrate), and the analyzer stores it. Points
+    /// come back in the order of `frequencies`, each bit-identical to
+    /// [`measure_point_calibrated`](Self::measure_point_calibrated).
     ///
     /// # Errors
     ///
-    /// Returns [`NetanError::EmptySweep`] for an empty list. The whole
-    /// list is validated up front, so the lowest-index
-    /// [`NetanError::InvalidFrequency`] is rejected before calibration or
-    /// any simulation; measurement errors surface as the lowest-index
-    /// per-point error.
+    /// Refused before any simulation, and then nothing is stored:
+    /// [`NetanError::EmptySweep`] for an empty list, the lowest-index
+    /// [`NetanError::InvalidFrequency`], [`NetanError::Eval`] with
+    /// `OddPeriods` for a zero or odd `M`, and the lowest-index
+    /// [`NetanError::NominalResponseNotFinite`]. Then
+    /// [`NetanError::UnresolvedStimulus`] when the calibrated stimulus
+    /// amplitude enclosure reaches zero, and evaluator errors.
     pub fn sweep_with(
         &mut self,
         engine: &LotEngine,
         frequencies: &[Hertz],
     ) -> Result<BodePlot, NetanError> {
-        let cal = self.calibrated_for(frequencies)?;
-        let mut points = self.measure_batch(engine, cal, frequencies)?;
+        let mut points = self.measure_points(engine, frequencies)?;
         crate::sweep::unwrap_phase_by_continuity(&mut points);
         Ok(BodePlot::new(points))
     }
@@ -471,10 +463,12 @@ impl<'d> NetworkAnalyzer<'d> {
     /// Adaptively sweeps the analyzer: measures `seed`, then refines per
     /// `policy` — bisecting the intervals whose local gain/phase bend and
     /// endpoint enclosure widths score worst — until the policy is met
-    /// (see [`crate::adaptive`]). Each round's candidate batch is
-    /// measured through `engine`; every engine gives the same plot, as
-    /// refinement decisions depend only on measured values and
-    /// candidates are ordered deterministically before dispatch.
+    /// (see [`crate::adaptive`]). The seed and each round's candidates
+    /// are measured as a [`sweep_with`](Self::sweep_with) is, the seed
+    /// round calibrating if none is stored and the later rounds reusing
+    /// it; every engine gives the same plot, as refinement decisions
+    /// depend only on measured values and candidates are ordered
+    /// deterministically before dispatch.
     ///
     /// # Example
     ///
@@ -495,31 +489,35 @@ impl<'d> NetworkAnalyzer<'d> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetanError::EmptySweep`] for an empty seed, the
-    /// lowest-index [`NetanError::InvalidFrequency`] before calibration
-    /// or any simulation, and propagates per-point errors.
+    /// Returns [`NetanError::EmptySweep`] for an empty seed and the
+    /// lowest-index [`NetanError::InvalidFrequency`] of the seed as
+    /// given, then every error [`sweep_with`](Self::sweep_with) returns,
+    /// for the sorted seed and for each round.
     pub fn sweep_adaptive_with(
         &mut self,
         engine: &LotEngine,
         seed: &[Hertz],
         policy: &crate::adaptive::RefinementPolicy,
     ) -> Result<BodePlot, NetanError> {
-        let cal = self.calibrated_for(seed)?;
-        crate::adaptive::sweep(self, cal, seed, policy, engine)
+        Self::check_frequencies(seed)?;
+        crate::adaptive::sweep(self, seed, policy, engine)
     }
 
     /// Measures harmonics `1..=max_harmonic` of the DUT output at `f_wave`
     /// — the distortion mode of paper Fig. 10c. Each harmonic `k` must
-    /// satisfy `96 % 8k == 0` (k = 1, 2, 3 at `N = 96`). The independent
-    /// per-`k` acquisitions fan out across `engine`'s worker pool — the
-    /// same work-stealing loop as the Bode sweep. Results come back
+    /// satisfy `96 % 8k == 0` (k = 1, 2, 3 at `N = 96`). Each `k` has its
+    /// own square wave, so no two share an evaluator: the independent
+    /// per-`k` acquisitions fan out across `engine`'s worker pool, the
+    /// work-stealing loop under the lot's lane tasks. Results come back
     /// ordered `k = 1..=max_harmonic` and are bit-identical on every
     /// engine; on failure the lowest-`k` error is reported.
     ///
     /// # Errors
     ///
     /// Returns [`NetanError::InvalidFrequency`] for non-positive
-    /// frequencies and propagates evaluator setup errors.
+    /// frequencies and [`NetanError::NominalResponseNotFinite`] for a
+    /// device whose nominal response at `f_wave` is not finite, both
+    /// before any simulation, and propagates evaluator setup errors.
     pub fn measure_harmonics_with(
         &self,
         engine: &LotEngine,
@@ -527,6 +525,7 @@ impl<'d> NetworkAnalyzer<'d> {
         max_harmonic: u32,
     ) -> Result<Vec<HarmonicMeasurement>, NetanError> {
         Self::validate_frequency(f_wave)?;
+        check_nominal(self.dut, &[f_wave])?;
         let n = max_harmonic as usize;
         crate::pool::map_indexed(engine.threads(), n, |i| {
             #[expect(
@@ -630,6 +629,24 @@ impl<'d> NetworkAnalyzer<'d> {
 /// Whether `v` is strictly positive; NaN is not.
 pub(crate) fn is_positive(v: f64) -> bool {
     v.partial_cmp(&0.0) == Some(std::cmp::Ordering::Greater)
+}
+
+/// Refuses the lowest-index frequency at which `dut`'s nominal response
+/// is not finite, where its discretization would diverge.
+pub(crate) fn check_nominal(
+    dut: &(impl Dut + ?Sized),
+    frequencies: &[Hertz],
+) -> Result<(), NetanError> {
+    frequencies.iter().try_for_each(|&f| {
+        let r = dut.ideal_response(f);
+        if r.magnitude.is_finite() && r.phase.is_finite() {
+            Ok(())
+        } else {
+            Err(NetanError::NominalResponseNotFinite {
+                hz_millis: millihertz(f),
+            })
+        }
+    })
 }
 
 impl std::fmt::Debug for NetworkAnalyzer<'_> {
@@ -777,24 +794,129 @@ mod tests {
     fn a_non_finite_nominal_response_is_refused_before_simulation() {
         // An infinite corner frequency has a NaN nominal response, and its
         // discretization would ask `Matrix::expm` for the exponential of a
-        // matrix with an infinite entry: the point is refused first, well
-        // within a second, with a typed error.
+        // matrix with an infinite entry: the point, and the distortion
+        // mode's harmonics, are refused first, well within a second, with
+        // a typed error.
         let (tx, rx) = std::sync::mpsc::channel();
         let worker = std::thread::spawn(move || {
             let dut = ActiveRcFilter::new(Hertz(f64::INFINITY), 0.8, 1.0);
             let mut na = NetworkAnalyzer::new(&dut, AnalyzerConfig::ideal().with_periods(20));
-            tx.send(na.measure_point(Hertz(1000.0)))
+            let point = na.measure_point(Hertz(1000.0)).map(|_| ());
+            let harmonics = na
+                .measure_harmonics_with(&LotEngine::serial(), Hertz(1000.0), 2)
+                .map(|_| ());
+            tx.send([point, harmonics])
         });
         let got = rx
             .recv_timeout(std::time::Duration::from_secs(1))
             .expect("an answer within a second");
         worker.join().unwrap().unwrap();
-        assert_eq!(
-            got,
-            Err(NetanError::NominalResponseNotFinite {
-                hz_millis: 1_000_000
-            })
-        );
+        let refused = Err(NetanError::NominalResponseNotFinite {
+            hz_millis: 1_000_000,
+        });
+        assert_eq!(got, [refused, refused]);
+    }
+
+    /// A device whose nominal response is NaN above 5 kHz, and which
+    /// panics if it is ever simulated.
+    struct NanAbove5k;
+
+    impl Dut for NanAbove5k {
+        fn ideal_response(&self, f: Hertz) -> mixsig::ct::FrequencyResponse {
+            let magnitude = if f.value() > 5000.0 { f64::NAN } else { 1.0 };
+            mixsig::ct::FrequencyResponse {
+                magnitude,
+                phase: 0.0,
+            }
+        }
+
+        fn instantiate(&self, fs: Hertz) -> Box<dyn dut::DutSim> {
+            panic!("simulated at {fs}")
+        }
+    }
+
+    #[test]
+    fn sweeps_refuse_the_lowest_non_finite_point_before_simulation() {
+        // Every frequency is checked before any acquisition, so the
+        // finite points are never simulated either, no calibration is
+        // stored, and an odd M is refused before the nominal response.
+        let grid = log_spaced(Hertz(200.0), Hertz(50_000.0), 9);
+        let first = grid.iter().position(|f| f.value() > 5000.0).unwrap();
+        let policy = crate::adaptive::RefinementPolicy::new(0.5);
+        for (m, expected) in [
+            (
+                20,
+                NetanError::NominalResponseNotFinite {
+                    hz_millis: millihertz(grid[first]),
+                },
+            ),
+            (
+                21,
+                NetanError::Eval(sdeval::EvalError::OddPeriods { m: 21 }),
+            ),
+        ] {
+            let cfg = AnalyzerConfig::ideal().with_periods(m);
+            for engine in [LotEngine::serial(), LotEngine::with_threads(3)] {
+                let mut na = NetworkAnalyzer::new(&NanAbove5k, cfg);
+                let fixed = na.sweep_with(&engine, &grid).map(|_| ());
+                let adaptive = na.sweep_adaptive_with(&engine, &grid, &policy).map(|_| ());
+                let point = na.measure_point(grid[first]).map(|_| ());
+                let at = format!("M = {m}, {engine:?}");
+                for got in [fixed, adaptive, point] {
+                    assert_eq!(got, Err(expected), "{at}");
+                }
+                assert_eq!(na.calibration(), None, "{at}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_sweep_is_its_points_measured_alone_at_every_split() {
+        // A sweep is a lot of one device: its points split across the
+        // workers, each task calibrating in its first acquisition unless
+        // a calibration is stored. The grid crosses the 0.35 µm
+        // shared-stimulus boundary near 28 kHz. At every split, and with
+        // or without a stored calibration, the plot is each point measured
+        // alone against `calibrate()`, unwrapped, and a lazy sweep stores
+        // `calibrate()`'s bits.
+        let bits =
+            |c: Calibration| [c.amplitude, c.phase].map(|b| [b.lo, b.est, b.hi].map(f64::to_bits));
+        let dut = ActiveRcFilter::paper_dut();
+        let grid = log_spaced(Hertz(150.0), Hertz(60_000.0), 20);
+        for cfg in [
+            AnalyzerConfig::ideal().with_periods(20),
+            AnalyzerConfig::cmos_035um(7).with_periods(20),
+        ] {
+            let settles = |f: &&Hertz| {
+                let clk = MasterClock::for_stimulus(**f);
+                cfg.hardware
+                    .generator_config(clk, cfg.va_diff)
+                    .settles_completely()
+            };
+            let shared = grid.iter().filter(settles).count();
+            let ideal = cfg.hardware == HardwareProfile::Ideal;
+            assert_eq!(shared == grid.len(), ideal, "{cfg:?}");
+            let mut alone = NetworkAnalyzer::new(&dut, cfg);
+            let cal = alone.calibrate().unwrap();
+            let mut want: Vec<BodePoint> = grid
+                .iter()
+                .map(|&f| alone.measure_point_calibrated(cal, f).unwrap())
+                .collect();
+            crate::sweep::unwrap_phase_by_continuity(&mut want);
+            for workers in [1, 2, 3, 5] {
+                for calibrated in [false, true] {
+                    let mut na = NetworkAnalyzer::new(&dut, cfg);
+                    if calibrated {
+                        na.calibrate().unwrap();
+                    }
+                    let engine = LotEngine::with_threads(workers);
+                    let plot = na.sweep_with(&engine, &grid).unwrap();
+                    let at = format!("{cfg:?}, {workers} workers, calibrated {calibrated}");
+                    assert_eq!(plot.points(), want, "{at}");
+                    assert_eq!(na.calibration().map(bits), Some(bits(cal)), "{at}");
+                }
+            }
+        }
     }
 
     #[test]
@@ -975,7 +1097,7 @@ mod tests {
     fn lowest_index_error_wins() {
         let dut = ActiveRcFilter::paper_dut().linearized();
         let mut na = analyzer_for(&dut);
-        let cal = na.calibrate().unwrap();
+        na.calibrate().unwrap();
         let grid = [Hertz(1000.0), Hertz(-3.0), Hertz(2000.0), Hertz(-7.0)];
         let expected = NetanError::InvalidFrequency { hz_millis: -3000 };
         // The sweep: rejected during up-front validation.
@@ -983,11 +1105,6 @@ mod tests {
             .sweep_with(&LotEngine::with_threads(4), &grid)
             .unwrap_err();
         assert_eq!(err, expected);
-        // The fan-out itself (validation bypassed): serial and parallel
-        // both attempt every point and report the lowest-index error.
-        for engine in [LotEngine::serial(), LotEngine::with_threads(4)] {
-            assert_eq!(na.measure_batch(&engine, cal, &grid).unwrap_err(), expected);
-        }
     }
 
     #[test]

@@ -15,14 +15,16 @@
 //! * **gain** = ratio of DUT-output and stimulus amplitude enclosures,
 //! * **phase shift** = difference of the phase enclosures,
 //! * a **frequency sweep** planner (log grid, constant `N`),
-//! * **one parallel engine** ([`LotEngine`]) that fans independent jobs
-//!   — sweep points, harmonics, lanes of Monte-Carlo devices, each lane
-//!   calibrating in one extra slot — across worker threads with bit-identical
-//!   results: the paper's production-screening scenario at throughput,
+//! * **one parallel engine** ([`LotEngine`]) whose lane tasks measure
+//!   every Bode point of a sweep or a lot in lockstep acquisitions, each
+//!   task calibrating in one extra slot unless a calibration is stored,
+//!   across worker threads with bit-identical results: a sweep is a lot
+//!   of one device, and a lot of Monte-Carlo devices is the paper's
+//!   production-screening scenario at throughput,
 //! * **adaptive refinement** ([`NetworkAnalyzer::sweep_adaptive_with`]):
 //!   rounds of curvature/enclosure-scored bisection that concentrate
-//!   points where the response bends, on the same engine and with the
-//!   same serial == parallel bit-identity,
+//!   points where the response bends, each round a one-device lot on the
+//!   same engine, with the same serial == parallel bit-identity,
 //! * **escalation scheduling** ([`EscalationSchedule`],
 //!   [`LotEngine::run_escalated_range`]): budgeted multi-pass re-testing that
 //!   screens the lot at a cheap `M` and re-tests only still-ambiguous
@@ -41,8 +43,8 @@
 //!   re-render byte for byte and whose stage records name the drive's
 //!   own analyzer configurations — and a budgeted drive threads the
 //!   remaining global budget through successive shards,
-//! * a **harmonic distortion** mode (paper Fig. 10c), serial or parallel
-//!   per harmonic,
+//! * a **harmonic distortion** mode (paper Fig. 10c), one acquisition per
+//!   harmonic on the engine's worker pool,
 //! * **report sinks**: tables, CSV and JSON for Bode plots and lot
 //!   screening reports.
 //!

@@ -33,7 +33,8 @@
 //!   outside its lane tasks;
 //! * (lane × point-group) tasks are fanned across a
 //!   [`std::thread::scope`] worker pool (the atomic-cursor work stealing
-//!   of [`crate::pool`], which every other fan-out also runs on);
+//!   of [`crate::pool`]). The analyzer's own sweeps run the same tasks,
+//!   as a lot of one device;
 //! * results are **bit-identical** to the serial reference and to
 //!   measuring each device alone: every device sees exactly the stimulus
 //!   and noise a fresh analyzer of its own would produce, device order
@@ -122,7 +123,7 @@
 //! (and plain runs); budgeted sharded lots are deterministic but admit
 //! re-tests at shard boundaries a monolithic ledger would interleave.
 
-use crate::analyzer::{AnalyzerConfig, BodePoint, Calibration, NetworkAnalyzer};
+use crate::analyzer::{check_nominal, AnalyzerConfig, BodePoint, Calibration, NetworkAnalyzer};
 use crate::error::{millihertz, NetanError};
 use crate::plan::grid_time;
 use crate::pool;
@@ -744,10 +745,13 @@ impl LotReport {
     }
 }
 
-/// The one worker pool for every fan-out: a lot's characterizations as
-/// (lane × point group) tasks (see the [module docs](self)), and the
-/// analyzer's sweep points, refinement rounds and harmonics (e.g.
-/// [`NetworkAnalyzer::sweep_with`]).
+/// The one worker pool for every fan-out. Its (lane × point group) tasks
+/// measure a lot's characterizations (see the [module docs](self)) and
+/// every analyzer sweep: [`NetworkAnalyzer::sweep_with`], each round of
+/// [`NetworkAnalyzer::sweep_adaptive_with`] and
+/// [`NetworkAnalyzer::measure_point`] run as a lot of the analyzer's one
+/// device. The pool also runs the distortion mode's per-harmonic
+/// acquisitions ([`NetworkAnalyzer::measure_harmonics_with`]).
 ///
 /// # Example
 ///
@@ -997,12 +1001,7 @@ impl LotEngine {
         if seeds.is_empty() {
             return Err(NetanError::EmptyLot);
         }
-        if plan.grid().is_empty() {
-            return Err(NetanError::EmptySweep);
-        }
-        for &f in plan.grid() {
-            NetworkAnalyzer::validate_frequency(f)?;
-        }
+        NetworkAnalyzer::check_frequencies(plan.grid())?;
         // A grid that omits a mask frequency would only surface as a
         // `MaskFrequencyMissing` deep inside classification, devices
         // into the run. `LotPlan::new` always unions the mask into the
@@ -1054,7 +1053,8 @@ impl LotEngine {
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        self.measure_lanes(factory, seeds, plan.grid(), stage)
+        let (_, lanes) = self.measure_lanes(factory, seeds, plan.grid(), &stage.config, None);
+        lanes
             .into_iter()
             .zip(seeds)
             .map(|(points, &seed)| {
@@ -1074,23 +1074,26 @@ impl LotEngine {
             .collect()
     }
 
-    /// Measures `grid` on every device of `seeds` at `stage`, in
+    /// Measures `grid` on every device of `seeds` at `config`, in
     /// **lanes**: one result per device, in seed order, holding its
-    /// points in grid order (phase not yet unwrapped).
+    /// points in grid order (phase not yet unwrapped), and the
+    /// calibration they were formed against: `cal`, or without one the
+    /// calibration each task reads off its first acquisition (`None` if
+    /// nothing was measured). A lot passes `None`. An analyzer's sweep
+    /// passes its stored calibration, and lends its one device to seed 0.
     ///
     /// A lane task ([`lane_task`](Self::lane_task)) takes up to
     /// [`LANE_DEVICES`] devices and a contiguous group of grid points,
-    /// calibrates, and measures every (device, point) slot of it in
-    /// lockstep acquisitions ([`NetworkAnalyzer::measure_lane`]):
-    /// one evaluator, and so one noise draw per block, for all of an
-    /// acquisition's slots, and one stimulus for every slot that sees
-    /// the same stream. Only the DUT simulations and modulator states run
-    /// per slot. An acquisition mounts at most [`LANE_DEVICES`]
-    /// simulators, so the task's points go in batches of
-    /// `⌊LANE_DEVICES / lane⌋`. Each point is bit-identical to the
-    /// device's own [`NetworkAnalyzer::measure_point_calibrated`], so
-    /// neither the split (see [`LaneLayout`]) nor the batches change a
-    /// byte.
+    /// and measures every (device, point) slot of it in lockstep
+    /// acquisitions ([`NetworkAnalyzer::measure_lane`]): one evaluator,
+    /// and so one noise draw per block, for all of an acquisition's
+    /// slots, and one stimulus for every slot that sees the same stream.
+    /// Only the DUT simulations and modulator states run per slot. An
+    /// acquisition mounts at most [`LANE_DEVICES`] simulators, so the
+    /// task's points go in batches of `⌊LANE_DEVICES / lane⌋`. Each point
+    /// is bit-identical to the device's own
+    /// [`NetworkAnalyzer::measure_point_calibrated`], so neither the
+    /// split (see [`LaneLayout`]) nor the batches change a byte.
     ///
     /// A device that cannot be simulated is left out of its lane and
     /// fails on its own with [`NetanError::DeviceNotSimulable`]. A
@@ -1098,13 +1101,14 @@ impl LotEngine {
     /// point, so it fails every device of its task at that point; a
     /// device reports its lowest-index point error, as a serial sweep
     /// would.
-    fn measure_lanes<D, F>(
+    pub(crate) fn measure_lanes<D, F>(
         &self,
         factory: &F,
         seeds: &[u64],
         grid: &[Hertz],
-        stage: &Stage,
-    ) -> Vec<Result<Vec<BodePoint>, NetanError>>
+        config: &AnalyzerConfig,
+        cal: Option<Calibration>,
+    ) -> (Option<Calibration>, Vec<Result<Vec<BodePoint>, NetanError>>)
     where
         D: Dut,
         F: Fn(u64) -> D + Sync,
@@ -1115,12 +1119,14 @@ impl LotEngine {
         let tasks = pool::map_indexed(self.threads, layout.lanes * layout.groups, |task| {
             let lane = &seeds[split(seeds.len(), layout.lanes, task / layout.groups)];
             let points = &grid[split(grid.len(), layout.groups, task % layout.groups)];
-            Self::lane_task(factory, lane, points, grid, stage).1
+            Self::lane_task(factory, lane, points, grid, config, cal)
         });
+        // Every task reads the same calibration bits.
+        let used = tasks.iter().find_map(|&(cal, _)| cal);
         // Each device's groups arrive in grid order; its first error wins.
         let mut results: Vec<Result<Vec<BodePoint>, NetanError>> =
             seeds.iter().map(|_| Ok(Vec::new())).collect();
-        for (task, parts) in tasks.into_iter().enumerate() {
+        for (task, (_, parts)) in tasks.into_iter().enumerate() {
             let lane = split(seeds.len(), layout.lanes, task / layout.groups);
             for (device, part) in results[lane].iter_mut().zip(parts) {
                 if let Ok(points) = device {
@@ -1132,27 +1138,29 @@ impl LotEngine {
                 }
             }
         }
-        results
+        (used, results)
     }
 
     /// One lane task: fabricates the devices of `lane` and measures the
-    /// mounted ones at every frequency of `points` (a group of `grid`),
-    /// one result per device, in lane order.
+    /// mounted ones at every frequency of `points` (a group of `grid`) at
+    /// `config`, one result per device, in lane order, against `cal`.
     ///
-    /// The task calibrates itself: its first acquisition mounts the
-    /// identity device as one more slot
+    /// Without `cal`, the task calibrates itself: its first acquisition
+    /// mounts the identity device as one more slot
     /// ([`NetworkAnalyzer::measure_lane`]), the one mount past
     /// [`LANE_DEVICES`], and every point of the task is formed against
-    /// the calibration read off it, which comes back too (`None` if the
-    /// task measured nothing). It is bit-identical to
+    /// the calibration read off it. It is bit-identical to
     /// [`shared_calibration`](Self::shared_calibration): the identity
     /// slot sees the stimulus and noise a calibration of its own would.
+    /// The calibration used comes back too (`None` if the task measured
+    /// nothing without one).
     fn lane_task<D, F>(
         factory: &F,
         lane: &[u64],
         points: &[Hertz],
         grid: &[Hertz],
-        stage: &Stage,
+        config: &AnalyzerConfig,
+        mut cal: Option<Calibration>,
     ) -> (Option<Calibration>, Vec<Result<Vec<BodePoint>, NetanError>>)
     where
         D: Dut,
@@ -1171,10 +1179,9 @@ impl LotEngine {
             .map(|_| Vec::with_capacity(points.len()))
             .collect();
         let batch = (LANE_DEVICES / mounted.len().max(1)).max(1);
-        let mut cal = None;
         let outcome: Result<(), NetanError> = points.chunks(batch).try_for_each(|batch| {
             let (batch_cal, lane_points) =
-                NetworkAnalyzer::measure_lane(&stage.config, cal, &mounted, batch)?;
+                NetworkAnalyzer::measure_lane(config, cal, &mounted, batch)?;
             cal = Some(batch_cal);
             for (device_points, batch_points) in measured.iter_mut().zip(lane_points) {
                 device_points.extend(batch_points);
@@ -1195,21 +1202,15 @@ impl LotEngine {
     }
 
     /// Fabricates the device of `seed` and checks that it can be
-    /// simulated over `grid`: a pathological mismatch draw (e.g. a NaN or
-    /// negative pole) would make the state-space discretization diverge,
-    /// so it is rejected cleanly before any simulation.
+    /// simulated over `grid` ([`check_nominal`]), so a pathological
+    /// mismatch draw is refused cleanly before any simulation.
     fn fabricate<D, F>(factory: &F, seed: u64, grid: &[Hertz]) -> Result<D, NetanError>
     where
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
         let device = factory(seed);
-        for &f in grid {
-            let r = device.ideal_response(f);
-            if !r.magnitude.is_finite() || !r.phase.is_finite() {
-                return Err(NetanError::DeviceNotSimulable { seed });
-            }
-        }
+        check_nominal(&device, grid).map_err(|_| NetanError::DeviceNotSimulable { seed })?;
         Ok(device)
     }
 }
@@ -1755,7 +1756,6 @@ mod tests {
                 generator.settles_completely()
             };
             let shared = LotEngine::shared_calibration(config).unwrap();
-            let stage = Stage::new(0, config).unwrap();
             // First acquisitions whose identity slot had a board of its
             // own, and those where it shared one with points.
             let mut first_acquisitions = [0; 2];
@@ -1784,7 +1784,8 @@ mod tests {
                             &seeds[lane.clone()],
                             &grid[points.clone()],
                             &grid,
-                            &stage,
+                            &config,
+                            None,
                         );
                         let at = format!("{config:?}, {workers} workers, task {task}");
                         assert_eq!(cal.map(bits), Some(bits(shared)), "{at}");

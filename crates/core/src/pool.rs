@@ -1,12 +1,14 @@
 //! The shared worker pool: pool sizing and the atomic-cursor
 //! work-stealing loop under every fan-out in this crate.
 //!
-//! A [`LotEngine`](crate::LotEngine) fans sweep *points*, refinement
-//! rounds, per-`k` harmonic acquisitions and lot *lanes* across workers
-//! — all instances of the same schedule: `len` independent jobs, indexed
-//! `0..len`, pulled from a shared atomic cursor by `workers` scoped
-//! threads, with results written into indexed slots so the output order
-//! matches the input order regardless of completion order.
+//! A [`LotEngine`](crate::LotEngine) has two fan-outs: its lane tasks,
+//! which measure every Bode point of a lot or of a sweep (a lot of one
+//! device, each refinement round one more), and the per-`k` harmonic
+//! acquisitions of the distortion mode. Both are instances of the same
+//! schedule: `len` independent jobs, indexed `0..len`, pulled from a
+//! shared atomic cursor by `workers` scoped threads, with results written
+//! into indexed slots so the output order matches the input order
+//! regardless of completion order.
 //!
 //! Keeping the loop here (instead of one copy per fan-out) is what makes
 //! the determinism argument auditable: there is exactly one scheduling

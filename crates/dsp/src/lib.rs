@@ -10,7 +10,7 @@
 //! * [`spectrum`] — periodograms and peak bookkeeping,
 //! * [`metrics`] — THD and SFDR,
 //! * [`db`] — decibel conversions and the paper's "dB full-scale" axis,
-//! * [`tone`] — sine/multitone synthesis and coherent-frequency helpers.
+//! * [`tone`] — sine and multitone synthesis.
 //!
 //! # Example
 //!
@@ -22,7 +22,7 @@
 //! // 64 coherent cycles in 4096 samples.
 //! let x = Tone::new(64.0 / 4096.0, 1.0, 0.0).samples(4096);
 //! let spec = Spectrum::periodogram(&x, Window::Rect);
-//! assert_eq!(spec.peak_bin(), 64);
+//! assert!((spec.amplitude(64) - 1.0).abs() < 1e-9);
 //! ```
 
 #![cfg_attr(

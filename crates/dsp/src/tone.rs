@@ -105,32 +105,6 @@ impl Extend<Tone> for Multitone {
     }
 }
 
-/// Picks a coherent cycle count for a target normalized frequency and record
-/// length: the nearest integer number of cycles, forced odd to avoid sharing
-/// factors with power-of-two record lengths.
-///
-/// # Example
-///
-/// ```
-/// use dsp::tone::coherent_cycles;
-/// let m = coherent_cycles(0.0624, 4096);
-/// assert_eq!(m % 2, 1);
-/// ```
-pub fn coherent_cycles(f_norm: f64, record_len: usize) -> usize {
-    #[expect(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "`f_norm < 1` keeps the product below record_len, and `as` saturates NaN/∞ to in-range values"
-    )]
-    let raw = (f_norm * record_len as f64).round() as usize;
-    let m = raw.max(1);
-    if m.is_multiple_of(2) {
-        m + 1
-    } else {
-        m
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,19 +144,5 @@ mod tests {
         let mut mt = Multitone::new(0.0);
         mt.extend([Tone::new(0.01, 1.0, 0.0), Tone::new(0.02, 0.5, 0.0)]);
         assert_eq!(mt.tones().len(), 2);
-    }
-
-    #[test]
-    fn coherent_cycles_is_odd_and_close() {
-        for &(f, n) in &[(0.0624f64, 4096usize), (0.25, 1024), (0.001, 8192)] {
-            let m = coherent_cycles(f, n);
-            assert_eq!(m % 2, 1);
-            assert!((m as f64 / n as f64 - f).abs() < 2.0 / n as f64);
-        }
-    }
-
-    #[test]
-    fn coherent_cycles_minimum_one() {
-        assert_eq!(coherent_cycles(0.0, 1024), 1);
     }
 }

@@ -29,6 +29,27 @@ pub trait Dut: Send + Sync {
     }
 }
 
+/// A borrowed device is the device itself, so a factory can lend one
+/// device to every seed: an analyzer's single-device sweep runs as a lot
+/// of one.
+impl<T: Dut + ?Sized> Dut for &T {
+    fn ideal_response(&self, f: Hertz) -> FrequencyResponse {
+        (**self).ideal_response(f)
+    }
+
+    fn instantiate(&self, fs: Hertz) -> Box<dyn DutSim> {
+        (**self).instantiate(fs)
+    }
+
+    fn ideal_magnitude_db(&self, f: Hertz) -> f64 {
+        (**self).ideal_magnitude_db(f)
+    }
+
+    fn ideal_phase_deg(&self, f: Hertz) -> f64 {
+        (**self).ideal_phase_deg(f)
+    }
+}
+
 /// A streaming DUT simulator: one output sample per input sample.
 pub trait DutSim {
     /// Processes one input sample.

@@ -51,7 +51,6 @@ impl MatchingSpec {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CapacitorLot {
     values: Vec<f64>,
-    global_factor: f64,
 }
 
 impl CapacitorLot {
@@ -67,23 +66,14 @@ impl CapacitorLot {
                 c * global_factor * (1.0 + local)
             })
             .collect();
-        Self {
-            values,
-            global_factor,
-        }
+        Self { values }
     }
 
     /// Exact nominal values (ideal fabrication).
     pub fn nominal(nominal: &[f64]) -> Self {
         Self {
             values: nominal.to_vec(),
-            global_factor: 1.0,
         }
-    }
-
-    /// The fabricated capacitor values.
-    pub fn values(&self) -> &[f64] {
-        &self.values
     }
 
     /// Fabricated value at index `i`.
@@ -91,25 +81,10 @@ impl CapacitorLot {
         self.values[i]
     }
 
-    /// The shared global process factor drawn for this lot.
-    pub fn global_factor(&self) -> f64 {
-        self.global_factor
-    }
-
     /// Ratio of two fabricated capacitors — the quantity SC circuits
     /// actually depend on (global spread cancels in ratios).
     pub fn ratio(&self, num: usize, den: usize) -> f64 {
         self.values[num] / self.values[den]
-    }
-
-    /// Number of capacitors in the lot.
-    pub fn len(&self) -> usize {
-        self.values.len()
-    }
-
-    /// Whether the lot is empty.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
     }
 }
 
@@ -120,8 +95,7 @@ mod tests {
     #[test]
     fn nominal_lot_is_exact() {
         let lot = CapacitorLot::nominal(&[1.0, 2.574, 5.194]);
-        assert_eq!(lot.values(), &[1.0, 2.574, 5.194]);
-        assert_eq!(lot.global_factor(), 1.0);
+        assert_eq!([0, 1, 2].map(|i| lot.value(i)), [1.0, 2.574, 5.194]);
         assert!((lot.ratio(1, 0) - 2.574).abs() < 1e-15);
     }
 
@@ -129,7 +103,7 @@ mod tests {
     fn ideal_spec_fabricates_exactly() {
         let mut n = NoiseSource::new(5);
         let lot = CapacitorLot::fabricate(&[1.0, 4.0], MatchingSpec::ideal(), &mut n);
-        assert_eq!(lot.values(), &[1.0, 4.0]);
+        assert_eq!([lot.value(0), lot.value(1)], [1.0, 4.0]);
     }
 
     #[test]
@@ -143,7 +117,8 @@ mod tests {
         let lot = CapacitorLot::fabricate(&[1.0, 2.0, 12.749], spec, &mut n);
         assert!((lot.ratio(1, 0) - 2.0).abs() < 1e-12);
         assert!((lot.ratio(2, 0) - 12.749).abs() < 1e-12);
-        assert!(lot.global_factor() != 1.0);
+        // The unit capacitor carries the global factor alone.
+        assert!(lot.value(0) != 1.0);
     }
 
     #[test]
@@ -183,12 +158,5 @@ mod tests {
         let a = CapacitorLot::fabricate(&[1.0, 2.0], spec, &mut NoiseSource::new(99));
         let b = CapacitorLot::fabricate(&[1.0, 2.0], spec, &mut NoiseSource::new(99));
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn len_and_empty() {
-        let lot = CapacitorLot::nominal(&[]);
-        assert!(lot.is_empty());
-        assert_eq!(CapacitorLot::nominal(&[1.0]).len(), 1);
     }
 }

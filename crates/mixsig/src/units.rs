@@ -101,28 +101,6 @@ impl Hertz {
     pub const fn from_mhz(mhz: f64) -> Self {
         Self(mhz * 1.0e6)
     }
-
-    /// The corresponding period.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the frequency is zero.
-    pub fn period(self) -> Seconds {
-        assert!(self.0 != 0.0, "zero frequency has no period");
-        Seconds(1.0 / self.0)
-    }
-}
-
-impl Seconds {
-    /// The corresponding frequency.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the period is zero.
-    pub fn frequency(self) -> Hertz {
-        assert!(self.0 != 0.0, "zero period has no frequency");
-        Hertz(1.0 / self.0)
-    }
 }
 
 impl Volts {
@@ -141,13 +119,6 @@ impl Volts {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn frequency_period_round_trip() {
-        let f = Hertz(62_500.0);
-        assert_eq!(f.value(), 62_500.0);
-        assert!((f.period().frequency().value() - f.value()).abs() < 1e-9);
-    }
 
     #[test]
     fn arithmetic() {
@@ -185,11 +156,5 @@ mod tests {
     #[test]
     fn millivolt_constructor() {
         assert_eq!(Volts::from_mv(75.0), Volts(0.075));
-    }
-
-    #[test]
-    #[should_panic(expected = "zero frequency")]
-    fn zero_frequency_period_panics() {
-        let _ = Hertz(0.0).period();
     }
 }
