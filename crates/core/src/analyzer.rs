@@ -123,7 +123,7 @@ impl Default for AnalyzerConfig {
 
 /// The stimulus frequency calibration measures the bypass at. Any valid
 /// frequency works: the normalized measurement does not depend on it.
-const CALIBRATION_FREQUENCY: Hertz = Hertz(1000.0);
+pub(crate) const CALIBRATION_FREQUENCY: Hertz = Hertz(1000.0);
 
 /// Stimulus characterization from the calibration bypass (paper Fig. 1
 /// dashed path): performed once, reused across the sweep.
@@ -138,7 +138,7 @@ pub struct Calibration {
 
 impl Calibration {
     /// The calibration a bypass measurement reads.
-    fn from_bypass(meas: &HarmonicMeasurement) -> Self {
+    pub(crate) fn from_bypass(meas: &HarmonicMeasurement) -> Self {
         Self {
             amplitude: meas.amplitude,
             phase: meas.phase,
@@ -147,7 +147,7 @@ impl Calibration {
 
     /// Refuses a calibration whose amplitude enclosure reaches zero (or
     /// is NaN): no gain can be divided by it.
-    fn check_resolved(&self) -> Result<(), NetanError> {
+    pub(crate) fn check_resolved(&self) -> Result<(), NetanError> {
         if is_positive(self.amplitude.lo) {
             Ok(())
         } else {
@@ -213,8 +213,10 @@ impl<'d> NetworkAnalyzer<'d> {
     ///
     /// # Errors
     ///
-    /// Propagates evaluator setup errors.
+    /// [`NetanError::Eval`] with `OddPeriods` for a zero or odd `M`,
+    /// before any simulation, and evaluator setup errors.
     pub fn calibrate(&mut self) -> Result<Calibration, NetanError> {
+        self.config.check_periods()?;
         let stimulus = Self::acquire(&self.config, 1, &[(&Bypass, CALIBRATION_FREQUENCY)])?;
         let cal = Calibration::from_bypass(&Self::only(stimulus)?);
         self.calibration = Some(cal);
@@ -258,110 +260,36 @@ impl<'d> NetworkAnalyzer<'d> {
     /// nothing. The acquisition is driven block-wise end to end
     /// (generator → DUT → ΣΔ consume
     /// [`AnalyzerConfig::block_samples`]-sized blocks), bit-identical to
-    /// the per-sample reference chain. It is the one-slot case of a
-    /// lane, which a sweep or a lot measures for many points and devices
-    /// at once: each of their points equals this one.
+    /// the per-sample reference chain. It is the one-slot reference for
+    /// the lane tasks that measure every sweep and lot
+    /// ([`LotEngine`]), many points and devices per acquisition: each of
+    /// their points equals this one.
     ///
     /// # Errors
     ///
-    /// Returns [`NetanError::InvalidFrequency`] for non-positive
-    /// frequencies, [`NetanError::NominalResponseNotFinite`] for a device
-    /// whose nominal response at `f_wave` is not finite (as a lot refuses
-    /// one with [`NetanError::DeviceNotSimulable`]),
+    /// Refused before any simulation, in this order:
+    /// [`NetanError::InvalidFrequency`] for a non-positive frequency,
+    /// [`NetanError::Eval`] with `OddPeriods` for a zero or odd `M`,
+    /// [`NetanError::NominalResponseNotFinite`] for a device whose nominal
+    /// response at `f_wave` is not finite (as a lot refuses one with
+    /// [`NetanError::DeviceNotSimulable`]), and
     /// [`NetanError::UnresolvedStimulus`] when `cal`'s amplitude enclosure
-    /// reaches zero, and propagates evaluator errors. Each is refused
-    /// before any simulation.
+    /// reaches zero. Then evaluator errors.
     pub fn measure_point_calibrated(
         &self,
         cal: Calibration,
         f_wave: Hertz,
     ) -> Result<BodePoint, NetanError> {
         Self::validate_frequency(f_wave)?;
+        self.config.check_periods()?;
         check_nominal(self.dut, &[f_wave])?;
-        let (_, points) = Self::measure_lane(&self.config, Some(cal), &[self.dut], &[f_wave])?;
-        Self::only(points.into_iter().flatten())
-    }
-
-    /// Measures a Bode point of every device of `lane` at every
-    /// frequency of `points`: one list per device, in lane order, of its
-    /// points in the order of `points` — each point bit-identical to that
-    /// device's own
-    /// [`measure_point_calibrated`](Self::measure_point_calibrated)
-    /// against the returned calibration.
-    ///
-    /// Every (device, point) pair is a **slot**, and all slots run in one
-    /// lockstep acquisition ([`acquire`](Self::acquire)): the generator
-    /// and the evaluator are set by the configuration alone, never by the
-    /// DUT (paper Section III.C), and the evaluator not by the point
-    /// either. So the evaluator's comparator and `kT/C` noise is drawn
-    /// once per block for every slot, and the stimulus is generated once
-    /// per block for every slot that sees the same stream. Only the DUT
-    /// simulations and the modulator states run per slot. The caller
-    /// bounds the slot count, which is the number of simulators mounted
-    /// at once.
-    ///
-    /// With `cal` given, the points are formed against it. Without, the
-    /// acquisition mounts the identity device [`Bypass`] at
-    /// [`CALIBRATION_FREQUENCY`] as one more slot, and the points are
-    /// formed against the calibration read off it — bit-identical to
-    /// [`calibrate`](Self::calibrate), since that slot sees the stimulus
-    /// and noise a calibration of its own would. Either way the
-    /// calibration used comes back with the points.
-    ///
-    /// # Errors
-    ///
-    /// Returns the lowest-index [`NetanError::InvalidFrequency`] for
-    /// non-positive frequencies, before acquiring, then
-    /// [`NetanError::UnresolvedStimulus`] for a calibration whose
-    /// amplitude enclosure reaches zero (before acquiring when `cal` is
-    /// given), and propagates evaluator errors.
-    pub(crate) fn measure_lane(
-        config: &AnalyzerConfig,
-        cal: Option<Calibration>,
-        lane: &[&dyn Dut],
-        points: &[Hertz],
-    ) -> Result<(Calibration, Vec<Vec<BodePoint>>), NetanError> {
-        for &f in points {
-            Self::validate_frequency(f)?;
-        }
-        if let Some(cal) = cal {
-            cal.check_resolved()?;
-        }
-        // Slots are point-major: slot `p·lane.len() + d` is device `d` at
-        // point `p`. A calibration slot comes last.
-        let mut slots: Vec<(&dyn Dut, Hertz)> = points
-            .iter()
-            .flat_map(|&f| lane.iter().map(move |&dut| (dut, f)))
-            .collect();
-        if cal.is_none() {
-            slots.push((&Bypass, CALIBRATION_FREQUENCY));
-        }
-        let mut measured = Self::acquire(config, 1, &slots)?;
-        let cal = match cal {
-            Some(cal) => cal,
-            None => {
-                let cal = Calibration::from_bypass(&measured.pop().ok_or(NetanError::EmptySweep)?);
-                cal.check_resolved()?;
-                cal
-            }
-        };
-        let points = lane
-            .iter()
-            .enumerate()
-            .map(|(d, &dut)| {
-                let slots = measured.iter().skip(d).step_by(lane.len());
-                points
-                    .iter()
-                    .zip(slots)
-                    .map(|(&f, out)| Self::bode_point(dut, cal, f, out))
-                    .collect()
-            })
-            .collect();
-        Ok((cal, points))
+        cal.check_resolved()?;
+        let out = Self::only(Self::acquire(&self.config, 1, &[(self.dut, f_wave)])?)?;
+        Ok(Self::bode_point(self.dut, cal, f_wave, &out))
     }
 
     /// A Bode point from the DUT-path measurement `out`.
-    fn bode_point(
+    pub(crate) fn bode_point(
         dut: &dyn Dut,
         cal: Calibration,
         f_wave: Hertz,
@@ -400,9 +328,9 @@ impl<'d> NetworkAnalyzer<'d> {
         }
     }
 
-    /// The single result of a lane of one. A lane yields one result per
-    /// device, so this never fails; an empty iterator is reported as
-    /// [`NetanError::EmptySweep`] rather than asserted.
+    /// The single result of a request for one slot, point or device.
+    /// Each yields exactly one, so this never fails; an empty iterator is
+    /// reported as [`NetanError::EmptySweep`] rather than asserted.
     fn only<T>(results: impl IntoIterator<Item = T>) -> Result<T, NetanError> {
         results.into_iter().next().ok_or(NetanError::EmptySweep)
     }
@@ -514,10 +442,11 @@ impl<'d> NetworkAnalyzer<'d> {
     ///
     /// # Errors
     ///
-    /// Returns [`NetanError::InvalidFrequency`] for non-positive
-    /// frequencies and [`NetanError::NominalResponseNotFinite`] for a
-    /// device whose nominal response at `f_wave` is not finite, both
-    /// before any simulation, and propagates evaluator setup errors.
+    /// Refused before any simulation, in this order:
+    /// [`NetanError::InvalidFrequency`] for a non-positive frequency,
+    /// [`NetanError::Eval`] with `OddPeriods` for a zero or odd `M`, and
+    /// [`NetanError::NominalResponseNotFinite`] for a device whose nominal
+    /// response at `f_wave` is not finite. Then evaluator setup errors.
     pub fn measure_harmonics_with(
         &self,
         engine: &LotEngine,
@@ -525,6 +454,7 @@ impl<'d> NetworkAnalyzer<'d> {
         max_harmonic: u32,
     ) -> Result<Vec<HarmonicMeasurement>, NetanError> {
         Self::validate_frequency(f_wave)?;
+        self.config.check_periods()?;
         check_nominal(self.dut, &[f_wave])?;
         let n = max_harmonic as usize;
         crate::pool::map_indexed(engine.threads(), n, |i| {
@@ -557,7 +487,7 @@ impl<'d> NetworkAnalyzer<'d> {
     /// frequency, and the device groups fill across frequencies. Each
     /// other frequency keeps a board of its own. Boards come in order of
     /// first appearance and advance in the same block loop.
-    fn acquire(
+    pub(crate) fn acquire(
         config: &AnalyzerConfig,
         k: u32,
         slots: &[(&dyn Dut, Hertz)],
@@ -716,81 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn lane_points_match_each_devices_own_points() {
-        // Lanes over several points, whose device groups cross point
-        // boundaries: one board carries every slot whose stimulus settles
-        // completely (on ideal hardware every slot), and on noisy
-        // hardware each point past that keeps its own board, all under
-        // one noise draw per block. Either way each (device, point) slot
-        // is the device's own point. The grid runs to 200 kHz, past the
-        // paper's 62.5 kHz, so on 0.35 µm hardware it straddles the
-        // boundary, near 28 kHz: past it the stimulus leaves its 1 kHz
-        // stream by up to about 1 mV, so a point fed another point's
-        // stimulus shows in the odd devices, whose 300 kHz cut-off passes
-        // it.
-        for cfg in [
-            AnalyzerConfig::ideal().with_periods(20),
-            AnalyzerConfig::cmos_035um(7).with_periods(20),
-        ] {
-            let settles = |f: Hertz| {
-                let clk = MasterClock::for_stimulus(f);
-                let generator = cfg.hardware.generator_config(clk, cfg.va_diff);
-                generator.settles_completely()
-            };
-            let cal = NetworkAnalyzer::new(&dut::Bypass, cfg).calibrate().unwrap();
-            for (lane_size, points) in [(3, 5), (1, 20), (24, 4)] {
-                let devices: Vec<ActiveRcFilter> = (0..lane_size)
-                    .map(|seed| {
-                        let nominal = if seed % 2 == 0 {
-                            ActiveRcFilter::paper_dut()
-                        } else {
-                            ActiveRcFilter::new(Hertz(300_000.0), 0.8, 1.0)
-                        };
-                        nominal.fabricate(0.05, seed)
-                    })
-                    .collect();
-                let lane: Vec<&dyn Dut> = devices.iter().map(|d| d as &dyn Dut).collect();
-                let grid = log_spaced(Hertz(150.0), Hertz(200_000.0), points);
-                let shared = grid.iter().filter(|&&f| settles(f)).count();
-                let ideal = cfg.hardware == HardwareProfile::Ideal;
-                assert!(shared >= 2, "{cfg:?}: {grid:?}");
-                assert_eq!(shared == grid.len(), ideal, "{cfg:?}: {grid:?}");
-                let want: Vec<Vec<BodePoint>> = devices
-                    .iter()
-                    .map(|device| {
-                        let alone = NetworkAnalyzer::new(device, cfg);
-                        grid.iter()
-                            .map(|&f| alone.measure_point_calibrated(cal, f).unwrap())
-                            .collect()
-                    })
-                    .collect();
-                // Against a given calibration, and against the one read
-                // off the lane's own identity slot.
-                for given in [Some(cal), None] {
-                    let (used, measured) =
-                        NetworkAnalyzer::measure_lane(&cfg, given, &lane, &grid).unwrap();
-                    assert_eq!(used, cal, "{cfg:?}: {lane_size} × {points}, {given:?}");
-                    assert_eq!(measured, want, "{cfg:?}: {lane_size} × {points}, {given:?}");
-                }
-            }
-            let f = [Hertz(1500.0)];
-            for given in [Some(cal), None] {
-                let (used, none) = NetworkAnalyzer::measure_lane(&cfg, given, &[], &f).unwrap();
-                assert!(none.is_empty());
-                assert_eq!(used, cal);
-                let lane: [&dyn Dut; 2] = [&dut::Bypass, &dut::Bypass];
-                let (_, no_points) =
-                    NetworkAnalyzer::measure_lane(&cfg, given, &lane, &[]).unwrap();
-                assert_eq!(no_points, vec![Vec::new(), Vec::new()]);
-                assert!(matches!(
-                    NetworkAnalyzer::measure_lane(&cfg, given, &lane, &[f[0], Hertz(-1.0)]),
-                    Err(NetanError::InvalidFrequency { .. })
-                ));
-            }
-        }
-    }
-
-    #[test]
     fn a_non_finite_nominal_response_is_refused_before_simulation() {
         // An infinite corner frequency has a NaN nominal response, and its
         // discretization would ask `Matrix::expm` for the exponential of a
@@ -840,19 +695,28 @@ mod tests {
         // Every frequency is checked before any acquisition, so the
         // finite points are never simulated either, no calibration is
         // stored, and an odd M is refused before the nominal response.
+        // The one-point entries check in the same order: at an odd M they
+        // refuse a point whose nominal response is finite before building
+        // a board, and a non-finite one with the odd M.
         let grid = log_spaced(Hertz(200.0), Hertz(50_000.0), 9);
         let first = grid.iter().position(|f| f.value() > 5000.0).unwrap();
         let policy = crate::adaptive::RefinementPolicy::new(0.5);
-        for (m, expected) in [
+        let cal = Calibration {
+            amplitude: Bounded::new(0.29, 0.3, 0.31),
+            phase: Bounded::point(0.0),
+        };
+        for (m, expected, points) in [
             (
                 20,
                 NetanError::NominalResponseNotFinite {
                     hz_millis: millihertz(grid[first]),
                 },
+                &[grid[first]][..],
             ),
             (
                 21,
                 NetanError::Eval(sdeval::EvalError::OddPeriods { m: 21 }),
+                &[grid[0], grid[first]][..],
             ),
         ] {
             let cfg = AnalyzerConfig::ideal().with_periods(m);
@@ -860,9 +724,14 @@ mod tests {
                 let mut na = NetworkAnalyzer::new(&NanAbove5k, cfg);
                 let fixed = na.sweep_with(&engine, &grid).map(|_| ());
                 let adaptive = na.sweep_adaptive_with(&engine, &grid, &policy).map(|_| ());
-                let point = na.measure_point(grid[first]).map(|_| ());
+                let mut got = vec![fixed, adaptive];
+                for &f in points {
+                    got.push(na.measure_point(f).map(|_| ()));
+                    got.push(na.measure_point_calibrated(cal, f).map(|_| ()));
+                    got.push(na.measure_harmonics_with(&engine, f, 2).map(|_| ()));
+                }
                 let at = format!("M = {m}, {engine:?}");
-                for got in [fixed, adaptive, point] {
+                for got in got {
                     assert_eq!(got, Err(expected), "{at}");
                 }
                 assert_eq!(na.calibration(), None, "{at}");
@@ -982,6 +851,11 @@ mod tests {
         let mut na = analyzer_for(&dut);
         assert!(matches!(
             na.measure_point(Hertz(0.0)),
+            Err(NetanError::InvalidFrequency { .. })
+        ));
+        let cal = na.calibrate().unwrap();
+        assert!(matches!(
+            na.measure_point_calibrated(cal, Hertz(0.0)),
             Err(NetanError::InvalidFrequency { .. })
         ));
     }

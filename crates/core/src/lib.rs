@@ -20,7 +20,10 @@
 //!   task calibrating in one extra slot unless a calibration is stored,
 //!   across worker threads with bit-identical results: a sweep is a lot
 //!   of one device, and a lot of Monte-Carlo devices is the paper's
-//!   production-screening scenario at throughput,
+//!   production-screening scenario at throughput. The lane task is the
+//!   one place such an acquisition is assembled and its points formed;
+//!   [`NetworkAnalyzer::measure_point_calibrated`] measures one point
+//!   alone, the reference each lane's points equal,
 //! * **adaptive refinement** ([`NetworkAnalyzer::sweep_adaptive_with`]):
 //!   rounds of curvature/enclosure-scored bisection that concentrate
 //!   points where the response bends, each round a one-device lot on the

@@ -123,7 +123,9 @@
 //! (and plain runs); budgeted sharded lots are deterministic but admit
 //! re-tests at shard boundaries a monolithic ledger would interleave.
 
-use crate::analyzer::{check_nominal, AnalyzerConfig, BodePoint, Calibration, NetworkAnalyzer};
+use crate::analyzer::{
+    check_nominal, AnalyzerConfig, BodePoint, Calibration, NetworkAnalyzer, CALIBRATION_FREQUENCY,
+};
 use crate::error::{millihertz, NetanError};
 use crate::plan::grid_time;
 use crate::pool;
@@ -174,35 +176,29 @@ impl LotPlan {
     }
 
     /// Classifies a measured point set that contains *at least* every
-    /// mask frequency. Mask points are located by frequency.
+    /// mask frequency, locating each mask point by frequency. The
+    /// overall verdict is `Fail` if any mask point fails, else
+    /// `Ambiguous` if any is ambiguous, else `Pass`.
     ///
     /// # Errors
     ///
-    /// [`NetanError::MaskFrequencyMissing`] if a mask frequency is
-    /// missing from `points`. Unreachable for plots produced from this
-    /// plan, whose grid contains the mask — and the lot engine
-    /// additionally rejects any plan whose grid does not cover its mask
-    /// up front, before measuring anything — but a hand-assembled point
-    /// set gets a typed error rather than a panic.
+    /// [`NetanError::MaskFrequencyMissing`] for the first mask frequency
+    /// missing from `points`. A plot measured over this plan's grid has
+    /// them all, since both constructors union the mask into the grid;
+    /// a hand-assembled point set gets a typed error rather than a
+    /// panic.
     pub fn classify_plot(&self, points: &[BodePoint]) -> Result<SpecVerdict, NetanError> {
-        let mut masked: Vec<BodePoint> = Vec::with_capacity(self.mask.points().len());
+        let mut masked = Vec::with_capacity(self.mask.points().len());
         for mp in self.mask.points() {
+            let bits = mp.frequency.value().to_bits();
             let found = points
                 .iter()
-                .find(|p| p.frequency.value().to_bits() == mp.frequency.value().to_bits());
-            match found {
-                Some(p) => masked.push(*p),
-                None => return Err(Self::missing_mask_error(mp.frequency)),
-            }
+                .find(|p| p.frequency.value().to_bits() == bits);
+            masked.push(*found.ok_or(NetanError::MaskFrequencyMissing {
+                hz_millis: millihertz(mp.frequency),
+            })?);
         }
         Ok(self.mask.classify(&masked))
-    }
-
-    /// The typed missing-mask-frequency error for `frequency`.
-    fn missing_mask_error(frequency: Hertz) -> NetanError {
-        NetanError::MaskFrequencyMissing {
-            hz_millis: millihertz(frequency),
-        }
     }
 }
 
@@ -919,8 +915,8 @@ impl LotEngine {
 
         let config0 = schedule.stages()[0];
         let mut stages = vec![(recorded(config0), c0)];
-        let stage = Stage::new(0, config0)?;
-        let results = self.characterize(&factory, &seeds, plan, &stage);
+        config0.check_periods()?;
+        let results = self.characterize(&factory, &seeds, plan, 0, &config0);
         let mut devices = results.into_iter().collect::<Result<Vec<_>, _>>()?;
         let mut budget_exhausted = false;
 
@@ -951,14 +947,14 @@ impl LotEngine {
                 break;
             }
             stages.push((recorded(config), c));
-            let stage = Stage::new(s, config)?;
+            config.check_periods()?;
             let retests: Vec<u64> = ambiguous[..admitted]
                 .iter()
                 .map(|&i| devices[i].seed)
                 .collect();
             // The lowest-seed-index error among the re-tests wins, as a
             // serial in-order run would report it.
-            let results = self.characterize(&factory, &retests, plan, &stage);
+            let results = self.characterize(&factory, &retests, plan, s, &config);
             for (&i, report) in ambiguous.iter().zip(results) {
                 devices[i] = report?;
             }
@@ -993,32 +989,19 @@ impl LotEngine {
     }
 
     /// Shared up-front validation of a lot request: non-empty seeds,
-    /// non-empty grid, every grid frequency valid, every mask point one
-    /// that [`MaskPoint::new`](crate::spec::MaskPoint::new) accepts and
-    /// its frequency actually in the grid — all rejected before any
-    /// simulation.
+    /// non-empty grid, every grid frequency valid and every mask point
+    /// one that [`MaskPoint::new`](crate::spec::MaskPoint::new) accepts —
+    /// all rejected before any simulation.
     fn validate_lot(seeds: &[u64], plan: &LotPlan) -> Result<(), NetanError> {
         if seeds.is_empty() {
             return Err(NetanError::EmptyLot);
         }
         NetworkAnalyzer::check_frequencies(plan.grid())?;
-        // A grid that omits a mask frequency would only surface as a
-        // `MaskFrequencyMissing` deep inside classification, devices
-        // into the run. `LotPlan::new` always unions the mask into the
-        // grid; plans assembled any other way are rejected here, up
-        // front.
         for mp in plan.mask().points() {
             if mp.defect().is_some() {
                 return Err(NetanError::InvalidMaskPoint {
                     hz_millis: millihertz(mp.frequency),
                 });
-            }
-            let measured = plan
-                .grid()
-                .iter()
-                .any(|f| f.value().to_bits() == mp.frequency.value().to_bits());
-            if !measured {
-                return Err(LotPlan::missing_mask_error(mp.frequency));
             }
         }
         Ok(())
@@ -1036,24 +1019,24 @@ impl LotEngine {
         NetworkAnalyzer::new(&Bypass, config).calibrate()
     }
 
-    /// Characterizes every device of `seeds` at `stage`, one result per
-    /// device, in order. Every device is attempted; a failed device
+    /// Characterizes every device of `seeds` at schedule stage `stage`,
+    /// measured at `config`, whose `M` the caller has checked: one result
+    /// per device, in order. Every device is attempted; a failed device
     /// carries its own error, so collecting the results reports the
     /// lowest-index error, as a serial in-order run would.
-    ///
-    /// [`measure_lanes`]: Self::measure_lanes
     fn characterize<D, F>(
         &self,
         factory: &F,
         seeds: &[u64],
         plan: &LotPlan,
-        stage: &Stage,
+        stage: usize,
+        config: &AnalyzerConfig,
     ) -> Vec<Result<DeviceReport, NetanError>>
     where
         D: Dut,
         F: Fn(u64) -> D + Sync,
     {
-        let (_, lanes) = self.measure_lanes(factory, seeds, plan.grid(), &stage.config, None);
+        let (_, lanes) = self.measure_lanes(factory, seeds, plan.grid(), config, None);
         lanes
             .into_iter()
             .zip(seeds)
@@ -1068,7 +1051,7 @@ impl LotEngine {
                     plot,
                     verdict,
                     fit,
-                    stage: stage.index,
+                    stage,
                 })
             })
             .collect()
@@ -1081,19 +1064,15 @@ impl LotEngine {
     /// calibration each task reads off its first acquisition (`None` if
     /// nothing was measured). A lot passes `None`. An analyzer's sweep
     /// passes its stored calibration, and lends its one device to seed 0.
+    /// Each caller has refused an invalid frequency and a zero or odd `M`
+    /// before calling.
     ///
-    /// A lane task ([`lane_task`](Self::lane_task)) takes up to
-    /// [`LANE_DEVICES`] devices and a contiguous group of grid points,
-    /// and measures every (device, point) slot of it in lockstep
-    /// acquisitions ([`NetworkAnalyzer::measure_lane`]): one evaluator,
-    /// and so one noise draw per block, for all of an acquisition's
-    /// slots, and one stimulus for every slot that sees the same stream.
-    /// Only the DUT simulations and modulator states run per slot. An
-    /// acquisition mounts at most [`LANE_DEVICES`] simulators, so the
-    /// task's points go in batches of `⌊LANE_DEVICES / lane⌋`. Each point
-    /// is bit-identical to the device's own
-    /// [`NetworkAnalyzer::measure_point_calibrated`], so neither the
-    /// split (see [`LaneLayout`]) nor the batches change a byte.
+    /// The devices and the grid split into lane tasks (see
+    /// [`LaneLayout`]) of up to [`LANE_DEVICES`] devices over a
+    /// contiguous group of grid points, each measured by
+    /// [`lane_task`](Self::lane_task). Each point is bit-identical to the
+    /// device's own [`NetworkAnalyzer::measure_point_calibrated`], so the
+    /// split changes no byte.
     ///
     /// A device that cannot be simulated is left out of its lane and
     /// fails on its own with [`NetanError::DeviceNotSimulable`]. A
@@ -1144,15 +1123,26 @@ impl LotEngine {
     /// One lane task: fabricates the devices of `lane` and measures the
     /// mounted ones at every frequency of `points` (a group of `grid`) at
     /// `config`, one result per device, in lane order, against `cal`.
+    /// Every Bode point of a sweep or a lot is formed here;
+    /// [`NetworkAnalyzer::measure_point_calibrated`] is the one-slot
+    /// reference each of them equals.
     ///
-    /// Without `cal`, the task calibrates itself: its first acquisition
-    /// mounts the identity device as one more slot
-    /// ([`NetworkAnalyzer::measure_lane`]), the one mount past
-    /// [`LANE_DEVICES`], and every point of the task is formed against
-    /// the calibration read off it. It is bit-identical to
+    /// Every (device, point) pair is a **slot**, and the task measures its
+    /// slots in lockstep acquisitions ([`NetworkAnalyzer::acquire`]): one
+    /// evaluator, and so one noise draw per block, for all of an
+    /// acquisition's slots, and one stimulus for every slot that sees the
+    /// same stream. Only the DUT simulations and modulator states run per
+    /// slot. An acquisition mounts at most [`LANE_DEVICES`] device
+    /// simulators, so the points go in batches of `⌊LANE_DEVICES / lane⌋`.
+    ///
+    /// While the task holds no calibration, its acquisition also mounts
+    /// the identity device [`Bypass`] at 1 kHz as the last slot, and the
+    /// task keeps the calibration read off it for every point, so only its
+    /// first acquisition mounts one. That calibration is bit-identical to
     /// [`shared_calibration`](Self::shared_calibration): the identity
-    /// slot sees the stimulus and noise a calibration of its own would.
-    /// The calibration used comes back too (`None` if the task measured
+    /// slot sees the stimulus and noise a calibration of its own would. A
+    /// given `cal` is checked once, before the first acquisition. The
+    /// calibration used comes back too (`None` if the task measured
     /// nothing without one).
     fn lane_task<D, F>(
         factory: &F,
@@ -1179,14 +1169,34 @@ impl LotEngine {
             .map(|_| Vec::with_capacity(points.len()))
             .collect();
         let batch = (LANE_DEVICES / mounted.len().max(1)).max(1);
-        let outcome: Result<(), NetanError> = points.chunks(batch).try_for_each(|batch| {
-            let (batch_cal, lane_points) =
-                NetworkAnalyzer::measure_lane(config, cal, &mounted, batch)?;
-            cal = Some(batch_cal);
-            for (device_points, batch_points) in measured.iter_mut().zip(lane_points) {
-                device_points.extend(batch_points);
-            }
-            Ok(())
+        let given = cal.as_ref().map_or(Ok(()), Calibration::check_resolved);
+        let outcome = given.and_then(|()| {
+            points.chunks(batch).try_for_each(|batch| {
+                // Slots are point-major: slot `p·mounted.len() + d` is
+                // device `d` at point `p`. An identity slot comes last.
+                let mut slots: Vec<(&dyn Dut, Hertz)> = batch
+                    .iter()
+                    .flat_map(|&f| mounted.iter().map(move |&dut| (dut, f)))
+                    .collect();
+                if cal.is_none() {
+                    slots.push((&Bypass, CALIBRATION_FREQUENCY));
+                }
+                let mut outs = NetworkAnalyzer::acquire(config, 1, &slots)?;
+                let batch_cal = match cal {
+                    Some(cal) => cal,
+                    None => {
+                        let bypass = outs.pop().ok_or(NetanError::EmptySweep)?;
+                        let read = Calibration::from_bypass(&bypass);
+                        read.check_resolved()?;
+                        *cal.insert(read)
+                    }
+                };
+                for (s, (&(dut, f), out)) in slots.iter().zip(&outs).enumerate() {
+                    let point = NetworkAnalyzer::bode_point(dut, batch_cal, f, out);
+                    measured[s % mounted.len()].push(point);
+                }
+                Ok(())
+            })
         });
         // Mounted devices took their points in lane order.
         let mut measured = measured.into_iter();
@@ -1216,34 +1226,17 @@ impl LotEngine {
 }
 
 /// Most devices one lane task measures, and most DUT simulators one
-/// acquisition mounts.
+/// acquisition mounts besides the identity device a calibration is read
+/// off.
 ///
 /// Sharing is per acquisition, so more slots save more, but with
 /// diminishing returns: at 64 the shared work is already a small share
 /// of a slot's cost. An acquisition holds one DUT simulator per (device,
 /// point) slot, so a task measures its points in batches of
 /// `⌊LANE_DEVICES / lane⌋`, and a large stage still splits into enough
-/// lanes to keep every worker busy. The task's first acquisition mounts
-/// one simulator more: the identity device its calibration reads.
+/// lanes to keep every worker busy. A task given no calibration mounts
+/// the identity device in its first acquisition, one simulator more.
 pub const LANE_DEVICES: usize = 64;
-
-/// One stage's measurement settings, shared by every task of the stage.
-struct Stage {
-    /// Schedule stage index.
-    index: usize,
-    config: AnalyzerConfig,
-}
-
-impl Stage {
-    /// Stage `index` at `config`, refused before any device is
-    /// fabricated when no acquisition can run at its `M`
-    /// ([`AnalyzerConfig::check_periods`]). Each lane task calibrates
-    /// the stage itself, in its first acquisition.
-    fn new(index: usize, config: AnalyzerConfig) -> Result<Self, NetanError> {
-        config.check_periods()?;
-        Ok(Self { index, config })
-    }
-}
 
 /// `config` as a report records it: with the default `block_samples`,
 /// which the lot schema leaves out, so a stage equals its parsed form.
@@ -1654,7 +1647,8 @@ mod tests {
         // panic mid-lot at classification ("mask frequency measured by
         // construction"). `LotPlan::new` always unions the mask into the
         // grid, so build the broken plan directly, as a deserializer or
-        // future constructor might.
+        // future constructor might: classification refuses it with a
+        // typed error.
         let plan = LotPlan {
             grid: vec![Hertz(200.0), Hertz(500.0)],
             mask: GainMask::paper_lowpass(), // needs 1 kHz and 10 kHz too
@@ -1669,8 +1663,7 @@ mod tests {
                 .unwrap_err(),
             expected
         );
-        // The escalated entry point rejects identically, before any
-        // simulation.
+        // The escalated entry point rejects identically.
         assert_eq!(
             engine
                 .run_escalated_range(
@@ -1808,6 +1801,70 @@ mod tests {
                 "{first_acquisitions:?}"
             );
             assert!(!settles(Hertz(40_000.0)) || config.hardware == HardwareProfile::Ideal);
+        }
+    }
+
+    #[test]
+    fn lane_points_match_each_devices_own_points() {
+        // Lanes over several points, whose device groups cross point
+        // boundaries: one board carries every slot whose stimulus settles
+        // completely (on ideal hardware every slot), and on noisy
+        // hardware each point past that keeps its own board, all under
+        // one noise draw per block. Either way each (device, point) slot
+        // is the device's own point. The grid runs to 200 kHz, past the
+        // paper's 62.5 kHz, so on 0.35 µm hardware it straddles the
+        // boundary, near 28 kHz: past it the stimulus leaves its 1 kHz
+        // stream by up to about 1 mV, so a point fed another point's
+        // stimulus shows in the odd devices, whose 300 kHz cut-off passes
+        // it. A lane of 24 devices measures 2 points per acquisition, so
+        // its second acquisition reuses the calibration of its first.
+        let factory = |seed: u64| {
+            let nominal = if seed.is_multiple_of(2) {
+                ActiveRcFilter::paper_dut()
+            } else {
+                ActiveRcFilter::new(Hertz(300_000.0), 0.8, 1.0)
+            };
+            nominal.fabricate(0.05, seed)
+        };
+        for cfg in [
+            AnalyzerConfig::ideal().with_periods(20),
+            AnalyzerConfig::cmos_035um(7).with_periods(20),
+        ] {
+            let settles = |f: Hertz| {
+                let clk = mixsig::clock::MasterClock::for_stimulus(f);
+                let generator = cfg.hardware.generator_config(clk, cfg.va_diff);
+                generator.settles_completely()
+            };
+            let cal = NetworkAnalyzer::new(&Bypass, cfg).calibrate().unwrap();
+            for (lane_size, points) in [(3, 5), (1, 20), (24, 4)] {
+                let lane: Vec<u64> = (0..lane_size).collect();
+                let grid = crate::sweep::log_spaced(Hertz(150.0), Hertz(200_000.0), points);
+                let shared = grid.iter().filter(|&&f| settles(f)).count();
+                let ideal = cfg.hardware == HardwareProfile::Ideal;
+                assert!(shared >= 2, "{cfg:?}: {grid:?}");
+                assert_eq!(shared == grid.len(), ideal, "{cfg:?}: {grid:?}");
+                let want: Vec<Vec<BodePoint>> = lane
+                    .iter()
+                    .map(|&seed| {
+                        let device = factory(seed);
+                        let alone = NetworkAnalyzer::new(&device, cfg);
+                        grid.iter()
+                            .map(|&f| alone.measure_point_calibrated(cal, f).unwrap())
+                            .collect()
+                    })
+                    .collect();
+                // Against a given calibration, and against the one read
+                // off the task's own identity slot.
+                for given in [Some(cal), None] {
+                    let (used, results) =
+                        LotEngine::lane_task(&factory, &lane, &grid, &grid, &cfg, given);
+                    let at = format!("{cfg:?}: {lane_size} × {points}, {given:?}");
+                    assert_eq!(used, Some(cal), "{at}");
+                    let measured: Vec<Vec<BodePoint>> =
+                        results.into_iter().map(Result::unwrap).collect();
+                    assert_eq!(measured, want, "{at}");
+                }
+            }
         }
     }
 

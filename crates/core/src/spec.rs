@@ -134,20 +134,11 @@ impl GainMask {
         self.points.iter().map(|p| p.frequency).collect()
     }
 
-    /// Classifies a measured Bode point set (must be in mask order, e.g.
-    /// produced by sweeping [`GainMask::frequencies`]). The overall verdict
-    /// is `Fail` if any point fails, else `Ambiguous` if any point is
-    /// ambiguous, else `Pass`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `points.len()` differs from the mask length.
-    pub fn classify(&self, points: &[BodePoint]) -> SpecVerdict {
-        assert_eq!(
-            points.len(),
-            self.points.len(),
-            "measured points must match the mask"
-        );
+    /// Classifies `points`, one per mask point in mask order, as
+    /// [`LotPlan::classify_plot`](crate::LotPlan::classify_plot) picks
+    /// them. The overall verdict is `Fail` if any point fails, else
+    /// `Ambiguous` if any point is ambiguous, else `Pass`.
+    pub(crate) fn classify(&self, points: &[BodePoint]) -> SpecVerdict {
         let mut verdict = SpecVerdict::Pass;
         for (mask, meas) in self.points.iter().zip(points) {
             match mask.classify(&meas.gain_db) {

@@ -317,23 +317,6 @@ impl SinewaveEvaluator {
         Ok(self.harmonic(sq, m, pair, consumed))
     }
 
-    /// Measures harmonic `k ≥ 1` of every device of `source` over `m`
-    /// periods: one measurement per device, in device order. It is the
-    /// one-lane case of
-    /// [`measure_harmonic_lanes`](Self::measure_harmonic_lanes).
-    ///
-    /// # Errors
-    ///
-    /// Same contract as [`measure_harmonic`](Self::measure_harmonic).
-    pub fn measure_harmonic_lane(
-        &mut self,
-        source: &mut dyn LaneSource,
-        k: u32,
-        m: u32,
-    ) -> Result<Vec<HarmonicMeasurement>, EvalError> {
-        self.measure_harmonic_lanes(&mut [source], k, m)
-    }
-
     /// Measures harmonic `k ≥ 1` of every device of every lane of
     /// `sources` over `m` periods, in one lockstep acquisition: one
     /// measurement per device, lane after lane, in device order within
@@ -345,15 +328,14 @@ impl SinewaveEvaluator {
     /// them. Every device starts from the evaluator's current modulator
     /// state, so each measurement is bit-identical to a
     /// [`measure_harmonic_blocks`] of that device alone on a clone of
-    /// this evaluator, and each lane's measurements to a
-    /// [`measure_harmonic_lane`] of that lane alone on a clone. The lanes
+    /// this evaluator, and each lane's measurements to the measurements
+    /// of that lane alone, passed as the only lane, on a clone. The lanes
     /// need not share a stimulus: each advances its own. Afterwards the
     /// evaluator stands where the first device's acquisition alone would
     /// leave it: noise streams and modulator state. Lanes of no devices
     /// in all draw nothing and leave it as it was.
     ///
     /// [`measure_harmonic_blocks`]: Self::measure_harmonic_blocks
-    /// [`measure_harmonic_lane`]: Self::measure_harmonic_lane
     ///
     /// # Errors
     ///
@@ -814,7 +796,7 @@ mod tests {
         let mut ev = SinewaveEvaluator::new(EvaluatorConfig::cmos_035um(5));
         let mut fresh = ev.clone();
         assert!(ev
-            .measure_harmonic_lane(&mut NoDevices, 1, 50)
+            .measure_harmonic_lanes(&mut [&mut NoDevices], 1, 50)
             .unwrap()
             .is_empty());
         let mut src = tone_source(1.0 / 96.0, 0.3, 0.8);
@@ -892,11 +874,11 @@ mod tests {
             let (a, b) = (ToneLane::new(3, 0.2), ToneLane::new(6, -1.1));
             let mut alone_a = ev.clone();
             let mut want = alone_a
-                .measure_harmonic_lane(&mut a.clone(), 1, 20)
+                .measure_harmonic_lanes(&mut [&mut a.clone()], 1, 20)
                 .unwrap();
             want.extend(
                 ev.clone()
-                    .measure_harmonic_lane(&mut b.clone(), 1, 20)
+                    .measure_harmonic_lanes(&mut [&mut b.clone()], 1, 20)
                     .unwrap(),
             );
             let mut lockstep = ev.clone();
@@ -911,8 +893,8 @@ mod tests {
             );
             // Noise streams included: the next measurement agrees too.
             assert_eq!(
-                lockstep.measure_harmonic_lane(&mut b.clone(), 1, 4),
-                alone_a.measure_harmonic_lane(&mut b.clone(), 1, 4),
+                lockstep.measure_harmonic_lanes(&mut [&mut b.clone()], 1, 4),
+                alone_a.measure_harmonic_lanes(&mut [&mut b.clone()], 1, 4),
                 "{config:?}"
             );
         }

@@ -684,7 +684,7 @@ mod evaluator_reference {
                                 start: 0,
                                 len: 0,
                             };
-                            let got = ev.measure_harmonic_lane(&mut lane, k, M).unwrap();
+                            let got = ev.measure_harmonic_lanes(&mut [&mut lane], k, M).unwrap();
                             assert_eq!(got.len(), size, "{case}");
                             assert_eq!(lane.start + lane.len, consumed, "{case}");
                             for (d, (h, want)) in got.iter().zip(&want).enumerate() {
