@@ -42,11 +42,6 @@ impl MultitoneAwg {
         &self.multitone
     }
 
-    /// Current sample index.
-    pub fn position(&self) -> usize {
-        self.sample
-    }
-
     /// Fills `out` with the next `out.len()` samples (the batched
     /// equivalent of [`next_sample`](Self::next_sample)).
     pub fn fill_block(&mut self, out: &mut [f64]) {

@@ -1,27 +1,15 @@
 //! The "digital oscilloscope" reference analyzer (the paper's LeCroy
 //! WaveSurfer 422 role in Fig. 10c).
 //!
-//! Captures a record from any sample source and produces a windowed FFT
-//! spectrum plus harmonic read-offs. Unlike the on-chip evaluator it has no
-//! error-bound machinery — it is the *commercial instrument* the paper
-//! compares against, so it should simply be accurate.
+//! Captures a record from any sample source and reads its harmonics off a
+//! windowed FFT spectrum, returned as `dsp`'s own [`HarmonicAnalysis`]
+//! (fundamental, levels in dBc, THD, SFDR). Unlike the on-chip evaluator
+//! it has no error-bound machinery — it is the *commercial instrument*
+//! the paper compares against, so it should simply be accurate.
 
 use dsp::metrics::HarmonicAnalysis;
 use dsp::spectrum::Spectrum;
 use dsp::window::Window;
-
-/// Harmonic read-off from a scope capture.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ScopeHarmonics {
-    /// Fundamental amplitude, volts peak.
-    pub fundamental: f64,
-    /// Harmonic levels `H2..` in dBc (negative).
-    pub harmonics_dbc: Vec<f64>,
-    /// THD as a positive dB figure.
-    pub thd_db: f64,
-    /// SFDR as a positive dB figure.
-    pub sfdr_db: f64,
-}
 
 /// An FFT-based digital oscilloscope.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -62,14 +50,16 @@ impl DigitalOscilloscope {
         Spectrum::periodogram(&data, self.window)
     }
 
-    /// Captures and reads off fundamental + harmonics, given the stimulus
-    /// frequency in cycles/sample.
+    /// Captures a record and reads off the fundamental and harmonics
+    /// `2..=n_harmonics`, given the stimulus frequency in cycles/sample:
+    /// levels in dBc through [`HarmonicAnalysis::hd_dbc`], THD and SFDR
+    /// through its `thd_db` and `sfdr_db`.
     pub fn measure_harmonics(
         &self,
         source: &mut dyn FnMut() -> f64,
         f_norm: f64,
         n_harmonics: usize,
-    ) -> ScopeHarmonics {
+    ) -> HarmonicAnalysis {
         let spec = self.capture(source);
         // Locate the fundamental bin nearest the expected frequency.
         #[expect(
@@ -84,13 +74,7 @@ impl DigitalOscilloscope {
         let fundamental_bin = (lo..=hi)
             .max_by(|&a, &b| spec.amplitude(a).total_cmp(&spec.amplitude(b)))
             .unwrap_or(expected);
-        let ha = HarmonicAnalysis::new(&spec, fundamental_bin, n_harmonics);
-        ScopeHarmonics {
-            fundamental: ha.fundamental,
-            harmonics_dbc: (2..=n_harmonics).map(|h| ha.hd_dbc(h)).collect(),
-            thd_db: ha.thd_db(),
-            sfdr_db: ha.sfdr_db(),
-        }
+        HarmonicAnalysis::new(&spec, fundamental_bin, n_harmonics)
     }
 }
 
@@ -132,16 +116,8 @@ mod tests {
             .with_tone(Tone::new(3.0 * f0, 0.4 * 10f64.powf(-63.0 / 20.0), 1.0));
         let mut src = mt_source(mt);
         let h = DigitalOscilloscope::wavesurfer().measure_harmonics(&mut src, f0, 4);
-        assert!(
-            (h.harmonics_dbc[0] + 57.0).abs() < 0.7,
-            "HD2 {}",
-            h.harmonics_dbc[0]
-        );
-        assert!(
-            (h.harmonics_dbc[1] + 63.0).abs() < 0.7,
-            "HD3 {}",
-            h.harmonics_dbc[1]
-        );
+        assert!((h.hd_dbc(2) + 57.0).abs() < 0.7, "HD2 {}", h.hd_dbc(2));
+        assert!((h.hd_dbc(3) + 63.0).abs() < 0.7, "HD3 {}", h.hd_dbc(3));
     }
 
     #[test]
@@ -162,8 +138,8 @@ mod tests {
             .with_tone(Tone::new(2.0 * f0, 0.01, 0.0));
         let mut src = mt_source(mt);
         let h = DigitalOscilloscope::wavesurfer().measure_harmonics(&mut src, f0, 5);
-        assert!((h.thd_db - 40.0).abs() < 0.5, "{}", h.thd_db);
-        assert!((h.sfdr_db - 40.0).abs() < 0.5, "{}", h.sfdr_db);
+        assert!((h.thd_db() - 40.0).abs() < 0.5, "{}", h.thd_db());
+        assert!((h.sfdr_db() - 40.0).abs() < 0.5, "{}", h.sfdr_db());
     }
 
     #[test]

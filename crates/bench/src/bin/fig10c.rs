@@ -4,11 +4,11 @@
 //! harmonic levels in the −56…−66 dBc range and reports "excellent"
 //! agreement between the two instruments.
 
-use ate::{DemoBoard, DigitalOscilloscope, SignalPath};
+use ate::{DemoBoard, DigitalOscilloscope};
 use dut::ActiveRcFilter;
 use mixsig::clock::MasterClock;
 use mixsig::units::{Hertz, Volts};
-use netan::{AnalyzerConfig, DistortionReport, LotEngine, NetworkAnalyzer};
+use netan::{AnalyzerConfig, LotEngine, NetworkAnalyzer};
 use sigen::GeneratorConfig;
 
 fn main() {
@@ -24,16 +24,13 @@ fn main() {
         .with_periods(400)
         .with_va_diff(Volts(0.2));
     let analyzer = NetworkAnalyzer::new(&device, cfg);
-    let report = DistortionReport::new(
-        analyzer
-            .measure_harmonics_with(&LotEngine::serial(), f_test, 3)
-            .expect("distortion measurement failed"),
-    );
+    let report = analyzer
+        .measure_harmonics_with(&LotEngine::serial(), f_test, 3)
+        .expect("distortion measurement failed");
 
     // Oscilloscope reference on the same node.
     let clk = MasterClock::for_stimulus(f_test);
     let mut board = DemoBoard::new(GeneratorConfig::cmos_035um(clk, Volts(0.2), 5), &device);
-    board.set_path(SignalPath::Dut);
     board.warm_up(40);
     let mut source = board.source();
     let scope = DigitalOscilloscope::wavesurfer().measure_harmonics(&mut source, 1.0 / 96.0, 4);
@@ -48,7 +45,7 @@ fn main() {
             .hd_dbc(h)
             .expect("H2 and H3 are measured against a resolved fundamental")
     };
-    for (h, scope_dbc) in [(2u32, scope.harmonics_dbc[0]), (3, scope.harmonics_dbc[1])] {
+    for (h, scope_dbc) in [(2u32, scope.hd_dbc(2)), (3, scope.hd_dbc(3))] {
         let hd = hd_dbc(h);
         println!(
             "{:>4} {:>22.2} [{:>10.2}, {:>10.2}] {:>12.2}",
@@ -63,10 +60,10 @@ fn main() {
     println!(
         "THD: analyzer {:.2} dB, scope {:.2} dB",
         report.thd_db(),
-        scope.thd_db
+        scope.thd_db()
     );
-    let d2 = (hd_dbc(2).est - scope.harmonics_dbc[0]).abs();
-    let d3 = (hd_dbc(3).est - scope.harmonics_dbc[1]).abs();
+    let d2 = (hd_dbc(2).est - scope.hd_dbc(2)).abs();
+    let d3 = (hd_dbc(3).est - scope.hd_dbc(3)).abs();
     println!("\nagreement: ΔH2 = {d2:.2} dB, ΔH3 = {d3:.2} dB (paper: \"excellent\")");
     println!(
         "shape checks (paper): H2/H3 in the −56…−66 dBc window and the\n\

@@ -1,13 +1,17 @@
 //! The network analyzer proper (paper Section III.C).
 
 use crate::error::{millihertz, NetanError};
+use crate::harmonics::DistortionReport;
 use crate::lot::LotEngine;
 use crate::sweep::BodePlot;
 use ate::DemoBoard;
 use dut::{Bypass, Dut};
 use mixsig::clock::MasterClock;
 use mixsig::units::{Hertz, Volts};
-use sdeval::{Bounded, EvaluatorConfig, HarmonicMeasurement, LaneSource, SinewaveEvaluator};
+use sdeval::{
+    Bounded, EvalError, EvaluatorConfig, HarmonicMeasurement, LaneSource, QuadratureSquareWave,
+    SinewaveEvaluator,
+};
 use sigen::GeneratorConfig;
 
 /// Hardware realism of the analyzer's own circuitry.
@@ -223,25 +227,18 @@ impl<'d> NetworkAnalyzer<'d> {
         Ok(cal)
     }
 
-    /// Refuses an empty frequency list, then its lowest-index invalid
-    /// frequency.
+    /// Refuses an empty frequency list, then its lowest-index frequency
+    /// that is NaN or not positive.
     pub(crate) fn check_frequencies(frequencies: &[Hertz]) -> Result<(), NetanError> {
         if frequencies.is_empty() {
             return Err(NetanError::EmptySweep);
         }
-        frequencies
-            .iter()
-            .try_for_each(|&f| Self::validate_frequency(f))
-    }
-
-    /// Rejects NaN and non-positive stimulus frequencies.
-    fn validate_frequency(f_wave: Hertz) -> Result<(), NetanError> {
-        if !is_positive(f_wave.value()) {
-            return Err(NetanError::InvalidFrequency {
-                hz_millis: millihertz(f_wave),
-            });
+        match frequencies.iter().find(|f| !is_positive(f.value())) {
+            Some(&f) => Err(NetanError::InvalidFrequency {
+                hz_millis: millihertz(f),
+            }),
+            None => Ok(()),
         }
-        Ok(())
     }
 
     /// Measures the DUT gain and phase shift at `f_wave` (the master clock
@@ -280,7 +277,7 @@ impl<'d> NetworkAnalyzer<'d> {
         cal: Calibration,
         f_wave: Hertz,
     ) -> Result<BodePoint, NetanError> {
-        Self::validate_frequency(f_wave)?;
+        Self::check_frequencies(&[f_wave])?;
         self.config.check_periods()?;
         check_nominal(self.dut, &[f_wave])?;
         cal.check_resolved()?;
@@ -432,32 +429,40 @@ impl<'d> NetworkAnalyzer<'d> {
     }
 
     /// Measures harmonics `1..=max_harmonic` of the DUT output at `f_wave`
-    /// — the distortion mode of paper Fig. 10c. Each harmonic `k` must
-    /// satisfy `96 % 8k == 0` (k = 1, 2, 3 at `N = 96`). Each `k` has its
-    /// own square wave, so no two share an evaluator: the independent
-    /// per-`k` acquisitions fan out across `engine`'s worker pool, the
-    /// work-stealing loop under the lot's lane tasks. Results come back
-    /// ordered `k = 1..=max_harmonic` and are bit-identical on every
+    /// — the distortion mode of paper Fig. 10c — and reports them. Each
+    /// harmonic `k` needs `N` to be a multiple of `8k`, so `max_harmonic`
+    /// is 1 to 4 at `N = 96`. Each `k` has its own square wave, so no two
+    /// share an evaluator: the per-`k` acquisitions fan out across
+    /// `engine`'s worker pool, and the report is bit-identical on every
     /// engine; on failure the lowest-`k` error is reported.
     ///
     /// # Errors
     ///
-    /// Refused before any simulation, in this order:
-    /// [`NetanError::InvalidFrequency`] for a non-positive frequency,
-    /// [`NetanError::Eval`] with `OddPeriods` for a zero or odd `M`, and
-    /// [`NetanError::NominalResponseNotFinite`] for a device whose nominal
-    /// response at `f_wave` is not finite. Then evaluator setup errors.
+    /// Refused before any allocation or simulation, in this order:
+    /// [`NetanError::InvalidFrequency`] for a non-positive frequency;
+    /// [`NetanError::Eval`] with `OddPeriods` for a zero or odd `M`, with
+    /// `HarmonicIndexZero` for `max_harmonic = 0`, and with `InvalidRatio`
+    /// for the lowest `k` the square wave cannot sample (`k = 5` at
+    /// `N = 96`); [`NetanError::NominalResponseNotFinite`] for a device
+    /// whose nominal response at `f_wave` is not finite. Then evaluator
+    /// errors.
     pub fn measure_harmonics_with(
         &self,
         engine: &LotEngine,
         f_wave: Hertz,
         max_harmonic: u32,
-    ) -> Result<Vec<HarmonicMeasurement>, NetanError> {
-        Self::validate_frequency(f_wave)?;
+    ) -> Result<DistortionReport, NetanError> {
+        Self::check_frequencies(&[f_wave])?;
         self.config.check_periods()?;
+        if max_harmonic == 0 {
+            return Err(EvalError::HarmonicIndexZero.into());
+        }
+        let n = self.config.hardware.evaluator_config().n;
+        for k in 1..=max_harmonic {
+            QuadratureSquareWave::new(k, n).map_err(EvalError::from)?;
+        }
         check_nominal(self.dut, &[f_wave])?;
-        let n = max_harmonic as usize;
-        crate::pool::map_indexed(engine.threads(), n, |i| {
+        crate::pool::map_indexed(engine.threads(), max_harmonic as usize, |i| {
             #[expect(
                 clippy::cast_possible_truncation,
                 reason = "i < max_harmonic, which is a u32, so the cast is exact"
@@ -466,7 +471,8 @@ impl<'d> NetworkAnalyzer<'d> {
             Self::only(Self::acquire(&self.config, k, &[(self.dut, f_wave)])?)
         })
         .into_iter()
-        .collect()
+        .collect::<Result<_, _>>()
+        .map(DistortionReport::new)
     }
 
     /// One lockstep acquisition of harmonic `k`, driven block-wise
@@ -740,6 +746,49 @@ mod tests {
     }
 
     #[test]
+    fn the_distortion_mode_refuses_harmonics_it_cannot_sample_before_simulation() {
+        // `NanAbove5k` panics if simulated, so each request is refused
+        // before any board. At N = 96 the square wave samples k = 1 to 4:
+        // no harmonic is `HarmonicIndexZero`, and any range past 4 is
+        // refused at k = 5 without a single acquisition, however long.
+        // The checks run in order: frequency, M, harmonics, nominal
+        // response.
+        let zero = NetanError::Eval(sdeval::EvalError::HarmonicIndexZero);
+        let ratio = NetanError::Eval(sdeval::EvalError::InvalidRatio { n: 96, k: 5 });
+        let cfg = AnalyzerConfig::ideal().with_periods(20);
+        for engine in [LotEngine::serial(), LotEngine::with_threads(3)] {
+            let na = NetworkAnalyzer::new(&NanAbove5k, cfg);
+            let harmonics = |f: f64, max_harmonic: u32| {
+                na.measure_harmonics_with(&engine, Hertz(f), max_harmonic)
+                    .map(|_| ())
+            };
+            assert_eq!(harmonics(1000.0, 0), Err(zero), "{engine:?}");
+            assert_eq!(harmonics(1000.0, 5), Err(ratio), "{engine:?}");
+            assert_eq!(harmonics(1000.0, u32::MAX), Err(ratio), "{engine:?}");
+            assert_eq!(harmonics(6000.0, 0), Err(zero), "{engine:?}");
+            assert_eq!(
+                harmonics(0.0, 0),
+                Err(NetanError::InvalidFrequency { hz_millis: 0 }),
+                "{engine:?}"
+            );
+            let odd = NetworkAnalyzer::new(&NanAbove5k, cfg.with_periods(21));
+            assert_eq!(
+                odd.measure_harmonics_with(&engine, Hertz(1000.0), 0)
+                    .map(|_| ()),
+                Err(NetanError::Eval(sdeval::EvalError::OddPeriods { m: 21 })),
+                "{engine:?}"
+            );
+        }
+        // k = 4 is the highest harmonic a report can hold.
+        let dut = ActiveRcFilter::paper_dut();
+        let report = NetworkAnalyzer::new(&dut, cfg)
+            .measure_harmonics_with(&LotEngine::serial(), Hertz(1000.0), 4)
+            .unwrap();
+        let ks: Vec<u32> = report.measurements().iter().map(|m| m.k).collect();
+        assert_eq!(ks, [1, 2, 3, 4]);
+    }
+
+    #[test]
     fn a_sweep_is_its_points_measured_alone_at_every_split() {
         // A sweep is a lot of one device: its points split across the
         // workers, each task calibrating in its first acquisition unless
@@ -877,9 +926,10 @@ mod tests {
             .with_periods(400)
             .with_va_diff(Volts(0.2)); // 800 mVpp stimulus like Fig. 10c
         let na = NetworkAnalyzer::new(&dut, cfg);
-        let hs = na
+        let report = na
             .measure_harmonics_with(&LotEngine::serial(), Hertz(1600.0), 3)
             .unwrap();
+        let hs = report.measurements();
         assert_eq!(hs.len(), 3);
         let a1 = hs[0].amplitude.est;
         let hd2 = 20.0 * (hs[1].amplitude.est / a1).log10();

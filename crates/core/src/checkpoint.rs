@@ -27,8 +27,9 @@
 //! at worst an ignorable temp file.
 //!
 //! A persisted shard is **stale** unless the drive's schedule could have
-//! produced it: the same span, mask and stopping policy, exactly the
-//! budget the shard runs under (none when unbudgeted), no more stages
+//! produced it: the same span, mask and stopping policy, every device's
+//! points at exactly the plan's grid frequencies, bit for bit, exactly
+//! the budget the shard runs under (none when unbudgeted), no more stages
 //! than the schedule with its whole configuration at every index
 //! (hardware and seed, amplitude, warm-up, `M`; not `block_samples`),
 //! and — if it stopped before the last stage — no device left
@@ -38,12 +39,12 @@
 //! ([`fnv64`]), so a drive never loads a shard persisted for another
 //! factory.
 
+use crate::analyzer::BodePoint;
 use crate::error::NetanError;
 use crate::lot::{EscalationSchedule, LotEngine, LotPlan, LotReport};
 use crate::report::{lot_json, parse_lot_json};
-use crate::spec::GainMask;
 use dut::Dut;
-use mixsig::units::Seconds;
+use mixsig::units::{Hertz, Seconds};
 use std::collections::BTreeMap;
 use std::io;
 use std::ops::Range;
@@ -196,7 +197,7 @@ impl ShardDriver {
         ShardTask {
             span,
             schedule,
-            mask: self.plan.mask().clone(),
+            plan: self.plan.clone(),
             files: self.files.clone(),
         }
     }
@@ -302,7 +303,7 @@ impl ShardDriver {
 pub struct ShardTask {
     span: Range<u64>,
     schedule: EscalationSchedule,
-    mask: GainMask,
+    plan: LotPlan,
     files: Option<ShardFiles>,
 }
 
@@ -355,8 +356,14 @@ impl ShardTask {
     /// persisted `report` (see the [module docs](self#resume)).
     fn could_have_produced(&self, report: &LotReport) -> bool {
         let (stages, ran) = (self.schedule.stages(), report.stages());
+        let bits = |f: &Hertz| f.value().to_bits();
+        let on_grid = |points: &[BodePoint]| {
+            let grid = self.plan.grid().iter().map(bits);
+            points.iter().map(|p| bits(&p.frequency)).eq(grid)
+        };
         report.shard() == Some(self.span.clone())
-            && report.mask() == &self.mask
+            && report.mask() == self.plan.mask()
+            && report.devices().iter().all(|d| on_grid(d.plot.points()))
             && report.stopping() == self.schedule.stopping()
             && report.budget() == self.schedule.budget()
             && ran.len() <= stages.len()
@@ -465,7 +472,19 @@ mod tests {
         schedule: &EscalationSchedule,
         factory: impl Fn(u64) -> D + Sync,
     ) -> Result<LotReport, CheckpointError> {
-        ShardDriver::new(lot, size, &plan(), schedule)?
+        drive_plan(dir, size, lot, &plan(), schedule, factory)
+    }
+
+    /// [`drive`] against `plan`.
+    fn drive_plan<D: Dut>(
+        dir: &Path,
+        size: u64,
+        lot: Range<u64>,
+        plan: &LotPlan,
+        schedule: &EscalationSchedule,
+        factory: impl Fn(u64) -> D + Sync,
+    ) -> Result<LotReport, CheckpointError> {
+        ShardDriver::new(lot, size, plan, schedule)?
             .with_dir(dir, DUT)
             .drive(&LotEngine::serial(), factory)
     }
@@ -697,15 +716,16 @@ mod tests {
         let plan = plan();
         let schedule =
             |periods: &[u32]| EscalationSchedule::from_periods(AnalyzerConfig::ideal(), periods);
-        // Drives `lot` in shards of `size` under `before`, deletes the
-        // shard `gone`, drives the same directory again under `after`,
-        // and demands the bytes of an `after` drive in a fresh directory.
+        // Drives `lot` in shards of `size` under `before` against the
+        // mask-only plan, deletes the shard `gone`, drives the same
+        // directory again under `after` against `after_plan`, and demands
+        // the bytes of that drive in a fresh directory.
         let case = |tag: &str,
                     sigma: f64,
                     size: u64,
                     before: &EscalationSchedule,
                     gone: Option<Range<u64>>,
-                    after: &EscalationSchedule| {
+                    (after_plan, after): (&LotPlan, &EscalationSchedule)| {
             let (dir, fresh_dir) = (temp_dir(tag), temp_dir(&format!("{tag}-fresh")));
             std::fs::remove_dir_all(&dir).ok();
             std::fs::remove_dir_all(&fresh_dir).ok();
@@ -715,8 +735,8 @@ mod tests {
             if let Some(span) = gone {
                 std::fs::remove_file(shard_path(&dir, &span)).unwrap();
             }
-            let resumed = drive(&dir, size, lot.clone(), after, factory).unwrap();
-            let fresh = drive(&fresh_dir, size, lot, after, factory).unwrap();
+            let resumed = drive_plan(&dir, size, lot.clone(), after_plan, after, factory).unwrap();
+            let fresh = drive_plan(&fresh_dir, size, lot, after_plan, after, factory).unwrap();
             assert_eq!(lot_json(&resumed), lot_json(&fresh), "{tag}");
             std::fs::remove_dir_all(&dir).ok();
             std::fs::remove_dir_all(&fresh_dir).ok();
@@ -730,7 +750,7 @@ mod tests {
             2,
             &schedule(&[50]),
             None,
-            &schedule(&[100]),
+            (&plan, &schedule(&[100])),
         );
         case(
             "stale-m-gap",
@@ -738,7 +758,7 @@ mod tests {
             2,
             &schedule(&[50]),
             Some(2..4),
-            &schedule(&[100]),
+            (&plan, &schedule(&[100])),
         );
         // Another stopping policy, next to a re-measured shard.
         case(
@@ -747,7 +767,7 @@ mod tests {
             4,
             &schedule(&[30, 120]),
             Some(4..8),
-            &schedule(&[30, 120]).sequential(),
+            (&plan, &schedule(&[30, 120]).sequential()),
         );
         // A one-stage drive left devices ambiguous: a deeper schedule
         // must re-test them instead of loading the shallow shards.
@@ -757,7 +777,7 @@ mod tests {
             4,
             &schedule(&[30]),
             None,
-            &schedule(&[30, 120]),
+            (&plan, &schedule(&[30, 120])),
         );
         assert!(deeper.stages().len() == 2 && deeper.stages()[1].tested > 0);
         // Another budget admits another re-test prefix.
@@ -769,9 +789,18 @@ mod tests {
             8,
             &schedule(&[30, 120]).with_budget(budget(1.5)),
             None,
-            &schedule(&[30, 120]).with_budget(budget(3.5)),
+            (&plan, &schedule(&[30, 120]).with_budget(budget(3.5))),
         );
         assert!(wider.stages()[1].tested > 2);
+        // Another grid under the same mask: the mask-only plan's shards
+        // hold other points, so every one is stale, also next to a
+        // re-measured one (two grids must never meet in a merge).
+        let grid = LotPlan::new(&[Hertz(2000.0), Hertz(3000.0)], GainMask::paper_lowpass());
+        for (tag, gone) in [("stale-grid", None), ("stale-grid-gap", Some(2..4))] {
+            let at_50 = schedule(&[50]);
+            let fresh = case(tag, 0.05, 2, &at_50, gone, (&grid, &at_50));
+            assert!(fresh.devices().iter().all(|d| d.plot.len() == 6), "{tag}");
+        }
         // Another hardware profile, amplitude or warm-up at the same M:
         // the stage records say what measured them, so every shard is
         // stale and every seed is fabricated again.

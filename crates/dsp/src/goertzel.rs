@@ -1,45 +1,15 @@
-//! Goertzel single-bin DFT.
+//! Single-bin DFT read-offs.
 //!
 //! The network analyzer's reference paths often need the complex amplitude
 //! at one known frequency (the stimulus is always coherent with the master
-//! clock), for which the Goertzel recursion is much cheaper than a full FFT
-//! and works for any record length.
+//! clock). [`dft_bin`] evaluates that one bin directly, in O(N) for any
+//! record length, and every read-off ([`tone_amplitude_phase`]) goes
+//! through it. Despite the module's name it is a direct sum, not the
+//! Goertzel recursion: the numerically most robust form, and O(N) all
+//! the same.
 
 use crate::complex::Complex64;
 use std::f64::consts::PI;
-
-/// Evaluates the DFT of `x` at normalized frequency `f` (cycles/sample).
-///
-/// Returns the complex tone coefficient scaled so that a real sinusoid
-/// `a·sin(2πfn + φ)` of coherent frequency yields a value with magnitude
-/// `a·N/2` — the same convention as an FFT bin.
-///
-/// # Example
-///
-/// ```
-/// use dsp::goertzel;
-/// use dsp::tone::Tone;
-///
-/// let n = 960;
-/// let x = Tone::new(10.0 / n as f64, 0.25, 0.0).samples(n);
-/// let c = goertzel(&x, 10.0 / n as f64);
-/// assert!((c.abs() - 0.25 * n as f64 / 2.0).abs() < 1e-6);
-/// ```
-pub fn goertzel(x: &[f64], f: f64) -> Complex64 {
-    let w = 2.0 * PI * f;
-    let coeff = 2.0 * w.cos();
-    let mut s_prev = 0.0f64;
-    let mut s_prev2 = 0.0f64;
-    for &sample in x {
-        let s = sample + coeff * s_prev - s_prev2;
-        s_prev2 = s_prev;
-        s_prev = s;
-    }
-    // X(f) = s_prev - e^{-jw} · s_prev2. Magnitude convention matches an
-    // N-point DFT bin for integer cycle counts; callers divide by N/2 to
-    // recover tone amplitude (coherent records only, no windowing).
-    Complex64::new(s_prev, 0.0) - Complex64::cis(-w) * s_prev2
-}
 
 /// Amplitude and phase of a coherent tone at normalized frequency `f`.
 ///
@@ -54,8 +24,10 @@ pub fn tone_amplitude_phase(x: &[f64], f: f64) -> (f64, f64) {
     (amp, wrap_phase(phase))
 }
 
-/// Direct DFT evaluation at one normalized frequency (numerically the most
-/// robust form; O(N) like Goertzel).
+/// Direct DFT evaluation at one normalized frequency (cycles/sample).
+///
+/// A real sinusoid `a·sin(2πfn + φ)` of coherent frequency yields a value
+/// with magnitude `a·N/2`, the same convention as an FFT bin.
 pub fn dft_bin(x: &[f64], f: f64) -> Complex64 {
     let w = -2.0 * PI * f;
     let step = Complex64::cis(w);
@@ -83,21 +55,6 @@ pub fn wrap_phase(mut p: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::tone::Tone;
-
-    #[test]
-    fn goertzel_matches_dft_bin() {
-        let n = 960;
-        let f = 10.0 / n as f64;
-        let x = Tone::new(f, 0.4, 0.7).samples(n);
-        let g = goertzel(&x, f);
-        let d = dft_bin(&x, f);
-        assert!(
-            (g.abs() - d.abs()).abs() < 1e-6,
-            "{} vs {}",
-            g.abs(),
-            d.abs()
-        );
-    }
 
     #[test]
     fn dft_bin_matches_tone_amplitude() {

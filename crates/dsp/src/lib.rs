@@ -5,7 +5,7 @@
 //!
 //! * [`complex`] — a minimal `Complex64` type,
 //! * [`fft`] — iterative radix-2 Cooley–Tukey FFT / inverse FFT,
-//! * [`goertzel`](mod@goertzel) — single-bin DFT evaluation,
+//! * [`goertzel`] — single-bin DFT evaluation,
 //! * [`window`] — spectral analysis windows and their gains,
 //! * [`spectrum`] — periodograms and peak bookkeeping,
 //! * [`metrics`] — THD and SFDR,
@@ -45,7 +45,6 @@ pub mod window;
 
 pub use complex::Complex64;
 pub use db::{amplitude_to_db, db_to_amplitude, power_to_db, DBFS_REF_VOLTS};
-pub use goertzel::goertzel;
 pub use metrics::{sfdr, thd, HarmonicAnalysis};
 pub use spectrum::Spectrum;
 pub use tone::{Multitone, Tone};

@@ -199,7 +199,8 @@ mod tests {
         let f_norm = 1.0 / 96.0; // 1 kHz at N = 96
         let mut sim = dut.instantiate(Hertz(fs));
         let x = Tone::new(f_norm, 0.4, 0.0).samples(96 * 200);
-        let y = sim.process(&x);
+        let mut y = vec![0.0; x.len()];
+        sim.process_block(&x, &mut y);
         let (a, _) = tone_amplitude_phase(&y[96 * 100..], f_norm);
         let expect = 0.4 * dut.ideal_response(Hertz(1000.0)).magnitude;
         assert!((a - expect).abs() < 0.002, "{a} vs {expect}");

@@ -50,10 +50,6 @@ impl DutSim for LtiSim {
         self.poly.map_or(y, |poly| poly.apply(y))
     }
 
-    fn reset(&mut self) {
-        self.dss.reset();
-    }
-
     fn process_block(&mut self, input: &[f64], out: &mut [f64]) {
         self.core().process_block(input, out);
     }

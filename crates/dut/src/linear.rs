@@ -71,7 +71,8 @@ mod tests {
         let mut sim = dut.instantiate(Hertz(fs_hz));
         let n = (20.0 / f_norm) as usize;
         let x = Tone::new(f_norm, 1.0, 0.0).samples(2 * n);
-        let y = sim.process(&x);
+        let mut y = vec![0.0; x.len()];
+        sim.process_block(&x, &mut y);
         let (a, _) = tone_amplitude_phase(&y[n..], f_norm);
         a
     }
@@ -119,19 +120,5 @@ mod tests {
         let dut = LinearDut::first_order_lowpass(Hertz(1000.0), 1.0);
         let g10k = dut.ideal_response(Hertz(10_000.0)).magnitude;
         assert!((20.0 * g10k.log10() + 20.04).abs() < 0.1);
-    }
-
-    #[test]
-    fn reset_clears_memory() {
-        let dut = LinearDut::lowpass(Hertz(1000.0), 1.0, 1.0);
-        let mut sim = dut.instantiate(Hertz(96_000.0));
-        for _ in 0..100 {
-            sim.step(1.0);
-        }
-        let after_drive = sim.step(0.0);
-        sim.reset();
-        let after_reset = sim.step(0.0);
-        assert!(after_drive.abs() > 0.01);
-        assert_eq!(after_reset, 0.0);
     }
 }

@@ -50,13 +50,12 @@ impl<T: Dut + ?Sized> Dut for &T {
     }
 }
 
-/// A streaming DUT simulator: one output sample per input sample.
+/// A streaming DUT simulator: one output sample per input sample. Each
+/// acquisition instantiates its own ([`Dut::instantiate`]), so it starts
+/// from zero state, only runs forward and has no reset.
 pub trait DutSim {
     /// Processes one input sample.
     fn step(&mut self, input: f64) -> f64;
-
-    /// Resets internal state to zero.
-    fn reset(&mut self);
 
     /// Processes `input` into `out`, one output sample per input sample.
     ///
@@ -77,15 +76,6 @@ pub trait DutSim {
         for (y, &u) in out.iter_mut().zip(input) {
             *y = self.step(u);
         }
-    }
-
-    /// Processes a whole record (compatibility wrapper over
-    /// [`process_block`](Self::process_block); prefer the block API with a
-    /// reused caller buffer inside loops).
-    fn process(&mut self, input: &[f64]) -> Vec<f64> {
-        let mut out = vec![0.0; input.len()];
-        self.process_block(input, &mut out);
-        out
     }
 
     /// The simulator's linear time-invariant core, which
@@ -127,8 +117,6 @@ impl DutSim for BypassSim {
         input
     }
 
-    fn reset(&mut self) {}
-
     fn process_block(&mut self, input: &[f64], out: &mut [f64]) {
         out.copy_from_slice(input);
     }
@@ -147,12 +135,6 @@ mod tests {
         let r = Bypass.ideal_response(Hertz(123.0));
         assert_eq!(r.magnitude, 1.0);
         assert_eq!(r.phase, 0.0);
-    }
-
-    #[test]
-    fn process_maps_whole_record() {
-        let mut sim = Bypass.instantiate(Hertz(1.0));
-        assert_eq!(sim.process(&[1.0, 2.0]), vec![1.0, 2.0]);
     }
 
     #[test]

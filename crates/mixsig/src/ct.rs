@@ -405,11 +405,6 @@ impl DiscreteStateSpace {
         }
     }
 
-    /// Resets the internal state to zero.
-    pub fn reset(&mut self) {
-        self.state.iter_mut().for_each(|x| *x = 0.0);
-    }
-
     /// System order: the length of the state vector.
     pub fn order(&self) -> usize {
         self.state.len()
@@ -660,19 +655,6 @@ mod tests {
         let tf = TransferFunction::lowpass_biquad(Hertz(1000.0), 1.0, 1.0);
         let mut dss = tf.to_state_space().discretize_zoh(1.0e-5);
         process_block(&mut dss, &[0.0; 4], &mut [0.0; 3]);
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let tf = TransferFunction::lowpass_biquad(Hertz(1000.0), 1.0, 1.0);
-        let fresh = tf.to_state_space().discretize_zoh(1.0e-5);
-        let mut dss = fresh.clone();
-        for _ in 0..100 {
-            dss.step(1.0);
-        }
-        assert_ne!(dss, fresh);
-        dss.reset();
-        assert_eq!(dss, fresh);
     }
 
     #[test]

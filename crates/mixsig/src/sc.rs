@@ -110,11 +110,6 @@ impl ScIntegrator {
         self.vout = v;
     }
 
-    /// Resets the integrator state to zero.
-    pub fn reset(&mut self) {
-        self.vout = 0.0;
-    }
-
     /// The op-amp's output swing limit, volts: every output a step
     /// produces lies within `±swing` (∞ when the swing is unlimited).
     pub fn swing(&self) -> f64 {
@@ -621,7 +616,7 @@ mod tests {
         let n = 10_000;
         let mut values = Vec::with_capacity(n);
         for _ in 0..n {
-            int.reset();
+            int.set_output(0.0);
             values.push(int.step(&[Branch::new(1.0, 0.0)]));
         }
         let sigma = {
@@ -637,8 +632,6 @@ mod tests {
         let mut int = ScIntegrator::ideal(1.0);
         int.set_output(0.7);
         assert_eq!(int.output(), 0.7);
-        int.reset();
-        assert_eq!(int.output(), 0.0);
     }
 
     #[test]

@@ -60,8 +60,8 @@ proptest! {
         prop_assert!((lot.ratio(2, 0) - 12.749).abs() < 1e-12);
     }
 
-    /// An ideal SC integrator is exactly linear: step(a) + step(b) from
-    /// reset equals step with both branches.
+    /// An ideal SC integrator is exactly linear: step(a) + step(b), each
+    /// from a fresh integrator, equals step with both branches.
     #[test]
     fn sc_integrator_linearity(a in -1.0f64..1.0, b in -1.0f64..1.0) {
         let mut i1 = ScIntegrator::ideal(1.0);
@@ -70,9 +70,9 @@ proptest! {
         let mut i2 = ScIntegrator::ideal(1.0);
         i2.step(&[Branch::new(0.5, a)]);
         let first = i2.output();
-        i2.reset();
-        i2.step(&[Branch::new(0.25, b)]);
-        let second = i2.output();
+        let mut i3 = ScIntegrator::ideal(1.0);
+        i3.step(&[Branch::new(0.25, b)]);
+        let second = i3.output();
         prop_assert!((combined - (first + second)).abs() < 1e-12);
     }
 

@@ -200,12 +200,6 @@ impl SigmaDeltaModulator {
         &self.config
     }
 
-    /// Resets the modulator state.
-    pub fn reset(&mut self) {
-        self.integrator.reset();
-        self.last_bit = false;
-    }
-
     /// One master-clock cycle: samples input `x` with polarity `q`
     /// (`true` = positive), returns the output bit (`true` = +1).
     #[inline]
@@ -592,9 +586,8 @@ mod tests {
     #[test]
     fn dc_input_duty_cycle() {
         // Mean of the bitstream equals x/Vref for a 1st-order loop.
-        let mut m = SigmaDeltaModulator::new(SdmConfig::ideal());
         for &x in &[0.0, 0.25, -0.5, 0.8, -0.8] {
-            m.reset();
+            let mut m = SigmaDeltaModulator::new(SdmConfig::ideal());
             let mean = run_mean(&mut m, x, 20_000);
             assert!((mean - x).abs() < 2e-3, "x={x}: mean {mean}");
         }
@@ -901,15 +894,5 @@ mod tests {
         let mut counts = [(0, 0); 3];
         let polarities = std::iter::repeat_n((true, true), 2);
         pair.step_group(&mut states, &[0.1; 6], polarities, &mut counts);
-    }
-
-    #[test]
-    fn reset_restores_initial_state() {
-        let mut m = SigmaDeltaModulator::new(SdmConfig::ideal());
-        for _ in 0..100 {
-            m.step(0.5, true);
-        }
-        m.reset();
-        assert_eq!(m.state().integrator, 0.0);
     }
 }

@@ -26,7 +26,6 @@ pub struct SecondOrderModulator {
     int1: ScIntegrator,
     int2: ScIntegrator,
     vref: f64,
-    last_bit: bool,
 }
 
 impl SecondOrderModulator {
@@ -36,15 +35,7 @@ impl SecondOrderModulator {
             int1: ScIntegrator::ideal(1.0),
             int2: ScIntegrator::ideal(1.0),
             vref: vref.value(),
-            last_bit: false,
         }
-    }
-
-    /// Resets the loop.
-    pub fn reset(&mut self) {
-        self.int1.reset();
-        self.int2.reset();
-        self.last_bit = false;
     }
 
     /// One clock cycle: samples `x` with polarity `q`, returns the bit.
@@ -60,7 +51,6 @@ impl SecondOrderModulator {
         ]);
         self.int2
             .step(&[Branch::new(0.5, v1), Branch::new(-0.5, d_sign * self.vref)]);
-        self.last_bit = bit;
         bit
     }
 }
@@ -79,9 +69,8 @@ mod tests {
 
     #[test]
     fn dc_code_matches_input() {
-        let mut m = SecondOrderModulator::new(Volts(1.0));
         for &x in &[0.0, 0.3, -0.6] {
-            m.reset();
+            let mut m = SecondOrderModulator::new(Volts(1.0));
             let n = 40_000;
             let sum: i64 = (0..n)
                 .map(|_| if m.step(x, true) { 1i64 } else { -1 })
@@ -145,7 +134,6 @@ mod tests {
                 NoiseSource::new(seed.wrapping_add(1)),
             ),
             vref: vref.value(),
-            last_bit: false,
         }
     }
 

@@ -86,19 +86,14 @@ pub struct GeneratorBiquad {
 }
 
 impl GeneratorBiquad {
-    /// An ideal, noiseless biquad with exact Table I capacitors.
-    pub fn ideal() -> Self {
-        Self {
-            caps: TABLE_I,
-            int1: ScIntegrator::ideal(TABLE_I.a),
-            int2: ScIntegrator::ideal(TABLE_I.b),
-        }
-    }
-
-    /// A biquad with fabricated capacitors, a real op-amp model and noise.
+    /// A biquad with fabricated capacitors, an op-amp model and the noise
+    /// of `noise`.
     ///
     /// `settle_time` is the time available per charge transfer;
-    /// `unit_cap_farads` sets the `kT/C` noise scale.
+    /// `unit_cap_farads` sets the `kT/C` noise scale. With ideal matching,
+    /// an ideal op-amp and a disabled `noise` it is the ideal loop: exact
+    /// Table I capacitors, noiseless integrators and
+    /// [exact](TransferPlans::is_exact) transfer plans.
     pub(crate) fn fabricate(
         matching: MatchingSpec,
         opamp: OpAmpModel,
@@ -148,12 +143,6 @@ impl GeneratorBiquad {
     /// Output voltage (second integrator).
     pub fn output(&self) -> f64 {
         self.int2.output()
-    }
-
-    /// Resets both integrators.
-    pub fn reset(&mut self) {
-        self.int1.reset();
-        self.int2.reset();
     }
 
     /// One charge transfer: samples `vin` through `input_cap` (signed), and
@@ -252,6 +241,17 @@ mod tests {
     use super::*;
     use std::f64::consts::PI;
 
+    /// The ideal loop: ideal matching and op-amp, no noise.
+    fn ideal() -> GeneratorBiquad {
+        GeneratorBiquad::fabricate(
+            MatchingSpec::ideal(),
+            OpAmpModel::ideal(),
+            Seconds(1.0),
+            1.0e-12,
+            &mut NoiseSource::disabled(),
+        )
+    }
+
     #[test]
     fn table_i_values() {
         assert_eq!(TABLE_I.a, 5.194);
@@ -317,7 +317,7 @@ mod tests {
         // Drive the ideal loop with a sampled complex-frequency probe and
         // compare with the closed form.
         let theta = 2.0 * PI / 32.0;
-        let mut bq = GeneratorBiquad::ideal();
+        let mut bq = ideal();
         let n = 32 * 400;
         let x: Vec<f64> = (0..n).map(|i| (theta * i as f64).sin()).collect();
         let y: Vec<f64> = x.iter().map(|&v| bq.transfer(1.0, v)).collect();
@@ -334,7 +334,7 @@ mod tests {
     #[test]
     fn loop_is_stable() {
         // Kick the ideal loop and verify the ring-down decays.
-        let mut bq = GeneratorBiquad::ideal();
+        let mut bq = ideal();
         bq.transfer(1.0, 1.0);
         let mut early_peak = 0.0f64;
         let mut late_peak = 0.0f64;
@@ -357,7 +357,8 @@ mod tests {
     fn planned_transfer_is_bit_identical_to_transfer() {
         // Ideal and fabricated-noisy loops, over a weight menu including a
         // zero cap (sequencer steps 0 and 8): the planned path must track
-        // the scalar reference bit-for-bit, noise stream included.
+        // the scalar reference bit-for-bit, noise stream included. Only
+        // the ideal fabrication is the exact Table I loop with exact plans.
         let mk_noisy = || {
             let mut fab = NoiseSource::new(13);
             GeneratorBiquad::fabricate(
@@ -369,7 +370,7 @@ mod tests {
             )
         };
         for (label, mk) in [
-            ("ideal", GeneratorBiquad::ideal as fn() -> GeneratorBiquad),
+            ("ideal", ideal as fn() -> GeneratorBiquad),
             ("fabricated noisy", mk_noisy as fn() -> GeneratorBiquad),
         ] {
             let caps = [0.0, 0.35, -0.35, 1.0];
@@ -377,6 +378,7 @@ mod tests {
             let mut by_plan = mk();
             let plans = by_plan.plan_transfers(&caps);
             assert_eq!(plans.is_exact(), label == "ideal");
+            assert_eq!(by_plan.caps == TABLE_I, label == "ideal");
             assert_eq!(plans.int1.len(), caps.len());
             for k in 0..2000usize {
                 let i = k % caps.len();
@@ -390,14 +392,5 @@ mod tests {
                 assert_eq!(want, got, "{label}: transfer {k} diverged");
             }
         }
-    }
-
-    #[test]
-    fn reset_zeroes_state() {
-        let mut bq = GeneratorBiquad::ideal();
-        bq.transfer(1.0, 1.0);
-        assert!(bq.output() != 0.0 || bq.int1.output() != 0.0);
-        bq.reset();
-        assert_eq!(bq.output(), 0.0);
     }
 }

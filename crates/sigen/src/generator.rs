@@ -62,13 +62,13 @@ impl GeneratorConfig {
     }
 
     /// Whether the generated stream ignores the master clock: exact
-    /// capacitors, an ideal op-amp and no noise. Such a generator runs
-    /// [`GeneratorBiquad::ideal`], which never reads the clock (the clock
-    /// only sets [`settle_time`](Self::settle_time), which the ideal
-    /// biquad ignores), so configurations that differ only in their
-    /// clock produce the same samples, bit for bit, and one stream can
-    /// serve every stimulus frequency. [`SinewaveGenerator::new`] picks
-    /// the ideal biquad by this predicate.
+    /// capacitors, an ideal op-amp and no noise. Such a generator
+    /// fabricates the exact Table I loop, whose ideal op-amp settles every
+    /// transfer completely in any [`settle_time`](Self::settle_time), the
+    /// one thing the clock sets; so one stream serves every stimulus
+    /// frequency, bit for bit. It is the plan-free fast path of
+    /// [`settles_completely`](Self::settles_completely), which every
+    /// acquisition asks at each stimulus frequency.
     pub fn is_clock_invariant(&self) -> bool {
         self.opamp == OpAmpModel::ideal() && self.matching == MatchingSpec::ideal() && !self.noise
     }
@@ -137,22 +137,18 @@ impl SinewaveGenerator {
             NoiseSource::disabled()
         };
         let array = CapacitorArray::fabricate(config.matching, &mut fab_noise);
-        let biquad = if config.is_clock_invariant() {
-            GeneratorBiquad::ideal()
+        let mut circuit_noise = if config.noise {
+            NoiseSource::new(config.seed.wrapping_add(0x5EED))
         } else {
-            let mut circuit_noise = if config.noise {
-                NoiseSource::new(config.seed.wrapping_add(0x5EED))
-            } else {
-                NoiseSource::disabled()
-            };
-            GeneratorBiquad::fabricate(
-                config.matching,
-                config.opamp,
-                config.settle_time(),
-                config.unit_cap_farads,
-                &mut circuit_noise,
-            )
+            NoiseSource::disabled()
         };
+        let biquad = GeneratorBiquad::fabricate(
+            config.matching,
+            config.opamp,
+            config.settle_time(),
+            config.unit_cap_farads,
+            &mut circuit_noise,
+        );
         let weights: Vec<f64> = (0..STEPS_PER_PERIOD)
             .map(|j| array.step_weight(j))
             .collect();

@@ -8,11 +8,11 @@
 //!
 //! Run with: `cargo run --release --example harmonic_distortion`
 
-use ate::{DemoBoard, DigitalOscilloscope, SignalPath};
+use ate::{DemoBoard, DigitalOscilloscope};
 use dut::ActiveRcFilter;
 use mixsig::clock::MasterClock;
 use mixsig::units::{Hertz, Volts};
-use netan::{distortion_table, AnalyzerConfig, DistortionReport, LotEngine, NetworkAnalyzer};
+use netan::{distortion_table, AnalyzerConfig, LotEngine, NetworkAnalyzer};
 use sigen::GeneratorConfig;
 
 fn main() -> Result<(), netan::NetanError> {
@@ -24,8 +24,7 @@ fn main() -> Result<(), netan::NetanError> {
         .with_periods(400) // paper: 400 periods for distortion
         .with_va_diff(Volts(0.2)); // 800 mVpp differential stimulus
     let analyzer = NetworkAnalyzer::new(&device, config);
-    let report =
-        DistortionReport::new(analyzer.measure_harmonics_with(&LotEngine::serial(), f_test, 3)?);
+    let report = analyzer.measure_harmonics_with(&LotEngine::serial(), f_test, 3)?;
 
     println!("— proposed network analyzer (M = 400) —");
     print!("{}", distortion_table(&report));
@@ -33,7 +32,6 @@ fn main() -> Result<(), netan::NetanError> {
     // --- Commercial oscilloscope reference ------------------------------
     let clk = MasterClock::for_stimulus(f_test);
     let mut board = DemoBoard::new(GeneratorConfig::ideal(clk, Volts(0.2)), &device);
-    board.set_path(SignalPath::Dut);
     board.warm_up(40);
     let scope = DigitalOscilloscope::wavesurfer();
     let mut source = board.source();
@@ -41,9 +39,9 @@ fn main() -> Result<(), netan::NetanError> {
 
     println!("\n— LeCroy-class oscilloscope (8192-pt FFT) —");
     println!("fundamental: {:.4} V", h.fundamental);
-    println!("H2: {:>7.2} dBc", h.harmonics_dbc[0]);
-    println!("H3: {:>7.2} dBc", h.harmonics_dbc[1]);
-    println!("THD: {:.2} dB", h.thd_db);
+    println!("H2: {:>7.2} dBc", h.hd_dbc(2));
+    println!("H3: {:>7.2} dBc", h.hd_dbc(3));
+    println!("THD: {:.2} dB", h.thd_db());
 
     // Harmonics k = 1..=3 were measured, so H2 and H3 have levels.
     let hd_dbc = |h: u32| {
@@ -51,8 +49,8 @@ fn main() -> Result<(), netan::NetanError> {
             .hd_dbc(h)
             .expect("H2 and H3 are measured against a resolved fundamental")
     };
-    let d2 = (hd_dbc(2).est - h.harmonics_dbc[0]).abs();
-    let d3 = (hd_dbc(3).est - h.harmonics_dbc[1]).abs();
+    let d2 = (hd_dbc(2).est - h.hd_dbc(2)).abs();
+    let d3 = (hd_dbc(3).est - h.hd_dbc(3)).abs();
     println!("\nagreement: ΔH2 = {d2:.2} dB, ΔH3 = {d3:.2} dB");
     Ok(())
 }

@@ -103,7 +103,7 @@ fn spec_mask_screens_good_and_bad_devices() {
 
 #[test]
 fn distortion_mode_agrees_with_scope() {
-    use ate::{DemoBoard, DigitalOscilloscope, SignalPath};
+    use ate::{DemoBoard, DigitalOscilloscope};
     use mixsig::clock::MasterClock;
     use sigen::GeneratorConfig;
 
@@ -115,22 +115,19 @@ fn distortion_mode_agrees_with_scope() {
         .with_periods(400)
         .with_va_diff(Volts(0.2));
     let analyzer = NetworkAnalyzer::new(&device, cfg);
-    let report = netan::DistortionReport::new(
-        analyzer
-            .measure_harmonics_with(&LotEngine::serial(), f_test, 3)
-            .unwrap(),
-    );
+    let report = analyzer
+        .measure_harmonics_with(&LotEngine::serial(), f_test, 3)
+        .unwrap();
 
     // Scope path.
     let clk = MasterClock::for_stimulus(f_test);
     let mut board = DemoBoard::new(GeneratorConfig::ideal(clk, Volts(0.2)), &device);
-    board.set_path(SignalPath::Dut);
     board.warm_up(40);
     let mut source = board.source();
     let scope = DigitalOscilloscope::wavesurfer().measure_harmonics(&mut source, 1.0 / 96.0, 4);
 
-    let d2 = (report.hd_dbc(2).unwrap().est - scope.harmonics_dbc[0]).abs();
-    let d3 = (report.hd_dbc(3).unwrap().est - scope.harmonics_dbc[1]).abs();
+    let d2 = (report.hd_dbc(2).unwrap().est - scope.hd_dbc(2)).abs();
+    let d3 = (report.hd_dbc(3).unwrap().est - scope.hd_dbc(3)).abs();
     assert!(d2 < 1.5, "H2 disagreement {d2} dB");
     assert!(d3 < 1.5, "H3 disagreement {d3} dB");
 }

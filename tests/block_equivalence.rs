@@ -24,12 +24,6 @@ fn assert_dut_block_equivalence(label: &str, dut: &dyn Dut) {
         by_block.process_block(xi, yi);
     }
     assert_eq!(want, got, "{label}: block output diverged");
-    // The compatibility `process` wrapper rides the same path.
-    by_sample.reset();
-    by_block.reset();
-    let processed = by_block.process(&x);
-    let stepped: Vec<f64> = x.iter().map(|&u| by_sample.step(u)).collect();
-    assert_eq!(stepped, processed, "{label}: process() diverged");
 }
 
 #[test]
@@ -65,7 +59,8 @@ fn awg_block_path_matches_per_sample() {
         by_block.fill_block(chunk);
     }
     assert_eq!(want, got);
-    assert_eq!(by_sample.position(), by_block.position());
+    // Both stand at the same sample afterwards.
+    assert_eq!(by_sample, by_block);
 }
 
 #[test]
