@@ -132,6 +132,13 @@ pub fn process_group<const W: usize>(
 /// polynomials, each core's polynomial on every sample of its column. A
 /// `None` slot's column is left for the caller to overwrite.
 ///
+/// A block skips the polynomials when every one is the identity
+/// (`a2 = a3 = 0`, as a linearized device's is) and every output is
+/// finite: `y + 0·y·y + 0·y·y·y` is `y` for every finite `y` that is
+/// not −0, and the state-space outputs never are −0, since their sums
+/// start at `+0.0`. An infinite output would turn into NaN
+/// (`0·∞`), so a block with one applies the polynomials.
+///
 /// # Panics
 ///
 /// Panics if the cores' shapes differ.
@@ -151,6 +158,10 @@ fn step_cores<const W: usize>(
         .map(|core| core.as_mut().map(|core| &mut *core.dss));
     DiscreteStateSpace::process_group(&mut systems, input, out);
     if let Some((_, true)) = shape {
+        let identity = polys.iter().all(|poly| *poly == Polynomial::default());
+        if identity && out.iter().flatten().all(|y| y.is_finite()) {
+            return;
+        }
         // Every core has a polynomial: one fixed-width loop applies them
         // all, a `None` slot's included, since its column is overwritten.
         for row in out {
@@ -169,38 +180,84 @@ mod tests {
 
     #[test]
     fn members_match_their_own_step_loops() {
-        // Two order-3 cores with different polynomials step in lockstep;
-        // an order-3 core with no polynomial, an order-2 core and a
-        // simulator with no core run alone: over uneven blocks, each
-        // member's column is its own per-sample loop, bit for bit.
+        // Over uneven blocks, each member's column is its own per-sample
+        // loop, bit for bit. Two order-3 cores, one with the paper's
+        // polynomial and one with the identity, step in lockstep, so no
+        // block skips the polynomials; an order-3 core with no
+        // polynomial, an order-2 core and a simulator with no core run
+        // alone.
         let paper = ActiveRcFilter::paper_dut;
-        let devices: [Box<dyn Dut>; 5] = [
-            Box::new(paper().fabricate(0.05, 1)),
-            Box::new(paper().fabricate(0.05, 2).linearized()),
-            Box::new(LinearDut::new(
-                paper().fabricate(0.05, 3).transfer_function(),
-            )),
-            Box::new(ActiveRcFilter::new(Hertz(800.0), 0.9, 1.0)),
-            Box::new(NonlinearDut::new(
-                LinearDut::lowpass(Hertz(900.0), 0.8, 1.1),
-                Polynomial::new(0.02, 0.1),
-            )),
-        ];
         let fs = Hertz(96_000.0);
-        let x: Vec<f64> = (0..400).map(|i| 0.3 * (0.21 * i as f64).sin()).collect();
+        let tone: Vec<f64> = (0..400).map(|i| 0.3 * (0.21 * i as f64).sin()).collect();
+        check_group(
+            [
+                Box::new(paper().fabricate(0.05, 1)),
+                Box::new(paper().fabricate(0.05, 2).linearized()),
+                Box::new(LinearDut::new(
+                    paper().fabricate(0.05, 3).transfer_function(),
+                )),
+                Box::new(ActiveRcFilter::new(Hertz(800.0), 0.9, 1.0)),
+                Box::new(NonlinearDut::new(
+                    LinearDut::lowpass(Hertz(900.0), 0.8, 1.1),
+                    Polynomial::new(0.02, 0.1),
+                )),
+            ],
+            fs,
+            &tone,
+            "mixed polynomials",
+        );
+        // Every polynomial of the lockstep cores is the identity, so the
+        // group skips them while its outputs are finite; the order-2 core
+        // alone skips its own.
+        check_group(
+            [
+                Box::new(paper().fabricate(0.05, 4).linearized()),
+                Box::new(paper().linearized()),
+                Box::new(paper().fabricate(0.05, 5).linearized()),
+                Box::new(ActiveRcFilter::new(Hertz(800.0), 0.9, 1.0)),
+            ],
+            fs,
+            &tone,
+            "identity polynomials",
+        );
+        // A 1e308 V stretch drives the gain-10 core's output past
+        // `f64::MAX` with its state still finite: the identity maps ∞ to
+        // NaN, so that block applies the polynomials, and the later,
+        // finite blocks skip them again.
+        let mut overflow = tone.clone();
+        overflow[150..250].fill(1e308);
+        let hot = ActiveRcFilter::new(Hertz(800.0), 0.9, 10.0);
+        let mut own = hot.instantiate(fs);
+        let ys: Vec<f64> = overflow.iter().map(|&u| own.step(u)).collect();
+        assert!(ys.iter().any(|y| y.is_nan()) && ys.iter().rev().take(50).all(|y| y.is_finite()));
+        check_group(
+            [
+                Box::new(hot),
+                Box::new(ActiveRcFilter::new(Hertz(900.0), 0.8, 1.0)),
+            ],
+            fs,
+            &overflow,
+            "output overflow",
+        );
+    }
+
+    /// Runs `devices` as one group over `x` in uneven blocks and checks
+    /// each member's column against its own per-sample loop.
+    fn check_group<const W: usize>(devices: [Box<dyn Dut>; W], fs: Hertz, x: &[f64], label: &str) {
         let mut sims: Vec<Box<dyn DutSim>> = devices.iter().map(|d| d.instantiate(fs)).collect();
-        let mut got = vec![[0.0; 5]; x.len()];
+        let mut got = vec![[0.0; W]; x.len()];
         let mut start = 0;
         for len in [1, 37, 96, 266] {
             let end = start + len;
             process_group(&mut sims, &x[start..end], &mut got[start..end]);
             start = end;
         }
+        assert_eq!(start, x.len());
         for (s, device) in devices.iter().enumerate() {
             let mut own = device.instantiate(fs);
             let want: Vec<u64> = x.iter().map(|&u| own.step(u).to_bits()).collect();
             let column: Vec<u64> = got.iter().map(|row| row[s].to_bits()).collect();
-            assert_eq!(column, want, "member {s}");
+            assert_eq!(column, want, "{label}: member {s}");
         }
     }
 }

@@ -288,7 +288,11 @@ impl DiscreteStateSpace {
     /// monomorphized on the order and the width (`process_group_n`), so
     /// every inner loop has a compile-time trip count the autovectorizer
     /// cannot miss; order 0 (pure feedthrough) and anything beyond order
-    /// 8 step each system per sample — still correct, just slower.
+    /// 8 step each system per sample — still correct, just slower. The
+    /// kernel skips each output-row term (an entry of `c`, or `d`) that
+    /// is an exact zero in every system, which cannot change a bit while
+    /// the block stays finite; a block that ends with a non-finite state
+    /// runs again with every term.
     ///
     /// # Panics
     ///
@@ -340,13 +344,25 @@ impl DiscreteStateSpace {
     /// destination state of every slot — fixed-width loops the compiler
     /// turns into SIMD lanes. Slot `s` still runs exactly the operations
     /// of [`step`](Self::step) for its system, in `mul_vec`'s order: the
-    /// output `c·x` from `0.0` left to right, then `+ d·u`; each next
-    /// state from `0.0` over ascending `j`, then `+ Bd·u`. Nothing is
+    /// output `c·x` from `+0.0` left to right, then `+ d·u`; each next
+    /// state from `+0.0` over ascending `j`, then `+ Bd·u`. Nothing is
     /// reassociated within a slot or across slots, so each slot stays
     /// bit-identical to its system's own step loop. The coefficients and
     /// states are gathered into stack arrays here and the states written
     /// back at the end; a `None` slot runs on zeros, and every slot's
     /// output is stored, so the store stays one fixed-width loop.
+    ///
+    /// The output row skips each term, an entry of `c` or `d`, whose
+    /// coefficient is an exact zero in every slot (the paper's DUT has
+    /// `c = [k, 0, 0]` and `d = 0`). The sum starts at `+0.0`, so no
+    /// partial sum is ever −0, and adding the skipped `±0 · v` returns it
+    /// unchanged while `v` is finite. The state update skips nothing, so
+    /// a non-finite state spreads to every state of its slot at the next
+    /// sample and stays there, and a non-finite input does the same
+    /// through `Bd·u` (`0·∞` is NaN): a non-finite factor anywhere in
+    /// the block leaves a non-finite end state. So if every end state is
+    /// finite the skipped terms changed nothing; otherwise the block runs
+    /// again from its start with every term.
     fn process_group_n<const N: usize, const W: usize>(
         group: &mut [Option<&mut Self>; W],
         input: &[f64],
@@ -371,30 +387,50 @@ impl DiscreteStateSpace {
                 xv[s] = sys.state[i];
             }
         }
-        for (y, &u) in out.iter_mut().zip(input) {
-            let mut acc = [0.0f64; W];
-            for (cv, xv) in c.iter().zip(&x) {
-                for ((a, cs), xs) in acc.iter_mut().zip(cv).zip(xv) {
-                    *a += cs * xs;
-                }
-            }
-            for ((ys, a), ds) in y.iter_mut().zip(&acc).zip(&d) {
-                *ys = a + ds * u;
-            }
-            let mut x_next = [[0.0f64; W]; N];
-            for (row, xj) in adt.iter().zip(&x) {
-                for (xn, a) in x_next.iter_mut().zip(row) {
-                    for ((xs, as_), xjs) in xn.iter_mut().zip(a).zip(xj) {
-                        *xs += as_ * xjs;
+        let start = x;
+        // The output terms kept: `c[i]` where `kept[i]`, and `d` if
+        // `with_d`. A second pass, from the start, keeps them all.
+        let mut kept = c.map(|cv| cv.iter().any(|&v| v != 0.0));
+        let mut with_d = d.iter().any(|&v| v != 0.0);
+        loop {
+            for (y, &u) in out.iter_mut().zip(input) {
+                let mut acc = [0.0f64; W];
+                for ((cv, xv), &term) in c.iter().zip(&x).zip(&kept) {
+                    if term {
+                        for ((a, cs), xs) in acc.iter_mut().zip(cv).zip(xv) {
+                            *a += cs * xs;
+                        }
                     }
                 }
-            }
-            for (xn, b) in x_next.iter_mut().zip(&bd) {
-                for (xs, bs) in xn.iter_mut().zip(b) {
-                    *xs += bs * u;
+                if with_d {
+                    for ((ys, a), ds) in y.iter_mut().zip(&acc).zip(&d) {
+                        *ys = a + ds * u;
+                    }
+                } else {
+                    *y = acc;
                 }
+                let mut x_next = [[0.0f64; W]; N];
+                for (row, xj) in adt.iter().zip(&x) {
+                    for (xn, a) in x_next.iter_mut().zip(row) {
+                        for ((xs, as_), xjs) in xn.iter_mut().zip(a).zip(xj) {
+                            *xs += as_ * xjs;
+                        }
+                    }
+                }
+                for (xn, b) in x_next.iter_mut().zip(&bd) {
+                    for (xs, bs) in xn.iter_mut().zip(b) {
+                        *xs += bs * u;
+                    }
+                }
+                x = x_next;
             }
-            x = x_next;
+            let every_term = with_d && !kept.contains(&false);
+            if every_term || x.iter().flatten().all(|v| v.is_finite()) {
+                break;
+            }
+            x = start;
+            kept = [true; N];
+            with_d = true;
         }
         for (s, sys) in group.iter_mut().enumerate() {
             if let Some(sys) = sys {
@@ -535,10 +571,33 @@ mod tests {
     /// Slot `slot`'s system of order `order`: real poles of its own (and
     /// a feedthrough term in slot 3), discretized at 96 kHz.
     fn group_member(order: usize, slot: usize) -> DiscreteStateSpace {
+        let poles = (0..order).map(|k| {
+            2.0 * std::f64::consts::PI * 400.0 * (1.0 + 0.7 * k as f64 + 0.13 * slot as f64)
+        });
+        with_poles(poles, slot)
+    }
+
+    /// Slot `slot`'s system of order `order` with its first pole moved to
+    /// 40 kHz in the right half-plane: its state grows by e^2.6 a sample
+    /// and leaves `f64`'s range within 300 samples.
+    fn unstable_member(order: usize, slot: usize) -> DiscreteStateSpace {
+        let poles = (0..order).map(|k| {
+            if k == 0 {
+                -2.0 * std::f64::consts::PI * 40_000.0
+            } else {
+                2.0 * std::f64::consts::PI * 400.0 * (1.0 + 0.7 * k as f64)
+            }
+        });
+        with_poles(poles, slot)
+    }
+
+    /// The system with a real pole at `−w` for each `w` of `poles`: in
+    /// slot 3 with a numerator of the denominator's order, so its output
+    /// row is dense and `d ≠ 0`; elsewhere with a constant numerator, so
+    /// only the row's first entry is nonzero.
+    fn with_poles(poles: impl Iterator<Item = f64>, slot: usize) -> DiscreteStateSpace {
         let mut den = vec![1.0];
-        for k in 0..order {
-            let w =
-                2.0 * std::f64::consts::PI * 400.0 * (1.0 + 0.7 * k as f64 + 0.13 * slot as f64);
+        for w in poles {
             let mut next = vec![0.0; den.len() + 1];
             for (i, &c) in den.iter().enumerate() {
                 next[i] += c;
@@ -580,6 +639,27 @@ mod tests {
         out
     }
 
+    fn bits(values: &[f64]) -> Vec<u64> {
+        values.iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn step_and_the_group_kernel_agree_on_the_sign_of_zero() {
+        // `−1/(1 + s)` from rest: every output-row product is −0 while
+        // the input is −0, and both sums start at +0.0, so both read +0.
+        let sys = TransferFunction::new(vec![-1.0], vec![1.0, 1.0])
+            .to_state_space()
+            .discretize_zoh(1.0e-3);
+        let input = [-0.0, -0.0, 0.5];
+        let mut by_step = sys.clone();
+        let want: Vec<f64> = input.iter().map(|&u| by_step.step(u)).collect();
+        let mut by_group = sys;
+        let mut got = [0.0; 3];
+        process_block(&mut by_group, &input, &mut got);
+        assert_eq!(bits(&want), bits(&[0.0; 3]));
+        assert_eq!(bits(&got), bits(&want));
+    }
+
     #[test]
     fn process_group_is_bit_identical_to_each_systems_own_block() {
         // Every order the dispatcher monomorphizes, four different
@@ -587,57 +667,106 @@ mod tests {
         // coefficients or state shows; uneven blocks carry the state.
         // Each system's own reference is its per-sample step loop, which
         // its own `process_block` (a group of one) also matches.
-        let x: Vec<f64> = (0..617)
-            .map(|i| (0.37 * i as f64).sin() + 0.2 * (1.3 * i as f64).cos())
+        //
+        // Slots 0-2 have one-term output rows, slot 3 a dense one with
+        // `d ≠ 0`: a group skips the zero terms only while slot 3 is out
+        // of it (left out, or in the tails). The records hold signed
+        // zeros and subnormals, and ±∞ or NaN at the last sample of a
+        // block; a group with an unstable member overflows mid-block. A
+        // block that ends non-finite runs again with every term.
+        let tone = |i: usize| (0.37 * i as f64).sin() + 0.2 * (1.3 * i as f64).cos();
+        let tiny = f64::MIN_POSITIVE / 4.0;
+        let smooth: Vec<f64> = (0..617)
+            .map(|i| match i {
+                0 | 1 | 200 => -0.0,
+                2 | 201 => 0.0,
+                3 | 202 => tiny,
+                4 | 203 => -5e-324,
+                _ => tone(i),
+            })
             .collect();
         for order in 1..=8usize {
-            let systems: [DiscreteStateSpace; 4] =
-                std::array::from_fn(|slot| group_member(order, slot));
-            let mut alone = systems.clone();
-            let want: Vec<Vec<f64>> = alone
-                .iter_mut()
-                .map(|sys| x.iter().map(|&u| sys.step(u)).collect())
-                .collect();
-            for (sys, want) in systems.iter().zip(&want) {
-                let mut by_block = sys.clone();
-                let mut y = vec![0.0; x.len()];
-                for (xi, yi) in x.chunks(29).zip(y.chunks_mut(29)) {
-                    process_block(&mut by_block, xi, yi);
-                }
-                assert_eq!(&y, want, "order {order}: process_block");
+            let mut cases = vec![(
+                "smooth".to_string(),
+                std::array::from_fn(|slot| group_member(order, slot)),
+                smooth.clone(),
+            )];
+            for extreme in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                let mut x = smooth.clone();
+                x[116] = extreme;
+                cases.push((
+                    format!("{extreme} at 116"),
+                    std::array::from_fn(|slot| group_member(order, slot)),
+                    x,
+                ));
             }
-            for skip in [None, Some(1)] {
-                let mut grouped = systems.clone();
-                let got = run_group(&mut grouped, skip, &x);
-                for (s, (want, sys)) in want.iter().zip(&grouped).enumerate() {
-                    let column: Vec<f64> = got.iter().map(|row| row[s]).collect();
-                    if skip == Some(s) {
-                        assert_eq!(sys, &systems[s], "order {order}");
-                        continue;
+            cases.push((
+                "unstable slot 2".to_string(),
+                std::array::from_fn(|slot| {
+                    if slot == 2 {
+                        unstable_member(order, slot)
+                    } else {
+                        group_member(order, slot)
                     }
-                    assert_eq!(
-                        column.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
-                        want.iter().map(|y| y.to_bits()).collect::<Vec<_>>(),
-                        "order {order}, slot {s}, skip {skip:?}"
-                    );
-                    assert_eq!(sys, &alone[s], "order {order}, slot {s}");
-                }
+                }),
+                smooth.clone(),
+            ));
+            for (case, systems, x) in cases {
+                let label = format!("order {order}, {case}");
+                check_group(&systems, &x, &label);
             }
-            // Narrower groups (the tails of a lane) run the same kernel.
-            let [a, b, c, _] = systems.clone();
-            let tail = run_group(&mut [a, b, c], None, &x);
-            for (t, row) in tail.iter().enumerate() {
-                for (s, y) in row.iter().enumerate() {
-                    assert_eq!(y.to_bits(), want[s][t].to_bits(), "order {order}, tail");
-                }
-            }
-            let [a, ..] = systems.clone();
-            let one = run_group(&mut [a], None, &x);
-            assert!(one
-                .iter()
-                .zip(&want[0])
-                .all(|(r, w)| r[0].to_bits() == w.to_bits()));
         }
+    }
+
+    /// `systems` as a group of 4 over `x`, whole and with slot 1 or 3
+    /// left out, then as its tails of 3 and 1, against each system's own
+    /// step loop and its own `process_block`, outputs and end states
+    /// bit for bit.
+    fn check_group(systems: &[DiscreteStateSpace; 4], x: &[f64], label: &str) {
+        let mut alone = systems.clone();
+        let want: Vec<Vec<f64>> = alone
+            .iter_mut()
+            .map(|sys| x.iter().map(|&u| sys.step(u)).collect())
+            .collect();
+        for (sys, want) in systems.iter().zip(&want) {
+            let mut by_block = sys.clone();
+            let mut y = vec![0.0; x.len()];
+            for (xi, yi) in x.chunks(29).zip(y.chunks_mut(29)) {
+                process_block(&mut by_block, xi, yi);
+            }
+            assert_eq!(bits(&y), bits(want), "{label}: process_block");
+        }
+        for skip in [None, Some(1), Some(3)] {
+            let mut grouped = systems.clone();
+            let got = run_group(&mut grouped, skip, x);
+            for (s, (want, sys)) in want.iter().zip(&grouped).enumerate() {
+                let column: Vec<f64> = got.iter().map(|row| row[s]).collect();
+                if skip == Some(s) {
+                    assert_eq!(bits(&sys.state), bits(&systems[s].state), "{label}");
+                    continue;
+                }
+                assert_eq!(
+                    bits(&column),
+                    bits(want),
+                    "{label}, slot {s}, skip {skip:?}"
+                );
+                assert_eq!(bits(&sys.state), bits(&alone[s].state), "{label}, slot {s}");
+            }
+        }
+        // Narrower groups (the tails of a lane) run the same kernel.
+        let [a, b, c, _] = systems.clone();
+        let tail = run_group(&mut [a, b, c], None, x);
+        for (t, row) in tail.iter().enumerate() {
+            for (s, y) in row.iter().enumerate() {
+                assert_eq!(y.to_bits(), want[s][t].to_bits(), "{label}, tail");
+            }
+        }
+        let [a, ..] = systems.clone();
+        let one = run_group(&mut [a], None, x);
+        assert!(one
+            .iter()
+            .zip(&want[0])
+            .all(|(r, w)| r[0].to_bits() == w.to_bits()));
     }
 
     #[test]

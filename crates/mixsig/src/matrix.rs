@@ -65,7 +65,11 @@ impl Matrix {
         self.cols
     }
 
-    /// Matrix–vector product.
+    /// Matrix–vector product: each entry summed from `+0.0` over
+    /// ascending columns, the order and start of
+    /// `DiscreteStateSpace`'s group kernel. (`Iterator::sum` starts from
+    /// `−0.0`: a row of `−0` products would sum to `−0`, where the
+    /// kernel's sum is `+0`.)
     ///
     /// # Panics
     ///
@@ -73,7 +77,7 @@ impl Matrix {
     pub(crate) fn mul_vec(&self, v: &[f64]) -> Vec<f64> {
         assert_eq!(v.len(), self.cols, "dimension mismatch");
         (0..self.rows)
-            .map(|r| (0..self.cols).map(|c| self[(r, c)] * v[c]).sum())
+            .map(|r| (0..self.cols).fold(0.0, |acc, c| acc + self[(r, c)] * v[c]))
             .collect()
     }
 

@@ -239,7 +239,11 @@ impl SigmaDeltaModulator {
     /// on its exact instantiation: both polarity plans are
     /// [exact](ScStepPlan::is_exact) and the comparator is ideal (zero
     /// offset, hysteresis and noise), so its threshold is exactly `+0.0`
-    /// and a step draws nothing.
+    /// and a step draws nothing; and the DAC reference is 1 V with no
+    /// input offset, so a step's charge is `g0·x + g1·d` with
+    /// `g1·d = ±0.4` (see [`ModulatorPair::sums`]). Ideal hardware is
+    /// exact; an ideal modulator with another reference or an op-amp
+    /// offset is not.
     fn is_exact(&self) -> bool {
         let cmp = &self.config.comparator;
         self.plan_pos.is_exact()
@@ -247,6 +251,8 @@ impl SigmaDeltaModulator {
             && cmp.offset.value() == 0.0
             && cmp.hysteresis.value() == 0.0
             && cmp.noise_rms.value() == 0.0
+            && self.config.vref.value() == 1.0
+            && self.input_offset == 0.0
     }
 
     /// Draws the noise of one step with polarity `q`: the comparator
@@ -288,10 +294,14 @@ pub struct ModulatorState {
 /// streams in step order, whatever the input. So each block's noise is
 /// drawn once, before any device steps, and every device runs its own
 /// [`ModulatorState`]s through the block with those same draws, in
-/// groups of up to [`GROUP_DEVICES`]. An exact pair (ideal hardware)
-/// draws nothing, and its groups run the kernel's exact instantiation.
-/// Each device decides exactly what a fresh pair of its own, stepped
-/// with [`SigmaDeltaModulator::step`], would decide.
+/// groups of up to [`GROUP_DEVICES`]. An exact pair (ideal hardware:
+/// exact plans, an ideal comparator, a 1 V reference and no offset)
+/// draws nothing, and its groups run the kernel's exact instantiation,
+/// `u + (g0·x + g1·d)` per step. Any other pair runs the general body
+/// with the block's draws, which are zeros when its noise is off (an
+/// ideal pair with another reference or an op-amp offset). Each device
+/// decides exactly what a fresh pair of its own, stepped with
+/// [`SigmaDeltaModulator::step`], would decide.
 #[derive(Debug, Clone)]
 pub struct ModulatorPair {
     i: SigmaDeltaModulator,
@@ -411,9 +421,9 @@ impl ModulatorPair {
     /// non-finite under exact steps, so if every integrator ends the
     /// block finite, no step needed the general body and the block is
     /// what each device's own step loop computes. Otherwise, and on
-    /// every block of a pair that is not exact, the block runs through
-    /// the general body with the block's draws; an exact pair's are
-    /// zero.
+    /// every block of a pair that is not exact, the block runs from its
+    /// start through the general body with the block's draws; an exact
+    /// pair's are zero.
     fn step_group_n<const W: usize>(
         &self,
         states: &mut [[ModulatorState; 2]],
@@ -464,9 +474,19 @@ impl ModulatorPair {
     /// decisions, `(highs − lows) = 2·highs − steps`; so the whole step
     /// stays in floating-point lanes.
     ///
-    /// `EXACT` runs an exact pair on the exact instantiation: the ideal
-    /// comparator's threshold `0 + 0 − (±1)·0` is `+0.0`, and the draws
-    /// are not read. The caller checks the outputs it ends with.
+    /// `EXACT` runs an exact pair on the exact instantiation, which
+    /// reads no draws and drops every operation that cannot change a
+    /// finite result. The ideal comparator's threshold `0 + 0 − (±1)·0`
+    /// is `+0.0`. Where the exact charge transfer of
+    /// [`ScIntegrator::steps`] computes
+    /// `u + (((0 + g0·x) + g1·(d·Vref)) + g2·offset)` with the plans'
+    /// gains `g = C_i/C_F` (`C_F = 1`: `g0 = ±0.4` by polarity,
+    /// `g1 = −0.4`), this one computes `u + (g0·x + g1·d)`: `d·1.0` is
+    /// `d`; `g1·d = ±0.4` is never zero, so the leading `+0.0` changes
+    /// nothing for any `x`; and the sum is never −0, so adding the ±0
+    /// offset term returns it unchanged. That exact transfer equals the
+    /// general body wherever it ends finite, and the caller checks the
+    /// outputs it ends with.
     fn sums<'a, const EXACT: bool, const W: usize>(
         &self,
         start: [[ModulatorState; 2]; W],
@@ -488,6 +508,21 @@ impl ModulatorPair {
         for ((xt, (qi, qq)), step_noise) in rows.iter().zip(polarities).zip(noise) {
             steps += 1;
             for (m, q) in [qi, qq].into_iter().enumerate() {
+                if EXACT {
+                    let g0 = if q { CI_OVER_CF } else { -CI_OVER_CF };
+                    for (((sign, h), us), xs) in signs[m]
+                        .iter_mut()
+                        .zip(&mut highs[m])
+                        .zip(&mut u[m])
+                        .zip(xt)
+                    {
+                        let high = *us >= 0.0;
+                        *h += i64::from(high);
+                        *sign = if high { 1.0 } else { -1.0 };
+                        *us += g0 * xs + -CI_OVER_CF * *sign;
+                    }
+                    continue;
+                }
                 let modulator = mods[m];
                 let plan = if q {
                     &modulator.plan_pos
@@ -505,17 +540,12 @@ impl ModulatorPair {
                     .zip(&mut dac)
                     .zip(&u[m])
                 {
-                    let threshold = if EXACT {
-                        0.0
-                    } else {
-                        center - *sign * cmp.hysteresis.value()
-                    };
-                    let high = us >= threshold;
+                    let high = us >= center - *sign * cmp.hysteresis.value();
                     *h += i64::from(high);
                     *sign = if high { 1.0 } else { -1.0 };
                     *d = *sign * vref;
                 }
-                u[m] = modulator.integrator.steps::<EXACT, 3, W>(
+                u[m] = modulator.integrator.steps::<false, 3, W>(
                     plan,
                     u[m],
                     [*xt, dac, [modulator.input_offset; W]],
@@ -738,55 +768,128 @@ mod tests {
         // carry ordinary tones. At ±∞ and NaN that slot's exact sums stop
         // being finite, so its group must run the block again through the
         // general body; at 1e300 and f64::MAX they stay finite. The record
-        // is two blocks, so the second starts from the extreme state.
-        let cfg_q = SdmConfig {
-            seed: 1,
+        // is two blocks, so the second starts from the extreme state. An
+        // ideal pair with a 2 V reference or an op-amp offset has exact
+        // plans but is not exact: it runs the general body throughout.
+        let offset = SdmConfig {
+            opamp: OpAmpModel::ideal().with_offset(Volts(0.01)),
             ..SdmConfig::ideal()
         };
+        let configs = [
+            SdmConfig::ideal(),
+            SdmConfig::ideal().with_vref(Volts(2.0)),
+            offset,
+        ];
         let len = 300;
         let polarities: Vec<(bool, bool)> = (0..len)
             .map(|t| (t % 96 < 48, (t + 24) % 96 < 48))
             .collect();
-        for extreme in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, f64::MAX] {
-            for w in [1, 2, 4, GROUP_DEVICES] {
-                for hot in 0..w {
-                    let input = |s: usize, t: usize| {
-                        if s == hot && t == 137 {
-                            extreme
-                        } else {
-                            0.5 * (2.0 * std::f64::consts::PI * (t + 11 * s) as f64 / 96.0).sin()
+        for (c, cfg_i) in configs.into_iter().enumerate() {
+            let cfg_q = SdmConfig {
+                seed: 1,
+                ..cfg_i.clone()
+            };
+            for extreme in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN, 1e300, f64::MAX] {
+                for w in [1, 2, 4, GROUP_DEVICES] {
+                    for hot in 0..w {
+                        let input = |s: usize, t: usize| {
+                            if s == hot && t == 137 {
+                                extreme
+                            } else {
+                                0.5 * (2.0 * std::f64::consts::PI * (t + 11 * s) as f64 / 96.0)
+                                    .sin()
+                            }
+                        };
+                        let x: Vec<f64> = (0..len)
+                            .flat_map(|t| (0..w).map(move |s| input(s, t)))
+                            .collect();
+                        let mut pair = ModulatorPair::new(
+                            SigmaDeltaModulator::new(cfg_i.clone()),
+                            SigmaDeltaModulator::new(cfg_q.clone()),
+                        );
+                        assert_eq!(pair.exact, c == 0, "config {c}");
+                        let mut states = vec![pair.states(); w];
+                        let mut counts = vec![(0, 0); w];
+                        for (xb, qb) in x.chunks(200 * w).zip(polarities.chunks(200)) {
+                            pair.draw_block(qb.len(), qb.iter().copied());
+                            pair.step_group(&mut states, xb, qb.iter().copied(), &mut counts);
                         }
-                    };
-                    let x: Vec<f64> = (0..len)
-                        .flat_map(|t| (0..w).map(move |s| input(s, t)))
-                        .collect();
-                    let mut pair = ModulatorPair::new(
-                        SigmaDeltaModulator::new(SdmConfig::ideal()),
-                        SigmaDeltaModulator::new(cfg_q.clone()),
-                    );
-                    let mut states = vec![pair.states(); w];
-                    let mut counts = vec![(0, 0); w];
-                    for (xb, qb) in x.chunks(200 * w).zip(polarities.chunks(200)) {
-                        pair.draw_block(qb.len(), qb.iter().copied());
-                        pair.step_group(&mut states, xb, qb.iter().copied(), &mut counts);
+                        for (s, (state, count)) in states.iter().zip(&counts).enumerate() {
+                            let mut step_i = SigmaDeltaModulator::new(cfg_i.clone());
+                            let mut step_q = SigmaDeltaModulator::new(cfg_q.clone());
+                            let mut want = (0i64, 0i64);
+                            for (t, &(qi, qq)) in polarities.iter().enumerate() {
+                                want.0 += if step_i.step(input(s, t), qi) { 1 } else { -1 };
+                                want.1 += if step_q.step(input(s, t), qq) { 1 } else { -1 };
+                            }
+                            let label =
+                                format!("config {c}: {extreme} at slot {hot} of {w}, slot {s}");
+                            assert_eq!(*count, want, "{label}");
+                            for (got, want) in state.iter().zip([step_i.state(), step_q.state()]) {
+                                assert_eq!(
+                                    got.integrator.to_bits(),
+                                    want.integrator.to_bits(),
+                                    "{label}"
+                                );
+                                assert_eq!(got.last_bit, want.last_bit, "{label}");
+                            }
+                        }
                     }
-                    for (s, (state, count)) in states.iter().zip(&counts).enumerate() {
-                        let mut step_i = SigmaDeltaModulator::new(SdmConfig::ideal());
-                        let mut step_q = SigmaDeltaModulator::new(cfg_q.clone());
-                        let mut want = (0i64, 0i64);
-                        for (t, &(qi, qq)) in polarities.iter().enumerate() {
-                            want.0 += if step_i.step(input(s, t), qi) { 1 } else { -1 };
-                            want.1 += if step_q.step(input(s, t), qq) { 1 } else { -1 };
-                        }
-                        let label = format!("{extreme} at slot {hot} of {w}, slot {s}");
-                        assert_eq!(*count, want, "{label}");
-                        for (got, want) in state.iter().zip([step_i.state(), step_q.state()]) {
+                }
+            }
+        }
+        // The exact instantiation against the general body with zero
+        // draws: one step at each polarity, from integrators of either
+        // sign and both last decisions, of signed zeros, subnormals, ±∞,
+        // NaN and a tone sample. Where the exact step ends finite it is
+        // the general one bit for bit; where it does not, neither does
+        // the general one, and the caller's rerun takes over.
+        let pair = ModulatorPair::new(
+            SigmaDeltaModulator::new(SdmConfig::ideal()),
+            SigmaDeltaModulator::new(SdmConfig::ideal()),
+        );
+        let tiny = f64::MIN_POSITIVE / 4.0;
+        let values = [
+            0.0,
+            -0.0,
+            tiny,
+            -tiny,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            0.3,
+        ];
+        let rows: [[f64; GROUP_DEVICES]; 1] = [std::array::from_fn(|s| values[s % values.len()])];
+        for polarity in [(true, false), (false, true)] {
+            for integrator in [0.0, -0.0, tiny, 0.25, -0.3] {
+                for last_bit in [false, true] {
+                    let start = [[ModulatorState {
+                        integrator,
+                        last_bit,
+                    }; 2]; GROUP_DEVICES];
+                    let no_noise = || std::iter::repeat(&NO_NOISE);
+                    let once = || std::iter::once(polarity);
+                    let exact = pair.sums::<true, GROUP_DEVICES>(start, &rows, once(), no_noise());
+                    let general =
+                        pair.sums::<false, GROUP_DEVICES>(start, &rows, once(), no_noise());
+                    let label = format!("{polarity:?} from {integrator}, {last_bit}");
+                    assert_eq!(exact.1, general.1, "{label}");
+                    for (s, (exact, general)) in exact.0.iter().zip(&general.0).enumerate() {
+                        for (e, g) in exact.iter().zip(general) {
+                            let label = format!("{label}: x = {}", rows[0][s]);
+                            assert_eq!(e.last_bit, g.last_bit, "{label}");
                             assert_eq!(
-                                got.integrator.to_bits(),
-                                want.integrator.to_bits(),
+                                e.integrator.is_finite(),
+                                g.integrator.is_finite(),
                                 "{label}"
                             );
-                            assert_eq!(got.last_bit, want.last_bit, "{label}");
+                            if e.integrator.is_finite() {
+                                assert_eq!(
+                                    e.integrator.to_bits(),
+                                    g.integrator.to_bits(),
+                                    "{label}"
+                                );
+                            }
                         }
                     }
                 }

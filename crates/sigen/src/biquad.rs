@@ -20,7 +20,7 @@ use mixsig::units::Seconds;
 /// [`GeneratorBiquad::plan_transfers`], consumed by
 /// `GeneratorBiquad::transfer_planned_in`.
 #[derive(Debug, Clone)]
-pub struct TransferPlans {
+pub(crate) struct TransferPlans {
     int1: Vec<ScStepPlan>,
     int2: ScStepPlan,
     /// Every plan is [exact](ScStepPlan::is_exact).
@@ -140,14 +140,9 @@ impl GeneratorBiquad {
         }
     }
 
-    /// Output voltage (second integrator).
-    pub fn output(&self) -> f64 {
-        self.int2.output()
-    }
-
     /// One charge transfer: samples `vin` through `input_cap` (signed), and
     /// advances the loop. Returns the new output.
-    pub fn transfer(&mut self, input_cap: f64, vin: f64) -> f64 {
+    pub(crate) fn transfer(&mut self, input_cap: f64, vin: f64) -> f64 {
         let v2_prev = self.int2.output();
         let v1 = self.int1.step(&[
             Branch::new(input_cap, vin),
@@ -164,7 +159,7 @@ impl GeneratorBiquad {
     ///
     /// The plans cache this biquad's fabricated capacitors and op-amp
     /// constants; rebuild them if the biquad is replaced.
-    pub fn plan_transfers(&self, input_caps: &[f64]) -> TransferPlans {
+    pub(crate) fn plan_transfers(&self, input_caps: &[f64]) -> TransferPlans {
         let int1: Vec<ScStepPlan> = input_caps
             .iter()
             .map(|&w| self.int1.plan(&[w, -self.caps.d]))

@@ -178,7 +178,7 @@ impl SinewaveGenerator {
     }
 
     /// Advances one biquad charge transfer (rate `2·f_gen = f_eva/3`)
-    /// through the scalar [`GeneratorBiquad::transfer`] reference path —
+    /// through the biquad's scalar `transfer`, the reference path —
     /// bit-identical to the planned path [`fill_block`](Self::fill_block)
     /// uses (asserted by the sigen test suite).
     pub fn next_transfer(&mut self) -> f64 {
@@ -192,8 +192,8 @@ impl SinewaveGenerator {
     /// `HOLD_SAMPLES` samples), bit-identical however `out` is split
     /// into blocks.
     ///
-    /// Transfers run through the per-step [`TransferPlans`] cached at
-    /// construction (same arithmetic and noise draws as
+    /// Transfers run through the biquad's per-step transfer plans,
+    /// cached at construction (same arithmetic and noise draws as
     /// [`next_transfer`](Self::next_transfer), with the per-transfer
     /// invariants hoisted). The block runs transfer-major: it finishes
     /// the hold in progress, then does one transfer per
